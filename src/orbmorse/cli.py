@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,6 @@ SUBCOMMANDS = ("cohomology", "curvature-integral", "heat-trace", "verify-morse",
 
 DEFAULT_TOLERANCES = {
     "tol_degeneracy": 1e-8,
-    "tol_spectral_gap": 1e-8,
     "tol_quadrature": 1e-3,
     "tol_chain": 1e-9,
 }
@@ -110,7 +108,7 @@ def load_config(path):
 # relative file names to text payloads.
 
 
-def _run_cohomology(cfg, orb, bundle, threads):
+def _run_cohomology(cfg, orb, bundle):
     table = cohomology_table(orb, cfg.p_list)
     data = {"entries": {f"{p},{q}": table.h(p, q)
                         for (p, q) in sorted(table.entries)}}
@@ -118,7 +116,7 @@ def _run_cohomology(cfg, orb, bundle, threads):
             {"cohomology.csv": table.to_csv()})
 
 
-def _run_curvature_integral(cfg, orb, bundle, threads):
+def _run_curvature_integral(cfg, orb, bundle):
     n = orb.dimension
     results = []
     for q in cfg.q_list:
@@ -134,29 +132,23 @@ def _run_curvature_integral(cfg, orb, bundle, threads):
     return results, [], {}
 
 
-def _run_heat_trace(cfg, orb, bundle, threads):
+def _run_heat_trace(cfg, orb, bundle):
     if orb.catalog_id != "torus":
         raise ConfigurationError("heat traces require the flat torus catalog entry")
     results = []
     artifacts = {}
-    tasks = [(p, q) for p in cfg.p_list for q in (0, 1)]
-
-    def build(task):
-        p, q = task
-        return assemble_kodaira_laplacian(orb, bundle, p, q,
-                                          cfg.resolution_spectral).spectral_table()
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        tables = list(pool.map(build, tasks))
-    for (p, q), table in zip(tasks, tables):
-        artifacts[f"spectrum_p{p}_q{q}.csv"] = table.to_csv()
-        traces = {repr(u): heat_trace(table, u) for u in cfg.u_list}
-        results.append((f"heat-trace-p{p}-q{q}", True,
-                        {"zero_dim": table.zero_dim, "traces": traces}))
+    for p in cfg.p_list:
+        for q in (0, 1):
+            op = assemble_kodaira_laplacian(orb, bundle, p, q, cfg.resolution_spectral)
+            table = op.spectral_table()
+            artifacts[f"spectrum_p{p}_q{q}.csv"] = table.to_csv()
+            traces = {repr(u): heat_trace(table, u) for u in cfg.u_list}
+            results.append((f"heat-trace-p{p}-q{q}", True,
+                            {"zero_dim": table.zero_dim, "traces": traces}))
     return results, [], artifacts
 
 
-def _run_verify_morse(cfg, orb, bundle, threads):
+def _run_verify_morse(cfg, orb, bundle):
     results = []
     diagnostics = []
     artifacts = {}
@@ -199,26 +191,20 @@ def _run_verify_morse(cfg, orb, bundle, threads):
     return results, diagnostics, artifacts
 
 
-def _run_kernel_asymptotics(cfg, orb, bundle, threads):
+def _run_kernel_asymptotics(cfg, orb, bundle):
     if orb.catalog_id != "local-model":
         raise ConfigurationError(
             "kernel asymptotics run on the local quotient models")
     results = []
     k = orb.params["k"]
     x_reg = np.array([1.0 + 0.0j] * orb.dimension)
-
-    def one_u(u):
+    p_mid = cfg.p_list[len(cfg.p_list) // 2]
+    Z = np.array([1.0 / math.sqrt(p_mid) + 0.0j] * orb.dimension)
+    for u in cfg.u_list:
         fit = vf.verify_kernel_asymptotics_regular(orb, bundle, x_reg, u, cfg.p_list)
         ratio = vf.singular_diagonal_factor(
             orb, bundle, np.zeros(orb.dimension, dtype=complex), u, cfg.p_list[-1])
-        p_mid = cfg.p_list[len(cfg.p_list) // 2]
-        Z = np.array([1.0 / math.sqrt(p_mid) + 0.0j] * orb.dimension)
         rec = vf.verify_kernel_asymptotics_singular(orb, bundle, Z, u, [p_mid])[0]
-        return u, fit, ratio, rec
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(one_u, cfg.u_list))
-    for u, fit, ratio, rec in rows:
         slope_ok = fit.slope <= -0.4
         ratio_ok = abs(ratio - k) <= 0.05
         shrink = rec.residual_without_twist / max(rec.residual_with_twist, 1e-300)
@@ -231,7 +217,7 @@ def _run_kernel_asymptotics(cfg, orb, bundle, threads):
     return results, [], {}
 
 
-def _run_moishezon(cfg, orb, bundle, threads):
+def _run_moishezon(cfg, orb, bundle):
     rng = np.random.default_rng(cfg.seed)
     verdict = mz.moishezon_check(orb, bundle, resolution=cfg.resolution_quadrature,
                                  tol=cfg.tolerances["tol_degeneracy"], rng=rng,
@@ -279,7 +265,7 @@ RUNNERS = {
 }
 
 
-def run(subcommand, config: RunConfig, out_dir, threads=1, strict=False):
+def run(subcommand, config: RunConfig, out_dir, strict=False):
     """Execute one subcommand and write report + CSV artifacts.
 
     Returns the process exit code.
@@ -293,7 +279,7 @@ def run(subcommand, config: RunConfig, out_dir, threads=1, strict=False):
     results, diagnostics, artifacts = [], [], {}
     for name in names:
         try:
-            r, d, a = RUNNERS[name](config, orb, bundle, threads)
+            r, d, a = RUNNERS[name](config, orb, bundle)
         except OrbmorseError as exc:
             if subcommand == "all":
                 diagnostics.append(("info", f"{name} skipped for this model: {exc}"))
@@ -332,7 +318,8 @@ def main(argv=None):
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--strict", action="store_true",
                         help="treat warnings as failures")
     args = parser.parse_args(argv)
@@ -340,8 +327,7 @@ def main(argv=None):
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        return run(args.subcommand, config, args.out, threads=args.threads,
-                   strict=args.strict)
+        return run(args.subcommand, config, args.out, strict=args.strict)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

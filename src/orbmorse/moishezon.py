@@ -21,8 +21,7 @@ from .cohomology import CohomologyTable, weighted_proj_h0
 from .curvature import curvature_spectrum
 from .errors import ConfigurationError, UnsupportedModelError
 from .geometry import gauss_legendre_nodes
-from .spectral import (_invariant_basis, assemble_kodaira_laplacian,
-                       torus_eigenfunction_values)
+from .spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
 
 BIGNESS_NOISE_MARGIN = 10.0
 KODAIRA_RANK_TOL = 1e-8
@@ -143,14 +142,21 @@ def _section_values_wps(weights, p, zs):
 
 
 def _section_values_torus(orb, bundle, p, zs):
+    """Values of the section basis of the p-th power at the points zs.
+
+    Rows are the level-0 states v_j; on the half-turn quotient they are the
+    invariant combinations (v_j + v_{-j}) / sqrt(2), and v_j itself at the
+    translates with j = -j mod D, for j = 0..D // 2 in order.
+    """
     op0 = assemble_kodaira_laplacian(orb, bundle, p, 0, 1)
     vals = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
-    d, k = orb.params["d"], orb.params["k"]
-    if k == 1:
+    if orb.params["k"] == 1:
         return vals
-    # invariant combinations only (sections of the quotient)
-    basis = _invariant_basis(d * p, 1)
-    return basis @ vals
+    D = op0.D
+    js = np.arange(D // 2 + 1)
+    mirror = (-js) % D
+    paired = (vals[js] + vals[mirror]) / math.sqrt(2.0)
+    return np.where((js == mirror)[:, None], vals[js], paired)
 
 
 def kodaira_rank(orb, bundle, p, rng=None, samples=6, step=1e-5):

@@ -16,19 +16,27 @@ antiholomorphic coframe), and the half-turn z -> -z acts by
 
 picking up an extra sign on ebar in degree one.  The quotient operator is the
 restriction to the invariant subspace; "resolution" counts retained levels.
+The invariant states of a level are the +1 eigenvectors of the signed swap
+v_j -> s v_{-j}, s = (-1)^kappa (times -1 in degree one): pairs
+(v_j + s v_{-j}) / sqrt(2) for j != -j mod D, plus v_j itself at the
+f in {1, 2} fixed translates when s = +1.  The multiplicity of a level is
+therefore D for k = 1 and (D + s f) / 2 for k = 2, which is all the spectral
+tables need; the explicit swap bases are built only by ``dbar_matrix`` (and
+so ``eigencomplex_check``), level by level, when it is called.
 
 Local models C/Z_k are discretized on a truncated grid with magnetic link
 phases; that operator is only used as a brute-force oracle for the
 closed-form kernels.
 
-Assembled operators and tables are immutable; eigen-extraction is pure, so
-independent (p, q) assemblies can safely run in parallel.
+Assembled operators and tables are immutable and torus assembly costs
+O(resolution) time and memory, independent of the power p.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,6 +117,17 @@ def morse_sum_vs_trace(tables, u, h_dims):
 # exact torus assembly
 
 
+def _swap_sign(level, q):
+    """Sign s of the half-turn v_j -> s v_{-j} on the level-``level`` states."""
+    return (-1) ** level * (-1 if q == 1 else 1)
+
+
+def _swap_multiplicity(D, sign):
+    """Dimension of the +1 eigenspace of v_j -> sign * v_{-j} on C^D."""
+    fixed = 2 if D % 2 == 0 else 1      # translates with j = -j mod D
+    return (D + sign * fixed) // 2
+
+
 def torus_kernel_dimension(d, k, p, q):
     """Exact kernel dimension of the degree-q Laplacian on the torus quotient."""
     if q not in (0, 1):
@@ -127,8 +146,7 @@ def torus_kernel_dimension(d, k, p, q):
         return 0
     if k == 1:
         return D
-    c2 = 2 if D % 2 == 0 else 1
-    return (D + c2) // 2
+    return _swap_multiplicity(D, 1)
 
 
 def _invariant_basis(D, sign):
@@ -165,9 +183,9 @@ def _invariant_basis(D, sign):
 class TorusKodairaOperator:
     """Kodaira Laplacian of a torus quotient in the exact Landau basis.
 
-    ``labels`` lists the retained basis states (level, translate); the
-    operator is diagonal there.  ``inv_blocks[level]`` holds the orthonormal
-    invariant combinations within that level (identity for k = 1).
+    The operator is diagonal in the invariant states, level by level.
+    ``multiplicities[level]`` is the number of invariant states of that
+    level: D for k = 1, (D +- f) / 2 for the half-turn quotient.
     """
 
     d: int
@@ -175,8 +193,7 @@ class TorusKodairaOperator:
     p: int
     q: int
     resolution: int
-    labels: tuple
-    inv_blocks: tuple
+    multiplicities: tuple
 
     @property
     def field_strength(self):
@@ -193,12 +210,12 @@ class TorusKodairaOperator:
     def matrix(self):
         """Dense Hermitian matrix on the invariant subspace (diagonal)."""
         diag = []
-        for level, block in enumerate(self.inv_blocks):
-            diag.extend([self.level_eigenvalue(level)] * block.shape[0])
+        for level, mult in enumerate(self.multiplicities):
+            diag.extend([self.level_eigenvalue(level)] * mult)
         return np.diag(np.array(diag))
 
     def invariant_multiplicity(self, level):
-        return self.inv_blocks[level].shape[0]
+        return self.multiplicities[level]
 
     def spectral_table(self):
         eigs = []
@@ -230,17 +247,10 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
             raise ConfigurationError(
                 "the trivial bundle has no magnetic Fourier basis; spectra require d >= 1")
         D = d * int(p)
-        labels = tuple((level, j) for level in range(resolution) for j in range(D))
-        blocks = []
-        for level in range(resolution):
-            if k == 1:
-                blocks.append(np.eye(D))
-            else:
-                sign = (-1) ** level * (-1 if q == 1 else 1)
-                blocks.append(_invariant_basis(D, sign))
+        mults = tuple(D if k == 1 else _swap_multiplicity(D, _swap_sign(level, q))
+                      for level in range(resolution))
         return TorusKodairaOperator(d=d, k=k, p=int(p), q=q,
-                                    resolution=resolution, labels=labels,
-                                    inv_blocks=tuple(blocks))
+                                    resolution=resolution, multiplicities=mults)
     if orb.catalog_id == "local-model":
         if orb.dimension != 1:
             raise UnsupportedModelError("grid oracle is one-dimensional")
@@ -249,6 +259,13 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
     raise UnsupportedModelError(
         f"catalog id {orb.catalog_id!r} has no flat discretization; weighted "
         "projective models use the exact cohomology tables instead")
+
+
+def _level_basis(op: TorusKodairaOperator, level):
+    """Rows: the orthonormal invariant states of one level in the full basis."""
+    if op.k == 1:
+        return np.eye(op.D)
+    return _invariant_basis(op.D, _swap_sign(level, op.q))
 
 
 def dbar_matrix(op0: TorusKodairaOperator, op1: TorusKodairaOperator):
@@ -260,23 +277,18 @@ def dbar_matrix(op0: TorusKodairaOperator, op1: TorusKodairaOperator):
     if (op0.q, op1.q) != (0, 1) or op0.p != op1.p or op0.d != op1.d or op0.k != op1.k:
         raise ConfigurationError("dbar expects matching degree-0/degree-1 operators")
     B = op0.field_strength
-    rows = sum(b.shape[0] for b in op1.inv_blocks[:op1.resolution])
-    cols = sum(b.shape[0] for b in op0.inv_blocks)
-    out = np.zeros((rows, cols))
-    row_off = [0]
-    for b in op1.inv_blocks:
-        row_off.append(row_off[-1] + b.shape[0])
-    col_off = [0]
-    for b in op0.inv_blocks:
-        col_off.append(col_off[-1] + b.shape[0])
+    # start of each level's states in the invariant basis, plus the total
+    row_off = (0, *itertools.accumulate(op1.multiplicities))
+    col_off = (0, *itertools.accumulate(op0.multiplicities))
+    out = np.zeros((row_off[-1], col_off[-1]))
     for level in range(1, op0.resolution):
         tgt = level - 1
         if tgt >= op1.resolution:
             continue
-        b0 = op0.inv_blocks[level]
-        b1 = op1.inv_blocks[tgt]
-        if b0.shape[0] == 0 or b1.shape[0] == 0:
+        if op0.multiplicities[level] == 0 or op1.multiplicities[tgt] == 0:
             continue
+        b0 = _level_basis(op0, level)
+        b1 = _level_basis(op1, tgt)
         # both blocks are invariant under the same signed swap, so the overlap
         # matrix b1 b0^T carries the full sqrt(B level) lowering map
         out[row_off[tgt]:row_off[tgt + 1], col_off[level]:col_off[level + 1]] = \
@@ -320,10 +332,9 @@ def eigencomplex_check(op0: TorusKodairaOperator, op1: TorusKodairaOperator, lam
     dims = []
     masks = []
     for op in (op0, op1):
-        sel = np.zeros(sum(b.shape[0] for b in op.inv_blocks), dtype=bool)
+        sel = np.zeros(sum(op.multiplicities), dtype=bool)
         off = 0
-        for level, b in enumerate(op.inv_blocks):
-            m = b.shape[0]
+        for level, m in enumerate(op.multiplicities):
             if m and abs(op.level_eigenvalue(level) - lam) <= 1e-9 * max(lam, 1.0):
                 sel[off:off + m] = True
             off += m
@@ -380,8 +391,8 @@ def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
     phis = oscillator_functions(levels - 1, x - ms / D, B)   # (levels, M)
     phases = np.exp(2j * np.pi * ms * y)
     vals = np.zeros((levels, D), dtype=complex)
-    for col, m in enumerate(ms):
-        vals[:, m % D] += phases[col] * phis[:, col]
+    # unbuffered, in the order of ms: the same sums as a loop over the columns
+    np.add.at(vals, (slice(None), ms % D), phases * phis)
     return vals
 
 

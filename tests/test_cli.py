@@ -73,6 +73,15 @@ def test_config_rejects_nonpositive_tolerance():
                                 "tolerances": {"tol_chain": 0.0}})
 
 
+def test_config_with_retired_tolerance_key_still_loads(tmp_path):
+    """tol_spectral_gap is no longer a setting; configs that name it load and run."""
+    text = TORUS_YAML.replace("  tol_chain: 1.0e-9\n",
+                              "  tol_chain: 1.0e-9\n  tol_spectral_gap: 1.0e-8\n")
+    path = write(tmp_path, "c.yaml", text)
+    assert load_config(path).tolerances["tol_spectral_gap"] == 1e-8
+    assert main(["heat-trace", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cli_exit_2_on_bad_config(tmp_path):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace("[4, 8]", "[8, 4]"))
     assert main(["verify-morse", "--config", bad, "--out", str(tmp_path / "o")]) == 2

@@ -8,8 +8,11 @@ import pytest
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.errors import ConfigurationError
-from orbmorse.moishezon import (bigness_check, kodaira_rank, moishezon_check,
-                                section_growth_exponent, siegel_bound)
+from orbmorse.moishezon import (_section_values_torus, bigness_check, kodaira_rank,
+                                moishezon_check, section_growth_exponent,
+                                siegel_bound)
+from orbmorse.spectral import (_invariant_basis, assemble_kodaira_laplacian,
+                               torus_eigenfunction_values)
 
 DENT = {"amplitude": 1.2, "center": 0.45 + 0.0j, "width": 0.12}
 
@@ -127,6 +130,18 @@ def test_big_iff_full_rank_across_catalog():
         ranks = [kodaira_rank(orb, bundle, p) for p in range(1, 9)
                  if table.h(p, 0) >= 1]
         assert est.big == (max(ranks) == 1), (cid, params, est, ranks)
+
+
+@pytest.mark.parametrize("D", [5, 8])
+def test_paired_torus_sections_match_dense_invariant_basis(D):
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j])
+    op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
+    full = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
+    dense = _invariant_basis(D, 1) @ full
+    paired = _section_values_torus(orb, bundle, D, zs)
+    assert paired.shape == dense.shape
+    assert np.allclose(paired, dense, rtol=1e-14, atol=1e-14 * np.abs(full).max())
 
 
 def test_kodaira_rank_requires_sections():

@@ -1,16 +1,20 @@
 """Exact torus spectra, heat traces, residual chains, eigencomplexes."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
-from orbmorse.spectral import (SpectralTable, assemble_kodaira_laplacian,
-                               dbar_matrix, eigencomplex_check, heat_trace,
-                               morse_sum_vs_trace, torus_eigenfunction_values,
+from orbmorse.spectral import (SpectralTable, _invariant_basis,
+                               assemble_kodaira_laplacian, dbar_matrix,
+                               eigencomplex_check, heat_trace, morse_sum_vs_trace,
+                               oscillator_functions, torus_eigenfunction_values,
                                torus_kernel_dimension)
+from orbmorse.verify import exact_chain_residuals
 
 
 def ops_for(d, k, p, resolution=32):
@@ -64,6 +68,36 @@ def test_matrix_is_diagonal_invariant_compression():
     M = op0.matrix()
     assert np.allclose(M, np.diag(np.diag(M)))
     assert M.shape[0] == sum(op0.invariant_multiplicity(l) for l in range(op0.resolution))
+
+
+def test_closed_form_multiplicity_matches_swap_basis():
+    """Every case d in 1..3, p in 1..64, k in {1, 2}, q in {0, 1}, level < 8."""
+    swap_rows = {}
+    for d, p, k in itertools.product(range(1, 4), range(1, 65), (1, 2)):
+        D = d * p
+        for q, op in enumerate(ops_for(d, k, p, resolution=8)):
+            for level in range(8):
+                sign = (-1) ** level * (-1 if q == 1 else 1)
+                if (D, sign) not in swap_rows:
+                    swap_rows[D, sign] = _invariant_basis(D, sign).shape[0]
+                expected = D if k == 1 else swap_rows[D, sign]
+                assert op.invariant_multiplicity(level) == expected, (d, p, k, q, level)
+
+
+def test_exact_chain_memory_is_independent_of_power():
+    """The chain at p = 4096 keeps O(resolution) memory (a dense level block
+    would be 128 MB)."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    exact_chain_residuals(orb, bundle, 8, 1.0, 32)          # warm imports
+    tracemalloc.start()
+    try:
+        residuals, tables = exact_chain_residuals(orb, bundle, 4096, 1.0, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert tables[0].zero_dim == torus_kernel_dimension(1, 2, 4096, 0)
+    assert abs(residuals[-1]) <= 1e-9
 
 
 def test_kernel_dimensions_formula():
@@ -193,6 +227,29 @@ def test_eigenfunctions_are_orthonormal_by_quadrature():
     flat = vals.reshape(4 * op0.D, N * N)
     G = flat @ flat.conj().T / (N * N)
     assert np.max(np.abs(G - np.eye(4 * op0.D))) < 1e-10
+
+
+def _eigenfunction_values_loop(op, z, levels):
+    """Reference: the column-by-column scatter over lattice translates."""
+    B, D = op.field_strength, op.D
+    x, y = float(np.real(z)), float(np.imag(z))
+    spread = (math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B)
+    ms = np.arange(int(math.floor((x - spread) * D)), int(math.ceil((x + spread) * D)) + 1)
+    phis = oscillator_functions(levels - 1, x - ms / D, B)
+    phases = np.exp(2j * np.pi * ms * y)
+    vals = np.zeros((levels, D), dtype=complex)
+    for col, m in enumerate(ms):
+        vals[:, m % D] += phases[col] * phis[:, col]
+    return vals
+
+
+@pytest.mark.parametrize("p", [8, 128, 2048])
+@pytest.mark.parametrize("levels", [1, 32])
+def test_eigenfunction_scatter_matches_loop(p, levels):
+    op = ops_for(1, 2, p)[0]
+    for z in (0.3 + 0.7j, 0.91 + 0.05j):
+        assert np.array_equal(torus_eigenfunction_values(op, z, levels),
+                              _eigenfunction_values_loop(op, z, levels))
 
 
 def test_spectral_csv_golden():
