@@ -25,6 +25,7 @@ All charts are one-dimensional except the local models, which support n <= 3.
 
 from __future__ import annotations
 
+import inspect
 import math
 from functools import lru_cache
 
@@ -68,14 +69,18 @@ def build_catalog_orbifold(catalog_id, **params):
     Returns the pair (ChartedOrbifold, EquivariantLineBundle).  Unknown ids
     and invalid parameters raise ConfigurationError with a description.
     """
-    if catalog_id == "local-model":
-        return _build_local_model(**params)
-    if catalog_id == "wps":
-        return _build_weighted_projective(**params)
-    if catalog_id == "torus":
-        return _build_torus(**params)
-    raise ConfigurationError(
-        f"unknown catalog id {catalog_id!r}; available: {', '.join(CATALOG_IDS)}")
+    if catalog_id not in CATALOG_IDS:
+        raise ConfigurationError(
+            f"unknown catalog id {catalog_id!r}; available: {', '.join(CATALOG_IDS)}")
+    builder = _BUILDERS[catalog_id]
+    # parameter names are checked here, their values by the builder
+    accepted = inspect.signature(builder).parameters
+    unknown = sorted(str(key) for key in params if key not in accepted)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown parameter(s) {', '.join(unknown)} for catalog id "
+            f"{catalog_id!r}; accepted: {', '.join(accepted)}")
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +407,7 @@ def _build_torus(d=1, k=1, aux_rank=1):
                                    label=f"degree-{d} bundle on the square torus",
                                    curvature_scalars=(curvature_scalar,))
     return orb, bundle
+
+
+_BUILDERS = {"local-model": _build_local_model, "wps": _build_weighted_projective,
+             "torus": _build_torus}

@@ -23,7 +23,7 @@ from . import verify as vf
 from .catalog import build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import morse_integral
-from .errors import ConfigurationError, OrbmorseError
+from .errors import ConfigurationError, OrbmorseError, UnsupportedModelError
 from .spectral import assemble_kodaira_laplacian, heat_trace
 
 SUBCOMMANDS = ("cohomology", "curvature-integral", "heat-trace", "verify-morse",
@@ -83,6 +83,9 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ConfigurationError(f"tolerance {name} must be positive")
+        for name in ("resolution_quadrature", "resolution_spectral"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
         # normalize catalog parameter containers for reproducible reports
         self.catalog_params = {k: (list(v) if isinstance(v, (tuple,)) else v)
                                for k, v in self.catalog_params.items()}
@@ -134,7 +137,7 @@ def _run_curvature_integral(cfg, orb, bundle):
 
 def _run_heat_trace(cfg, orb, bundle):
     if orb.catalog_id != "torus":
-        raise ConfigurationError("heat traces require the flat torus catalog entry")
+        raise UnsupportedModelError("heat traces require the flat torus catalog entry")
     results = []
     artifacts = {}
     for p in cfg.p_list:
@@ -193,7 +196,7 @@ def _run_verify_morse(cfg, orb, bundle):
 
 def _run_kernel_asymptotics(cfg, orb, bundle):
     if orb.catalog_id != "local-model":
-        raise ConfigurationError(
+        raise UnsupportedModelError(
             "kernel asymptotics run on the local quotient models")
     results = []
     k = orb.params["k"]
@@ -281,7 +284,8 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
         try:
             r, d, a = RUNNERS[name](config, orb, bundle)
         except OrbmorseError as exc:
-            if subcommand == "all":
+            # only a stage that does not apply to the model may be skipped
+            if subcommand == "all" and isinstance(exc, UnsupportedModelError):
                 diagnostics.append(("info", f"{name} skipped for this model: {exc}"))
                 continue
             raise ConfigurationError(str(exc))

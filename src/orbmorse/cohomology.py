@@ -37,16 +37,19 @@ def weighted_proj_h0(weights, d):
     """Number of monomials of weighted degree exactly d (coin-problem count).
 
     Dynamic programming over the weights; O(len(weights) * d) time.  Negative
-    degrees have no sections.
+    degrees have no sections.  The count is exact at every degree.
     """
     ws = _check_weights(weights)
     d = int(d)
     if d < 0:
         return 0
-    # int64 is ample: the count grows like d^n / (n! prod weights).  The coin
-    # recurrence counts[t] += counts[t - w] in increasing t is a cumulative
-    # sum along each residue class mod w.
-    counts = np.zeros(d + 1, dtype=np.int64)
+    # The coin recurrence counts[t] += counts[t - w] in increasing t is a
+    # cumulative sum along each residue class mod w.  Every partial count is
+    # at most C(d + n, n), the count with all n + 1 weights equal to 1; where
+    # that bound overflows int64 the sums run on exact Python integers.
+    n = len(ws) - 1
+    exact = math.comb(d + n, n) > np.iinfo(np.int64).max
+    counts = np.zeros(d + 1, dtype=object if exact else np.int64)
     counts[0] = 1
     for w in ws:
         for r in range(min(w, d + 1)):

@@ -154,35 +154,6 @@ class ModelPoint:
         return len(self.eigenvalues)
 
 
-def model_point_from_matrices(eigenvalues, u, group_matrix=None, aux_rank=1,
-                              commute_tol=1e-10):
-    """Build a ModelPoint from a unitary group matrix, checking commutation.
-
-    The matrix must commute with diag(eigenvalues) to ``commute_tol``; its
-    eigenphases are then extracted blockwise on the eigenvalue clusters so the
-    phase order matches the eigenvalue order.
-    """
-    a = np.asarray(eigenvalues, dtype=float)
-    if group_matrix is None:
-        return ModelPoint(tuple(a), u, aux_rank=aux_rank)
-    U = np.asarray(group_matrix, dtype=complex)
-    D = np.diag(a)
-    comm = U @ D - D @ U
-    if np.max(np.abs(comm)) > commute_tol:
-        raise ValueError("group element does not commute with the curvature")
-    phases = np.empty(a.size)
-    visited = np.zeros(a.size, dtype=bool)
-    for j in range(a.size):
-        if visited[j]:
-            continue
-        cluster = np.abs(a - a[j]) <= commute_tol
-        block = U[np.ix_(cluster, cluster)]
-        lam = np.linalg.eigvals(block)
-        phases[cluster] = np.sort(np.angle(lam))
-        visited |= cluster
-    return ModelPoint(tuple(a), u, aux_rank=aux_rank, group_phases=tuple(phases))
-
-
 @dataclass(frozen=True)
 class LimitDensity:
     """Diagonal heat-density limit at a point, per degree-q subspace.
@@ -305,8 +276,6 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime, group_matrix=None):
     is the degree-0 complex value; on the diagonal with g = Id and Z = Z' = 0
     the scalar equals the degree-0 prefactor of heat_diagonal_limit.
     """
-    u = point.u
-    a = point.eigenvalues
     Z = np.asarray(Z, dtype=complex).reshape(point.dim)
     Zp = np.asarray(Zprime, dtype=complex).reshape(point.dim)
     if group_matrix is not None:
@@ -316,16 +285,33 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime, group_matrix=None):
         X = np.exp(-1j * np.asarray(point.group_phases)) * Z
     else:
         X = Z
-    val = 1.0 + 0.0j
-    for aj, xj, zj in zip(a, X, Zp):
+    log_abs, phase = mehler_log_form(point.eigenvalues, point.u, X, Zp)
+    return MehlerKernel(point=point, scalar=complex(np.exp(log_abs + 1j * phase)))
+
+
+def mehler_log_form(eigenvalues, u, X, Zprime):
+    """log|K| and arg K of the degree-0 Mehler kernel K(X, Z'), batched.
+
+    X and Z' hold points of C^n along their last axis and broadcast against
+    each other; both results have the broadcast shape without that axis.
+    Per coordinate, K_a = g1(ua) / (2 pi u) * exp(-c(ua)/(2u) |x - z'|^2
+    + i (a/2) Im(x conj(z'))), with g1(x) = stretch(x) e^{x/2} carrying the
+    e^{u tau / 2} twist.  Kept in logs, the value survives far below the
+    float underflow threshold.
+    """
+    X = np.asarray(X, dtype=complex)
+    Zp = np.asarray(Zprime, dtype=complex)
+    log_abs = 0.0
+    phase = 0.0
+    for j, aj in enumerate(eigenvalues):
         x = u * aj
         pref = _stretch_even(x) / (TWO_PI * u)
-        expo = (-_coth_even(x) / (2.0 * u) * abs(xj - zj) ** 2
-                + 0.5j * aj * (xj * np.conj(zj)).imag)
-        # e^{u a_j / 2} from the tau/2 shift, folded in per coordinate:
-        # stretch(x) e^{x/2} = g1(x), kept separate here for clarity.
-        val *= pref * np.exp(expo + 0.5 * x)
-    return MehlerKernel(point=point, scalar=complex(val))
+        log_pref = math.log(pref) if pref > 0 else -math.inf
+        xj, zj = X[..., j], Zp[..., j]
+        log_abs = log_abs + (log_pref + 0.5 * x)
+        log_abs = log_abs + -_coth_even(x) / (2.0 * u) * abs(xj - zj) ** 2
+        phase = phase + 0.5 * aj * (xj * zj.conj()).imag
+    return log_abs, phase
 
 
 def signature_limit_density(a, q, tol=ZERO_EIGENVALUE_TOL):
@@ -366,6 +352,12 @@ class ScaledComplex:
         return cls(mantissa=np.exp(1j * phase), log_scale=float(log_abs))
 
     @classmethod
+    def from_log_terms(cls, log_abs, phase):
+        """Sum of the terms exp(log_abs + i phase) of a 1-d batch."""
+        log_scale, mantissa = log_sum_exp(log_abs, phase)
+        return cls(complex(mantissa), float(log_scale))
+
+    @classmethod
     def from_complex(cls, z):
         z = complex(z)
         if z == 0:
@@ -391,11 +383,6 @@ class ScaledComplex:
             self.log_scale += math.log(mag)
             self.mantissa /= mag
 
-    def scale_by(self, z):
-        out = ScaledComplex(self.mantissa * complex(z), self.log_scale)
-        out._renorm()
-        return out
-
     @property
     def log_abs(self):
         return self.log_scale
@@ -404,3 +391,22 @@ class ScaledComplex:
         if self.log_scale == -math.inf:
             return 0.0j
         return self.mantissa * math.exp(self.log_scale)
+
+
+def log_sum_exp(log_abs, phase):
+    """Sum of exp(log_abs + i phase) over the last axis, as (log_scale, mantissa).
+
+    The terms are shifted by the largest log_abs before exponentiating, so
+    the sum keeps every term that matters next to the largest one however
+    far below the float underflow threshold they all lie.  The mantissa has
+    modulus one; an empty or all-zero sum gives log_scale -inf, mantissa 0.
+    """
+    log_abs = np.asarray(log_abs, dtype=float)
+    top = np.max(log_abs, axis=-1, keepdims=True, initial=-math.inf)
+    top = np.where(np.isfinite(top), top, 0.0)
+    total = np.sum(np.exp(1j * phase) * np.exp(log_abs - top), axis=-1)
+    mag = np.abs(total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_scale = top[..., 0] + np.log(mag)
+        mantissa = np.where(mag > 0.0, total / mag, 0.0j)
+    return log_scale, mantissa

@@ -11,8 +11,9 @@ routines below compute those images in log-scaled arithmetic (they fall far
 below the float underflow threshold at large p), compare them against the
 closed-form predictions, and fit empirical convergence orders.
 
-Verification tasks are independent across (point, u, p) and may run in
-parallel; reports aggregate in a deterministic order.
+``torus_image_log_terms`` and ``local_model_image_log_terms`` evaluate
+every image term of a batch of points as arrays of log|term| and phase, and
+``log_sum_exp`` sums them in one max-shifted pass per point.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .cohomology import cohomology_table
 from .curvature import morse_integral
 from .errors import ConfigurationError, GeometryError, UnsupportedModelError
-from .kernels import (ModelPoint, ScaledComplex, _coth_even, _stretch_even,
-                      heat_diagonal_limit, twisted_gaussian)
+from .kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_exp,
+                      mehler_log_form, twisted_gaussian)
 from .spectral import (assemble_kodaira_laplacian, heat_trace,
                        morse_sum_vs_trace, torus_diagonal_kernel_spectral)
 
@@ -48,106 +49,118 @@ def _local_group(orb):
 # image sums
 
 
+def torus_image_log_terms(orb, points, u, p, lattice_cut=4, include_identity=True,
+                          degree=0):
+    """log|term| and phase of every deck-transformation term on a torus quotient.
+
+    ``points`` are complex numbers of any shape and the images are the deck
+    transformations gamma = (magnetic translation by lam = m + i n) o
+    (half turn)^j.  The term K_plane(z, gamma z) exp(i pi D m n)
+    exp(i (B/2) lam wedge r^j z) takes the degree-0 plane kernel at curvature
+    B = 2 pi d p and time u / p; degree one weights it by (-1)^j e^{-2 pi d u}
+    (the two scalar operators differ by the full field strength, and the
+    half turn acts on the antiholomorphic coframe by -1).
+
+    Every term carries the p^{-1} rescaling.  Returns (labels, log_abs,
+    phase): one (m, n, j) label per image and two arrays of shape
+    points.shape + (len(labels),).
+    """
+    if orb.catalog_id != "torus":
+        raise UnsupportedModelError("deck-transformation sums run on the torus quotients")
+    if degree not in (0, 1):
+        raise ConfigurationError("torus models carry form degrees 0 and 1")
+    d, k = orb.params["d"], orb.params["k"]
+    D = d * p
+    B = 2.0 * math.pi * D
+    cut = range(-lattice_cut, lattice_cut + 1)
+    labels = [(m, n_, j) for j in range(k) for m in cut for n_ in cut
+              if include_identity or (m, n_, j) != (0, 0, 0)]
+    m, n_, j = np.array(labels, dtype=float).reshape(-1, 3).T
+    z = np.asarray(points, dtype=complex)[..., None]
+    target = np.where(j == 0, z, -z) + (m + 1j * n_)
+    log_abs, phase = mehler_log_form((B,), u / p, z[..., None], target[..., None])
+    # lam wedge (r^j z + lam) = lam wedge r^j z
+    wedge = m * target.imag - n_ * target.real
+    phase = phase + (math.pi * D * m * n_ + 0.5 * B * wedge)
+    log_abs = log_abs - math.log(p)
+    if degree == 1:
+        log_abs = log_abs - 2.0 * math.pi * d * u
+        phase = phase + math.pi * j
+    return labels, log_abs, phase
+
+
+def local_model_image_log_terms(orb, points, u, p, include_identity=True):
+    """log|term| and phase of every group-element term on a local model.
+
+    ``points`` has shape (..., n) and the images are the group elements g,
+    with degree-0 terms e^{i p theta_g} tr(g_E) K_plane(g^{-1} Z, Z) at
+    curvature p * a and time u / p, each carrying the p^{-n} rescaling.
+    Returns (labels, log_abs, phase): the group elements and two arrays of
+    shape points.shape[:-1] + (len(labels),).
+    """
+    if orb.catalog_id != "local-model":
+        raise UnsupportedModelError("group-element sums run on the local models")
+    a = np.asarray(orb.params["a"], dtype=float)
+    n = a.size
+    labels = [g for g in _local_group(orb) if include_identity or not g.is_identity]
+    Z = np.asarray(points, dtype=complex)
+    inverses = np.array([np.conj(g.matrix.T) for g in labels]).reshape(-1, n, n)
+    X = np.einsum("gij,...j->...gi", inverses, Z)
+    log_abs, phase = mehler_log_form(p * a, u / p, X, Z[..., None, :])
+    fibers = [np.trace(g.aux_action) * np.exp(1j * p * g.line_phase) * p ** float(-n)
+              for g in labels]
+    log_abs = log_abs + np.array([math.log(abs(f)) for f in fibers])
+    phase = phase + np.angle(fibers)
+    return labels, log_abs, phase
+
+
+def _torus_point(z):
+    return complex(np.asarray(z, dtype=complex).reshape(1)[0])
+
+
+def _local_point(orb, Z):
+    return np.asarray(Z, dtype=complex).reshape(len(orb.params["a"]))
+
+
+def _term_list(labels, log_abs, phase):
+    return [(label, ScaledComplex.from_log(la, ph))
+            for label, la, ph in zip(labels, log_abs, phase)]
+
+
 def local_model_image_terms(orb, bundle, Z, u, p, include_identity=True):
     """Per-group-element terms of p^{-n} exp(-u Lap_p / p)(Z, Z), degree 0.
 
-    Each term is e^{i p theta_g} tr(g_E) K_plane(g^{-1} Z, Z) with the plane
-    kernel at curvature p * a and time u / p, carrying the p^{-n} rescaling.
-    Returned as ScaledComplex values so huge negative exponents survive.
+    A list of (group element, ScaledComplex) read off
+    ``local_model_image_log_terms``.
     """
-    _require_flat(orb)
-    a = np.asarray(orb.params["a"], dtype=float)
-    n = a.size
-    Z = np.asarray(Z, dtype=complex).reshape(n)
-    point = ModelPoint(tuple(p * a), u / p, aux_rank=bundle.aux_rank)
-    terms = []
-    for g in _local_group(orb):
-        if g.is_identity and not include_identity:
-            continue
-        fiber = np.trace(g.aux_action) * np.exp(1j * p * g.line_phase)
-        scaled = _scaled_kernel_value(point, Z, g.matrix)
-        terms.append((g, scaled.scale_by(fiber * p ** float(-n))))
-    return terms
+    return _term_list(*local_model_image_log_terms(
+        orb, _local_point(orb, Z), u, p, include_identity=include_identity))
 
 
-def _scaled_two_point(point, X, Zprime):
-    """Degree-0 kernel value at (X, Z') with the exponent kept in logs."""
-    u = point.u
-    a = point.eigenvalues
-    log_abs = 0.0
-    phase = 0.0
-    for aj, xj, zj in zip(a, X, Zprime):
-        x = u * aj
-        pref = _stretch_even(x) / (2.0 * math.pi * u)
-        log_abs += math.log(pref) + 0.5 * x
-        log_abs += -_coth_even(x) / (2.0 * u) * abs(xj - zj) ** 2
-        phase += 0.5 * aj * (xj * np.conj(zj)).imag
-    return ScaledComplex.from_log(log_abs, phase)
-
-
-def _scaled_kernel_value(point, Z, gmat):
-    """Degree-0 kernel value at (g^{-1}Z, Z) with the exponent kept in logs."""
-    X = np.conj(np.asarray(gmat).T) @ Z
-    return _scaled_two_point(point, X, Z)
-
-
-def local_model_diagonal_kernel(orb, bundle, Z, u, p):
+def local_model_diagonal_kernel(orb, bundle, Z, u, p, include_identity=True):
     """p^{-n} exp(-u Lap_p / p)(Z, Z) on the local model, degree-0 trace."""
-    total = ScaledComplex(0.0j, -math.inf)
-    for _, term in local_model_image_terms(orb, bundle, Z, u, p):
-        total = total + term
-    return total
+    _, log_abs, phase = local_model_image_log_terms(
+        orb, _local_point(orb, Z), u, p, include_identity=include_identity)
+    return ScaledComplex.from_log_terms(log_abs, phase)
 
 
 def torus_image_terms(orb, bundle, z, u, p, lattice_cut=4, include_identity=True):
     """Deck-transformation terms of the diagonal kernel on the torus quotient.
 
-    gamma = (magnetic translation by lam = m + i n) o (half turn)^j; the term
-    reads K_plane(z, gamma z) * exp(i pi D m n) * exp(i (B/2) lam wedge r^j z),
-    with the degree-0 plane kernel at curvature 2 pi d p and time u / p.
+    A list of ((m, n, j), ScaledComplex) read off ``torus_image_log_terms``.
     """
-    _require_flat(orb)
-    d, k = orb.params["d"], orb.params["k"]
-    D = d * p
-    B = 2.0 * math.pi * D
-    point = ModelPoint((B,), u / p, aux_rank=bundle.aux_rank)
-    z = complex(np.asarray(z, dtype=complex).reshape(1)[0])
-    terms = []
-    for j in range(k):
-        rz = z if j == 0 else -z
-        for m in range(-lattice_cut, lattice_cut + 1):
-            for n_ in range(-lattice_cut, lattice_cut + 1):
-                if not include_identity and j == 0 and m == 0 and n_ == 0:
-                    continue
-                lam = complex(m, n_)
-                target = rz + lam
-                ker = _scaled_two_point(point, np.array([z]), np.array([target]))
-                cocycle = math.pi * D * m * n_
-                wedge = lam.real * target.imag - lam.imag * target.real
-                # lam wedge (r^j z + lam) = lam wedge r^j z
-                phase = np.exp(1j * (cocycle + 0.5 * B * wedge))
-                val = ker.scale_by(phase / p)
-                terms.append(((m, n_, j), val))
-    return terms
+    return _term_list(*torus_image_log_terms(
+        orb, _torus_point(z), u, p, lattice_cut=lattice_cut,
+        include_identity=include_identity))
 
 
-def torus_diagonal_kernel_image(orb, bundle, z, u, p, lattice_cut=4, degree=0):
-    """Degree-q diagonal kernel trace on the torus quotient by image sums.
-
-    Degree one differs from degree zero by the constant weight
-    e^{-2 pi d u} (the two scalar operators differ by the full field
-    strength) and by the rotation representation on the antiholomorphic
-    coframe, a factor (-1)^j per half-turn power.
-    """
-    if degree not in (0, 1):
-        raise ConfigurationError("torus models carry form degrees 0 and 1")
-    total = ScaledComplex(0.0j, -math.inf)
-    d = orb.params["d"]
-    for (m, n_, j), term in torus_image_terms(orb, bundle, z, u, p, lattice_cut):
-        if degree == 1:
-            term = term.scale_by((-1.0) ** j * math.exp(-2.0 * math.pi * d * u))
-        total = total + term
-    return total
+def torus_diagonal_kernel_image(orb, bundle, z, u, p, lattice_cut=4, degree=0,
+                                include_identity=True):
+    """Degree-q diagonal kernel trace on the torus quotient by image sums."""
+    _, log_abs, phase = torus_image_log_terms(
+        orb, _torus_point(z), u, p, lattice_cut=lattice_cut,
+        include_identity=include_identity, degree=degree)
+    return ScaledComplex.from_log_terms(log_abs, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +231,11 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list, min_distance=0.
         raise GeometryError(
             f"point at distance {dist:.3f} from the singular set; the regular-point "
             f"check requires distance >= {min_distance}")
+    kernel = (torus_diagonal_kernel_image if orb.catalog_id == "torus"
+              else local_model_diagonal_kernel)
     log_errs = []
     for p in p_list:
-        if orb.catalog_id == "local-model":
-            terms = local_model_image_terms(orb, bundle, np.atleast_1d(x), u, p,
-                                            include_identity=False)
-        else:
-            terms = torus_image_terms(orb, bundle, x, u, p, include_identity=False)
-        total = ScaledComplex(0.0j, -math.inf)
-        for _, t in terms:
-            total = total + t
-        log_errs.append(total.log_abs)
+        log_errs.append(kernel(orb, bundle, x, u, p, include_identity=False).log_abs)
     fit = fit_rate(p_list, log_errs, floor=None)
     return fit
 
@@ -501,10 +508,10 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24,
     spectral = heat_trace(op.spectral_table(), u)
     xs = (np.arange(grid) + 0.5) / grid
     total = 0.0
-    for x in xs:
-        for y in xs:
-            val = torus_diagonal_kernel_image(orb, bundle, complex(x, y), u, p,
-                                              lattice_cut=3, degree=degree)
-            total += val.to_complex().real
+    for x in xs:      # one grid row per pass keeps the arrays at grid x images
+        _, log_abs, phase = torus_image_log_terms(orb, x + 1j * xs, u, p,
+                                                  lattice_cut=3, degree=degree)
+        log_scale, mantissa = log_sum_exp(log_abs, phase)
+        total += float(np.sum((mantissa * np.exp(log_scale)).real))
     integral = p * total / (grid * grid) / k     # undo the p^{-n} of the terms
     return abs(integral - spectral) / abs(spectral)

@@ -234,3 +234,34 @@ def test_thread_count_does_not_change_report_bytes(tmp_path):
 def test_default_u_list_probes_large_times():
     cfg = RunConfig.from_mapping({"catalog": {"id": "torus"}})
     assert cfg.u_list == [0.5, 1.0, 5.0, 50.0]
+
+
+# ---------------------------------------------------------------------------
+# invalid configurations exit 2 with one stderr line
+
+
+@pytest.mark.parametrize("old,new", [
+    ("    d: 1\n    k: 2\n", "    dd: 1\n"),
+    ("resolution_quadrature: 96", "resolution_quadrature: 0"),
+    ("resolution_spectral: 16", "resolution_spectral: 0"),
+], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0"])
+def test_invalid_config_exits_2(tmp_path, capsys, old, new):
+    bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
+    assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "configuration error" in err
+
+
+def test_unknown_catalog_parameter_is_a_configuration_error():
+    from orbmorse.catalog import build_catalog_orbifold
+    with pytest.raises(ConfigurationError, match="dd"):
+        build_catalog_orbifold("torus", dd=1)
+
+
+def test_all_exits_2_when_an_applicable_stage_cannot_run(tmp_path, capsys):
+    """A stage that applies to the model but rejects the config is not skipped."""
+    text = TORUS_YAML.replace("resolution_spectral: 16", "resolution_spectral: 24")
+    cfg = write(tmp_path, "c.yaml", text)
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "power of two" in err

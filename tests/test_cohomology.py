@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import (cohomology_table, weighted_proj_h0,
@@ -118,3 +120,29 @@ def test_local_model_has_no_cohomology_table():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     with pytest.raises(UnsupportedModelError):
         cohomology_table(orb, [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# exact counts beyond int64
+
+
+def test_count_exact_where_int64_would_wrap():
+    # both counts wrapped around in int64 before the exact path existed
+    assert weighted_proj_h0((1,) * 6, 10**5) == 83345834041685416895001
+    assert weighted_proj_h0((1,) * 8, 3000) == math.comb(3007, 7)
+    assert weighted_proj_h0((1,) * 8, 3000) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_weights=st.integers(2, 9), d=st.integers(0, 3000))
+def test_unit_weights_count_binomially(n_weights, d):
+    assert weighted_proj_h0((1,) * n_weights, d) == math.comb(d + n_weights - 1,
+                                                            n_weights - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.integers(1, 7), min_size=2, max_size=4),
+       d=st.integers(0, 60))
+def test_count_matches_bruteforce_for_coprime_weights(weights, d):
+    assume(math.gcd(*weights) == 1)
+    assert weighted_proj_h0(weights, d) == weighted_proj_h0_bruteforce(weights, d)

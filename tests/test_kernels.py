@@ -8,7 +8,7 @@ import pytest
 from orbmorse.errors import DegenerateSpectrumError
 from orbmorse.kernels import (ModelPoint, ScaledComplex, exterior_exp_trace,
                               factor_minus, factor_plus, heat_diagonal_limit,
-                              model_heat_kernel, signature_limit_density,
+                              log_sum_exp, model_heat_kernel, signature_limit_density,
                               twisted_gaussian)
 from orbmorse.spectral import LocalModelGridOperator
 
@@ -266,3 +266,19 @@ def test_scaled_complex_roundtrip_and_sum():
     assert combined.log_abs == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
     zero = ScaledComplex.from_complex(0.0)
     assert (zero + x).to_complex() == pytest.approx(x.to_complex())
+
+
+def test_log_sum_exp_batches_and_empty_sums():
+    log_abs = np.array([[-5000.0, -5001.0, -np.inf], [0.0, np.log(2.0), -1e4]])
+    phase = np.array([[0.3, 0.3, 1.0], [0.0, np.pi, 0.5]])
+    log_scale, mantissa = log_sum_exp(log_abs, phase)
+    for row in range(2):
+        one = ScaledComplex.from_log_terms(log_abs[row], phase[row])
+        assert one.log_abs == log_scale[row] and one.mantissa == mantissa[row]
+    assert log_scale[0] == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
+    assert np.angle(mantissa[0]) == pytest.approx(0.3, abs=1e-12)
+    assert log_scale[1] == pytest.approx(0.0, abs=1e-12)      # 1 - 2 = -1
+    assert abs(mantissa[1] + 1.0) < 1e-12
+    for empty in (np.zeros(0), np.array([-np.inf, -np.inf])):
+        zero = ScaledComplex.from_log_terms(empty, np.zeros_like(empty))
+        assert zero.log_abs == -math.inf and zero.to_complex() == 0

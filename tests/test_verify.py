@@ -7,11 +7,12 @@ import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import GeometryError
-from orbmorse.kernels import ModelPoint, heat_diagonal_limit
+from orbmorse.kernels import ModelPoint, ScaledComplex, heat_diagonal_limit
 from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              local_model_diagonal_kernel, local_model_image_terms,
                              oracle_consistency, singular_diagonal_factor,
                              telescoping_identity_gap, torus_diagonal_kernel_image,
+                             torus_image_terms,
                              verify_kernel_asymptotics_regular,
                              verify_kernel_asymptotics_singular,
                              verify_strong_morse)
@@ -263,3 +264,112 @@ def test_regular_rate_two_dimensional():
     fit = verify_kernel_asymptotics_regular(orb, bundle, x, 1.0,
                                             [64, 256, 1024])
     assert fit.slope <= -0.4
+
+
+# ---------------------------------------------------------------------------
+# array image sums against the term-by-term fold
+
+
+def _fold(terms):
+    total = ScaledComplex(0.0j, -math.inf)
+    for _, term in terms:
+        total = total + term
+    return total
+
+
+def _degree_one(terms, d, u):
+    """Weight each (m, n, j) term by (-1)^j e^{-2 pi d u}, as degree one does."""
+    return [((m, n_, j), ScaledComplex((-1) ** j * t.mantissa,
+                                       t.log_scale - 2.0 * math.pi * d * u))
+            for (m, n_, j), t in terms]
+
+
+def _assert_same(a, b):
+    assert a.log_abs == pytest.approx(b.log_abs, abs=1e-12)
+    assert abs(np.angle(a.mantissa / b.mantissa)) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [4, 128, 4096])
+def test_array_image_sum_matches_term_fold(p):
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    u = 0.7
+    for z in (0.31 + 0.12j, 0.5 + 0.5j, 0.07 + 0.83j, 0.0j):
+        terms = torus_image_terms(orb, bundle, z, u, p)
+        assert len(terms) == 2 * 9 * 9
+        _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p), _fold(terms))
+        tiny = [t for label, t in terms if label != (0, 0, 0) and t.log_abs < -745.0]
+        if p == 4096:
+            # far below the underflow threshold: to_complex reads 0, the logs do not
+            assert tiny and all(t.to_complex() == 0 for t in tiny)
+        if z in (0.5 + 0.5j, 0.0j):
+            # half-turn fixed points: degree one cancels to rounding there
+            continue
+        _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=1),
+                     _fold(_degree_one(terms, 1, u)))
+    # the non-identity images alone, as the regular-point rate sums them
+    rest = torus_image_terms(orb, bundle, 0.26 + 0.17j, u, p, include_identity=False)
+    fit = verify_kernel_asymptotics_regular(orb, bundle, 0.26 + 0.17j, u, [p])
+    assert fit.log_errors[0] == pytest.approx(_fold(rest).log_abs, abs=1e-12)
+    if p == 4096:
+        assert fit.log_errors[0] < -745.0
+
+
+def test_local_model_image_sum_matches_term_fold():
+    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,), theta=0.4)
+    for Z, p in [(np.array([0.8 + 0.1j]), 16), (np.array([1.0 + 0.3j]), 4096)]:
+        terms = local_model_image_terms(orb, bundle, Z, 1.0, p)
+        assert len(terms) == 3
+        _assert_same(local_model_diagonal_kernel(orb, bundle, Z, 1.0, p), _fold(terms))
+
+
+# (log|term|, phase) printed by the term-by-term implementation the array
+# sums replace, at z = 0.31 + 0.12i, u = 0.7, p = 4096 on the d = 1 half-turn
+# quotient; every non-identity term lies far below the underflow threshold
+TORUS_TERMS_4096 = {
+    (0, 0, 0): (0.012375353323021088, 0.0),
+    (1, 0, 0): (-6594.204411756812, -3.0159289474462763),
+    (0, -1, 0): (-6594.204411756812, -1.5079644737230478),
+    (1, 1, 0): (-13188.42119886695, -1.5079644737221383),
+    (0, 0, 1): (-2914.6314445493567, 0.0),
+    (-1, 2, 1): (-37732.096080490875, 2.8222008063849565e-12),
+    (4, -4, 1): (-193883.14959925888, -1.0164036279292077e-11),
+}
+# the same for the C/Z_3 model (a = 1, theta = 0.4) at Z = 1 + 0.3i, u = 1
+LOCAL_TERMS_4096 = [(-1.379201921022263, 0.0),
+                    (-7247.333928756625, 0.46388006136236454),
+                    (-7247.333928756629, 1.285209724200374)]
+
+
+def _assert_term(term, log_abs, phase):
+    assert term.log_abs == pytest.approx(log_abs, rel=1e-14, abs=1e-12)
+    assert abs(np.angle(term.mantissa * np.exp(-1j * phase))) <= 1e-9
+
+
+def test_image_terms_match_reference_values():
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    terms = dict(torus_image_terms(orb, bundle, 0.31 + 0.12j, 0.7, 4096))
+    for label, (log_abs, phase) in TORUS_TERMS_4096.items():
+        _assert_term(terms[label], log_abs, phase)
+    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,), theta=0.4)
+    terms = local_model_image_terms(orb, bundle, np.array([1.0 + 0.3j]), 1.0, 4096)
+    for (_, term), (log_abs, phase) in zip(terms, LOCAL_TERMS_4096, strict=True):
+        _assert_term(term, log_abs, phase)
+
+
+# values of the term-by-term implementation this replaces (u = 1, grid 24).
+# The gaps are rounding noise: their low digits follow the summation order,
+# which the row-wise array sums change (5.3e-16 became 1.8e-16 at p = 8), so
+# they are pinned to the rounding level, not digit for digit; the terms
+# themselves are pinned by test_image_terms_match_reference_values.
+TRACE_GAPS = {(4, 0): 1.6894420513852405e-13, (4, 1): 5.045992826545126e-13,
+              (8, 0): 5.323087597161276e-16, (8, 1): 3.395496432062085e-15,
+              (16, 0): 2.1679463867705446e-15, (16, 1): 1.3238595682800288e-16}
+
+
+@pytest.mark.parametrize("p,q", sorted(TRACE_GAPS))
+def test_trace_identity_gap_unchanged(p, q):
+    from orbmorse.verify import trace_equals_diagonal_integral
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    gap = trace_equals_diagonal_integral(orb, bundle, 1.0, p, degree=q)
+    assert gap < 1e-9
+    assert gap == pytest.approx(TRACE_GAPS[(p, q)], abs=1e-12)
