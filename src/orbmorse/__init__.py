@@ -22,7 +22,7 @@ from .moishezon import (BignessEstimate, CriterionVerdict, bigness_check,
                         kodaira_rank, moishezon_check, siegel_bound)
 from .spectral import (SpectralTable, assemble_kodaira_laplacian, dbar_matrix,
                        eigencomplex_check, heat_trace, morse_sum_vs_trace)
-from .verify import (MorseReport, fit_rate, singular_diagonal_factor,
+from .verify import (fit_rate, singular_diagonal_factor,
                      verify_kernel_asymptotics_regular,
                      verify_kernel_asymptotics_singular, verify_strong_morse)
 

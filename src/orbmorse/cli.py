@@ -78,8 +78,13 @@ class RunConfig:
     def validate(self):
         if any(b <= a for a, b in zip(self.p_list, self.p_list[1:])) or not self.p_list:
             raise ConfigurationError("p_list must be non-empty and strictly increasing")
-        if any(u <= 0 for u in self.u_list):
-            raise ConfigurationError("u_list entries must be positive")
+        if self.p_list[0] < 1:
+            raise ConfigurationError("p_list entries must be at least 1")
+        # an empty u_list would drop the exact trace chain without a word
+        if not self.u_list or any(u <= 0 for u in self.u_list):
+            raise ConfigurationError("u_list must be non-empty with positive entries")
+        if any(q < 0 for q in self.q_list):
+            raise ConfigurationError("q_list entries must be non-negative")
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ConfigurationError(f"tolerance {name} must be positive")

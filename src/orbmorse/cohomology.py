@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedModelError
+from .spectral import torus_kernel_dimension
 
 BRUTE_FORCE_LIMIT = 10_000   # above this degree only the recurrence is used
 
@@ -124,13 +125,12 @@ class CohomologyTable:
         return buf.getvalue()
 
 
-def cohomology_table(orb, p_range, spectral_counts=None):
+def cohomology_table(orb, p_range):
     """Exact cohomology table of a catalog entry over a range of powers.
 
     For weighted projective models the entries are lattice counts (scaled by
-    the auxiliary rank); torus quotients take their kernel dimensions from the
-    spectral module (``spectral_counts`` injects the counting function, and
-    defaults to the exact closed-form count used by the discretized operator).
+    the auxiliary rank); torus quotients take their kernel dimensions from
+    the exact closed-form count of the spectral module.
     """
     p_values = tuple(int(p) for p in p_range)
     if orb.catalog_id == "wps":
@@ -145,14 +145,11 @@ def cohomology_table(orb, p_range, spectral_counts=None):
         return CohomologyTable(catalog_id="wps", p_range=p_values,
                                n=len(ws) - 1, entries=entries)
     if orb.catalog_id == "torus":
-        if spectral_counts is None:
-            from .spectral import torus_kernel_dimension
-            spectral_counts = torus_kernel_dimension
         d, k = orb.params["d"], orb.params["k"]
         entries = {}
         for p in p_values:
             for q in (0, 1):
-                entries[(p, q)] = spectral_counts(d, k, p, q)
+                entries[(p, q)] = torus_kernel_dimension(d, k, p, q)
         return CohomologyTable(catalog_id="torus", p_range=p_values, n=1,
                                entries=entries)
     raise UnsupportedModelError(

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GeometryError, UnsupportedModelError
 from .geometry import ChartedOrbifold, EquivariantLineBundle, gauss_legendre_nodes
@@ -53,13 +52,26 @@ def curvature_endomorphism(bundle: EquivariantLineBundle, orb: ChartedOrbifold,
 
 
 def curvature_spectrum(bundle, orb, x, chart_index=0, tol=DEGENERACY_TOL):
-    chart = orb.charts[chart_index]
-    H = chart.metric_at(x)
-    R = bundle.curvature_at(chart_index, x)
-    vals = scipy.linalg.eigh(R, H, eigvals_only=True)
-    vals = np.sort(np.real(vals))
+    """Sorted eigenvalues of the curvature endomorphism at x, with signature."""
+    vals = np.linalg.eigvalsh(curvature_endomorphism(bundle, orb, x, chart_index))
     return CurvatureSpectrum(point=np.asarray(x, dtype=complex),
                              eigenvalues=vals, signature=classify_point(vals, tol))
+
+
+def _scalar_curvature(orb, bundle, chart_index, points):
+    """Curvature density c and eigenvalue c / h on a one-dimensional chart.
+
+    For n = 1 the curvature endomorphism is the scalar c / h, with c and h
+    the vectorized curvature and metric densities at an array of points.
+    """
+    chart = orb.charts[chart_index]
+    if bundle.curvature_scalars is None or chart.metric_scalar is None:
+        raise UnsupportedModelError(
+            "one-dimensional curvature sampling needs the vectorized "
+            "curvature_scalars and metric_scalar fields")
+    c = np.real(np.asarray(bundle.curvature_scalars[chart_index](points)))
+    h = np.real(np.asarray(chart.metric_scalar(points)))
+    return c, c / h
 
 
 def classify_point(eigenvalues, tol=DEGENERACY_TOL):
@@ -92,8 +104,8 @@ def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
     for the strong-inequality region).  Quadrature nodes whose spectrum is
     degenerate at tolerance ``tol`` contribute zero; their weight fraction is
     returned as a diagnostic.  For one-dimensional charts the density
-    det(Rdot) * kappa reduces to the curvature density itself, which the
-    implementation uses after classifying each node.
+    det(Rdot) * kappa reduces to the curvature density c itself, and the
+    signature of a node is the sign of c / h.
     """
     q_set = set(int(q) for q in q_set)
     if not q_set:
@@ -111,25 +123,10 @@ def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
     for k, chart in enumerate(orb.charts):
         nodes, weights = gauss_legendre_nodes(resolution, chart.box_radius)
         bumpw = np.asarray(chart.bump(nodes), dtype=float)
-        if bundle.curvature_scalars is not None and chart.metric_scalar is not None:
-            c = np.real(np.asarray(bundle.curvature_scalars[k](nodes)))
-            h = np.real(np.asarray(chart.metric_scalar(nodes)))
-            ratio = c / h
-            degen = np.abs(ratio) <= tol
-            sig = (ratio < -tol).astype(int)
-            density = c / (2.0 * math.pi)      # det(Rdot/2pi) * kappa for n = 1
-        else:
-            ratio = np.empty(nodes.size)
-            density = np.empty(nodes.size)
-            degen = np.zeros(nodes.size, dtype=bool)
-            sig = np.zeros(nodes.size, dtype=int)
-            for i, z in enumerate(nodes):
-                spec = curvature_spectrum(bundle, orb, np.atleast_1d(z), k, tol)
-                degen[i] = spec.signature == DEGENERATE
-                sig[i] = -1 if degen[i] else spec.signature
-                H = chart.metric_at(np.atleast_1d(z))
-                R = bundle.curvature_at(k, np.atleast_1d(z))
-                density[i] = (np.linalg.det(R).real / (2 * math.pi) ** n)
+        c, ratio = _scalar_curvature(orb, bundle, k, nodes)
+        degen = np.abs(ratio) <= tol
+        sig = (ratio < -tol).astype(int)
+        density = c / (2.0 * math.pi)      # det(Rdot/2pi) * kappa for n = 1
         mask = np.isin(sig, list(q_set)) & ~degen
         total += float(np.dot(weights, bumpw * density * mask) / chart.order)
         degen_weight += float(np.dot(weights, bumpw * degen) / chart.order)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import CohomologyTable, weighted_proj_h0
-from .curvature import curvature_spectrum
+from .curvature import _scalar_curvature, morse_integral
 from .errors import ConfigurationError, UnsupportedModelError
 from .geometry import gauss_legendre_nodes
 from .spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
@@ -48,7 +48,6 @@ def moishezon_check(orb, bundle, resolution=256, tol=1e-8, rng=None,
     implies (ii), whose witness is the curvature integral over the region
     with at most one negative eigenvalue.
     """
-    from .curvature import morse_integral
     rng = rng if rng is not None else np.random.default_rng(20240901)
     n = orb.dimension
     integral = morse_integral(orb, bundle, set(range(min(1, n) + 1)),
@@ -60,15 +59,10 @@ def moishezon_check(orb, bundle, resolution=256, tol=1e-8, rng=None,
         extra = (rng.uniform(-chart.box_radius, chart.box_radius, 32)
                  + 1j * rng.uniform(-chart.box_radius, chart.box_radius, 32))
         pts = np.concatenate([nodes[:: max(1, nodes.size // 512)], extra])
-        bumpw = np.asarray(chart.bump(pts), dtype=float)
-        for z, w in zip(pts, bumpw):
-            if w <= 1e-12:
-                continue
-            spec = curvature_spectrum(bundle, orb, np.atleast_1d(z), k, tol)
-            low = float(spec.eigenvalues.min())
-            min_eig = min(min_eig, low)
-            if spec.signature == 0 and low > tol:
-                positive_at_point = True
+        pts = pts[np.asarray(chart.bump(pts), dtype=float) > 1e-12]
+        _, eig = _scalar_curvature(orb, bundle, k, pts)
+        min_eig = min(min_eig, float(np.min(eig, initial=math.inf)))
+        positive_at_point = positive_at_point or bool(np.any(eig > tol))
     semipositive = min_eig >= -tol
     if semipositive and positive_at_point:
         verdict = "Moishezon-by-(i)"

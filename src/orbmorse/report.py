@@ -7,62 +7,15 @@ import io
 import json
 import math
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
 SCHEMA_VERSION = "orbmorse-report/1"
 
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "orbmorse verification report",
-    "type": "object",
-    "required": ["meta", "catalog", "results", "diagnostics"],
-    "additionalProperties": False,
-    "properties": {
-        "meta": {
-            "type": "object",
-            "required": ["schema_version", "timestamp", "seed", "subcommand"],
-            "additionalProperties": True,
-            "properties": {
-                "schema_version": {"const": SCHEMA_VERSION},
-                "timestamp": {"type": "string"},
-                "seed": {"type": "integer"},
-                "subcommand": {"type": "string"},
-            },
-        },
-        "catalog": {
-            "type": "object",
-            "required": ["id", "params"],
-            "properties": {
-                "id": {"type": "string"},
-                "params": {"type": "object"},
-            },
-        },
-        "results": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "passed", "data"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "data": {},
-                },
-            },
-        },
-        "diagnostics": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["level", "message"],
-                "properties": {
-                    "level": {"enum": ["info", "warning", "failure"]},
-                    "message": {"type": "string"},
-                },
-            },
-        },
-    },
-}
+# the schema file is the one copy; it ships as package data
+REPORT_SCHEMA = json.loads(
+    (Path(__file__).with_name("schemas") / "report_v1.json").read_text())
 
 
 def sanitize(obj):

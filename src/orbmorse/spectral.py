@@ -1,4 +1,4 @@
-"""Discretized Kodaira Laplacians on flat catalog models.
+"""Discretized Kodaira Laplacians on the flat torus quotients.
 
 Torus models are assembled in the magnetic Fourier basis: for bundle degree
 d and power p, the plane Landau levels descend to the square torus with
@@ -24,9 +24,10 @@ therefore D for k = 1 and (D + s f) / 2 for k = 2, which is all the spectral
 tables need; the explicit swap bases are built only by ``dbar_matrix`` (and
 so ``eigencomplex_check``), level by level, when it is called.
 
-Local models C/Z_k are discretized on a truncated grid with magnetic link
-phases; that operator is only used as a brute-force oracle for the
-closed-form kernels.
+Only the torus quotients are assembled: weighted projective models take
+their cohomology from exact lattice counts, and the local models C/Z_k
+from their closed-form heat kernels (the magnetic grid operator that checks
+those kernels by brute force lives with the kernel tests).
 
 Assembled operators and tables are immutable and torus assembly costs
 O(resolution) time and memory, independent of the power p.
@@ -42,23 +43,23 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, UnsupportedModelError
 
 SPECTRAL_GAP_FLOOR = 1e-8
 SPECTRAL_GAP_MEDIAN_FACTOR = 1e-6
 CLUSTER_RELATIVE_GAP = 1e-6
-GRID_WEIGHT_CUTOFF = 1e-14
 
 
 def spectral_gap_threshold(positive_eigs):
     """Threshold separating numerical kernel from genuine positive modes."""
-    pos = np.asarray([x for x in positive_eigs if x > 0.0], dtype=float)
+    pos = np.sort(np.asarray([x for x in positive_eigs if x > 0.0], dtype=float))
     if pos.size == 0:
         return SPECTRAL_GAP_FLOOR
-    return max(SPECTRAL_GAP_FLOOR, SPECTRAL_GAP_MEDIAN_FACTOR * float(np.median(pos)))
+    # the median by hand: np.median imports numpy.ma (about 10 ms) on first use
+    mid = pos.size // 2
+    median = pos[mid] if pos.size % 2 else 0.5 * (pos[mid - 1] + pos[mid])
+    return max(SPECTRAL_GAP_FLOOR, SPECTRAL_GAP_MEDIAN_FACTOR * float(median))
 
 
 @dataclass(frozen=True)
@@ -231,11 +232,10 @@ class TorusKodairaOperator:
 
 
 def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
-    """Discretized self-adjoint Kodaira Laplacian of a flat catalog model.
+    """Discretized self-adjoint Kodaira Laplacian of a torus quotient.
 
-    Torus quotients return the exact diagonal operator on the invariant
-    subspace; local models return the magnetic grid operator.  Non-flat
-    models are rejected.
+    Returns the exact diagonal operator on the invariant subspace; every
+    other catalog entry is rejected.
     """
     if resolution < 1 or (resolution & (resolution - 1)) != 0:
         raise ConfigurationError(f"resolution {resolution} is not a power of two")
@@ -251,14 +251,10 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
                       for level in range(resolution))
         return TorusKodairaOperator(d=d, k=k, p=int(p), q=q,
                                     resolution=resolution, multiplicities=mults)
-    if orb.catalog_id == "local-model":
-        if orb.dimension != 1:
-            raise UnsupportedModelError("grid oracle is one-dimensional")
-        a = orb.params["a"][0]
-        return LocalModelGridOperator.build(a * p, resolution=resolution, q=q, p=int(p))
     raise UnsupportedModelError(
-        f"catalog id {orb.catalog_id!r} has no flat discretization; weighted "
-        "projective models use the exact cohomology tables instead")
+        f"catalog id {orb.catalog_id!r} has no spectral discretization; weighted "
+        "projective models use the exact cohomology tables and local models "
+        "the closed-form kernels instead")
 
 
 def _level_basis(op: TorusKodairaOperator, level):
@@ -422,81 +418,3 @@ def torus_diagonal_kernel_spectral(op0, op1, z, u, q):
             w = math.exp(-u * lam / p)
             total += w * form_factor * np.vdot(psi[level], rotated[level])
     return complex(total)
-
-
-# ---------------------------------------------------------------------------
-# grid oracle for the local model
-
-
-@dataclass
-class LocalModelGridOperator:
-    """Magnetic finite-difference Laplacian on a truncated grid (oracle).
-
-    Discretizes H = (1/2)(-i grad - A)^2 in the symmetric gauge with Peierls
-    link phases; the model operator on degree q is H - tau/2 + q * a.  The
-    grid is truncated where the ground Gaussian weight drops below 1e-14,
-    with reflecting (natural) boundary.
-    """
-
-    a: float
-    q: int
-    p: int
-    spacing: float
-    points: np.ndarray
-    hamiltonian: scipy.sparse.spmatrix
-
-    @classmethod
-    def build(cls, a, resolution=256, q=0, p=1, radius=None):
-        n_side = int(resolution)
-        if radius is None:
-            radius = math.sqrt(4.0 * -math.log(GRID_WEIGHT_CUTOFF) / max(abs(a), 1e-2))
-        h = 2.0 * radius / (n_side - 1)
-        axis = -radius + h * np.arange(n_side)
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        pts = (X + 1j * Y).ravel()
-        N = n_side * n_side
-
-        def idx(i, j):
-            return i * n_side + j
-
-        diag = np.full(N, 2.0 / h**2)
-        rows, cols, vals = [], [], []
-        B = a
-        for i in range(n_side):
-            for j in range(n_side):
-                here = idx(i, j)
-                if i + 1 < n_side:
-                    mid_y = Y[i, j]
-                    theta = (-0.5 * B * mid_y) * h      # A_x = -B y / 2
-                    rows += [here, idx(i + 1, j)]
-                    cols += [idx(i + 1, j), here]
-                    t = -np.exp(1j * theta) / (2.0 * h**2)
-                    vals += [t, np.conj(t)]
-                if j + 1 < n_side:
-                    mid_x = X[i, j]
-                    theta = (0.5 * B * mid_x) * h       # A_y = B x / 2
-                    rows += [here, idx(i, j + 1)]
-                    cols += [idx(i, j + 1), here]
-                    t = -np.exp(1j * theta) / (2.0 * h**2)
-                    vals += [t, np.conj(t)]
-        Hmat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
-        Hmat = Hmat + scipy.sparse.diags(diag)
-        shift = -0.5 * a + q * a
-        Hmat = Hmat + scipy.sparse.identity(N) * shift
-        return cls(a=a, q=q, p=p, spacing=h, points=pts, hamiltonian=Hmat)
-
-    def nearest_index(self, z):
-        return int(np.argmin(np.abs(self.points - complex(z))))
-
-    def heat_kernel_column(self, u, source):
-        """Column K(., source) of exp(-u L) as a density (1/spacing^2 scaled)."""
-        j = self.nearest_index(source)
-        e = np.zeros(self.points.size)
-        e[j] = 1.0 / self.spacing**2
-        col = scipy.sparse.linalg.expm_multiply(-u * self.hamiltonian.tocsc(),
-                                                e.astype(complex))
-        return col
-
-    def heat_kernel_value(self, u, z, source):
-        col = self.heat_kernel_column(u, source)
-        return complex(col[self.nearest_index(z)])

@@ -19,7 +19,7 @@ every image term of a batch of points as arrays of log|term| and phase, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -366,110 +366,6 @@ def telescoping_identity_gap(orb, bundle, q, resolution=256):
     upto_qm1 = morse_integral(orb, bundle, set(range(q)), resolution=resolution)
     only_q = morse_integral(orb, bundle, {q}, resolution=resolution)
     return abs(upto_q - upto_qm1 - only_q)
-
-
-# ---------------------------------------------------------------------------
-# consolidated report
-
-
-@dataclass
-class MorseReport:
-    """Consolidated verification record for one catalog entry.
-
-    Every residual series carries its powers and tolerance; convergence fits
-    carry R^2 and are marked unreliable below 0.9.  The exact trace chain is
-    checked before any asymptotic entry is recorded (``chain_verified``).
-    """
-
-    catalog_id: str
-    params: dict
-    chain_verified: bool = False
-    chain_tolerance: float = 1e-9
-    inequality_chain: list = field(default_factory=list)
-    strong_morse: list = field(default_factory=list)
-    kernel_records: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-
-    def as_record(self):
-        return {"catalog_id": self.catalog_id,
-                "params": _plain(self.params),
-                "chain_verified": self.chain_verified,
-                "chain_tolerance": self.chain_tolerance,
-                "inequality_chain": _plain(self.inequality_chain),
-                "strong_morse": [s.as_record() for s in self.strong_morse],
-                "kernel_records": _plain(self.kernel_records),
-                "diagnostics": _plain(self.diagnostics)}
-
-
-def build_morse_report(orb, bundle, p_list, u_list, q_list, resolution=256,
-                       spectral_resolution=32, chain_tolerance=1e-9):
-    """Assemble a MorseReport for a catalog entry.
-
-    Torus quotients verify the exact inequality chain first; an out-of-band
-    residual aborts the assembly, so no asymptotic claim is recorded on top
-    of a broken chain.  Flat local models record kernel asymptotics instead
-    of cohomology series.
-    """
-    report = MorseReport(catalog_id=orb.catalog_id, params=dict(orb.params),
-                         chain_tolerance=chain_tolerance)
-    p_list = [int(p) for p in p_list]
-    if orb.catalog_id == "torus" and orb.params.get("d", 0) >= 1:
-        for p in p_list:
-            for u in u_list:
-                residuals, _ = exact_chain_residuals(orb, bundle, p, u,
-                                                     spectral_resolution)
-                entry = {"p": p, "u": u, "residuals": residuals,
-                         "tolerance": chain_tolerance}
-                report.inequality_chain.append(entry)
-                if (min(residuals) < -chain_tolerance
-                        or abs(residuals[-1]) > chain_tolerance):
-                    report.diagnostics.append(
-                        ("failure", f"trace chain violated at p={p}, u={u}"))
-                    return report
-        report.chain_verified = True
-    if orb.catalog_id in ("torus", "wps"):
-        try:
-            for q in q_list:
-                if q > orb.dimension:
-                    continue
-                series = verify_strong_morse(orb, bundle, q, p_list, resolution)
-                report.strong_morse.append(series)
-                if not series.fit.reliable:
-                    report.diagnostics.append(
-                        ("warning", f"strong-Morse fit at q={q} unreliable "
-                                    f"(R^2={series.fit.r_squared:.3f})"))
-        except UnsupportedModelError as exc:
-            report.diagnostics.append(("info", str(exc)))
-    if orb.catalog_id == "local-model" and orb.charts[0].order > 1:
-        for u in u_list:
-            fit = verify_kernel_asymptotics_regular(
-                orb, bundle, np.ones(orb.dimension, dtype=complex), u, p_list)
-            ratio = singular_diagonal_factor(
-                orb, bundle, np.zeros(orb.dimension, dtype=complex), u, p_list[-1])
-            report.kernel_records.append(
-                {"u": u, "regular_fit": fit.as_record(), "singular_ratio": ratio,
-                 "point": "origin", "p": p_list[-1]})
-            if not fit.reliable:
-                report.diagnostics.append(
-                    ("warning", "regular-point fit unreliable (exponential decay "
-                                "fitted by a power law)"))
-    return report
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if hasattr(obj, "as_record"):
-        return obj.as_record()
-    if hasattr(obj, "__dataclass_fields__"):
-        return _plain(asdict(obj))
-    return obj
 
 
 def exact_chain_residuals(orb, bundle, p, u, resolution=32):

@@ -1,10 +1,15 @@
 """Configuration ingestion, dispatch, exit codes, report determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbmorse
 from orbmorse.cli import RunConfig, load_config, main
 from orbmorse.errors import ConfigurationError
 from orbmorse.report import REPORT_SCHEMA, validate_report
@@ -199,6 +204,16 @@ def test_heat_trace_artifacts(tmp_path):
     assert lines[0] == "p,q,lambda,multiplicity"
 
 
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: the CLI imports without it."""
+    code = ("import sys, orbmorse.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(orbmorse.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_schema_is_draft7():
     assert REPORT_SCHEMA["$schema"].endswith("draft-07/schema#")
 
@@ -244,7 +259,12 @@ def test_default_u_list_probes_large_times():
     ("    d: 1\n    k: 2\n", "    dd: 1\n"),
     ("resolution_quadrature: 96", "resolution_quadrature: 0"),
     ("resolution_spectral: 16", "resolution_spectral: 0"),
-], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0"])
+    ("p_list: [4, 8]", "p_list: [0, 4]"),
+    ("p_list: [4, 8]", "p_list: [-4, 4]"),
+    ("q_list: [0, 1]", "q_list: [-1, 0]"),
+    ("u_list: [0.5, 1.0]", "u_list: []"),
+], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
+        "p-zero", "p-negative", "q-negative", "u-list-empty"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2

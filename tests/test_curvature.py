@@ -122,8 +122,11 @@ def test_degenerate_fraction_reported():
     assert res.degenerate_fraction == pytest.approx(1.0)
 
 
-def test_indefinite_metric_raises_geometry_error():
-    from orbmorse.errors import GeometryError
+def custom_model():
+    """A one-chart custom model whose metric turns indefinite at |z|^2 = 1/2.
+
+    It has no vectorized curvature_scalars or metric_scalar fields.
+    """
     from orbmorse.geometry import GroupElement, OrbifoldChart, ChartedOrbifold
     from orbmorse.geometry import EquivariantLineBundle
 
@@ -136,5 +139,27 @@ def test_indefinite_metric_raises_geometry_error():
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=lambda ci, Z: 10.0,
                           catalog_id="custom")
     bundle = EquivariantLineBundle(curvature_fields=(lambda Z: np.eye(1),))
+    return orb, bundle
+
+
+def test_indefinite_metric_raises_geometry_error():
+    from orbmorse.errors import GeometryError
+    orb, bundle = custom_model()
     with pytest.raises(GeometryError):
         curvature_endomorphism(bundle, orb, np.array([1.0 + 0.0j]))
+
+
+def test_spectrum_of_indefinite_metric_raises_geometry_error():
+    """The spectrum solves through the endomorphism and its metric check."""
+    from orbmorse.errors import GeometryError
+    orb, bundle = custom_model()
+    with pytest.raises(GeometryError):
+        curvature_spectrum(bundle, orb, np.array([1.0 + 0.0j]))
+
+
+def test_morse_integral_needs_scalar_fields():
+    """A 1-d chart without the vectorized fields is rejected, not sampled."""
+    from orbmorse.errors import UnsupportedModelError
+    orb, bundle = custom_model()
+    with pytest.raises(UnsupportedModelError, match="curvature_scalars"):
+        morse_integral(orb, bundle, {0}, resolution=16)

@@ -196,14 +196,6 @@ def test_torus_rejects_unsupported_symmetry():
         build_catalog_orbifold("torus", d=1, k=3)
 
 
-def test_schema_file_matches_inline_schema():
-    import json
-    from importlib import resources
-    from orbmorse.report import REPORT_SCHEMA
-    text = resources.files("orbmorse").joinpath("schemas/report_v1.json").read_text()
-    assert json.loads(text) == REPORT_SCHEMA
-
-
 def test_bumps_form_partition_of_unity_on_overlap():
     """Every downstairs point is covered: the chart bumps sum to one."""
     for weights in [(1, 1), (1, 2), (2, 3)]:

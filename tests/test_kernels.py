@@ -1,16 +1,18 @@
 """Closed-form kernel machinery against independent numerical oracles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from orbmorse.errors import DegenerateSpectrumError
 from orbmorse.kernels import (ModelPoint, ScaledComplex, exterior_exp_trace,
                               factor_minus, factor_plus, heat_diagonal_limit,
                               log_sum_exp, model_heat_kernel, signature_limit_density,
                               twisted_gaussian)
-from orbmorse.spectral import LocalModelGridOperator
 
 TWO_PI = 2.0 * math.pi
 
@@ -232,6 +234,86 @@ def test_kernel_degree_trace_alternating_identity():
     w = np.exp(-1.1 * np.array([0.7, -0.4]))
     total = sum((-1) ** q * ker.degree_trace(q) for q in range(3))
     assert total == pytest.approx(ker.scalar * np.prod(1 - w), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# grid oracle for the local model
+
+GRID_WEIGHT_CUTOFF = 1e-14
+
+
+@dataclass
+class LocalModelGridOperator:
+    """Magnetic finite-difference Laplacian on a truncated grid (oracle).
+
+    Discretizes H = (1/2)(-i grad - A)^2 in the symmetric gauge with Peierls
+    link phases; the model operator on degree q is H - tau/2 + q * a.  The
+    grid is truncated where the ground Gaussian weight drops below 1e-14,
+    with reflecting (natural) boundary.
+    """
+
+    a: float
+    q: int
+    p: int
+    spacing: float
+    points: np.ndarray
+    hamiltonian: scipy.sparse.spmatrix
+
+    @classmethod
+    def build(cls, a, resolution=256, q=0, p=1, radius=None):
+        n_side = int(resolution)
+        if radius is None:
+            radius = math.sqrt(4.0 * -math.log(GRID_WEIGHT_CUTOFF) / max(abs(a), 1e-2))
+        h = 2.0 * radius / (n_side - 1)
+        axis = -radius + h * np.arange(n_side)
+        X, Y = np.meshgrid(axis, axis, indexing="ij")
+        pts = (X + 1j * Y).ravel()
+        N = n_side * n_side
+
+        def idx(i, j):
+            return i * n_side + j
+
+        diag = np.full(N, 2.0 / h**2)
+        rows, cols, vals = [], [], []
+        B = a
+        for i in range(n_side):
+            for j in range(n_side):
+                here = idx(i, j)
+                if i + 1 < n_side:
+                    mid_y = Y[i, j]
+                    theta = (-0.5 * B * mid_y) * h      # A_x = -B y / 2
+                    rows += [here, idx(i + 1, j)]
+                    cols += [idx(i + 1, j), here]
+                    t = -np.exp(1j * theta) / (2.0 * h**2)
+                    vals += [t, np.conj(t)]
+                if j + 1 < n_side:
+                    mid_x = X[i, j]
+                    theta = (0.5 * B * mid_x) * h       # A_y = B x / 2
+                    rows += [here, idx(i, j + 1)]
+                    cols += [idx(i, j + 1), here]
+                    t = -np.exp(1j * theta) / (2.0 * h**2)
+                    vals += [t, np.conj(t)]
+        Hmat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+        Hmat = Hmat + scipy.sparse.diags(diag)
+        shift = -0.5 * a + q * a
+        Hmat = Hmat + scipy.sparse.identity(N) * shift
+        return cls(a=a, q=q, p=p, spacing=h, points=pts, hamiltonian=Hmat)
+
+    def nearest_index(self, z):
+        return int(np.argmin(np.abs(self.points - complex(z))))
+
+    def heat_kernel_column(self, u, source):
+        """Column K(., source) of exp(-u L) as a density (1/spacing^2 scaled)."""
+        j = self.nearest_index(source)
+        e = np.zeros(self.points.size)
+        e[j] = 1.0 / self.spacing**2
+        col = scipy.sparse.linalg.expm_multiply(-u * self.hamiltonian.tocsc(),
+                                                e.astype(complex))
+        return col
+
+    def heat_kernel_value(self, u, z, source):
+        col = self.heat_kernel_column(u, source)
+        return complex(col[self.nearest_index(z)])
 
 
 @pytest.mark.slow

@@ -7,7 +7,9 @@ import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
+from orbmorse.curvature import curvature_spectrum, morse_integral
 from orbmorse.errors import ConfigurationError
+from orbmorse.geometry import gauss_legendre_nodes
 from orbmorse.moishezon import (_section_values_torus, bigness_check, kodaira_rank,
                                 moishezon_check, section_growth_exponent,
                                 siegel_bound)
@@ -50,6 +52,60 @@ def test_mixed_signature_dent_is_moishezon_by_ii():
     assert v.min_eigenvalue_seen < -1.0
     assert v.verdict == "Moishezon-by-(ii)"
     assert v.integral_leq1 == pytest.approx(1.0, abs=1e-3)
+
+
+def per_point_criteria(orb, bundle, resolution, tol, rng):
+    """Reference: the sample points of moishezon_check, one eigensolve each.
+
+    Returns (verdict, semipositive, positive_at_point, min_eigenvalue_seen).
+    """
+    integral = morse_integral(orb, bundle, {0, 1}, resolution=resolution)
+    min_eig = math.inf
+    positive_at_point = False
+    for k, chart in enumerate(orb.charts):
+        nodes, _ = gauss_legendre_nodes(min(resolution, 64), chart.box_radius)
+        extra = (rng.uniform(-chart.box_radius, chart.box_radius, 32)
+                 + 1j * rng.uniform(-chart.box_radius, chart.box_radius, 32))
+        pts = np.concatenate([nodes[:: max(1, nodes.size // 512)], extra])
+        bumpw = np.asarray(chart.bump(pts), dtype=float)
+        for z, w in zip(pts, bumpw):
+            if w <= 1e-12:
+                continue
+            spec = curvature_spectrum(bundle, orb, np.atleast_1d(z), k, tol)
+            low = float(spec.eigenvalues.min())
+            min_eig = min(min_eig, low)
+            if spec.signature == 0 and low > tol:
+                positive_at_point = True
+    semipositive = min_eig >= -tol
+    if semipositive and positive_at_point:
+        verdict = "Moishezon-by-(i)"
+    elif integral > 1e-3:
+        verdict = "Moishezon-by-(ii)"
+    else:
+        verdict = "inconclusive"
+    return verdict, semipositive, positive_at_point, min_eig
+
+
+@pytest.mark.parametrize("catalog_id,params", [
+    ("wps", {"weights": (1, 2)}),
+    ("wps", {"weights": (2, 3)}),
+    ("wps", {"weights": (1, 1), "dent": DENT}),
+    # a dent where the first chart's bump vanishes: only the bump mask keeps
+    # its unweighted points out of the minimum
+    ("wps", {"weights": (1, 1), "dent": {**DENT, "center": 1.3 + 0.0j}}),
+    ("torus", {"d": 0, "k": 1}),
+    ("torus", {"d": 1, "k": 2}),
+], ids=["wps12", "wps23", "wps11-dent", "wps11-dent-off-bump", "torus-d0", "torus-d1"])
+def test_array_criteria_match_per_point_spectra(catalog_id, params):
+    orb, bundle = build_catalog_orbifold(catalog_id, **params)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    v = moishezon_check(orb, bundle, resolution=128, rng=rng)
+    verdict, semi, positive, min_eig = per_point_criteria(orb, bundle, 128, 1e-8,
+                                                          ref_rng)
+    assert (v.verdict, v.semipositive, v.positive_at_point) == (verdict, semi, positive)
+    assert v.min_eigenvalue_seen == pytest.approx(min_eig, rel=1e-12, abs=0.0)
+    # the caller hands the same generator on to kodaira_rank
+    assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from orbmorse.errors import ConfigurationError, UnsupportedModelError
 from orbmorse.spectral import (SpectralTable, _invariant_basis,
                                assemble_kodaira_laplacian, dbar_matrix,
                                eigencomplex_check, heat_trace, morse_sum_vs_trace,
-                               oscillator_functions, torus_eigenfunction_values,
-                               torus_kernel_dimension)
+                               oscillator_functions, spectral_gap_threshold,
+                               torus_eigenfunction_values, torus_kernel_dimension)
 from orbmorse.verify import exact_chain_residuals
 
 
@@ -47,6 +47,22 @@ def test_weighted_projective_has_no_discretization():
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
     with pytest.raises(UnsupportedModelError):
         assemble_kodaira_laplacian(orb, bundle, 2, 0, 8)
+
+
+def test_local_model_has_no_discretization():
+    """The grid oracle is a test reference, not an assembly route."""
+    orb, bundle = build_catalog_orbifold("local-model", k=2, a=(1.0,))
+    with pytest.raises(UnsupportedModelError):
+        assemble_kodaira_laplacian(orb, bundle, 2, 0, 8)
+
+
+def test_gap_threshold_takes_the_median_of_positive_levels():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 5, 8):
+        eigs = list(rng.normal(size=n) * 1e4) + [0.0, -1e-12]
+        pos = np.array([x for x in eigs if x > 0.0])
+        expected = 1e-8 if pos.size == 0 else max(1e-8, 1e-6 * float(np.median(pos)))
+        assert spectral_gap_threshold(eigs) == expected
 
 
 def test_projected_spectrum_is_submultiset():

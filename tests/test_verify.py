@@ -194,31 +194,6 @@ def test_fit_rate_window_and_reliability():
 
 
 # ---------------------------------------------------------------------------
-# consolidated report assembly
-
-
-def test_build_morse_report_torus():
-    from orbmorse.verify import build_morse_report
-    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    rep = build_morse_report(orb, bundle, [4, 8, 16], [0.5, 1.0], [0, 1],
-                             resolution=96, spectral_resolution=16)
-    assert rep.chain_verified
-    assert all("p" in e and "tolerance" in e for e in rep.inequality_chain)
-    assert len(rep.strong_morse) == 2
-    rec = rep.as_record()
-    assert rec["catalog_id"] == "torus"
-    assert rec["chain_verified"] is True
-
-
-def test_build_morse_report_local_model():
-    from orbmorse.verify import build_morse_report
-    orb, bundle = build_catalog_orbifold("local-model", k=2, a=(1.0,))
-    rep = build_morse_report(orb, bundle, [64, 256, 1024], [1.0], [0])
-    assert rep.kernel_records and rep.kernel_records[0]["p"] == 1024
-    assert abs(rep.kernel_records[0]["singular_ratio"] - 2.0) <= 0.05
-
-
-# ---------------------------------------------------------------------------
 # degree-1 route, trace identity, and two-dimensional models
 
 
