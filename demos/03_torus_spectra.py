@@ -5,7 +5,7 @@ half turn, heat traces, and the exactness of the eigenvalue complexes.
 """
 
 from orbmorse import (assemble_kodaira_laplacian, build_catalog_orbifold,
-                      dbar_matrix, eigencomplex_check, heat_trace)
+                      eigencomplex_check, heat_trace)
 
 d, p = 1, 8
 for k in (1, 2):
@@ -23,9 +23,7 @@ for k in (1, 2):
     lam = op0.field_strength
     diag = eigencomplex_check(op0, op1, lam)
     print(f"  eigencomplex at lambda = {lam:.3f}: dims {diag.dims}, "
-          f"rank dbar {diag.rank_dbar[0]}, residuals {diag.alternating_residuals}")
-    Db = dbar_matrix(op0, op1)
-    print(f"  dbar matrix shape {Db.shape}\n")
+          f"rank dbar {diag.rank_dbar[0]}, residuals {diag.alternating_residuals}\n")
 
 print("The k = 2 kernel dimensions reproduce the invariant theta count")
 orb, bundle = build_catalog_orbifold("torus", d=1, k=2)

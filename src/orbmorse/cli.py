@@ -83,8 +83,9 @@ class RunConfig:
         # an empty u_list would drop the exact trace chain without a word
         if not self.u_list or any(u <= 0 for u in self.u_list):
             raise ConfigurationError("u_list must be non-empty with positive entries")
-        if any(q < 0 for q in self.q_list):
-            raise ConfigurationError("q_list entries must be non-negative")
+        # an empty q_list would drop the Morse series without a word
+        if not self.q_list or any(q < 0 for q in self.q_list):
+            raise ConfigurationError("q_list must be non-empty with non-negative entries")
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ConfigurationError(f"tolerance {name} must be positive")
@@ -125,11 +126,8 @@ def _run_cohomology(cfg, orb, bundle):
 
 
 def _run_curvature_integral(cfg, orb, bundle):
-    n = orb.dimension
     results = []
     for q in cfg.q_list:
-        if q > n:
-            continue
         val = morse_integral(orb, bundle, {q}, resolution=cfg.resolution_quadrature,
                              tol=cfg.tolerances["tol_degeneracy"],
                              with_diagnostics=True)
@@ -171,8 +169,6 @@ def _run_verify_morse(cfg, orb, bundle):
                                 {"residuals": residuals}))
     n = orb.dimension
     for q in cfg.q_list:
-        if q > n:
-            continue
         try:
             series = vf.verify_strong_morse(orb, bundle, q, cfg.p_list,
                                             resolution=cfg.resolution_quadrature)
@@ -283,6 +279,9 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     orb, bundle = build_catalog_orbifold(config.catalog_id, **_param_kwargs(config))
+    if any(q > orb.dimension for q in config.q_list):
+        raise ConfigurationError(
+            f"q_list entries must be at most the model dimension {orb.dimension}")
     names = [s for s in SUBCOMMANDS[:-1]] if subcommand == "all" else [subcommand]
     results, diagnostics, artifacts = [], [], {}
     for name in names:

@@ -109,11 +109,8 @@ class CohomologyTable:
     def euler(self, p):
         return sum((-1) ** q * self.h(p, q) for q in range(self.n + 1))
 
-    def morse_sum(self, p, q, alternating_from_top=True):
-        """sum_{j <= q} (-1)^(q - j) h^j; with alternating_from_top=False the
-        orientation sum_{j <= q} (-1)^j h^j is returned instead."""
-        if alternating_from_top:
-            return sum((-1) ** (q - j) * self.h(p, j) for j in range(q + 1))
+    def morse_sum(self, p, q):
+        """sum_{j <= q} (-1)^j h^j."""
         return sum((-1) ** j * self.h(p, j) for j in range(q + 1))
 
     def to_csv(self):

@@ -243,17 +243,15 @@ def _chart_nodes(chart, resolution):
     return gauss_legendre_nodes(resolution, chart.box_radius)
 
 
-def orbifold_integrate(fields, orb: ChartedOrbifold, resolution=128, rng=None,
-                       check_invariance=True):
+def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
     """Group-corrected integral of a scalar field against the orbifold volume.
 
     Parameters
     ----------
-    fields : callable or sequence of callables
-        Chart-level representatives of the integrand.  Each callable takes a
-        complex array of chart points (vectorized, shape (m,)) and returns
-        real or complex values of shape (m,).  A single callable is applied
-        with the chart index as first argument: fields(chart_index, Z).
+    field : callable
+        Chart-level representatives of the integrand: field(chart_index, Z)
+        takes a complex array of chart points (vectorized, shape (m,)) and
+        returns real or complex values of shape (m,).
     orb : ChartedOrbifold
     resolution : nodes per real axis of the tensor Gauss-Legendre rule.
     rng : numpy Generator for the invariance spot check (seeded by caller).
@@ -261,23 +259,17 @@ def orbifold_integrate(fields, orb: ChartedOrbifold, resolution=128, rng=None,
     The value is sum over charts of 1/|G| * integral of bump * f * kappa,
     evaluated in a fixed chart/node order so reruns are bit-identical.
     """
-    if callable(fields):
-        per_chart = [lambda Z, k=k: fields(k, Z) for k in range(len(orb.charts))]
-    else:
-        per_chart = list(fields)
-        if len(per_chart) != len(orb.charts):
-            raise IntegrandError("one chart-level representative per chart is required")
     rng = rng if rng is not None else np.random.default_rng(0)
     total = 0.0
     for k, chart in enumerate(orb.charts):
         nodes, weights = _chart_nodes(chart, resolution)
-        vals = np.asarray(per_chart[k](nodes))
-        if check_invariance and chart.order > 1:
+        vals = np.asarray(field(k, nodes))
+        if chart.order > 1:
             idx = rng.integers(0, nodes.size, size=min(8, nodes.size))
             pts = nodes[idx]
-            ref = np.asarray(per_chart[k](pts))
+            ref = np.asarray(field(k, pts))
             for g in chart.group:
-                moved = np.asarray(per_chart[k](g.matrix[0, 0] * pts))
+                moved = np.asarray(field(k, g.matrix[0, 0] * pts))
                 mismatch = np.max(np.abs(moved - ref))
                 if mismatch > INTEGRAND_INVARIANCE_TOL:
                     raise IntegrandError(

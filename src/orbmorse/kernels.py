@@ -239,11 +239,6 @@ class MehlerKernel:
     point: ModelPoint
     scalar: complex
 
-    def degree_entry(self, J):
-        a = self.point.eigenvalues
-        s = sum(a[j] for j in J)
-        return self.scalar * math.exp(-self.point.u * s)
-
     def degree_trace(self, q, form_phases=None):
         """Trace over (0,q)-forms, optionally twisted by a group action.
 

@@ -175,6 +175,8 @@ def kodaira_rank(orb, bundle, p, rng=None, samples=6, step=1e-5):
         d = orb.params["d"]
         if d == 0:
             return 0
+        if d < 0:
+            raise ConfigurationError(f"no sections at power p={p}")
         zs = (0.13 + 0.5 * rng.random(samples)
               + 1j * (0.17 + 0.5 * rng.random(samples)))
 

@@ -20,9 +20,10 @@ The invariant states of a level are the +1 eigenvectors of the signed swap
 v_j -> s v_{-j}, s = (-1)^kappa (times -1 in degree one): pairs
 (v_j + s v_{-j}) / sqrt(2) for j != -j mod D, plus v_j itself at the
 f in {1, 2} fixed translates when s = +1.  The multiplicity of a level is
-therefore D for k = 1 and (D + s f) / 2 for k = 2, which is all the spectral
-tables need; the explicit swap bases are built only by ``dbar_matrix`` (and
-so ``eigencomplex_check``), level by level, when it is called.
+therefore D for k = 1 and (D + s f) / 2 for k = 2, and it is all this module
+keeps: dbar lowers degree-0 level kappa onto degree-1 level kappa - 1, which
+carries the same swap sign, as sqrt(B kappa) times the identity on the
+invariant states, so its rank between matched levels is the multiplicity.
 
 Only the torus quotients are assembled: weighted projective models take
 their cohomology from exact lattice counts, and the local models C/Z_k
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,19 +47,7 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedModelError
 
 SPECTRAL_GAP_FLOOR = 1e-8
-SPECTRAL_GAP_MEDIAN_FACTOR = 1e-6
 CLUSTER_RELATIVE_GAP = 1e-6
-
-
-def spectral_gap_threshold(positive_eigs):
-    """Threshold separating numerical kernel from genuine positive modes."""
-    pos = np.sort(np.asarray([x for x in positive_eigs if x > 0.0], dtype=float))
-    if pos.size == 0:
-        return SPECTRAL_GAP_FLOOR
-    # the median by hand: np.median imports numpy.ma (about 10 ms) on first use
-    mid = pos.size // 2
-    median = pos[mid] if pos.size % 2 else 0.5 * (pos[mid - 1] + pos[mid])
-    return max(SPECTRAL_GAP_FLOOR, SPECTRAL_GAP_MEDIAN_FACTOR * float(median))
 
 
 @dataclass(frozen=True)
@@ -118,13 +106,15 @@ def morse_sum_vs_trace(tables, u, h_dims):
 # exact torus assembly
 
 
-def _swap_sign(level, q):
-    """Sign s of the half-turn v_j -> s v_{-j} on the level-``level`` states."""
-    return (-1) ** level * (-1 if q == 1 else 1)
+def _level_multiplicity(D, k, level, q):
+    """Number of invariant states of one Landau level in degree q.
 
-
-def _swap_multiplicity(D, sign):
-    """Dimension of the +1 eigenspace of v_j -> sign * v_{-j} on C^D."""
+    All D states for k = 1; on the half-turn quotient the +1 eigenspace of
+    the signed swap v_j -> s v_{-j} on C^D, of dimension (D + s f) / 2.
+    """
+    if k == 1:
+        return D
+    sign = (-1) ** level * (-1 if q == 1 else 1)
     fixed = 2 if D % 2 == 0 else 1      # translates with j = -j mod D
     return (D + sign * fixed) // 2
 
@@ -143,41 +133,7 @@ def torus_kernel_dimension(d, k, p, q):
         if k != 1:
             raise UnsupportedModelError("negative degrees ship without the quotient")
         return 0 if q == 0 else -D
-    if q == 1:
-        return 0
-    if k == 1:
-        return D
-    return _swap_multiplicity(D, 1)
-
-
-def _invariant_basis(D, sign):
-    """Orthonormal basis of the +1 eigenspace of v_j -> sign * v_{-j} on C^D.
-
-    Returns an array of shape (m, D) whose rows are the invariant vectors.
-    """
-    rows = []
-    seen = set()
-    for j in range(D):
-        jj = (-j) % D
-        if j in seen:
-            continue
-        seen.add(j)
-        seen.add(jj)
-        e = np.zeros(D)
-        if j == jj:
-            if sign > 0:
-                e[j] = 1.0
-                rows.append(e)
-        else:
-            if sign > 0:
-                e[j] = e[jj] = 1.0 / math.sqrt(2.0)
-            else:
-                e[j] = 1.0 / math.sqrt(2.0)
-                e[jj] = -1.0 / math.sqrt(2.0)
-            rows.append(e)
-    if not rows:
-        return np.zeros((0, D))
-    return np.vstack(rows)
+    return 0 if q == 1 else _level_multiplicity(D, k, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -208,26 +164,13 @@ class TorusKodairaOperator:
         B = self.field_strength
         return B * (level + 1) if self.q == 1 else B * level
 
-    def matrix(self):
-        """Dense Hermitian matrix on the invariant subspace (diagonal)."""
-        diag = []
-        for level, mult in enumerate(self.multiplicities):
-            diag.extend([self.level_eigenvalue(level)] * mult)
-        return np.diag(np.array(diag))
-
-    def invariant_multiplicity(self, level):
-        return self.multiplicities[level]
-
     def spectral_table(self):
-        eigs = []
-        for level in range(self.resolution):
-            mult = self.invariant_multiplicity(level)
-            if mult:
-                eigs.append((self.level_eigenvalue(level), mult))
-        eigs.sort()
-        thr = spectral_gap_threshold([lam for lam, _ in eigs])
-        zero_dim = sum(m for lam, m in eigs if lam <= thr)
-        return SpectralTable(p=self.p, q=self.q, eigenvalues=tuple(eigs),
+        # level eigenvalues increase with the level, so the table is sorted
+        eigs = tuple((self.level_eigenvalue(level), mult)
+                     for level, mult in enumerate(self.multiplicities) if mult)
+        # the kernel is exactly degree-0 level 0, the only eigenvalue 0.0
+        zero_dim = sum(m for lam, m in eigs if lam == 0.0)
+        return SpectralTable(p=self.p, q=self.q, eigenvalues=eigs,
                              resolution=self.resolution, zero_dim=zero_dim)
 
 
@@ -243,11 +186,10 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
         d, k = orb.params["d"], orb.params["k"]
         if q not in (0, 1):
             raise ConfigurationError("torus models carry form degrees 0 and 1")
-        if d == 0:
-            raise ConfigurationError(
-                "the trivial bundle has no magnetic Fourier basis; spectra require d >= 1")
-        D = d * int(p)
-        mults = tuple(D if k == 1 else _swap_multiplicity(D, _swap_sign(level, q))
+        if d <= 0:
+            raise UnsupportedModelError(
+                f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1")
+        mults = tuple(_level_multiplicity(d * int(p), k, level, q)
                       for level in range(resolution))
         return TorusKodairaOperator(d=d, k=k, p=int(p), q=q,
                                     resolution=resolution, multiplicities=mults)
@@ -255,41 +197,6 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
         f"catalog id {orb.catalog_id!r} has no spectral discretization; weighted "
         "projective models use the exact cohomology tables and local models "
         "the closed-form kernels instead")
-
-
-def _level_basis(op: TorusKodairaOperator, level):
-    """Rows: the orthonormal invariant states of one level in the full basis."""
-    if op.k == 1:
-        return np.eye(op.D)
-    return _invariant_basis(op.D, _swap_sign(level, op.q))
-
-
-def dbar_matrix(op0: TorusKodairaOperator, op1: TorusKodairaOperator):
-    """Matrix of dbar from invariant degree-0 to invariant degree-1 states.
-
-    In the full basis dbar maps (level, j) to sqrt(B level) (level - 1, j);
-    the returned matrix is expressed in the invariant orthonormal blocks.
-    """
-    if (op0.q, op1.q) != (0, 1) or op0.p != op1.p or op0.d != op1.d or op0.k != op1.k:
-        raise ConfigurationError("dbar expects matching degree-0/degree-1 operators")
-    B = op0.field_strength
-    # start of each level's states in the invariant basis, plus the total
-    row_off = (0, *itertools.accumulate(op1.multiplicities))
-    col_off = (0, *itertools.accumulate(op0.multiplicities))
-    out = np.zeros((row_off[-1], col_off[-1]))
-    for level in range(1, op0.resolution):
-        tgt = level - 1
-        if tgt >= op1.resolution:
-            continue
-        if op0.multiplicities[level] == 0 or op1.multiplicities[tgt] == 0:
-            continue
-        b0 = _level_basis(op0, level)
-        b1 = _level_basis(op1, tgt)
-        # both blocks are invariant under the same signed swap, so the overlap
-        # matrix b1 b0^T carries the full sqrt(B level) lowering map
-        out[row_off[tgt]:row_off[tgt + 1], col_off[level]:col_off[level + 1]] = \
-            math.sqrt(B * level) * (b1 @ b0.T)
-    return out
 
 
 @dataclass
@@ -310,35 +217,29 @@ def eigencomplex_check(op0: TorusKodairaOperator, op1: TorusKodairaOperator, lam
     tolerance are skipped with a warning, and lam = 0 is the kernel (Hodge),
     not an exact complex, so it is skipped as well.
     """
+    if (op0.q, op1.q) != (0, 1) or op0.p != op1.p or op0.d != op1.d or op0.k != op1.k:
+        raise ConfigurationError(
+            "the eigencomplex expects matching degree-0/degree-1 operators")
     if lam <= SPECTRAL_GAP_FLOOR:
         return EigencomplexDiagnostics(lam=lam, dims=(), rank_dbar=(),
                                        alternating_residuals=(), skipped=True,
                                        reason="kernel eigenvalue: Hodge space, not exact")
-    spectra = []
-    for op in (op0, op1):
-        vals = sorted({op.level_eigenvalue(level) for level in range(op.resolution)
-                       if op.invariant_multiplicity(level)})
-        spectra.extend(vals)
-    near = sorted(set(v for v in spectra if 0 < abs(v - lam) < CLUSTER_RELATIVE_GAP * lam))
-    if near:
+    spectrum = {op.level_eigenvalue(level) for op in (op0, op1)
+                for level, m in enumerate(op.multiplicities) if m}
+    if any(0 < abs(v - lam) < CLUSTER_RELATIVE_GAP * lam for v in spectrum):
         warnings.warn(f"eigencluster around {lam} too tight to separate; check skipped")
         return EigencomplexDiagnostics(lam=lam, dims=(), rank_dbar=(),
                                        alternating_residuals=(), skipped=True,
                                        reason="cluster too tight")
-    dims = []
-    masks = []
-    for op in (op0, op1):
-        sel = np.zeros(sum(op.multiplicities), dtype=bool)
-        off = 0
-        for level, m in enumerate(op.multiplicities):
-            if m and abs(op.level_eigenvalue(level) - lam) <= 1e-9 * max(lam, 1.0):
-                sel[off:off + m] = True
-            off += m
-        masks.append(sel)
-        dims.append(int(sel.sum()))
-    Db = dbar_matrix(op0, op1)
-    sub = Db[np.ix_(masks[1], masks[0])]
-    rank0 = int(np.linalg.matrix_rank(sub, tol=1e-9)) if sub.size else 0
+    levels = [{level for level in range(op.resolution)
+               if abs(op.level_eigenvalue(level) - lam) <= 1e-9 * max(lam, 1.0)}
+              for op in (op0, op1)]
+    dims = [sum(op.multiplicities[level] for level in lv)
+            for op, lv in zip((op0, op1), levels)]
+    # dbar is sqrt(B L) times the identity from degree-0 level L onto
+    # degree-1 level L - 1 (same swap sign, same states): full rank wherever
+    # both levels are retained
+    rank0 = sum(op0.multiplicities[level] for level in levels[0] if level - 1 in levels[1])
     # degree-1 is the top degree here: dbar out of it is zero
     residual_q0 = dims[0] - rank0
     residual_q1 = dims[1] - dims[0]

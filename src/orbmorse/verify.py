@@ -350,7 +350,7 @@ def verify_strong_morse(orb, bundle, q, p_list, resolution=256):
     sums = []
     residuals = []
     for p in p_list:
-        ms = table.morse_sum(p, q, alternating_from_top=False)
+        ms = table.morse_sum(p, q)
         sums.append(ms)
         residuals.append(ms / p ** n - bundle.aux_rank * integral)
     fit = fit_rate(p_list, [math.log(max(abs(r), 1e-300)) for r in residuals])

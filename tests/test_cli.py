@@ -263,13 +263,33 @@ def test_default_u_list_probes_large_times():
     ("p_list: [4, 8]", "p_list: [-4, 4]"),
     ("q_list: [0, 1]", "q_list: [-1, 0]"),
     ("u_list: [0.5, 1.0]", "u_list: []"),
+    ("q_list: [0, 1]", "q_list: []"),
+    ("q_list: [0, 1]", "q_list: [0, 1, 2]"),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
-        "p-zero", "p-negative", "q-negative", "u-list-empty"])
+        "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
+        "q-above-dimension"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "configuration error" in err
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_all_on_nonpositive_degree_torus_skips_spectra(tmp_path, d):
+    """d <= 0 tori have no Landau levels: heat-trace is skipped, the rest runs."""
+    text = TORUS_YAML.replace("    d: 1\n    k: 2\n", f"    d: {d}\n    k: 1\n")
+    cfg = write(tmp_path, "c.yaml", text)
+    out = tmp_path / "all"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    validate_report(report)
+    assert all(r["passed"] for r in report["results"])
+    names = {r["name"] for r in report["results"]}
+    assert {"cohomology-table", "moishezon-verdict", "bigness"} <= names
+    assert not any(n.startswith(("heat-trace", "trace-chain")) for n in names)
+    assert any(d["level"] == "info" and "heat-trace skipped" in d["message"]
+               for d in report["diagnostics"])
 
 
 def test_unknown_catalog_parameter_is_a_configuration_error():

@@ -13,8 +13,8 @@ from orbmorse.geometry import gauss_legendre_nodes
 from orbmorse.moishezon import (_section_values_torus, bigness_check, kodaira_rank,
                                 moishezon_check, section_growth_exponent,
                                 siegel_bound)
-from orbmorse.spectral import (_invariant_basis, assemble_kodaira_laplacian,
-                               torus_eigenfunction_values)
+from orbmorse.spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
+from swap_basis import invariant_basis
 
 DENT = {"amplitude": 1.2, "center": 0.45 + 0.0j, "width": 0.12}
 
@@ -194,7 +194,7 @@ def test_paired_torus_sections_match_dense_invariant_basis(D):
     zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j])
     op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
     full = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
-    dense = _invariant_basis(D, 1) @ full
+    dense = invariant_basis(D, 1) @ full
     paired = _section_values_torus(orb, bundle, D, zs)
     assert paired.shape == dense.shape
     assert np.allclose(paired, dense, rtol=1e-14, atol=1e-14 * np.abs(full).max())
@@ -204,6 +204,9 @@ def test_kodaira_rank_requires_sections():
     orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
     with pytest.raises(ConfigurationError):
         kodaira_rank(orb, bundle, 1)
+    orb, bundle = build_catalog_orbifold("torus", d=-1, k=1)
+    with pytest.raises(ConfigurationError, match="no sections"):
+        kodaira_rank(orb, bundle, 4)
 
 
 def test_growth_exponent_bounded_by_rank():

@@ -9,12 +9,12 @@ import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
-from orbmorse.spectral import (SpectralTable, _invariant_basis,
-                               assemble_kodaira_laplacian, dbar_matrix,
+from orbmorse.spectral import (SpectralTable, assemble_kodaira_laplacian,
                                eigencomplex_check, heat_trace, morse_sum_vs_trace,
-                               oscillator_functions, spectral_gap_threshold,
-                               torus_eigenfunction_values, torus_kernel_dimension)
+                               oscillator_functions, torus_eigenfunction_values,
+                               torus_kernel_dimension)
 from orbmorse.verify import exact_chain_residuals
+from swap_basis import invariant_basis
 
 
 def ops_for(d, k, p, resolution=32):
@@ -56,13 +56,12 @@ def test_local_model_has_no_discretization():
         assemble_kodaira_laplacian(orb, bundle, 2, 0, 8)
 
 
-def test_gap_threshold_takes_the_median_of_positive_levels():
-    rng = np.random.default_rng(3)
-    for n in (0, 1, 2, 5, 8):
-        eigs = list(rng.normal(size=n) * 1e4) + [0.0, -1e-12]
-        pos = np.array([x for x in eigs if x > 0.0])
-        expected = 1e-8 if pos.size == 0 else max(1e-8, 1e-6 * float(np.median(pos)))
-        assert spectral_gap_threshold(eigs) == expected
+@pytest.mark.parametrize("d", [0, -1])
+def test_nonpositive_degree_has_no_discretization(d):
+    """d <= 0 has no magnetic Fourier basis: the stage does not apply."""
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=1)
+    with pytest.raises(UnsupportedModelError):
+        assemble_kodaira_laplacian(orb, bundle, 4, 0, 8)
 
 
 def test_projected_spectrum_is_submultiset():
@@ -79,11 +78,13 @@ def test_resolution_doubling_leaves_low_spectrum_fixed():
     assert small.eigenvalues == big.eigenvalues[: len(small.eigenvalues)]
 
 
-def test_matrix_is_diagonal_invariant_compression():
-    op0 = ops_for(d=1, k=2, p=3)[0]
-    M = op0.matrix()
-    assert np.allclose(M, np.diag(np.diag(M)))
-    assert M.shape[0] == sum(op0.invariant_multiplicity(l) for l in range(op0.resolution))
+def test_kernel_count_is_the_zero_eigenvalue_multiplicity():
+    """zero_dim counts exactly the eigenvalue 0.0 (degree 0, level 0)."""
+    for d, k, p in itertools.product((1, 2), (1, 2), (1, 2, 3, 8, 4096)):
+        t0, t1 = (op.spectral_table() for op in ops_for(d, k, p, resolution=4))
+        assert t0.eigenvalues[0][0] == 0.0
+        assert t0.zero_dim == t0.eigenvalues[0][1] == torus_kernel_dimension(d, k, p, 0)
+        assert t1.zero_dim == 0 == torus_kernel_dimension(d, k, p, 1)
 
 
 def test_closed_form_multiplicity_matches_swap_basis():
@@ -95,9 +96,9 @@ def test_closed_form_multiplicity_matches_swap_basis():
             for level in range(8):
                 sign = (-1) ** level * (-1 if q == 1 else 1)
                 if (D, sign) not in swap_rows:
-                    swap_rows[D, sign] = _invariant_basis(D, sign).shape[0]
+                    swap_rows[D, sign] = invariant_basis(D, sign).shape[0]
                 expected = D if k == 1 else swap_rows[D, sign]
-                assert op.invariant_multiplicity(level) == expected, (d, p, k, q, level)
+                assert op.multiplicities[level] == expected, (d, p, k, q, level)
 
 
 def test_exact_chain_memory_is_independent_of_power():
@@ -193,19 +194,100 @@ def test_mixed_powers_rejected():
 def test_supersymmetric_multiplicities(d, k, p):
     op0, op1 = ops_for(d, k, p)
     for level in range(1, op0.resolution):
-        assert op0.invariant_multiplicity(level) == op1.invariant_multiplicity(level - 1)
+        assert op0.multiplicities[level] == op1.multiplicities[level - 1]
 
 
-def test_dbar_pairs_positive_eigenspaces_bijectively():
-    op0, op1 = ops_for(1, 2, 4)
-    Db = dbar_matrix(op0, op1)
+def _level_basis(op, level):
+    """Rows: the orthonormal invariant states of one level in the full basis."""
+    if op.k == 1:
+        return np.eye(op.D)
+    return invariant_basis(op.D, (-1) ** level * (-1 if op.q == 1 else 1))
+
+
+def _dense_eigencomplex(op0, op1, lam):
+    """Reference: dims, rank of the assembled dbar and residuals at lam.
+
+    dbar maps (level, j) to sqrt(B level) (level - 1, j) in the full basis;
+    expressed in the invariant bases of both degrees it is the overlap
+    b1 b0^T of the two level blocks times sqrt(B level).
+    """
     B = op0.field_strength
-    # restrict to the first excited level in degree 0
-    m = op0.invariant_multiplicity(1)
-    off0 = op0.invariant_multiplicity(0)
-    block = Db[:m, off0:off0 + m] / math.sqrt(B)
-    s = np.linalg.svd(block, compute_uv=False)
-    assert np.allclose(s, 1.0, atol=1e-12)       # unitary pairing
+    bases = [[_level_basis(op, level) for level in range(op.resolution)]
+             for op in (op0, op1)]
+    offsets = [np.cumsum([0] + [b.shape[0] for b in bs]) for bs in bases]
+    dbar = np.zeros((offsets[1][-1], offsets[0][-1]))
+    for level in range(1, min(op0.resolution, op1.resolution + 1)):
+        rows = slice(offsets[1][level - 1], offsets[1][level])
+        cols = slice(offsets[0][level], offsets[0][level + 1])
+        dbar[rows, cols] = math.sqrt(B * level) * (bases[1][level - 1] @ bases[0][level].T)
+    masks = []
+    for op, bs in zip((op0, op1), bases):
+        masks.append(np.concatenate(
+            [np.full(b.shape[0], abs(op.level_eigenvalue(level) - lam) <= 1e-9 * max(lam, 1.0))
+             for level, b in enumerate(bs)]))
+    dims = tuple(int(m.sum()) for m in masks)
+    sub = dbar[np.ix_(masks[1], masks[0])]
+    rank = int(np.linalg.matrix_rank(sub, tol=1e-9)) if sub.size else 0
+    return dims, (rank, 0), (dims[0] - rank, dims[1] - dims[0])
+
+
+def test_eigencomplex_matches_dense_dbar():
+    """Closed-form dims and ranks against the assembled dbar, every level.
+
+    lam = B L for L in 1..resolution + 1 reaches the truncation edge: at
+    L = resolution only degree 1 keeps a level there (level L - 1), and
+    L = resolution + 1 lies beyond both degrees.
+    """
+    cases = 0
+    for d, k, p, resolution in itertools.product((1, 2), (1, 2), range(1, 13),
+                                                 (1, 2, 4, 8)):
+        op0, op1 = ops_for(d, k, p, resolution)
+        for level in range(1, resolution + 2):
+            lam = op0.field_strength * level
+            diag = eigencomplex_check(op0, op1, lam)
+            assert not diag.skipped
+            got = (diag.dims, diag.rank_dbar, diag.alternating_residuals)
+            assert got == _dense_eigencomplex(op0, op1, lam), (d, k, p, resolution, level)
+            cases += 1
+    assert cases == 912
+
+
+def test_eigencomplex_matches_dense_dbar_across_resolutions():
+    """Degree 1 truncated below degree 0: dbar out of the top retained
+    degree-0 level has no target, and its rank drops to 0 there."""
+    for d, k, p in itertools.product((1, 2), (1, 2), range(1, 7)):
+        orb, bundle = build_catalog_orbifold("torus", d=d, k=k)
+        for r0, r1 in itertools.permutations((1, 2, 4, 8), 2):
+            op0 = assemble_kodaira_laplacian(orb, bundle, p, 0, r0)
+            op1 = assemble_kodaira_laplacian(orb, bundle, p, 1, r1)
+            for level in range(1, max(r0, r1) + 2):
+                lam = op0.field_strength * level
+                diag = eigencomplex_check(op0, op1, lam)
+                got = (diag.dims, diag.rank_dbar, diag.alternating_residuals)
+                assert got == _dense_eigencomplex(op0, op1, lam), (d, k, p, r0, r1, level)
+
+
+def test_eigencomplex_memory_is_independent_of_power():
+    """At p = 256 the assembled dbar would be 2.1k x 2.1k per level pair
+    (129 MB in all); the closed form keeps O(resolution) memory."""
+    op0, op1 = ops_for(1, 2, 256, resolution=32)
+    lam = op0.field_strength * 3
+    eigencomplex_check(op0, op1, lam)                      # warm up
+    tracemalloc.start()
+    try:
+        diag = eigencomplex_check(op0, op1, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert diag.dims == (127, 127) and diag.rank_dbar == (127, 0)    # (D - 2) / 2
+
+
+def test_eigencomplex_rejects_mismatched_operators():
+    op0, _ = ops_for(1, 2, 4)
+    _, other = ops_for(1, 2, 8)
+    with pytest.raises(ConfigurationError):
+        eigencomplex_check(op0, other, op0.field_strength)
 
 
 def test_eigencomplex_exactness_on_first_level():
