@@ -87,7 +87,7 @@ def build_catalog_orbifold(catalog_id, **params):
 # local model C^n / Z_k
 
 
-def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0, aux_rank=1):
+def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
     a = tuple(float(x) for x in np.atleast_1d(a))
     n = len(a)
     if n > 3:
@@ -106,8 +106,7 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0, aux_rank=1):
     for m in range(k):
         phases = np.exp(2j * np.pi * np.array(weights) * m / k)
         group.append(GroupElement(matrix=np.diag(phases),
-                                  line_phase=(theta * m) % (2 * math.pi),
-                                  aux_action=np.eye(aux_rank)))
+                                  line_phase=(theta * m) % (2 * math.pi)))
 
     def metric_field(Z):
         return np.eye(n)
@@ -117,8 +116,7 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0, aux_rank=1):
 
     chart = OrbifoldChart(dimension=n, group=tuple(group),
                           metric_field=metric_field, radius=math.inf,
-                          box_radius=1.0, center_label="origin",
-                          metric_scalar=metric_scalar if n == 1 else None)
+                          box_radius=1.0, metric_scalar=metric_scalar if n == 1 else None)
 
     gens = group[1:] if k > 1 else []
 
@@ -135,7 +133,7 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0, aux_rank=1):
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="local-model",
                           params={"k": k, "a": a, "weights": weights,
-                                  "theta": theta, "aux_rank": aux_rank})
+                                  "theta": theta})
 
     Rmat = np.diag(np.asarray(a, dtype=float)).astype(complex)
 
@@ -146,7 +144,7 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0, aux_rank=1):
         return np.full(np.shape(nodes), a[0])
 
     bundle = EquivariantLineBundle(
-        curvature_fields=(curvature_field,), aux_rank=aux_rank,
+        curvature_fields=(curvature_field,),
         label=f"flat rank-1 bundle, curvature diag{a}",
         curvature_scalars=(curvature_scalar,) if n == 1 else None)
     return orb, bundle
@@ -285,10 +283,10 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
 
     chart_x = OrbifoldChart(dimension=1, group=group_x, metric_field=metric_field_x,
                             radius=math.inf, bump=bump_x, box_radius=box_x,
-                            center_label="[1:0]", metric_scalar=metric_scalar_x)
+                            metric_scalar=metric_scalar_x)
     chart_y = OrbifoldChart(dimension=1, group=group_y, metric_field=metric_field_y,
                             radius=math.inf, bump=bump_y, box_radius=box_y,
-                            center_label="[0:1]", metric_scalar=metric_scalar_y)
+                            metric_scalar=metric_scalar_y)
 
     singular_orders = (a, b)
 
@@ -311,8 +309,7 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
     orb = ChartedOrbifold(
         charts=(chart_x, chart_y), singular_locus_fn=singular_distance,
         catalog_id="wps",
-        params={"weights": (a, b), "dent": dent, "gamma": gamma, "beta": beta,
-                "bundle_weights": (c_x, c_y)},
+        params={"weights": (a, b), "dent": dent, "gamma": gamma},
         transitions={"x_abs_to_y_abs": x_abs_to_y_abs, "y_abs_to_x_abs": z_abs_from_y})
 
     def curvature_field_x(Z):
@@ -322,7 +319,7 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
         return np.array([[curvature_scalar_y(np.atleast_1d(Z))[0]]], dtype=complex)
 
     bundle = EquivariantLineBundle(
-        curvature_fields=(curvature_field_x, curvature_field_y), aux_rank=1,
+        curvature_fields=(curvature_field_x, curvature_field_y),
         label=f"O(1) on P({a},{b})" + (" with signature dent" if dent else ""),
         curvature_scalars=(curvature_scalar_x, curvature_scalar_y))
     return orb, bundle
@@ -351,7 +348,7 @@ def _radial_tail_length(chart_index, r_abs, a, b, beta, gamma):
 # square torus quotient
 
 
-def _build_torus(d=1, k=1, aux_rank=1):
+def _build_torus(d=1, k=1):
     # d = 0 is the trivial flat bundle (the inconclusive reference for the
     # Moishezon criteria); negative degrees give the semi-negative reference
     # model and are supported for the unquotiented torus only
@@ -374,8 +371,7 @@ def _build_torus(d=1, k=1, aux_rank=1):
         return np.ones(np.shape(nodes))
 
     chart = OrbifoldChart(dimension=1, group=tuple(group), metric_field=metric_field,
-                          radius=math.inf, box_radius=0.5, center_label="cell",
-                          metric_scalar=metric_scalar)
+                          radius=math.inf, box_radius=0.5, metric_scalar=metric_scalar)
 
     half_points = (0.0 + 0.0j, 0.5 + 0.0j, 0.5j, 0.5 + 0.5j)
 
@@ -392,7 +388,7 @@ def _build_torus(d=1, k=1, aux_rank=1):
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="torus",
-                          params={"d": int(d), "k": int(k), "aux_rank": aux_rank})
+                          params={"d": int(d), "k": int(k)})
 
     a_val = 2.0 * math.pi * d
 
@@ -403,7 +399,6 @@ def _build_torus(d=1, k=1, aux_rank=1):
         return np.full(np.shape(nodes), a_val)
 
     bundle = EquivariantLineBundle(curvature_fields=(curvature_field,),
-                                   aux_rank=aux_rank,
                                    label=f"degree-{d} bundle on the square torus",
                                    curvature_scalars=(curvature_scalar,))
     return orb, bundle

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedModelError
 from .spectral import torus_kernel_dimension
 
-BRUTE_FORCE_LIMIT = 10_000   # above this degree only the recurrence is used
-
 
 def _check_weights(weights):
     ws = tuple(int(w) for w in weights)
@@ -58,24 +56,6 @@ def weighted_proj_h0(weights, d):
     return int(counts[d])
 
 
-def weighted_proj_h0_bruteforce(weights, d):
-    """Exhaustive enumeration oracle for the lattice count (small degrees)."""
-    ws = _check_weights(weights)
-    d = int(d)
-    if d < 0:
-        return 0
-    if d > BRUTE_FORCE_LIMIT:
-        raise ValueError("brute-force oracle is reserved for small degrees")
-
-    def count(rem, idx):
-        if idx == len(ws) - 1:
-            return 1 if rem % ws[idx] == 0 else 0
-        return sum(count(rem - m * ws[idx], idx + 1)
-                   for m in range(rem // ws[idx] + 1))
-
-    return count(d, 0)
-
-
 def weighted_proj_hq(weights, d, q):
     """h^q of the degree-d bundle on the weighted projective space.
 
@@ -95,19 +75,15 @@ def weighted_proj_hq(weights, d, q):
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Map (p, q) -> h^q(M, L^p otimes E) over a power range."""
+    """Map (p, q) -> h^q(M, L^p) over a power range."""
 
     catalog_id: str
     p_range: tuple
     n: int
     entries: dict = field(default_factory=dict)
-    aux_rank: int = 1
 
     def h(self, p, q):
         return self.entries[(int(p), int(q))]
-
-    def euler(self, p):
-        return sum((-1) ** q * self.h(p, q) for q in range(self.n + 1))
 
     def morse_sum(self, p, q):
         """sum_{j <= q} (-1)^j h^j."""
@@ -125,9 +101,9 @@ class CohomologyTable:
 def cohomology_table(orb, p_range):
     """Exact cohomology table of a catalog entry over a range of powers.
 
-    For weighted projective models the entries are lattice counts (scaled by
-    the auxiliary rank); torus quotients take their kernel dimensions from
-    the exact closed-form count of the spectral module.
+    For weighted projective models the entries are lattice counts; torus
+    quotients take their kernel dimensions from the exact closed-form count
+    of the spectral module.
     """
     p_values = tuple(int(p) for p in p_range)
     if orb.catalog_id == "wps":

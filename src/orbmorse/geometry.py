@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError, IntegrandError
+from .errors import (ConfigurationError, GeometryError, IntegrandError,
+                     UnsupportedModelError)
 
 UNITARY_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
@@ -34,29 +35,24 @@ INTEGRAND_INVARIANCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One element of a chart group: linear action plus bundle actions.
+    """One element of a chart group: linear action plus line-bundle phase.
 
     matrix : unitary action on the chart coordinates.
     line_phase : angle theta_g; the element acts on the line bundle fiber
         (along its fixed set) by e^{i theta_g}, so on the p-th power by
         e^{i p theta_g}.
-    aux_action : unitary action on the auxiliary bundle fiber.
     """
 
     matrix: np.ndarray
     line_phase: float = 0.0
-    aux_action: np.ndarray = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        aux = self.aux_action if self.aux_action is not None else np.eye(1)
-        object.__setattr__(self, "aux_action", np.asarray(aux, dtype=complex))
-        for name, mat in (("matrix", self.matrix), ("aux_action", self.aux_action)):
-            err = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
-            if err > UNITARY_TOL:
-                raise ConfigurationError(
-                    f"group element {name} is not unitary (defect {err:.2e})")
+        err = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+        if err > UNITARY_TOL:
+            raise ConfigurationError(
+                f"group element matrix is not unitary (defect {err:.2e})")
 
     @property
     def is_identity(self):
@@ -104,8 +100,9 @@ class OrbifoldChart:
     metric_field(Z) -> Hermitian (n, n) matrix, group-invariant, Id at 0.
     bump(Z) -> weight of this chart in the partition of unity (invariant).
     box_radius : half-side of the real quadrature box covering supp(bump).
-    metric_scalar : optional vectorized density for 1-d charts; maps an array
-        of chart points to the scalar metric values h(z) (= det H for n = 1).
+    metric_scalar : vectorized density for 1-d charts; maps an array of chart
+        points to the scalar metric values h(z) (= det H for n = 1).  Quadrature
+        and curvature sampling need it; charts without it are unsupported there.
     """
 
     dimension: int
@@ -114,7 +111,6 @@ class OrbifoldChart:
     radius: float
     bump: object = None
     box_radius: float = 1.0
-    center_label: str = ""
     metric_scalar: object = None
 
     def __post_init__(self):
@@ -180,7 +176,7 @@ class ChartedOrbifold:
     singular_locus_fn: object
     catalog_id: str
     params: dict = field(default_factory=dict)
-    # catalog-supplied maps between charts (used by integration diagnostics only)
+    # catalog-supplied maps between charts; only the tests read them
     transitions: dict = field(default_factory=dict)
 
     @property
@@ -193,16 +189,14 @@ class ChartedOrbifold:
 
 @dataclass(frozen=True)
 class EquivariantLineBundle:
-    """Hermitian line bundle data on each chart, plus an auxiliary bundle.
+    """Hermitian line bundle data on each chart.
 
     curvature_fields[k](Z) -> Hermitian (n, n) matrix of the Chern curvature
-    in the frame of chart k (same frame as the metric).  aux_rank is the rank
-    of the auxiliary twisting bundle; the per-element fiber actions live on
-    the chart group elements.
+    in the frame of chart k (same frame as the metric).  The fiber phases of
+    the chart group live on its elements.
     """
 
     curvature_fields: tuple
-    aux_rank: int = 1
     label: str = ""
     # optional vectorized scalar curvature densities for 1-d charts
     curvature_scalars: tuple = None
@@ -257,12 +251,16 @@ def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
     rng : numpy Generator for the invariance spot check (seeded by caller).
 
     The value is sum over charts of 1/|G| * integral of bump * f * kappa,
-    evaluated in a fixed chart/node order so reruns are bit-identical.
+    evaluated in a fixed chart/node order so reruns are bit-identical.  A
+    chart without ``metric_scalar`` raises UnsupportedModelError.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     total = 0.0
     for k, chart in enumerate(orb.charts):
         nodes, weights = _chart_nodes(chart, resolution)
+        if chart.metric_scalar is None:
+            raise UnsupportedModelError(
+                "orbifold integration needs the vectorized metric_scalar field")
         vals = np.asarray(field(k, nodes))
         if chart.order > 1:
             idx = rng.integers(0, nodes.size, size=min(8, nodes.size))
@@ -275,14 +273,8 @@ def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
                     raise IntegrandError(
                         f"integrand not invariant on chart {k} (mismatch {mismatch:.2e})")
         bump = np.asarray(chart.bump(nodes), dtype=float)
-        kappa = _kappa_vector(chart, nodes)
+        kappa = np.real(np.asarray(chart.metric_scalar(nodes)))
         contrib = np.dot(weights, bump * kappa * np.real(vals)) / chart.order
         total += float(contrib)
     return total
 
-
-def _kappa_vector(chart, nodes):
-    """Vectorized volume density on chart nodes (n = 1 fast path)."""
-    if chart.metric_scalar is not None:
-        return np.real(np.asarray(chart.metric_scalar(nodes)))
-    return np.array([volume_density(chart, z) for z in nodes])

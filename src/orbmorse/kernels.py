@@ -64,12 +64,7 @@ def factor_plus(a, u):
 
 def factor_minus(a, u):
     """u * a / (e^{ua} - 1) = factor_plus(-a, u), the inside-subset prefactor."""
-    if abs(a) <= ZERO_EIGENVALUE_TOL:
-        return 1.0
-    x = u * a
-    if abs(a) <= SERIES_SWITCH_TOL:
-        return _factor_series(-x)
-    return x / math.expm1(x)
+    return factor_plus(-a, u)
 
 
 def _stretch_even(x):
@@ -125,8 +120,6 @@ class ModelPoint:
         Spectrum of the curvature endomorphism at the point (unitary frame).
     u : float
         Positive time parameter.
-    aux_rank : int
-        Rank of the auxiliary twisting bundle.
     group_phases : tuple of float or None
         Eigenphases (radians) of the group element on the normal coordinates,
         i.e. the element acts by diag(e^{i phi_j}).  None when no element is
@@ -136,7 +129,6 @@ class ModelPoint:
 
     eigenvalues: tuple
     u: float
-    aux_rank: int = 1
     group_phases: tuple = None
 
     def __post_init__(self):
@@ -158,16 +150,14 @@ class ModelPoint:
 class LimitDensity:
     """Diagonal heat-density limit at a point, per degree-q subspace.
 
-    ``trace`` is the scalar trace over (0,q)-forms tensored with the auxiliary
-    bundle; ``subsets``/``diagonal`` give the endomorphism, which is diagonal
-    in the eigenframe basis indexed by q-element subsets (each entry still to
-    be tensored with the identity of the auxiliary bundle).
+    ``trace`` is the scalar trace over (0,q)-forms; ``subsets``/``diagonal``
+    give the endomorphism, which is diagonal in the eigenframe basis indexed
+    by q-element subsets.
     """
 
     trace: float
     subsets: tuple
     diagonal: np.ndarray
-    rank: int = 1
 
 
 def heat_diagonal_limit(point: ModelPoint, q):
@@ -175,7 +165,7 @@ def heat_diagonal_limit(point: ModelPoint, q):
 
     Returns a LimitDensity whose trace equals
 
-        (2 pi)^{-n} rank(E) * sum over q-subsets J of
+        (2 pi)^{-n} * sum over q-subsets J of
             prod_{j in J} a_j/(e^{u a_j}-1) * prod_{j not in J} a_j/(1-e^{-u a_j})
 
     with the 1/u convention for zero eigenvalues.  The subset expansion keeps
@@ -196,8 +186,7 @@ def heat_diagonal_limit(point: ModelPoint, q):
         for j in range(n):
             val *= minus[j] if j in inJ else plus[j]
         diag[i] = val
-    return LimitDensity(trace=float(diag.sum() * point.aux_rank),
-                        subsets=subsets, diagonal=diag, rank=point.aux_rank)
+    return LimitDensity(trace=float(diag.sum()), subsets=subsets, diagonal=diag)
 
 
 def twisted_gaussian(point: ModelPoint, Z):
@@ -239,44 +228,24 @@ class MehlerKernel:
     point: ModelPoint
     scalar: complex
 
-    def degree_trace(self, q, form_phases=None):
-        """Trace over (0,q)-forms, optionally twisted by a group action.
-
-        ``form_phases`` are the eigenphases of the group element acting on the
-        coordinates; the induced action on the antiholomorphic frame dzbar_j
-        multiplies subset J by prod_{j in J} e^{i phi_j}.
-        """
-        a = self.point.eigenvalues
-        u = self.point.u
-        n = len(a)
-        if not 0 <= q <= n:
-            raise ValueError(f"degree q={q} out of range 0..{n}")
-        weights = np.exp(-u * np.asarray(a))
-        if form_phases is not None:
-            weights = weights * np.exp(1j * np.asarray(form_phases))
-        coeffs = np.zeros(q + 1, dtype=complex)
-        coeffs[0] = 1.0
-        for w in weights:
-            for k in range(q, 0, -1):
-                coeffs[k] += w * coeffs[k - 1]
-        return complex(self.scalar * coeffs[q])
+    def degree_trace(self, q):
+        """Trace over (0,q)-forms: the scalar times exterior_exp_trace."""
+        return complex(self.scalar * exterior_exp_trace(self.point.eigenvalues,
+                                                        self.point.u, q))
 
 
-def model_heat_kernel(point: ModelPoint, Z, Zprime, group_matrix=None):
+def model_heat_kernel(point: ModelPoint, Z, Zprime):
     """Model heat kernel e^{-u L0}(g^{-1} Z, Z') for the flat model.
 
-    Z and Z' are points of C^n in the eigenframe of the curvature.  When
-    ``group_matrix`` is None the identity is used; otherwise the first
-    argument is twisted to g^{-1} Z.  Returns a MehlerKernel whose ``scalar``
-    is the degree-0 complex value; on the diagonal with g = Id and Z = Z' = 0
-    the scalar equals the degree-0 prefactor of heat_diagonal_limit.
+    Z and Z' are points of C^n in the eigenframe of the curvature.  The group
+    element g acts by the point's ``group_phases``, or is the identity when
+    the point carries none.  Returns a MehlerKernel whose ``scalar`` is the
+    degree-0 complex value; on the diagonal with g = Id and Z = Z' = 0 the
+    scalar equals the degree-0 prefactor of heat_diagonal_limit.
     """
     Z = np.asarray(Z, dtype=complex).reshape(point.dim)
     Zp = np.asarray(Zprime, dtype=complex).reshape(point.dim)
-    if group_matrix is not None:
-        U = np.asarray(group_matrix, dtype=complex)
-        X = np.conj(U.T) @ Z    # unitary inverse
-    elif point.group_phases is not None:
+    if point.group_phases is not None:
         X = np.exp(-1j * np.asarray(point.group_phases)) * Z
     else:
         X = Z
@@ -351,32 +320,6 @@ class ScaledComplex:
         """Sum of the terms exp(log_abs + i phase) of a 1-d batch."""
         log_scale, mantissa = log_sum_exp(log_abs, phase)
         return cls(complex(mantissa), float(log_scale))
-
-    @classmethod
-    def from_complex(cls, z):
-        z = complex(z)
-        if z == 0:
-            return cls(0.0j, -math.inf)
-        return cls(z / abs(z), math.log(abs(z)))
-
-    def __add__(self, other):
-        if self.log_scale == -math.inf:
-            return other
-        if other.log_scale == -math.inf:
-            return self
-        hi, lo = (self, other) if self.log_scale >= other.log_scale else (other, self)
-        m = hi.mantissa + lo.mantissa * math.exp(lo.log_scale - hi.log_scale)
-        out = ScaledComplex(m, hi.log_scale)
-        out._renorm()
-        return out
-
-    def _renorm(self):
-        mag = abs(self.mantissa)
-        if mag == 0.0:
-            self.log_scale = -math.inf
-        else:
-            self.log_scale += math.log(mag)
-            self.mantissa /= mag
 
     @property
     def log_abs(self):

@@ -82,7 +82,6 @@ def moishezon_check(orb, bundle, resolution=256, tol=1e-8, rng=None,
 class BignessEstimate:
     limsup_estimate: float
     noise_floor: float
-    p_at_max: int
     big: bool
 
 
@@ -104,7 +103,7 @@ def bigness_check(table: CohomologyTable, n):
     est, p_at = max(values)
     noise = BIGNESS_NOISE_MARGIN / p_at
     return BignessEstimate(limsup_estimate=float(est), noise_floor=float(noise),
-                           p_at_max=int(p_at), big=bool(est > noise))
+                           big=bool(est > noise))
 
 
 def siegel_bound(m, n, k):

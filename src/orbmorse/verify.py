@@ -31,7 +31,6 @@ from .kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_ex
 from .spectral import (assemble_kodaira_laplacian, heat_trace,
                        morse_sum_vs_trace, torus_diagonal_kernel_spectral)
 
-ERR_FLOOR = 1e-12          # fit window floor for cancellation-limited errors
 RELIABLE_R2 = 0.9
 
 
@@ -93,7 +92,7 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     """log|term| and phase of every group-element term on a local model.
 
     ``points`` has shape (..., n) and the images are the group elements g,
-    with degree-0 terms e^{i p theta_g} tr(g_E) K_plane(g^{-1} Z, Z) at
+    with degree-0 terms e^{i p theta_g} K_plane(g^{-1} Z, Z) at
     curvature p * a and time u / p, each carrying the p^{-n} rescaling.
     Returns (labels, log_abs, phase): the group elements and two arrays of
     shape points.shape[:-1] + (len(labels),).
@@ -107,8 +106,7 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     inverses = np.array([np.conj(g.matrix.T) for g in labels]).reshape(-1, n, n)
     X = np.einsum("gij,...j->...gi", inverses, Z)
     log_abs, phase = mehler_log_form(p * a, u / p, X, Z[..., None, :])
-    fibers = [np.trace(g.aux_action) * np.exp(1j * p * g.line_phase) * p ** float(-n)
-              for g in labels]
+    fibers = [np.exp(1j * p * g.line_phase) * p ** float(-n) for g in labels]
     log_abs = log_abs + np.array([math.log(abs(f)) for f in fibers])
     phase = phase + np.angle(fibers)
     return labels, log_abs, phase
@@ -183,18 +181,15 @@ class RateFit:
         return rec
 
 
-def fit_rate(p_values, log_errors, floor=None):
+def fit_rate(p_values, log_errors):
     """Least-squares slope of log err against log p.
 
-    ``floor``: points with log err below log(floor) are dropped (they sit on
-    the arithmetic noise floor of a cancellation-limited oracle).  Exact
-    log-space errors pass floor=None and keep every point.
+    Points whose log err is not finite (an exactly zero error) are dropped
+    from the window.
     """
     ps = np.asarray(p_values, dtype=float)
     le = np.asarray(log_errors, dtype=float)
     keep = np.isfinite(le)
-    if floor is not None:
-        keep &= le > math.log(floor)
     ps, le = ps[keep], le[keep]
     if ps.size < 2:
         return RateFit(slope=-math.inf, intercept=0.0, r_squared=1.0,
@@ -236,8 +231,7 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list, min_distance=0.
     log_errs = []
     for p in p_list:
         log_errs.append(kernel(orb, bundle, x, u, p, include_identity=False).log_abs)
-    fit = fit_rate(p_list, log_errs, floor=None)
-    return fit
+    return fit_rate(p_list, log_errs)
 
 
 def singular_diagonal_factor(orb, bundle, x, u, p):
@@ -253,7 +247,7 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
     else:
         kernel = torus_diagonal_kernel_image(orb, bundle, x, u, p)
         a = (2.0 * math.pi * orb.params["d"],)
-    limit = heat_diagonal_limit(ModelPoint(tuple(a), u, aux_rank=bundle.aux_rank), 0)
+    limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0)
     val = kernel.to_complex()
     return float(np.real(val) / limit.trace)
 
@@ -265,7 +259,6 @@ class SingularExpansionRecord:
     point: complex
     residual_without_twist: float
     residual_with_twist: float
-    spike_scale: float
 
 
 def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
@@ -273,7 +266,7 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     group-twisted Gaussian correction.
 
     The corrected expansion is limit + sum over non-trivial elements of
-    e^{i p theta} tr(g_E) kappa^{-1} limit(Z_1) * twisted_gaussian(sqrt(p) Z_2);
+    e^{i p theta} kappa^{-1} limit(Z_1) * twisted_gaussian(sqrt(p) Z_2);
     for flat local models it reproduces the kernel to rounding, while the
     uncorrected limit misses the order-one twist at sqrt(p) |Z| = O(1).
     """
@@ -285,30 +278,27 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     records = []
     for p in p_list:
         kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p).to_complex()
-        limit = heat_diagonal_limit(ModelPoint(tuple(a), u, aux_rank=bundle.aux_rank), 0)
+        limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0)
         corr = 0.0j
         for g in _local_group(orb):
             if g.is_identity:
                 continue
             phases = np.angle(np.diag(g.matrix))
             normal = np.abs(np.diag(g.matrix) - 1.0) > 1e-12
-            pt = ModelPoint(tuple(a[normal]), u, aux_rank=bundle.aux_rank,
-                            group_phases=tuple(phases[normal]))
+            pt = ModelPoint(tuple(a[normal]), u, group_phases=tuple(phases[normal]))
             # kappa = 1 on flat models; the limit factorizes over the fixed and
             # normal blocks, so limit(Z_1) splits off the fixed-direction part
             fixed_part = heat_diagonal_limit(ModelPoint(tuple(a[~normal]), u), 0).trace
             pref_normal = heat_diagonal_limit(ModelPoint(tuple(a[normal]), u), 0).trace
             twist = twisted_gaussian(pt, math.sqrt(p) * Z[normal])
-            fiber = np.trace(g.aux_action) * np.exp(1j * p * g.line_phase)
+            fiber = np.exp(1j * p * g.line_phase)
             corr += fiber * fixed_part * pref_normal * twist
         with_twist = abs(kernel - limit.trace - corr)
         without = abs(kernel - limit.trace)
-        spike = math.exp(-p * orb.singular_distance(0, Z) ** 2)
         records.append(SingularExpansionRecord(
             p=int(p), u=float(u), point=complex(Z[0]) if n == 1 else complex(0),
             residual_without_twist=float(without),
-            residual_with_twist=float(with_twist),
-            spike_scale=float(spike)))
+            residual_with_twist=float(with_twist)))
     return records
 
 
@@ -336,7 +326,7 @@ class StrongMorseSeries:
 def verify_strong_morse(orb, bundle, q, p_list, resolution=256):
     """Residual series of the strong Morse inequality at degree q.
 
-    rho_p = p^{-n} sum_{j <= q} (-1)^j h^j  -  rank(E) * integral over the
+    rho_p = p^{-n} sum_{j <= q} (-1)^j h^j  -  integral over the
     signature region {<= q} of det(curvature endomorphism / 2 pi).  The
     series must satisfy max(rho_p, 0) decreasing along the tail, with
     |rho_p| -> 0 at q = n.
@@ -352,7 +342,7 @@ def verify_strong_morse(orb, bundle, q, p_list, resolution=256):
     for p in p_list:
         ms = table.morse_sum(p, q)
         sums.append(ms)
-        residuals.append(ms / p ** n - bundle.aux_rank * integral)
+        residuals.append(ms / p ** n - integral)
     fit = fit_rate(p_list, [math.log(max(abs(r), 1e-300)) for r in residuals])
     return StrongMorseSeries(q=q, p_list=p_list, residuals=tuple(residuals),
                              morse_sums=tuple(sums), integral=integral, fit=fit)

@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.cohomology import (cohomology_table, weighted_proj_h0,
-                                 weighted_proj_h0_bruteforce)
+from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.curvature import morse_integral
 from orbmorse.kernels import (ModelPoint, exterior_exp_trace, factor_minus,
                               factor_plus, heat_diagonal_limit, model_heat_kernel,
@@ -20,6 +19,8 @@ from orbmorse.moishezon import bigness_check, kodaira_rank, moishezon_check
 from orbmorse.verify import (exact_chain_residuals, singular_diagonal_factor,
                              verify_kernel_asymptotics_regular,
                              verify_kernel_asymptotics_singular)
+
+from lattice_count import weighted_proj_h0_bruteforce
 
 
 def report_line(name, passed, detail, t0):

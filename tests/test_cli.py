@@ -78,13 +78,16 @@ def test_config_rejects_nonpositive_tolerance():
                                 "tolerances": {"tol_chain": 0.0}})
 
 
-def test_config_with_retired_tolerance_key_still_loads(tmp_path):
-    """tol_spectral_gap is no longer a setting; configs that name it load and run."""
+def test_config_with_retired_tolerance_key_exits_2(tmp_path, capsys):
+    """tol_spectral_gap is no longer a setting; a config that names it is refused."""
     text = TORUS_YAML.replace("  tol_chain: 1.0e-9\n",
                               "  tol_chain: 1.0e-9\n  tol_spectral_gap: 1.0e-8\n")
     path = write(tmp_path, "c.yaml", text)
-    assert load_config(path).tolerances["tol_spectral_gap"] == 1e-8
-    assert main(["heat-trace", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    with pytest.raises(ConfigurationError, match="tol_spectral_gap"):
+        load_config(path)
+    assert main(["heat-trace", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "tol_spectral_gap" in err
 
 
 def test_cli_exit_2_on_bad_config(tmp_path):
@@ -252,27 +255,39 @@ def test_default_u_list_probes_large_times():
 
 
 # ---------------------------------------------------------------------------
-# invalid configurations exit 2 with one stderr line
+# invalid configurations exit 2 with one stderr line that names the culprit
 
 
-@pytest.mark.parametrize("old,new", [
-    ("    d: 1\n    k: 2\n", "    dd: 1\n"),
-    ("resolution_quadrature: 96", "resolution_quadrature: 0"),
-    ("resolution_spectral: 16", "resolution_spectral: 0"),
-    ("p_list: [4, 8]", "p_list: [0, 4]"),
-    ("p_list: [4, 8]", "p_list: [-4, 4]"),
-    ("q_list: [0, 1]", "q_list: [-1, 0]"),
-    ("u_list: [0.5, 1.0]", "u_list: []"),
-    ("q_list: [0, 1]", "q_list: []"),
-    ("q_list: [0, 1]", "q_list: [0, 1, 2]"),
+@pytest.mark.parametrize("old,new,named", [
+    ("    d: 1\n    k: 2\n", "    dd: 1\n", "dd"),
+    ("resolution_quadrature: 96", "resolution_quadrature: 0", "resolution_quadrature"),
+    ("resolution_spectral: 16", "resolution_spectral: 0", "resolution_spectral"),
+    ("p_list: [4, 8]", "p_list: [0, 4]", "p_list"),
+    ("p_list: [4, 8]", "p_list: [-4, 4]", "p_list"),
+    ("q_list: [0, 1]", "q_list: [-1, 0]", "q_list"),
+    ("u_list: [0.5, 1.0]", "u_list: []", "u_list"),
+    ("q_list: [0, 1]", "q_list: []", "q_list"),
+    ("q_list: [0, 1]", "q_list: [0, 1, 2]", "q_list"),
+    ("    d: 1\n    k: 2\n", "    d: 1\n    k: 2\n    aux_rank: 2\n", "aux_rank"),
+    ("resolution_quadrature: 96", "resolution_quadature: 8", "resolution_quadature"),
+    ("q_list: [0, 1]\n", "q_list: [0, 1]\n  q_lst: [7]\n", "q_lst"),
+    ("tol_chain: 1.0e-9", "tol_chian: 1.0e-30", "tol_chian"),
+    ("seed: 7", "sede: 5", "sede"),
+    (TORUS_YAML[TORUS_YAML.index("run:"):TORUS_YAML.index("tolerances:")], "run: 5\n",
+     "run must be a mapping"),
+    ("seed: 7\n", "seed: 7\noutput: x\n", "output must be a mapping"),
+    (TORUS_YAML, "- torus\n", "root must be a mapping"),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
         "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
-        "q-above-dimension"])
-def test_invalid_config_exits_2(tmp_path, capsys, old, new):
+        "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
+        "tolerance-key-typo", "root-key-typo", "run-not-mapping",
+        "output-not-mapping", "root-not-mapping"])
+def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "configuration error" in err
+    assert named in err
 
 
 @pytest.mark.parametrize("d", [0, -1])

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.cohomology import (cohomology_table, weighted_proj_h0,
-                                 weighted_proj_h0_bruteforce, weighted_proj_hq)
+from orbmorse.cohomology import cohomology_table, weighted_proj_h0, weighted_proj_hq
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
+
+from lattice_count import weighted_proj_h0_bruteforce
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3), (1, 2, 3)])

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.errors import ConfigurationError, GeometryError, IntegrandError
-from orbmorse.geometry import (GroupElement, OrbifoldChart, check_group,
-                               orbifold_integrate, volume_density)
+from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
+                             UnsupportedModelError)
+from orbmorse.geometry import (ChartedOrbifold, GroupElement, OrbifoldChart,
+                               check_group, orbifold_integrate, volume_density)
 
 
 def ones(Z):
@@ -183,6 +184,16 @@ def test_non_invariant_integrand_rejected():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     with pytest.raises(IntegrandError):
         orbifold_integrate(lambda ci, Z: np.real(Z), orb, resolution=32)
+
+
+def test_integration_needs_the_vectorized_metric():
+    """A 1-d chart without metric_scalar is refused, not looped node by node."""
+    chart = OrbifoldChart(dimension=1, group=(GroupElement(matrix=np.eye(1)),),
+                          metric_field=lambda Z: np.eye(1), radius=math.inf)
+    orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=lambda ci, Z: 10.0,
+                          catalog_id="custom")
+    with pytest.raises(UnsupportedModelError, match="metric_scalar"):
+        orbifold_integrate(lambda ci, Z: ones(Z), orb, resolution=8)
 
 
 def test_torus_cell_volume():

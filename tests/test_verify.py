@@ -17,6 +17,8 @@ from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              verify_kernel_asymptotics_singular,
                              verify_strong_morse)
 
+from scaled_fold import fold
+
 
 # ---------------------------------------------------------------------------
 # oracle agreement (independent spectral and image-sum routes)
@@ -188,9 +190,11 @@ def test_fit_rate_window_and_reliability():
     fit = fit_rate(ps, clean)
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
     assert fit.reliable and fit.r_squared > 0.999
-    floored = clean[:2] + [math.log(1e-15)] * 2
-    fit2 = fit_rate(ps, floored, floor=1e-12)
+    # an exactly zero error (log err = -inf) drops out of the window
+    zeroed = clean[:2] + [-math.inf] * 2
+    fit2 = fit_rate(ps, zeroed)
     assert fit2.p_window == (16, 32)
+    assert fit2.slope == pytest.approx(-1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +249,6 @@ def test_regular_rate_two_dimensional():
 # array image sums against the term-by-term fold
 
 
-def _fold(terms):
-    total = ScaledComplex(0.0j, -math.inf)
-    for _, term in terms:
-        total = total + term
-    return total
-
-
 def _degree_one(terms, d, u):
     """Weight each (m, n, j) term by (-1)^j e^{-2 pi d u}, as degree one does."""
     return [((m, n_, j), ScaledComplex((-1) ** j * t.mantissa,
@@ -271,7 +268,7 @@ def test_array_image_sum_matches_term_fold(p):
     for z in (0.31 + 0.12j, 0.5 + 0.5j, 0.07 + 0.83j, 0.0j):
         terms = torus_image_terms(orb, bundle, z, u, p)
         assert len(terms) == 2 * 9 * 9
-        _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p), _fold(terms))
+        _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p), fold(terms))
         tiny = [t for label, t in terms if label != (0, 0, 0) and t.log_abs < -745.0]
         if p == 4096:
             # far below the underflow threshold: to_complex reads 0, the logs do not
@@ -280,11 +277,11 @@ def test_array_image_sum_matches_term_fold(p):
             # half-turn fixed points: degree one cancels to rounding there
             continue
         _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=1),
-                     _fold(_degree_one(terms, 1, u)))
+                     fold(_degree_one(terms, 1, u)))
     # the non-identity images alone, as the regular-point rate sums them
     rest = torus_image_terms(orb, bundle, 0.26 + 0.17j, u, p, include_identity=False)
     fit = verify_kernel_asymptotics_regular(orb, bundle, 0.26 + 0.17j, u, [p])
-    assert fit.log_errors[0] == pytest.approx(_fold(rest).log_abs, abs=1e-12)
+    assert fit.log_errors[0] == pytest.approx(fold(rest).log_abs, abs=1e-12)
     if p == 4096:
         assert fit.log_errors[0] < -745.0
 
@@ -294,7 +291,7 @@ def test_local_model_image_sum_matches_term_fold():
     for Z, p in [(np.array([0.8 + 0.1j]), 16), (np.array([1.0 + 0.3j]), 4096)]:
         terms = local_model_image_terms(orb, bundle, Z, 1.0, p)
         assert len(terms) == 3
-        _assert_same(local_model_diagonal_kernel(orb, bundle, Z, 1.0, p), _fold(terms))
+        _assert_same(local_model_diagonal_kernel(orb, bundle, Z, 1.0, p), fold(terms))
 
 
 # (log|term|, phase) printed by the term-by-term implementation the array
