@@ -14,7 +14,7 @@ from orbmorse import build_catalog_orbifold, orbifold_integrate, volume_density
 print("== cyclic quotient C / Z_3, flat metric, unit curvature ==")
 orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,))
 chart = orb.charts[0]
-print(f"group order {chart.order}, curvature {bundle.curvature_at(0, [0j])[0,0].real}")
+print(f"group order {chart.order}, curvature {bundle.curvature_scalars[0](0j)}")
 ball = orbifold_integrate(lambda ci, Z: (np.abs(Z) <= 1.0).astype(float), orb,
                           resolution=400)
 print(f"volume of the unit ball downstairs: {ball:.5f}  (pi/3 = {math.pi/3:.5f})")

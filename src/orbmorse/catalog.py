@@ -25,6 +25,7 @@ All charts are one-dimensional except the local models, which support n <= 3.
 
 from __future__ import annotations
 
+import cmath
 import inspect
 import math
 from functools import lru_cache
@@ -83,18 +84,56 @@ def build_catalog_orbifold(catalog_id, **params):
     return builder(**params)
 
 
+# Parameter values arrive from YAML (lists) or from Python callers (tuples).
+# Integers are ints but not bools, reals are finite non-bool numbers, so a
+# mistyped value is refused instead of running a different model.
+
+
+def _integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"catalog parameter {name} must be an integer, got {value!r}")
+    return int(value)
+
+
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _finite(name, value, kinds=_REALS, kind="real"):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, kinds)
+              and cmath.isfinite(value))
+    except OverflowError:           # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigurationError(
+            f"catalog parameter {name} must be a finite {kind} number, got {value!r}")
+    return value
+
+
+def _real(name, value):
+    return float(_finite(name, value))
+
+
+def _list_of(name, value, item):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"catalog parameter {name} must be a list, got {value!r}")
+    return tuple(item(name, v) for v in value)
+
+
 # ---------------------------------------------------------------------------
 # local model C^n / Z_k
 
 
 def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
-    a = tuple(float(x) for x in np.atleast_1d(a))
+    a = _list_of("a", a, _real)
     n = len(a)
-    if n > 3:
-        raise ConfigurationError("local models are limited to n <= 3")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not 1 <= n <= 3:
+        raise ConfigurationError("local models need 1 <= n <= 3 curvature values a")
+    k = _integer("k", k)
+    if k < 1:
         raise ConfigurationError(f"local-model group order k={k} must be an integer >= 1")
-    weights = tuple(int(w) for w in (weights if weights is not None else (1,) * n))
+    theta = _real("theta", theta)
+    weights = _list_of("weights", weights, _integer) if weights is not None else (1,) * n
     if len(weights) != n:
         raise ConfigurationError("one action weight per coordinate is required")
     if k > 1 and math.gcd(k, *[w % k for w in weights] or [k]) != 1:
@@ -108,15 +147,11 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
         group.append(GroupElement(matrix=np.diag(phases),
                                   line_phase=(theta * m) % (2 * math.pi)))
 
-    def metric_field(Z):
-        return np.eye(n)
-
     def metric_scalar(nodes):
         return np.ones(np.shape(nodes))
 
-    chart = OrbifoldChart(dimension=n, group=tuple(group),
-                          metric_field=metric_field, radius=math.inf,
-                          box_radius=1.0, metric_scalar=metric_scalar if n == 1 else None)
+    chart = OrbifoldChart(dimension=n, group=tuple(group), box_radius=1.0,
+                          metric_scalar=metric_scalar if n == 1 else None)
 
     gens = group[1:] if k > 1 else []
 
@@ -135,17 +170,10 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
                           params={"k": k, "a": a, "weights": weights,
                                   "theta": theta})
 
-    Rmat = np.diag(np.asarray(a, dtype=float)).astype(complex)
-
-    def curvature_field(Z):
-        return Rmat
-
     def curvature_scalar(nodes):
         return np.full(np.shape(nodes), a[0])
 
     bundle = EquivariantLineBundle(
-        curvature_fields=(curvature_field,),
-        label=f"flat rank-1 bundle, curvature diag{a}",
         curvature_scalars=(curvature_scalar,) if n == 1 else None)
     return orb, bundle
 
@@ -176,13 +204,31 @@ def _wps_metric_profiles(a, b, beta):
     return h_x, h_y, gamma
 
 
+DENT_KEYS = ("amplitude", "width", "center")
+
+
+def _dent(value):
+    """The dent mapping: reals amplitude and width, a real or complex center."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"catalog parameter dent must be a mapping, got {value!r}")
+    unknown = sorted(str(key) for key in value if key not in DENT_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) {', '.join(unknown)} in catalog parameter dent; "
+            f"accepted: {', '.join(DENT_KEYS)}")
+    center = _finite("dent.center", value.get("center", 0.45 + 0.0j),
+                     _REALS + (complex, np.complexfloating), "real or complex")
+    return (_real("dent.amplitude", value.get("amplitude", 0.6)),
+            _real("dent.width", value.get("width", 0.12)), complex(center))
+
+
 def _build_weighted_projective(weights=(1, 1), dent=None):
-    try:
-        a, b = (int(w) for w in weights)
-    except (TypeError, ValueError):
+    weights = _list_of("weights", weights, _integer)
+    if len(weights) != 2:
         raise ConfigurationError(
             "geometric weighted projective models take exactly two weights; "
             "cohomology counting accepts any number of weights separately")
+    a, b = weights
     if a <= 0 or b <= 0:
         raise ConfigurationError(f"weights must be positive, got {(a, b)}")
     if math.gcd(a, b) != 1:
@@ -209,9 +255,7 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
         return num / (c_y + c_x * s2 ** b) ** 2
 
     if dent is not None:
-        amp = float(dent.get("amplitude", 0.6))
-        z0 = complex(dent.get("center", 0.45 + 0.0j))
-        sig = float(dent.get("width", 0.12))
+        amp, sig, z0 = _dent(dent)
 
     def curvature_scalar_x(nodes):
         nodes = np.asarray(nodes, dtype=complex)
@@ -244,12 +288,6 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
     def metric_scalar_y(nodes):
         return h_y(np.abs(np.asarray(nodes, dtype=complex)) ** 2)
 
-    def metric_field_x(Z):
-        return np.array([[metric_scalar_x(np.atleast_1d(Z))[0]]], dtype=complex)
-
-    def metric_field_y(Z):
-        return np.array([[metric_scalar_y(np.atleast_1d(Z))[0]]], dtype=complex)
-
     def group_cyclic(order, exponent, theta_unit):
         els = []
         for m in range(order):
@@ -281,11 +319,9 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
     box_x = WPS_BUMP_OUTER * 1.02
     box_y = gamma * WPS_BUMP_INNER ** (-a / b) * 1.05
 
-    chart_x = OrbifoldChart(dimension=1, group=group_x, metric_field=metric_field_x,
-                            radius=math.inf, bump=bump_x, box_radius=box_x,
+    chart_x = OrbifoldChart(dimension=1, group=group_x, bump=bump_x, box_radius=box_x,
                             metric_scalar=metric_scalar_x)
-    chart_y = OrbifoldChart(dimension=1, group=group_y, metric_field=metric_field_y,
-                            radius=math.inf, bump=bump_y, box_radius=box_y,
+    chart_y = OrbifoldChart(dimension=1, group=group_y, bump=bump_y, box_radius=box_y,
                             metric_scalar=metric_scalar_y)
 
     singular_orders = (a, b)
@@ -312,16 +348,7 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
         params={"weights": (a, b), "dent": dent, "gamma": gamma},
         transitions={"x_abs_to_y_abs": x_abs_to_y_abs, "y_abs_to_x_abs": z_abs_from_y})
 
-    def curvature_field_x(Z):
-        return np.array([[curvature_scalar_x(np.atleast_1d(Z))[0]]], dtype=complex)
-
-    def curvature_field_y(Z):
-        return np.array([[curvature_scalar_y(np.atleast_1d(Z))[0]]], dtype=complex)
-
-    bundle = EquivariantLineBundle(
-        curvature_fields=(curvature_field_x, curvature_field_y),
-        label=f"O(1) on P({a},{b})" + (" with signature dent" if dent else ""),
-        curvature_scalars=(curvature_scalar_x, curvature_scalar_y))
+    bundle = EquivariantLineBundle(curvature_scalars=(curvature_scalar_x, curvature_scalar_y))
     return orb, bundle
 
 
@@ -352,8 +379,7 @@ def _build_torus(d=1, k=1):
     # d = 0 is the trivial flat bundle (the inconclusive reference for the
     # Moishezon criteria); negative degrees give the semi-negative reference
     # model and are supported for the unquotiented torus only
-    if not isinstance(d, (int, np.integer)):
-        raise ConfigurationError(f"torus bundle degree d={d} must be an integer")
+    d, k = _integer("d", d), _integer("k", k)
     if k not in (1, 2):
         raise ConfigurationError(
             f"torus quotient order k={k} not in the catalog: the square lattice "
@@ -364,14 +390,11 @@ def _build_torus(d=1, k=1):
     if k == 2:
         group.append(GroupElement(matrix=-np.eye(1)))
 
-    def metric_field(Z):
-        return np.eye(1)
-
     def metric_scalar(nodes):
         return np.ones(np.shape(nodes))
 
-    chart = OrbifoldChart(dimension=1, group=tuple(group), metric_field=metric_field,
-                          radius=math.inf, box_radius=0.5, metric_scalar=metric_scalar)
+    chart = OrbifoldChart(dimension=1, group=tuple(group), box_radius=0.5,
+                          metric_scalar=metric_scalar)
 
     half_points = (0.0 + 0.0j, 0.5 + 0.0j, 0.5j, 0.5 + 0.5j)
 
@@ -388,19 +411,14 @@ def _build_torus(d=1, k=1):
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="torus",
-                          params={"d": int(d), "k": int(k)})
+                          params={"d": d, "k": k})
 
     a_val = 2.0 * math.pi * d
-
-    def curvature_field(Z):
-        return np.array([[a_val]], dtype=complex)
 
     def curvature_scalar(nodes):
         return np.full(np.shape(nodes), a_val)
 
-    bundle = EquivariantLineBundle(curvature_fields=(curvature_field,),
-                                   label=f"degree-{d} bundle on the square torus",
-                                   curvature_scalars=(curvature_scalar,))
+    bundle = EquivariantLineBundle(curvature_scalars=(curvature_scalar,))
     return orb, bundle
 
 

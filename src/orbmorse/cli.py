@@ -98,6 +98,10 @@ class RunConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed configuration: {exc}")
+        # the builders take the parameters as keyword arguments
+        for key in cfg.catalog_params:
+            if not isinstance(key, str):
+                raise ConfigurationError(f"catalog parameter name {key!r} is not a string")
         cfg.validate()
         return cfg
 

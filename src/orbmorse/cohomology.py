@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +77,7 @@ def weighted_proj_hq(weights, d, q):
 class CohomologyTable:
     """Map (p, q) -> h^q(M, L^p) over a power range."""
 
-    catalog_id: str
-    p_range: tuple
-    n: int
-    entries: dict = field(default_factory=dict)
+    entries: dict
 
     def h(self, p, q):
         return self.entries[(int(p), int(q))]
@@ -115,15 +112,13 @@ def cohomology_table(orb, p_range):
         for p in p_values:
             for q in range(len(ws)):
                 entries[(p, q)] = weighted_proj_hq(ws, p, q)
-        return CohomologyTable(catalog_id="wps", p_range=p_values,
-                               n=len(ws) - 1, entries=entries)
+        return CohomologyTable(entries)
     if orb.catalog_id == "torus":
         d, k = orb.params["d"], orb.params["k"]
         entries = {}
         for p in p_values:
             for q in (0, 1):
                 entries[(p, q)] = torus_kernel_dimension(d, k, p, q)
-        return CohomologyTable(catalog_id="torus", p_range=p_values, n=1,
-                               entries=entries)
+        return CohomologyTable(entries)
     raise UnsupportedModelError(
         f"no exact cohomology is available for catalog id {orb.catalog_id!r}")

@@ -1,4 +1,7 @@
-"""Curvature endomorphism, signature classification, and Morse integrals.
+"""Curvature eigenvalues, signature classification, and Morse integrals.
+
+On a one-dimensional chart the curvature endomorphism is the scalar c / h of
+the bundle's curvature density and the chart's metric density.
 
 All operations are pure; quadrature nodes may be evaluated in parallel with
 an ordered reduction, which the vectorized implementation performs.
@@ -11,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, UnsupportedModelError
-from .geometry import ChartedOrbifold, EquivariantLineBundle, gauss_legendre_nodes
+from .errors import UnsupportedModelError
+from .geometry import (ChartedOrbifold, EquivariantLineBundle, gauss_legendre_nodes,
+                       volume_density)
 
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
@@ -26,49 +30,29 @@ class CurvatureSpectrum:
     "degenerate" when some eigenvalue sits within the tolerance of zero.
     """
 
-    point: np.ndarray
     eigenvalues: np.ndarray
     signature: object
 
 
-def curvature_endomorphism(bundle: EquivariantLineBundle, orb: ChartedOrbifold,
-                           x, chart_index=0):
-    """Curvature endomorphism at a point, as a Hermitian matrix.
-
-    Solves the generalized Hermitian problem R v = lambda H v, i.e. returns
-    the matrix of H^{-1} R expressed in an orthonormal frame; its eigenvalues
-    do not depend on the frame.
-    """
-    chart = orb.charts[chart_index]
-    H = chart.metric_at(x)
-    R = bundle.curvature_at(chart_index, x)
-    eigs = np.linalg.eigvalsh(H)
-    if eigs.min() <= 0:
-        raise GeometryError("metric is not positive definite at the requested point")
-    C = np.linalg.cholesky(H)
-    Cinv = np.linalg.inv(C)
-    M = Cinv @ R @ Cinv.conj().T
-    return 0.5 * (M + M.conj().T)
-
-
 def curvature_spectrum(bundle, orb, x, chart_index=0, tol=DEGENERACY_TOL):
-    """Sorted eigenvalues of the curvature endomorphism at x, with signature."""
-    vals = np.linalg.eigvalsh(curvature_endomorphism(bundle, orb, x, chart_index))
-    return CurvatureSpectrum(point=np.asarray(x, dtype=complex),
-                             eigenvalues=vals, signature=classify_point(vals, tol))
+    """Eigenvalue c / h of the curvature endomorphism at x, with signature.
+
+    One-dimensional charts only: other dimensions raise UnsupportedModelError,
+    and a point where the metric density h is not positive GeometryError.
+    """
+    volume_density(orb.charts[chart_index], x)      # refuses n != 1 and h <= 0
+    _, vals = _scalar_curvature(orb, bundle, chart_index,
+                                np.asarray(x, dtype=complex).reshape(1))
+    return CurvatureSpectrum(eigenvalues=vals, signature=classify_point(vals, tol))
 
 
 def _scalar_curvature(orb, bundle, chart_index, points):
     """Curvature density c and eigenvalue c / h on a one-dimensional chart.
 
-    For n = 1 the curvature endomorphism is the scalar c / h, with c and h
-    the vectorized curvature and metric densities at an array of points.
+    c and h are the vectorized curvature and metric densities at an array of
+    points.
     """
     chart = orb.charts[chart_index]
-    if bundle.curvature_scalars is None or chart.metric_scalar is None:
-        raise UnsupportedModelError(
-            "one-dimensional curvature sampling needs the vectorized "
-            "curvature_scalars and metric_scalar fields")
     c = np.real(np.asarray(bundle.curvature_scalars[chart_index](points)))
     h = np.real(np.asarray(chart.metric_scalar(points)))
     return c, c / h

@@ -1,6 +1,6 @@
 """Charted orbifolds with linear finite group actions.
 
-A chart is an open ball in C^n on which a finite group acts by unitary
+A chart is a domain in C^n on which a finite group acts by unitary
 matrices; the metric and every bundle datum are fields on the chart, and all
 global quantities are assembled chart by chart with the 1/|G| weight of
 orbifold integration.  Only catalog models are constructed (see catalog.py),
@@ -8,10 +8,13 @@ so the attachment data between charts stays minimal: each chart carries its
 own smooth bump function and quadrature box, fixed by the catalog so that the
 bumps form a partition of unity downstairs.
 
-Metric convention: ``metric_field(Z)`` returns the Hermitian matrix H(Z) of
-the metric in the fixed chart frame, normalized so H(0) = Id; the Riemannian
-volume density against Lebesgue measure is det H, hence the volume-density
-ratio kappa(Z) = det H(Z).
+Metric convention: on a one-dimensional chart the metric is one vectorized
+density, ``metric_scalar(z)`` = h(z) > 0, normalized so h(0) = 1; it is the
+volume-density ratio kappa(z) = h(z) against Lebesgue measure.  A bundle's
+curvature is likewise one density c(z) per chart, and the curvature
+endomorphism is the scalar c / h.  The flat higher-dimensional local models
+carry neither density: their kernels read the constant curvature from the
+model parameters.
 
 All types are immutable after construction and all operations are pure;
 quadrature accumulates in a fixed chart/node order, so results are
@@ -20,7 +23,6 @@ schedule-independent under concurrent evaluation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,29 +97,29 @@ def check_group(group):
 
 @dataclass(frozen=True)
 class OrbifoldChart:
-    """One uniformizing chart: a ball in C^n with a finite unitary group.
+    """One uniformizing chart: a domain in C^n with a finite unitary group.
 
-    metric_field(Z) -> Hermitian (n, n) matrix, group-invariant, Id at 0.
+    metric_scalar(z) -> the metric density h at an array of points of a
+        one-dimensional chart (vectorized, group-invariant, 1 at the center).
+        Required when n = 1; None for the flat higher-dimensional local models.
     bump(Z) -> weight of this chart in the partition of unity (invariant).
     box_radius : half-side of the real quadrature box covering supp(bump).
-    metric_scalar : vectorized density for 1-d charts; maps an array of chart
-        points to the scalar metric values h(z) (= det H for n = 1).  Quadrature
-        and curvature sampling need it; charts without it are unsupported there.
     """
 
     dimension: int
     group: tuple
-    metric_field: object
-    radius: float
     bump: object = None
     box_radius: float = 1.0
     metric_scalar: object = None
 
     def __post_init__(self):
         check_group(tuple(self.group))
-        H0 = np.asarray(self.metric_field(np.zeros(self.dimension, dtype=complex)))
-        if np.max(np.abs(H0 - np.eye(self.dimension))) > 1e-9:
-            raise GeometryError("metric_field(0) must be the identity (normalized frame)")
+        if self.dimension == 1:
+            if self.metric_scalar is None:
+                raise GeometryError("a one-dimensional chart needs its metric_scalar density")
+            h0 = np.real(np.asarray(self.metric_scalar(np.zeros(1, dtype=complex))))
+            if abs(h0[0] - 1.0) > 1e-9:
+                raise GeometryError("metric_scalar(0) must be 1 (normalized frame)")
         if self.bump is None:
             object.__setattr__(self, "bump", lambda Z: np.ones(np.shape(Z)))
 
@@ -125,43 +127,39 @@ class OrbifoldChart:
     def order(self):
         return len(self.group)
 
-    def metric_at(self, Z):
-        Z = np.asarray(Z, dtype=complex).reshape(self.dimension)
-        H = np.asarray(self.metric_field(Z), dtype=complex)
-        herm = np.max(np.abs(H - H.conj().T))
-        if herm > 1e-10:
-            raise GeometryError(f"metric matrix not Hermitian (defect {herm:.2e})")
-        return H
-
     def check_invariance(self, rng, samples=12):
-        """Sampled metric invariance: g^dagger H(gZ) g == H(Z)."""
-        n = self.dimension
-        r = min(self.radius, self.box_radius)
-        for _ in range(samples):
-            Z = (rng.uniform(-r, r, n) + 1j * rng.uniform(-r, r, n)) * 0.5
-            H = self.metric_at(Z)
-            for g in self.group:
-                Hg = self.metric_at(g.matrix @ Z)
-                err = np.max(np.abs(g.matrix.conj().T @ Hg @ g.matrix - H))
-                if err > INVARIANCE_TOL:
-                    raise GeometryError(
-                        f"metric field is not group invariant (defect {err:.2e})")
+        """Sampled metric invariance h(gz) == h(z), vectorized over the samples."""
+        _require_one_dimensional(self)
+        r = self.box_radius
+        z = (rng.uniform(-r, r, samples) + 1j * rng.uniform(-r, r, samples)) * 0.5
+        h = np.real(np.asarray(self.metric_scalar(z)))
+        for g in self.group:
+            hg = np.real(np.asarray(self.metric_scalar(g.matrix[0, 0] * z)))
+            err = np.max(np.abs(hg - h))
+            if err > INVARIANCE_TOL:
+                raise GeometryError(
+                    f"metric density is not group invariant (defect {err:.2e})")
+
+
+def _require_one_dimensional(chart):
+    if chart.dimension != 1:
+        raise UnsupportedModelError(
+            "the metric is a scalar density on one-dimensional charts only; "
+            f"this chart has dimension {chart.dimension}")
 
 
 def volume_density(chart: OrbifoldChart, Z):
-    """Volume-density ratio kappa(Z) = det H(Z) against the frame metric at 0.
+    """Volume-density ratio kappa(z) = h(z) of a one-dimensional chart.
 
-    Exactly 1 at the chart center by the normalization H(0) = Id.
+    Exactly 1 at the chart center by the normalization h(0) = 1.  Charts of
+    dimension n != 1 raise UnsupportedModelError, and h <= 0 GeometryError.
     """
-    Z = np.asarray(Z, dtype=complex).reshape(chart.dimension)
-    if chart.radius != math.inf and np.linalg.norm(Z) >= chart.radius:
-        raise GeometryError(
-            f"point at |Z| = {np.linalg.norm(Z):.3f} outside chart of radius {chart.radius}")
-    H = chart.metric_at(Z)
-    det = float(np.linalg.det(H).real)
-    if det <= 0:
+    _require_one_dimensional(chart)
+    z = np.asarray(Z, dtype=complex).reshape(1)
+    h = float(np.real(np.asarray(chart.metric_scalar(z)))[0])
+    if h <= 0:
         raise GeometryError("metric is not positive definite at the requested point")
-    return det
+    return h
 
 
 @dataclass(frozen=True)
@@ -191,23 +189,14 @@ class ChartedOrbifold:
 class EquivariantLineBundle:
     """Hermitian line bundle data on each chart.
 
-    curvature_fields[k](Z) -> Hermitian (n, n) matrix of the Chern curvature
-    in the frame of chart k (same frame as the metric).  The fiber phases of
-    the chart group live on its elements.
+    curvature_scalars[k](z) -> the Chern curvature density c at an array of
+    points of chart k (vectorized, in the frame of the metric density), so
+    that the curvature endomorphism is c / h.  None for the flat
+    higher-dimensional local models, whose curvature is params["a"].  The
+    fiber phases of the chart group live on its elements.
     """
 
-    curvature_fields: tuple
-    label: str = ""
-    # optional vectorized scalar curvature densities for 1-d charts
-    curvature_scalars: tuple = None
-
-    def curvature_at(self, chart_index, Z):
-        R = np.asarray(self.curvature_fields[chart_index](np.asarray(Z, dtype=complex)),
-                       dtype=complex)
-        herm = np.max(np.abs(R - R.conj().T))
-        if herm > UNITARY_TOL * 10:
-            raise GeometryError(f"curvature matrix not Hermitian (defect {herm:.2e})")
-        return R
+    curvature_scalars: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +240,12 @@ def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
     rng : numpy Generator for the invariance spot check (seeded by caller).
 
     The value is sum over charts of 1/|G| * integral of bump * f * kappa,
-    evaluated in a fixed chart/node order so reruns are bit-identical.  A
-    chart without ``metric_scalar`` raises UnsupportedModelError.
+    evaluated in a fixed chart/node order so reruns are bit-identical.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     total = 0.0
     for k, chart in enumerate(orb.charts):
         nodes, weights = _chart_nodes(chart, resolution)
-        if chart.metric_scalar is None:
-            raise UnsupportedModelError(
-                "orbifold integration needs the vectorized metric_scalar field")
         vals = np.asarray(field(k, nodes))
         if chart.order > 1:
             idx = rng.integers(0, nodes.size, size=min(8, nodes.size))

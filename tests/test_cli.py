@@ -257,6 +257,10 @@ def test_default_u_list_probes_large_times():
 # ---------------------------------------------------------------------------
 # invalid configurations exit 2 with one stderr line that names the culprit
 
+TORUS_CATALOG = "  id: torus\n  params:\n    d: 1\n    k: 2\n"
+LOCAL_CATALOG = "  id: local-model\n  params:\n    k: 2\n    a: [1.0]\n"
+WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
+
 
 @pytest.mark.parametrize("old,new,named", [
     ("    d: 1\n    k: 2\n", "    dd: 1\n", "dd"),
@@ -277,11 +281,23 @@ def test_default_u_list_probes_large_times():
      "run must be a mapping"),
     ("seed: 7\n", "seed: 7\noutput: x\n", "output must be a mapping"),
     (TORUS_YAML, "- torus\n", "root must be a mapping"),
+    (TORUS_CATALOG, TORUS_CATALOG + "    3: 4\n", "parameter name 3"),
+    (TORUS_CATALOG, WPS_CATALOG + "    dent: 5\n", "parameter dent"),
+    (TORUS_CATALOG, LOCAL_CATALOG + "    theta: abc\n", "parameter theta"),
+    (TORUS_CATALOG, LOCAL_CATALOG.replace("[1.0]", "abc"), "parameter a "),
+    (TORUS_CATALOG, WPS_CATALOG + "    dent: {amplitude: abc}\n", "dent.amplitude"),
+    (TORUS_CATALOG, LOCAL_CATALOG.replace("k: 2", "k: true"), "parameter k "),
+    (TORUS_CATALOG, WPS_CATALOG.replace("[1, 1]", "[1.5, 1]"), "parameter weights"),
+    (TORUS_CATALOG, LOCAL_CATALOG + "    weights: [1.5]\n", "parameter weights"),
+    (TORUS_CATALOG, TORUS_CATALOG.replace("d: 1", "d: true"), "parameter d "),
+    (TORUS_CATALOG, WPS_CATALOG + "    dent: {amplitud: 0.5}\n", "amplitud"),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
         "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
         "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
         "tolerance-key-typo", "root-key-typo", "run-not-mapping",
-        "output-not-mapping", "root-not-mapping"])
+        "output-not-mapping", "root-not-mapping", "parameter-name-not-string",
+        "dent-not-mapping", "theta-string", "a-string", "dent-amplitude-string",
+        "k-bool", "wps-weight-real", "local-weight-real", "d-bool", "dent-key-typo"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2

@@ -4,20 +4,26 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.curvature import (DEGENERATE, classify_point, curvature_endomorphism,
-                                curvature_spectrum, morse_integral)
+from orbmorse.curvature import (DEGENERATE, classify_point, curvature_spectrum,
+                                morse_integral)
+from orbmorse.errors import UnsupportedModelError
 
 
 def test_endomorphism_identity_metric_cases():
-    orb, bundle = build_catalog_orbifold("local-model", k=1, a=(1.0,))
-    M = curvature_endomorphism(bundle, orb, np.array([0.2 + 0.1j]))
-    assert M == pytest.approx(np.array([[1.0]]))
-    orb2, bundle2 = build_catalog_orbifold("local-model", k=1, a=(2.0, -3.0))
-    vals = curvature_spectrum(bundle2, orb2, np.zeros(2)).eigenvalues
-    assert vals == pytest.approx([-3.0, 2.0])
+    orb, bundle = build_catalog_orbifold("local-model", k=1, a=(-2.5,))
+    spec = curvature_spectrum(bundle, orb, np.array([0.2 + 0.1j]))
+    assert spec.eigenvalues == pytest.approx([-2.5])
+    assert spec.signature == 1
+
+
+def test_spectrum_of_flat_two_dimensional_model_is_unsupported():
+    """The n = 2 local model carries its curvature in params, not in a density."""
+    orb, bundle = build_catalog_orbifold("local-model", k=1, a=(2.0, -3.0))
+    assert orb.params["a"] == (2.0, -3.0)
+    with pytest.raises(UnsupportedModelError):
+        curvature_spectrum(bundle, orb, np.zeros(2))
 
 
 def test_endomorphism_projective_center_is_one():
@@ -38,22 +44,6 @@ def test_classify_examples(eigs, expected):
 def test_classify_requires_positive_tolerance():
     with pytest.raises(ValueError):
         classify_point((1.0,), tol=0.0)
-
-
-def test_frame_invariance_of_eigenvalues():
-    """Generalized eigenvalues agree across orthonormal frame changes."""
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        H = A @ A.conj().T + n * np.eye(n)
-        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        R = 0.5 * (B + B.conj().T)
-        T = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
-        e1 = scipy.linalg.eigh(R, H, eigvals_only=True)
-        e2 = scipy.linalg.eigh(T.conj().T @ R @ T, T.conj().T @ H @ T,
-                               eigvals_only=True)
-        assert np.max(np.abs(np.sort(e1) - np.sort(e2))) < 1e-9
 
 
 @pytest.mark.parametrize("weights,expected", [
@@ -123,43 +113,26 @@ def test_degenerate_fraction_reported():
 
 
 def custom_model():
-    """A one-chart custom model whose metric turns indefinite at |z|^2 = 1/2.
-
-    It has no vectorized curvature_scalars or metric_scalar fields.
-    """
+    """A one-chart custom model whose metric density turns negative at |z|^2 = 1/2."""
     from orbmorse.geometry import GroupElement, OrbifoldChart, ChartedOrbifold
     from orbmorse.geometry import EquivariantLineBundle
 
-    def metric(Z):
-        r2 = float(np.abs(np.asarray(Z).reshape(1)[0]) ** 2)
-        return np.array([[1.0 - 2.0 * r2]], dtype=complex)
+    def metric(z):
+        return 1.0 - 2.0 * np.abs(np.asarray(z)) ** 2
 
     chart = OrbifoldChart(dimension=1, group=(GroupElement(matrix=np.eye(1)),),
-                          metric_field=metric, radius=np.inf)
+                          metric_scalar=metric)
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=lambda ci, Z: 10.0,
                           catalog_id="custom")
-    bundle = EquivariantLineBundle(curvature_fields=(lambda Z: np.eye(1),))
+    bundle = EquivariantLineBundle(curvature_scalars=(lambda z: np.ones(np.shape(z)),))
     return orb, bundle
 
 
-def test_indefinite_metric_raises_geometry_error():
-    from orbmorse.errors import GeometryError
-    orb, bundle = custom_model()
-    with pytest.raises(GeometryError):
-        curvature_endomorphism(bundle, orb, np.array([1.0 + 0.0j]))
-
-
 def test_spectrum_of_indefinite_metric_raises_geometry_error():
-    """The spectrum solves through the endomorphism and its metric check."""
+    """Where the metric density is not positive there is no eigenvalue c / h."""
     from orbmorse.errors import GeometryError
     orb, bundle = custom_model()
+    assert curvature_spectrum(bundle, orb, np.array([0.5 + 0.0j])).eigenvalues == \
+        pytest.approx([2.0])
     with pytest.raises(GeometryError):
         curvature_spectrum(bundle, orb, np.array([1.0 + 0.0j]))
-
-
-def test_morse_integral_needs_scalar_fields():
-    """A 1-d chart without the vectorized fields is rejected, not sampled."""
-    from orbmorse.errors import UnsupportedModelError
-    orb, bundle = custom_model()
-    with pytest.raises(UnsupportedModelError, match="curvature_scalars"):
-        morse_integral(orb, bundle, {0}, resolution=16)

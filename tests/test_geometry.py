@@ -8,8 +8,8 @@ import pytest
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
                              UnsupportedModelError)
-from orbmorse.geometry import (ChartedOrbifold, GroupElement, OrbifoldChart,
-                               check_group, orbifold_integrate, volume_density)
+from orbmorse.geometry import (GroupElement, OrbifoldChart, check_group,
+                               orbifold_integrate, volume_density)
 
 
 def ones(Z):
@@ -25,8 +25,23 @@ def test_local_model_group_and_flat_metric():
     chart = orb.charts[0]
     assert chart.order == 2
     assert np.allclose(chart.group[1].matrix, -np.eye(1))
-    assert bundle.curvature_at(0, np.array([0.3 + 0.1j]))[0, 0] == 1.0
+    assert bundle.curvature_scalars[0](np.array([0.3 + 0.1j]))[0] == 1.0
     assert volume_density(chart, np.array([0.4 - 0.2j])) == 1.0
+
+
+def test_one_dimensional_chart_needs_its_metric_density():
+    with pytest.raises(GeometryError, match="metric_scalar"):
+        OrbifoldChart(dimension=1, group=(GroupElement(matrix=np.eye(1)),))
+
+
+def test_flat_two_dimensional_chart_has_no_metric_density():
+    orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0, 1.0))
+    chart = orb.charts[0]
+    assert chart.metric_scalar is None
+    with pytest.raises(UnsupportedModelError):
+        volume_density(chart, np.zeros(2))
+    with pytest.raises(UnsupportedModelError):
+        chart.check_invariance(np.random.default_rng(0))
 
 
 def test_wps_isotropy_orders():
@@ -100,13 +115,6 @@ def test_volume_density_normalization_and_fs_value():
     # determinant-ratio oracle for the shipped P(1,1) profile at |z| = 1
     expected = (1.0 + math.pi) ** -2
     assert volume_density(chart, np.array([1.0 + 0.0j])) == pytest.approx(expected, rel=1e-12)
-
-
-def test_volume_density_outside_chart_errors():
-    chart = OrbifoldChart(dimension=1, group=(GroupElement(matrix=np.eye(1)),),
-                          metric_field=lambda Z: np.eye(1), radius=1.0)
-    with pytest.raises(GeometryError):
-        volume_density(chart, np.array([2.0 + 0.0j]))
 
 
 def test_kappa_is_lipschitz_on_samples():
@@ -184,16 +192,6 @@ def test_non_invariant_integrand_rejected():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     with pytest.raises(IntegrandError):
         orbifold_integrate(lambda ci, Z: np.real(Z), orb, resolution=32)
-
-
-def test_integration_needs_the_vectorized_metric():
-    """A 1-d chart without metric_scalar is refused, not looped node by node."""
-    chart = OrbifoldChart(dimension=1, group=(GroupElement(matrix=np.eye(1)),),
-                          metric_field=lambda Z: np.eye(1), radius=math.inf)
-    orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=lambda ci, Z: 10.0,
-                          catalog_id="custom")
-    with pytest.raises(UnsupportedModelError, match="metric_scalar"):
-        orbifold_integrate(lambda ci, Z: ones(Z), orb, resolution=8)
 
 
 def test_torus_cell_volume():
