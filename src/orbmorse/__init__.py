@@ -14,7 +14,7 @@ from .curvature import (CurvatureSpectrum, classify_point, curvature_spectrum,
 from .errors import (ConfigurationError, DegenerateSpectrumError, GeometryError,
                      IntegrandError, OrbmorseError, UnsupportedModelError)
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, GroupElement,
-                       OrbifoldChart, orbifold_integrate, volume_density)
+                       OrbifoldChart, cyclic_group, orbifold_integrate, volume_density)
 from .kernels import (LimitDensity, MehlerKernel, ModelPoint, exterior_exp_trace,
                       heat_diagonal_limit, model_heat_kernel,
                       signature_limit_density, twisted_gaussian)

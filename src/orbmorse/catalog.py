@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (ChartedOrbifold, EquivariantLineBundle, GroupElement,
-                       OrbifoldChart)
+from .geometry import (ChartedOrbifold, EquivariantLineBundle, OrbifoldChart,
+                       cyclic_group)
 
 CATALOG_IDS = ("local-model", "wps", "torus")
 
@@ -84,14 +84,16 @@ def build_catalog_orbifold(catalog_id, **params):
     return builder(**params)
 
 
-# Parameter values arrive from YAML (lists) or from Python callers (tuples).
-# Integers are ints but not bools, reals are finite non-bool numbers, so a
-# mistyped value is refused instead of running a different model.
+# Values arrive from YAML (lists) or from Python callers (tuples).  Integers
+# are ints but not bools, reals are finite non-bool numbers, so a mistyped
+# value is refused instead of running a different model.  ``name`` is the
+# value's full label in messages, e.g. "catalog parameter k" or "run.p_list";
+# the run configuration types its values with the same helpers.
 
 
 def _integer(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"catalog parameter {name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -105,8 +107,7 @@ def _finite(name, value, kinds=_REALS, kind="real"):
     except OverflowError:           # an integer beyond the float range
         ok = False
     if not ok:
-        raise ConfigurationError(
-            f"catalog parameter {name} must be a finite {kind} number, got {value!r}")
+        raise ConfigurationError(f"{name} must be a finite {kind} number, got {value!r}")
     return value
 
 
@@ -116,8 +117,18 @@ def _real(name, value):
 
 def _list_of(name, value, item):
     if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"catalog parameter {name} must be a list, got {value!r}")
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
     return tuple(item(name, v) for v in value)
+
+
+def _check_weights(weights):
+    """At least two positive coprime integer weights of a weighted projective space."""
+    ws = _list_of("weights", weights, _integer)
+    if len(ws) < 2 or any(w <= 0 for w in ws):
+        raise ConfigurationError(f"weights must be >= 2 positive integers, got {weights}")
+    if math.gcd(*ws) != 1:
+        raise ConfigurationError(f"weights {ws} are not coprime")
+    return ws
 
 
 # ---------------------------------------------------------------------------
@@ -125,45 +136,31 @@ def _list_of(name, value, item):
 
 
 def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
-    a = _list_of("a", a, _real)
+    a = _list_of("catalog parameter a", a, _real)
     n = len(a)
     if not 1 <= n <= 3:
         raise ConfigurationError("local models need 1 <= n <= 3 curvature values a")
-    k = _integer("k", k)
-    if k < 1:
-        raise ConfigurationError(f"local-model group order k={k} must be an integer >= 1")
-    theta = _real("theta", theta)
-    weights = _list_of("weights", weights, _integer) if weights is not None else (1,) * n
+    k = _integer("catalog parameter k", k)
+    theta = _real("catalog parameter theta", theta)
+    weights = (_list_of("catalog parameter weights", weights, _integer)
+               if weights is not None else (1,) * n)
     if len(weights) != n:
         raise ConfigurationError("one action weight per coordinate is required")
-    if k > 1 and math.gcd(k, *[w % k for w in weights] or [k]) != 1:
-        raise ConfigurationError(
-            f"action weights {weights} mod k={k} generate a proper subgroup; "
-            "the action is not effective")
-
-    group = []
-    for m in range(k):
-        phases = np.exp(2j * np.pi * np.array(weights) * m / k)
-        group.append(GroupElement(matrix=np.diag(phases),
-                                  line_phase=(theta * m) % (2 * math.pi)))
+    group = cyclic_group(k, weights, theta)
 
     def metric_scalar(nodes):
         return np.ones(np.shape(nodes))
 
-    chart = OrbifoldChart(dimension=n, group=tuple(group), box_radius=1.0,
+    chart = OrbifoldChart(dimension=n, group=group, box_radius=1.0,
                           metric_scalar=metric_scalar if n == 1 else None)
 
-    gens = group[1:] if k > 1 else []
+    gens = group[1:]
 
     def singular_distance(chart_index, Z):
         if not gens:
             return 10.0
         Z = np.asarray(Z, dtype=complex).reshape(n)
-        best = math.inf
-        for g in gens:
-            normal = np.abs(np.diag(g.matrix) - 1.0) > 1e-12
-            best = min(best, float(np.linalg.norm(Z[normal])))
-        return best
+        return min(float(np.linalg.norm(Z[~g.fixed])) for g in gens)
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="local-model",
@@ -208,7 +205,7 @@ DENT_KEYS = ("amplitude", "width", "center")
 
 
 def _dent(value):
-    """The dent mapping: reals amplitude and width, a real or complex center."""
+    """The dent mapping: real amplitude, positive real width, real or complex center."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"catalog parameter dent must be a mapping, got {value!r}")
     unknown = sorted(str(key) for key in value if key not in DENT_KEYS)
@@ -216,23 +213,22 @@ def _dent(value):
         raise ConfigurationError(
             f"unknown key(s) {', '.join(unknown)} in catalog parameter dent; "
             f"accepted: {', '.join(DENT_KEYS)}")
-    center = _finite("dent.center", value.get("center", 0.45 + 0.0j),
+    center = _finite("catalog parameter dent.center", value.get("center", 0.45 + 0.0j),
                      _REALS + (complex, np.complexfloating), "real or complex")
-    return (_real("dent.amplitude", value.get("amplitude", 0.6)),
-            _real("dent.width", value.get("width", 0.12)), complex(center))
+    amplitude = _real("catalog parameter dent.amplitude", value.get("amplitude", 0.6))
+    width = _real("catalog parameter dent.width", value.get("width", 0.12))
+    if width <= 0:
+        raise ConfigurationError(f"catalog parameter dent.width must be positive, got {width!r}")
+    return amplitude, width, complex(center)
 
 
 def _build_weighted_projective(weights=(1, 1), dent=None):
-    weights = _list_of("weights", weights, _integer)
+    weights = _check_weights(_list_of("catalog parameter weights", weights, _integer))
     if len(weights) != 2:
         raise ConfigurationError(
             "geometric weighted projective models take exactly two weights; "
             "cohomology counting accepts any number of weights separately")
     a, b = weights
-    if a <= 0 or b <= 0:
-        raise ConfigurationError(f"weights must be positive, got {(a, b)}")
-    if math.gcd(a, b) != 1:
-        raise ConfigurationError(f"weights {(a, b)} are not coprime")
     if dent is not None and (a, b) != (1, 1):
         raise ConfigurationError(
             "the tunable-signature dent requires trivial isotropy: weights (1, 1)")
@@ -288,19 +284,11 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
     def metric_scalar_y(nodes):
         return h_y(np.abs(np.asarray(nodes, dtype=complex)) ** 2)
 
-    def group_cyclic(order, exponent, theta_unit):
-        els = []
-        for m in range(order):
-            els.append(GroupElement(
-                matrix=np.array([[np.exp(2j * np.pi * exponent * m / order)]]),
-                line_phase=(theta_unit * m) % (2 * math.pi)))
-        return tuple(els)
-
     # isotropy Z_a at [1:0] acts on z by a primitive root; the bundle fiber
     # character matches invariant-section counting (z^m survives iff
     # b m = p mod a for degree p)
-    group_x = group_cyclic(a, b % a if a > 1 else 0, -2 * math.pi / a if a > 1 else 0.0)
-    group_y = group_cyclic(b, a % b if b > 1 else 0, -2 * math.pi / b if b > 1 else 0.0)
+    group_x = cyclic_group(a, (b,), -2 * math.pi / a)
+    group_y = cyclic_group(b, (a,), -2 * math.pi / b)
 
     def z_abs_from_y(wp_abs):
         """|z| of the downstairs point seen from the normalized y-coordinate."""
@@ -379,21 +367,18 @@ def _build_torus(d=1, k=1):
     # d = 0 is the trivial flat bundle (the inconclusive reference for the
     # Moishezon criteria); negative degrees give the semi-negative reference
     # model and are supported for the unquotiented torus only
-    d, k = _integer("d", d), _integer("k", k)
+    d, k = _integer("catalog parameter d", d), _integer("catalog parameter k", k)
     if k not in (1, 2):
         raise ConfigurationError(
             f"torus quotient order k={k} not in the catalog: the square lattice "
             "carries the half-turn (k = 2); other symmetries are not shipped")
     if d < 0 and k != 1:
         raise ConfigurationError("negative degrees ship without the half-turn quotient")
-    group = [GroupElement(matrix=np.eye(1))]
-    if k == 2:
-        group.append(GroupElement(matrix=-np.eye(1)))
 
     def metric_scalar(nodes):
         return np.ones(np.shape(nodes))
 
-    chart = OrbifoldChart(dimension=1, group=tuple(group), box_radius=0.5,
+    chart = OrbifoldChart(dimension=1, group=cyclic_group(k, (1,)), box_radius=0.5,
                           metric_scalar=metric_scalar)
 
     half_points = (0.0 + 0.0j, 0.5 + 0.0j, 0.5j, 0.5 + 0.5j)

@@ -20,7 +20,7 @@ import yaml
 from . import moishezon as mz
 from . import report as rpt
 from . import verify as vf
-from .catalog import build_catalog_orbifold
+from .catalog import _integer, _list_of, _real, build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import morse_integral
 from .errors import ConfigurationError, OrbmorseError, UnsupportedModelError
@@ -35,13 +35,25 @@ DEFAULT_TOLERANCES = {
     "tol_chain": 1e-9,
 }
 
+
+def _integers(name, value):
+    return list(_list_of(name, value, _integer))
+
+
+def _reals(name, value):
+    return list(_list_of(name, value, _real))
+
+
+# how each run value is typed; a key left out keeps the RunConfig default
+RUN_VALUES = {"p_list": _integers, "u_list": _reals, "q_list": _integers,
+              "resolution_quadrature": _integer, "resolution_spectral": _integer}
+
 # the keys each config section accepts; any other key is an error, so a typo
 # never runs silently at the default
 CONFIG_KEYS = {
     None: ("catalog", "run", "tolerances", "seed", "output"),
     "catalog": ("id", "params"),
-    "run": ("p_list", "u_list", "q_list", "resolution_quadrature",
-            "resolution_spectral"),
+    "run": tuple(RUN_VALUES),
     "tolerances": tuple(DEFAULT_TOLERANCES),
     "output": ("report_name",),
 }
@@ -67,9 +79,10 @@ class RunConfig:
 
     catalog_id: str
     catalog_params: dict
-    p_list: list
-    u_list: list
-    q_list: list
+    p_list: list = field(default_factory=lambda: [4, 8, 16])
+    # the default probes both the kernel regime and the large-u Morse regime
+    u_list: list = field(default_factory=lambda: [0.5, 1.0, 5.0, 50.0])
+    q_list: list = field(default_factory=lambda: [0, 1])
     resolution_quadrature: int = 256
     resolution_spectral: int = 32
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
@@ -81,23 +94,23 @@ class RunConfig:
         _check_keys(raw)
         try:
             catalog = raw["catalog"]
-            run = raw.get("run", {})
-            cfg = cls(
-                catalog_id=str(catalog["id"]),
-                catalog_params=dict(catalog.get("params", {})),
-                p_list=[int(p) for p in run.get("p_list", [4, 8, 16])],
-                # default probes both the kernel regime and the large-u
-                # Morse regime
-                u_list=[float(u) for u in run.get("u_list", [0.5, 1.0, 5.0, 50.0])],
-                q_list=[int(q) for q in run.get("q_list", [0, 1])],
-                resolution_quadrature=int(run.get("resolution_quadrature", 256)),
-                resolution_spectral=int(run.get("resolution_spectral", 32)),
-                tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
-                seed=int(raw.get("seed", 0)),
-                report_name=str(raw.get("output", {}).get("report_name", "report.json")),
-            )
+            catalog_id = str(catalog["id"])
+            catalog_params = dict(catalog.get("params", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed configuration: {exc}")
+        # values are typed, not coerced; absent keys keep the field defaults
+        run = raw.get("run", {})
+        values = {key: typed(f"run.{key}", run[key])
+                  for key, typed in RUN_VALUES.items() if key in run}
+        if "seed" in raw:
+            values["seed"] = _integer("seed", raw["seed"])
+        output = raw.get("output", {})
+        if "report_name" in output:
+            values["report_name"] = str(output["report_name"])
+        tolerances = {name: _real(f"tolerances.{name}", value)
+                      for name, value in raw.get("tolerances", {}).items()}
+        cfg = cls(catalog_id=catalog_id, catalog_params=catalog_params,
+                  tolerances={**DEFAULT_TOLERANCES, **tolerances}, **values)
         # the builders take the parameters as keyword arguments
         for key in cfg.catalog_params:
             if not isinstance(key, str):

@@ -19,17 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedModelError
+from .catalog import _check_weights
+from .errors import UnsupportedModelError
 from .spectral import torus_kernel_dimension
-
-
-def _check_weights(weights):
-    ws = tuple(int(w) for w in weights)
-    if len(ws) < 2 or any(w <= 0 for w in ws):
-        raise ConfigurationError(f"weights must be >= 2 positive integers, got {weights}")
-    if math.gcd(*ws) != 1:
-        raise ConfigurationError(f"weights {ws} are not coprime")
-    return ws
 
 
 def weighted_proj_h0(weights, d):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModelError
-from .geometry import (ChartedOrbifold, EquivariantLineBundle, gauss_legendre_nodes,
-                       volume_density)
+from .geometry import (ChartedOrbifold, EquivariantLineBundle, _require_one_dimensional,
+                       gauss_legendre_nodes, volume_density)
 
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
@@ -97,10 +96,7 @@ def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
     n = orb.dimension
     if any(q < 0 or q > n for q in q_set):
         raise ValueError(f"q_set {sorted(q_set)} outside 0..{n}")
-    if n != 1:
-        raise UnsupportedModelError(
-            "Morse integrals are quadrature-based and ship for one-dimensional "
-            "models; higher-dimensional local models are flat with constant signature")
+    _require_one_dimensional(orb)
     total = 0.0
     degen_weight = 0.0
     all_weight = 0.0

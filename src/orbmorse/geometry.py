@@ -1,12 +1,12 @@
 """Charted orbifolds with linear finite group actions.
 
-A chart is a domain in C^n on which a finite group acts by unitary
-matrices; the metric and every bundle datum are fields on the chart, and all
-global quantities are assembled chart by chart with the 1/|G| weight of
-orbifold integration.  Only catalog models are constructed (see catalog.py),
-so the attachment data between charts stays minimal: each chart carries its
-own smooth bump function and quadrature box, fixed by the catalog so that the
-bumps form a partition of unity downstairs.
+A chart is a domain in C^n on which a finite cyclic group acts by diagonal
+rotations (see ``cyclic_group``); the metric and every bundle datum are fields
+on the chart, and all global quantities are assembled chart by chart with the
+1/|G| weight of orbifold integration.  Only catalog models are constructed
+(see catalog.py), so the attachment data between charts stays minimal: each
+chart carries its own smooth bump function and quadrature box, fixed by the
+catalog so that the bumps form a partition of unity downstairs.
 
 Metric convention: on a one-dimensional chart the metric is one vectorized
 density, ``metric_scalar(z)`` = h(z) > 0, normalized so h(0) = 1; it is the
@@ -23,6 +23,7 @@ schedule-independent under concurrent evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,74 +31,59 @@ import numpy as np
 from .errors import (ConfigurationError, GeometryError, IntegrandError,
                      UnsupportedModelError)
 
-UNITARY_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
 INTEGRAND_INVARIANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One element of a chart group: linear action plus line-bundle phase.
+    """One element g^m of a cyclic chart group: diagonal rotation plus phase.
 
-    matrix : unitary action on the chart coordinates.
+    rotation : the diagonal e^{2 pi i w_j m / k} of the action on the chart
+        coordinates.
+    fixed : per coordinate, whether the element fixes it, (w_j m) mod k == 0
+        in exact integers.
     line_phase : angle theta_g; the element acts on the line bundle fiber
         (along its fixed set) by e^{i theta_g}, so on the p-th power by
         e^{i p theta_g}.
     """
 
-    matrix: np.ndarray
+    rotation: np.ndarray
+    fixed: np.ndarray
     line_phase: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        err = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-        if err > UNITARY_TOL:
-            raise ConfigurationError(
-                f"group element matrix is not unitary (defect {err:.2e})")
 
     @property
     def is_identity(self):
-        n = self.matrix.shape[0]
-        return np.max(np.abs(self.matrix - np.eye(n))) <= UNITARY_TOL
+        return bool(self.fixed.all())
 
 
-# products of tolerance-unitary matrices drift by a few ulps; match loosely
-_MATCH_TOL = 1e-10
+def cyclic_group(order, weights, theta_unit=0.0):
+    """The cyclic group Z_k generated by diag(e^{2 pi i w_j / k}).
 
-
-def _find_element(group, matrix):
-    for k, g in enumerate(group):
-        if np.max(np.abs(g.matrix - matrix)) <= _MATCH_TOL:
-            return k
-    return None
-
-
-def check_group(group):
-    """Validate closure, inverses and effectiveness of a chart group.
-
-    Effectiveness: the identity matrix appears exactly once.  Closure and
-    inverses are matched numerically to the unitary tolerance.
+    Returns the k elements g^m, m = 0..k-1, where g^m acts on the line bundle
+    fiber by the angle (theta_unit m) mod 2 pi.  The group is closed with one
+    identity by construction; an order below 1 and weights that generate a
+    proper subgroup (gcd(k, w mod k) != 1, an ineffective action) raise
+    ConfigurationError.
     """
-    if not group:
-        raise ConfigurationError("chart group must contain at least the identity")
-    ids = [g for g in group if g.is_identity]
-    if len(ids) == 0:
-        raise ConfigurationError("chart group has no identity element")
-    if len(ids) > 1:
+    if order < 1:
+        raise ConfigurationError(f"chart group order k={order} must be at least 1")
+    residues = [w % order for w in weights]
+    if math.gcd(order, *residues) != 1:
         raise ConfigurationError(
-            "chart group action is not effective: several elements act as the identity")
-    for g in group:
-        if _find_element(group, g.matrix.conj().T) is None:
-            raise ConfigurationError("chart group is not closed under inverses")
-        for h in group:
-            if _find_element(group, g.matrix @ h.matrix) is None:
-                raise ConfigurationError("chart group is not closed under products")
+            f"action weights {tuple(weights)} mod k={order} generate a proper subgroup; "
+            "the action is not effective")
+    # exponents (w_j m) mod k per element and coordinate, in exact integers
+    exponents = np.outer(np.arange(order), np.array(residues, dtype=np.int64)) % order
+    rotations = np.exp(2j * np.pi * exponents / order)
+    return tuple(GroupElement(rotation=rot, fixed=e == 0,
+                              line_phase=(theta_unit * m) % (2 * math.pi))
+                 for m, (rot, e) in enumerate(zip(rotations, exponents)))
 
 
 @dataclass(frozen=True)
 class OrbifoldChart:
-    """One uniformizing chart: a domain in C^n with a finite unitary group.
+    """One uniformizing chart: a domain in C^n with a cyclic rotation group.
 
     metric_scalar(z) -> the metric density h at an array of points of a
         one-dimensional chart (vectorized, group-invariant, 1 at the center).
@@ -113,7 +99,6 @@ class OrbifoldChart:
     metric_scalar: object = None
 
     def __post_init__(self):
-        check_group(tuple(self.group))
         if self.dimension == 1:
             if self.metric_scalar is None:
                 raise GeometryError("a one-dimensional chart needs its metric_scalar density")
@@ -134,7 +119,7 @@ class OrbifoldChart:
         z = (rng.uniform(-r, r, samples) + 1j * rng.uniform(-r, r, samples)) * 0.5
         h = np.real(np.asarray(self.metric_scalar(z)))
         for g in self.group:
-            hg = np.real(np.asarray(self.metric_scalar(g.matrix[0, 0] * z)))
+            hg = np.real(np.asarray(self.metric_scalar(g.rotation[0] * z)))
             err = np.max(np.abs(hg - h))
             if err > INVARIANCE_TOL:
                 raise GeometryError(
@@ -142,10 +127,16 @@ class OrbifoldChart:
 
 
 def _require_one_dimensional(chart):
+    """Refuse a chart, or a model, of dimension n != 1.
+
+    The metric and curvature densities and the quadrature exist on
+    one-dimensional charts only; the higher-dimensional local models are flat
+    and read their constant curvature from the model parameters.
+    """
     if chart.dimension != 1:
         raise UnsupportedModelError(
             "the metric is a scalar density on one-dimensional charts only; "
-            f"this chart has dimension {chart.dimension}")
+            f"got dimension {chart.dimension}")
 
 
 def volume_density(chart: OrbifoldChart, Z):
@@ -218,14 +209,6 @@ def gauss_legendre_nodes(resolution, radius):
     return _GL_CACHE[key]
 
 
-def _chart_nodes(chart, resolution):
-    if chart.dimension != 1:
-        raise GeometryError(
-            "quadrature is implemented for one-dimensional charts; "
-            "higher-dimensional catalog models are flat and need no quadrature")
-    return gauss_legendre_nodes(resolution, chart.box_radius)
-
-
 def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
     """Group-corrected integral of a scalar field against the orbifold volume.
 
@@ -245,14 +228,15 @@ def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
     rng = rng if rng is not None else np.random.default_rng(0)
     total = 0.0
     for k, chart in enumerate(orb.charts):
-        nodes, weights = _chart_nodes(chart, resolution)
+        _require_one_dimensional(chart)
+        nodes, weights = gauss_legendre_nodes(resolution, chart.box_radius)
         vals = np.asarray(field(k, nodes))
         if chart.order > 1:
             idx = rng.integers(0, nodes.size, size=min(8, nodes.size))
             pts = nodes[idx]
             ref = np.asarray(field(k, pts))
             for g in chart.group:
-                moved = np.asarray(field(k, g.matrix[0, 0] * pts))
+                moved = np.asarray(field(k, g.rotation[0] * pts))
                 mismatch = np.max(np.abs(moved - ref))
                 if mismatch > INTEGRAND_INVARIANCE_TOL:
                     raise IntegrandError(

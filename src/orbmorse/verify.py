@@ -103,8 +103,9 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     n = a.size
     labels = [g for g in _local_group(orb) if include_identity or not g.is_identity]
     Z = np.asarray(points, dtype=complex)
-    inverses = np.array([np.conj(g.matrix.T) for g in labels]).reshape(-1, n, n)
-    X = np.einsum("gij,...j->...gi", inverses, Z)
+    # g^{-1} is the conjugate rotation, applied coordinate by coordinate
+    rotations = np.array([g.rotation for g in labels]).reshape(-1, n)
+    X = np.einsum("gi,...i->...gi", np.conj(rotations), Z)
     log_abs, phase = mehler_log_form(p * a, u / p, X, Z[..., None, :])
     fibers = [np.exp(1j * p * g.line_phase) * p ** float(-n) for g in labels]
     log_abs = log_abs + np.array([math.log(abs(f)) for f in fibers])
@@ -283,8 +284,8 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
         for g in _local_group(orb):
             if g.is_identity:
                 continue
-            phases = np.angle(np.diag(g.matrix))
-            normal = np.abs(np.diag(g.matrix) - 1.0) > 1e-12
+            phases = np.angle(g.rotation)
+            normal = ~g.fixed
             pt = ModelPoint(tuple(a[normal]), u, group_phases=tuple(phases[normal]))
             # kappa = 1 on flat models; the limit factorizes over the fixed and
             # normal blocks, so limit(Z_1) splits off the fixed-direction part

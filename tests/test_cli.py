@@ -291,13 +291,27 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
     (TORUS_CATALOG, LOCAL_CATALOG + "    weights: [1.5]\n", "parameter weights"),
     (TORUS_CATALOG, TORUS_CATALOG.replace("d: 1", "d: true"), "parameter d "),
     (TORUS_CATALOG, WPS_CATALOG + "    dent: {amplitud: 0.5}\n", "amplitud"),
+    (TORUS_CATALOG, WPS_CATALOG + "    dent: {width: 0}\n", "dent.width"),
+    (TORUS_CATALOG, WPS_CATALOG + "    dent: {width: -0.12}\n", "dent.width"),
+    ("p_list: [4, 8]", 'p_list: "16"', "p_list"),
+    ("p_list: [4, 8]", "p_list: [4.5]", "p_list"),
+    ("p_list: [4, 8]", "p_list: [true]", "p_list"),
+    ("u_list: [0.5, 1.0]", "u_list: [.nan]", "u_list"),
+    ("q_list: [0, 1]", "q_list: [0.0, 1]", "q_list"),
+    ("tol_chain: 1.0e-9", "tol_chain: abc", "tol_chain"),
+    ("resolution_quadrature: 96", "resolution_quadrature: 32.7", "resolution_quadrature"),
+    ("resolution_spectral: 16", "resolution_spectral: true", "resolution_spectral"),
+    ("seed: 7", "seed: 1.5", "seed"),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
         "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
         "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
         "tolerance-key-typo", "root-key-typo", "run-not-mapping",
         "output-not-mapping", "root-not-mapping", "parameter-name-not-string",
         "dent-not-mapping", "theta-string", "a-string", "dent-amplitude-string",
-        "k-bool", "wps-weight-real", "local-weight-real", "d-bool", "dent-key-typo"])
+        "k-bool", "wps-weight-real", "local-weight-real", "d-bool", "dent-key-typo",
+        "dent-width-zero", "dent-width-negative", "p-list-string", "p-real", "p-bool",
+        "u-nan", "q-real", "tolerance-string", "quadrature-resolution-real",
+        "spectral-resolution-bool", "seed-real"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2

@@ -40,6 +40,16 @@ def test_weights_validation():
         weighted_proj_h0((3,), 5)
 
 
+@pytest.mark.parametrize("weights", [(1.5, 1), (True, 2), (1, "2")],
+                         ids=["real", "bool", "string"])
+def test_weights_must_be_integers(weights):
+    # a real or a bool used to be truncated and count a different space
+    with pytest.raises(ConfigurationError, match="integer"):
+        weighted_proj_h0(weights, 3)
+    with pytest.raises(ConfigurationError, match="integer"):
+        weighted_proj_hq(weights, 3, 1)
+
+
 def test_serre_duality_on_curves():
     # h^1(O(d)) = h^0(O(-d - a - b))
     for weights in [(1, 1), (1, 2), (2, 3)]:

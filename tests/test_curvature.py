@@ -96,7 +96,7 @@ def test_integral_invariant_under_group_motion():
     val = morse_integral(orb, bundle, {0}, resolution=128)
     # rotate the singular chart by the group generator: radial fields are
     # untouched, so the integral agrees to rounding
-    g = orb.charts[1].group[1].matrix[0, 0]
+    g = orb.charts[1].group[1].rotation[0]
     moved_scalars = (bundle.curvature_scalars[0],
                      lambda Z: bundle.curvature_scalars[1](g * np.asarray(Z)))
     from dataclasses import replace
@@ -114,13 +114,13 @@ def test_degenerate_fraction_reported():
 
 def custom_model():
     """A one-chart custom model whose metric density turns negative at |z|^2 = 1/2."""
-    from orbmorse.geometry import GroupElement, OrbifoldChart, ChartedOrbifold
+    from orbmorse.geometry import OrbifoldChart, ChartedOrbifold, cyclic_group
     from orbmorse.geometry import EquivariantLineBundle
 
     def metric(z):
         return 1.0 - 2.0 * np.abs(np.asarray(z)) ** 2
 
-    chart = OrbifoldChart(dimension=1, group=(GroupElement(matrix=np.eye(1)),),
+    chart = OrbifoldChart(dimension=1, group=cyclic_group(1, (1,)),
                           metric_scalar=metric)
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=lambda ci, Z: 10.0,
                           catalog_id="custom")

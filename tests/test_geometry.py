@@ -1,6 +1,8 @@
 """Chart/orbifold construction, volume densities, and group-aware quadrature."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
                              UnsupportedModelError)
-from orbmorse.geometry import (GroupElement, OrbifoldChart, check_group,
-                               orbifold_integrate, volume_density)
+from orbmorse.geometry import (OrbifoldChart, cyclic_group, orbifold_integrate,
+                               volume_density)
 
 
 def ones(Z):
@@ -24,14 +26,15 @@ def test_local_model_group_and_flat_metric():
     orb, bundle = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     chart = orb.charts[0]
     assert chart.order == 2
-    assert np.allclose(chart.group[1].matrix, -np.eye(1))
+    assert np.allclose(chart.group[1].rotation, [-1.0])
+    assert not chart.group[1].fixed[0] and not chart.group[1].is_identity
     assert bundle.curvature_scalars[0](np.array([0.3 + 0.1j]))[0] == 1.0
     assert volume_density(chart, np.array([0.4 - 0.2j])) == 1.0
 
 
 def test_one_dimensional_chart_needs_its_metric_density():
     with pytest.raises(GeometryError, match="metric_scalar"):
-        OrbifoldChart(dimension=1, group=(GroupElement(matrix=np.eye(1)),))
+        OrbifoldChart(dimension=1, group=cyclic_group(1, (1,)))
 
 
 def test_flat_two_dimensional_chart_has_no_metric_density():
@@ -63,21 +66,86 @@ def test_wps_rejects_bad_weights():
 
 
 def test_ineffective_action_rejected():
-    # weights divisible by the group order collapse the action
-    with pytest.raises(ConfigurationError):
+    # weights that share a factor with the group order collapse the action
+    with pytest.raises(ConfigurationError, match="not effective"):
         build_catalog_orbifold("local-model", k=4, a=(1.0, 1.0), weights=(2, 2))
+    with pytest.raises(ConfigurationError, match="not effective"):
+        cyclic_group(4, (2, 6))
+    with pytest.raises(ConfigurationError, match="order"):
+        cyclic_group(0, (1,))
 
 
 def test_duplicated_identity_rejected():
-    dup = [GroupElement(matrix=np.eye(1)), GroupElement(matrix=np.eye(1))]
-    with pytest.raises(ConfigurationError):
-        check_group(dup)
+    # weight 0 makes both elements of Z_2 act as the identity
+    with pytest.raises(ConfigurationError, match="not effective"):
+        cyclic_group(2, (0,))
 
 
-def test_non_closed_group_rejected():
-    third = GroupElement(matrix=np.array([[np.exp(2j * np.pi / 3)]]))
-    with pytest.raises(ConfigurationError):
-        check_group([GroupElement(matrix=np.eye(1)), third])
+# ---------------------------------------------------------------------------
+# cyclic groups against a dense-matrix reference
+
+MATCH_TOL = 1e-10       # products of rounded rotations drift by a few ulps
+IDENTITY_TOL = 1e-12
+
+
+def assert_dense_group(group):
+    """Reference: a unique identity, inverses and closure under products.
+
+    Every element is expanded to its dense n x n matrix and each inverse and
+    product is matched numerically against all elements.
+    """
+    mats = np.array([np.diag(g.rotation) for g in group])
+    eye = np.eye(mats.shape[1])
+
+    def found(targets):
+        dist = np.max(np.abs(targets[:, None] - mats[None]), axis=(2, 3))
+        return bool(np.all(np.min(dist, axis=1) <= MATCH_TOL))
+
+    identities = np.max(np.abs(mats - eye), axis=(1, 2)) <= IDENTITY_TOL
+    assert identities.sum() == 1
+    assert [g.is_identity for g in group] == list(identities)
+    assert found(np.conj(np.transpose(mats, (0, 2, 1))))
+    for g in mats:
+        assert found(g @ mats)
+
+
+def weight_tuples(k, rng):
+    """Every weight tuple of length 1-3 with entries in 0..k-1, sampled at large k."""
+    for length in (1, 2, 3):
+        if k ** length <= 16:
+            yield from itertools.product(range(k), repeat=length)
+        else:
+            yield from (tuple(int(w) for w in rng.integers(0, k, length))
+                        for _ in range(3))
+
+
+def test_cyclic_group_closed_with_one_identity():
+    rng = np.random.default_rng(8)
+    checked = 0
+    for k in range(1, 65):
+        for weights in weight_tuples(k, rng):
+            if math.gcd(k, *weights) != 1:
+                with pytest.raises(ConfigurationError, match="not effective"):
+                    cyclic_group(k, weights)
+                continue
+            group = cyclic_group(k, weights, theta_unit=0.7)
+            assert len(group) == k
+            assert_dense_group(group)
+            # the fixed mask is the exact form of the rotation test
+            for g in group:
+                assert np.array_equal(g.fixed, np.abs(g.rotation - 1.0) <= IDENTITY_TOL)
+            assert [g.line_phase for g in group] == [(0.7 * m) % (2 * math.pi)
+                                                     for m in range(k)]
+            checked += 1
+    assert checked > 400
+
+
+def test_large_local_model_builds_fast():
+    # the group is built in closed form: no k^2 products to match
+    start = time.perf_counter()
+    orb, _ = build_catalog_orbifold("local-model", k=256, a=(1.0,))
+    assert time.perf_counter() - start < 1.0
+    assert orb.charts[0].order == 256
 
 
 def test_metric_invariance_sampled():
@@ -175,7 +243,7 @@ def test_integral_linearity_and_positivity():
 
 def test_integral_invariant_under_group_composition():
     orb, _ = build_catalog_orbifold("wps", weights=(1, 2))
-    g1 = orb.charts[1].group[1].matrix[0, 0]
+    g1 = orb.charts[1].group[1].rotation[0]
 
     def f(ci, Z):
         return np.exp(-np.abs(Z) ** 2)
@@ -186,6 +254,12 @@ def test_integral_invariant_under_group_composition():
     a = orbifold_integrate(f, orb, resolution=96)
     b = orbifold_integrate(f_moved, orb, resolution=96)
     assert b == pytest.approx(a, abs=1e-9)
+
+
+def test_quadrature_refuses_higher_dimensional_models():
+    orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0, 1.0))
+    with pytest.raises(UnsupportedModelError, match="dimension 2"):
+        orbifold_integrate(lambda ci, Z: ones(Z), orb, resolution=8)
 
 
 def test_non_invariant_integrand_rejected():

@@ -7,9 +7,10 @@ import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import GeometryError
-from orbmorse.kernels import ModelPoint, ScaledComplex, heat_diagonal_limit
+from orbmorse.kernels import ModelPoint, ScaledComplex, heat_diagonal_limit, mehler_log_form
 from orbmorse.verify import (exact_chain_residuals, fit_rate,
-                             local_model_diagonal_kernel, local_model_image_terms,
+                             local_model_diagonal_kernel, local_model_image_log_terms,
+                             local_model_image_terms,
                              oracle_consistency, singular_diagonal_factor,
                              telescoping_identity_gap, torus_diagonal_kernel_image,
                              torus_image_terms,
@@ -22,6 +23,38 @@ from scaled_fold import fold
 
 # ---------------------------------------------------------------------------
 # oracle agreement (independent spectral and image-sum routes)
+
+
+def dense_image_log_terms(orb, Z, u, p, include_identity):
+    """The image terms with every group element as a dense n x n matrix."""
+    k, theta = orb.params["k"], orb.params["theta"]
+    a = np.asarray(orb.params["a"], dtype=float)
+    weights = np.array(orb.params["weights"])
+    n = a.size
+    keep = [m for m in range(k) if include_identity or m != 0]
+    inverses = np.array([np.conj(np.diag(np.exp(2j * np.pi * weights * m / k)).T)
+                         for m in keep]).reshape(-1, n, n)
+    X = np.einsum("gij,...j->...gi", inverses, Z)
+    log_abs, phase = mehler_log_form(p * a, u / p, X, Z[..., None, :])
+    fibers = [np.exp(1j * p * ((theta * m) % (2 * math.pi))) * p ** float(-n) for m in keep]
+    log_abs = log_abs + np.array([math.log(abs(f)) for f in fibers])
+    return log_abs, phase + np.angle(fibers)
+
+
+@pytest.mark.parametrize("include_identity", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_diagonal_image_terms_match_dense_matrices(k, n, include_identity):
+    """The diagonal rotations reproduce the dense-matrix route bit for bit."""
+    a = (1.0, 0.7, 1.6)[:n]
+    orb, _ = build_catalog_orbifold("local-model", k=k, a=a, theta=0.9)
+    rng = np.random.default_rng(10 * k + n)
+    Z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    labels, log_abs, phase = local_model_image_log_terms(orb, Z, 1.0, 16,
+                                                         include_identity=include_identity)
+    ref_abs, ref_phase = dense_image_log_terms(orb, Z, 1.0, 16, include_identity)
+    assert len(labels) == k - (not include_identity)
+    assert np.array_equal(log_abs, ref_abs) and np.array_equal(phase, ref_phase)
 
 
 @pytest.mark.parametrize("p,u", [(4, 1.0), (8, 0.5)])
