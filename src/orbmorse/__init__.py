@@ -10,7 +10,7 @@ geometric criteria for an orbifold to be Moishezon.
 from .catalog import build_catalog_orbifold
 from .cohomology import CohomologyTable, cohomology_table, weighted_proj_h0
 from .curvature import (CurvatureSpectrum, classify_point, curvature_spectrum,
-                        morse_integral)
+                        morse_integral, signature_integrals)
 from .errors import (ConfigurationError, DegenerateSpectrumError, GeometryError,
                      IntegrandError, OrbmorseError, UnsupportedModelError)
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, GroupElement,

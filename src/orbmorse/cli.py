@@ -22,7 +22,7 @@ from . import report as rpt
 from . import verify as vf
 from .catalog import _integer, _list_of, _real, build_catalog_orbifold
 from .cohomology import cohomology_table
-from .curvature import morse_integral
+from .curvature import signature_integrals
 from .errors import ConfigurationError, OrbmorseError, UnsupportedModelError
 from .spectral import assemble_kodaira_laplacian, heat_trace
 
@@ -123,12 +123,17 @@ class RunConfig:
             raise ConfigurationError("p_list must be non-empty and strictly increasing")
         if self.p_list[0] < 1:
             raise ConfigurationError("p_list entries must be at least 1")
-        # an empty u_list would drop the exact trace chain without a word
-        if not self.u_list or any(u <= 0 for u in self.u_list):
-            raise ConfigurationError("u_list must be non-empty with positive entries")
+        # an empty u_list would drop the exact trace chain without a word, and
+        # a repeated entry would run a check twice under one result name
+        if (not self.u_list or any(u <= 0 for u in self.u_list)
+                or len(set(self.u_list)) < len(self.u_list)):
+            raise ConfigurationError(
+                "u_list must be non-empty with distinct positive entries")
         # an empty q_list would drop the Morse series without a word
-        if not self.q_list or any(q < 0 for q in self.q_list):
-            raise ConfigurationError("q_list must be non-empty with non-negative entries")
+        if (not self.q_list or any(q < 0 for q in self.q_list)
+                or len(set(self.q_list)) < len(self.q_list)):
+            raise ConfigurationError(
+                "q_list must be non-empty with distinct non-negative entries")
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ConfigurationError(f"tolerance {name} must be positive")
@@ -164,15 +169,15 @@ def _run_cohomology(cfg, orb, bundle):
 
 
 def _run_curvature_integral(cfg, orb, bundle):
-    results = []
-    for q in cfg.q_list:
-        val = morse_integral(orb, bundle, {q}, resolution=cfg.resolution_quadrature,
-                             tol=cfg.tolerances["tol_degeneracy"],
-                             with_diagnostics=True)
-        results.append((f"curvature-integral-q{q}", True,
-                        {"value": val.value,
-                         "degenerate_fraction": val.degenerate_fraction,
-                         "resolution": val.resolution}))
+    split = signature_integrals(orb, bundle, resolution=cfg.resolution_quadrature,
+                                tol=cfg.tolerances["tol_degeneracy"])
+    # a NaN or infinite value is a failed quadrature, not a result
+    finite = math.isfinite(split.degenerate_fraction)
+    results = [(f"curvature-integral-q{q}", finite and math.isfinite(split.by_signature[q]),
+                {"value": split.by_signature[q],
+                 "degenerate_fraction": split.degenerate_fraction,
+                 "resolution": cfg.resolution_quadrature})
+               for q in cfg.q_list]
     return results, [], {}
 
 

@@ -6,8 +6,6 @@ cohomology vanishes on weighted projective spaces (standard fact, recorded in
 the README); top cohomology comes from Serre duality.  Torus quotients are
 cross-filled from the spectral kernel counts of the discretized Kodaira
 Laplacian, which are exact for the shipped flat models.
-
-Counting functions are pure; table construction may be parallelized over p.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """Curvature eigenvalues, signature classification, and Morse integrals.
 
 On a one-dimensional chart the curvature endomorphism is the scalar c / h of
-the bundle's curvature density and the chart's metric density.
-
-All operations are pure; quadrature nodes may be evaluated in parallel with
-an ordered reduction, which the vectorized implementation performs.
+the bundle's curvature density and the chart's metric density.  A Morse
+integral over a region M(<= q) is the sum of those over its signature sets.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,8 @@ from .geometry import (ChartedOrbifold, EquivariantLineBundle, _require_one_dime
 
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
+
+SignatureIntegrals = namedtuple("SignatureIntegrals", "by_signature degenerate_fraction")
 
 
 @dataclass(frozen=True)
@@ -58,46 +59,28 @@ def _scalar_curvature(orb, bundle, chart_index, points):
 
 
 def classify_point(eigenvalues, tol=DEGENERACY_TOL):
-    """Signature q = number of negative eigenvalues; "degenerate" near zero.
-
-    Accepts either a CurvatureSpectrum or a plain eigenvalue sequence.
-    """
+    """Signature q = number of negative eigenvalues; "degenerate" near zero."""
     if tol <= 0:
         raise ValueError("classification tolerance must be positive")
-    if isinstance(eigenvalues, CurvatureSpectrum):
-        eigenvalues = eigenvalues.eigenvalues
     a = np.asarray(eigenvalues, dtype=float)
     if np.any(np.abs(a) <= tol):
         return DEGENERATE
     return int(np.sum(a < -tol))
 
 
-@dataclass(frozen=True)
-class MorseIntegralResult:
-    value: float
-    degenerate_fraction: float
-    resolution: int
+def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
+                        resolution=256, tol=DEGENERACY_TOL):
+    """Integral of det(curvature endomorphism / 2 pi) over every signature set.
 
-
-def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
-                   resolution=256, tol=DEGENERACY_TOL, with_diagnostics=False):
-    """Integral of det(curvature endomorphism / 2 pi) over the signature region.
-
-    q_set is the set of admissible signatures (e.g. {0}, or range(0, q + 1)
-    for the strong-inequality region).  Quadrature nodes whose spectrum is
-    degenerate at tolerance ``tol`` contribute zero; their weight fraction is
-    returned as a diagnostic.  For one-dimensional charts the density
+    One pass over each chart's quadrature nodes gives ``by_signature``, the
+    integral over M(q) for q = 0..n.  Nodes whose spectrum is degenerate at
+    tolerance ``tol`` contribute zero; their weight fraction is returned as
+    ``degenerate_fraction``.  For one-dimensional charts the density
     det(Rdot) * kappa reduces to the curvature density c itself, and the
     signature of a node is the sign of c / h.
     """
-    q_set = set(int(q) for q in q_set)
-    if not q_set:
-        raise ValueError("q_set must be non-empty")
-    n = orb.dimension
-    if any(q < 0 or q > n for q in q_set):
-        raise ValueError(f"q_set {sorted(q_set)} outside 0..{n}")
     _require_one_dimensional(orb)
-    total = 0.0
+    by_signature = [0.0] * (orb.dimension + 1)
     degen_weight = 0.0
     all_weight = 0.0
     for k, chart in enumerate(orb.charts):
@@ -107,11 +90,28 @@ def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
         degen = np.abs(ratio) <= tol
         sig = (ratio < -tol).astype(int)
         density = c / (2.0 * math.pi)      # det(Rdot/2pi) * kappa for n = 1
-        mask = np.isin(sig, list(q_set)) & ~degen
-        total += float(np.dot(weights, bumpw * density * mask) / chart.order)
+        for q in range(len(by_signature)):
+            mask = (sig == q) & ~degen
+            by_signature[q] += float(np.dot(weights, bumpw * density * mask) / chart.order)
         degen_weight += float(np.dot(weights, bumpw * degen) / chart.order)
         all_weight += float(np.dot(weights, bumpw) / chart.order)
-    result = MorseIntegralResult(value=total,
-                                 degenerate_fraction=degen_weight / max(all_weight, 1e-300),
-                                 resolution=resolution)
-    return result if with_diagnostics else result.value
+    return SignatureIntegrals(by_signature=tuple(by_signature),
+                              degenerate_fraction=degen_weight / max(all_weight, 1e-300))
+
+
+def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
+                   resolution=256, tol=DEGENERACY_TOL):
+    """Integral of det(curvature endomorphism / 2 pi) over the signature region.
+
+    q_set is the set of admissible signatures (e.g. {0}, or range(0, q + 1)
+    for the strong-inequality region); the value is the sum of the
+    ``signature_integrals`` of its classes, in increasing q.
+    """
+    q_set = set(int(q) for q in q_set)
+    if not q_set:
+        raise ValueError("q_set must be non-empty")
+    n = orb.dimension
+    if any(q < 0 or q > n for q in q_set):
+        raise ValueError(f"q_set {sorted(q_set)} outside 0..{n}")
+    by_signature = signature_integrals(orb, bundle, resolution, tol).by_signature
+    return sum(by_signature[q] for q in sorted(q_set))

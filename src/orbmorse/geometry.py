@@ -16,9 +16,8 @@ endomorphism is the scalar c / h.  The flat higher-dimensional local models
 carry neither density: their kernels read the constant curvature from the
 model parameters.
 
-All types are immutable after construction and all operations are pure;
-quadrature accumulates in a fixed chart/node order, so results are
-schedule-independent under concurrent evaluation.
+All types are immutable after construction; quadrature accumulates in a fixed
+chart/node order, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -193,14 +192,17 @@ class EquivariantLineBundle:
 # ---------------------------------------------------------------------------
 # quadrature
 
-_GL_CACHE = {}
+_GL_RULES = {}     # the rule on [-1, 1], by resolution
+_GL_CACHE = {}     # the tensor grids, by (resolution, radius)
 
 
 def gauss_legendre_nodes(resolution, radius):
     """Tensor Gauss-Legendre nodes/weights on the square [-radius, radius]^2."""
     key = (int(resolution), float(radius))
     if key not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(int(resolution))
+        if key[0] not in _GL_RULES:
+            _GL_RULES[key[0]] = np.polynomial.legendre.leggauss(key[0])
+        x, w = _GL_RULES[key[0]]
         x = x * radius
         w = w * radius
         X, Y = np.meshgrid(x, x, indexing="ij")

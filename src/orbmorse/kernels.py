@@ -20,8 +20,6 @@ measure on C^n ~ R^{2n}.  The scalar one-variable building block is
 with g1(x) = x / (1 - e^{-x}) and c(x) = (x/2) / tanh(x/2); both are smooth
 and equal to 1 at x = 0, so the zero-curvature convention
 K_0 = (2 pi u)^{-1} exp(-|z-z'|^2 / (2u)) is the continuous limit.
-
-Evaluation is stateless and pure; unrestricted parallel calls are safe.
 """
 
 from __future__ import annotations

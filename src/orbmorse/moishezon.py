@@ -6,8 +6,7 @@ point, and positivity of the curvature integral over the signature region
 cross-checked against the numeric rank of the Kodaira map built from an
 explicit section basis.
 
-All operations are pure; point sampling uses caller-seeded generators so
-parallel runs stay reproducible.
+Point sampling uses caller-seeded generators, so runs are reproducible.
 """
 
 from __future__ import annotations

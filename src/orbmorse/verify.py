@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .cohomology import cohomology_table
-from .curvature import morse_integral
+from .curvature import morse_integral, signature_integrals
 from .errors import ConfigurationError, GeometryError, UnsupportedModelError
 from .kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
@@ -350,13 +350,11 @@ def verify_strong_morse(orb, bundle, q, p_list, resolution=256):
 
 
 def telescoping_identity_gap(orb, bundle, q, resolution=256):
-    """|I(<= q) - I(<= q-1) - I({q})| on the computed Morse integrals."""
-    if q < 1:
-        raise ConfigurationError("telescoping starts at q = 1")
-    upto_q = morse_integral(orb, bundle, set(range(q + 1)), resolution=resolution)
-    upto_qm1 = morse_integral(orb, bundle, set(range(q)), resolution=resolution)
-    only_q = morse_integral(orb, bundle, {q}, resolution=resolution)
-    return abs(upto_q - upto_qm1 - only_q)
+    """|I(<= q) - I(<= q-1) - I({q})| on the sums of one signature split."""
+    if not 1 <= q <= orb.dimension:
+        raise ConfigurationError(f"telescoping runs at q = 1..{orb.dimension}, not {q}")
+    by_signature = signature_integrals(orb, bundle, resolution=resolution).by_signature
+    return abs(sum(by_signature[: q + 1]) - sum(by_signature[:q]) - by_signature[q])
 
 
 def exact_chain_residuals(orb, bundle, p, u, resolution=32):

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbmorse
+from orbmorse import cli
 from orbmorse.cli import RunConfig, load_config, main
 from orbmorse.errors import ConfigurationError
 from orbmorse.report import REPORT_SCHEMA, validate_report
@@ -302,6 +304,8 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
     ("resolution_quadrature: 96", "resolution_quadrature: 32.7", "resolution_quadrature"),
     ("resolution_spectral: 16", "resolution_spectral: true", "resolution_spectral"),
     ("seed: 7", "seed: 1.5", "seed"),
+    ("u_list: [0.5, 1.0]", "u_list: [1.0, 1.0]", "u_list"),
+    ("q_list: [0, 1]", "q_list: [0, 0]", "q_list"),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
         "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
         "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
@@ -311,7 +315,7 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
         "k-bool", "wps-weight-real", "local-weight-real", "d-bool", "dent-key-typo",
         "dent-width-zero", "dent-width-negative", "p-list-string", "p-real", "p-bool",
         "u-nan", "q-real", "tolerance-string", "quadrature-resolution-real",
-        "spectral-resolution-bool", "seed-real"])
+        "spectral-resolution-bool", "seed-real", "u-list-repeated", "q-list-repeated"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2
@@ -350,3 +354,24 @@ def test_all_exits_2_when_an_applicable_stage_cannot_run(tmp_path, capsys):
     assert main(["all", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "power of two" in err
+
+
+def test_curvature_integral_fails_on_a_nan_density(tmp_path, monkeypatch):
+    """A curvature density that returns NaN makes the integrals fail, not pass."""
+    from orbmorse.geometry import (ChartedOrbifold, EquivariantLineBundle, OrbifoldChart,
+                                   cyclic_group)
+
+    chart = OrbifoldChart(dimension=1, group=cyclic_group(1, (1,)),
+                          metric_scalar=lambda z: np.ones(np.shape(z)))
+    orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=lambda ci, Z: 10.0,
+                          catalog_id="custom")
+    bundle = EquivariantLineBundle(
+        curvature_scalars=(lambda z: np.full(np.shape(z), np.nan),))
+    monkeypatch.setattr(cli, "build_catalog_orbifold", lambda *args, **kwargs: (orb, bundle))
+    cfg = RunConfig(catalog_id="custom", catalog_params={}, q_list=[0, 1],
+                    resolution_quadrature=16)
+    assert cli.run("curvature-integral", cfg, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    validate_report(report)
+    assert [(r["name"], r["passed"], r["data"]["value"]) for r in report["results"]] == [
+        ("curvature-integral-q0", False, "nan"), ("curvature-integral-q1", False, "nan")]

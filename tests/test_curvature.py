@@ -1,14 +1,19 @@
 """Curvature endomorphism, signature classification, Morse integrals."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from orbmorse import cli, curvature
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.curvature import (DEGENERATE, classify_point, curvature_spectrum,
-                                morse_integral)
+from orbmorse.curvature import (DEGENERACY_TOL, DEGENERATE, _scalar_curvature,
+                                classify_point, curvature_spectrum, morse_integral,
+                                signature_integrals)
 from orbmorse.errors import UnsupportedModelError
+from orbmorse.geometry import gauss_legendre_nodes
+from orbmorse.verify import telescoping_identity_gap
 
 
 def test_endomorphism_identity_metric_cases():
@@ -107,9 +112,78 @@ def test_integral_invariant_under_group_motion():
 
 def test_degenerate_fraction_reported():
     orb, bundle = build_catalog_orbifold("torus", d=0, k=1)
-    res = morse_integral(orb, bundle, {0}, resolution=32, with_diagnostics=True)
-    assert res.value == 0.0
+    res = signature_integrals(orb, bundle, resolution=32)
+    assert res.by_signature[0] == 0.0
     assert res.degenerate_fraction == pytest.approx(1.0)
+
+
+def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL):
+    """The Morse integral as one chart pass per q-set under a union mask.
+
+    This is the route the signature split replaced; it stays here as the
+    reference that the split partitions the nodes.
+    """
+    total = 0.0
+    for k, chart in enumerate(orb.charts):
+        nodes, weights = gauss_legendre_nodes(resolution, chart.box_radius)
+        bumpw = np.asarray(chart.bump(nodes), dtype=float)
+        c, ratio = _scalar_curvature(orb, bundle, k, nodes)
+        degen = np.abs(ratio) <= tol
+        sig = (ratio < -tol).astype(int)
+        density = c / (2.0 * math.pi)
+        mask = np.isin(sig, list(q_set)) & ~degen
+        total += float(np.dot(weights, bumpw * density * mask) / chart.order)
+    return total
+
+
+SPLIT_MODELS = [
+    ("wps", dict(weights=(1, 1), dent={"amplitude": 1.2, "center": 0.45, "width": 0.12})),
+    ("wps", dict(weights=(1, 1), dent={"amplitude": 1.5, "center": 0.45, "width": 0.12})),
+    ("wps", dict(weights=(1, 2))),
+    ("wps", dict(weights=(2, 3))),
+    ("torus", dict(d=0, k=1)),
+]
+
+
+@pytest.mark.parametrize("resolution", [32, 64, 192])
+@pytest.mark.parametrize("catalog_id,params", SPLIT_MODELS,
+                         ids=["dent-1.2", "dent-1.5", "P(1,2)", "P(2,3)", "torus-d0"])
+def test_signature_split_matches_one_mask_reference(catalog_id, params, resolution):
+    """Each class is bit-identical to its one-mask pass; unions agree to 1e-15."""
+    orb, bundle = build_catalog_orbifold(catalog_id, **params)
+    split = signature_integrals(orb, bundle, resolution=resolution)
+    n = orb.dimension
+    assert len(split.by_signature) == n + 1
+    for q in range(n + 1):
+        reference = one_mask_morse_integral(orb, bundle, {q}, resolution)
+        assert split.by_signature[q] == reference
+        assert morse_integral(orb, bundle, {q}, resolution=resolution) == reference
+    for size in range(2, n + 2):
+        for q_set in itertools.combinations(range(n + 1), size):
+            union = morse_integral(orb, bundle, q_set, resolution=resolution)
+            assert abs(union - one_mask_morse_integral(orb, bundle, q_set, resolution)) \
+                <= 1e-15
+
+
+def test_stages_make_one_chart_pass(monkeypatch):
+    """The curvature-integral stage and the telescoping gap evaluate each chart once."""
+    calls = []
+
+    def counting(orb, bundle, chart_index, points):
+        calls.append(chart_index)
+        return _scalar_curvature(orb, bundle, chart_index, points)
+
+    monkeypatch.setattr(curvature, "_scalar_curvature", counting)
+    orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
+    cfg = cli.RunConfig(catalog_id="wps", catalog_params={"weights": [1, 2]},
+                        q_list=[0, 1], resolution_quadrature=32)
+    results, _, _ = cli._run_curvature_integral(cfg, orb, bundle)
+    assert [name for name, _, _ in results] == ["curvature-integral-q0",
+                                                 "curvature-integral-q1"]
+    assert calls == [0, 1]
+    calls.clear()
+    telescoping_identity_gap(orb, bundle, 1, resolution=32)
+    assert calls == [0, 1]
 
 
 def custom_model():

@@ -262,6 +262,30 @@ def test_quadrature_refuses_higher_dimensional_models():
         orbifold_integrate(lambda ci, Z: ones(Z), orb, resolution=8)
 
 
+def test_gauss_legendre_rule_computed_once_per_resolution(monkeypatch):
+    """Radii share the rule on [-1, 1]; each tensor grid is the scaled rule, cached."""
+    from orbmorse import geometry
+    monkeypatch.setattr(geometry, "_GL_RULES", {})
+    monkeypatch.setattr(geometry, "_GL_CACHE", {})
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    for radius in (0.75, 1.3, 2):
+        nodes, weights = geometry.gauss_legendre_nodes(24, radius)
+        x, w = leggauss(24)         # the grid as built from one rule per radius
+        x, w = x * radius, w * radius
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        assert np.array_equal(nodes, X.ravel() + 1j * Y.ravel())
+        assert np.array_equal(weights, np.outer(w, w).ravel())
+        assert geometry.gauss_legendre_nodes(24, radius)[0] is nodes
+    assert calls == [24]
+
+
 def test_non_invariant_integrand_rejected():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     with pytest.raises(IntegrandError):

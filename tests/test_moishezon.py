@@ -223,13 +223,12 @@ def test_growth_exponent_bounded_by_rank():
 def test_semipositivity_implies_integral_witness():
     """(i) => (ii): flags set forces a nonnegative integral and an essentially
     empty one-negative region (bounded by the degenerate node fraction)."""
-    from orbmorse.curvature import morse_integral
+    from orbmorse.curvature import signature_integrals
     for weights in [(1, 2), (2, 3)]:
         orb, bundle = build_catalog_orbifold("wps", weights=weights)
         v = moishezon_check(orb, bundle, resolution=128)
         assert v.semipositive and v.positive_at_point
         assert v.integral_leq1 >= -v.quadrature_tolerance
-        one_neg = morse_integral(orb, bundle, {1}, resolution=128,
-                                 with_diagnostics=True)
-        assert abs(one_neg.value) <= 1e-12
+        one_neg = signature_integrals(orb, bundle, resolution=128)
+        assert abs(one_neg.by_signature[1]) <= 1e-12
         assert one_neg.degenerate_fraction < 0.05
