@@ -4,7 +4,7 @@ import numpy as np
 
 from orbmorse import (OrbmorseError, bigness_check, build_catalog_orbifold,
                       cohomology_table, kodaira_rank, moishezon_check,
-                      siegel_bound)
+                      siegel_bound, signature_integrals)
 
 powers = sorted({int(round(x)) for x in np.geomspace(2, 4096, 40)})
 
@@ -18,7 +18,7 @@ entries = [
 
 for label, cid, params in entries:
     orb, bundle = build_catalog_orbifold(cid, **params)
-    v = moishezon_check(orb, bundle, resolution=192)
+    v = moishezon_check(signature_integrals(orb, bundle, resolution=192))
     print(f"== {label} ==")
     print(f"  semi-positive: {v.semipositive}, positive somewhere: "
           f"{v.positive_at_point}, integral over M(<=1): {v.integral_leq1:.4f}")

@@ -21,6 +21,9 @@ Three families are constructed, selected by string id:
     d, optionally quotiented by the half-turn z -> -z (k = 2).
 
 All charts are one-dimensional except the local models, which support n <= 3.
+The compact models record the exact degree, the integral of c_1(L), as
+``params["degree"]``: 1/(ab) for P(a, b), whose dent integrates to zero, and
+d/k for the torus quotient.
 """
 
 from __future__ import annotations
@@ -333,7 +336,8 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
     orb = ChartedOrbifold(
         charts=(chart_x, chart_y), singular_locus_fn=singular_distance,
         catalog_id="wps",
-        params={"weights": (a, b), "dent": dent, "gamma": gamma},
+        params={"weights": (a, b), "dent": dent, "gamma": gamma,
+                "degree": 1.0 / (a * b)},
         transitions={"x_abs_to_y_abs": x_abs_to_y_abs, "y_abs_to_x_abs": z_abs_from_y})
 
     bundle = EquivariantLineBundle(curvature_scalars=(curvature_scalar_x, curvature_scalar_y))
@@ -396,7 +400,7 @@ def _build_torus(d=1, k=1):
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="torus",
-                          params={"d": d, "k": k})
+                          params={"d": d, "k": k, "degree": d / k})
 
     a_val = 2.0 * math.pi * d
 

@@ -9,6 +9,7 @@ passes, 1 when an inequality or regression guard fails beyond tolerance,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -106,7 +107,7 @@ class RunConfig:
             values["seed"] = _integer("seed", raw["seed"])
         output = raw.get("output", {})
         if "report_name" in output:
-            values["report_name"] = str(output["report_name"])
+            values["report_name"] = output["report_name"]
         tolerances = {name: _real(f"tolerances.{name}", value)
                       for name, value in raw.get("tolerances", {}).items()}
         cfg = cls(catalog_id=catalog_id, catalog_params=catalog_params,
@@ -140,6 +141,13 @@ class RunConfig:
         for name in ("resolution_quadrature", "resolution_spectral"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
+        # a plain file name in the output directory; the .json suffix keeps a
+        # CSV artifact from overwriting the report
+        name = self.report_name
+        if (not isinstance(name, str) or not name.endswith(".json")
+                or any(c in name for c in "/\\\0")):
+            raise ConfigurationError(f"output.report_name must be a plain file name "
+                                     f"ending in .json, got {name!r}")
 
 
 def load_config(path):
@@ -155,12 +163,12 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (results, diagnostics, artifacts)
-# where results entries are (name, passed, data) and artifacts maps
-# relative file names to text payloads.
+# subcommand implementations: each takes (cfg, orb, bundle, split), where split()
+# gives the run's signature split, and returns (results, diagnostics, artifacts):
+# results entries are (name, passed, data); artifacts maps file names to text.
 
 
-def _run_cohomology(cfg, orb, bundle):
+def _run_cohomology(cfg, orb, bundle, split):
     table = cohomology_table(orb, cfg.p_list)
     data = {"entries": {f"{p},{q}": table.h(p, q)
                         for (p, q) in sorted(table.entries)}}
@@ -168,9 +176,8 @@ def _run_cohomology(cfg, orb, bundle):
             {"cohomology.csv": table.to_csv()})
 
 
-def _run_curvature_integral(cfg, orb, bundle):
-    split = signature_integrals(orb, bundle, resolution=cfg.resolution_quadrature,
-                                tol=cfg.tolerances["tol_degeneracy"])
+def _run_curvature_integral(cfg, orb, bundle, split):
+    split = split()
     # a NaN or infinite value is a failed quadrature, not a result
     finite = math.isfinite(split.degenerate_fraction)
     results = [(f"curvature-integral-q{q}", finite and math.isfinite(split.by_signature[q]),
@@ -181,7 +188,7 @@ def _run_curvature_integral(cfg, orb, bundle):
     return results, [], {}
 
 
-def _run_heat_trace(cfg, orb, bundle):
+def _run_heat_trace(cfg, orb, bundle, split):
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("heat traces require the flat torus catalog entry")
     results = []
@@ -197,7 +204,7 @@ def _run_heat_trace(cfg, orb, bundle):
     return results, [], artifacts
 
 
-def _run_verify_morse(cfg, orb, bundle):
+def _run_verify_morse(cfg, orb, bundle, split):
     results = []
     diagnostics = []
     artifacts = {}
@@ -211,10 +218,10 @@ def _run_verify_morse(cfg, orb, bundle):
                 results.append((f"trace-chain-p{p}-u{repr(u)}", ok,
                                 {"residuals": residuals}))
     n = orb.dimension
+    split = split()
     for q in cfg.q_list:
         try:
-            series = vf.verify_strong_morse(orb, bundle, q, cfg.p_list,
-                                            resolution=cfg.resolution_quadrature)
+            series = vf.verify_strong_morse(orb, q, cfg.p_list, split)
         except OrbmorseError as exc:
             diagnostics.append(("warning", f"strong Morse at q={q} skipped: {exc}"))
             continue
@@ -230,15 +237,16 @@ def _run_verify_morse(cfg, orb, bundle):
             diagnostics.append(("warning",
                                 f"convergence fit at q={q} marked unreliable "
                                 f"(R^2={series.fit.r_squared:.3f})"))
-    if n in cfg.q_list:
-        gap = vf.telescoping_identity_gap(orb, bundle, n,
-                                          resolution=cfg.resolution_quadrature)
-        ok = gap <= cfg.tolerances["tol_quadrature"]
-        results.append(("telescoping-identity", ok, {"gap": gap}))
+    # the integral over every signature set against the catalog's exact degree
+    degree = orb.params.get("degree")
+    if degree is not None:
+        integral = sum(split.by_signature)
+        ok = abs(integral - degree) <= cfg.tolerances["tol_quadrature"]
+        results.append(("curvature-degree", ok, {"integral": integral, "degree": degree}))
     return results, diagnostics, artifacts
 
 
-def _run_kernel_asymptotics(cfg, orb, bundle):
+def _run_kernel_asymptotics(cfg, orb, bundle, split):
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError(
             "kernel asymptotics run on the local quotient models")
@@ -264,12 +272,12 @@ def _run_kernel_asymptotics(cfg, orb, bundle):
     return results, [], {}
 
 
-def _run_moishezon(cfg, orb, bundle):
+def _run_moishezon(cfg, orb, bundle, split):
     rng = np.random.default_rng(cfg.seed)
-    verdict = mz.moishezon_check(orb, bundle, resolution=cfg.resolution_quadrature,
-                                 tol=cfg.tolerances["tol_degeneracy"], rng=rng,
-                                 quadrature_tolerance=cfg.tolerances["tol_quadrature"])
-    results = [("moishezon-verdict", True, verdict.__dict__)]
+    verdict = mz.moishezon_check(split(), cfg.tolerances["tol_quadrature"])
+    # a NaN or infinite witness is a failed quadrature, not a verdict
+    finite = all(map(math.isfinite, (verdict.integral_leq1, verdict.min_eigenvalue_seen)))
+    results = [("moishezon-verdict", finite, verdict.__dict__)]
     diagnostics = []
     expected_big = ((orb.catalog_id == "wps" and not orb.params.get("dent"))
                     or (orb.catalog_id == "torus" and orb.params.get("d", 0) >= 1))
@@ -325,10 +333,13 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
         raise ConfigurationError(
             f"q_list entries must be at most the model dimension {orb.dimension}")
     names = [s for s in SUBCOMMANDS[:-1]] if subcommand == "all" else [subcommand]
+    # one curvature pass per run, made by the first stage that asks for it
+    split = functools.cache(lambda: signature_integrals(
+        orb, bundle, config.resolution_quadrature, config.tolerances["tol_degeneracy"]))
     results, diagnostics, artifacts = [], [], {}
     for name in names:
         try:
-            r, d, a = RUNNERS[name](config, orb, bundle)
+            r, d, a = RUNNERS[name](config, orb, bundle, split)
         except OrbmorseError as exc:
             # only a stage that does not apply to the model may be skipped
             if subcommand == "all" and isinstance(exc, UnsupportedModelError):

@@ -19,7 +19,8 @@ from .geometry import (ChartedOrbifold, EquivariantLineBundle, _require_one_dime
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
 
-SignatureIntegrals = namedtuple("SignatureIntegrals", "by_signature degenerate_fraction")
+SignatureIntegrals = namedtuple("SignatureIntegrals", "by_signature degenerate_fraction "
+                                "min_eigenvalue max_eigenvalue tol")
 
 
 @dataclass(frozen=True)
@@ -75,18 +76,25 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     One pass over each chart's quadrature nodes gives ``by_signature``, the
     integral over M(q) for q = 0..n.  Nodes whose spectrum is degenerate at
     tolerance ``tol`` contribute zero; their weight fraction is returned as
-    ``degenerate_fraction``.  For one-dimensional charts the density
-    det(Rdot) * kappa reduces to the curvature density c itself, and the
-    signature of a node is the sign of c / h.
+    ``degenerate_fraction``; the split keeps its ``tol``.  ``min_eigenvalue``
+    and ``max_eigenvalue`` bound c / h over the nodes where the bump exceeds
+    1e-12.  For one-dimensional charts the density det(Rdot) * kappa reduces
+    to the curvature density c itself, and the signature of a node is the
+    sign of c / h.
     """
     _require_one_dimensional(orb)
     by_signature = [0.0] * (orb.dimension + 1)
     degen_weight = 0.0
     all_weight = 0.0
+    # np.minimum and np.maximum carry a NaN through, where min and max drop it
+    min_eig, max_eig = np.inf, -np.inf
     for k, chart in enumerate(orb.charts):
         nodes, weights = gauss_legendre_nodes(resolution, chart.box_radius)
         bumpw = np.asarray(chart.bump(nodes), dtype=float)
         c, ratio = _scalar_curvature(orb, bundle, k, nodes)
+        support = bumpw > 1e-12
+        min_eig = np.minimum(min_eig, np.min(ratio, where=support, initial=np.inf))
+        max_eig = np.maximum(max_eig, np.max(ratio, where=support, initial=-np.inf))
         degen = np.abs(ratio) <= tol
         sig = (ratio < -tol).astype(int)
         density = c / (2.0 * math.pi)      # det(Rdot/2pi) * kappa for n = 1
@@ -95,8 +103,8 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
             by_signature[q] += float(np.dot(weights, bumpw * density * mask) / chart.order)
         degen_weight += float(np.dot(weights, bumpw * degen) / chart.order)
         all_weight += float(np.dot(weights, bumpw) / chart.order)
-    return SignatureIntegrals(by_signature=tuple(by_signature),
-                              degenerate_fraction=degen_weight / max(all_weight, 1e-300))
+    return SignatureIntegrals(tuple(by_signature), degen_weight / max(all_weight, 1e-300),
+                              float(min_eig), float(max_eig), tol)
 
 
 def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,

@@ -6,7 +6,7 @@ point, and positivity of the curvature integral over the signature region
 cross-checked against the numeric rank of the Kodaira map built from an
 explicit section basis.
 
-Point sampling uses caller-seeded generators, so runs are reproducible.
+Kodaira ranks sample points from caller-seeded generators, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import CohomologyTable, weighted_proj_h0
-from .curvature import _scalar_curvature, morse_integral
 from .errors import ConfigurationError, UnsupportedModelError
-from .geometry import gauss_legendre_nodes
 from .spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
 
 BIGNESS_NOISE_MARGIN = 10.0
@@ -38,31 +36,18 @@ class CriterionVerdict:
     quadrature_tolerance: float
 
 
-def moishezon_check(orb, bundle, resolution=256, tol=1e-8, rng=None,
-                    quadrature_tolerance=1e-3):
-    """Evaluate both geometric criteria for a catalog pair.
+def moishezon_check(split, quadrature_tolerance=1e-3):
+    """Evaluate both geometric criteria from a signature split.
 
-    Semi-positivity is sampled on the quadrature nodes plus a seeded random
-    sample; criterion (i) needs it together with positivity somewhere, and
-    implies (ii), whose witness is the curvature integral over the region
-    with at most one negative eigenvalue.
+    Semi-positivity is judged on every quadrature node in the support of the
+    split, at the split's tolerance; criterion (i) needs it together with
+    positivity somewhere, and implies (ii), whose witness is the curvature
+    integral over the region with at most one negative eigenvalue.
     """
-    rng = rng if rng is not None else np.random.default_rng(20240901)
-    n = orb.dimension
-    integral = morse_integral(orb, bundle, set(range(min(1, n) + 1)),
-                              resolution=resolution)
-    min_eig = math.inf
-    positive_at_point = False
-    for k, chart in enumerate(orb.charts):
-        nodes, _ = gauss_legendre_nodes(min(resolution, 64), chart.box_radius)
-        extra = (rng.uniform(-chart.box_radius, chart.box_radius, 32)
-                 + 1j * rng.uniform(-chart.box_radius, chart.box_radius, 32))
-        pts = np.concatenate([nodes[:: max(1, nodes.size // 512)], extra])
-        pts = pts[np.asarray(chart.bump(pts), dtype=float) > 1e-12]
-        _, eig = _scalar_curvature(orb, bundle, k, pts)
-        min_eig = min(min_eig, float(np.min(eig, initial=math.inf)))
-        positive_at_point = positive_at_point or bool(np.any(eig > tol))
-    semipositive = min_eig >= -tol
+    n = len(split.by_signature) - 1
+    integral = sum(split.by_signature[: min(1, n) + 1])
+    semipositive = split.min_eigenvalue >= -split.tol
+    positive_at_point = split.max_eigenvalue > split.tol
     if semipositive and positive_at_point:
         verdict = "Moishezon-by-(i)"
     elif integral > quadrature_tolerance:
@@ -73,7 +58,7 @@ def moishezon_check(orb, bundle, resolution=256, tol=1e-8, rng=None,
                             semipositive=bool(semipositive),
                             positive_at_point=bool(positive_at_point),
                             verdict=verdict,
-                            min_eigenvalue_seen=float(min_eig),
+                            min_eigenvalue_seen=split.min_eigenvalue,
                             quadrature_tolerance=quadrature_tolerance)
 
 

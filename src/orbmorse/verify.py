@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .cohomology import cohomology_table
-from .curvature import morse_integral, signature_integrals
+from .curvature import signature_integrals
 from .errors import ConfigurationError, GeometryError, UnsupportedModelError
 from .kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
@@ -324,20 +324,20 @@ class StrongMorseSeries:
                 "fit": self.fit.as_record()}
 
 
-def verify_strong_morse(orb, bundle, q, p_list, resolution=256):
+def verify_strong_morse(orb, q, p_list, split):
     """Residual series of the strong Morse inequality at degree q.
 
     rho_p = p^{-n} sum_{j <= q} (-1)^j h^j  -  integral over the
-    signature region {<= q} of det(curvature endomorphism / 2 pi).  The
-    series must satisfy max(rho_p, 0) decreasing along the tail, with
-    |rho_p| -> 0 at q = n.
+    signature region {<= q} of det(curvature endomorphism / 2 pi), the sum
+    of the signature split ``split`` over q' <= q.  The series must satisfy
+    max(rho_p, 0) decreasing along the tail, with |rho_p| -> 0 at q = n.
     """
     n = orb.dimension
     if not 0 <= q <= n:
         raise ConfigurationError(f"degree q={q} outside 0..{n}")
     p_list = tuple(int(p) for p in p_list)
     table = cohomology_table(orb, p_list)
-    integral = morse_integral(orb, bundle, set(range(q + 1)), resolution=resolution)
+    integral = sum(split.by_signature[: q + 1])
     sums = []
     residuals = []
     for p in p_list:

@@ -11,7 +11,7 @@ import numpy as np
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
-from orbmorse.curvature import morse_integral
+from orbmorse.curvature import morse_integral, signature_integrals
 from orbmorse.kernels import (ModelPoint, exterior_exp_trace, factor_minus,
                               factor_plus, heat_diagonal_limit, model_heat_kernel,
                               signature_limit_density)
@@ -196,11 +196,11 @@ def test_criterion_8_property_suites():
 def test_criterion_9_moishezon_verdicts():
     t0 = time.time()
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
-    v1 = moishezon_check(orb, bundle, resolution=256)
+    v1 = moishezon_check(signature_integrals(orb, bundle, resolution=256))
     ok = v1.verdict == "Moishezon-by-(i)"
 
     orb0, bundle0 = build_catalog_orbifold("torus", d=0, k=1)
-    v0 = moishezon_check(orb0, bundle0, resolution=64)
+    v0 = moishezon_check(signature_integrals(orb0, bundle0, resolution=64))
     ok &= v0.verdict == "inconclusive"
 
     agreements = []

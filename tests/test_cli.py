@@ -306,6 +306,10 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
     ("seed: 7", "seed: 1.5", "seed"),
     ("u_list: [0.5, 1.0]", "u_list: [1.0, 1.0]", "u_list"),
     ("q_list: [0, 1]", "q_list: [0, 0]", "q_list"),
+    ("seed: 7\n", "seed: 7\noutput:\n  report_name: sub/report.json\n", "output.report_name"),
+    ("seed: 7\n", "seed: 7\noutput:\n  report_name: ''\n", "output.report_name"),
+    ("seed: 7\n", "seed: 7\noutput:\n  report_name: cohomology.csv\n", "output.report_name"),
+    ("seed: 7\n", "seed: 7\noutput:\n  report_name: 123\n", "output.report_name"),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
         "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
         "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
@@ -315,7 +319,9 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
         "k-bool", "wps-weight-real", "local-weight-real", "d-bool", "dent-key-typo",
         "dent-width-zero", "dent-width-negative", "p-list-string", "p-real", "p-bool",
         "u-nan", "q-real", "tolerance-string", "quadrature-resolution-real",
-        "spectral-resolution-bool", "seed-real", "u-list-repeated", "q-list-repeated"])
+        "spectral-resolution-bool", "seed-real", "u-list-repeated", "q-list-repeated",
+        "report-name-in-subdirectory", "report-name-empty", "report-name-csv",
+        "report-name-integer"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2
@@ -356,8 +362,8 @@ def test_all_exits_2_when_an_applicable_stage_cannot_run(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "power of two" in err
 
 
-def test_curvature_integral_fails_on_a_nan_density(tmp_path, monkeypatch):
-    """A curvature density that returns NaN makes the integrals fail, not pass."""
+def nan_density_model():
+    """A one-chart custom model whose curvature density is NaN everywhere."""
     from orbmorse.geometry import (ChartedOrbifold, EquivariantLineBundle, OrbifoldChart,
                                    cyclic_group)
 
@@ -367,7 +373,13 @@ def test_curvature_integral_fails_on_a_nan_density(tmp_path, monkeypatch):
                           catalog_id="custom")
     bundle = EquivariantLineBundle(
         curvature_scalars=(lambda z: np.full(np.shape(z), np.nan),))
-    monkeypatch.setattr(cli, "build_catalog_orbifold", lambda *args, **kwargs: (orb, bundle))
+    return orb, bundle
+
+
+def test_curvature_integral_fails_on_a_nan_density(tmp_path, monkeypatch):
+    """A curvature density that returns NaN makes the integrals fail, not pass."""
+    model = nan_density_model()
+    monkeypatch.setattr(cli, "build_catalog_orbifold", lambda *args, **kwargs: model)
     cfg = RunConfig(catalog_id="custom", catalog_params={}, q_list=[0, 1],
                     resolution_quadrature=16)
     assert cli.run("curvature-integral", cfg, tmp_path) == 1
@@ -375,3 +387,74 @@ def test_curvature_integral_fails_on_a_nan_density(tmp_path, monkeypatch):
     validate_report(report)
     assert [(r["name"], r["passed"], r["data"]["value"]) for r in report["results"]] == [
         ("curvature-integral-q0", False, "nan"), ("curvature-integral-q1", False, "nan")]
+
+
+def test_moishezon_verdict_fails_on_a_nan_density(tmp_path, monkeypatch):
+    """A NaN witness makes moishezon-verdict fail instead of reading as a verdict."""
+    model = nan_density_model()
+    monkeypatch.setattr(cli, "build_catalog_orbifold", lambda *args, **kwargs: model)
+    cfg = RunConfig(catalog_id="custom", catalog_params={}, resolution_quadrature=16)
+    assert cli.run("moishezon-check", cfg, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    validate_report(report)
+    verdict = {r["name"]: r for r in report["results"]}["moishezon-verdict"]
+    assert not verdict["passed"]
+    assert verdict["data"]["integral_leq1"] == "nan"
+
+
+def run_all(tmp_path, cfg):
+    """``orbmorse all`` on a RunConfig: the exit code and the results by name."""
+    code = cli.run("all", cfg, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    validate_report(report)
+    return code, {r["name"]: r for r in report["results"]}
+
+
+def test_every_stage_reads_the_configured_tolerance(tmp_path):
+    """The strong-Morse, Moishezon and curvature-integral numbers come from one split."""
+    cfg = RunConfig(catalog_id="wps", catalog_params={"weights": [1, 1]},
+                    resolution_quadrature=128,
+                    tolerances={**cli.DEFAULT_TOLERANCES, "tol_degeneracy": 1.5})
+    code, results = run_all(tmp_path, cfg)
+    q0 = results["curvature-integral-q0"]["data"]["value"]
+    q1 = results["curvature-integral-q1"]["data"]["value"]
+    assert results["strong-morse-q0"]["data"]["integral"] == q0
+    assert results["moishezon-verdict"]["data"]["integral_leq1"] == q0 + q1
+    # about 6% of the weight is degenerate at this tolerance, which the degree sees
+    assert results["curvature-integral-q0"]["data"]["degenerate_fraction"] > 0.05
+    assert code == 1
+    assert [name for name, r in results.items() if not r["passed"]] == ["curvature-degree"]
+
+
+def test_curvature_degree_fails_on_a_scaled_curvature(tmp_path, monkeypatch):
+    """Curvature densities off by 1% miss the catalog degree, and only that check sees it."""
+    from orbmorse.catalog import build_catalog_orbifold
+    from orbmorse.geometry import EquivariantLineBundle
+
+    def scaled(*args, **kwargs):
+        orb, bundle = build_catalog_orbifold(*args, **kwargs)
+        return orb, EquivariantLineBundle(curvature_scalars=tuple(
+            (lambda z, f=f: 1.01 * f(z)) for f in bundle.curvature_scalars))
+
+    monkeypatch.setattr(cli, "build_catalog_orbifold", scaled)
+    code, results = run_all(tmp_path, load_config(write(tmp_path, "c.yaml", WPS_YAML)))
+    assert code == 1
+    assert [name for name, r in results.items() if not r["passed"]] == ["curvature-degree"]
+    degree = results["curvature-degree"]["data"]
+    assert degree["degree"] == 0.5
+    assert degree["integral"] == pytest.approx(0.505, abs=1e-4)
+
+
+def test_verify_morse_on_a_two_dimensional_model_is_one_skip(tmp_path):
+    """The split refuses n = 2, so verify-morse is skipped whole with one info line."""
+    text = TORUS_YAML.replace(TORUS_CATALOG, "  id: local-model\n  params:\n    k: 2\n"
+                              "    a: [1.0, 2.0]\n").replace("q_list: [0, 1]", "q_list: [0]")
+    cfg = write(tmp_path, "c.yaml", text)
+    out = tmp_path / "out"
+    assert main(["all", "--config", cfg, "--out", str(out), "--strict"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    messages = [(d["level"], d["message"]) for d in report["diagnostics"]]
+    morse = [(level, m) for level, m in messages if "Morse" in m or "verify-morse" in m]
+    assert len(morse) == 1 and morse[0][0] == "info"
+    assert morse[0][1].startswith("verify-morse skipped for this model")
+    assert not any(level == "warning" for level, _ in messages)

@@ -13,7 +13,6 @@ from orbmorse.curvature import (DEGENERACY_TOL, DEGENERATE, _scalar_curvature,
                                 signature_integrals)
 from orbmorse.errors import UnsupportedModelError
 from orbmorse.geometry import gauss_legendre_nodes
-from orbmorse.verify import telescoping_identity_gap
 
 
 def test_endomorphism_identity_metric_cases():
@@ -165,8 +164,8 @@ def test_signature_split_matches_one_mask_reference(catalog_id, params, resoluti
                 <= 1e-15
 
 
-def test_stages_make_one_chart_pass(monkeypatch):
-    """The curvature-integral stage and the telescoping gap evaluate each chart once."""
+def test_stages_make_one_chart_pass(monkeypatch, tmp_path):
+    """Every stage of one run reads one split: the curvature is evaluated once per chart."""
     calls = []
 
     def counting(orb, bundle, chart_index, points):
@@ -174,15 +173,9 @@ def test_stages_make_one_chart_pass(monkeypatch):
         return _scalar_curvature(orb, bundle, chart_index, points)
 
     monkeypatch.setattr(curvature, "_scalar_curvature", counting)
-    orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
     cfg = cli.RunConfig(catalog_id="wps", catalog_params={"weights": [1, 2]},
                         q_list=[0, 1], resolution_quadrature=32)
-    results, _, _ = cli._run_curvature_integral(cfg, orb, bundle)
-    assert [name for name, _, _ in results] == ["curvature-integral-q0",
-                                                 "curvature-integral-q1"]
-    assert calls == [0, 1]
-    calls.clear()
-    telescoping_identity_gap(orb, bundle, 1, resolution=32)
+    assert cli.run("all", cfg, tmp_path) == 0
     assert calls == [0, 1]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
-from orbmorse.curvature import curvature_spectrum, morse_integral
+from orbmorse.curvature import curvature_spectrum, morse_integral, signature_integrals
 from orbmorse.errors import ConfigurationError
 from orbmorse.geometry import gauss_legendre_nodes
 from orbmorse.moishezon import (_section_values_torus, bigness_check, kodaira_rank,
@@ -29,7 +29,7 @@ def bigness_powers(top=4096):
 
 def test_semipositive_weighted_line_is_moishezon_by_i():
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
-    v = moishezon_check(orb, bundle, resolution=128)
+    v = moishezon_check(signature_integrals(orb, bundle, resolution=128))
     assert v.verdict == "Moishezon-by-(i)"
     assert v.semipositive and v.positive_at_point
     assert v.integral_leq1 == pytest.approx(0.5, abs=1e-3)
@@ -39,7 +39,7 @@ def test_semipositive_weighted_line_is_moishezon_by_i():
 
 def test_flat_trivial_bundle_is_inconclusive():
     orb, bundle = build_catalog_orbifold("torus", d=0, k=1)
-    v = moishezon_check(orb, bundle, resolution=64)
+    v = moishezon_check(signature_integrals(orb, bundle, resolution=64))
     assert v.verdict == "inconclusive"
     assert v.integral_leq1 == 0.0
     assert not v.positive_at_point
@@ -47,15 +47,15 @@ def test_flat_trivial_bundle_is_inconclusive():
 
 def test_mixed_signature_dent_is_moishezon_by_ii():
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 1), dent=DENT)
-    v = moishezon_check(orb, bundle, resolution=160)
+    v = moishezon_check(signature_integrals(orb, bundle, resolution=160))
     assert not v.semipositive
     assert v.min_eigenvalue_seen < -1.0
     assert v.verdict == "Moishezon-by-(ii)"
     assert v.integral_leq1 == pytest.approx(1.0, abs=1e-3)
 
 
-def per_point_criteria(orb, bundle, resolution, tol, rng):
-    """Reference: the sample points of moishezon_check, one eigensolve each.
+def per_node_criteria(orb, bundle, resolution, tol):
+    """Reference: every quadrature node in the support, one eigensolve each.
 
     Returns (verdict, semipositive, positive_at_point, min_eigenvalue_seen).
     """
@@ -63,12 +63,9 @@ def per_point_criteria(orb, bundle, resolution, tol, rng):
     min_eig = math.inf
     positive_at_point = False
     for k, chart in enumerate(orb.charts):
-        nodes, _ = gauss_legendre_nodes(min(resolution, 64), chart.box_radius)
-        extra = (rng.uniform(-chart.box_radius, chart.box_radius, 32)
-                 + 1j * rng.uniform(-chart.box_radius, chart.box_radius, 32))
-        pts = np.concatenate([nodes[:: max(1, nodes.size // 512)], extra])
-        bumpw = np.asarray(chart.bump(pts), dtype=float)
-        for z, w in zip(pts, bumpw):
+        nodes, _ = gauss_legendre_nodes(resolution, chart.box_radius)
+        bumpw = np.asarray(chart.bump(nodes), dtype=float)
+        for z, w in zip(nodes, bumpw):
             if w <= 1e-12:
                 continue
             spec = curvature_spectrum(bundle, orb, np.atleast_1d(z), k, tol)
@@ -98,14 +95,10 @@ def per_point_criteria(orb, bundle, resolution, tol, rng):
 ], ids=["wps12", "wps23", "wps11-dent", "wps11-dent-off-bump", "torus-d0", "torus-d1"])
 def test_array_criteria_match_per_point_spectra(catalog_id, params):
     orb, bundle = build_catalog_orbifold(catalog_id, **params)
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    v = moishezon_check(orb, bundle, resolution=128, rng=rng)
-    verdict, semi, positive, min_eig = per_point_criteria(orb, bundle, 128, 1e-8,
-                                                          ref_rng)
+    v = moishezon_check(signature_integrals(orb, bundle, resolution=32))
+    verdict, semi, positive, min_eig = per_node_criteria(orb, bundle, 32, 1e-8)
     assert (v.verdict, v.semipositive, v.positive_at_point) == (verdict, semi, positive)
     assert v.min_eigenvalue_seen == pytest.approx(min_eig, rel=1e-12, abs=0.0)
-    # the caller hands the same generator on to kodaira_rank
-    assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +216,9 @@ def test_growth_exponent_bounded_by_rank():
 def test_semipositivity_implies_integral_witness():
     """(i) => (ii): flags set forces a nonnegative integral and an essentially
     empty one-negative region (bounded by the degenerate node fraction)."""
-    from orbmorse.curvature import signature_integrals
     for weights in [(1, 2), (2, 3)]:
         orb, bundle = build_catalog_orbifold("wps", weights=weights)
-        v = moishezon_check(orb, bundle, resolution=128)
+        v = moishezon_check(signature_integrals(orb, bundle, resolution=128))
         assert v.semipositive and v.positive_at_point
         assert v.integral_leq1 >= -v.quadrature_tolerance
         one_neg = signature_integrals(orb, bundle, resolution=128)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
+from orbmorse.curvature import signature_integrals
 from orbmorse.errors import GeometryError
 from orbmorse.kernels import ModelPoint, ScaledComplex, heat_diagonal_limit, mehler_log_form
 from orbmorse.verify import (exact_chain_residuals, fit_rate,
@@ -176,7 +177,8 @@ def test_expansion_correction_negligible_far_from_singularity():
 
 def test_strong_morse_projective_line():
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 1))
-    series = verify_strong_morse(orb, bundle, 1, [32, 64, 128, 256], resolution=160)
+    split = signature_integrals(orb, bundle, resolution=160)
+    series = verify_strong_morse(orb, 1, [32, 64, 128, 256], split)
     for p, rho in zip(series.p_list, series.residuals):
         assert rho == pytest.approx(1.0 / p, abs=2e-4)
     pos = [max(r, 0) for r in series.residuals]
@@ -185,7 +187,8 @@ def test_strong_morse_projective_line():
 
 def test_strong_morse_weighted_line():
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
-    series = verify_strong_morse(orb, bundle, 1, [64, 128, 256, 512], resolution=160)
+    split = signature_integrals(orb, bundle, resolution=160)
+    series = verify_strong_morse(orb, 1, [64, 128, 256, 512], split)
     for p, rho in zip(series.p_list, series.residuals):
         expected = (p // 2 + 1) / p - 0.5
         assert rho == pytest.approx(expected, abs=2e-4)
@@ -193,9 +196,10 @@ def test_strong_morse_weighted_line():
 
 def test_strong_morse_semi_negative_model():
     orb, bundle = build_catalog_orbifold("torus", d=-1, k=1)
-    s0 = verify_strong_morse(orb, bundle, 0, [4, 8, 16], resolution=64)
+    split = signature_integrals(orb, bundle, resolution=64)
+    s0 = verify_strong_morse(orb, 0, [4, 8, 16], split)
     assert all(abs(r) <= 1e-9 for r in s0.residuals)   # h^0 = 0 and empty region
-    s1 = verify_strong_morse(orb, bundle, 1, [4, 8, 16], resolution=64)
+    s1 = verify_strong_morse(orb, 1, [4, 8, 16], split)
     assert all(abs(r) <= 1e-9 for r in s1.residuals)   # equality at q = n
 
 
