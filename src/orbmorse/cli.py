@@ -25,7 +25,7 @@ from .catalog import _integer, _list_of, _real, build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
 from .errors import ConfigurationError, OrbmorseError, UnsupportedModelError
-from .spectral import assemble_kodaira_laplacian, heat_trace
+from .spectral import assemble_kodaira_laplacian, heat_trace, torus_kernel_dimension
 
 SUBCOMMANDS = ("cohomology", "curvature-integral", "heat-trace", "verify-morse",
                "kernel-asymptotics", "moishezon-check", "all")
@@ -172,7 +172,8 @@ def _run_cohomology(cfg, orb, bundle, split):
     table = cohomology_table(orb, cfg.p_list)
     data = {"entries": {f"{p},{q}": table.h(p, q)
                         for (p, q) in sorted(table.entries)}}
-    return ([("cohomology-table", True, data)], [],
+    ok = all(type(h) is int and h >= 0 for h in table.entries.values())
+    return ([("cohomology-table", ok, data)], [],
             {"cohomology.csv": table.to_csv()})
 
 
@@ -199,7 +200,13 @@ def _run_heat_trace(cfg, orb, bundle, split):
             table = op.spectral_table()
             artifacts[f"spectrum_p{p}_q{q}.csv"] = table.to_csv()
             traces = {repr(u): heat_trace(table, u) for u in cfg.u_list}
-            results.append((f"heat-trace-p{p}-q{q}", True,
+            # the kernel is exact, and each trace counts it plus decaying levels
+            by_u = [traces[repr(u)] for u in sorted(cfg.u_list)]
+            kernel = torus_kernel_dimension(orb.params["d"], orb.params["k"], p, q)
+            ok = (table.zero_dim == kernel
+                  and all(math.isfinite(t) and t >= table.zero_dim for t in by_u)
+                  and all(b <= a for a, b in zip(by_u, by_u[1:])))
+            results.append((f"heat-trace-p{p}-q{q}", ok,
                             {"zero_dim": table.zero_dim, "traces": traces}))
     return results, [], artifacts
 
@@ -226,10 +233,11 @@ def _run_verify_morse(cfg, orb, bundle, split):
             diagnostics.append(("warning", f"strong Morse at q={q} skipped: {exc}"))
             continue
         pos = [max(r, 0.0) for r in series.residuals]
-        tail_ok = all(b <= a + 1e-12 for a, b in zip(pos, pos[1:]))
-        ok = tail_ok
+        bound = 2.0 / cfg.p_list[-1]
+        # the positive part falls along the tail and is O(1/p) at its end
+        ok = all(b <= a + 1e-12 for a, b in zip(pos, pos[1:])) and pos[-1] <= bound
         if q == n:
-            ok = ok and abs(series.residuals[-1]) <= 2.0 / cfg.p_list[-1]
+            ok = ok and abs(series.residuals[-1]) <= bound
         results.append((f"strong-morse-q{q}", ok, series.as_record()))
         artifacts[f"strong_morse_q{q}.csv"] = rpt.residual_series_csv(
             series.p_list, series.residuals)

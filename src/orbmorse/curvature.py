@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, _require_one_dimensional,
-                       gauss_legendre_nodes, volume_density)
+                       tensor_blocks, volume_density)
 
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
@@ -83,26 +83,26 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     sign of c / h.
     """
     _require_one_dimensional(orb)
-    by_signature = [0.0] * (orb.dimension + 1)
-    degen_weight = 0.0
-    all_weight = 0.0
+    classes = range(orb.dimension + 1)
+    # the integral over each signature set, then the degenerate and the total weight
+    totals = [0.0] * (len(classes) + 2)
     # np.minimum and np.maximum carry a NaN through, where min and max drop it
     min_eig, max_eig = np.inf, -np.inf
     for k, chart in enumerate(orb.charts):
-        nodes, weights = gauss_legendre_nodes(resolution, chart.box_radius)
-        bumpw = np.asarray(chart.bump(nodes), dtype=float)
-        c, ratio = _scalar_curvature(orb, bundle, k, nodes)
-        support = bumpw > 1e-12
-        min_eig = np.minimum(min_eig, np.min(ratio, where=support, initial=np.inf))
-        max_eig = np.maximum(max_eig, np.max(ratio, where=support, initial=-np.inf))
-        degen = np.abs(ratio) <= tol
-        sig = (ratio < -tol).astype(int)
-        density = c / (2.0 * math.pi)      # det(Rdot/2pi) * kappa for n = 1
-        for q in range(len(by_signature)):
-            mask = (sig == q) & ~degen
-            by_signature[q] += float(np.dot(weights, bumpw * density * mask) / chart.order)
-        degen_weight += float(np.dot(weights, bumpw * degen) / chart.order)
-        all_weight += float(np.dot(weights, bumpw) / chart.order)
+        sums = np.zeros(len(totals))       # the chart's running block sums
+        for nodes, weights in tensor_blocks(resolution, chart.box_radius):
+            bumpw = np.asarray(chart.bump(nodes), dtype=float)
+            c, ratio = _scalar_curvature(orb, bundle, k, nodes)
+            support = bumpw > 1e-12
+            min_eig = np.minimum(min_eig, np.min(ratio, where=support, initial=np.inf))
+            max_eig = np.maximum(max_eig, np.max(ratio, where=support, initial=-np.inf))
+            degen = np.abs(ratio) <= tol
+            sig = (ratio < -tol).astype(int)
+            density = c / (2.0 * math.pi)      # det(Rdot/2pi) * kappa for n = 1
+            parts = [bumpw * density * ((sig == q) & ~degen) for q in classes]
+            sums += [np.add.reduce(weights * f) for f in parts + [bumpw * degen, bumpw]]
+        totals = [t + float(s / chart.order) for t, s in zip(totals, sums)]
+    *by_signature, degen_weight, all_weight = totals
     return SignatureIntegrals(tuple(by_signature), degen_weight / max(all_weight, 1e-300),
                               float(min_eig), float(max_eig), tol)
 

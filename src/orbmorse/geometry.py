@@ -193,22 +193,25 @@ class EquivariantLineBundle:
 # quadrature
 
 _GL_RULES = {}     # the rule on [-1, 1], by resolution
-_GL_CACHE = {}     # the tensor grids, by (resolution, radius)
+BLOCK_ROWS = 64    # rows of the tensor rule per block
 
 
 def gauss_legendre_nodes(resolution, radius):
-    """Tensor Gauss-Legendre nodes/weights on the square [-radius, radius]^2."""
-    key = (int(resolution), float(radius))
-    if key not in _GL_CACHE:
-        if key[0] not in _GL_RULES:
-            _GL_RULES[key[0]] = np.polynomial.legendre.leggauss(key[0])
-        x, w = _GL_RULES[key[0]]
-        x = x * radius
-        w = w * radius
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        W = np.outer(w, w)
-        _GL_CACHE[key] = (X.ravel() + 1j * Y.ravel(), W.ravel())
-    return _GL_CACHE[key]
+    """Gauss-Legendre nodes and weights on [-radius, radius]."""
+    n = int(resolution)
+    if n not in _GL_RULES:
+        _GL_RULES[n] = np.polynomial.legendre.leggauss(n)
+    x, w = _GL_RULES[n]
+    return x * radius, w * radius
+
+
+def tensor_blocks(resolution, radius):
+    """The tensor rule on [-radius, radius]^2 as (nodes x_i + 1j x_j, weights
+    w_i w_j), flat index i * resolution + j, BLOCK_ROWS rows at a time."""
+    x, w = gauss_legendre_nodes(resolution, radius)
+    for i in range(0, x.size, BLOCK_ROWS):
+        yield ((x[i:i + BLOCK_ROWS, None] + 1j * x[None, :]).ravel(),
+               (w[i:i + BLOCK_ROWS, None] * w[None, :]).ravel())
 
 
 def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
@@ -231,11 +234,12 @@ def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
     total = 0.0
     for k, chart in enumerate(orb.charts):
         _require_one_dimensional(chart)
-        nodes, weights = gauss_legendre_nodes(resolution, chart.box_radius)
-        vals = np.asarray(field(k, nodes))
         if chart.order > 1:
-            idx = rng.integers(0, nodes.size, size=min(8, nodes.size))
-            pts = nodes[idx]
+            # flat index i of the tensor rule is the node x[i // n] + 1j x[i % n]
+            x, _ = gauss_legendre_nodes(resolution, chart.box_radius)
+            n = x.size
+            idx = rng.integers(0, n * n, size=min(8, n * n))
+            pts = x[idx // n] + 1j * x[idx % n]
             ref = np.asarray(field(k, pts))
             for g in chart.group:
                 moved = np.asarray(field(k, g.rotation[0] * pts))
@@ -243,9 +247,11 @@ def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
                 if mismatch > INTEGRAND_INVARIANCE_TOL:
                     raise IntegrandError(
                         f"integrand not invariant on chart {k} (mismatch {mismatch:.2e})")
-        bump = np.asarray(chart.bump(nodes), dtype=float)
-        kappa = np.real(np.asarray(chart.metric_scalar(nodes)))
-        contrib = np.dot(weights, bump * kappa * np.real(vals)) / chart.order
-        total += float(contrib)
+        contrib = 0.0
+        for nodes, weights in tensor_blocks(resolution, chart.box_radius):
+            vals = np.asarray(field(k, nodes))
+            bump = np.asarray(chart.bump(nodes), dtype=float)
+            kappa = np.real(np.asarray(chart.metric_scalar(nodes)))
+            contrib += np.add.reduce(weights * (bump * kappa * np.real(vals)))
+        total += float(contrib / chart.order)
     return total
-

@@ -1,6 +1,7 @@
 """Configuration ingestion, dispatch, exit codes, report determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -45,6 +46,9 @@ run:
   resolution_quadrature: 128
 seed: 7
 """
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def write(tmp_path, name, text):
@@ -458,3 +462,102 @@ def test_verify_morse_on_a_two_dimensional_model_is_one_skip(tmp_path):
     assert len(morse) == 1 and morse[0][0] == "info"
     assert morse[0][1].startswith("verify-morse skipped for this model")
     assert not any(level == "warning" for level, _ in messages)
+
+
+def test_strong_morse_fails_on_a_stalled_residual(tmp_path, monkeypatch):
+    """Half the curvature integral, degree halved to match: rho_p stalls at 1/4, q = 0 fails."""
+    build, split_of = cli.build_catalog_orbifold, cli.signature_integrals
+
+    def halved_model(*args, **kwargs):
+        orb, bundle = build(*args, **kwargs)
+        orb.params["degree"] /= 2
+        return orb, bundle
+
+    def halved_split(*args, **kwargs):
+        split = split_of(*args, **kwargs)
+        return split._replace(by_signature=tuple(v / 2 for v in split.by_signature))
+
+    monkeypatch.setattr(cli, "build_catalog_orbifold", halved_model)
+    monkeypatch.setattr(cli, "signature_integrals", halved_split)
+    cfg = load_config(str(DEMO_CONFIGS / "p12.yaml"))
+    cfg.q_list = [0]
+    assert cli.run("verify-morse", cfg, tmp_path) == 1
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert [r["name"] for r in results if not r["passed"]] == ["strong-morse-q0"]
+    assert results[0]["data"]["residuals"][-1] == pytest.approx(0.25, abs=1e-3)
+
+
+def run_torus_heat_trace(tmp_path):
+    cfg = load_config(write(tmp_path, "c.yaml", TORUS_YAML))
+    code = cli.run("heat-trace", cfg, tmp_path)
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    return code, [r["name"] for r in results if not r["passed"]]
+
+
+def test_heat_trace_fails_on_a_wrong_kernel_dimension(tmp_path, monkeypatch):
+    """A table whose kernel count is off by one fails every heat-trace result."""
+    from dataclasses import replace
+    assemble = cli.assemble_kodaira_laplacian
+
+    class OffByOne:
+        def __init__(self, op):
+            self.op = op
+
+        def spectral_table(self):
+            table = self.op.spectral_table()
+            return replace(table, zero_dim=table.zero_dim + 1)
+
+    monkeypatch.setattr(cli, "assemble_kodaira_laplacian",
+                        lambda *args, **kwargs: OffByOne(assemble(*args, **kwargs)))
+    code, failed = run_torus_heat_trace(tmp_path)
+    assert code == 1
+    assert failed == [f"heat-trace-p{p}-q{q}" for p in (4, 8) for q in (0, 1)]
+
+
+@pytest.mark.parametrize("fault", [
+    lambda trace, u: trace + u,            # grows with u
+    lambda trace, u: trace - 1e3,          # below the kernel dimension
+    lambda trace, u: math.nan,
+    lambda trace, u: math.inf,
+], ids=["increasing-in-u", "below-kernel", "nan", "inf"])
+def test_heat_trace_fails_on_a_bad_trace(tmp_path, monkeypatch, fault):
+    heat_trace = cli.heat_trace
+    monkeypatch.setattr(cli, "heat_trace", lambda table, u: fault(heat_trace(table, u), u))
+    code, failed = run_torus_heat_trace(tmp_path)
+    assert code == 1
+    assert failed == [f"heat-trace-p{p}-q{q}" for p in (4, 8) for q in (0, 1)]
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, True], ids=["negative", "float", "bool"])
+def test_cohomology_table_fails_on_a_bad_entry(tmp_path, monkeypatch, bad):
+    """Each entry must be a non-negative int; one bad entry fails the table."""
+    from orbmorse.cohomology import CohomologyTable
+    table = cli.cohomology_table
+
+    def one_bad_entry(orb, p_list):
+        entries = dict(table(orb, p_list).entries)
+        entries[min(entries)] = bad
+        return CohomologyTable(entries)
+
+    monkeypatch.setattr(cli, "cohomology_table", one_bad_entry)
+    cfg = load_config(write(tmp_path, "c.yaml", WPS_YAML))
+    assert cli.run("cohomology", cfg, tmp_path) == 1
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert [(r["name"], r["passed"]) for r in results] == [("cohomology-table", False)]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`orbmorse all` on the P(1,2) demo at 1 and 2 OpenBLAS threads: the same report."""
+    config = str(DEMO_CONFIGS / "p12.yaml")
+    src = str(Path(orbmorse.__file__).parents[1])
+    children = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"blas{threads}"
+        children.append((out, subprocess.Popen(
+            [sys.executable, "-m", "orbmorse.cli", "all", "--config", config,
+             "--out", str(out)], env=env)))
+    for out, child in children:
+        assert child.wait(timeout=120) == 0
+    a, b = (strip_timestamp((out / "report.json").read_text()) for out, _ in children)
+    assert a == b

@@ -12,7 +12,7 @@ from orbmorse.curvature import (DEGENERACY_TOL, DEGENERATE, _scalar_curvature,
                                 classify_point, curvature_spectrum, morse_integral,
                                 signature_integrals)
 from orbmorse.errors import UnsupportedModelError
-from orbmorse.geometry import gauss_legendre_nodes
+from orbmorse.geometry import tensor_blocks
 
 
 def test_endomorphism_identity_metric_cases():
@@ -124,14 +124,16 @@ def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL):
     """
     total = 0.0
     for k, chart in enumerate(orb.charts):
-        nodes, weights = gauss_legendre_nodes(resolution, chart.box_radius)
-        bumpw = np.asarray(chart.bump(nodes), dtype=float)
-        c, ratio = _scalar_curvature(orb, bundle, k, nodes)
-        degen = np.abs(ratio) <= tol
-        sig = (ratio < -tol).astype(int)
-        density = c / (2.0 * math.pi)
-        mask = np.isin(sig, list(q_set)) & ~degen
-        total += float(np.dot(weights, bumpw * density * mask) / chart.order)
+        chart_sum = 0.0
+        for nodes, weights in tensor_blocks(resolution, chart.box_radius):
+            bumpw = np.asarray(chart.bump(nodes), dtype=float)
+            c, ratio = _scalar_curvature(orb, bundle, k, nodes)
+            degen = np.abs(ratio) <= tol
+            sig = (ratio < -tol).astype(int)
+            density = c / (2.0 * math.pi)
+            mask = np.isin(sig, list(q_set)) & ~degen
+            chart_sum += np.add.reduce(weights * (bumpw * density * mask))
+        total += float(chart_sum / chart.order)
     return total
 
 
@@ -177,6 +179,21 @@ def test_stages_make_one_chart_pass(monkeypatch, tmp_path):
                         q_list=[0, 1], resolution_quadrature=32)
     assert cli.run("all", cfg, tmp_path) == 0
     assert calls == [0, 1]
+
+
+def test_signature_split_memory_is_a_few_row_blocks(monkeypatch):
+    """P(2,3) at resolution 1024, rule included; the full grid held 16 MB of nodes alone."""
+    import tracemalloc
+    from orbmorse import geometry
+    monkeypatch.setattr(geometry, "_GL_RULES", {})
+    orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
+    tracemalloc.start()
+    try:
+        signature_integrals(orb, bundle, resolution=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def custom_model():

@@ -263,10 +263,9 @@ def test_quadrature_refuses_higher_dimensional_models():
 
 
 def test_gauss_legendre_rule_computed_once_per_resolution(monkeypatch):
-    """Radii share the rule on [-1, 1]; each tensor grid is the scaled rule, cached."""
+    """Radii share the rule on [-1, 1]; each call returns it scaled to the radius."""
     from orbmorse import geometry
     monkeypatch.setattr(geometry, "_GL_RULES", {})
-    monkeypatch.setattr(geometry, "_GL_CACHE", {})
     leggauss = np.polynomial.legendre.leggauss
     calls = []
 
@@ -276,14 +275,46 @@ def test_gauss_legendre_rule_computed_once_per_resolution(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     for radius in (0.75, 1.3, 2):
-        nodes, weights = geometry.gauss_legendre_nodes(24, radius)
-        x, w = leggauss(24)         # the grid as built from one rule per radius
-        x, w = x * radius, w * radius
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        assert np.array_equal(nodes, X.ravel() + 1j * Y.ravel())
-        assert np.array_equal(weights, np.outer(w, w).ravel())
-        assert geometry.gauss_legendre_nodes(24, radius)[0] is nodes
+        x, w = geometry.gauss_legendre_nodes(24, radius)
+        x0, w0 = leggauss(24)
+        assert np.array_equal(x, x0 * radius)
+        assert np.array_equal(w, w0 * radius)
     assert calls == [24]
+
+
+def meshgrid_rule(resolution, radius):
+    """The full tensor grid, as built before the rule was streamed in blocks."""
+    x, w = np.polynomial.legendre.leggauss(resolution)
+    x, w = x * radius, w * radius
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return X.ravel() + 1j * Y.ravel(), np.outer(w, w).ravel()
+
+
+@pytest.mark.parametrize("resolution", [24, 100, 1024])
+def test_tensor_blocks_concatenate_to_the_full_grid(resolution):
+    """The row blocks, in order, are the meshgrid rule bit for bit."""
+    from orbmorse.geometry import BLOCK_ROWS, tensor_blocks
+    blocks = list(tensor_blocks(resolution, 1.3))
+    assert len(blocks) == -(-resolution // BLOCK_ROWS)
+    assert all(nodes.size <= BLOCK_ROWS * resolution for nodes, _ in blocks)
+    nodes, weights = meshgrid_rule(resolution, 1.3)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), nodes)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), weights)
+
+
+def test_invariance_spot_check_draws_the_grid_nodes():
+    """The spot check samples the nodes the full grid holds at the drawn flat indices."""
+    orb, _ = build_catalog_orbifold("local-model", k=3, a=(1.0,))
+    seen = []
+
+    def field(ci, Z):
+        seen.append(np.array(Z))
+        return ones(Z)
+
+    orbifold_integrate(field, orb, resolution=40, rng=np.random.default_rng(5))
+    nodes, _ = meshgrid_rule(40, orb.charts[0].box_radius)
+    idx = np.random.default_rng(5).integers(0, nodes.size, size=8)
+    assert np.array_equal(next(z for z in seen if z.size == 8), nodes[idx])
 
 
 def test_non_invariant_integrand_rejected():

@@ -9,7 +9,7 @@ from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.curvature import curvature_spectrum, morse_integral, signature_integrals
 from orbmorse.errors import ConfigurationError
-from orbmorse.geometry import gauss_legendre_nodes
+from orbmorse.geometry import tensor_blocks
 from orbmorse.moishezon import (_section_values_torus, bigness_check, kodaira_rank,
                                 moishezon_check, section_growth_exponent,
                                 siegel_bound)
@@ -63,16 +63,16 @@ def per_node_criteria(orb, bundle, resolution, tol):
     min_eig = math.inf
     positive_at_point = False
     for k, chart in enumerate(orb.charts):
-        nodes, _ = gauss_legendre_nodes(resolution, chart.box_radius)
-        bumpw = np.asarray(chart.bump(nodes), dtype=float)
-        for z, w in zip(nodes, bumpw):
-            if w <= 1e-12:
-                continue
-            spec = curvature_spectrum(bundle, orb, np.atleast_1d(z), k, tol)
-            low = float(spec.eigenvalues.min())
-            min_eig = min(min_eig, low)
-            if spec.signature == 0 and low > tol:
-                positive_at_point = True
+        for nodes, _ in tensor_blocks(resolution, chart.box_radius):
+            bumpw = np.asarray(chart.bump(nodes), dtype=float)
+            for z, w in zip(nodes, bumpw):
+                if w <= 1e-12:
+                    continue
+                spec = curvature_spectrum(bundle, orb, np.atleast_1d(z), k, tol)
+                low = float(spec.eigenvalues.min())
+                min_eig = min(min_eig, low)
+                if spec.signature == 0 and low > tol:
+                    positive_at_point = True
     semipositive = min_eig >= -tol
     if semipositive and positive_at_point:
         verdict = "Moishezon-by-(i)"
