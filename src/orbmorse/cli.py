@@ -138,6 +138,9 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ConfigurationError(f"tolerance {name} must be positive")
+        # numpy seeds its generators from non-negative integers only
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         for name in ("resolution_quadrature", "resolution_spectral"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
@@ -173,6 +176,12 @@ def _run_cohomology(cfg, orb, bundle, split):
     data = {"entries": {f"{p},{q}": table.h(p, q)
                         for (p, q) in sorted(table.entries)}}
     ok = all(type(h) is int and h >= 0 for h in table.entries.values())
+    # on a curve h0(p)/p tends to the degree, or to 0 when the degree is not
+    # positive; every catalog count is within 1/p of it at the largest p
+    degree = orb.params.get("degree")
+    if ok and degree is not None:
+        p = cfg.p_list[-1]
+        ok = abs(table.h(p, 0) / p - max(degree, 0.0)) <= 2.0 / p
     return ([("cohomology-table", ok, data)], [],
             {"cohomology.csv": table.to_csv()})
 
@@ -347,7 +356,12 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
     results, diagnostics, artifacts = [], [], {}
     for name in names:
         try:
-            r, d, a = RUNNERS[name](config, orb, bundle, split)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                r, d, a = RUNNERS[name](config, orb, bundle, split)
+        except ArithmeticError as exc:
+            # an overflow or a 0/0 would otherwise end as a traceback or a NaN
+            raise ConfigurationError(f"{name}: the configured values leave the "
+                                     f"floating-point range ({exc})")
         except OrbmorseError as exc:
             # only a stage that does not apply to the model may be skipped
             if subcommand == "all" and isinstance(exc, UnsupportedModelError):
@@ -389,6 +403,7 @@ def main(argv=None):
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
+            config.validate()
         return run(args.subcommand, config, args.out, strict=args.strict)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

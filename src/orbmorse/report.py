@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,9 +67,72 @@ def build_report(subcommand, catalog_id, catalog_params, results, diagnostics, s
     return report
 
 
+# the keywords the walker knows; $schema and title are annotations
+SCHEMA_KEYWORDS = {"$schema", "title", "type", "properties", "required",
+                   "additionalProperties", "items", "enum", "const"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": numbers.Number, "integer": int, "null": type(None)}
+
+
+def _is_type(value, name):
+    """Draft-07 types: a bool is no number, and an integral float is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+def _equal(a, b):
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in (*schema.get("properties", {}).values(), schema.get("items"),
+                schema.get("additionalProperties")):
+        if isinstance(sub, dict):
+            yield from _subschemas(sub)
+
+
+def _walk(value, schema, path):
+    def fail(message):
+        raise ValueError(f"{path}: {message}")
+
+    if "type" in schema and not _is_type(value, schema["type"]):
+        fail(f"expected {schema['type']}, got {value!r}")
+    if "enum" in schema and not any(_equal(value, v) for v in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if "const" in schema and not _equal(value, schema["const"]):
+        fail(f"{value!r} is not {schema['const']!r}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _walk(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            fail(f"missing {', '.join(missing)}")
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            sub = properties.get(key, schema.get("additionalProperties", True))
+            if sub is False:
+                fail(f"unexpected key {key!r}")
+            if sub is not True:
+                _walk(item, sub, f"{path}.{key}")
+
+
 def validate_report(report):
-    import jsonschema
-    jsonschema.validate(report, REPORT_SCHEMA)
+    """Raise ValueError unless ``report`` matches REPORT_SCHEMA.
+
+    The walker knows only SCHEMA_KEYWORDS, the ones the report schema uses;
+    any other keyword anywhere in the schema raises before the report is
+    read, so the schema cannot grow past the walker unnoticed.
+    """
+    for sub in _subschemas(REPORT_SCHEMA):
+        unknown = sorted(sub.keys() - SCHEMA_KEYWORDS)
+        if unknown:
+            raise ValueError(f"schema keyword(s) {', '.join(unknown)} not supported")
+    _walk(report, REPORT_SCHEMA, "report")
 
 
 def dumps_report(report):

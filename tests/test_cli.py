@@ -1,15 +1,21 @@
 """Configuration ingestion, dispatch, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbmorse
 from orbmorse import cli
@@ -561,3 +567,136 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert child.wait(timeout=120) == 0
     a, b = (strip_timestamp((out / "report.json").read_text()) for out, _ in children)
     assert a == b
+
+
+@pytest.mark.parametrize("config", [WPS_YAML, TORUS_YAML], ids=["wps", "torus"])
+def test_cohomology_table_fails_off_the_degree(tmp_path, monkeypatch, config):
+    """h0(p)/p must lie within 2/p of the degree at the largest p."""
+    from orbmorse.cohomology import CohomologyTable
+    table = cli.cohomology_table
+
+    def shifted(orb, p_list):
+        entries = dict(table(orb, p_list).entries)
+        entries[(p_list[-1], 0)] += p_list[-1] // 4
+        return CohomologyTable(entries)
+
+    cfg = load_config(write(tmp_path, "c.yaml", config))
+    assert cli.run("cohomology", cfg, tmp_path / "exact") == 0
+    monkeypatch.setattr(cli, "cohomology_table", shifted)
+    assert cli.run("cohomology", cfg, tmp_path / "shifted") == 1
+    results = json.loads((tmp_path / "shifted" / "report.json").read_text())["results"]
+    assert [(r["name"], r["passed"]) for r in results] == [("cohomology-table", False)]
+
+
+@pytest.mark.parametrize("a,u", [("1.0e+4", "0.5"), ("1.0", "5.0e-324")],
+                         ids=["sinh-overflow", "time-underflow"])
+def test_kernel_out_of_float_range_exits_2(tmp_path, capsys, a, u):
+    """A kernel time whose arithmetic overflows is refused in one line, not a traceback."""
+    text = (TORUS_YAML.replace(TORUS_CATALOG, LOCAL_CATALOG.replace("[1.0]", f"[{a}]"))
+            .replace("u_list: [0.5, 1.0]", f"u_list: [{u}]").replace("[0, 1]", "[0]"))
+    cfg = write(tmp_path, "c.yaml", text)
+    assert main(["kernel-asymptotics", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "floating-point range" in err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    """numpy refuses a negative seed; the config and the --seed flag are both checked."""
+    bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace("seed: 7", "seed: -1"))
+    assert main(["moishezon-check", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+    good = write(tmp_path, "good.yaml", TORUS_YAML)
+    assert main(["moishezon-check", "--config", good, "--out", str(tmp_path / "o"),
+                 "--seed", "-3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all("seed must be non-negative" in line for line in err)
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: any mapping ends in exit 0, 1 or 2, never in a traceback
+
+FUZZ_BASES = {
+    "torus": {"id": "torus", "params": {"d": 1, "k": 2}},
+    "wps": {"id": "wps", "params": {"weights": [1, 2]}},
+    "local-model": {"id": "local-model", "params": {"k": 2, "a": [1.0]}},
+}
+# each path with values near the valid range, so that many examples run
+FUZZ_PATHS = {
+    ("catalog",): st.sampled_from(sorted(FUZZ_BASES)).map(
+        lambda name: json.loads(json.dumps(FUZZ_BASES[name]))),
+    ("catalog", "id"): st.sampled_from(sorted(FUZZ_BASES)),
+    ("catalog", "params"): st.builds(dict),
+    ("run",): st.builds(dict),
+    ("run", "p_list"): st.lists(st.integers(1, 64), min_size=1, max_size=3,
+                                unique=True).map(sorted),
+    ("run", "u_list"): st.lists(st.floats(0.0, 64.0), min_size=1, max_size=3,
+                                unique=True),
+    ("run", "q_list"): st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True),
+    ("run", "resolution_quadrature"): st.integers(1, 64),
+    ("run", "resolution_spectral"): st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+    ("tolerances",): st.builds(dict),
+    ("tolerances", "tol_chain"): st.floats(0.0, 10.0),
+    ("tolerances", "tol_degeneracy"): st.floats(0.0, 10.0),
+    ("tolerances", "tol_quadrature"): st.floats(0.0, 10.0),
+    ("seed",): st.integers(-4, 2 ** 64),
+    ("output", "report_name"): st.sampled_from(["r.json", "report.json", "a b.json"]),
+}
+# the parameters of each catalog model, likewise
+FUZZ_PARAMS = {
+    "torus": {"d": st.integers(-2, 3), "k": st.integers(1, 3)},
+    "wps": {"weights": st.lists(st.integers(1, 6), min_size=1, max_size=3),
+            "dent": st.fixed_dictionaries({}, optional={
+                "amplitude": st.floats(-2.0, 2.0), "width": st.floats(0.0, 1.0),
+                "center": st.floats(-2.0, 2.0)})},
+    "local-model": {"k": st.integers(1, 4),
+                    "a": st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=3),
+                    "weights": st.lists(st.integers(0, 6), min_size=1, max_size=3),
+                    "theta": st.floats(-7.0, 7.0)},
+}
+# small values only: no p or resolution above 64, so no example needs more
+# than a few MB, and nothing here asks for threads or processes
+FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 64), st.floats(-4.0, 64.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, "", "abc", "report.json"]))
+FUZZ_VALUES = st.one_of(
+    FUZZ_SCALARS, st.builds(list), st.builds(dict), st.lists(FUZZ_SCALARS, max_size=4),
+    st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True).map(sorted),
+    st.lists(st.floats(0.01, 64.0), min_size=1, max_size=3, unique=True),
+    st.dictionaries(st.sampled_from(["amplitude", "width", "center", "x"]),
+                    FUZZ_SCALARS, max_size=2))
+
+
+def fuzz_config(data):
+    catalog = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+    raw = {"catalog": json.loads(json.dumps(FUZZ_BASES[catalog])),
+           "run": {"p_list": [4, 8], "u_list": [0.5, 1.0], "q_list": [0, 1],
+                   "resolution_quadrature": 32, "resolution_spectral": 16},
+           "tolerances": {}, "seed": 3, "output": {}}
+    paths = {**FUZZ_PATHS, **{("catalog", "params", key): values
+                              for key, values in FUZZ_PARAMS[catalog].items()}}
+    for path in data.draw(st.lists(st.sampled_from(sorted(paths)), min_size=1,
+                                   max_size=3)):
+        target = raw
+        for key in path[:-1]:
+            target = target.get(key) if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            # one value in four from the general pool, the rest near the valid range
+            pool = FUZZ_VALUES if data.draw(st.integers(0, 3)) == 0 else paths[path]
+            target[path[-1]] = data.draw(pool)
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_0_1_or_2(data):
+    raw = fuzz_config(data)
+    subcommand = data.draw(st.sampled_from(cli.SUBCOMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -3,7 +3,9 @@
 import itertools
 import math
 import time
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -266,17 +268,17 @@ def test_gauss_legendre_rule_computed_once_per_resolution(monkeypatch):
     """Radii share the rule on [-1, 1]; each call returns it scaled to the radius."""
     from orbmorse import geometry
     monkeypatch.setattr(geometry, "_GL_RULES", {})
-    leggauss = np.polynomial.legendre.leggauss
+    legendre_rule = geometry._legendre_rule
     calls = []
 
     def counting(n):
         calls.append(n)
-        return leggauss(n)
+        return legendre_rule(n)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    monkeypatch.setattr(geometry, "_legendre_rule", counting)
+    x0, w0 = legendre_rule(24)
     for radius in (0.75, 1.3, 2):
         x, w = geometry.gauss_legendre_nodes(24, radius)
-        x0, w0 = leggauss(24)
         assert np.array_equal(x, x0 * radius)
         assert np.array_equal(w, w0 * radius)
     assert calls == [24]
@@ -284,10 +286,57 @@ def test_gauss_legendre_rule_computed_once_per_resolution(monkeypatch):
 
 def meshgrid_rule(resolution, radius):
     """The full tensor grid, as built before the rule was streamed in blocks."""
-    x, w = np.polynomial.legendre.leggauss(resolution)
-    x, w = x * radius, w * radius
+    from orbmorse.geometry import gauss_legendre_nodes
+    x, w = gauss_legendre_nodes(resolution, radius)
     X, Y = np.meshgrid(x, x, indexing="ij")
     return X.ravel() + 1j * Y.ravel(), np.outer(w, w).ravel()
+
+
+def mp_legendre_root(n, x0):
+    """The root of P_n next to x0 and its Gauss weight, by Newton's method at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for step in range(4):
+            pm1, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                pm1, p = p, ((2 * k + 1) * x * p - k * pm1) / (k + 1)
+            if step < 3:
+                x -= p * (1 - x * x) / (n * (pm1 - x * p))
+        return x, 2 * (1 - x * x) / (n * pm1) ** 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 101, 128, 1024, 2048])
+def test_gauss_legendre_rule_matches_40_digit_roots(n):
+    """Nodes to 4e-16; weights to 5e-14 relative, and within 4x of leggauss's error.
+
+    leggauss's own end weights are 1.2e-9 off at n = 1024 and 6.3e-8 at
+    n = 2048, so the fixed pin is one leggauss fails; where leggauss happens
+    to round a weight correctly, 4 ulp are allowed.
+    """
+    from orbmorse.geometry import gauss_legendre_nodes
+    x, w = gauss_legendre_nodes(n, 1.0)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    sample = sorted({0, 1, n // 3, n // 2, n - 2, n - 1} & set(range(n)))
+    for i in sample:
+        root, weight = mp_legendre_root(n, x_ref[i])
+        assert abs(float(x[i] - root)) <= 4e-16
+        err = abs(float((w[i] - weight) / weight))
+        ref_err = abs(float((w_ref[i] - weight) / weight))
+        assert err <= 5e-14
+        assert err <= max(4 * ref_err, 4 * np.finfo(float).eps)
+
+
+def test_gauss_legendre_rule_memory_is_linear(monkeypatch):
+    """n = 2048 from an empty cache peaks under 1 MB; leggauss held a 32 MB matrix."""
+    from orbmorse import geometry
+    monkeypatch.setattr(geometry, "_GL_RULES", {})
+    tracemalloc.start()
+    try:
+        geometry.gauss_legendre_nodes(2048, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("resolution", [24, 100, 1024])
