@@ -280,7 +280,9 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split):
         slope_ok = fit.slope <= -0.4
         ratio_ok = abs(ratio - k) <= 0.05
         shrink = rec.residual_without_twist / max(rec.residual_with_twist, 1e-300)
-        shrink_ok = shrink >= 10.0
+        # C/Z_1 has no twist: both expansions are the same, and their common
+        # residual is rounding (0 or ~1e-16), with nothing to shrink
+        shrink_ok = k == 1 or shrink >= 10.0
         ok = slope_ok and ratio_ok and shrink_ok
         results.append((f"kernel-asymptotics-u{repr(u)}", ok,
                         {"regular_fit": fit.as_record(),

@@ -108,12 +108,12 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
 
 
 def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
-                   resolution=256, tol=DEGENERACY_TOL):
+                   resolution=256):
     """Integral of det(curvature endomorphism / 2 pi) over the signature region.
 
     q_set is the set of admissible signatures (e.g. {0}, or range(0, q + 1)
     for the strong-inequality region); the value is the sum of the
-    ``signature_integrals`` of its classes, in increasing q.
+    ``signature_integrals`` of its classes at ``DEGENERACY_TOL``, in increasing q.
     """
     q_set = set(int(q) for q in q_set)
     if not q_set:
@@ -121,5 +121,5 @@ def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
     n = orb.dimension
     if any(q < 0 or q > n for q in q_set):
         raise ValueError(f"q_set {sorted(q_set)} outside 0..{n}")
-    by_signature = signature_integrals(orb, bundle, resolution, tol).by_signature
+    by_signature = signature_integrals(orb, bundle, resolution).by_signature
     return sum(by_signature[q] for q in sorted(q_set))

@@ -31,6 +31,7 @@ from .errors import (ConfigurationError, GeometryError, IntegrandError,
                      UnsupportedModelError)
 
 INVARIANCE_TOL = 1e-10
+INVARIANCE_SAMPLES = 12       # points per sampled invariance check
 INTEGRAND_INVARIANCE_TOL = 1e-8
 
 
@@ -111,11 +112,11 @@ class OrbifoldChart:
     def order(self):
         return len(self.group)
 
-    def check_invariance(self, rng, samples=12):
+    def check_invariance(self, rng):
         """Sampled metric invariance h(gz) == h(z), vectorized over the samples."""
         _require_one_dimensional(self)
-        r = self.box_radius
-        z = (rng.uniform(-r, r, samples) + 1j * rng.uniform(-r, r, samples)) * 0.5
+        r, n = self.box_radius, INVARIANCE_SAMPLES
+        z = (rng.uniform(-r, r, n) + 1j * rng.uniform(-r, r, n)) * 0.5
         h = np.real(np.asarray(self.metric_scalar(z)))
         for g in self.group:
             hg = np.real(np.asarray(self.metric_scalar(g.rotation[0] * z)))

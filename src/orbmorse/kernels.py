@@ -276,14 +276,14 @@ def mehler_log_form(eigenvalues, u, X, Zprime):
     return log_abs, phase
 
 
-def signature_limit_density(a, q, tol=ZERO_EIGENVALUE_TOL):
+def signature_limit_density(a, q):
     """Large-time limit of the degree-q diagonal density.
 
     Equals (-1)^q * prod_j (a_j / 2 pi) when exactly q eigenvalues are
     negative, and 0 otherwise.  Degenerate spectra have no defined limit.
     """
     a = np.asarray(a, dtype=float)
-    if np.any(np.abs(a) <= tol):
+    if np.any(np.abs(a) <= ZERO_EIGENVALUE_TOL):
         raise DegenerateSpectrumError(
             "large-time limit undefined for (near-)zero curvature eigenvalues")
     if not 0 <= q <= a.size:

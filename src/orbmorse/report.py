@@ -44,14 +44,11 @@ def sanitize(obj):
     return obj
 
 
-def build_report(subcommand, catalog_id, catalog_params, results, diagnostics, seed,
-                 timestamp=None):
-    ts = timestamp if timestamp is not None else \
-        datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def build_report(subcommand, catalog_id, catalog_params, results, diagnostics, seed):
     report = {
         "meta": {
             "schema_version": SCHEMA_VERSION,
-            "timestamp": ts,
+            "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
             "seed": int(seed),
             "subcommand": subcommand,
         },

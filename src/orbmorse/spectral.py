@@ -293,29 +293,20 @@ def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
     return vals
 
 
-def torus_diagonal_kernel_spectral(op0, op1, z, u, q):
-    """Degree-q diagonal heat kernel of exp(-u Lap / p) on the quotient.
+def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):
+    """Degree-``op.q`` diagonal heat kernel of exp(-u Lap / p) on the quotient.
 
-    Spectral route: sums e^{-u lambda / p} |psi(z)|^2 over the torus basis
-    with the group-average inserted, i.e. the image of the basis under each
-    rotation weighted by its action on the frame.  Exact up to the retained
-    levels and floating-point rounding.
+    Spectral route: sums e^{-u lambda / p} over the torus basis of
+    psi(z)^* times the group average of psi at z.  The half turn enters by
+    its closed form psi_{kappa, j}(-z) = (-1)^kappa psi_{kappa, -j}(z), with
+    the extra sign on ebar in degree one, so the basis is evaluated once.
+    Exact up to the retained levels and floating-point rounding.
     """
-    op = op0 if q == 0 else op1
-    k = op.k
-    p = op.p
-    levels = op.resolution
-    psi = torus_eigenfunction_values(op, z, levels)
-    total = 0.0j
-    for rot in range(k):
-        form_factor = 1.0 if q == 0 else (-1.0) ** rot
-        if rot == 0:
-            rotated = psi
-        else:
-            # half turn: psi_{kappa, j}(-z) = (-1)^kappa psi_{kappa, -j}(z)
-            rotated = torus_eigenfunction_values(op, -z, levels)
-        for level in range(levels):
-            lam = op.level_eigenvalue(level)
-            w = math.exp(-u * lam / p)
-            total += w * form_factor * np.vdot(psi[level], rotated[level])
-    return complex(total)
+    psi = torus_eigenfunction_values(op, z)
+    levels = np.arange(op.resolution)
+    per_level = np.sum(np.abs(psi) ** 2, axis=1)
+    if op.k == 2:
+        swapped = psi[:, -np.arange(op.D) % op.D]
+        sign = (-1.0) ** (levels + op.q)
+        per_level = per_level + sign * np.sum(np.conj(psi) * swapped, axis=1)
+    return complex(np.sum(np.exp(-u * op.level_eigenvalue(levels) / op.p) * per_level))

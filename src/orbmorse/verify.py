@@ -19,7 +19,7 @@ every image term of a batch of points as arrays of log|term| and phase, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .spectral import (assemble_kodaira_laplacian, heat_trace,
                        morse_sum_vs_trace, torus_diagonal_kernel_spectral)
 
 RELIABLE_R2 = 0.9
+# the regular-point check keeps this far from the singular set
+REGULAR_MIN_DISTANCE = 0.25
 
 
 def _require_flat(orb):
@@ -143,22 +145,19 @@ def local_model_diagonal_kernel(orb, bundle, Z, u, p, include_identity=True):
     return ScaledComplex.from_log_terms(log_abs, phase)
 
 
-def torus_image_terms(orb, bundle, z, u, p, lattice_cut=4, include_identity=True):
+def torus_image_terms(orb, bundle, z, u, p, include_identity=True):
     """Deck-transformation terms of the diagonal kernel on the torus quotient.
 
     A list of ((m, n, j), ScaledComplex) read off ``torus_image_log_terms``.
     """
     return _term_list(*torus_image_log_terms(
-        orb, _torus_point(z), u, p, lattice_cut=lattice_cut,
-        include_identity=include_identity))
+        orb, _torus_point(z), u, p, include_identity=include_identity))
 
 
-def torus_diagonal_kernel_image(orb, bundle, z, u, p, lattice_cut=4, degree=0,
-                                include_identity=True):
+def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0, include_identity=True):
     """Degree-q diagonal kernel trace on the torus quotient by image sums."""
     _, log_abs, phase = torus_image_log_terms(
-        orb, _torus_point(z), u, p, lattice_cut=lattice_cut,
-        include_identity=include_identity, degree=degree)
+        orb, _torus_point(z), u, p, include_identity=include_identity, degree=degree)
     return ScaledComplex.from_log_terms(log_abs, phase)
 
 
@@ -212,7 +211,7 @@ def fit_rate(p_values, log_errors):
 # kernel asymptotics
 
 
-def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list, min_distance=0.25):
+def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
     """Error of the limit density at a regular point, with a fitted rate.
 
     err(p) = |p^{-n} K_p(x, x) - limit|, evaluated through the image-sum
@@ -223,10 +222,10 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list, min_distance=0.
     """
     _require_flat(orb)
     dist = orb.singular_distance(0, np.atleast_1d(x))
-    if dist < min_distance:
+    if dist < REGULAR_MIN_DISTANCE:
         raise GeometryError(
             f"point at distance {dist:.3f} from the singular set; the regular-point "
-            f"check requires distance >= {min_distance}")
+            f"check requires distance >= {REGULAR_MIN_DISTANCE}")
     kernel = (torus_diagonal_kernel_image if orb.catalog_id == "torus"
               else local_model_diagonal_kernel)
     log_errs = []
@@ -358,28 +357,35 @@ def telescoping_identity_gap(orb, bundle, q, resolution=256):
 
 
 def exact_chain_residuals(orb, bundle, p, u, resolution=32):
-    """Residuals of the exact trace inequality chain on a torus quotient."""
+    """Residuals of the exact trace inequality chain on a torus quotient.
+
+    dbar maps degree-0 level L onto degree-1 level L - 1, so the residuals
+    leave out the degree-1 levels above the top degree-0 eigenvalue, whose
+    partners lie beyond the truncation; the tables are returned as assembled.
+    """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the exact chain runs on the torus quotients")
     ops = [assemble_kodaira_laplacian(orb, bundle, p, q, resolution) for q in (0, 1)]
     tables = [op.spectral_table() for op in ops]
+    top = ops[0].level_eigenvalue(resolution - 1)
+    paired = replace(tables[1], eigenvalues=tuple(
+        (lam, m) for lam, m in tables[1].eigenvalues if lam <= top))
     h = [t.zero_dim for t in tables]
-    return morse_sum_vs_trace(tables, u, h), tables
+    return morse_sum_vs_trace([tables[0], paired], u, h), tables
 
 
-def oracle_consistency(orb, bundle, z, u, p, resolution=32, degree=0):
+def oracle_consistency(orb, bundle, z, u, p, degree=0):
     """Relative gap between the spectral and image-sum diagonal kernels."""
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("oracle consistency compares the torus routes")
-    ops = [assemble_kodaira_laplacian(orb, bundle, p, q, resolution) for q in (0, 1)]
-    spec = torus_diagonal_kernel_spectral(ops[0], ops[1], z, u, degree) / p
+    op = assemble_kodaira_laplacian(orb, bundle, p, degree)
+    spec = torus_diagonal_kernel_spectral(op, z, u) / p
     image = torus_diagonal_kernel_image(orb, bundle, z, u, p,
                                         degree=degree).to_complex()
     return abs(spec - image) / abs(image)
 
 
-def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24,
-                                   resolution=32):
+def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24):
     """Gap between the spectral trace and the quadrature of the diagonal.
 
     The trace of the quotient heat operator equals 1/k times the cell
@@ -389,7 +395,7 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24,
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the trace identity check runs on torus models")
     k = orb.params["k"]
-    op = assemble_kodaira_laplacian(orb, bundle, p, degree, resolution)
+    op = assemble_kodaira_laplacian(orb, bundle, p, degree)
     spectral = heat_trace(op.spectral_table(), u)
     xs = (np.arange(grid) + 0.5) / grid
     total = 0.0

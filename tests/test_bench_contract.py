@@ -3,18 +3,21 @@
 ``bench/tracer.py`` wraps the functions it lists in ``TARGETS`` and binds
 ``morse_integral``'s arguments by name; ``bench/child.py`` drives the CLI
 through ``load_config``, ``build_catalog_orbifold`` and ``RUNNERS``, on the
-configs that ``bench/run.py`` writes.  A missing name or a refused config
-breaks only the benchmark run, so both are pinned here.
+configs that ``bench/run.py`` writes, and calls the ``verify`` checks of its
+library session.  A missing name, a changed signature or a refused config
+breaks only the benchmark run, so all three are pinned here.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 import yaml
 
-from orbmorse import cli
+from orbmorse import cli, verify
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.curvature import morse_integral
 
@@ -46,6 +49,36 @@ def test_node_counter_binds_morse_integral_arguments():
     counts = tracer._count_nodes(morse_integral, (orb, bundle, {0}),
                                  {"resolution": 8}, None, {})
     assert counts == {"nodes": 8 ** 2 * 2}
+
+
+def child_library_calls():
+    """(module, function, positional count, keyword names) of each orbmorse call
+    that ``bench/child.py`` makes, read from its source."""
+    calls = [("cli", "main", 1, ())]     # made as fn(*args) with args = ([...],)
+    for node in ast.walk(ast.parse((BENCH / "child.py").read_text())):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in ("cli", "verify")):
+            # a **mapping argument has no name; the catalog builders take any keys
+            keywords = tuple(kw.arg for kw in node.keywords if kw.arg is not None)
+            calls.append((func.value.id, func.attr, len(node.args), keywords))
+    return calls
+
+
+@pytest.mark.parametrize("module,name,positional,keywords", child_library_calls(),
+                         ids=[f"{m}.{n}" for m, n, _, _ in child_library_calls()])
+def test_child_calls_bind_to_the_library_signatures(module, name, positional, keywords):
+    """A signature change that would break the benchmark fails here first."""
+    fn = getattr({"cli": cli, "verify": verify}[module], name)
+    inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_child_calls_cover_the_session_checks():
+    names = {name for _, name, _, _ in child_library_calls()}
+    assert names >= {"trace_equals_diagonal_integral", "oracle_consistency",
+                     "verify_kernel_asymptotics_regular", "singular_diagonal_factor",
+                     "verify_kernel_asymptotics_singular", "load_config",
+                     "build_catalog_orbifold"}
 
 
 def test_cli_names_the_child_process_uses():

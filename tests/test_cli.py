@@ -164,6 +164,27 @@ seed: 3
     assert abs(rec["singular_ratio"] - 2.0) <= 0.05
 
 
+def test_kernel_asymptotics_on_the_trivial_group_exits_0(tmp_path):
+    """C/Z_1 has no twist: both singular residuals are rounding, nothing shrinks."""
+    cfg = write(tmp_path, "c.yaml", "catalog: {id: local-model, params: {k: 1, a: [1.0]}}\n")
+    assert main(["kernel-asymptotics", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_trace_chain_at_small_time_exits_0(tmp_path, k):
+    """The top retained degree-1 level has no degree-0 partner; at u = 0.01 an
+    unpaired level would leave r_1 near 0.07, far above tol_chain."""
+    cfg = write(tmp_path, "c.yaml", f"""\
+catalog: {{id: torus, params: {{d: 1, k: {k}}}}}
+run: {{p_list: [4, 8], u_list: [0.01], resolution_spectral: 64}}
+""")
+    out = tmp_path / "o"
+    assert main(["verify-morse", "--config", cfg, "--out", str(out)]) == 0
+    chains = [r for r in json.loads((out / "report.json").read_text())["results"]
+              if r["name"].startswith("trace-chain")]
+    assert len(chains) == 2 and all(r["passed"] for r in chains)
+
+
 def test_moishezon_subcommand_guard(tmp_path):
     cfg = write(tmp_path, "c.yaml", WPS_YAML)
     out = tmp_path / "mz"

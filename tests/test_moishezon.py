@@ -1,17 +1,19 @@
 """Geometric criteria, bigness estimates, Kodaira map ranks, Siegel bound."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from orbmorse import moishezon
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.curvature import curvature_spectrum, morse_integral, signature_integrals
 from orbmorse.errors import ConfigurationError
 from orbmorse.geometry import tensor_blocks
-from orbmorse.moishezon import (_section_values_torus, bigness_check, kodaira_rank,
-                                moishezon_check, section_growth_exponent,
+from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, bigness_check,
+                                kodaira_rank, moishezon_check, section_growth_exponent,
                                 siegel_bound)
 from orbmorse.spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
 from swap_basis import invariant_basis
@@ -168,17 +170,87 @@ def test_kodaira_rank_trivial_bundle():
     assert kodaira_rank(orb, bundle, 3) == 0
 
 
+RANK_ENTRIES = [("wps", dict(weights=(1, 1))), ("wps", dict(weights=(1, 2))),
+                ("wps", dict(weights=(2, 3))), ("torus", dict(d=1, k=1)),
+                ("torus", dict(d=1, k=2)), ("torus", dict(d=0, k=1))]
+
+
 def test_big_iff_full_rank_across_catalog():
-    entries = [("wps", dict(weights=(1, 1))), ("wps", dict(weights=(1, 2))),
-               ("wps", dict(weights=(2, 3))), ("torus", dict(d=1, k=1)),
-               ("torus", dict(d=1, k=2)), ("torus", dict(d=0, k=1))]
-    for cid, params in entries:
+    for cid, params in RANK_ENTRIES:
         orb, bundle = build_catalog_orbifold(cid, **params)
         table = cohomology_table(orb, list(range(1, 9)) + bigness_powers())
         est = bigness_check(table, 1)
         ranks = [kodaira_rank(orb, bundle, p) for p in range(1, 9)
                  if table.h(p, 0) >= 1]
         assert est.big == (max(ranks) == 1), (cid, params, est, ranks)
+
+
+def kodaira_rank_per_sample(orb, bundle, p, rng):
+    """Reference: one section call and one SVD of the Jacobian per sample."""
+    samples, step = 6, 1e-5
+    if orb.catalog_id == "wps":
+        a, b = orb.params["weights"]
+        exps = [m for m in range(p // b + 1) if (p - b * m) % a == 0]
+        zs = 0.35 + 0.5 * rng.random(samples) + 1j * (0.1 + 0.4 * rng.random(samples))
+
+        def values(pts):
+            return np.array([pts ** m for m in exps])
+    else:
+        if orb.params["d"] == 0:
+            return 0
+        zs = (0.13 + 0.5 * rng.random(samples)
+              + 1j * (0.17 + 0.5 * rng.random(samples)))
+
+        def values(pts):
+            return _section_values_torus(orb, bundle, p, pts)
+    best = -1
+    for z in zs:
+        sec = values(np.array([z, z + step, z - step, z + 1j * step, z - 1j * step]))
+        if sec.shape[0] == 1:
+            best = max(best, 0)
+            continue
+        anchor = np.argmax(np.abs(sec[:, 0]))
+        if abs(sec[anchor, 0]) < 1e-13:
+            continue
+        ratios = sec / sec[anchor]
+        dzx = (ratios[:, 1] - ratios[:, 2]) / (2 * step)
+        dzy = (ratios[:, 3] - ratios[:, 4]) / (2 * step)
+        jac = np.delete(0.5 * (dzx - 1j * dzy), anchor)
+        sv = np.linalg.svd(jac.reshape(-1, 1), compute_uv=False)
+        scale = max(np.max(np.abs(ratios[:, 0])), 1.0)
+        best = max(best, int(np.sum(sv > KODAIRA_RANK_TOL * max(sv.max(), scale))))
+    return best
+
+
+@pytest.mark.parametrize("cid,params", RANK_ENTRIES)
+def test_kodaira_rank_matches_per_sample_svd(cid, params):
+    orb, bundle = build_catalog_orbifold(cid, **params)
+    table = cohomology_table(orb, list(range(1, 9)))
+    for p in range(1, 9):
+        if table.h(p, 0) >= 1:
+            assert kodaira_rank(orb, bundle, p) == kodaira_rank_per_sample(
+                orb, bundle, p, np.random.default_rng(77)), p
+
+
+@pytest.mark.parametrize("cid,params,powers", [
+    ("torus", dict(d=1, k=2), [64, 256, 1024, 2048]),
+    ("wps", dict(weights=(2, 3)), [64, 256, 1024, 4096])])
+def test_kodaira_rank_matches_per_sample_svd_at_bench_powers(cid, params, powers):
+    """The powers and the seeded generator of the benchmark's CLI runs."""
+    orb, bundle = build_catalog_orbifold(cid, **params)
+    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for p in powers:
+        assert kodaira_rank(orb, bundle, p, rng=rng) == kodaira_rank_per_sample(
+            orb, bundle, p, reference_rng), p
+
+
+def test_torus_kodaira_rank_assembles_once(monkeypatch):
+    """All five-point stencils go through one section call."""
+    assemble = mock.Mock(wraps=moishezon.assemble_kodaira_laplacian)
+    monkeypatch.setattr(moishezon, "assemble_kodaira_laplacian", assemble)
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    assert kodaira_rank(orb, bundle, 8) == 1
+    assert assemble.call_count == 1
 
 
 @pytest.mark.parametrize("D", [5, 8])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
 from orbmorse.spectral import (SpectralTable, assemble_kodaira_laplacian,
                                eigencomplex_check, heat_trace, morse_sum_vs_trace,
-                               oscillator_functions, torus_eigenfunction_values,
-                               torus_kernel_dimension)
+                               oscillator_functions, torus_diagonal_kernel_spectral,
+                               torus_eigenfunction_values, torus_kernel_dimension)
 from orbmorse.verify import exact_chain_residuals
 from swap_basis import invariant_basis
 
@@ -348,6 +349,51 @@ def test_eigenfunction_scatter_matches_loop(p, levels):
     for z in (0.3 + 0.7j, 0.91 + 0.05j):
         assert np.array_equal(torus_eigenfunction_values(op, z, levels),
                               _eigenfunction_values_loop(op, z, levels))
+
+
+HALF_TURN_POINTS = (0.21 + 0.33j, 0.58 + 0.12j, 0.03 + 0.91j, 0.5 + 0.5j, 0j)
+
+
+@pytest.mark.parametrize("p", [4, 8, 32, 128, 2048])
+def test_half_turn_is_the_signed_swap(p):
+    """psi_{kappa, j}(-z) = (-1)^kappa psi_{kappa, -j}(z), the form the kernel applies."""
+    op = ops_for(1, 2, p)[0]
+    sign = (-1.0) ** np.arange(op.resolution)[:, None]
+    for z in HALF_TURN_POINTS:
+        psi = torus_eigenfunction_values(op, z)
+        swapped = sign * psi[:, -np.arange(op.D) % op.D]
+        gap = np.max(np.abs(torus_eigenfunction_values(op, -z) - swapped))
+        assert gap <= 1e-15 * np.abs(psi).max()
+
+
+def _diagonal_kernel_two_evaluations(op0, op1, z, u, q):
+    """Reference: the rotation loop that evaluates the basis a second time at -z."""
+    op = op0 if q == 0 else op1
+    psi = torus_eigenfunction_values(op, z, op.resolution)
+    total = 0.0j
+    for rot in range(op.k):
+        form_factor = 1.0 if q == 0 else (-1.0) ** rot
+        rotated = psi if rot == 0 else torus_eigenfunction_values(op, -z, op.resolution)
+        for level in range(op.resolution):
+            w = math.exp(-u * op.level_eigenvalue(level) / op.p)
+            total += w * form_factor * np.vdot(psi[level], rotated[level])
+    return complex(total)
+
+
+@pytest.mark.parametrize("p", [4, 8, 128, 2048])
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_diagonal_kernel_matches_two_evaluations(d, k, p):
+    """Relative to the identity term: at the half-turn fixed points the degree-one
+    kernel cancels to rounding, so its own size is no scale."""
+    ops = ops_for(d, k, p)
+    for z in HALF_TURN_POINTS:
+        for u in (0.1, 1.0):
+            for q, op in enumerate(ops):
+                reference = _diagonal_kernel_two_evaluations(*ops, z, u, q)
+                identity = abs(_diagonal_kernel_two_evaluations(
+                    *(replace(o, k=1) for o in ops), z, u, q))
+                value = torus_diagonal_kernel_spectral(op, z, u)
+                assert abs(value - reference) <= 1e-13 * identity, (z, u, q)
 
 
 def test_spectral_csv_golden():

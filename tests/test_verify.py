@@ -1,10 +1,12 @@
 """Kernel asymptotics records, inequality series, oracle cross-checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from orbmorse import spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import GeometryError
@@ -63,6 +65,19 @@ def test_image_sum_matches_spectral_kernel_on_torus(p, u):
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
     gap = oracle_consistency(orb, bundle, 0.21 + 0.33j, u, p)
     assert gap < 1e-4
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_oracle_consistency_assembles_and_evaluates_once(monkeypatch, degree):
+    """The half turn is the signed swap of one evaluation, of the one compared degree."""
+    assemble = mock.Mock(wraps=verify.assemble_kodaira_laplacian)
+    evaluate = mock.Mock(wraps=spectral.torus_eigenfunction_values)
+    monkeypatch.setattr(verify, "assemble_kodaira_laplacian", assemble)
+    monkeypatch.setattr(spectral, "torus_eigenfunction_values", evaluate)
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    assert oracle_consistency(orb, bundle, 0.21 + 0.33j, 1.0, 8, degree=degree) < 1e-4
+    assert assemble.call_count == 1 and assemble.call_args.args[3] == degree
+    assert evaluate.call_count == 1
 
 
 def test_plain_torus_diagonal_approaches_limit():
@@ -219,6 +234,17 @@ def test_chain_holds_before_asymptotics():
     residuals, tables = exact_chain_residuals(orb, bundle, 8, 1.0)
     assert residuals[0] >= -1e-9 and abs(residuals[1]) <= 1e-9
     assert tables[0].zero_dim == 5
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_chain_pairs_the_truncated_levels(k):
+    """dbar maps degree-0 level L onto degree-1 level L - 1, so the top retained
+    degree-1 level has no partner; at u = 0.01 its weight is far above 1e-9."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=k)
+    residuals, tables = exact_chain_residuals(orb, bundle, 4, 0.01, 64)
+    assert residuals[0] >= -1e-9 and abs(residuals[1]) <= 1e-9
+    # the tables stay as assembled, top degree-1 level included
+    assert tables[1].eigenvalues[-1][0] == tables[1].eigenvalues[0][0] * 64
 
 
 def test_fit_rate_window_and_reliability():
