@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, OrbifoldChart,
-                       cyclic_group)
+                       RadialField, constant_field, cyclic_group)
 
 CATALOG_IDS = ("local-model", "wps", "torus")
 
@@ -150,12 +150,8 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
     if len(weights) != n:
         raise ConfigurationError("one action weight per coordinate is required")
     group = cyclic_group(k, weights, theta)
-
-    def metric_scalar(nodes):
-        return np.ones(np.shape(nodes))
-
     chart = OrbifoldChart(dimension=n, group=group, box_radius=1.0,
-                          metric_scalar=metric_scalar if n == 1 else None)
+                          metric_scalar=constant_field(1.0) if n == 1 else None)
 
     gens = group[1:]
 
@@ -169,12 +165,8 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
                           catalog_id="local-model",
                           params={"k": k, "a": a, "weights": weights,
                                   "theta": theta})
-
-    def curvature_scalar(nodes):
-        return np.full(np.shape(nodes), a[0])
-
     bundle = EquivariantLineBundle(
-        curvature_scalars=(curvature_scalar,) if n == 1 else None)
+        curvature_scalars=(constant_field(a[0]),) if n == 1 else None)
     return orb, bundle
 
 
@@ -249,27 +241,26 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
         num = (2.0 / (a * b)) * c_x * c_y * a * a * r2 ** (a - 1)
         return num / (c_x + c_y * r2 ** a) ** 2
 
-    def curv_y_raw(s2):
+    def curv_y(r2):
+        s2 = r2 / gamma**2                        # raw |w|^2 from |w'|^2
         num = (2.0 / (a * b)) * c_x * c_y * b * b * s2 ** (b - 1)
-        return num / (c_y + c_x * s2 ** b) ** 2
+        return num / (c_y + c_x * s2 ** b) ** 2 / gamma**2
 
+    curvature = (RadialField(curv_x), RadialField(curv_y))
     if dent is not None:
+        # the dent is not radial: its charts take the full quadrature grid
         amp, sig, z0 = _dent(dent)
+        radial_x, radial_y = curvature
 
-    def curvature_scalar_x(nodes):
-        nodes = np.asarray(nodes, dtype=complex)
-        r2 = np.abs(nodes) ** 2
-        val = curv_x(r2)
-        if dent is not None:
+        def curvature_scalar_x(nodes):
+            nodes = np.asarray(nodes, dtype=complex)
             v2 = np.abs(nodes - z0) ** 2
-            val = val + 2.0 * amp * np.exp(-v2 / sig**2) * (v2 - sig**2) / sig**4
-        return val
+            return (radial_x(nodes)
+                    + 2.0 * amp * np.exp(-v2 / sig**2) * (v2 - sig**2) / sig**4)
 
-    def curvature_scalar_y(nodes):
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
-        r2w = np.abs(nodes / gamma) ** 2          # raw |w|^2
-        val = curv_y_raw(r2w) / gamma**2
-        if dent is not None:
+        def curvature_scalar_y(nodes):
+            nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
+            val = radial_y(nodes)
             # exact transport for (1, 1): z = gamma / w', |dz/dw'|^2 = gamma^2/|w'|^4
             extra = np.zeros_like(val)
             safe = np.abs(nodes) > 1e-9           # the dent vanishes at z = inf
@@ -278,14 +269,9 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
             jac2 = gamma**2 / np.abs(nodes[safe]) ** 4
             extra[safe] = (2.0 * amp * np.exp(-v2 / sig**2)
                            * (v2 - sig**2) / sig**4 * jac2)
-            val = val + extra
-        return val
+            return val + extra
 
-    def metric_scalar_x(nodes):
-        return h_x(np.abs(np.asarray(nodes, dtype=complex)) ** 2)
-
-    def metric_scalar_y(nodes):
-        return h_y(np.abs(np.asarray(nodes, dtype=complex)) ** 2)
+        curvature = (curvature_scalar_x, curvature_scalar_y)
 
     # isotropy Z_a at [1:0] acts on z by a primitive root; the bundle fiber
     # character matches invariant-section counting (z^m survives iff
@@ -299,21 +285,19 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
         with np.errstate(divide="ignore"):
             return np.where(w_abs > 0, w_abs ** (-b / a), np.inf)
 
-    def bump_x(nodes):
-        r = np.abs(np.asarray(nodes, dtype=complex))
-        return radial_bump(r, WPS_BUMP_INNER, WPS_BUMP_OUTER)
+    def bump_x(r2):
+        return radial_bump(np.sqrt(r2), WPS_BUMP_INNER, WPS_BUMP_OUTER)
 
-    def bump_y(nodes):
-        zabs = z_abs_from_y(np.abs(np.asarray(nodes, dtype=complex)))
-        return 1.0 - radial_bump(zabs, WPS_BUMP_INNER, WPS_BUMP_OUTER)
+    def bump_y(r2):
+        return 1.0 - radial_bump(z_abs_from_y(np.sqrt(r2)), WPS_BUMP_INNER, WPS_BUMP_OUTER)
 
     box_x = WPS_BUMP_OUTER * 1.02
     box_y = gamma * WPS_BUMP_INNER ** (-a / b) * 1.05
 
-    chart_x = OrbifoldChart(dimension=1, group=group_x, bump=bump_x, box_radius=box_x,
-                            metric_scalar=metric_scalar_x)
-    chart_y = OrbifoldChart(dimension=1, group=group_y, bump=bump_y, box_radius=box_y,
-                            metric_scalar=metric_scalar_y)
+    chart_x = OrbifoldChart(dimension=1, group=group_x, bump=RadialField(bump_x),
+                            box_radius=box_x, metric_scalar=RadialField(h_x))
+    chart_y = OrbifoldChart(dimension=1, group=group_y, bump=RadialField(bump_y),
+                            box_radius=box_y, metric_scalar=RadialField(h_y))
 
     singular_orders = (a, b)
 
@@ -340,8 +324,7 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
                 "degree": 1.0 / (a * b)},
         transitions={"x_abs_to_y_abs": x_abs_to_y_abs, "y_abs_to_x_abs": z_abs_from_y})
 
-    bundle = EquivariantLineBundle(curvature_scalars=(curvature_scalar_x, curvature_scalar_y))
-    return orb, bundle
+    return orb, EquivariantLineBundle(curvature_scalars=curvature)
 
 
 @lru_cache(maxsize=64)
@@ -379,11 +362,8 @@ def _build_torus(d=1, k=1):
     if d < 0 and k != 1:
         raise ConfigurationError("negative degrees ship without the half-turn quotient")
 
-    def metric_scalar(nodes):
-        return np.ones(np.shape(nodes))
-
     chart = OrbifoldChart(dimension=1, group=cyclic_group(k, (1,)), box_radius=0.5,
-                          metric_scalar=metric_scalar)
+                          metric_scalar=constant_field(1.0))
 
     half_points = (0.0 + 0.0j, 0.5 + 0.0j, 0.5j, 0.5 + 0.5j)
 
@@ -401,13 +381,7 @@ def _build_torus(d=1, k=1):
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="torus",
                           params={"d": d, "k": k, "degree": d / k})
-
-    a_val = 2.0 * math.pi * d
-
-    def curvature_scalar(nodes):
-        return np.full(np.shape(nodes), a_val)
-
-    bundle = EquivariantLineBundle(curvature_scalars=(curvature_scalar,))
+    bundle = EquivariantLineBundle(curvature_scalars=(constant_field(2.0 * math.pi * d),))
     return orb, bundle
 
 

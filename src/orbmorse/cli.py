@@ -24,7 +24,8 @@ from . import verify as vf
 from .catalog import _integer, _list_of, _real, build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
-from .errors import ConfigurationError, OrbmorseError, UnsupportedModelError
+from .errors import (ConfigurationError, OrbmorseError, SizeLimitError,
+                     UnsupportedModelError)
 from .spectral import assemble_kodaira_laplacian, heat_trace, torus_kernel_dimension
 
 SUBCOMMANDS = ("cohomology", "curvature-integral", "heat-trace", "verify-morse",
@@ -309,6 +310,8 @@ def _run_moishezon(cfg, orb, bundle, split):
             try:
                 ranks[p] = mz.kodaira_rank(orb, bundle, p, rng=rng)
                 rank_max = max(rank_max, ranks[p])
+            except SizeLimitError:
+                raise                   # a run that cannot fit is refused, not skipped
             except OrbmorseError as exc:
                 diagnostics.append(("info", f"rank at p={p} skipped: {exc}"))
         agree = est.big == (rank_max == orb.dimension)
@@ -317,6 +320,8 @@ def _run_moishezon(cfg, orb, bundle, split):
                          "big": est.big, "expected_big": expected_big,
                          "kodaira_ranks": {str(p): r for p, r in ranks.items()},
                          "growth_exponent": mz.section_growth_exponent(table)}))
+    except SizeLimitError:
+        raise
     except OrbmorseError as exc:
         diagnostics.append(("info", f"bigness estimate skipped: {exc}"))
     return results, diagnostics, {}

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ChartedOrbifold, EquivariantLineBundle, _require_one_dimensional,
-                       tensor_blocks, volume_density)
+from .geometry import (ChartedOrbifold, EquivariantLineBundle, RadialField,
+                       _require_one_dimensional, folded_blocks, tensor_blocks,
+                       volume_density)
 
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
@@ -69,6 +70,15 @@ def classify_point(eigenvalues, tol=DEGENERACY_TOL):
     return int(np.sum(a < -tol))
 
 
+def _quadrature_blocks(chart, curvature_scalar, resolution):
+    """The chart's quadrature blocks: folded when every field the pass reads is
+    a RadialField, the full tensor rule otherwise."""
+    if all(isinstance(f, RadialField) for f in (chart.bump, chart.metric_scalar,
+                                                 curvature_scalar)):
+        return folded_blocks(resolution, chart.box_radius)
+    return tensor_blocks(resolution, chart.box_radius)
+
+
 def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
                         resolution=256, tol=DEGENERACY_TOL):
     """Integral of det(curvature endomorphism / 2 pi) over every signature set.
@@ -80,7 +90,10 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     and ``max_eigenvalue`` bound c / h over the nodes where the bump exceeds
     1e-12.  For one-dimensional charts the density det(Rdot) * kappa reduces
     to the curvature density c itself, and the signature of a node is the
-    sign of c / h.
+    sign of c / h.  A chart whose bump, metric and curvature are all
+    RadialFields is summed over the folded rule, one node per orbit of the
+    rule's symmetry; the nodes, weights and values are those of the full
+    rule, in another summation order.
     """
     _require_one_dimensional(orb)
     classes = range(orb.dimension + 1)
@@ -90,7 +103,8 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     min_eig, max_eig = np.inf, -np.inf
     for k, chart in enumerate(orb.charts):
         sums = np.zeros(len(totals))       # the chart's running block sums
-        for nodes, weights in tensor_blocks(resolution, chart.box_radius):
+        for nodes, weights in _quadrature_blocks(chart, bundle.curvature_scalars[k],
+                                                 resolution):
             bumpw = np.asarray(chart.bump(nodes), dtype=float)
             c, ratio = _scalar_curvature(orb, bundle, k, nodes)
             support = bumpw > 1e-12

@@ -9,6 +9,10 @@ class ConfigurationError(OrbmorseError):
     """Bad catalog id, invalid parameters, or malformed run configuration."""
 
 
+class SizeLimitError(ConfigurationError):
+    """The configured values need more memory than a computation may take."""
+
+
 class GeometryError(OrbmorseError):
     """Geometric data violates a precondition (e.g. metric not positive definite)."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import CohomologyTable, weighted_proj_h0
-from .errors import ConfigurationError, UnsupportedModelError
+from .errors import ConfigurationError, SizeLimitError, UnsupportedModelError
 from .spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
 
 BIGNESS_NOISE_MARGIN = 10.0
@@ -26,6 +26,11 @@ KODAIRA_RANK_TOL = 1e-8
 KODAIRA_SAMPLES = 6         # sample points per Kodaira rank
 KODAIRA_STEP = 1e-5         # central-difference step
 GROWTH_TAIL = 8             # table powers in the section growth fit
+# Most sections D = d*p of a torus Kodaira rank.  The stencils hold
+# 5 * KODAIRA_SAMPLES = 30 points x D complex values, 30 * 16 B * 2^16 = 31 MB,
+# and the section values and the half-turn pairing about two copies more
+# (tracemalloc peak 80 MB at D = 2^16); the benchmarks and tests reach D = 4096.
+KODAIRA_MAX_SECTIONS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,10 @@ def kodaira_rank(orb, bundle, p, rng=None):
             return 0
         if d < 0:
             raise ConfigurationError(f"no sections at power p={p}")
+        if d * p > KODAIRA_MAX_SECTIONS:
+            raise SizeLimitError(
+                f"the torus Kodaira rank at p={p} needs d*p = {d * p} sections, "
+                f"more than the {KODAIRA_MAX_SECTIONS} that fit in memory")
         zs = (0.13 + 0.5 * rng.random(samples)
               + 1j * (0.17 + 0.5 * rng.random(samples)))
         values = functools.partial(_section_values_torus, orb, bundle, p)

@@ -34,6 +34,9 @@ from .spectral import (assemble_kodaira_laplacian, heat_trace,
 RELIABLE_R2 = 0.9
 # the regular-point check keeps this far from the singular set
 REGULAR_MIN_DISTANCE = 0.25
+# most relative heat weight e^{-2 pi d u L} of the first Landau level L left out
+# of a spectral kernel, three decades under the 1e-9 trace-identity gate
+LANDAU_TAIL_TOL = 1e-12
 
 
 def _require_flat(orb):
@@ -374,11 +377,24 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     return morse_sum_vs_trace([tables[0], paired], u, h), tables
 
 
+def _truncated_operator(orb, bundle, u, p, degree):
+    """The torus operator of the spectral routes, refusing a time u at which
+    the levels it leaves out weigh more than LANDAU_TAIL_TOL."""
+    op = assemble_kodaira_laplacian(orb, bundle, p, degree)
+    L = op.resolution
+    tail = math.exp(-u * (op.level_eigenvalue(L) - op.level_eigenvalue(0)) / p)
+    if tail > LANDAU_TAIL_TOL:
+        raise ConfigurationError(
+            f"kernel time u={u} is too small for {L} Landau levels: the first "
+            f"level left out weighs {tail:.1e} of the lowest, above {LANDAU_TAIL_TOL:.0e}")
+    return op
+
+
 def oracle_consistency(orb, bundle, z, u, p, degree=0):
     """Relative gap between the spectral and image-sum diagonal kernels."""
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("oracle consistency compares the torus routes")
-    op = assemble_kodaira_laplacian(orb, bundle, p, degree)
+    op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
     image = torus_diagonal_kernel_image(orb, bundle, z, u, p,
                                         degree=degree).to_complex()
@@ -395,7 +411,7 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24):
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the trace identity check runs on torus models")
     k = orb.params["k"]
-    op = assemble_kodaira_laplacian(orb, bundle, p, degree)
+    op = _truncated_operator(orb, bundle, u, p, degree)
     spectral = heat_trace(op.spectral_table(), u)
     xs = (np.arange(grid) + 0.5) / grid
     total = 0.0

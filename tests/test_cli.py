@@ -393,6 +393,30 @@ def test_all_exits_2_when_an_applicable_stage_cannot_run(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "power of two" in err
 
 
+def test_torus_kodaira_rank_beyond_its_memory_bound_exits_2(tmp_path):
+    """d*p = 10^6 sections: one stderr line and exit 2, under a 1.5 GB address
+    space, where the rank's arrays used to end in a MemoryError."""
+    import resource
+    from orbmorse.moishezon import KODAIRA_MAX_SECTIONS
+    assert KODAIRA_MAX_SECTIONS >= 4096        # the largest d*p the benchmarks and tests use
+    cfg = write(tmp_path, "c.yaml",
+                "catalog: {id: torus, params: {d: 1000000, k: 1}}\nrun: {p_list: [1, 64]}\n")
+    limit = int(1.5e9)
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(orbmorse.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "orbmorse.cli", "all", "--config", cfg,
+                           "--out", str(tmp_path / "o")], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "d*p = 1000000" in lines[0] and str(KODAIRA_MAX_SECTIONS) in lines[0]
+
+
 def nan_density_model():
     """A one-chart custom model whose curvature density is NaN everywhere."""
     from orbmorse.geometry import (ChartedOrbifold, EquivariantLineBundle, OrbifoldChart,

@@ -116,16 +116,18 @@ def test_degenerate_fraction_reported():
     assert res.degenerate_fraction == pytest.approx(1.0)
 
 
-def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL):
+def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL,
+                            blocks=curvature._quadrature_blocks):
     """The Morse integral as one chart pass per q-set under a union mask.
 
     This is the route the signature split replaced; it stays here as the
-    reference that the split partitions the nodes.
+    reference that the split partitions the nodes.  It iterates the blocks
+    the split iterates, folded or not, unless ``blocks`` says otherwise.
     """
     total = 0.0
     for k, chart in enumerate(orb.charts):
         chart_sum = 0.0
-        for nodes, weights in tensor_blocks(resolution, chart.box_radius):
+        for nodes, weights in blocks(chart, bundle.curvature_scalars[k], resolution):
             bumpw = np.asarray(chart.bump(nodes), dtype=float)
             c, ratio = _scalar_curvature(orb, bundle, k, nodes)
             degen = np.abs(ratio) <= tol
@@ -164,6 +166,81 @@ def test_signature_split_matches_one_mask_reference(catalog_id, params, resoluti
             union = morse_integral(orb, bundle, q_set, resolution=resolution)
             assert abs(union - one_mask_morse_integral(orb, bundle, q_set, resolution)) \
                 <= 1e-15
+
+
+def full_grid(chart, curvature_scalar, resolution):
+    return tensor_blocks(resolution, chart.box_radius)
+
+
+FOLD_MODELS = [
+    ("wps", dict(weights=(1, 1))),
+    ("wps", dict(weights=(1, 2))),
+    ("wps", dict(weights=(2, 3))),
+    ("wps", dict(weights=(3, 5))),
+    ("torus", dict(d=1, k=1)),
+    ("torus", dict(d=1, k=2)),
+    ("local-model", dict(k=2, a=[1.0])),
+]
+
+
+@pytest.mark.parametrize("resolution", [24, 101, 128, 1024])
+@pytest.mark.parametrize("catalog_id,params", FOLD_MODELS,
+                         ids=["P(1,1)", "P(1,2)", "P(2,3)", "P(3,5)", "torus-k1", "torus-k2",
+                              "C/Z2"])
+def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, resolution):
+    """The fold changes the summation order only: every class within 1e-15
+    relative, the degenerate fraction within 1e-15, the eigenvalue bounds
+    bit for bit."""
+    orb, bundle = build_catalog_orbifold(catalog_id, **params)
+    assert all(curvature._quadrature_blocks(chart, c, resolution).__name__ == "folded_blocks"
+               for chart, c in zip(orb.charts, bundle.curvature_scalars))
+    folded = signature_integrals(orb, bundle, resolution=resolution)
+    monkeypatch.setattr(curvature, "_quadrature_blocks", full_grid)
+    full = signature_integrals(orb, bundle, resolution=resolution)
+    for a, b in zip(folded.by_signature, full.by_signature):
+        assert abs(a - b) <= 1e-15 * abs(b)
+    assert abs(folded.degenerate_fraction - full.degenerate_fraction) <= 1e-15
+    assert folded.min_eigenvalue == full.min_eigenvalue
+    assert folded.max_eigenvalue == full.max_eigenvalue
+
+
+def test_radial_charts_evaluate_one_node_per_orbit():
+    """P(2,3) at resolution 1024: each field of each chart is evaluated at
+    512 * 513 / 2 points, where the full grid takes 1024^2."""
+    from dataclasses import replace
+    from orbmorse.geometry import RadialField
+    orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
+    counts = {}
+
+    def counted(field, key):
+        def profile(r2):
+            counts[key] = counts.get(key, 0) + np.size(r2)
+            return field.profile(r2)
+        return RadialField(profile)
+
+    charts = tuple(replace(chart, bump=counted(chart.bump, (k, "bump")),
+                           metric_scalar=counted(chart.metric_scalar, (k, "metric")))
+                   for k, chart in enumerate(orb.charts))
+    orb = replace(orb, charts=charts)
+    bundle = replace(bundle, curvature_scalars=tuple(
+        counted(c, (k, "curvature")) for k, c in enumerate(bundle.curvature_scalars)))
+    counts.clear()                     # the charts check h(0) = 1 when they are built
+    signature_integrals(orb, bundle, resolution=1024)
+    assert counts == {(k, f): 512 * 513 // 2 for k in (0, 1)
+                      for f in ("bump", "metric", "curvature")}
+
+
+@pytest.mark.parametrize("resolution", [32, 101])
+@pytest.mark.parametrize("amplitude", [1.2, 1.5])
+def test_dented_and_custom_models_take_the_full_grid(amplitude, resolution):
+    """A point-function curvature keeps every chart on the tensor rule, bit for bit."""
+    dent = {"amplitude": amplitude, "center": 0.45, "width": 0.12}
+    for orb, bundle in (build_catalog_orbifold("wps", weights=(1, 1), dent=dent),
+                        custom_model()):
+        split = signature_integrals(orb, bundle, resolution=resolution)
+        for q in range(orb.dimension + 1):
+            assert split.by_signature[q] == one_mask_morse_integral(
+                orb, bundle, {q}, resolution, blocks=full_grid)
 
 
 def test_stages_make_one_chart_pass(monkeypatch, tmp_path):

@@ -351,6 +351,62 @@ def test_tensor_blocks_concatenate_to_the_full_grid(resolution):
     assert np.array_equal(np.concatenate([b[1] for b in blocks]), weights)
 
 
+def test_radial_field_takes_the_same_bits_on_the_rule_symmetry():
+    """z, -z, conj z and i conj z give the same r^2, hence the same value."""
+    from orbmorse.geometry import RadialField
+    field = RadialField(lambda r2: np.exp(-r2) / (1.0 + math.pi * r2) ** 1.7)
+    x = np.random.default_rng(3).uniform(-1.3, 1.3, (2, 200))
+    z = x[0] + 1j * x[1]
+    value = field(z)
+    assert np.array_equal(value, field.profile(x[0] * x[0] + x[1] * x[1]))
+    for moved in (-z, np.conj(z), 1j * np.conj(z)):
+        assert np.array_equal(field(moved), value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 101, 128])
+def test_legendre_rule_is_a_bitwise_mirror(n):
+    """The fold rests on x_{n-1-i} = -x_i and w_{n-1-i} = w_i, bit for bit."""
+    from orbmorse.geometry import gauss_legendre_nodes
+    x, w = gauss_legendre_nodes(n, 1.3)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 24, 101, 128, 1024])
+def test_folded_blocks_hold_one_node_per_orbit(resolution):
+    """ceil(n/2)(ceil(n/2)+1)/2 nodes in blocks of BLOCK_ROWS * ceil(n/2) at most,
+    and the weights sum to the tensor rule's total within 1e-15."""
+    from orbmorse.geometry import BLOCK_ROWS, folded_blocks, tensor_blocks
+    half = -(-resolution // 2)
+    blocks = list(folded_blocks(resolution, 1.3))
+    assert all(nodes.size == weights.size <= BLOCK_ROWS * half for nodes, weights in blocks)
+    nodes = np.concatenate([b[0] for b in blocks])
+    assert nodes.size == half * (half + 1) // 2
+    assert np.all((0.0 <= nodes.real) & (nodes.real <= nodes.imag))
+    folded = math.fsum(np.concatenate([b[1] for b in blocks]))
+    full = math.fsum(np.concatenate([b[1] for b in tensor_blocks(resolution, 1.3)]))
+    assert abs(folded - full) <= 1e-15 * full
+
+
+@pytest.mark.parametrize("resolution", [24, 25])
+def test_folded_weights_are_the_orbit_sums_of_the_tensor_rule(resolution):
+    """Each folded weight is the exact sum of the tensor weights on its orbit:
+    8, 4 on the diagonal and the odd rule's axis, 1 at the origin."""
+    from orbmorse.geometry import folded_blocks
+    nodes, weights = meshgrid_rule(resolution, 1.3)
+    orbits = {}
+    for z, w in zip(nodes, weights):
+        key = tuple(sorted((abs(z.real), abs(z.imag))))
+        orbits.setdefault(key, []).append(w)
+    folded = {(z.real, z.imag): w for block in folded_blocks(resolution, 1.3)
+              for z, w in zip(*block)}
+    assert folded.keys() == orbits.keys()
+    sizes = {len(ws) for ws in orbits.values()}
+    assert sizes == ({1, 4, 8} if resolution % 2 else {4, 8})
+    for key, ws in orbits.items():
+        assert len(set(ws)) == 1
+        assert folded[key] == ws[0] * len(ws)
+
+
 def test_invariance_spot_check_draws_the_grid_nodes():
     """The spot check samples the nodes the full grid holds at the drawn flat indices."""
     orb, _ = build_catalog_orbifold("local-model", k=3, a=(1.0,))

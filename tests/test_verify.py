@@ -67,6 +67,23 @@ def test_image_sum_matches_spectral_kernel_on_torus(p, u):
     assert gap < 1e-4
 
 
+@pytest.mark.parametrize("route", ["oracle", "trace"])
+def test_spectral_routes_refuse_a_time_their_levels_cannot_resolve(route):
+    """At u = 0.01 the 32 kept Landau levels drop a tail of relative weight
+    0.13, which the gaps would report as a disagreement; u = 0.5 is resolved."""
+    from orbmorse.errors import ConfigurationError
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+
+    def gap(u):
+        if route == "oracle":
+            return oracle_consistency(orb, bundle, 0.21 + 0.33j, u, 4)
+        return verify.trace_equals_diagonal_integral(orb, bundle, u, 4)
+
+    with pytest.raises(ConfigurationError, match=r"u=0\.01 .* 32 Landau levels"):
+        gap(0.01)
+    assert gap(0.5) < 1e-9
+
+
 @pytest.mark.parametrize("degree", [0, 1])
 def test_oracle_consistency_assembles_and_evaluates_once(monkeypatch, degree):
     """The half turn is the signed swap of one evaluation, of the one compared degree."""
