@@ -25,7 +25,7 @@ from .catalog import _integer, _list_of, _real, build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, OrbmorseError, SizeLimitError,
-                     UnsupportedModelError)
+                     UnresolvedTimeError, UnsupportedModelError)
 from .spectral import assemble_kodaira_laplacian, heat_trace, torus_kernel_dimension
 
 SUBCOMMANDS = ("cohomology", "curvature-integral", "heat-trace", "verify-morse",
@@ -234,6 +234,23 @@ def _run_verify_morse(cfg, orb, bundle, split):
                 ok = all(r >= -tol for r in residuals) and abs(residuals[-1]) <= tol
                 results.append((f"trace-chain-p{p}-u{repr(u)}", ok,
                                 {"residuals": residuals}))
+        # a time the kept levels or the float range cannot resolve is left out, once
+        left_out = {}
+        for p in cfg.p_list:
+            for q in cfg.q_list:
+                gaps = {}
+                for u in cfg.u_list:
+                    try:
+                        gaps[repr(u)] = vf.trace_equals_diagonal_integral(
+                            orb, bundle, u, p, degree=q,
+                            resolution=cfg.resolution_spectral)
+                    except UnresolvedTimeError as exc:
+                        left_out.setdefault(repr(u), exc)
+                if gaps:
+                    results.append((f"trace-identity-p{p}-q{q}",
+                                    all(g <= tol for g in gaps.values()), {"gaps": gaps}))
+        diagnostics.extend(("info", f"trace identity at u={u} left out: {exc}")
+                           for u, exc in left_out.items())
     n = orb.dimension
     split = split()
     for q in cfg.q_list:

@@ -13,6 +13,10 @@ class SizeLimitError(ConfigurationError):
     """The configured values need more memory than a computation may take."""
 
 
+class UnresolvedTimeError(ConfigurationError):
+    """A kernel time that the retained Landau levels or the float range cannot resolve."""
+
+
 class GeometryError(OrbmorseError):
     """Geometric data violates a precondition (e.g. metric not positive definite)."""
 

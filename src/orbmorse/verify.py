@@ -13,21 +13,25 @@ closed-form predictions, and fit empirical convergence orders.
 
 ``torus_image_log_terms`` and ``local_model_image_log_terms`` evaluate
 every image term of a batch of points as arrays of log|term| and phase, and
-``log_sum_exp`` sums them in one max-shifted pass per point.
+``log_sum_exp`` sums them in one max-shifted pass per point.  The trace
+identity needs no such sum: it integrates the image sum over the cell in
+closed form (``_image_trace``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
-from .errors import ConfigurationError, GeometryError, UnsupportedModelError
-from .kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_exp,
-                      mehler_log_form, twisted_gaussian)
+from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
+                     UnsupportedModelError)
+from .kernels import (ModelPoint, ScaledComplex, factor_plus,
+                      heat_diagonal_limit, mehler_log_form, twisted_gaussian)
 from .spectral import (assemble_kodaira_laplacian, heat_trace,
                        morse_sum_vs_trace, torus_diagonal_kernel_spectral)
 
@@ -377,14 +381,14 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     return morse_sum_vs_trace([tables[0], paired], u, h), tables
 
 
-def _truncated_operator(orb, bundle, u, p, degree):
+def _truncated_operator(orb, bundle, u, p, degree, resolution=32):
     """The torus operator of the spectral routes, refusing a time u at which
     the levels it leaves out weigh more than LANDAU_TAIL_TOL."""
-    op = assemble_kodaira_laplacian(orb, bundle, p, degree)
+    op = assemble_kodaira_laplacian(orb, bundle, p, degree, resolution)
     L = op.resolution
     tail = math.exp(-u * (op.level_eigenvalue(L) - op.level_eigenvalue(0)) / p)
     if tail > LANDAU_TAIL_TOL:
-        raise ConfigurationError(
+        raise UnresolvedTimeError(
             f"kernel time u={u} is too small for {L} Landau levels: the first "
             f"level left out weighs {tail:.1e} of the lowest, above {LANDAU_TAIL_TOL:.0e}")
     return op
@@ -401,24 +405,55 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     return abs(spec - image) / abs(image)
 
 
-def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24):
-    """Gap between the spectral trace and the quadrature of the diagonal.
+def _image_trace(d, k, u, p, degree):
+    """1/k times the cell integral of the image-sum diagonal, in closed form.
+
+    At the scale of the heat trace (without the p^{-1} of the image terms),
+    for d >= 1; the cost does not depend on p.  Every deck term's phase is
+    constant on the cell.  A translation by lam = m + i n carries
+    pi D m n + 2 pi D (m y - n x), which integrates to zero unless m = n = 0,
+    so it leaves the identity term c = g1(x) / (2 pi t), with t = u / p and
+    x = 2 pi d u.  A half turn carries pi D m n, the sign (-1)^{D a b} on the
+    parity class (a, b) of lam, and w = 2 z - lam maps the cell times one
+    class onto the plane with dA_z = dA_w / 4: each class gives
+    c pi / (4 alpha), alpha = (x/2) coth(x/2) / (2 t) the Gaussian's rate,
+    and the four sum to c pi / (4 alpha) (3 + (-1)^D).  Degree one weights
+    every term by e^{-x} and each half turn by -1.
+
+    As x = 2 pi D t, pi / (4 alpha) = tanh(x/2) / (2 D), and the sum is
+    (c / k)(2 D + s - s (1 - tanh(x/2))) / (2 D) with s = +-(3 + (-1)^D).
+    The integer 2 D + s stands apart because in degree one at D <= 2 it is
+    0: the half turns then cancel the identity term up to e^{-x}, and this
+    form keeps the digits of what is left.
+    """
+    t = u / p
+    e = math.exp(-2.0 * math.pi * d * u)
+    D = d * p
+    c = factor_plus(2.0 * math.pi * d, u) / (2.0 * math.pi * t)
+    if degree == 1:
+        c *= e
+    if k == 1:
+        return c
+    s = (-1) ** degree * (3 + (-1) ** D)
+    one_minus_tanh = 2.0 * e / (1.0 + e)
+    return c / k * ((2 * D + s) - s * one_minus_tanh) / (2 * D)
+
+
+def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24, resolution=32):
+    """Gap between the spectral trace and the cell integral of the diagonal.
 
     The trace of the quotient heat operator equals 1/k times the cell
-    integral of the image-sum diagonal; both sides are computed
-    independently and the relative difference is returned.
+    integral of the image-sum diagonal.  The spectral side sums the retained
+    Landau levels; the integral is taken in closed form (``_image_trace``),
+    exact at every p.  Returns the relative difference.  ``grid`` no longer
+    changes the value; it stays for callers that still pass it.
     """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the trace identity check runs on torus models")
-    k = orb.params["k"]
-    op = _truncated_operator(orb, bundle, u, p, degree)
+    op = _truncated_operator(orb, bundle, u, p, degree, resolution)
     spectral = heat_trace(op.spectral_table(), u)
-    xs = (np.arange(grid) + 0.5) / grid
-    total = 0.0
-    for x in xs:      # one grid row per pass keeps the arrays at grid x images
-        _, log_abs, phase = torus_image_log_terms(orb, x + 1j * xs, u, p,
-                                                  lattice_cut=3, degree=degree)
-        log_scale, mantissa = log_sum_exp(log_abs, phase)
-        total += float(np.sum((mantissa * np.exp(log_scale)).real))
-    integral = p * total / (grid * grid) / k     # undo the p^{-n} of the terms
-    return abs(integral - spectral) / abs(spectral)
+    if spectral < sys.float_info.min:
+        raise UnresolvedTimeError(
+            f"the degree-{degree} heat trace at u={u} falls below the float range")
+    integral = _image_trace(op.d, op.k, u, p, degree)
+    return abs(integral - spectral) / spectral

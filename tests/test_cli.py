@@ -597,6 +597,55 @@ def test_cohomology_table_fails_on_a_bad_entry(tmp_path, monkeypatch, bad):
     assert [(r["name"], r["passed"]) for r in results] == [("cohomology-table", False)]
 
 
+def test_all_on_the_torus_demo_runs_the_trace_identity(tmp_path):
+    cfg = load_config(str(DEMO_CONFIGS / "torus_halfturn.yaml"))
+    code, results = run_all(tmp_path, cfg)
+    assert code == 0
+    identity = {name: r for name, r in results.items() if name.startswith("trace-identity")}
+    assert sorted(identity) == [f"trace-identity-p{p}-q{q}" for p in (16, 4, 8) for q in (0, 1)]
+    assert all(r["passed"] and sorted(r["data"]["gaps"]) == ["0.5", "1.0", "5.0"]
+               for r in identity.values())
+
+
+def test_trace_identity_fails_on_a_wrong_multiplicity(tmp_path, monkeypatch):
+    """One Landau level with one invariant state too many: the spectral trace
+    no longer matches the image integral, in the library and in the CLI."""
+    from orbmorse import spectral, verify
+    from orbmorse.catalog import build_catalog_orbifold
+    multiplicity = spectral._level_multiplicity
+    monkeypatch.setattr(spectral, "_level_multiplicity",
+                        lambda D, k, level, q: multiplicity(D, k, level, q) + (level == 1))
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    assert verify.trace_equals_diagonal_integral(orb, bundle, 1.0, 8) > 1e-9
+    code, results = run_all(tmp_path, load_config(str(DEMO_CONFIGS / "torus_halfturn.yaml")))
+    assert code == 1
+    identity = [r for name, r in results.items() if name.startswith("trace-identity")]
+    assert len(identity) == 6 and not any(r["passed"] for r in identity)
+
+
+@pytest.mark.parametrize("catalog,u_list,left_out,reason", [
+    ("{d: 1, k: 2}", "[0.1, 1.0]", "0.1", "too small for 32 Landau levels"),
+    ("{d: 3, k: 2}", "[1.0, 64.0]", "64.0", "degree-1 heat trace at u=64.0 falls below"),
+], ids=["levels", "float-range"])
+def test_trace_identity_leaves_out_an_unresolved_time(tmp_path, catalog, u_list,
+                                                      left_out, reason):
+    """A time the kept levels (or the float range) cannot resolve is left out
+    with one info line; the run still exits 0."""
+    cfg = write(tmp_path, "c.yaml", f"""\
+catalog: {{id: torus, params: {catalog}}}
+run: {{p_list: [4, 8], u_list: {u_list}, resolution_spectral: 32}}
+""")
+    out = tmp_path / "o"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    notes = [d for d in report["diagnostics"] if "trace identity" in d["message"]]
+    assert len(notes) == 1 and notes[0]["level"] == "info"
+    assert f"u={left_out} left out" in notes[0]["message"] and reason in notes[0]["message"]
+    identity = [r for r in report["results"] if r["name"].startswith("trace-identity")]
+    assert len(identity) == 4 and all(r["passed"] for r in identity)
+    assert all(list(r["data"]["gaps"]) == ["1.0"] for r in identity[1::2])
+
+
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """`orbmorse all` on the P(1,2) demo at 1 and 2 OpenBLAS threads: the same report."""
     config = str(DEMO_CONFIGS / "p12.yaml")

@@ -408,11 +408,10 @@ def test_image_terms_match_reference_values():
         _assert_term(term, log_abs, phase)
 
 
-# values of the term-by-term implementation this replaces (u = 1, grid 24).
-# The gaps are rounding noise: their low digits follow the summation order,
-# which the row-wise array sums change (5.3e-16 became 1.8e-16 at p = 8), so
-# they are pinned to the rounding level, not digit for digit; the terms
-# themselves are pinned by test_image_terms_match_reference_values.
+# gaps of the 24 x 24 grid quadrature the closed form replaced (u = 1).  At
+# these p the grid resolved the half-turn Gaussians, so its gaps were rounding
+# noise, and the closed form's (about 1e-16) stay within 1e-12 of them; the
+# terms themselves are pinned by test_image_terms_match_reference_values.
 TRACE_GAPS = {(4, 0): 1.6894420513852405e-13, (4, 1): 5.045992826545126e-13,
               (8, 0): 5.323087597161276e-16, (8, 1): 3.395496432062085e-15,
               (16, 0): 2.1679463867705446e-15, (16, 1): 1.3238595682800288e-16}
@@ -425,3 +424,53 @@ def test_trace_identity_gap_unchanged(p, q):
     gap = trace_equals_diagonal_integral(orb, bundle, 1.0, p, degree=q)
     assert gap < 1e-9
     assert gap == pytest.approx(TRACE_GAPS[(p, q)], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the trace identity in closed form
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8, 16, 64, 256, 1024, 4096])
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_trace_identity_holds_at_every_p(d, k, p):
+    """Odd d p has two half-turn fixed-point classes that count, even d p four;
+    the 24 x 24 grid this replaces missed by 8.9e-4 at d = 1, k = 2, p = 256."""
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=k)
+    for q in (0, 1):
+        for u in (0.5, 1.0, 5.0):
+            assert verify.trace_equals_diagonal_integral(orb, bundle, u, p,
+                                                         degree=q) <= 1e-9
+
+
+def test_trace_identity_sums_no_image_terms(monkeypatch):
+    """The closed form evaluates no image term, so its cost does not grow with p."""
+    terms = mock.Mock(wraps=verify.torus_image_log_terms)
+    monkeypatch.setattr(verify, "torus_image_log_terms", terms)
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    for p in (4, 4096):
+        assert verify.trace_equals_diagonal_integral(orb, bundle, 1.0, p) <= 1e-9
+    assert terms.call_count == 0
+
+
+def midpoint_half_turns(orb, u, p, degree, grid):
+    """1/k times the half-turn terms of the image sum on a grid x grid midpoint rule."""
+    xs = (np.arange(grid) + 0.5) / grid
+    total = 0.0
+    for x in xs:
+        labels, log_abs, phase = verify.torus_image_log_terms(
+            orb, x + 1j * xs, u, p, lattice_cut=2, degree=degree)
+        half = np.array([j == 1 for _, _, j in labels])
+        total += np.sum(np.exp(log_abs[:, half] + 1j * phase[:, half])).real
+    return p * total / grid ** 2 / orb.params["k"]
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("u", [0.5, 1.0, 5.0])
+def test_half_turn_part_matches_a_fine_midpoint_grid(u, q):
+    """About 6 sqrt(p) points a side resolve the Gaussians, about 1/sqrt(p) wide,
+    at the fixed points; the k = 1 closed form is the identity term alone."""
+    p = 256
+    orb, _ = build_catalog_orbifold("torus", d=1, k=2)
+    half_turns = verify._image_trace(1, 2, u, p, q) - verify._image_trace(1, 1, u, p, q) / 2
+    assert half_turns == pytest.approx(
+        midpoint_half_turns(orb, u, p, q, grid=6 * 16), rel=0, abs=1e-12)
