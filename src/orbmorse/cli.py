@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,8 +25,8 @@ from . import verify as vf
 from .catalog import _integer, _list_of, _real, build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
-from .errors import (ConfigurationError, OrbmorseError, SizeLimitError,
-                     UnresolvedTimeError, UnsupportedModelError)
+from .errors import (ConfigurationError, OrbmorseError, UnresolvedTimeError,
+                     UnsupportedModelError)
 from .spectral import assemble_kodaira_laplacian, heat_trace, torus_kernel_dimension
 
 SUBCOMMANDS = ("cohomology", "curvature-integral", "heat-trace", "verify-morse",
@@ -139,7 +140,7 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ConfigurationError(f"tolerance {name} must be positive")
-        # numpy seeds its generators from non-negative integers only
+        # the stdlib seeds from |seed|, so a negative seed would repeat a positive one
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         for name in ("resolution_quadrature", "resolution_spectral"):
@@ -310,7 +311,7 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split):
 
 
 def _run_moishezon(cfg, orb, bundle, split):
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     verdict = mz.moishezon_check(split(), cfg.tolerances["tol_quadrature"])
     # a NaN or infinite witness is a failed quadrature, not a verdict
     finite = all(map(math.isfinite, (verdict.integral_leq1, verdict.min_eigenvalue_seen)))
@@ -327,8 +328,6 @@ def _run_moishezon(cfg, orb, bundle, split):
             try:
                 ranks[p] = mz.kodaira_rank(orb, bundle, p, rng=rng)
                 rank_max = max(rank_max, ranks[p])
-            except SizeLimitError:
-                raise                   # a run that cannot fit is refused, not skipped
             except OrbmorseError as exc:
                 diagnostics.append(("info", f"rank at p={p} skipped: {exc}"))
         agree = est.big == (rank_max == orb.dimension)
@@ -337,8 +336,6 @@ def _run_moishezon(cfg, orb, bundle, split):
                          "big": est.big, "expected_big": expected_big,
                          "kodaira_ranks": {str(p): r for p, r in ranks.items()},
                          "growth_exponent": mz.section_growth_exponent(table)}))
-    except SizeLimitError:
-        raise
     except OrbmorseError as exc:
         diagnostics.append(("info", f"bigness estimate skipped: {exc}"))
     return results, diagnostics, {}

@@ -9,10 +9,6 @@ class ConfigurationError(OrbmorseError):
     """Bad catalog id, invalid parameters, or malformed run configuration."""
 
 
-class SizeLimitError(ConfigurationError):
-    """The configured values need more memory than a computation may take."""
-
-
 class UnresolvedTimeError(ConfigurationError):
     """A kernel time that the retained Landau levels or the float range cannot resolve."""
 

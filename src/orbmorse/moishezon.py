@@ -6,31 +6,30 @@ point, and positivity of the curvature integral over the signature region
 cross-checked against the numeric rank of the Kodaira map built from an
 explicit section basis.
 
-Kodaira ranks sample points from caller-seeded generators, so runs are reproducible.
+Kodaira ranks draw their sample points from a generator the caller seeds
+(the CLI passes the stdlib's ``random.Random(seed)``), so runs are
+reproducible, and evaluate only the few sections that decide the rank.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import CohomologyTable, weighted_proj_h0
-from .errors import ConfigurationError, SizeLimitError, UnsupportedModelError
-from .spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
+from .cohomology import CohomologyTable
+from .errors import ConfigurationError, UnsupportedModelError
+from .spectral import torus_ground_state_columns
 
 BIGNESS_NOISE_MARGIN = 10.0
 KODAIRA_RANK_TOL = 1e-8
 KODAIRA_SAMPLES = 6         # sample points per Kodaira rank
 KODAIRA_STEP = 1e-5         # central-difference step
 GROWTH_TAIL = 8             # table powers in the section growth fit
-# Most sections D = d*p of a torus Kodaira rank.  The stencils hold
-# 5 * KODAIRA_SAMPLES = 30 points x D complex values, 30 * 16 B * 2^16 = 31 MB,
-# and the section values and the half-turn pairing about two copies more
-# (tracemalloc peak 80 MB at D = 2^16); the benchmarks and tests reach D = 4096.
-KODAIRA_MAX_SECTIONS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -116,85 +115,117 @@ def siegel_bound(m, n, k):
 # Kodaira map rank
 
 
-def _section_values_wps(weights, p, zs):
-    """Values of the monomial section basis on the first chart of P(a, b).
+def _wps_exponents(weights, p):
+    """Exponents m of the monomials z^m of degree p on the first chart of P(a, b).
 
-    Sections of degree p restrict to z^m on the chart, for each m >= 0 with
-    (p - b m) / a a non-negative integer.
+    The m >= 0 with (p - b m) / a a non-negative integer are a progression of
+    step a / gcd(a, b), whose first term takes fewer than a steps to find.
     """
     a, b = weights
-    return np.array([zs ** m for m in range(p // b + 1) if (p - b * m) % a == 0])
+    step, top = a // math.gcd(a, b), p // b
+    first = next((m for m in range(min(step, top + 1)) if (p - b * m) % a == 0), top + 1)
+    return range(first, top + 1, step)
 
 
-def _section_values_torus(orb, bundle, p, zs):
-    """Values of the section basis of the p-th power at the points zs.
+def _torus_columns(x, D, k):
+    """Columns j mod D, or on the half turn the orbits {j, -j} named by their
+    smaller member, in order of the distance of their nearest translate m/D to x."""
+    t, seen = x * D, set()
+    left = math.floor(t)
+    right = left + 1
+    while len(seen) < (D if k == 1 else D // 2 + 1):
+        if t - left <= right - t:
+            m, left = left, left - 1
+        else:
+            m, right = right, right + 1
+        j = m % D if k == 1 else min(m % D, -m % D)
+        if j not in seen:
+            seen.add(j)
+            yield j
 
-    Rows are the level-0 states v_j; on the half-turn quotient they are the
-    invariant combinations (v_j + v_{-j}) / sqrt(2), and v_j itself at the
-    translates with j = -j mod D, for j = 0..D // 2 in order.
-    """
-    op0 = assemble_kodaira_laplacian(orb, bundle, p, 0, 1)
-    vals = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
-    if orb.params["k"] == 1:
-        return vals
-    D = op0.D
-    js = np.arange(D // 2 + 1)
+
+def _section_values_torus(D, k, columns, pts):
+    """Level-0 sections of the columns at pts: v_j, or on the half turn
+    (v_j + v_{-j}) / sqrt(2), and v_j itself where j = -j mod D."""
+    if k == 1:
+        return torus_ground_state_columns(D, columns, pts)
+    js = np.asarray(columns)
     mirror = (-js) % D
-    paired = (vals[js] + vals[mirror]) / math.sqrt(2.0)
-    return np.where((js == mirror)[:, None], vals[js], paired)
+    own, other = np.split(torus_ground_state_columns(D, np.concatenate([js, mirror]), pts), 2)
+    return np.where((js == mirror)[:, None], own, (own + other) / math.sqrt(2.0))
+
+
+def _section_values_wps(exponents, pts):
+    return np.array([pts ** m for m in exponents])
+
+
+def _stencil_rank(sec, step):
+    """Rank of the one-column Jacobian of the section ratios against the
+    largest section, from five-point stencils; -1 at a base point."""
+    anchor = np.argmax(np.abs(sec[:, 0]))
+    if abs(sec[anchor, 0]) < 1e-13:
+        return -1
+    ratios = sec / sec[anchor]
+    dzx = (ratios[:, 1] - ratios[:, 2]) / (2 * step)
+    dzy = (ratios[:, 3] - ratios[:, 4]) / (2 * step)
+    jac = 0.5 * (dzx - 1j * dzy)               # holomorphic derivative
+    norm = np.linalg.norm(np.delete(jac, anchor))
+    scale = max(np.max(np.abs(ratios[:, 0])), 1.0)
+    return int(norm > KODAIRA_RANK_TOL * max(norm, scale))
 
 
 def kodaira_rank(orb, bundle, p, rng=None):
     """Maximal numeric rank of the Kodaira map of the p-th power.
 
-    Samples regular points, forms the section ratios against the largest
-    section, differentiates them in the complex sense by central differences,
-    and takes the rank of the one-column Jacobian by its 2-norm.  The
-    five-point stencils of all samples go through one section call.  Returns
-    -1 when every sample lies in the base locus.
+    A sub-map's rank never exceeds the full map's, so each sample point takes
+    the sections in a fixed order, in batches of n + 1 that then double, and
+    the search stops once the rank reaches n or the sections run out.  The
+    order puts the largest sections at the sample first: the lowest monomial
+    degrees on P(a, b) (|z| < 1), the nearest translates on the torus.
+    ``rng`` has a scalar ``random()``: six draws give the real parts of the
+    samples, six more the imaginary parts.  A single section has rank 0; -1
+    means every sample lies in the base locus.
     """
-    rng = rng if rng is not None else np.random.default_rng(77)
-    samples = KODAIRA_SAMPLES
+    rng = rng if rng is not None else random.Random(77)
     if orb.catalog_id == "wps":
-        weights = orb.params["weights"]
-        h0 = weighted_proj_h0(weights, p)
-        if h0 == 0:
+        exponents = _wps_exponents(orb.params["weights"], p)
+        if not exponents:
             raise ConfigurationError(f"no sections at power p={p}")
-        zs = 0.35 + 0.5 * rng.random(samples) + 1j * (0.1 + 0.4 * rng.random(samples))
-        values = functools.partial(_section_values_wps, weights, p)
+        box, values = (0.35, 0.5, 0.1, 0.4), _section_values_wps
+
+        def order(z):
+            return iter(exponents)
     elif orb.catalog_id == "torus":
-        d = orb.params["d"]
-        if d == 0:
-            return 0
-        if d < 0:
+        d, k = orb.params["d"], orb.params["k"]
+        if d == 0 or p == 0:
+            return 0                           # the trivial bundle: constants only
+        if d < 0 or p < 0:
             raise ConfigurationError(f"no sections at power p={p}")
-        if d * p > KODAIRA_MAX_SECTIONS:
-            raise SizeLimitError(
-                f"the torus Kodaira rank at p={p} needs d*p = {d * p} sections, "
-                f"more than the {KODAIRA_MAX_SECTIONS} that fit in memory")
-        zs = (0.13 + 0.5 * rng.random(samples)
-              + 1j * (0.17 + 0.5 * rng.random(samples)))
-        values = functools.partial(_section_values_torus, orb, bundle, p)
+        D = d * p
+        box = (0.13, 0.5, 0.17, 0.5)
+        values = functools.partial(_section_values_torus, D, k)
+
+        def order(z):
+            return _torus_columns(z.real, D, k)
     else:
         raise UnsupportedModelError(
             "the Kodaira map needs a compact catalog entry with explicit sections")
-    step = KODAIRA_STEP
-    pts = np.stack([zs, zs + step, zs - step, zs + 1j * step, zs - 1j * step], axis=1)
-    stencils = values(pts.ravel()).reshape(-1, samples, 5)   # (sections, samples, 5)
-    if stencils.shape[0] == 1:
-        return 0
-    best = -1
-    for sec in stencils.transpose(1, 0, 2):
-        anchor = np.argmax(np.abs(sec[:, 0]))
-        if abs(sec[anchor, 0]) < 1e-13:
-            continue                           # base point
-        ratios = sec / sec[anchor]
-        dzx = (ratios[:, 1] - ratios[:, 2]) / (2 * step)
-        dzy = (ratios[:, 3] - ratios[:, 4]) / (2 * step)
-        jac = 0.5 * (dzx - 1j * dzy)           # holomorphic derivative
-        norm = np.linalg.norm(np.delete(jac, anchor))
-        scale = max(np.max(np.abs(ratios[:, 0])), 1.0)
-        best = max(best, int(norm > KODAIRA_RANK_TOL * max(norm, scale)))
+    x0, wx, y0, wy = box
+    reals = [x0 + wx * rng.random() for _ in range(KODAIRA_SAMPLES)]
+    imags = [y0 + wy * rng.random() for _ in range(KODAIRA_SAMPLES)]
+    n, step, best = orb.dimension, KODAIRA_STEP, -1
+    for z in map(complex, reals, imags):
+        pts = np.array([z, z + step, z - step, z + 1j * step, z - 1j * step])
+        columns, sec, rank = order(z), np.empty((0, 5), dtype=complex), -1
+        while rank < n:
+            batch = list(itertools.islice(columns, max(len(sec), n + 1)))
+            if not batch:
+                break                          # every section is in: the full map
+            sec = np.concatenate([sec, values(batch, pts)])
+            rank = _stencil_rank(sec, step)
+        if rank == n:
+            return n
+        best = max(best, rank)
     return best
 
 

@@ -249,7 +249,7 @@ def eigencomplex_check(op0: TorusKodairaOperator, op1: TorusKodairaOperator, lam
 
 
 # ---------------------------------------------------------------------------
-# eigenfunction values (for diagonal-kernel cross checks)
+# eigenfunction values (diagonal-kernel cross checks, Kodaira map sections)
 
 
 def oscillator_functions(kmax, t, freq):
@@ -271,6 +271,12 @@ def oscillator_functions(kmax, t, freq):
     return out
 
 
+def _translate_window(x, D, B, levels):
+    """First and last translate m whose levels < ``levels`` are above working precision at x."""
+    spread = (math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B)
+    return int(math.floor((x - spread) * D)), int(math.ceil((x + spread) * D))
+
+
 def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
     """Values psi_{level, j}(z) of the Landau-gauge torus basis at one point.
 
@@ -281,9 +287,7 @@ def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
     B = op.field_strength
     D = op.D
     x, y = float(np.real(z)), float(np.imag(z))
-    spread = (math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B)
-    m_lo = int(math.floor((x - spread) * D))
-    m_hi = int(math.ceil((x + spread) * D))
+    m_lo, m_hi = _translate_window(x, D, B, levels)
     ms = np.arange(m_lo, m_hi + 1)
     phis = oscillator_functions(levels - 1, x - ms / D, B)   # (levels, M)
     phases = np.exp(2j * np.pi * ms * y)
@@ -291,6 +295,24 @@ def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
     # unbuffered, in the order of ms: the same sums as a loop over the columns
     np.add.at(vals, (slice(None), ms % D), phases * phis)
     return vals
+
+
+def torus_ground_state_columns(D, columns, points):
+    """Level-0 values psi_{0, j}(z), shape (len(columns), len(points)).
+
+    Each is the sum of ``torus_eigenfunction_values``, over the translates
+    m = j mod D in the window of its point and in the same order, at a cost
+    independent of D.
+    """
+    B = 2.0 * math.pi * D
+    out = np.empty((len(columns), len(points)), dtype=complex)
+    for k, z in enumerate(points):
+        m_lo, m_hi = _translate_window(z.real, D, B, 1)
+        for i, j in enumerate(columns):
+            ms = np.arange(m_lo + (j - m_lo) % D, m_hi + 1, D)
+            out[i, k] = sum(np.exp(2j * np.pi * ms * z.imag)
+                            * oscillator_functions(0, z.real - ms / D, B)[0])
+    return out
 
 
 def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):

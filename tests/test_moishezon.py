@@ -1,10 +1,12 @@
 """Geometric criteria, bigness estimates, Kodaira map ranks, Siegel bound."""
 
 import math
-from unittest import mock
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbmorse import moishezon
 from orbmorse.catalog import build_catalog_orbifold
@@ -12,10 +14,11 @@ from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.curvature import curvature_spectrum, morse_integral, signature_integrals
 from orbmorse.errors import ConfigurationError
 from orbmorse.geometry import tensor_blocks
-from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, bigness_check,
-                                kodaira_rank, moishezon_check, section_growth_exponent,
-                                siegel_bound)
-from orbmorse.spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
+from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, _torus_columns,
+                                _wps_exponents, bigness_check, kodaira_rank,
+                                moishezon_check, section_growth_exponent, siegel_bound)
+from orbmorse.spectral import (assemble_kodaira_laplacian, torus_eigenfunction_values,
+                               torus_ground_state_columns)
 from swap_basis import invariant_basis
 
 DENT = {"amplitude": 1.2, "center": 0.45 + 0.0j, "width": 0.12}
@@ -186,25 +189,31 @@ def test_big_iff_full_rank_across_catalog():
 
 
 def kodaira_rank_per_sample(orb, bundle, p, rng):
-    """Reference: one section call and one SVD of the Jacobian per sample."""
+    """Reference: every section at every sample, and one SVD of the Jacobian
+    per sample.  Torus sections come from the dense Landau basis and the
+    explicit invariant basis of the half turn."""
     samples, step = 6, 1e-5
     if orb.catalog_id == "wps":
         a, b = orb.params["weights"]
         exps = [m for m in range(p // b + 1) if (p - b * m) % a == 0]
-        zs = 0.35 + 0.5 * rng.random(samples) + 1j * (0.1 + 0.4 * rng.random(samples))
+        reals = [0.35 + 0.5 * rng.random() for _ in range(samples)]
+        imags = [0.1 + 0.4 * rng.random() for _ in range(samples)]
 
         def values(pts):
             return np.array([pts ** m for m in exps])
     else:
         if orb.params["d"] == 0:
             return 0
-        zs = (0.13 + 0.5 * rng.random(samples)
-              + 1j * (0.17 + 0.5 * rng.random(samples)))
+        reals = [0.13 + 0.5 * rng.random() for _ in range(samples)]
+        imags = [0.17 + 0.5 * rng.random() for _ in range(samples)]
+        op0 = assemble_kodaira_laplacian(orb, bundle, p, 0, 1)
+        basis = invariant_basis(op0.D, 1) if orb.params["k"] == 2 else None
 
         def values(pts):
-            return _section_values_torus(orb, bundle, p, pts)
+            dense = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in pts]).T
+            return dense if basis is None else basis @ dense
     best = -1
-    for z in zs:
+    for z in map(complex, reals, imags):
         sec = values(np.array([z, z + step, z - step, z + 1j * step, z - 1j * step]))
         if sec.shape[0] == 1:
             best = max(best, 0)
@@ -224,33 +233,127 @@ def kodaira_rank_per_sample(orb, bundle, p, rng):
 
 @pytest.mark.parametrize("cid,params", RANK_ENTRIES)
 def test_kodaira_rank_matches_per_sample_svd(cid, params):
+    """The default generator is the stdlib's, seeded with 77."""
     orb, bundle = build_catalog_orbifold(cid, **params)
     table = cohomology_table(orb, list(range(1, 9)))
     for p in range(1, 9):
         if table.h(p, 0) >= 1:
             assert kodaira_rank(orb, bundle, p) == kodaira_rank_per_sample(
-                orb, bundle, p, np.random.default_rng(77)), p
+                orb, bundle, p, random.Random(77)), p
 
 
 @pytest.mark.parametrize("cid,params,powers", [
     ("torus", dict(d=1, k=2), [64, 256, 1024, 2048]),
     ("wps", dict(weights=(2, 3)), [64, 256, 1024, 4096])])
 def test_kodaira_rank_matches_per_sample_svd_at_bench_powers(cid, params, powers):
-    """The powers and the seeded generator of the benchmark's CLI runs."""
+    """The powers of the benchmark's CLI runs, drawn from one running generator,
+    of either kind."""
     orb, bundle = build_catalog_orbifold(cid, **params)
-    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
-    for p in powers:
-        assert kodaira_rank(orb, bundle, p, rng=rng) == kodaira_rank_per_sample(
-            orb, bundle, p, reference_rng), p
+    for rng, reference_rng in [(random.Random(7), random.Random(7)),
+                               (np.random.default_rng(7), np.random.default_rng(7))]:
+        for p in powers:
+            assert kodaira_rank(orb, bundle, p, rng=rng) == kodaira_rank_per_sample(
+                orb, bundle, p, reference_rng), p
+        assert rng.random() == reference_rng.random()     # the same draws
 
 
-def test_torus_kodaira_rank_assembles_once(monkeypatch):
-    """All five-point stencils go through one section call."""
-    assemble = mock.Mock(wraps=moishezon.assemble_kodaira_laplacian)
-    monkeypatch.setattr(moishezon, "assemble_kodaira_laplacian", assemble)
-    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    assert kodaira_rank(orb, bundle, 8) == 1
-    assert assemble.call_count == 1
+def test_numpy_generator_draws_the_array_points():
+    """Scalar draws from a numpy Generator repeat its array draws, so a
+    Generator passed as ``rng`` samples the points of an array draw."""
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    assert [rng.random() for _ in range(12)] == list(reference.random(12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=st.integers(0, 4), k=st.sampled_from([1, 2]), p=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32))
+@example(d=0, k=1, p=5, seed=1).via("trivial bundle: rank 0")
+@example(d=1, k=1, p=1, seed=0).via("one section: rank 0")
+@example(d=1, k=2, p=2, seed=0).via("two fixed translates")
+@example(d=1, k=2, p=3, seed=0).via("a window that wraps the circle")
+@example(d=4, k=2, p=1, seed=5).via("a window that wraps the circle")
+def test_torus_kodaira_rank_matches_dense_reference(d, k, p, seed):
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=k)
+    assert kodaira_rank(orb, bundle, p, random.Random(seed)) == kodaira_rank_per_sample(
+        orb, bundle, p, random.Random(seed))
+
+
+def coprime_weights():
+    return (st.tuples(st.integers(1, 7), st.integers(1, 7))
+            .filter(lambda w: math.gcd(*w) == 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=coprime_weights(), p=st.integers(1, 200), seed=st.integers(0, 2 ** 32))
+@example(weights=(1, 2), p=1, seed=0).via("one section: rank 0")
+@example(weights=(2, 3), p=1, seed=0).via("no sections")
+def test_wps_kodaira_rank_matches_dense_reference(weights, p, seed):
+    orb, bundle = build_catalog_orbifold("wps", weights=weights)
+    if weighted_proj_h0(weights, p) == 0:
+        with pytest.raises(ConfigurationError, match="no sections"):
+            kodaira_rank(orb, bundle, p, random.Random(seed))
+        return
+    assert kodaira_rank(orb, bundle, p, random.Random(seed)) == kodaira_rank_per_sample(
+        orb, bundle, p, random.Random(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, 7), b=st.integers(1, 7), p=st.integers(0, 300))
+def test_wps_exponents_are_the_monomial_degrees(a, b, p):
+    exps = _wps_exponents((a, b), p)
+    assert list(exps) == [m for m in range(p // b + 1) if (p - b * m) % a == 0]
+    if math.gcd(a, b) == 1:
+        assert len(exps) == weighted_proj_h0((a, b), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=st.integers(1, 300), k=st.sampled_from([1, 2]), x=st.floats(0.0, 1.0))
+def test_torus_columns_in_order_of_nearest_translate(D, k, x):
+    """Each column once, nearest translate first: the distances never decrease."""
+    columns = list(_torus_columns(x, D, k))
+    expected = range(D) if k == 1 else range(D // 2 + 1)
+    assert sorted(columns) == list(expected)
+
+    def distance(j):
+        residues = {j} if k == 1 else {j, -j % D}
+        return min(abs(x * D - m) for m in range(math.floor(x * D) - D, math.ceil(x * D) + D + 1)
+                   if m % D in residues)
+    dist = [distance(j) for j in columns]
+    assert all(u <= v + 1e-9 for u, v in zip(dist, dist[1:]))
+
+
+@pytest.mark.parametrize("cid,params", [
+    ("torus", dict(d=1, k=1)), ("torus", dict(d=1, k=2)), ("wps", dict(weights=(2, 3)))],
+    ids=["torus-k1", "torus-k2", "wps23"])
+def test_kodaira_rank_section_values_are_flat_in_p(monkeypatch, cid, params):
+    """A rank evaluates as many section values at p = 2^16 as at p = 2^6."""
+    sizes = []
+    for name in ("_section_values_torus", "_section_values_wps"):
+        original = getattr(moishezon, name)
+
+        def counted(*args, original=original):
+            out = original(*args)
+            sizes.append(out.size)
+            return out
+        monkeypatch.setattr(moishezon, name, counted)
+    orb, bundle = build_catalog_orbifold(cid, **params)
+    evaluated = []
+    for p in (2 ** 6, 2 ** 16):
+        sizes.clear()
+        assert kodaira_rank(orb, bundle, p, random.Random(7)) == 1
+        evaluated.append(sum(sizes))
+    assert evaluated[0] == evaluated[1] <= 5 * 4
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 7, 64, 2048])
+def test_ground_state_columns_match_dense_values(D):
+    """The column sums repeat the dense basis value for value, wrapped windows included."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
+    op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
+    zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j, -0.3 + 1.7j])
+    dense = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
+    columns = [D - 1, 0, D // 2] if D > 2 else list(range(D))
+    assert np.array_equal(torus_ground_state_columns(D, columns, zs), dense[columns])
 
 
 @pytest.mark.parametrize("D", [5, 8])
@@ -260,7 +363,7 @@ def test_paired_torus_sections_match_dense_invariant_basis(D):
     op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
     full = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
     dense = invariant_basis(D, 1) @ full
-    paired = _section_values_torus(orb, bundle, D, zs)
+    paired = _section_values_torus(D, 2, list(range(D // 2 + 1)), zs)
     assert paired.shape == dense.shape
     assert np.allclose(paired, dense, rtol=1e-14, atol=1e-14 * np.abs(full).max())
 
@@ -272,6 +375,10 @@ def test_kodaira_rank_requires_sections():
     orb, bundle = build_catalog_orbifold("torus", d=-1, k=1)
     with pytest.raises(ConfigurationError, match="no sections"):
         kodaira_rank(orb, bundle, 4)
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    with pytest.raises(ConfigurationError, match="no sections"):
+        kodaira_rank(orb, bundle, -2)
+    assert kodaira_rank(orb, bundle, 0) == 0          # L^0 is trivial
 
 
 def test_growth_exponent_bounded_by_rank():
