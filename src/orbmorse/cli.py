@@ -156,14 +156,22 @@ class RunConfig:
 
 
 def load_config(path):
+    """The validated RunConfig of a YAML file.
+
+    YAML decodes the bytes itself, so a file that is not UTF-8 (or UTF-16)
+    is a ReaderError like any malformed YAML.  The libyaml parser is used
+    where pyyaml was built with it, the pure-Python one elsewhere; both
+    build the same mapping with the safe constructor.
+    """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(data, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
-        raise ConfigurationError(f"config is not valid YAML: {exc}")
+        # pyyaml spreads its message over lines; the CLI prints one per error
+        raise ConfigurationError("config is not valid YAML: " + " ".join(str(exc).split()))
     return RunConfig.from_mapping(raw)
 
 

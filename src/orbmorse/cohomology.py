@@ -22,6 +22,35 @@ from .errors import UnsupportedModelError
 from .spectral import torus_kernel_dimension
 
 
+def _lattice_counts(ws, top):
+    """counts[d] = number of monomials of weighted degree exactly d, for
+    d = 0..top, from one coin-problem DP; O(len(ws) * top) time.  An empty
+    array when top < 0."""
+    # The coin recurrence counts[t] += counts[t - w] in increasing t is a
+    # cumulative sum along each residue class mod w.  Every partial count is
+    # at most C(top + n, n), the count with all n + 1 weights equal to 1;
+    # where that bound overflows int64 the sums run on exact Python integers.
+    n = len(ws) - 1
+    exact = math.comb(top + n, n) > np.iinfo(np.int64).max
+    counts = np.zeros(max(top + 1, 0), dtype=object if exact else np.int64)
+    counts[:1] = 1
+    for w in ws:
+        for r in range(min(w, top + 1)):
+            np.cumsum(counts[r::w], out=counts[r::w])
+    return counts
+
+
+def _h0_degree(ws, d, q):
+    """The degree whose h^0 is h^q of the degree-d bundle: d at q = 0, the
+    Serre dual -d - sum(weights) at the top q = n, and -1, which has no
+    sections, for the vanishing middle cohomology 0 < q < n."""
+    if q == 0:
+        return int(d)
+    if q == len(ws) - 1:
+        return -int(d) - sum(ws)
+    return -1
+
+
 def weighted_proj_h0(weights, d):
     """Number of monomials of weighted degree exactly d (coin-problem count).
 
@@ -30,20 +59,7 @@ def weighted_proj_h0(weights, d):
     """
     ws = _check_weights(weights)
     d = int(d)
-    if d < 0:
-        return 0
-    # The coin recurrence counts[t] += counts[t - w] in increasing t is a
-    # cumulative sum along each residue class mod w.  Every partial count is
-    # at most C(d + n, n), the count with all n + 1 weights equal to 1; where
-    # that bound overflows int64 the sums run on exact Python integers.
-    n = len(ws) - 1
-    exact = math.comb(d + n, n) > np.iinfo(np.int64).max
-    counts = np.zeros(d + 1, dtype=object if exact else np.int64)
-    counts[0] = 1
-    for w in ws:
-        for r in range(min(w, d + 1)):
-            np.cumsum(counts[r::w], out=counts[r::w])
-    return int(counts[d])
+    return int(_lattice_counts(ws, d)[d]) if d >= 0 else 0
 
 
 def weighted_proj_hq(weights, d, q):
@@ -56,11 +72,7 @@ def weighted_proj_hq(weights, d, q):
     n = len(ws) - 1
     if q < 0 or q > n:
         raise ValueError(f"degree q={q} outside 0..{n}")
-    if q == 0:
-        return weighted_proj_h0(ws, d)
-    if q == n:
-        return weighted_proj_h0(ws, -int(d) - sum(ws))
-    return 0
+    return weighted_proj_h0(ws, _h0_degree(ws, d, q))
 
 
 @dataclass(frozen=True)
@@ -94,15 +106,15 @@ def cohomology_table(orb, p_range):
     """
     p_values = tuple(int(p) for p in p_range)
     if orb.catalog_id == "wps":
-        ws = orb.params["weights"]
         if orb.params.get("dent"):
             raise UnsupportedModelError(
                 "cohomology tables require the unperturbed bundle metric")
-        entries = {}
-        for p in p_values:
-            for q in range(len(ws)):
-                entries[(p, q)] = weighted_proj_hq(ws, p, q)
-        return CohomologyTable(entries)
+        # one DP up to the largest degree read, then every entry off its array
+        ws = _check_weights(orb.params["weights"])
+        degrees = {(p, q): _h0_degree(ws, p, q) for p in p_values for q in range(len(ws))}
+        counts = _lattice_counts(ws, max([-1, *degrees.values()]))
+        return CohomologyTable({key: int(counts[d]) if d >= 0 else 0
+                                for key, d in degrees.items()})
     if orb.catalog_id == "torus":
         d, k = orb.params["d"], orb.params["k"]
         entries = {}

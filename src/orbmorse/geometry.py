@@ -216,9 +216,26 @@ class EquivariantLineBundle:
 # ---------------------------------------------------------------------------
 # quadrature
 
-_GL_RULES = {}     # the rule on [-1, 1], by resolution
-BLOCK_ROWS = 64    # rows of the tensor rule per block
-NEWTON_STEPS = 3   # from Tricomi's guesses, the third step corrects theta by < 1e-12
+_GL_RULES = {}       # the rule on [-1, 1], by resolution
+BLOCK_ROWS = 64      # rows of the tensor rule per block
+NEWTON_PASSES = 4    # cap on the recurrence passes; one is taken at n >= 128
+# the first ten zeros j_{0,k} of the Bessel function J_0, correctly rounded;
+# McMahon's expansion is exact to double precision beyond them
+BESSEL_J0_ZEROS = np.array([
+    2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+    14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+    27.493479132040253, 30.634606468431976])
+
+
+def _bessel_j0_zeros(count):
+    """The first ``count`` positive zeros of J_0: the table, then McMahon's
+    expansion in 1 / (8 beta) at beta = (k - 1/4) pi."""
+    beta = (np.arange(BESSEL_J0_ZEROS.size + 1, count + 1) - 0.25) * np.pi
+    t = 1.0 / (8.0 * beta)
+    t2 = t * t
+    mcmahon = beta + t * (1.0 - t2 * (124 / 3 - t2 * (120928 / 15 - t2 * (
+        401743168 / 105 - t2 * (1071187749376 / 315)))))
+    return np.concatenate((BESSEL_J0_ZEROS, mcmahon))[:count]
 
 
 def _legendre_slope(n, theta):
@@ -247,22 +264,34 @@ def _legendre_slope(n, theta):
 def _legendre_rule(n):
     """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
 
-    Newton's method in theta (x = cos theta) from Tricomi's guesses, on the
-    ceil(n/2) nodes with x >= 0; the rest follow by symmetry.  The weights
-    are 2 / slope^2 at the converged nodes, which is 2 sin^2(theta) /
-    (n P_{n-1})^2 at a root but, unlike that form, does not move to first
-    order with the last rounding of theta; they are then scaled to sum to 2.
-    O(n^2) time and O(n) memory, no eigenproblem (Hale & Townsend, SIAM J.
-    Sci. Comput. 35, 2013).
+    Newton's method in theta (x = cos theta) on the ceil(n/2) nodes with
+    x >= 0; the rest follow by symmetry.  The guesses are Tricomi's in the
+    interior and, for theta below 1 rad, Olver's in the Bessel zeros j_{0,k}
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013),
+        theta = psi + (psi cot psi - 1) / (8 psi rho^2),  psi = j_{0,k} / rho,
+    with rho = n + 1/2.  Passes stop once every step is below 1e-8 / n: one
+    pass at n >= 128, at most three below.  Each pass moves its slope s along
+    Legendre's equation, ds/dtheta = n(n+1) P - s cot theta, to the corrected
+    node, so the weights 2 / s^2 take no further pass; they are then scaled
+    to sum to 2.  Each pass is one O(n) recurrence per node, so O(n^2) time
+    and O(n) memory, no eigenproblem.
     """
     m = (n + 1) // 2
     k = np.arange(1, m + 1)
     theta = np.arccos((1.0 - 1.0 / (8 * n ** 2) + 1.0 / (8 * n ** 3))
                       * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
-    for _ in range(NEWTON_STEPS):
+    ends = np.count_nonzero(theta < 1.0)    # theta ascends, so a prefix
+    rho = n + 0.5
+    psi = _bessel_j0_zeros(ends) / rho
+    # cot as cos / sin: numpy's tan kernel alone maps a quarter MB of code
+    theta[:ends] = psi + (psi * np.cos(psi) / np.sin(psi) - 1.0) / (8.0 * psi * rho ** 2)
+    for _ in range(NEWTON_PASSES):
         p, slope = _legendre_slope(n, theta)
-        theta += p / slope
-    _, slope = _legendre_slope(n, theta)
+        step = p / slope
+        slope += step * (n * (n + 1) * p - slope * np.cos(theta) / np.sin(theta))
+        theta += step
+        if np.max(np.abs(step)) < 1e-8 / n:
+            break
     x = np.cos(theta)
     w = 2.0 / slope ** 2
     odd = n % 2

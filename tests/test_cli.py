@@ -111,6 +111,32 @@ def test_cli_exit_2_on_bad_config(tmp_path):
     assert main(["verify-morse", "--config", unknown, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    """A byte 0xFF in a comment is a YAML reader error, not a decode traceback."""
+    path = tmp_path / "c.yaml"
+    path.write_bytes(b"# caf\xff\n" + TORUS_YAML.encode())
+    with pytest.raises(ConfigurationError, match="not valid YAML"):
+        load_config(path)
+    assert main(["cohomology", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_CONFIGS.glob("*.yaml")))
+def test_config_loads_the_same_without_the_c_parser(tmp_path, monkeypatch, name):
+    """The pure-Python parser, used where pyyaml lacks libyaml, builds the
+    same RunConfig and refuses the same malformed YAML."""
+    path = DEMO_CONFIGS / name
+    bad = write(tmp_path, "bad.yaml", path.read_text() + "extra: [1, 2\n")
+    with_c = load_config(path)
+    with pytest.raises(ConfigurationError, match="not valid YAML"):
+        load_config(bad)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_config(path) == with_c
+    with pytest.raises(ConfigurationError, match="not valid YAML"):
+        load_config(bad)
+
+
 def test_cli_exit_2_on_unknown_subcommand(tmp_path):
     cfg = write(tmp_path, "c.yaml", TORUS_YAML)
     with pytest.raises(SystemExit) as err:

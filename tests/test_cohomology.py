@@ -74,6 +74,28 @@ def test_table_examples():
         assert table2.h(p, 0) == p // 2 + 1
 
 
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3)])
+def test_table_runs_one_lattice_dp(monkeypatch, weights):
+    """One coin DP per table, up to its largest degree, with h^0 and the
+    Serre-dual entries read off that one array; negative powers included."""
+    from orbmorse import cohomology
+    powers = list(range(-12, 16)) + [97, 1000]
+    expected = {(p, q): weighted_proj_hq(weights, p, q)
+                for p in powers for q in range(len(weights))}
+    lattice_counts = cohomology._lattice_counts
+    tops = []
+
+    def counting(ws, top):
+        tops.append(top)
+        return lattice_counts(ws, top)
+
+    monkeypatch.setattr(cohomology, "_lattice_counts", counting)
+    orb, _ = build_catalog_orbifold("wps", weights=weights)
+    table = cohomology_table(orb, powers)
+    assert tops == [max(1000, 12 - sum(weights))]
+    assert table.entries == expected
+
+
 def test_torus_table_cross_filled_from_kernel_counts():
     orb, _ = build_catalog_orbifold("torus", d=2, k=1)
     table = cohomology_table(orb, [1, 2, 5])

@@ -316,7 +316,8 @@ def test_gauss_legendre_rule_matches_40_digit_roots(n):
     from orbmorse.geometry import gauss_legendre_nodes
     x, w = gauss_legendre_nodes(n, 1.0)
     x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    sample = sorted({0, 1, n // 3, n // 2, n - 2, n - 1} & set(range(n)))
+    sample = sorted({0, 1, 2, 3, 4, n // 3, n // 2, n - 5, n - 4, n - 3, n - 2, n - 1}
+                    & set(range(n)))
     for i in sample:
         root, weight = mp_legendre_root(n, x_ref[i])
         assert abs(float(x[i] - root)) <= 4e-16
@@ -324,6 +325,37 @@ def test_gauss_legendre_rule_matches_40_digit_roots(n):
         ref_err = abs(float((w_ref[i] - weight) / weight))
         assert err <= 5e-14
         assert err <= max(4 * ref_err, 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n, most", [(1, 3), (2, 3), (3, 3), (24, 3), (101, 3),
+                                     (128, 1), (1024, 1), (2048, 1)])
+def test_legendre_rule_takes_one_recurrence_pass_from_olver_and_tricomi(monkeypatch, n, most):
+    """From Olver's guesses near the ends and Tricomi's inside, one pass of the
+    O(n) recurrence converges at n >= 128, and the weights take no extra pass."""
+    from orbmorse import geometry
+    legendre_slope = geometry._legendre_slope
+    calls = []
+
+    def counting(n, theta):
+        calls.append(n)
+        return legendre_slope(n, theta)
+
+    monkeypatch.setattr(geometry, "_legendre_slope", counting)
+    geometry._legendre_rule(n)
+    assert 1 <= len(calls) <= most
+
+
+def test_bessel_j0_zeros_match_mpmath():
+    """The ten tabulated zeros to 1 ulp, and McMahon's expansion beyond them
+    to 1 ulp up to k = 200."""
+    from orbmorse.geometry import BESSEL_J0_ZEROS, _bessel_j0_zeros
+    zeros = _bessel_j0_zeros(200)
+    assert zeros.size == 200
+    assert np.array_equal(zeros[:BESSEL_J0_ZEROS.size], BESSEL_J0_ZEROS)
+    for k, z in enumerate(zeros, start=1):
+        ref = float(mpmath.besseljzero(0, k))
+        assert abs(z - ref) <= math.ulp(ref)
+    assert _bessel_j0_zeros(0).size == 0 and _bessel_j0_zeros(3).size == 3
 
 
 def test_gauss_legendre_rule_memory_is_linear(monkeypatch):
