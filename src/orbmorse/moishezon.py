@@ -23,7 +23,7 @@ import numpy as np
 
 from .cohomology import CohomologyTable
 from .errors import ConfigurationError, UnsupportedModelError
-from .spectral import torus_ground_state_columns
+from .spectral import torus_basis_columns
 
 BIGNESS_NOISE_MARGIN = 10.0
 KODAIRA_RANK_TOL = 1e-8
@@ -147,11 +147,13 @@ def _torus_columns(x, D, k):
 def _section_values_torus(D, k, columns, pts):
     """Level-0 sections of the columns at pts: v_j, or on the half turn
     (v_j + v_{-j}) / sqrt(2), and v_j itself where j = -j mod D."""
-    if k == 1:
-        return torus_ground_state_columns(D, columns, pts)
     js = np.asarray(columns)
     mirror = (-js) % D
-    own, other = np.split(torus_ground_state_columns(D, np.concatenate([js, mirror]), pts), 2)
+    wanted = js if k == 1 else np.concatenate([js, mirror])
+    sec = np.array([torus_basis_columns(D, 1, wanted, z)[0] for z in pts]).T
+    if k == 1:
+        return sec
+    own, other = np.split(sec, 2)
     return np.where((js == mirror)[:, None], own, (own + other) / math.sqrt(2.0))
 
 

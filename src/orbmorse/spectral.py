@@ -39,15 +39,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedModelError
-
-SPECTRAL_GAP_FLOOR = 1e-8
-CLUSTER_RELATIVE_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -199,55 +195,6 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
         "the closed-form kernels instead")
 
 
-@dataclass
-class EigencomplexDiagnostics:
-    lam: float
-    dims: tuple
-    rank_dbar: tuple
-    alternating_residuals: tuple
-    skipped: bool = False
-    reason: str = ""
-
-
-def eigencomplex_check(op0: TorusKodairaOperator, op1: TorusKodairaOperator, lam):
-    """Exactness diagnostics of the eigenvalue complex at an isolated lam > 0.
-
-    Verifies sum_{j <= q} (-1)^(q-j) dim F_j = rank(dbar restricted to F_q),
-    which vanishes at the top degree.  Clusters tighter than the relative gap
-    tolerance are skipped with a warning, and lam = 0 is the kernel (Hodge),
-    not an exact complex, so it is skipped as well.
-    """
-    if (op0.q, op1.q) != (0, 1) or op0.p != op1.p or op0.d != op1.d or op0.k != op1.k:
-        raise ConfigurationError(
-            "the eigencomplex expects matching degree-0/degree-1 operators")
-    if lam <= SPECTRAL_GAP_FLOOR:
-        return EigencomplexDiagnostics(lam=lam, dims=(), rank_dbar=(),
-                                       alternating_residuals=(), skipped=True,
-                                       reason="kernel eigenvalue: Hodge space, not exact")
-    spectrum = {op.level_eigenvalue(level) for op in (op0, op1)
-                for level, m in enumerate(op.multiplicities) if m}
-    if any(0 < abs(v - lam) < CLUSTER_RELATIVE_GAP * lam for v in spectrum):
-        warnings.warn(f"eigencluster around {lam} too tight to separate; check skipped")
-        return EigencomplexDiagnostics(lam=lam, dims=(), rank_dbar=(),
-                                       alternating_residuals=(), skipped=True,
-                                       reason="cluster too tight")
-    levels = [{level for level in range(op.resolution)
-               if abs(op.level_eigenvalue(level) - lam) <= 1e-9 * max(lam, 1.0)}
-              for op in (op0, op1)]
-    dims = [sum(op.multiplicities[level] for level in lv)
-            for op, lv in zip((op0, op1), levels)]
-    # dbar is sqrt(B L) times the identity from degree-0 level L onto
-    # degree-1 level L - 1 (same swap sign, same states): full rank wherever
-    # both levels are retained
-    rank0 = sum(op0.multiplicities[level] for level in levels[0] if level - 1 in levels[1])
-    # degree-1 is the top degree here: dbar out of it is zero
-    residual_q0 = dims[0] - rank0
-    residual_q1 = dims[1] - dims[0]
-    return EigencomplexDiagnostics(lam=lam, dims=tuple(dims),
-                                   rank_dbar=(rank0, 0),
-                                   alternating_residuals=(residual_q0, residual_q1))
-
-
 # ---------------------------------------------------------------------------
 # eigenfunction values (diagonal-kernel cross checks, Kodaira map sections)
 
@@ -277,42 +224,32 @@ def _translate_window(x, D, B, levels):
     return int(math.floor((x - spread) * D)), int(math.ceil((x + spread) * D))
 
 
-def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
-    """Values psi_{level, j}(z) of the Landau-gauge torus basis at one point.
+def torus_basis_columns(D, levels, columns, z):
+    """Values psi_{level, j}(z) of the Landau-gauge torus basis, j in ``columns``.
 
-    Returns an array of shape (levels, D).  The lattice sum over translates is
-    truncated where the oscillator functions are below working precision.
+    Returns an array of shape (levels, len(columns)).  Each column sums its
+    own translates m = j mod D in the window where the oscillator functions
+    are above working precision, in increasing m, so a few columns cost the
+    same at every D.
     """
-    levels = levels if levels is not None else op.resolution
-    B = op.field_strength
-    D = op.D
+    B = 2.0 * math.pi * D
     x, y = float(np.real(z)), float(np.imag(z))
     m_lo, m_hi = _translate_window(x, D, B, levels)
-    ms = np.arange(m_lo, m_hi + 1)
-    phis = oscillator_functions(levels - 1, x - ms / D, B)   # (levels, M)
-    phases = np.exp(2j * np.pi * ms * y)
-    vals = np.zeros((levels, D), dtype=complex)
-    # unbuffered, in the order of ms: the same sums as a loop over the columns
-    np.add.at(vals, (slice(None), ms % D), phases * phis)
+    js = np.asarray(columns, dtype=np.int64)
+    ms = m_lo + (js - m_lo) % D + D * np.arange((m_hi - m_lo) // D + 1)[:, None]
+    rows, cols = np.nonzero(ms <= m_hi)     # row-major: each column's m increase
+    m = ms[rows, cols]
+    vals = np.zeros((levels, js.size), dtype=complex)
+    # unbuffered, in that order: the same sums as a loop over the translates
+    np.add.at(vals, (slice(None), cols),
+              np.exp(2j * np.pi * m * y) * oscillator_functions(levels - 1, x - m / D, B))
     return vals
 
 
-def torus_ground_state_columns(D, columns, points):
-    """Level-0 values psi_{0, j}(z), shape (len(columns), len(points)).
-
-    Each is the sum of ``torus_eigenfunction_values``, over the translates
-    m = j mod D in the window of its point and in the same order, at a cost
-    independent of D.
-    """
-    B = 2.0 * math.pi * D
-    out = np.empty((len(columns), len(points)), dtype=complex)
-    for k, z in enumerate(points):
-        m_lo, m_hi = _translate_window(z.real, D, B, 1)
-        for i, j in enumerate(columns):
-            ms = np.arange(m_lo + (j - m_lo) % D, m_hi + 1, D)
-            out[i, k] = sum(np.exp(2j * np.pi * ms * z.imag)
-                            * oscillator_functions(0, z.real - ms / D, B)[0])
-    return out
+def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
+    """Values psi_{level, j}(z) at one point for every j, shape (levels, D)."""
+    levels = levels if levels is not None else op.resolution
+    return torus_basis_columns(op.D, levels, np.arange(op.D), z)
 
 
 def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):

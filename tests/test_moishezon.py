@@ -17,8 +17,7 @@ from orbmorse.geometry import tensor_blocks
 from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, _torus_columns,
                                 _wps_exponents, bigness_check, kodaira_rank,
                                 moishezon_check, section_growth_exponent, siegel_bound)
-from orbmorse.spectral import (assemble_kodaira_laplacian, torus_eigenfunction_values,
-                               torus_ground_state_columns)
+from orbmorse.spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
 from swap_basis import invariant_basis
 
 DENT = {"amplitude": 1.2, "center": 0.45 + 0.0j, "width": 0.12}
@@ -347,13 +346,13 @@ def test_kodaira_rank_section_values_are_flat_in_p(monkeypatch, cid, params):
 
 @pytest.mark.parametrize("D", [1, 2, 3, 7, 64, 2048])
 def test_ground_state_columns_match_dense_values(D):
-    """The column sums repeat the dense basis value for value, wrapped windows included."""
+    """The level-0 sections repeat the dense basis value for value, wrapped windows included."""
     orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
     op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
     zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j, -0.3 + 1.7j])
     dense = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
     columns = [D - 1, 0, D // 2] if D > 2 else list(range(D))
-    assert np.array_equal(torus_ground_state_columns(D, columns, zs), dense[columns])
+    assert np.array_equal(_section_values_torus(D, 1, columns, zs), dense[columns])
 
 
 @pytest.mark.parametrize("D", [5, 8])

@@ -1,4 +1,4 @@
-"""Exact torus spectra, heat traces, residual chains, eigencomplexes."""
+"""Exact torus spectra, heat traces, residual chains, the Landau basis."""
 
 import itertools
 import math
@@ -10,10 +10,10 @@ import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
-from orbmorse.spectral import (SpectralTable, assemble_kodaira_laplacian,
-                               eigencomplex_check, heat_trace, morse_sum_vs_trace,
-                               oscillator_functions, torus_diagonal_kernel_spectral,
-                               torus_eigenfunction_values, torus_kernel_dimension)
+from orbmorse.spectral import (SpectralTable, assemble_kodaira_laplacian, heat_trace,
+                               morse_sum_vs_trace, oscillator_functions, torus_basis_columns,
+                               torus_diagonal_kernel_spectral, torus_eigenfunction_values,
+                               torus_kernel_dimension)
 from orbmorse.verify import exact_chain_residuals
 from swap_basis import invariant_basis
 
@@ -205,109 +205,28 @@ def _level_basis(op, level):
     return invariant_basis(op.D, (-1) ** level * (-1 if op.q == 1 else 1))
 
 
-def _dense_eigencomplex(op0, op1, lam):
-    """Reference: dims, rank of the assembled dbar and residuals at lam.
+def _dense_dbar_block(op0, op1, level):
+    """dbar from degree-0 level L to degree-1 level L - 1, in the invariant bases.
 
-    dbar maps (level, j) to sqrt(B level) (level - 1, j) in the full basis;
-    expressed in the invariant bases of both degrees it is the overlap
-    b1 b0^T of the two level blocks times sqrt(B level).
+    dbar maps (L, j) to sqrt(B L) (L - 1, j) in the full basis; expressed in
+    the invariant bases of both degrees it is the overlap b1 b0^T of the two
+    level blocks times sqrt(B L).
     """
-    B = op0.field_strength
-    bases = [[_level_basis(op, level) for level in range(op.resolution)]
-             for op in (op0, op1)]
-    offsets = [np.cumsum([0] + [b.shape[0] for b in bs]) for bs in bases]
-    dbar = np.zeros((offsets[1][-1], offsets[0][-1]))
-    for level in range(1, min(op0.resolution, op1.resolution + 1)):
-        rows = slice(offsets[1][level - 1], offsets[1][level])
-        cols = slice(offsets[0][level], offsets[0][level + 1])
-        dbar[rows, cols] = math.sqrt(B * level) * (bases[1][level - 1] @ bases[0][level].T)
-    masks = []
-    for op, bs in zip((op0, op1), bases):
-        masks.append(np.concatenate(
-            [np.full(b.shape[0], abs(op.level_eigenvalue(level) - lam) <= 1e-9 * max(lam, 1.0))
-             for level, b in enumerate(bs)]))
-    dims = tuple(int(m.sum()) for m in masks)
-    sub = dbar[np.ix_(masks[1], masks[0])]
-    rank = int(np.linalg.matrix_rank(sub, tol=1e-9)) if sub.size else 0
-    return dims, (rank, 0), (dims[0] - rank, dims[1] - dims[0])
+    b0, b1 = _level_basis(op0, level), _level_basis(op1, level - 1)
+    return math.sqrt(op0.field_strength * level) * (b1 @ b0.T)
 
 
-def test_eigencomplex_matches_dense_dbar():
-    """Closed-form dims and ranks against the assembled dbar, every level.
-
-    lam = B L for L in 1..resolution + 1 reaches the truncation edge: at
-    L = resolution only degree 1 keeps a level there (level L - 1), and
-    L = resolution + 1 lies beyond both degrees.
-    """
-    cases = 0
-    for d, k, p, resolution in itertools.product((1, 2), (1, 2), range(1, 13),
-                                                 (1, 2, 4, 8)):
-        op0, op1 = ops_for(d, k, p, resolution)
-        for level in range(1, resolution + 2):
-            lam = op0.field_strength * level
-            diag = eigencomplex_check(op0, op1, lam)
-            assert not diag.skipped
-            got = (diag.dims, diag.rank_dbar, diag.alternating_residuals)
-            assert got == _dense_eigencomplex(op0, op1, lam), (d, k, p, resolution, level)
-            cases += 1
-    assert cases == 912
-
-
-def test_eigencomplex_matches_dense_dbar_across_resolutions():
-    """Degree 1 truncated below degree 0: dbar out of the top retained
-    degree-0 level has no target, and its rank drops to 0 there."""
-    for d, k, p in itertools.product((1, 2), (1, 2), range(1, 7)):
-        orb, bundle = build_catalog_orbifold("torus", d=d, k=k)
-        for r0, r1 in itertools.permutations((1, 2, 4, 8), 2):
-            op0 = assemble_kodaira_laplacian(orb, bundle, p, 0, r0)
-            op1 = assemble_kodaira_laplacian(orb, bundle, p, 1, r1)
-            for level in range(1, max(r0, r1) + 2):
-                lam = op0.field_strength * level
-                diag = eigencomplex_check(op0, op1, lam)
-                got = (diag.dims, diag.rank_dbar, diag.alternating_residuals)
-                assert got == _dense_eigencomplex(op0, op1, lam), (d, k, p, r0, r1, level)
-
-
-def test_eigencomplex_memory_is_independent_of_power():
-    """At p = 256 the assembled dbar would be 2.1k x 2.1k per level pair
-    (129 MB in all); the closed form keeps O(resolution) memory."""
-    op0, op1 = ops_for(1, 2, 256, resolution=32)
-    lam = op0.field_strength * 3
-    eigencomplex_check(op0, op1, lam)                      # warm up
-    tracemalloc.start()
-    try:
-        diag = eigencomplex_check(op0, op1, lam)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-    assert diag.dims == (127, 127) and diag.rank_dbar == (127, 0)    # (D - 2) / 2
-
-
-def test_eigencomplex_rejects_mismatched_operators():
-    op0, _ = ops_for(1, 2, 4)
-    _, other = ops_for(1, 2, 8)
-    with pytest.raises(ConfigurationError):
-        eigencomplex_check(op0, other, op0.field_strength)
-
-
-def test_eigencomplex_exactness_on_first_level():
-    op0, op1 = ops_for(1, 2, 4)
-    lam = op0.field_strength            # first positive eigenvalue
-    diag = eigencomplex_check(op0, op1, lam)
-    assert not diag.skipped
-    assert diag.dims[0] == diag.dims[1]
-    assert diag.rank_dbar[0] == diag.dims[0]
-    assert diag.alternating_residuals == (0, 0)
-
-
-def test_eigencomplex_skips_kernel_and_clusters():
-    op0, op1 = ops_for(1, 2, 4)
-    assert eigencomplex_check(op0, op1, 0.0).skipped
-    lam = op0.field_strength * (1.0 + 1e-8)
-    with pytest.warns(UserWarning):
-        diag = eigencomplex_check(op0, op1, lam)
-    assert diag.skipped and "cluster" in diag.reason
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_dbar_pairs_matched_levels_at_full_rank(d, k):
+    """The pairing the exact chain relies on: the assembled dbar from degree-0
+    level L onto degree-1 level L - 1 has rank m0(L) = m1(L - 1)."""
+    for p in range(1, 13):
+        op0, op1 = ops_for(d, k, p, resolution=8)
+        for level in range(1, op0.resolution):
+            block = _dense_dbar_block(op0, op1, level)
+            rank = int(np.linalg.matrix_rank(block, tol=1e-9)) if block.size else 0
+            assert rank == op0.multiplicities[level] == op1.multiplicities[level - 1], \
+                (p, level)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +259,18 @@ def _eigenfunction_values_loop(op, z, levels):
     for col, m in enumerate(ms):
         vals[:, m % D] += phases[col] * phis[:, col]
     return vals
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 7, 64, 2048])
+@pytest.mark.parametrize("levels", [1, 32])
+def test_basis_columns_match_the_translate_loop(D, levels):
+    """Column by column, unsorted and repeated, bit for bit, in windows that
+    wrap (D small) and that do not."""
+    op = ops_for(1, 1, D)[0]
+    columns = [D - 1, 0, D // 2, D - 1, 0]
+    for z in (0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j, -0.3 + 1.7j):
+        assert np.array_equal(torus_basis_columns(D, levels, columns, z),
+                              _eigenfunction_values_loop(op, z, levels)[:, columns])
 
 
 @pytest.mark.parametrize("p", [8, 128, 2048])
