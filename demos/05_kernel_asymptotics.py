@@ -43,4 +43,4 @@ print("\n== two independent oracles for the torus quotient diagonal ==")
 orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
 for p, u in [(4, 1.0), (8, 0.5), (8, 1.0)]:
     gap = oracle_consistency(orb, bundle, 0.21 + 0.33j, u, p)
-    print(f"  p={p}, u={u}: |spectral - image sum| / |image sum| = {gap:.2e}")
+    print(f"  p={p}, u={u}: |spectral - image sum| / identity term = {gap:.2e}")

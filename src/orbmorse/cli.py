@@ -351,7 +351,8 @@ def _run_moishezon(cfg, orb, bundle, split):
 
 def _bigness_powers(cfg):
     top = max(4096, cfg.p_list[-1])
-    ps = sorted({int(round(x)) for x in np.geomspace(2, top, 40)})
+    # as a float: numpy takes a Python int beyond int64 as an object
+    ps = sorted({int(round(x)) for x in np.geomspace(2, float(top), 40)})
     return ps
 
 

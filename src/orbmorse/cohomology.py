@@ -18,14 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _check_weights
-from .errors import UnsupportedModelError
+from .errors import ConfigurationError, UnsupportedModelError
 from .spectral import torus_kernel_dimension
+
+LATTICE_DP_MAX = 2 ** 24    # largest degree the coin DP tabulates (128 MiB of int64)
 
 
 def _lattice_counts(ws, top):
     """counts[d] = number of monomials of weighted degree exactly d, for
     d = 0..top, from one coin-problem DP; O(len(ws) * top) time.  An empty
-    array when top < 0."""
+    array when top < 0, and refused before it allocates beyond LATTICE_DP_MAX."""
+    if top > LATTICE_DP_MAX:
+        raise ConfigurationError(
+            f"lattice counts up to degree {top} exceed the coin DP's bound "
+            f"of {LATTICE_DP_MAX}")
     # The coin recurrence counts[t] += counts[t - w] in increasing t is a
     # cumulative sum along each residue class mod w.  Every partial count is
     # at most C(top + n, n), the count with all n + 1 weights equal to 1;

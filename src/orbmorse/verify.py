@@ -395,14 +395,16 @@ def _truncated_operator(orb, bundle, u, p, degree, resolution=32):
 
 
 def oracle_consistency(orb, bundle, z, u, p, degree=0):
-    """Relative gap between the spectral and image-sum diagonal kernels."""
+    """Gap between the spectral and image-sum diagonal kernels, relative to
+    the identity term: at the half-turn fixed points the degree-one kernel
+    cancels to rounding, so its own size is no scale."""
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("oracle consistency compares the torus routes")
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
     image = torus_diagonal_kernel_image(orb, bundle, z, u, p,
                                         degree=degree).to_complex()
-    return abs(spec - image) / abs(image)
+    return abs(spec - image) / (_image_trace(op.d, 1, u, p, degree) / p)
 
 
 def _image_trace(d, k, u, p, degree):

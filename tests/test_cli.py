@@ -424,24 +424,51 @@ def child_env():
                 OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
-def test_torus_kodaira_rank_at_a_million_sections_exits_0(tmp_path):
-    """d*p up to 6.4e7 sections under a 1.5 GB address space: the rank reads a
-    few columns, so the run passes where a dense basis would not fit."""
+def run_capped(tmp_path, subcommand, cfg):
+    """orbmorse in a child process whose address space is capped at 1.5 GB."""
     import resource
-    cfg = write(tmp_path, "c.yaml",
-                "catalog: {id: torus, params: {d: 1000000, k: 1}}\nrun: {p_list: [1, 64]}\n")
     limit = int(1.5e9)
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run([sys.executable, "-m", "orbmorse.cli", "all", "--config", cfg,
+    return subprocess.run([sys.executable, "-m", "orbmorse.cli", subcommand, "--config", cfg,
                            "--out", str(tmp_path / "o")], env=child_env(), capture_output=True,
                           text=True, timeout=120, preexec_fn=cap_address_space)
+
+
+def test_torus_kodaira_rank_at_a_million_sections_exits_0(tmp_path):
+    """d*p up to 6.4e7 sections under a 1.5 GB address space: the rank reads a
+    few columns, so the run passes where a dense basis would not fit."""
+    cfg = write(tmp_path, "c.yaml",
+                "catalog: {id: torus, params: {d: 1000000, k: 1}}\nrun: {p_list: [1, 64]}\n")
+    proc = run_capped(tmp_path, "all", cfg)
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     bigness = next(r for r in report["results"] if r["name"] == "bigness")
     assert bigness["passed"] and bigness["data"]["kodaira_ranks"] == {"1": 1, "64": 1}
+
+
+@pytest.mark.parametrize("subcommand", ["cohomology", "all"])
+def test_lattice_dp_beyond_its_bound_exits_2_with_one_line(tmp_path, subcommand):
+    """At p = 2^28 on P(2, 3) the coin DP would ask for 2 GiB: it is refused
+    before it allocates, not ended by a MemoryError under a 1.5 GB cap."""
+    cfg = write(tmp_path, "c.yaml", "catalog: {id: wps, params: {weights: [2, 3]}}\n"
+                                    "run: {p_list: [268435456]}\n")
+    proc = run_capped(tmp_path, subcommand, cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1 and "coin DP" in proc.stderr
+
+
+@pytest.mark.parametrize("catalog", ["{id: torus, params: {d: 1, k: 2}}",
+                                     "{id: wps, params: {weights: [2, 3]}}"],
+                         ids=["torus", "wps"])
+def test_power_beyond_int64_exits_2_with_one_line(tmp_path, capsys, catalog):
+    cfg = write(tmp_path, "c.yaml",
+                f"catalog: {catalog}\nrun: {{p_list: [4, 100000000000000000000]}}\n")
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "configuration error" in err
 
 
 @pytest.mark.parametrize("model", ["torus_halfturn", "wps23"])

@@ -67,6 +67,16 @@ def test_image_sum_matches_spectral_kernel_on_torus(p, u):
     assert gap < 1e-4
 
 
+@pytest.mark.parametrize("p", [4, 8, 128, 2048])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_oracle_gap_is_scaled_by_the_identity_term(degree, p):
+    """At the four half-turn fixed points the degree-one kernel cancels to
+    rounding, so a gap relative to it read 1.0-2.06 where both routes agree."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    for z in (0j, 0.5 + 0j, 0.5j, 0.5 + 0.5j, 0.21 + 0.33j):
+        assert oracle_consistency(orb, bundle, z, 1.0, p, degree=degree) <= 1e-12, z
+
+
 @pytest.mark.parametrize("route", ["oracle", "trace"])
 def test_spectral_routes_refuse_a_time_their_levels_cannot_resolve(route):
     """At u = 0.01 the 32 kept Landau levels drop a tail of relative weight
