@@ -237,7 +237,7 @@ def torus_basis_columns(D, levels, columns, z):
     m_lo, m_hi = _translate_window(x, D, B, levels)
     js = np.asarray(columns, dtype=np.int64)
     ms = m_lo + (js - m_lo) % D + D * np.arange((m_hi - m_lo) // D + 1)[:, None]
-    rows, cols = np.nonzero(ms <= m_hi)     # row-major: each column's m increase
+    rows, cols = np.nonzero(ms <= m_hi)     # row-major: each column's m in increasing order
     m = ms[rows, cols]
     vals = np.zeros((levels, js.size), dtype=complex)
     # unbuffered, in that order: the same sums as a loop over the translates
