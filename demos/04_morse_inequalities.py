@@ -5,7 +5,8 @@ asymptotic strong inequalities against curvature integrals on weighted
 projective lines.
 """
 
-from orbmorse import build_catalog_orbifold, morse_integral, signature_integrals
+from orbmorse import (build_catalog_orbifold, cohomology_table, morse_integral,
+                      signature_integrals)
 from orbmorse.verify import exact_chain_residuals, verify_strong_morse
 
 print("== exact trace chain on the half-turn torus quotient ==")
@@ -18,8 +19,10 @@ for p in (4, 8, 16):
 print("\n== strong Morse series: Morse sums against curvature integrals ==")
 for weights, chern in [((1, 1), "1"), ((1, 2), "1/2")]:
     orb, bundle = build_catalog_orbifold("wps", weights=weights)
-    series = verify_strong_morse(orb, 1, [64, 256, 1024, 4096],
-                                 signature_integrals(orb, bundle, resolution=192))
+    powers = [64, 256, 1024, 4096]
+    series = verify_strong_morse(orb, 1, powers,
+                                 signature_integrals(orb, bundle, resolution=192),
+                                 cohomology_table(orb, powers))
     print(f"  P{weights}: curvature integral over M(<=1) = "
           f"{series.integral:.6f} (= {chern})")
     for p, rho in zip(series.p_list, series.residuals):

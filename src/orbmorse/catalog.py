@@ -291,13 +291,17 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
     def bump_y(r2):
         return 1.0 - radial_bump(z_abs_from_y(np.sqrt(r2)), WPS_BUMP_INNER, WPS_BUMP_OUTER)
 
-    box_x = WPS_BUMP_OUTER * 1.02
-    box_y = gamma * WPS_BUMP_INNER ** (-a / b) * 1.05
+    # each bump is exactly 0.0 from the radius where it ends: |z| = outer in
+    # the x-chart, |z| = inner seen from the y-chart
+    end_x = WPS_BUMP_OUTER
+    end_y = gamma * WPS_BUMP_INNER ** (-a / b)
 
-    chart_x = OrbifoldChart(dimension=1, group=group_x, bump=RadialField(bump_x),
-                            box_radius=box_x, metric_scalar=RadialField(h_x))
-    chart_y = OrbifoldChart(dimension=1, group=group_y, bump=RadialField(bump_y),
-                            box_radius=box_y, metric_scalar=RadialField(h_y))
+    chart_x = OrbifoldChart(dimension=1, group=group_x,
+                            bump=RadialField(bump_x, support=end_x ** 2),
+                            box_radius=end_x * 1.02, metric_scalar=RadialField(h_x))
+    chart_y = OrbifoldChart(dimension=1, group=group_y,
+                            bump=RadialField(bump_y, support=end_y ** 2),
+                            box_radius=end_y * 1.05, metric_scalar=RadialField(h_y))
 
     singular_orders = (a, b)
 

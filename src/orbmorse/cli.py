@@ -176,27 +176,30 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each takes (cfg, orb, bundle, split), where split()
-# gives the run's signature split, and returns (results, diagnostics, artifacts):
+# subcommand implementations: each takes (cfg, orb, bundle, split, table), where
+# split() gives the run's signature split and table() its cohomology table over
+# p_list and the bigness powers, and returns (results, diagnostics, artifacts):
 # results entries are (name, passed, data); artifacts maps file names to text.
 
 
-def _run_cohomology(cfg, orb, bundle, split):
-    table = cohomology_table(orb, cfg.p_list)
-    data = {"entries": {f"{p},{q}": table.h(p, q)
-                        for (p, q) in sorted(table.entries)}}
+def _run_cohomology(cfg, orb, bundle, split, table):
+    # the check covers every entry the run reads; the record shows p_list's
+    table = table()
+    shown = table.over(cfg.p_list)
+    data = {"entries": {f"{p},{q}": shown.h(p, q)
+                        for (p, q) in sorted(shown.entries)}}
     ok = all(type(h) is int and h >= 0 for h in table.entries.values())
     # on a curve h0(p)/p tends to the degree, or to 0 when the degree is not
-    # positive; every catalog count is within 1/p of it at the largest p
+    # positive; every catalog count is within 1/p of it at the table's largest p
     degree = orb.params.get("degree")
     if ok and degree is not None:
-        p = cfg.p_list[-1]
+        p = max(p for p, _ in table.entries)
         ok = abs(table.h(p, 0) / p - max(degree, 0.0)) <= 2.0 / p
     return ([("cohomology-table", ok, data)], [],
-            {"cohomology.csv": table.to_csv()})
+            {"cohomology.csv": shown.to_csv()})
 
 
-def _run_curvature_integral(cfg, orb, bundle, split):
+def _run_curvature_integral(cfg, orb, bundle, split, table):
     split = split()
     # a NaN or infinite value is a failed quadrature, not a result
     finite = math.isfinite(split.degenerate_fraction)
@@ -208,7 +211,7 @@ def _run_curvature_integral(cfg, orb, bundle, split):
     return results, [], {}
 
 
-def _run_heat_trace(cfg, orb, bundle, split):
+def _run_heat_trace(cfg, orb, bundle, split, table):
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("heat traces require the flat torus catalog entry")
     results = []
@@ -230,7 +233,7 @@ def _run_heat_trace(cfg, orb, bundle, split):
     return results, [], artifacts
 
 
-def _run_verify_morse(cfg, orb, bundle, split):
+def _run_verify_morse(cfg, orb, bundle, split, table):
     results = []
     diagnostics = []
     artifacts = {}
@@ -264,7 +267,7 @@ def _run_verify_morse(cfg, orb, bundle, split):
     split = split()
     for q in cfg.q_list:
         try:
-            series = vf.verify_strong_morse(orb, q, cfg.p_list, split)
+            series = vf.verify_strong_morse(orb, q, cfg.p_list, split, table())
         except OrbmorseError as exc:
             diagnostics.append(("warning", f"strong Morse at q={q} skipped: {exc}"))
             continue
@@ -290,7 +293,7 @@ def _run_verify_morse(cfg, orb, bundle, split):
     return results, diagnostics, artifacts
 
 
-def _run_kernel_asymptotics(cfg, orb, bundle, split):
+def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError(
             "kernel asymptotics run on the local quotient models")
@@ -318,7 +321,7 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split):
     return results, [], {}
 
 
-def _run_moishezon(cfg, orb, bundle, split):
+def _run_moishezon(cfg, orb, bundle, split, table):
     rng = random.Random(cfg.seed)
     verdict = mz.moishezon_check(split(), cfg.tolerances["tol_quadrature"])
     # a NaN or infinite witness is a failed quadrature, not a verdict
@@ -328,7 +331,7 @@ def _run_moishezon(cfg, orb, bundle, split):
     expected_big = ((orb.catalog_id == "wps" and not orb.params.get("dent"))
                     or (orb.catalog_id == "torus" and orb.params.get("d", 0) >= 1))
     try:
-        table = cohomology_table(orb, _bigness_powers(cfg))
+        table = table().over(_bigness_powers(cfg))
         est = mz.bigness_check(table, orb.dimension)
         ranks = {}
         rank_max = -1
@@ -380,14 +383,17 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
         raise ConfigurationError(
             f"q_list entries must be at most the model dimension {orb.dimension}")
     names = [s for s in SUBCOMMANDS[:-1]] if subcommand == "all" else [subcommand]
-    # one curvature pass per run, made by the first stage that asks for it
+    # one curvature pass and one cohomology table per run, each made by the
+    # first stage that asks for it
     split = functools.cache(lambda: signature_integrals(
         orb, bundle, config.resolution_quadrature, config.tolerances["tol_degeneracy"]))
+    table = functools.cache(lambda: cohomology_table(
+        orb, sorted({*config.p_list, *_bigness_powers(config)})))
     results, diagnostics, artifacts = [], [], {}
     for name in names:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                r, d, a = RUNNERS[name](config, orb, bundle, split)
+                r, d, a = RUNNERS[name](config, orb, bundle, split, table)
         except ArithmeticError as exc:
             # an overflow or a 0/0 would otherwise end as a traceback or a NaN
             raise ConfigurationError(f"{name}: the configured values leave the "

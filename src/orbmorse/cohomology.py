@@ -90,6 +90,11 @@ class CohomologyTable:
     def h(self, p, q):
         return self.entries[(int(p), int(q))]
 
+    def over(self, p_values):
+        """The table of the entries at the powers ``p_values``."""
+        keep = {int(p) for p in p_values}
+        return CohomologyTable({key: h for key, h in self.entries.items() if key[0] in keep})
+
     def morse_sum(self, p, q):
         """sum_{j <= q} (-1)^j h^j."""
         return sum((-1) ** j * self.h(p, j) for j in range(q + 1))

@@ -71,11 +71,11 @@ def classify_point(eigenvalues, tol=DEGENERACY_TOL):
 
 
 def _quadrature_blocks(chart, curvature_scalar, resolution):
-    """The chart's quadrature blocks: folded when every field the pass reads is
-    a RadialField, the full tensor rule otherwise."""
+    """The chart's quadrature blocks: folded, over the bump's support, when
+    every field the pass reads is a RadialField, the full tensor rule otherwise."""
     if all(isinstance(f, RadialField) for f in (chart.bump, chart.metric_scalar,
                                                  curvature_scalar)):
-        return folded_blocks(resolution, chart.box_radius)
+        return folded_blocks(resolution, chart.box_radius, chart.bump.support)
     return tensor_blocks(resolution, chart.box_radius)
 
 
@@ -92,8 +92,9 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     to the curvature density c itself, and the signature of a node is the
     sign of c / h.  A chart whose bump, metric and curvature are all
     RadialFields is summed over the folded rule, one node per orbit of the
-    rule's symmetry; the nodes, weights and values are those of the full
-    rule, in another summation order.
+    rule's symmetry, and only where its bump is not exactly 0.0; the nodes,
+    weights and values are those of the full rule, less terms that are
+    exactly zero, in another summation order.
     """
     _require_one_dimensional(orb)
     classes = range(orb.dimension + 1)

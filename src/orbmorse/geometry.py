@@ -89,9 +89,15 @@ class RadialField:
     That r^2 takes the same bits at z, -z, conj z and i conj z, so a field
     built this way is radial by construction and the quadrature may evaluate
     it once per orbit of the tensor rule's symmetry (``folded_blocks``).
+
+    ``support`` is the r^2 at and beyond which the profile is exactly 0.0;
+    the folded rule leaves out the nodes there when the field is a chart's
+    bump.  Only the catalog's partition-of-unity bumps set it; every other
+    field keeps the default, infinity, and is integrated over the whole box.
     """
 
     profile: object
+    support: float = math.inf
 
     def __call__(self, z):
         z = np.asarray(z)
@@ -112,7 +118,10 @@ class OrbifoldChart:
         one-dimensional chart (vectorized, group-invariant, 1 at the center).
         Required when n = 1; None for the flat higher-dimensional local models.
     bump(Z) -> weight of this chart in the partition of unity (invariant).
-    box_radius : half-side of the real quadrature box covering supp(bump).
+    box_radius : half-side of the square [-r, r]^2 on which the chart's
+        integrals run.  On P(a, b) it holds supp(bump) with a margin; on the
+        torus it is the fundamental cell and on a local model the unit box,
+        where the bump is identically 1.
     """
 
     dimension: int
@@ -320,27 +329,31 @@ def tensor_blocks(resolution, radius):
                (w[i:i + BLOCK_ROWS, None] * w[None, :]).ravel())
 
 
-def folded_blocks(resolution, radius):
+def folded_blocks(resolution, radius, support=math.inf):
     """The tensor rule folded by its symmetry, for integrands of |z|^2 alone.
 
     The 1-d rule is a bitwise mirror, so the tensor rule on the square is
     invariant under x -> -x, y -> -y and x <-> y, and a RadialField takes the
     same bits on each orbit of nodes.  Yields (nodes x_i + 1j x_j, weights)
-    over the orbit representatives 0 <= x_i <= x_j, each weight w_i w_j
-    times the size of the orbit: 8, or 4 on the diagonal x_i = x_j > 0 and
-    on the axis 0 = x_i < x_j (odd resolution), and 1 at the origin.  Rows i
-    go BLOCK_ROWS at a time, so a block holds at most
-    BLOCK_ROWS * ceil(resolution / 2) nodes.
+    over the orbit representatives 0 <= x_i <= x_j with r^2 = x_i^2 + x_j^2
+    below ``support``, each weight w_i w_j times the size of the orbit: 8, or
+    4 on the diagonal x_i = x_j > 0 and on the axis 0 = x_i < x_j (odd
+    resolution), and 1 at the origin.  Rows i go BLOCK_ROWS at a time, each
+    block over the columns from its first row to that row's last node in the
+    support, so a block holds at most BLOCK_ROWS * ceil(resolution / 2)
+    nodes; rows whose diagonal node lies outside the support are left out.
     """
     x, w = gauss_legendre_nodes(resolution, radius)
     x, w = x[x.size // 2:], w[w.size // 2:]      # the ceil(n/2) nodes with x >= 0
     w = w * np.where(x == 0.0, 1.0, 2.0)         # times the orbit size under x -> -x
-    j = np.arange(x.size)
-    for i in range(0, x.size, BLOCK_ROWS):
-        rows = j[i:i + BLOCK_ROWS, None]
-        upper = j >= rows
-        swap = np.where(j > rows, 2.0, 1.0)      # the orbit size under x_i <-> x_j
-        yield (x[rows] + 1j * x)[upper], (w[rows] * w * swap)[upper]
+    r2 = x * x            # a RadialField reads r2[i] + r2[j] at x_i + 1j x_j
+    rows_in = np.count_nonzero(r2 + r2 < support)
+    for i in range(0, rows_in, BLOCK_ROWS):
+        rows = np.arange(i, min(i + BLOCK_ROWS, rows_in))[:, None]
+        cols = np.arange(i, np.count_nonzero(r2[i] + r2 < support))
+        keep = (cols >= rows) & (r2[rows] + r2[cols] < support)
+        swap = np.where(cols > rows, 2.0, 1.0)   # the orbit size under x_i <-> x_j
+        yield (x[rows] + 1j * x[cols])[keep], (w[rows] * w[cols] * swap)[keep]
 
 
 def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):

@@ -29,6 +29,12 @@ BIGNESS_NOISE_MARGIN = 10.0
 KODAIRA_RANK_TOL = 1e-8
 KODAIRA_SAMPLES = 6         # sample points per Kodaira rank
 KODAIRA_STEP = 1e-5         # central-difference step
+# Largest D = d p whose torus sections the stencil resolves.  A level-0
+# section is summed over the translate window (sqrt(3) + 9) / sqrt(2 pi D)
+# wide around the point; the stencil's anchor must stay inside it at
+# KODAIRA_STEP away, or the ratios divide 0/0.  At 2^36 the window is 1.6
+# steps wide; it holds one step up to D of about 1.8e11.
+KODAIRA_TORUS_MAX_D = 2 ** 36
 GROWTH_TAIL = 8             # table powers in the section growth fit
 
 
@@ -204,6 +210,11 @@ def kodaira_rank(orb, bundle, p, rng=None):
         if d < 0 or p < 0:
             raise ConfigurationError(f"no sections at power p={p}")
         D = d * p
+        if D > KODAIRA_TORUS_MAX_D:
+            raise ConfigurationError(
+                f"the torus sections of p={p} live on D = d p = {D} columns, too narrow "
+                f"for the stencil step {KODAIRA_STEP}, which resolves D up to "
+                f"{KODAIRA_TORUS_MAX_D}")
         box = (0.13, 0.5, 0.17, 0.5)
         values = functools.partial(_section_values_torus, D, k)
 

@@ -73,9 +73,18 @@ class SpectralTable:
 
 
 def heat_trace(table: SpectralTable, u):
-    """Trace of exp(-u Laplacian / p) on degree-q forms from a spectral table."""
+    """Trace of exp(-u Laplacian / p) on degree-q forms from a spectral table.
+
+    A level of more than 2^53 states is refused: the float sum could not hold
+    its count, nor be told from the exact kernel dimension.
+    """
     if u <= 0:
         raise ValueError("heat-trace time u must be positive")
+    states = max((mult for _, mult in table.eigenvalues), default=0)
+    if states > 2 ** 53:
+        raise ConfigurationError(
+            f"the heat trace at p={table.p} sums a level of {states} states, beyond "
+            "2^53, the largest count a float holds exactly")
     return float(sum(mult * math.exp(-u * max(lam, 0.0) / table.p)
                      for lam, mult in table.eigenvalues))
 

@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cohomology import cohomology_table
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
                      UnsupportedModelError)
@@ -330,19 +329,20 @@ class StrongMorseSeries:
                 "fit": self.fit.as_record()}
 
 
-def verify_strong_morse(orb, q, p_list, split):
+def verify_strong_morse(orb, q, p_list, split, table):
     """Residual series of the strong Morse inequality at degree q.
 
     rho_p = p^{-n} sum_{j <= q} (-1)^j h^j  -  integral over the
     signature region {<= q} of det(curvature endomorphism / 2 pi), the sum
-    of the signature split ``split`` over q' <= q.  The series must satisfy
-    max(rho_p, 0) decreasing along the tail, with |rho_p| -> 0 at q = n.
+    of the signature split ``split`` over q' <= q; the h^j are read from
+    ``table``, a cohomology table holding every power of ``p_list``.  The
+    series must satisfy max(rho_p, 0) decreasing along the tail, with
+    |rho_p| -> 0 at q = n.
     """
     n = orb.dimension
     if not 0 <= q <= n:
         raise ConfigurationError(f"degree q={q} outside 0..{n}")
     p_list = tuple(int(p) for p in p_list)
-    table = cohomology_table(orb, p_list)
     integral = sum(split.by_signature[: q + 1])
     sums = []
     residuals = []

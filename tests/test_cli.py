@@ -471,6 +471,70 @@ def test_power_beyond_int64_exits_2_with_one_line(tmp_path, capsys, catalog):
     assert len(err.strip().splitlines()) == 1 and "configuration error" in err
 
 
+def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsys):
+    """At p = 2^40 the sections are narrower than the Kodaira stencil: the rank
+    is skipped with that cause and bigness still reads the rank at p = 64.  The
+    run's only failures may be the trace chains at 2^40, whose heat traces of
+    about 5.5e11 states round their difference to about 1e-5, against
+    tol_chain = 1e-9."""
+    cfg = write(tmp_path, "c.yaml", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
+                                    "run: {p_list: [64, 1099511627776]}\n")
+    code = main(["all", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert "floating-point range" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    notes = [d["message"] for d in report["diagnostics"] if d["level"] == "info"]
+    assert any(n.startswith("rank at p=1099511627776 skipped") and "stencil step" in n
+               for n in notes)
+    bigness = next(r for r in report["results"] if r["name"] == "bigness")
+    assert bigness["passed"] and bigness["data"]["kodaira_ranks"] == {"64": 1}
+    failed = {r["name"] for r in report["results"] if not r["passed"]}
+    assert failed <= {f"trace-chain-p1099511627776-u{u}" for u in ("0.5", "1.0", "5.0")}
+    assert code == (1 if failed else 0)
+
+
+def test_torus_power_beyond_float_counts_exits_2_with_its_cause(tmp_path, capsys):
+    """At p = 10^20 a Landau level holds 5e19 states, more than a float counts
+    exactly: the heat trace refuses it in one line that names p and the cause."""
+    cfg = write(tmp_path, "c.yaml", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
+                                    "run: {p_list: [64, 100000000000000000000]}\n")
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "floating-point range" not in err[0]
+    assert "p=100000000000000000000" in err[0] and "2^53" in err[0]
+
+
+def load_bench_config(tmp_path, workload):
+    """The YAML config that bench/run.py writes for a CLI workload, at seed 7."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    kind, raw = module.WORKLOADS[workload](7)
+    assert kind == "cli"
+    return write(tmp_path, "bench.yaml", yaml.safe_dump(raw, sort_keys=True))
+
+
+@pytest.mark.parametrize("config", ["p12", "wps-quadrature"])
+def test_all_runs_one_lattice_dp(tmp_path, monkeypatch, config):
+    """The cohomology, verify-morse and moishezon-check stages read one table,
+    built by one coin DP over p_list and the bigness powers."""
+    from orbmorse import cohomology
+    path = (str(DEMO_CONFIGS / "p12.yaml") if config == "p12"
+            else load_bench_config(tmp_path, config))
+    lattice_counts = cohomology._lattice_counts
+    tops = []
+
+    def counting(ws, top):
+        tops.append(top)
+        return lattice_counts(ws, top)
+
+    monkeypatch.setattr(cohomology, "_lattice_counts", counting)
+    assert main(["all", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    p_list = load_config(path).p_list
+    assert tops == [max(4096, p_list[-1])]
+
+
 @pytest.mark.parametrize("model", ["torus_halfturn", "wps23"])
 def test_all_run_leaves_numpy_random_unimported(tmp_path, model):
     """The Kodaira ranks draw from the stdlib generator: a run costs no numpy.random import."""

@@ -204,19 +204,20 @@ def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, res
     assert folded.max_eigenvalue == full.max_eigenvalue
 
 
-def test_radial_charts_evaluate_one_node_per_orbit():
-    """P(2,3) at resolution 1024: each field of each chart is evaluated at
-    512 * 513 / 2 points, where the full grid takes 1024^2."""
+def count_field_evaluations(orb, bundle, resolution, keep_support=True):
+    """Points at which signature_integrals evaluates each field, by (chart, field).
+
+    Every field is rewrapped in a counting RadialField, with the bump's
+    support kept or dropped."""
     from dataclasses import replace
     from orbmorse.geometry import RadialField
-    orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
     counts = {}
 
     def counted(field, key):
         def profile(r2):
             counts[key] = counts.get(key, 0) + np.size(r2)
             return field.profile(r2)
-        return RadialField(profile)
+        return RadialField(profile, field.support if keep_support else math.inf)
 
     charts = tuple(replace(chart, bump=counted(chart.bump, (k, "bump")),
                            metric_scalar=counted(chart.metric_scalar, (k, "metric")))
@@ -225,9 +226,41 @@ def test_radial_charts_evaluate_one_node_per_orbit():
     bundle = replace(bundle, curvature_scalars=tuple(
         counted(c, (k, "curvature")) for k, c in enumerate(bundle.curvature_scalars)))
     counts.clear()                     # the charts check h(0) = 1 when they are built
-    signature_integrals(orb, bundle, resolution=1024)
-    assert counts == {(k, f): 512 * 513 // 2 for k in (0, 1)
-                      for f in ("bump", "metric", "curvature")}
+    signature_integrals(orb, bundle, resolution=resolution)
+    return counts
+
+
+def test_radial_charts_evaluate_one_node_per_orbit():
+    """P(2,3) at resolution 1024: each field of each chart is evaluated once per
+    orbit representative 0 <= x_i <= x_j with x_i^2 + x_j^2 below its bump's
+    support, fewer than half of the 512 * 513 / 2 orbits; without the support
+    every orbit is evaluated, where the full grid takes 1024^2."""
+    from orbmorse.geometry import gauss_legendre_nodes
+    orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
+    expected = {}
+    for k, chart in enumerate(orb.charts):
+        x = gauss_legendre_nodes(1024, chart.box_radius)[0][512:]
+        r2 = x[:, None] * x[:, None] + x[None, :] * x[None, :]
+        inside = np.count_nonzero(np.triu(r2 < chart.bump.support))
+        assert inside < 512 * 513 // 4
+        expected.update({(k, f): inside for f in ("bump", "metric", "curvature")})
+    assert count_field_evaluations(orb, bundle, 1024) == expected
+    assert count_field_evaluations(orb, bundle, 1024, keep_support=False) == {
+        (k, f): 512 * 513 // 2 for k in (0, 1) for f in ("bump", "metric", "curvature")}
+
+
+def test_signature_split_peak_memory_on_the_wps_bench_model():
+    """P(2,3) at resolution 1024 stays under 4.0 MiB of traced allocations
+    (3.9 MiB before the split integrated only over the bumps' support)."""
+    import tracemalloc
+    orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
+    tracemalloc.start()
+    try:
+        signature_integrals(orb, bundle, resolution=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 2 ** 20
 
 
 @pytest.mark.parametrize("resolution", [32, 101])

@@ -8,6 +8,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
@@ -417,6 +419,63 @@ def test_folded_blocks_hold_one_node_per_orbit(resolution):
     folded = math.fsum(np.concatenate([b[1] for b in blocks]))
     full = math.fsum(np.concatenate([b[1] for b in tensor_blocks(resolution, 1.3)]))
     assert abs(folded - full) <= 1e-15 * full
+
+
+@pytest.mark.parametrize("support", [0.0, 0.3, 1.69, 2.5, 3.38, 4.0])
+@pytest.mark.parametrize("resolution", [1, 2, 25, 128, 1024])
+def test_folded_blocks_clip_to_the_support(resolution, support):
+    """With a support the folded rule is the unclipped one less its nodes with
+    r^2 >= support, in the same order, each block at most BLOCK_ROWS rows."""
+    from orbmorse.geometry import BLOCK_ROWS, folded_blocks
+    half = -(-resolution // 2)
+    blocks = list(folded_blocks(resolution, 1.3, support))
+    assert all(nodes.size == weights.size <= BLOCK_ROWS * half for nodes, weights in blocks)
+    nodes, weights = (np.concatenate([b[k] for b in blocks] or [np.empty(0)]) for k in (0, 1))
+    full_nodes, full_weights = (np.concatenate([b[k] for b in folded_blocks(resolution, 1.3)])
+                                for k in (0, 1))
+    inside = full_nodes.real * full_nodes.real + full_nodes.imag * full_nodes.imag < support
+    assert np.array_equal(nodes, full_nodes[inside])
+    assert np.array_equal(weights, full_weights[inside])
+
+
+def catalog_bumps():
+    """(label, bump) of every chart of P(a, b), a, b <= 7 coprime, and of the dented P(1,1)."""
+    models = [((a, b), None) for a in range(1, 8) for b in range(1, 8) if math.gcd(a, b) == 1]
+    models.append(((1, 1), {"amplitude": 1.2, "center": 0.45, "width": 0.12}))
+    return [(f"P{weights} dent={dent is not None} chart {k}", chart.bump)
+            for weights, dent in models
+            for k, chart in enumerate(build_catalog_orbifold("wps", weights=weights,
+                                                             dent=dent)[0].charts)]
+
+
+CATALOG_BUMPS = catalog_bumps()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CATALOG_BUMPS), st.floats(1.0, 1e6),
+       st.integers(0, 64))
+def test_catalog_bumps_vanish_exactly_on_and_beyond_their_support(labelled, scale, ulps):
+    """The quadrature leaves out the nodes at r^2 >= support: the bump is
+    exactly 0.0 there, from the support itself and the floats just above it."""
+    label, bump = labelled
+    assert math.isfinite(bump.support), label
+    r2 = np.array([bump.support * scale, bump.support])
+    for _ in range(ulps):
+        r2[1] = np.nextafter(r2[1], np.inf)
+    assert np.all(bump.profile(r2) == 0.0), label
+    z = np.sqrt(r2) + 0j
+    assert np.all(bump(z[z.real * z.real >= bump.support]) == 0.0), label
+
+
+def test_only_the_catalog_bumps_declare_a_support():
+    """Metrics, curvatures and the torus and local-model fields keep the whole box."""
+    for catalog_id, params in [("wps", dict(weights=(2, 3))), ("torus", dict(d=1, k=2)),
+                               ("local-model", dict(k=2, a=[1.0]))]:
+        orb, bundle = build_catalog_orbifold(catalog_id, **params)
+        fields = [chart.metric_scalar for chart in orb.charts] + list(bundle.curvature_scalars)
+        if catalog_id != "wps":
+            fields += [chart.bump for chart in orb.charts]
+        assert all(f.support == math.inf for f in fields)
 
 
 @pytest.mark.parametrize("resolution", [24, 25])

@@ -344,6 +344,23 @@ def test_kodaira_rank_section_values_are_flat_in_p(monkeypatch, cid, params):
     assert evaluated[0] == evaluated[1] <= 5 * 4
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_torus_rank_is_refused_beyond_the_stencil(monkeypatch, d):
+    """D = d p = 2^36 resolves; one power more is refused with p and its cause
+    before any section is evaluated, also where D leaves int64."""
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=2)
+    p = moishezon.KODAIRA_TORUS_MAX_D // d
+    assert moishezon.kodaira_rank(orb, bundle, p, rng=random.Random(0)) == 1
+
+    def no_arrays(*args):
+        raise AssertionError("sections evaluated")
+
+    monkeypatch.setattr(moishezon, "torus_basis_columns", no_arrays)
+    for p in (p + 1, 10 ** 20):
+        with pytest.raises(ConfigurationError, match=f"p={p} .*stencil step"):
+            moishezon.kodaira_rank(orb, bundle, p, rng=random.Random(0))
+
+
 @pytest.mark.parametrize("D", [1, 2, 3, 7, 64, 2048])
 def test_ground_state_columns_match_dense_values(D):
     """The level-0 sections repeat the dense basis value for value, wrapped windows included."""

@@ -141,6 +141,17 @@ def test_heat_trace_arithmetic_examples():
     assert heat_trace(t2, math.log(2.0)) == pytest.approx(1.5, rel=1e-14)
 
 
+def test_heat_trace_refuses_a_level_beyond_float_counts():
+    """2^53 states per level still sum exactly in a float; 2^53 + 2 do not."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
+    exact = assemble_kodaira_laplacian(orb, bundle, 2 ** 53, 0, 1).spectral_table()
+    assert heat_trace(exact, 1.0) == 2 ** 53
+    orb, bundle = build_catalog_orbifold("torus", d=2, k=1)
+    beyond = assemble_kodaira_laplacian(orb, bundle, 2 ** 52 + 1, 0, 1).spectral_table()
+    with pytest.raises(ConfigurationError, match=f"p={2 ** 52 + 1} .* 2\\^53"):
+        heat_trace(beyond, 1.0)
+
+
 def test_heat_trace_rejects_nonpositive_time():
     t = SpectralTable(p=1, q=0, eigenvalues=((0.0, 1),), resolution=2, zero_dim=1)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 
 from orbmorse import spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
+from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import GeometryError
 from orbmorse.kernels import ModelPoint, ScaledComplex, heat_diagonal_limit, mehler_log_form
@@ -220,7 +221,8 @@ def test_expansion_correction_negligible_far_from_singularity():
 def test_strong_morse_projective_line():
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 1))
     split = signature_integrals(orb, bundle, resolution=160)
-    series = verify_strong_morse(orb, 1, [32, 64, 128, 256], split)
+    powers = [32, 64, 128, 256]
+    series = verify_strong_morse(orb, 1, powers, split, cohomology_table(orb, powers))
     for p, rho in zip(series.p_list, series.residuals):
         assert rho == pytest.approx(1.0 / p, abs=2e-4)
     pos = [max(r, 0) for r in series.residuals]
@@ -230,7 +232,8 @@ def test_strong_morse_projective_line():
 def test_strong_morse_weighted_line():
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
     split = signature_integrals(orb, bundle, resolution=160)
-    series = verify_strong_morse(orb, 1, [64, 128, 256, 512], split)
+    powers = [64, 128, 256, 512]
+    series = verify_strong_morse(orb, 1, powers, split, cohomology_table(orb, powers))
     for p, rho in zip(series.p_list, series.residuals):
         expected = (p // 2 + 1) / p - 0.5
         assert rho == pytest.approx(expected, abs=2e-4)
@@ -239,9 +242,11 @@ def test_strong_morse_weighted_line():
 def test_strong_morse_semi_negative_model():
     orb, bundle = build_catalog_orbifold("torus", d=-1, k=1)
     split = signature_integrals(orb, bundle, resolution=64)
-    s0 = verify_strong_morse(orb, 0, [4, 8, 16], split)
+    powers = [4, 8, 16]
+    table = cohomology_table(orb, powers)
+    s0 = verify_strong_morse(orb, 0, powers, split, table)
     assert all(abs(r) <= 1e-9 for r in s0.residuals)   # h^0 = 0 and empty region
-    s1 = verify_strong_morse(orb, 1, [4, 8, 16], split)
+    s1 = verify_strong_morse(orb, 1, powers, split, table)
     assert all(abs(r) <= 1e-9 for r in s1.residuals)   # equality at q = n
 
 
