@@ -20,8 +20,7 @@ from .kernels import (LimitDensity, MehlerKernel, ModelPoint, exterior_exp_trace
                       signature_limit_density, twisted_gaussian)
 from .moishezon import (BignessEstimate, CriterionVerdict, bigness_check,
                         kodaira_rank, moishezon_check, siegel_bound)
-from .spectral import (SpectralTable, assemble_kodaira_laplacian, heat_trace,
-                       morse_sum_vs_trace)
+from .spectral import SpectralTable, assemble_kodaira_laplacian, heat_trace
 from .verify import (fit_rate, singular_diagonal_factor,
                      verify_kernel_asymptotics_regular,
                      verify_kernel_asymptotics_singular, verify_strong_morse)

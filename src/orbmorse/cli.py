@@ -269,7 +269,9 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
         try:
             series = vf.verify_strong_morse(orb, q, cfg.p_list, split, table())
         except OrbmorseError as exc:
-            diagnostics.append(("warning", f"strong Morse at q={q} skipped: {exc}"))
+            # a model without exact cohomology is an info, as in every other stage
+            level = "info" if isinstance(exc, UnsupportedModelError) else "warning"
+            diagnostics.append((level, f"strong Morse at q={q} skipped: {exc}"))
             continue
         pos = [max(r, 0.0) for r in series.residuals]
         bound = 2.0 / cfg.p_list[-1]
@@ -280,7 +282,9 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
         results.append((f"strong-morse-q{q}", ok, series.as_record()))
         artifacts[f"strong_morse_q{q}.csv"] = rpt.residual_series_csv(
             series.p_list, series.residuals)
-        if not series.fit.reliable:
+        # below -2/p the inequality is strict by the mass of the negative
+        # region: rho_p tends to a non-zero limit and there is no rate to fit
+        if not series.fit.reliable and series.residuals[-1] >= -bound:
             diagnostics.append(("warning",
                                 f"convergence fit at q={q} marked unreliable "
                                 f"(R^2={series.fit.r_squared:.3f})"))
@@ -328,8 +332,8 @@ def _run_moishezon(cfg, orb, bundle, split, table):
     finite = all(map(math.isfinite, (verdict.integral_leq1, verdict.min_eigenvalue_seen)))
     results = [("moishezon-verdict", finite, verdict.__dict__)]
     diagnostics = []
-    expected_big = ((orb.catalog_id == "wps" and not orb.params.get("dent"))
-                    or (orb.catalog_id == "torus" and orb.params.get("d", 0) >= 1))
+    # a line bundle on a compact curve is big exactly when its degree is positive
+    expected_big = orb.params.get("degree", 0.0) > 0
     try:
         table = table().over(_bigness_powers(cfg))
         est = mz.bigness_check(table, orb.dimension)

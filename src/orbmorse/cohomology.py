@@ -111,15 +111,13 @@ class CohomologyTable:
 def cohomology_table(orb, p_range):
     """Exact cohomology table of a catalog entry over a range of powers.
 
-    For weighted projective models the entries are lattice counts; torus
-    quotients take their kernel dimensions from the exact closed-form count
-    of the spectral module.
+    For weighted projective models the entries are lattice counts, which
+    depend on the holomorphic bundle alone, whatever its metric (a dent);
+    torus quotients take their kernel dimensions from the exact closed-form
+    count of the spectral module.
     """
     p_values = tuple(int(p) for p in p_range)
     if orb.catalog_id == "wps":
-        if orb.params.get("dent"):
-            raise UnsupportedModelError(
-                "cohomology tables require the unperturbed bundle metric")
         # one DP up to the largest degree read, then every entry off its array
         ws = _check_weights(orb.params["weights"])
         degrees = {(p, q): _h0_degree(ws, p, q) for p in p_values for q in range(len(ws))}

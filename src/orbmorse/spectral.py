@@ -89,24 +89,6 @@ def heat_trace(table: SpectralTable, u):
                      for lam, mult in table.eigenvalues))
 
 
-def morse_sum_vs_trace(tables, u, h_dims):
-    """Residuals r_q = sum_{j<=q} (-1)^(q-j) (trace_j - h^j) for q = 0..n.
-
-    The exact inequality chain demands r_q >= 0 for every q and r_n = 0.
-    """
-    ps = {t.p for t in tables}
-    if len(ps) != 1:
-        raise ConfigurationError(f"tables mix tensor powers {sorted(ps)}")
-    traces = [heat_trace(t, u) for t in tables]
-    if len(h_dims) != len(tables):
-        raise ConfigurationError("one cohomology dimension per degree is required")
-    residuals = []
-    for q in range(len(tables)):
-        r = sum((-1) ** (q - j) * (traces[j] - h_dims[j]) for j in range(q + 1))
-        residuals.append(float(r))
-    return residuals
-
-
 # ---------------------------------------------------------------------------
 # exact torus assembly
 

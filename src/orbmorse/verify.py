@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
 from .kernels import (ModelPoint, ScaledComplex, factor_plus,
                       heat_diagonal_limit, mehler_log_form, twisted_gaussian)
 from .spectral import (assemble_kodaira_laplacian, heat_trace,
-                       morse_sum_vs_trace, torus_diagonal_kernel_spectral)
+                       torus_diagonal_kernel_spectral)
 
 RELIABLE_R2 = 0.9
 # the regular-point check keeps this far from the singular set
@@ -364,21 +364,26 @@ def telescoping_identity_gap(orb, bundle, q, resolution=256):
 
 
 def exact_chain_residuals(orb, bundle, p, u, resolution=32):
-    """Residuals of the exact trace inequality chain on a torus quotient.
+    """Residuals [r_0, r_1] of the exact trace inequality chain on a torus quotient.
 
-    dbar maps degree-0 level L onto degree-1 level L - 1, so the residuals
-    leave out the degree-1 levels above the top degree-0 eigenvalue, whose
-    partners lie beyond the truncation; the tables are returned as assembled.
+    dbar maps degree-0 level L onto degree-1 level L - 1, of the same
+    eigenvalue, so with w_L = e^{-u lambda_0(L) / p} the chain reads
+    r_0 = sum_{L >= 1} m_0(L) w_L and r_1 = sum_{L >= 1} (m_1(L - 1) - m_0(L)) w_L,
+    each difference taken in integers: two float heat traces of about d p / k
+    states would round it.  The top degree-1 level, whose partner lies beyond
+    the truncation, is left out; the tables are returned as assembled.
     """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the exact chain runs on the torus quotients")
+    if u <= 0:
+        raise ValueError("heat-trace time u must be positive")
     ops = [assemble_kodaira_laplacian(orb, bundle, p, q, resolution) for q in (0, 1)]
-    tables = [op.spectral_table() for op in ops]
-    top = ops[0].level_eigenvalue(resolution - 1)
-    paired = replace(tables[1], eigenvalues=tuple(
-        (lam, m) for lam, m in tables[1].eigenvalues if lam <= top))
-    h = [t.zero_dim for t in tables]
-    return morse_sum_vs_trace([tables[0], paired], u, h), tables
+    m0, m1 = (op.multiplicities for op in ops)
+    weights = [math.exp(-u * ops[0].level_eigenvalue(level) / ops[0].p)
+               for level in range(1, resolution)]
+    residuals = [float(sum(m * w for m, w in zip(m0[1:], weights))),
+                 float(sum((b - a) * w for a, b, w in zip(m0[1:], m1, weights)))]
+    return residuals, [op.spectral_table() for op in ops]
 
 
 def _truncated_operator(orb, bundle, u, p, degree, resolution=32):

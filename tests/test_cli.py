@@ -222,11 +222,15 @@ def test_moishezon_subcommand_guard(tmp_path):
 
 
 def test_strict_escalates_warnings(tmp_path):
-    dent_yaml = WPS_YAML.replace("weights: [1, 2]",
-                                 "weights: [1, 1]\n    dent:\n      amplitude: 1.2")
-    cfg = write(tmp_path, "c.yaml", dent_yaml)
+    """Three powers of P(1,2) fit the residual badly (R^2 = 0.611): a warning,
+    which only --strict turns into exit 1."""
+    cfg = write(tmp_path, "c.yaml", WPS_YAML.replace("[16, 32, 64]", "[1, 2, 3]"))
     out = tmp_path / "strict"
     assert main(["verify-morse", "--config", cfg, "--out", str(out)]) == 0
+    warnings = [d["message"] for d in json.loads((out / "report.json").read_text())[
+        "diagnostics"] if d["level"] == "warning"]
+    assert warnings == [f"convergence fit at q={q} marked unreliable (R^2=0.611)"
+                        for q in (0, 1)]
     assert main(["verify-morse", "--config", cfg, "--out", str(out), "--strict"]) == 1
 
 
@@ -473,12 +477,12 @@ def test_power_beyond_int64_exits_2_with_one_line(tmp_path, capsys, catalog):
 
 def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsys):
     """At p = 2^40 the sections are narrower than the Kodaira stencil: the rank
-    is skipped with that cause and bigness still reads the rank at p = 64.  The
-    run's only failures may be the trace chains at 2^40, whose heat traces of
-    about 5.5e11 states round their difference to about 1e-5, against
-    tol_chain = 1e-9."""
+    is skipped with that cause and bigness reads the ranks below it.  Every
+    check passes: the trace chain pairs integer multiplicities, so r_1 is
+    exactly 0 where heat traces of 4.2e6 and 5.5e11 states rounded it to
+    1.25e-9 (p = 2^23) and 1.1e-5 (p = 2^40)."""
     cfg = write(tmp_path, "c.yaml", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
-                                    "run: {p_list: [64, 1099511627776]}\n")
+                                    "run: {p_list: [64, 8388608, 1099511627776]}\n")
     code = main(["all", "--config", cfg, "--out", str(tmp_path / "o")])
     assert "floating-point range" not in capsys.readouterr().err
     report = json.loads((tmp_path / "o" / "report.json").read_text())
@@ -486,10 +490,27 @@ def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsy
     assert any(n.startswith("rank at p=1099511627776 skipped") and "stencil step" in n
                for n in notes)
     bigness = next(r for r in report["results"] if r["name"] == "bigness")
-    assert bigness["passed"] and bigness["data"]["kodaira_ranks"] == {"64": 1}
-    failed = {r["name"] for r in report["results"] if not r["passed"]}
-    assert failed <= {f"trace-chain-p1099511627776-u{u}" for u in ("0.5", "1.0", "5.0")}
-    assert code == (1 if failed else 0)
+    assert bigness["data"]["kodaira_ranks"] == {"64": 1, "8388608": 1}
+    assert code == 0 and all(r["passed"] for r in report["results"])
+    chains = [r for r in report["results"] if r["name"].startswith("trace-chain")]
+    assert len(chains) == 12 and all(r["data"]["residuals"][1] == 0.0 for r in chains)
+
+
+def test_trace_chain_fails_on_a_wrong_degree_one_multiplicity(tmp_path, monkeypatch):
+    """One state too many in degree-1 level 0 leaves r_1 = e^{-2 pi u}, above
+    tol_chain at every configured u: each trace chain fails."""
+    from orbmorse import spectral
+    multiplicity = spectral._level_multiplicity
+    monkeypatch.setattr(spectral, "_level_multiplicity", lambda D, k, level, q:
+                        multiplicity(D, k, level, q) + (q == 1 and level == 0))
+    code, results = run_all(tmp_path, load_config(write(tmp_path, "c.yaml", TORUS_YAML)))
+    assert code == 1
+    chains = {name: r for name, r in results.items() if name.startswith("trace-chain")}
+    assert sorted(chains) == [f"trace-chain-p{p}-u{u}" for p in (4, 8) for u in ("0.5", "1.0")]
+    for name, r in chains.items():
+        u = float(name.rsplit("-u", 1)[1])
+        assert not r["passed"]
+        assert r["data"]["residuals"][1] == pytest.approx(math.exp(-2 * math.pi * u), rel=1e-12)
 
 
 def test_torus_power_beyond_float_counts_exits_2_with_its_cause(tmp_path, capsys):
@@ -668,6 +689,42 @@ def test_strong_morse_fails_on_a_stalled_residual(tmp_path, monkeypatch):
     results = json.loads((tmp_path / "report.json").read_text())["results"]
     assert [r["name"] for r in results if not r["passed"]] == ["strong-morse-q0"]
     assert results[0]["data"]["residuals"][-1] == pytest.approx(0.25, abs=1e-3)
+
+
+def test_all_on_the_dent_demo_runs_every_stage(tmp_path):
+    """The dent changes only the metric: the table is the round P(1,1)'s, the
+    strong inequality at q = 0 is strict, and O(1) is big by its degree."""
+    code, results = run_all(tmp_path, load_config(str(DEMO_CONFIGS / "p11_dent.yaml")))
+    assert code == 0
+    assert sorted(results) == sorted([
+        "cohomology-table", "curvature-integral-q0", "curvature-integral-q1",
+        "strong-morse-q0", "strong-morse-q1", "curvature-degree", "moishezon-verdict",
+        "bigness"])
+    assert all(r["passed"] for r in results.values())
+    assert results["moishezon-verdict"]["data"]["verdict"] == "Moishezon-by-(ii)"
+    assert results["bigness"]["data"]["expected_big"] is True
+    # rho_p at q = 0 tends to the negative integral over M(1), not to 0
+    assert results["strong-morse-q0"]["data"]["residuals"][-1] < -0.2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert not any(d["level"] == "warning" for d in report["diagnostics"])
+
+
+def test_strong_morse_fails_on_the_dent_with_half_its_positive_integral(tmp_path,
+                                                                        monkeypatch):
+    """The integral over M(0) halved: rho_p at q = 0 stalls near +0.393."""
+    split_of = cli.signature_integrals
+
+    def halved_positive(*args, **kwargs):
+        split = split_of(*args, **kwargs)
+        i0, *rest = split.by_signature
+        return split._replace(by_signature=(0.5 * i0, *rest))
+
+    monkeypatch.setattr(cli, "signature_integrals", halved_positive)
+    code, results = run_all(tmp_path, load_config(str(DEMO_CONFIGS / "p11_dent.yaml")))
+    assert code == 1
+    assert not results["strong-morse-q0"]["passed"]
+    assert results["strong-morse-q0"]["data"]["residuals"][-1] == pytest.approx(0.393,
+                                                                                abs=1e-3)
 
 
 def run_torus_heat_trace(tmp_path):

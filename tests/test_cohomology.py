@@ -11,6 +11,7 @@ from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0, weighted_proj_hq
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
 
+from dents import DENTS
 from lattice_count import weighted_proj_h0_bruteforce
 
 
@@ -103,11 +104,15 @@ def test_torus_table_cross_filled_from_kernel_counts():
     assert all(table.h(p, 1) == 0 for p in (1, 2, 5))
 
 
-def test_dented_bundle_has_no_table():
-    orb, _ = build_catalog_orbifold("wps", weights=(1, 1),
-                                    dent={"amplitude": 1.0})
-    with pytest.raises(UnsupportedModelError):
-        cohomology_table(orb, [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(dent=DENTS)
+def test_dented_bundle_has_the_round_table(dent):
+    """The dent changes only the metric: the holomorphic bundle, and so every
+    lattice count, is that of the round P(1,1)."""
+    powers = [1, 2, 64, 4096]
+    round_table = cohomology_table(build_catalog_orbifold("wps", weights=(1, 1))[0], powers)
+    orb, _ = build_catalog_orbifold("wps", weights=(1, 1), dent=dent)
+    assert cohomology_table(orb, powers).entries == round_table.entries
 
 
 @pytest.mark.parametrize("weights", [(1, 2), (1, 2, 3)])

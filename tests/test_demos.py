@@ -26,9 +26,14 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=[p.name for p in CONFIGS])
-def test_orbmorse_all_on_shipped_config(config, tmp_path):
+# each config with and without --strict: a correct run raises no warning
+ALL_RUNS = [(config, flags) for config in CONFIGS for flags in ([], ["--strict"])]
+
+
+@pytest.mark.parametrize("config,strict", ALL_RUNS,
+                         ids=[c.name + "-strict" * bool(f) for c, f in ALL_RUNS])
+def test_orbmorse_all_on_shipped_config(config, strict, tmp_path):
     proc = run(["-m", "orbmorse.cli", "all", "--config", str(config),
-                "--out", str(tmp_path / "out")], tmp_path)
+                "--out", str(tmp_path / "out"), *strict], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").is_file()

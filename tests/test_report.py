@@ -34,7 +34,7 @@ def demo_reports(tmp_path_factory):
         out = tmp_path_factory.mktemp(path.stem)
         assert cli.run("all", cli.load_config(path), out) == 0
         reports.append(json.loads((out / "report.json").read_text()))
-    assert len(reports) == 3
+    assert len(reports) == 4
     return reports
 
 

@@ -11,7 +11,7 @@ import pytest
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
 from orbmorse.spectral import (SpectralTable, assemble_kodaira_laplacian, heat_trace,
-                               morse_sum_vs_trace, oscillator_functions, torus_basis_columns,
+                               oscillator_functions, torus_basis_columns,
                                torus_diagonal_kernel_spectral, torus_eigenfunction_values,
                                torus_kernel_dimension)
 from orbmorse.verify import exact_chain_residuals
@@ -158,44 +158,18 @@ def test_heat_trace_rejects_nonpositive_time():
         heat_trace(t, 0.0)
 
 
-def test_residuals_zero_for_pure_kernel():
-    tables = [SpectralTable(p=2, q=q, eigenvalues=((0.0, 3 - q),), resolution=2,
-                            zero_dim=3 - q) for q in (0, 1)]
-    r = morse_sum_vs_trace(tables, 1.0, [3, 2])
-    assert r == [0.0, 0.0]
-
-
-def test_residual_of_supersymmetric_pair():
-    """A dbar-paired eigenvalue in degrees q, q+1 leaves r_q = e^{-u lam / p}."""
-    p, lam, u = 4, 7.0, 1.3
-    t0 = SpectralTable(p=p, q=0, eigenvalues=((0.0, 2), (lam, 1)), resolution=4,
-                       zero_dim=2)
-    t1 = SpectralTable(p=p, q=1, eigenvalues=((lam, 1),), resolution=4, zero_dim=0)
-    r0, r1 = morse_sum_vs_trace([t0, t1], u, [2, 0])
-    assert r0 == pytest.approx(math.exp(-u * lam / p), rel=1e-14)
-    assert r1 == pytest.approx(0.0, abs=1e-14)
-
-
 def test_torus_chain_residuals_and_monotonicity():
-    op0, op1 = ops_for(d=1, k=2, p=8)
-    tables = [op0.spectral_table(), op1.spectral_table()]
-    h = [t.zero_dim for t in tables]
-    us = [0.25, 0.5, 1.0, 2.0, 4.0]
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
     prev = None
-    for u in us:
-        r = morse_sum_vs_trace(tables, u, h)
-        assert r[0] >= -1e-9
-        assert abs(r[1]) <= 1e-9
+    for u in [0.25, 0.5, 1.0, 2.0, 4.0]:
+        r, tables = exact_chain_residuals(orb, bundle, 8, u)
+        # r_0 is the trace above the kernel; r_1 pairs integer multiplicities
+        assert r[0] == pytest.approx(heat_trace(tables[0], u) - tables[0].zero_dim,
+                                     abs=1e-12)
+        assert r[1] == 0.0
         if prev is not None:
-            assert r[0] <= prev + 1e-9          # non-increasing in u
+            assert r[0] < prev                  # decreasing in u
         prev = r[0]
-
-
-def test_mixed_powers_rejected():
-    t0 = SpectralTable(p=2, q=0, eigenvalues=((0.0, 1),), resolution=2, zero_dim=1)
-    t1 = SpectralTable(p=4, q=1, eigenvalues=((0.0, 1),), resolution=2, zero_dim=1)
-    with pytest.raises(ConfigurationError):
-        morse_sum_vs_trace([t0, t1], 1.0, [1, 1])
 
 
 # ---------------------------------------------------------------------------

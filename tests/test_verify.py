@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from orbmorse import spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
@@ -22,6 +23,7 @@ from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              verify_kernel_asymptotics_singular,
                              verify_strong_morse)
 
+from dents import DENTS
 from scaled_fold import fold
 
 
@@ -250,6 +252,18 @@ def test_strong_morse_semi_negative_model():
     assert all(abs(r) <= 1e-9 for r in s1.residuals)   # equality at q = n
 
 
+@settings(max_examples=40, deadline=None)
+@given(dent=DENTS)
+def test_strong_morse_on_a_dent_is_strict_by_the_negative_mass(dent):
+    """h^0 = p + 1 and the dent integrates to zero, so at q = 0
+    rho_p - I(1) = h^0 / p - I(0) - I(1) = 1/p, up to the quadrature."""
+    orb, bundle = build_catalog_orbifold("wps", weights=(1, 1), dent=dent)
+    split = signature_integrals(orb, bundle, resolution=512)
+    powers = [256, 1024, 4096]
+    series = verify_strong_morse(orb, 0, powers, split, cohomology_table(orb, powers))
+    assert 0.0 <= series.residuals[-1] - split.by_signature[1] <= 2.0 / powers[-1]
+
+
 def test_telescoping_identity():
     dent = {"amplitude": 1.2, "center": 0.45 + 0.0j, "width": 0.12}
     for kwargs in [dict(weights=(1, 1)), dict(weights=(1, 1), dent=dent)]:
@@ -266,6 +280,8 @@ def test_chain_holds_before_asymptotics():
     residuals, tables = exact_chain_residuals(orb, bundle, 8, 1.0)
     assert residuals[0] >= -1e-9 and abs(residuals[1]) <= 1e-9
     assert tables[0].zero_dim == 5
+    with pytest.raises(ValueError, match="must be positive"):
+        exact_chain_residuals(orb, bundle, 8, 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
