@@ -37,7 +37,7 @@ for r in (0.0, 0.5, 1.0, 2.0):
 
 print("\n== the twisted kernel factorizes as prefactor times E ==")
 z = np.array([0.8 + 0.3j])
-twisted = model_heat_kernel(pt, z, z).scalar
+twisted = model_heat_kernel(pt, z, z)
 pref = heat_diagonal_limit(ModelPoint((1.0,), 1.0), 0).trace
 print(f"  K(-Z, Z) = {twisted.real:.10f}")
 print(f"  prefactor * E = {(pref * twisted_gaussian(pt, z)).real:.10f}")

@@ -15,9 +15,8 @@ from .errors import (ConfigurationError, DegenerateSpectrumError, GeometryError,
                      IntegrandError, OrbmorseError, UnsupportedModelError)
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, GroupElement,
                        OrbifoldChart, cyclic_group, orbifold_integrate, volume_density)
-from .kernels import (LimitDensity, MehlerKernel, ModelPoint, exterior_exp_trace,
-                      heat_diagonal_limit, model_heat_kernel,
-                      signature_limit_density, twisted_gaussian)
+from .kernels import (LimitDensity, ModelPoint, heat_diagonal_limit,
+                      model_heat_kernel, signature_limit_density, twisted_gaussian)
 from .moishezon import (BignessEstimate, CriterionVerdict, bigness_check,
                         kodaira_rank, moishezon_check, siegel_bound)
 from .spectral import SpectralTable, assemble_kodaira_laplacian, heat_trace

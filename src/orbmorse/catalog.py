@@ -21,6 +21,9 @@ Three families are constructed, selected by string id:
     d, optionally quotiented by the half-turn z -> -z (k = 2).
 
 All charts are one-dimensional except the local models, which support n <= 3.
+The singular distance is measured in the coordinates of the chart asked
+about: a P(a, b) chart sees only its own center, the other orbifold point
+lying at infinity in it.
 The compact models record the exact degree, the integral of c_1(L), as
 ``params["degree"]``: 1/(ab) for P(a, b), whose dent integrates to zero, and
 d/k for the torus quotient.
@@ -31,7 +34,6 @@ from __future__ import annotations
 import cmath
 import inspect
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -307,47 +309,15 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
 
     def singular_distance(chart_index, Z):
         z = np.asarray(Z, dtype=complex).reshape(1)[0]
-        own = abs(z) if singular_orders[chart_index] > 1 else math.inf
-        other_order = singular_orders[1 - chart_index]
-        if other_order > 1:
-            other = _radial_tail_length(chart_index, abs(z), a, b, beta, gamma)
-        else:
-            other = math.inf
-        d = min(own, other)
-        return 10.0 if d == math.inf else d
-
-    def x_abs_to_y_abs(z_abs):
-        z_abs = np.asarray(z_abs, dtype=float)
-        with np.errstate(divide="ignore"):
-            return gamma * np.where(z_abs > 0, z_abs ** (-a / b), np.inf)
+        return abs(z) if singular_orders[chart_index] > 1 else 10.0
 
     orb = ChartedOrbifold(
         charts=(chart_x, chart_y), singular_locus_fn=singular_distance,
         catalog_id="wps",
         params={"weights": (a, b), "dent": dent, "gamma": gamma,
-                "degree": 1.0 / (a * b)},
-        transitions={"x_abs_to_y_abs": x_abs_to_y_abs, "y_abs_to_x_abs": z_abs_from_y})
+                "degree": 1.0 / (a * b)})
 
     return orb, EquivariantLineBundle(curvature_scalars=curvature)
-
-
-@lru_cache(maxsize=64)
-def _radial_profile_table(chart_index, a, b, beta, gamma):
-    """Lookup table of arc length from radius r to the opposite chart center."""
-    h_x, h_y, _ = _wps_metric_profiles(a, b, beta)
-    dens = h_x if chart_index == 0 else h_y
-    r = np.concatenate([np.linspace(0, 5, 400), np.geomspace(5, 2e3, 300)])
-    speed = np.sqrt(dens(r**2))
-    # arc length from r out to the far cutoff (the opposite center sits at
-    # r = infinity in this chart); the integrand decays like r^{-(1 + a/b)}
-    seg = 0.5 * (speed[1:] + speed[:-1]) * np.diff(r)
-    tail = np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
-    return r, tail
-
-
-def _radial_tail_length(chart_index, r_abs, a, b, beta, gamma):
-    grid, tail = _radial_profile_table(chart_index, a, b, beta, gamma)
-    return float(np.interp(min(r_abs, grid[-1]), grid, tail))
 
 
 # ---------------------------------------------------------------------------

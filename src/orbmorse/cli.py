@@ -284,7 +284,10 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
             series.p_list, series.residuals)
         # below -2/p the inequality is strict by the mass of the negative
         # region: rho_p tends to a non-zero limit and there is no rate to fit
-        if not series.fit.reliable and series.residuals[-1] >= -bound:
+        if len(series.fit.p_window) < 2:
+            diagnostics.append(("info", f"no convergence fit at q={q}: "
+                                        "a fit needs at least two powers"))
+        elif not series.fit.reliable and series.residuals[-1] >= -bound:
             diagnostics.append(("warning",
                                 f"convergence fit at q={q} marked unreliable "
                                 f"(R^2={series.fit.r_squared:.3f})"))
@@ -302,6 +305,7 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
         raise UnsupportedModelError(
             "kernel asymptotics run on the local quotient models")
     results = []
+    unfitted = []
     k = orb.params["k"]
     x_reg = np.array([1.0 + 0.0j] * orb.dimension)
     p_mid = cfg.p_list[len(cfg.p_list) // 2]
@@ -311,7 +315,12 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
         ratio = vf.singular_diagonal_factor(
             orb, bundle, np.zeros(orb.dimension, dtype=complex), u, cfg.p_list[-1])
         rec = vf.verify_kernel_asymptotics_singular(orb, bundle, Z, u, [p_mid])[0]
-        slope_ok = fit.slope <= -0.4
+        # a slope needs two powers with a non-zero error; an empty window is
+        # an error exactly zero at every power (C/Z_1), whose -inf is a result
+        fitted = len(fit.p_window) != 1
+        if not fitted:
+            unfitted.append(repr(u))
+        slope_ok = not fitted or fit.slope <= -0.4
         ratio_ok = abs(ratio - k) <= 0.05
         shrink = rec.residual_without_twist / max(rec.residual_with_twist, 1e-300)
         # C/Z_1 has no twist: both expansions are the same, and their common
@@ -322,7 +331,12 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
                         {"regular_fit": fit.as_record(),
                          "singular_ratio": ratio,
                          "twist_shrink_factor": shrink}))
-    return results, [], {}
+    diagnostics = []
+    if unfitted:
+        diagnostics.append(("info", f"regular-point rate at u={', '.join(unfitted)} not "
+                                    "judged: one power has a non-zero error, and a fit "
+                                    "needs two"))
+    return results, diagnostics, {}
 
 
 def _run_moishezon(cfg, orb, bundle, split, table):

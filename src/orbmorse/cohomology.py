@@ -68,19 +68,6 @@ def weighted_proj_h0(weights, d):
     return int(_lattice_counts(ws, d)[d]) if d >= 0 else 0
 
 
-def weighted_proj_hq(weights, d, q):
-    """h^q of the degree-d bundle on the weighted projective space.
-
-    Middle cohomology (0 < q < n) vanishes; the top degree is Serre-dual to
-    h^0 of degree -d - sum(weights).
-    """
-    ws = _check_weights(weights)
-    n = len(ws) - 1
-    if q < 0 or q > n:
-        raise ValueError(f"degree q={q} outside 0..{n}")
-    return weighted_proj_h0(ws, _h0_degree(ws, d, q))
-
-
 @dataclass(frozen=True)
 class CohomologyTable:
     """Map (p, q) -> h^q(M, L^p) over a power range."""

@@ -30,8 +30,6 @@ import numpy as np
 from .errors import (ConfigurationError, GeometryError, IntegrandError,
                      UnsupportedModelError)
 
-INVARIANCE_TOL = 1e-10
-INVARIANCE_SAMPLES = 12       # points per sampled invariance check
 INTEGRAND_INVARIANCE_TOL = 1e-8
 
 
@@ -144,19 +142,6 @@ class OrbifoldChart:
     def order(self):
         return len(self.group)
 
-    def check_invariance(self, rng):
-        """Sampled metric invariance h(gz) == h(z), vectorized over the samples."""
-        _require_one_dimensional(self)
-        r, n = self.box_radius, INVARIANCE_SAMPLES
-        z = (rng.uniform(-r, r, n) + 1j * rng.uniform(-r, r, n)) * 0.5
-        h = np.real(np.asarray(self.metric_scalar(z)))
-        for g in self.group:
-            hg = np.real(np.asarray(self.metric_scalar(g.rotation[0] * z)))
-            err = np.max(np.abs(hg - h))
-            if err > INVARIANCE_TOL:
-                raise GeometryError(
-                    f"metric density is not group invariant (defect {err:.2e})")
-
 
 def _require_one_dimensional(chart):
     """Refuse a chart, or a model, of dimension n != 1.
@@ -189,16 +174,16 @@ def volume_density(chart: OrbifoldChart, Z):
 class ChartedOrbifold:
     """A compact complex orbifold presented by catalog charts.
 
-    singular_locus_fn(chart_index, Z) -> distance from the image of Z to the
-    singular set, in the chart coordinates.
+    singular_locus_fn(chart_index, Z) -> distance from Z to the singular
+    points that the chart shows, measured in the chart coordinates: a
+    singular point at infinity in the chart is not measured, and a chart
+    that shows none reads 10.0.
     """
 
     charts: tuple
     singular_locus_fn: object
     catalog_id: str
     params: dict = field(default_factory=dict)
-    # catalog-supplied maps between charts; only the tests read them
-    transitions: dict = field(default_factory=dict)
 
     @property
     def dimension(self):

@@ -79,35 +79,6 @@ def _coth_even(x):
     return (x / 2.0) / math.tanh(x / 2.0)
 
 
-def exterior_exp_trace(a, u, q):
-    """Trace over (0, q)-forms of the exponential of the curvature action.
-
-    This is the q-th elementary symmetric function of {e^{-u a_j}}:
-    the sum over q-element index subsets of exp(-u sum of the selected a_j).
-
-    Parameters
-    ----------
-    a : sequence of float
-        Curvature eigenvalues.
-    u : float
-        Positive time parameter.
-    q : int
-        Form degree, 0 <= q <= len(a).
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.size
-    if not 0 <= q <= n:
-        raise ValueError(f"degree q={q} out of range 0..{n}")
-    # Vieta recurrence: expand prod_j (1 + t e^{-u a_j}) and read off t^q.
-    coeffs = np.zeros(q + 1)
-    coeffs[0] = 1.0
-    for aj in a:
-        w = math.exp(-u * aj)
-        for k in range(q, 0, -1):
-            coeffs[k] += w * coeffs[k - 1]
-    return float(coeffs[q])
-
-
 @dataclass(frozen=True)
 class ModelPoint:
     """Pointwise data of a flat constant-curvature model.
@@ -214,32 +185,14 @@ def twisted_gaussian(point: ModelPoint, Z):
     return complex(np.exp(expo))
 
 
-@dataclass(frozen=True)
-class MehlerKernel:
-    """Two-point model heat kernel, factored for degree-wise access.
-
-    ``scalar`` is the degree-0 value (a complex density including the
-    e^{u tau / 2} twist); multiplying by ``exp(-u sum_{j in J} a_j)`` gives the
-    diagonal entry on the form-basis subset J.
-    """
-
-    point: ModelPoint
-    scalar: complex
-
-    def degree_trace(self, q):
-        """Trace over (0,q)-forms: the scalar times exterior_exp_trace."""
-        return complex(self.scalar * exterior_exp_trace(self.point.eigenvalues,
-                                                        self.point.u, q))
-
-
 def model_heat_kernel(point: ModelPoint, Z, Zprime):
     """Model heat kernel e^{-u L0}(g^{-1} Z, Z') for the flat model.
 
     Z and Z' are points of C^n in the eigenframe of the curvature.  The group
     element g acts by the point's ``group_phases``, or is the identity when
-    the point carries none.  Returns a MehlerKernel whose ``scalar`` is the
-    degree-0 complex value; on the diagonal with g = Id and Z = Z' = 0 the
-    scalar equals the degree-0 prefactor of heat_diagonal_limit.
+    the point carries none.  Returns the degree-0 complex value, including
+    the e^{u tau / 2} twist; on the diagonal with g = Id and Z = Z' = 0 it
+    equals the degree-0 prefactor of heat_diagonal_limit.
     """
     Z = np.asarray(Z, dtype=complex).reshape(point.dim)
     Zp = np.asarray(Zprime, dtype=complex).reshape(point.dim)
@@ -248,7 +201,7 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime):
     else:
         X = Z
     log_abs, phase = mehler_log_form(point.eigenvalues, point.u, X, Zp)
-    return MehlerKernel(point=point, scalar=complex(np.exp(log_abs + 1j * phase)))
+    return complex(np.exp(log_abs + 1j * phase))
 
 
 def mehler_log_form(eigenvalues, u, X, Zprime):

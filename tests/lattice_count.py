@@ -1,9 +1,12 @@
-"""Exhaustive enumeration oracle for the weighted lattice counts.
+"""Reference counts for the weighted projective cohomology.
 
 The package counts the sections of the degree-d bundle by the coin
 recurrence in ``cohomology.weighted_proj_h0``; the tests enumerate the
-monomials one at a time at small degrees and compare.
+monomials one at a time at small degrees and compare.  ``weighted_proj_hq``
+gives every h^q from those counts, the reference for ``cohomology_table``.
 """
+
+from orbmorse.cohomology import weighted_proj_h0
 
 BRUTE_FORCE_LIMIT = 10_000   # the enumeration is reserved for small degrees
 
@@ -24,3 +27,17 @@ def weighted_proj_h0_bruteforce(weights, d):
                    for m in range(rem // ws[idx] + 1))
 
     return count(d, 0)
+
+
+def weighted_proj_hq(weights, d, q):
+    """h^q of the degree-d bundle on the weighted projective space.
+
+    Middle cohomology (0 < q < n) vanishes; the top degree is Serre-dual to
+    h^0 of degree -d - sum(weights).
+    """
+    n = len(weights) - 1
+    if not 0 <= q <= n:
+        raise ValueError(f"degree q={q} outside 0..{n}")
+    if q == 0:
+        return weighted_proj_h0(weights, d)
+    return weighted_proj_h0(weights, -d - sum(weights)) if q == n else 0

@@ -12,8 +12,8 @@ import numpy as np
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.curvature import morse_integral, signature_integrals
-from orbmorse.kernels import (ModelPoint, exterior_exp_trace, factor_minus,
-                              factor_plus, heat_diagonal_limit, model_heat_kernel,
+from orbmorse.kernels import (ModelPoint, factor_minus, factor_plus,
+                              heat_diagonal_limit, model_heat_kernel,
                               signature_limit_density)
 from orbmorse.moishezon import bigness_check, kodaira_rank, moishezon_check
 from orbmorse.verify import (exact_chain_residuals, singular_diagonal_factor,
@@ -136,16 +136,18 @@ def test_criterion_7_large_time_limit():
 
 def test_criterion_8_property_suites():
     t0 = time.time()
-    # (a) alternating elementary-symmetric identity, 1000 random spectra
+    # (a) index-density identity sum_q (-1)^q tr_q = prod_j a_j / 2 pi, 1000 random spectra
     rng = np.random.default_rng(99)
     worst_sym = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         a = rng.uniform(-2.0, 2.0, n)
         u = rng.uniform(0.1, 1.5)
-        w = np.exp(-u * a)
-        lhs = sum((-1.0) ** q * exterior_exp_trace(a, u, q) for q in range(n + 1))
-        worst_sym = max(worst_sym, abs(lhs - np.prod(1 - w)) / np.prod(1 + w))
+        lhs = sum((-1.0) ** q * heat_diagonal_limit(ModelPoint(a, u), q).trace
+                  for q in range(n + 1))
+        scale = np.prod([(factor_plus(aj, u) + factor_minus(aj, u)) / (2 * math.pi * u)
+                         for aj in a])
+        worst_sym = max(worst_sym, abs(lhs - np.prod(a / (2 * math.pi))) / scale)
     ok_a = worst_sym <= 1e-12
 
     # (b) zero-mode series branch against direct evaluation across the window
@@ -168,14 +170,14 @@ def test_criterion_8_property_suites():
     h = g[1] - g[0]
     W = (g[None, :] + 1j * g[:, None]).ravel()
     left = np.array([model_heat_kernel(ModelPoint((a_val,), s),
-                                       np.array([z0]), np.array([w])).scalar
+                                       np.array([z0]), np.array([w]))
                      for w in W])
     right = np.array([model_heat_kernel(ModelPoint((a_val,), tt),
-                                        np.array([w]), np.array([z1])).scalar
+                                        np.array([w]), np.array([z1]))
                       for w in W])
     conv = np.sum(left * right) * h * h
     target = model_heat_kernel(ModelPoint((a_val,), s + tt),
-                               np.array([z0]), np.array([z1])).scalar
+                               np.array([z0]), np.array([z1]))
     semigroup_err = abs(conv - target) / abs(target)
     ok_c = semigroup_err <= 1e-4
 

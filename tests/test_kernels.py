@@ -9,8 +9,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from orbmorse.errors import DegenerateSpectrumError
-from orbmorse.kernels import (ModelPoint, ScaledComplex, exterior_exp_trace,
-                              factor_minus, factor_plus, heat_diagonal_limit,
+from orbmorse.kernels import (ModelPoint, ScaledComplex, factor_minus, factor_plus,
+                              heat_diagonal_limit,
                               log_sum_exp, model_heat_kernel, signature_limit_density,
                               twisted_gaussian)
 
@@ -20,34 +20,26 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# elementary symmetric traces
-
-
-def test_exterior_trace_trivial_cases():
-    assert exterior_exp_trace((0.3, -1.2, 4.0), 0.7, 0) == 1.0
-    a1 = 0.8
-    assert exterior_exp_trace((a1,), 1.3, 1) == pytest.approx(math.exp(-1.3 * a1), rel=1e-15)
-    val = exterior_exp_trace((1.0, 2.0), 1.0, 1)
-    assert val == pytest.approx(math.exp(-1.0) + math.exp(-2.0), rel=1e-14)
-
-
-def test_exterior_trace_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        exterior_exp_trace((1.0, 2.0), 1.0, 3)
+# the index-density identity
 
 
 def test_alternating_sum_identity_bulk():
-    """sum_q (-1)^q e_q({w_j}) = prod_j (1 - w_j), 1000 random spectra."""
+    """sum_q (-1)^q tr_q = prod_j a_j / 2 pi for the limit density, 1000 random spectra.
+
+    Per eigenvalue the degree-q subsets take a_j / (e^{u a_j} - 1) or
+    a_j / (1 - e^{-u a_j}), whose difference is a_j and whose sum sets the scale.
+    """
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         a = rng.uniform(-2.0, 2.0, n)
         u = rng.uniform(0.1, 1.5)
-        w = np.exp(-u * a)
-        lhs = sum((-1.0) ** q * exterior_exp_trace(a, u, q) for q in range(n + 1))
-        rhs = np.prod(1.0 - w)
-        scale = np.prod(1.0 + w)
+        lhs = sum((-1.0) ** q * heat_diagonal_limit(ModelPoint(a, u), q).trace
+                  for q in range(n + 1))
+        rhs = np.prod(a / TWO_PI)
+        scale = np.prod([(factor_plus(aj, u) + factor_minus(aj, u)) / (TWO_PI * u)
+                         for aj in a])
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst <= 1e-12
 
@@ -151,7 +143,7 @@ def test_twist_matches_twisted_kernel_ratio():
             u = float(rng.uniform(0.4, 1.6))
             z = complex(rng.normal(), rng.normal()) * 0.7
             pt = ModelPoint((a,), u, group_phases=(phi,))
-            twisted = model_heat_kernel(pt, np.array([z]), np.array([z])).scalar
+            twisted = model_heat_kernel(pt, np.array([z]), np.array([z]))
             pref = heat_diagonal_limit(ModelPoint((a,), u), 0).trace
             assert twisted / pref == pytest.approx(twisted_gaussian(pt, np.array([z])),
                                                    rel=1e-12)
@@ -188,15 +180,15 @@ def test_kernel_diagonal_origin_equals_limit_prefactor():
         pt = ModelPoint(a, u)
         ker = model_heat_kernel(pt, np.zeros(len(a)), np.zeros(len(a)))
         lim = heat_diagonal_limit(pt, 0)
-        assert ker.scalar == pytest.approx(lim.diagonal[0], rel=1e-14)
-        assert abs(ker.scalar.imag) < 1e-16
+        assert ker == pytest.approx(lim.diagonal[0], rel=1e-14)
+        assert abs(ker.imag) < 1e-16
 
 
 def test_kernel_flat_reduces_to_gaussian():
     u = 0.8
     pt = ModelPoint((0.0,), u)
     z, zp = 0.3 + 0.1j, -0.2 + 0.5j
-    ker = model_heat_kernel(pt, np.array([z]), np.array([zp])).scalar
+    ker = model_heat_kernel(pt, np.array([z]), np.array([zp]))
     expected = math.exp(-abs(z - zp) ** 2 / (2 * u)) / (TWO_PI * u)
     assert ker == pytest.approx(expected, rel=1e-14)
 
@@ -213,22 +205,13 @@ def test_kernel_semigroup_by_convolution():
         pt_s = ModelPoint((a,), s)
         pt_t = ModelPoint((a,), t)
         pt_st = ModelPoint((a,), s + t)
-        left = np.array([model_heat_kernel(pt_s, np.array([z0]), np.array([w])).scalar
+        left = np.array([model_heat_kernel(pt_s, np.array([z0]), np.array([w]))
                          for w in W])
-        right = np.array([model_heat_kernel(pt_t, np.array([w]), np.array([z1])).scalar
+        right = np.array([model_heat_kernel(pt_t, np.array([w]), np.array([z1]))
                           for w in W])
         conv = np.sum(left * right) * h * h
-        target = model_heat_kernel(pt_st, np.array([z0]), np.array([z1])).scalar
+        target = model_heat_kernel(pt_st, np.array([z0]), np.array([z1]))
         assert abs(conv - target) / abs(target) < 1e-4
-
-
-def test_kernel_degree_trace_alternating_identity():
-    # the twisted degree traces satisfy the same Vieta identity as the factors
-    pt = ModelPoint((0.7, -0.4), 1.1)
-    ker = model_heat_kernel(pt, np.zeros(2), np.zeros(2))
-    w = np.exp(-1.1 * np.array([0.7, -0.4]))
-    total = sum((-1) ** q * ker.degree_trace(q) for q in range(3))
-    assert total == pytest.approx(ker.scalar * np.prod(1 - w), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +304,12 @@ def test_kernel_against_grid_semigroup_oracle():
     zs = op.points[op.nearest_index(src)]
     pt = ModelPoint((a,), u)
     diag = col[op.nearest_index(src)]
-    diag_exact = model_heat_kernel(pt, np.array([zs]), np.array([zs])).scalar
+    diag_exact = model_heat_kernel(pt, np.array([zs]), np.array([zs]))
     assert abs(diag - diag_exact) / abs(diag_exact) < 2e-2
     twist_grid = col[op.nearest_index(-zs)]
     twist_exact = model_heat_kernel(
         ModelPoint((a,), u, group_phases=(math.pi,)),
-        np.array([zs]), np.array([zs])).scalar
+        np.array([zs]), np.array([zs]))
     assert abs(twist_grid - twist_exact) / abs(twist_exact) < 5e-3
 
 
