@@ -204,6 +204,14 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime):
     return complex(np.exp(log_abs + 1j * phase))
 
 
+def _mehler_coefficients(a, u):
+    """Scalars of K_a at time u: log prefactor with the twist, Gaussian rate, phase rate."""
+    x = u * a
+    pref = _stretch_even(x) / (TWO_PI * u)
+    log_pref = math.log(pref) if pref > 0 else -math.inf
+    return log_pref + 0.5 * x, -_coth_even(x) / (2.0 * u), 0.5 * a
+
+
 def mehler_log_form(eigenvalues, u, X, Zprime):
     """log|K| and arg K of the degree-0 Mehler kernel K(X, Z'), batched.
 
@@ -213,19 +221,31 @@ def mehler_log_form(eigenvalues, u, X, Zprime):
     + i (a/2) Im(x conj(z'))), with g1(x) = stretch(x) e^{x/2} carrying the
     e^{u tau / 2} twist.  Kept in logs, the value survives far below the
     float underflow threshold.
+
+    A batch of m models, ``eigenvalues`` of shape (m, n) with one time per
+    model in ``u``, puts an axis of length m in front of both results.  Each
+    model's prefactors are scalars computed from its own curvature and time,
+    so its slice equals the unbatched result bit for bit.
     """
     X = np.asarray(X, dtype=complex)
     Zp = np.asarray(Zprime, dtype=complex)
+    batched = np.ndim(eigenvalues) == 2
+    models = zip(eigenvalues, u) if batched else [(eigenvalues, u)]
+    coeffs = [[_mehler_coefficients(aj, t) for aj in a] for a, t in models]
+    if batched:
+        # per coordinate, (shift, rate, twist) arrays over the models, ahead
+        # of the broadcast axes of the points
+        lead = (3, len(coeffs)) + (1,) * (np.broadcast(X, Zp).ndim - 1)
+        columns = [np.array(col).T.reshape(lead) for col in zip(*coeffs)]
+    else:
+        columns = coeffs[0]
     log_abs = 0.0
     phase = 0.0
-    for j, aj in enumerate(eigenvalues):
-        x = u * aj
-        pref = _stretch_even(x) / (TWO_PI * u)
-        log_pref = math.log(pref) if pref > 0 else -math.inf
+    for j, (shift, rate, twist) in enumerate(columns):
         xj, zj = X[..., j], Zp[..., j]
-        log_abs = log_abs + (log_pref + 0.5 * x)
-        log_abs = log_abs + -_coth_even(x) / (2.0 * u) * abs(xj - zj) ** 2
-        phase = phase + 0.5 * aj * (xj * zj.conj()).imag
+        log_abs = log_abs + shift
+        log_abs = log_abs + rate * abs(xj - zj) ** 2
+        phase = phase + twist * (xj * zj.conj()).imag
     return log_abs, phase
 
 
@@ -271,10 +291,6 @@ class ScaledComplex:
         """Sum of the terms exp(log_abs + i phase) of a 1-d batch."""
         log_scale, mantissa = log_sum_exp(log_abs, phase)
         return cls(complex(mantissa), float(log_scale))
-
-    @property
-    def log_abs(self):
-        return self.log_scale
 
     def to_complex(self):
         if self.log_scale == -math.inf:

@@ -30,13 +30,19 @@ their cohomology from exact lattice counts, and the local models C/Z_k
 from their closed-form heat kernels (the magnetic grid operator that checks
 those kernels by brute force lives with the kernel tests).
 
-Assembled operators and tables are immutable and torus assembly costs
-O(resolution) time and memory, independent of the power p.
+Assembled operators and tables are immutable, so they are shared: each
+(d, k, p, q, resolution) assembles one operator, at O(resolution) time and
+memory independent of the power p, and each operator builds one table.  The
+Landau basis does not depend on the degree, which enters the diagonal kernel
+only through the swap sign and the eigenvalues, so the basis is evaluated once
+per point, power and level count and kept as two per-level sums.  Every cache
+is bounded and holds O(resolution) numbers per entry.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -44,6 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedModelError
+
+# entries per cache: a run holds a few dozen (p, q) pairs or (point, power)
+# keys, and each entry is O(resolution) numbers
+CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -152,20 +162,33 @@ class TorusKodairaOperator:
         return B * (level + 1) if self.q == 1 else B * level
 
     def spectral_table(self):
-        # level eigenvalues increase with the level, so the table is sorted
-        eigs = tuple((self.level_eigenvalue(level), mult)
-                     for level, mult in enumerate(self.multiplicities) if mult)
-        # the kernel is exactly degree-0 level 0, the only eigenvalue 0.0
-        zero_dim = sum(m for lam, m in eigs if lam == 0.0)
-        return SpectralTable(p=self.p, q=self.q, eigenvalues=eigs,
-                             resolution=self.resolution, zero_dim=zero_dim)
+        return _spectral_table(self)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _spectral_table(op):
+    # level eigenvalues increase with the level, so the table is sorted
+    eigs = tuple((op.level_eigenvalue(level), mult)
+                 for level, mult in enumerate(op.multiplicities) if mult)
+    # the kernel is exactly degree-0 level 0, the only eigenvalue 0.0
+    zero_dim = sum(m for lam, m in eigs if lam == 0.0)
+    return SpectralTable(p=op.p, q=op.q, eigenvalues=eigs,
+                         resolution=op.resolution, zero_dim=zero_dim)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _torus_operator(d, k, p, q, resolution):
+    mults = tuple(_level_multiplicity(d * p, k, level, q) for level in range(resolution))
+    return TorusKodairaOperator(d=d, k=k, p=p, q=q, resolution=resolution,
+                                multiplicities=mults)
 
 
 def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
     """Discretized self-adjoint Kodaira Laplacian of a torus quotient.
 
-    Returns the exact diagonal operator on the invariant subspace; every
-    other catalog entry is rejected.
+    Returns the exact diagonal operator on the invariant subspace, the same
+    object for the same (d, k, p, q, resolution); every other catalog entry
+    is rejected.
     """
     if resolution < 1 or (resolution & (resolution - 1)) != 0:
         raise ConfigurationError(f"resolution {resolution} is not a power of two")
@@ -176,10 +199,7 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
         if d <= 0:
             raise UnsupportedModelError(
                 f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1")
-        mults = tuple(_level_multiplicity(d * int(p), k, level, q)
-                      for level in range(resolution))
-        return TorusKodairaOperator(d=d, k=k, p=int(p), q=q,
-                                    resolution=resolution, multiplicities=mults)
+        return _torus_operator(d, k, int(p), q, resolution)
     raise UnsupportedModelError(
         f"catalog id {orb.catalog_id!r} has no spectral discretization; weighted "
         "projective models use the exact cohomology tables and local models "
@@ -249,14 +269,31 @@ def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):
     Spectral route: sums e^{-u lambda / p} over the torus basis of
     psi(z)^* times the group average of psi at z.  The half turn enters by
     its closed form psi_{kappa, j}(-z) = (-1)^kappa psi_{kappa, -j}(z), with
-    the extra sign on ebar in degree one, so the basis is evaluated once.
-    Exact up to the retained levels and floating-point rounding.
+    the extra sign on ebar in degree one, so both degrees read the two
+    per-level sums of one basis evaluation (``_level_sums``).  Exact up to
+    the retained levels and floating-point rounding.
     """
-    psi = torus_eigenfunction_values(op, z)
+    norms, swaps = _level_sums(op.d, op.p, op.resolution, complex(z))
     levels = np.arange(op.resolution)
-    per_level = np.sum(np.abs(psi) ** 2, axis=1)
+    per_level = norms
     if op.k == 2:
-        swapped = psi[:, -np.arange(op.D) % op.D]
         sign = (-1.0) ** (levels + op.q)
-        per_level = per_level + sign * np.sum(np.conj(psi) * swapped, axis=1)
+        per_level = per_level + sign * swaps
     return complex(np.sum(np.exp(-u * op.level_eigenvalue(levels) / op.p) * per_level))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _level_sums(d, p, levels, z):
+    """Per-level sum_j |psi_{kappa, j}(z)|^2 and sum_j conj(psi_{kappa, j}(z)) psi_{kappa, -j}(z).
+
+    The basis is that of the covering torus, the same for every quotient and
+    degree; only these 2 x ``levels`` numbers are kept, never the basis of
+    D = d p columns.  The arrays are read-only, since every caller shares them.
+    """
+    cover = _torus_operator(d, 1, p, 0, levels)
+    psi = torus_eigenfunction_values(cover, z)
+    swapped = psi[:, -np.arange(cover.D) % cover.D]
+    sums = (np.sum(np.abs(psi) ** 2, axis=1), np.sum(np.conj(psi) * swapped, axis=1))
+    for vec in sums:
+        vec.flags.writeable = False
+    return sums

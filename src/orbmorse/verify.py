@@ -12,14 +12,16 @@ below the float underflow threshold at large p), compare them against the
 closed-form predictions, and fit empirical convergence orders.
 
 ``torus_image_log_terms`` and ``local_model_image_log_terms`` evaluate
-every image term of a batch of points as arrays of log|term| and phase, and
-``log_sum_exp`` sums them in one max-shifted pass per point.  The trace
+every image term of a batch of points, and of a batch of powers, as arrays
+of log|term| and phase, and ``log_sum_exp`` sums them in one max-shifted
+pass per point and power.  The trace
 identity needs no such sum: it integrates the image sum over the cell in
 closed form (``_image_trace``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -29,8 +31,8 @@ import numpy as np
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
                      UnsupportedModelError)
-from .kernels import (ModelPoint, ScaledComplex, factor_plus,
-                      heat_diagonal_limit, mehler_log_form, twisted_gaussian)
+from .kernels import (ModelPoint, ScaledComplex, factor_plus, heat_diagonal_limit,
+                      log_sum_exp, mehler_log_form, twisted_gaussian)
 from .spectral import (assemble_kodaira_laplacian, heat_trace,
                        torus_diagonal_kernel_spectral)
 
@@ -52,6 +54,21 @@ def _local_group(orb):
     return orb.charts[0].group
 
 
+def _powers(p):
+    """The powers of ``p``, one power or a sequence of them, and whether it was one."""
+    single = np.ndim(p) == 0
+    return ((p,) if single else tuple(p)), single
+
+
+def _per_power(single, values, ndim):
+    """``values``, one entry per power: the only one for a single power, else
+    an array over the powers with ``ndim`` unit axes after the first."""
+    if single:
+        return values[0]
+    shape = np.shape(values)
+    return np.reshape(values, shape[:1] + (1,) * ndim + shape[1:])
+
+
 # ---------------------------------------------------------------------------
 # image sums
 
@@ -70,30 +87,45 @@ def torus_image_log_terms(orb, points, u, p, lattice_cut=4, include_identity=Tru
 
     Every term carries the p^{-1} rescaling.  Returns (labels, log_abs,
     phase): one (m, n, j) label per image and two arrays of shape
-    points.shape + (len(labels),).
+    points.shape + (len(labels),).  A sequence of powers ``p`` puts an axis
+    over the powers in front; each power's scalars are computed as for that
+    power alone, so its slice is the same bit for bit.
     """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("deck-transformation sums run on the torus quotients")
     if degree not in (0, 1):
         raise ConfigurationError("torus models carry form degrees 0 and 1")
     d, k = orb.params["d"], orb.params["k"]
-    D = d * p
-    B = 2.0 * math.pi * D
-    cut = range(-lattice_cut, lattice_cut + 1)
-    labels = [(m, n_, j) for j in range(k) for m in cut for n_ in cut
-              if include_identity or (m, n_, j) != (0, 0, 0)]
-    m, n_, j = np.array(labels, dtype=float).reshape(-1, 3).T
+    powers, single = _powers(p)
+    D = [d * pp for pp in powers]
+    B = [2.0 * math.pi * Dp for Dp in D]
+    labels, m, n_, j = _deck_images(k, lattice_cut, include_identity)
     z = np.asarray(points, dtype=complex)[..., None]
     target = np.where(j == 0, z, -z) + (m + 1j * n_)
-    log_abs, phase = mehler_log_form((B,), u / p, z[..., None], target[..., None])
+    log_abs, phase = mehler_log_form(_per_power(single, [(b,) for b in B], 0),
+                                     _per_power(single, [u / pp for pp in powers], 0),
+                                     z[..., None], target[..., None])
     # lam wedge (r^j z + lam) = lam wedge r^j z
     wedge = m * target.imag - n_ * target.real
-    phase = phase + (math.pi * D * m * n_ + 0.5 * B * wedge)
-    log_abs = log_abs - math.log(p)
+    phase = phase + (_per_power(single, [math.pi * Dp for Dp in D], z.ndim) * m * n_
+                     + _per_power(single, [0.5 * b for b in B], z.ndim) * wedge)
+    log_abs = log_abs - _per_power(single, [math.log(pp) for pp in powers], z.ndim)
     if degree == 1:
         log_abs = log_abs - 2.0 * math.pi * d * u
         phase = phase + math.pi * j
     return labels, log_abs, phase
+
+
+@functools.lru_cache(maxsize=16)
+def _deck_images(k, lattice_cut, include_identity):
+    """The (m, n, j) labels of the deck images in the cut and their float
+    columns, shared by every call, so a tuple and read-only arrays."""
+    cut = range(-lattice_cut, lattice_cut + 1)
+    labels = tuple((m, n_, j) for j in range(k) for m in cut for n_ in cut
+                   if include_identity or (m, n_, j) != (0, 0, 0))
+    columns = np.array(labels, dtype=float).reshape(-1, 3).T
+    columns.flags.writeable = False
+    return (labels, *columns)
 
 
 def local_model_image_log_terms(orb, points, u, p, include_identity=True):
@@ -103,21 +135,27 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     with degree-0 terms e^{i p theta_g} K_plane(g^{-1} Z, Z) at
     curvature p * a and time u / p, each carrying the p^{-n} rescaling.
     Returns (labels, log_abs, phase): the group elements and two arrays of
-    shape points.shape[:-1] + (len(labels),).
+    shape points.shape[:-1] + (len(labels),).  A sequence of powers ``p``
+    puts an axis over the powers in front, as in ``torus_image_log_terms``.
     """
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("group-element sums run on the local models")
     a = np.asarray(orb.params["a"], dtype=float)
     n = a.size
+    powers, single = _powers(p)
     labels = [g for g in _local_group(orb) if include_identity or not g.is_identity]
     Z = np.asarray(points, dtype=complex)
     # g^{-1} is the conjugate rotation, applied coordinate by coordinate
     rotations = np.array([g.rotation for g in labels]).reshape(-1, n)
     X = np.einsum("gi,...i->...gi", np.conj(rotations), Z)
-    log_abs, phase = mehler_log_form(p * a, u / p, X, Z[..., None, :])
-    fibers = [np.exp(1j * p * g.line_phase) * p ** float(-n) for g in labels]
-    log_abs = log_abs + np.array([math.log(abs(f)) for f in fibers])
-    phase = phase + np.angle(fibers)
+    log_abs, phase = mehler_log_form(_per_power(single, [pp * a for pp in powers], 0),
+                                     _per_power(single, [u / pp for pp in powers], 0),
+                                     X, Z[..., None, :])
+    fibers = [[np.exp(1j * pp * g.line_phase) * pp ** float(-n) for g in labels]
+              for pp in powers]
+    log_abs = log_abs + _per_power(single, [[math.log(abs(f)) for f in row] for row in fibers],
+                                   Z.ndim - 1)
+    phase = phase + _per_power(single, np.angle(fibers), Z.ndim - 1)
     return labels, log_abs, phase
 
 
@@ -223,8 +261,8 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
     err(p) = |p^{-n} K_p(x, x) - limit|, evaluated through the image-sum
     oracle; for flat models the identity image cancels the limit exactly, so
     the error is the modulus of the non-identity images, computed in
-    log-scaled arithmetic.  The fitted log-log slope must come out far below
-    the -1/2 guarantee.
+    log-scaled arithmetic, for every power of ``p_list`` in one batch.  The
+    fitted log-log slope must come out far below the -1/2 guarantee.
     """
     _require_flat(orb)
     dist = orb.singular_distance(0, np.atleast_1d(x))
@@ -232,11 +270,13 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
         raise GeometryError(
             f"point at distance {dist:.3f} from the singular set; the regular-point "
             f"check requires distance >= {REGULAR_MIN_DISTANCE}")
-    kernel = (torus_diagonal_kernel_image if orb.catalog_id == "torus"
-              else local_model_diagonal_kernel)
-    log_errs = []
-    for p in p_list:
-        log_errs.append(kernel(orb, bundle, x, u, p, include_identity=False).log_abs)
+    if orb.catalog_id == "torus":
+        _, log_abs, phase = torus_image_log_terms(orb, _torus_point(x), u, p_list,
+                                                  include_identity=False)
+    else:
+        _, log_abs, phase = local_model_image_log_terms(orb, _local_point(orb, x), u, p_list,
+                                                        include_identity=False)
+    log_errs, _ = log_sum_exp(log_abs, phase)
     return fit_rate(p_list, log_errs)
 
 
@@ -405,6 +445,7 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     cancels to rounding, so its own size is no scale."""
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("oracle consistency compares the torus routes")
+    z = _torus_point(z)
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
     image = torus_diagonal_kernel_image(orb, bundle, z, u, p,

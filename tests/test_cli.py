@@ -547,6 +547,30 @@ def test_trace_chain_fails_on_a_wrong_degree_one_multiplicity(tmp_path, monkeypa
         assert r["data"]["residuals"][1] == pytest.approx(math.exp(-2 * math.pi * u), rel=1e-12)
 
 
+def test_a_warm_cache_does_not_mask_a_wrong_multiplicity(tmp_path, monkeypatch):
+    """The two faults of the multiplicity tests, applied after a run at their
+    inputs has filled every cache: once the caches are cleared, as the
+    autouse fixture does before each test, both checks fail again."""
+    from orbmorse import spectral, verify
+    from orbmorse.catalog import build_catalog_orbifold
+    from conftest import clear_caches
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    chain_cfg = load_config(write(tmp_path, "c.yaml", TORUS_YAML))
+    assert run_all(tmp_path / "warm", chain_cfg)[0] == 0
+    assert verify.trace_equals_diagonal_integral(orb, bundle, 1.0, 8) <= 1e-9
+    multiplicity = spectral._level_multiplicity
+    faults = {"chain": lambda D, k, level, q: multiplicity(D, k, level, q) + (q == 1 and level == 0),
+              "identity": lambda D, k, level, q: multiplicity(D, k, level, q) + (level == 1)}
+    monkeypatch.setattr(spectral, "_level_multiplicity", faults["chain"])
+    clear_caches()
+    code, results = run_all(tmp_path / "chain", chain_cfg)
+    chains = [r for name, r in results.items() if name.startswith("trace-chain")]
+    assert code == 1 and len(chains) == 4 and not any(r["passed"] for r in chains)
+    monkeypatch.setattr(spectral, "_level_multiplicity", faults["identity"])
+    clear_caches()
+    assert verify.trace_equals_diagonal_integral(orb, bundle, 1.0, 8) > 1e-9
+
+
 def test_torus_power_beyond_float_counts_exits_2_with_its_cause(tmp_path, capsys):
     """At p = 10^20 a Landau level holds 5e19 states, more than a float counts
     exactly: the heat trace refuses it in one line that names p and the cause."""

@@ -321,9 +321,9 @@ def test_scaled_complex_roundtrip_and_sum():
     x = from_complex(3.0 - 4.0j)
     assert x.to_complex() == pytest.approx(3.0 - 4.0j)
     tiny = ScaledComplex.from_log(-5000.0, 0.3)
-    assert tiny.log_abs == -5000.0
+    assert tiny.log_scale == -5000.0
     combined = add(tiny, ScaledComplex.from_log(-5001.0, 0.3))
-    assert combined.log_abs == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
+    assert combined.log_scale == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
     zero = from_complex(0.0)
     assert add(zero, x).to_complex() == pytest.approx(x.to_complex())
 
@@ -334,11 +334,11 @@ def test_log_sum_exp_batches_and_empty_sums():
     log_scale, mantissa = log_sum_exp(log_abs, phase)
     for row in range(2):
         one = ScaledComplex.from_log_terms(log_abs[row], phase[row])
-        assert one.log_abs == log_scale[row] and one.mantissa == mantissa[row]
+        assert one.log_scale == log_scale[row] and one.mantissa == mantissa[row]
     assert log_scale[0] == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
     assert np.angle(mantissa[0]) == pytest.approx(0.3, abs=1e-12)
     assert log_scale[1] == pytest.approx(0.0, abs=1e-12)      # 1 - 2 = -1
     assert abs(mantissa[1] + 1.0) < 1e-12
     for empty in (np.zeros(0), np.array([-np.inf, -np.inf])):
         zero = ScaledComplex.from_log_terms(empty, np.zeros_like(empty))
-        assert zero.log_abs == -math.inf and zero.to_complex() == 0
+        assert zero.log_scale == -math.inf and zero.to_complex() == 0

@@ -5,14 +5,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbmorse import spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import GeometryError
-from orbmorse.kernels import ModelPoint, ScaledComplex, heat_diagonal_limit, mehler_log_form
+from orbmorse.kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_exp,
+                              mehler_log_form)
+from orbmorse.spectral import torus_diagonal_kernel_spectral
 from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              local_model_diagonal_kernel, local_model_image_log_terms,
                              local_model_image_terms,
@@ -23,6 +26,7 @@ from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              verify_kernel_asymptotics_singular,
                              verify_strong_morse)
 
+from conftest import clear_caches
 from dents import DENTS
 from scaled_fold import fold
 
@@ -99,15 +103,65 @@ def test_spectral_routes_refuse_a_time_their_levels_cannot_resolve(route):
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_oracle_consistency_assembles_and_evaluates_once(monkeypatch, degree):
-    """The half turn is the signed swap of one evaluation, of the one compared degree."""
+    """The half turn is the signed swap of one evaluation, which both degrees
+    at one (z, p) share, whichever comes first; a new z or p evaluates again."""
     assemble = mock.Mock(wraps=verify.assemble_kodaira_laplacian)
     evaluate = mock.Mock(wraps=spectral.torus_eigenfunction_values)
     monkeypatch.setattr(verify, "assemble_kodaira_laplacian", assemble)
     monkeypatch.setattr(spectral, "torus_eigenfunction_values", evaluate)
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    assert oracle_consistency(orb, bundle, 0.21 + 0.33j, 1.0, 8, degree=degree) < 1e-4
-    assert assemble.call_count == 1 and assemble.call_args.args[3] == degree
+    for q in (degree, 1 - degree):
+        assert oracle_consistency(orb, bundle, 0.21 + 0.33j, 1.0, 8, degree=q) < 1e-4
+    assert [call.args[3] for call in assemble.call_args_list] == [degree, 1 - degree]
     assert evaluate.call_count == 1
+    oracle_consistency(orb, bundle, 0.21 + 0.34j, 1.0, 8, degree=degree)
+    assert evaluate.call_count == 2
+    oracle_consistency(orb, bundle, 0.21 + 0.34j, 1.0, 16, degree=degree)
+    assert evaluate.call_count == 3
+    norms, swaps = spectral._level_sums(1, 16, 32, 0.21 + 0.34j)
+    assert evaluate.call_count == 3
+    assert not norms.flags.writeable and not swaps.flags.writeable
+
+
+@pytest.mark.parametrize("point", [np.array([0.21 + 0.33j]), np.complex128(0.21 + 0.33j),
+                                   np.array(0.21 + 0.33j)], ids=["array", "scalar", "0-d"])
+def test_oracle_consistency_takes_the_points_of_the_image_route(point):
+    """A one-element array is one point, on both routes, as on the image route
+    and the regular-point check."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    for degree in (0, 1):
+        assert (oracle_consistency(orb, bundle, point, 1.0, 8, degree=degree)
+                == oracle_consistency(orb, bundle, 0.21 + 0.33j, 1.0, 8, degree=degree))
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+TORUS_POINTS = st.one_of(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.builds(lambda x, y: complex(x / 64, y / 64), st.integers(-64, 128), st.integers(-64, 128)),
+    st.sampled_from([0j, 0.5 + 0j, 0.5j, 0.5 + 0.5j, complex(-0.0, 0.0), complex(0.5, -0.0)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(st.tuples(TORUS_POINTS, st.integers(4, 256), st.sampled_from([0, 1])),
+                      min_size=1, max_size=6))
+def test_a_warm_basis_cache_gives_the_cold_values(calls):
+    """Interleaved calls that share and miss cached bases read, bit for bit,
+    what each call reads from cleared caches."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+
+    def values(z, p, q):
+        op = verify.assemble_kodaira_laplacian(orb, bundle, p, q)
+        return (oracle_consistency(orb, bundle, z, 1.0, p, degree=q),
+                torus_diagonal_kernel_spectral(op, z, 1.0))
+
+    clear_caches()
+    warm = [values(*call) for call in calls]
+    for call, value in zip(calls, warm):
+        clear_caches()
+        assert bits(values(*call)) == bits(value), call
 
 
 def test_plain_torus_diagonal_approaches_limit():
@@ -146,6 +200,49 @@ def test_regular_rate_rejects_near_singular_points():
     with pytest.raises(GeometryError):
         verify_kernel_asymptotics_regular(orb, bundle, np.array([0.05 + 0.0j]), 1.0,
                                           [64, 128])
+
+
+LOCAL_MODELS = st.one_of(
+    st.tuples(st.integers(1, 4), st.just((1.0,)), st.just((1,))),
+    st.tuples(st.integers(1, 4), st.just((0.7, 1.3)), st.sampled_from([(1, 1), (1, 0)])))
+POWERS = st.lists(st.integers(4, 2 ** 14), min_size=1, max_size=7, unique=True).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=LOCAL_MODELS, u=st.sampled_from([0.5, 1.0, 5.0]), p_list=POWERS,
+       point=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                         allow_infinity=False), min_size=2, max_size=2))
+def test_batched_regular_fit_equals_the_per_power_kernels(model, u, p_list, point):
+    """The one-pass fit reads each power's own error bit for bit; C/Z_1 has no
+    non-identity image, and its empty batch still gives -inf."""
+    k, a, weights = model
+    orb, bundle = build_catalog_orbifold("local-model", k=k, a=a, weights=weights)
+    Z = np.array(point[:len(a)])
+    assume(orb.singular_distance(0, Z) >= verify.REGULAR_MIN_DISTANCE)
+    per_power = [local_model_diagonal_kernel(orb, bundle, Z, u, p, include_identity=False).log_scale
+                 for p in p_list]
+    _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list, include_identity=False)
+    assert bits(log_sum_exp(log_abs, phase)[0]) == bits(per_power)
+    fit = verify_kernel_asymptotics_regular(orb, bundle, Z, u, p_list)
+    assert bits(fit.log_errors) == bits([e for e in per_power if np.isfinite(e)])
+    assert fit.as_record() == fit_rate(p_list, per_power).as_record()
+    if k == 1:
+        assert per_power == [-math.inf] * len(p_list) and fit.log_errors == ()
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_batched_torus_image_terms_equal_each_power(degree):
+    """Each power's slice of a batch is that power's own terms, bit for bit."""
+    orb, _ = build_catalog_orbifold("torus", d=1, k=2)
+    points = np.array([[0.26 + 0.17j, 0.5 + 0.5j], [0j, 0.91 + 0.05j]])
+    powers = [4, 17, 256, 2 ** 40]
+    labels, log_abs, phase = verify.torus_image_log_terms(orb, points, 1.0, powers,
+                                                          degree=degree)
+    assert log_abs.shape == phase.shape == (len(powers),) + points.shape + (len(labels),)
+    for i, p in enumerate(powers):
+        one = verify.torus_image_log_terms(orb, points, 1.0, p, degree=degree)
+        assert one[0] == labels
+        assert bits(one[1]) == bits(log_abs[i]) and bits(one[2]) == bits(phase[i])
 
 
 def test_regular_rate_on_torus_point():
@@ -368,7 +465,7 @@ def _degree_one(terms, d, u):
 
 
 def _assert_same(a, b):
-    assert a.log_abs == pytest.approx(b.log_abs, abs=1e-12)
+    assert a.log_scale == pytest.approx(b.log_scale, abs=1e-12)
     assert abs(np.angle(a.mantissa / b.mantissa)) <= 1e-9
 
 
@@ -380,7 +477,7 @@ def test_array_image_sum_matches_term_fold(p):
         terms = torus_image_terms(orb, bundle, z, u, p)
         assert len(terms) == 2 * 9 * 9
         _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p), fold(terms))
-        tiny = [t for label, t in terms if label != (0, 0, 0) and t.log_abs < -745.0]
+        tiny = [t for label, t in terms if label != (0, 0, 0) and t.log_scale < -745.0]
         if p == 4096:
             # far below the underflow threshold: to_complex reads 0, the logs do not
             assert tiny and all(t.to_complex() == 0 for t in tiny)
@@ -392,7 +489,7 @@ def test_array_image_sum_matches_term_fold(p):
     # the non-identity images alone, as the regular-point rate sums them
     rest = torus_image_terms(orb, bundle, 0.26 + 0.17j, u, p, include_identity=False)
     fit = verify_kernel_asymptotics_regular(orb, bundle, 0.26 + 0.17j, u, [p])
-    assert fit.log_errors[0] == pytest.approx(fold(rest).log_abs, abs=1e-12)
+    assert fit.log_errors[0] == pytest.approx(fold(rest).log_scale, abs=1e-12)
     if p == 4096:
         assert fit.log_errors[0] < -745.0
 
@@ -424,7 +521,7 @@ LOCAL_TERMS_4096 = [(-1.379201921022263, 0.0),
 
 
 def _assert_term(term, log_abs, phase):
-    assert term.log_abs == pytest.approx(log_abs, rel=1e-14, abs=1e-12)
+    assert term.log_scale == pytest.approx(log_abs, rel=1e-14, abs=1e-12)
     assert abs(np.angle(term.mantissa * np.exp(-1j * phase))) <= 1e-9
 
 
