@@ -339,18 +339,12 @@ def _build_torus(d=1, k=1):
     chart = OrbifoldChart(dimension=1, group=cyclic_group(k, (1,)), box_radius=0.5,
                           metric_scalar=constant_field(1.0))
 
-    half_points = (0.0 + 0.0j, 0.5 + 0.0j, 0.5j, 0.5 + 0.5j)
-
     def singular_distance(chart_index, Z):
         if k == 1:
             return 10.0
-        z = np.asarray(Z, dtype=complex).reshape(1)[0]
-        best = math.inf
-        for p in half_points:
-            for mx in (-1, 0, 1):
-                for my in (-1, 0, 1):
-                    best = min(best, abs(z - (p + mx + 1j * my)))
-        return best
+        # the half-turn fixed points are (1/2) Z[i]: round each coordinate to it
+        z = complex(np.asarray(Z, dtype=complex).reshape(1)[0])
+        return abs(z - complex(round(2.0 * z.real) / 2.0, round(2.0 * z.imag) / 2.0))
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="torus",

@@ -1,9 +1,10 @@
 """Exact Dolbeault cohomology dimensions for the catalog models.
 
 Weighted projective spaces are handled by lattice-point counting: sections of
-the degree-d bundle are the monomials with weighted degree exactly d.  Middle
-cohomology vanishes on weighted projective spaces (standard fact, recorded in
-the README); top cohomology comes from Serre duality.  Torus quotients are
+the degree-d bundle are the monomials with weighted degree exactly d, counted
+for any number of weights.  The catalog's weighted projective models are the
+curves P(a, b), whose h^1 is h^0 of the Serre-dual degree -d - a - b
+(standard fact, recorded in the README).  Torus quotients are
 cross-filled from the spectral kernel counts of the discretized Kodaira
 Laplacian, which are exact for the shipped flat models.
 """
@@ -44,17 +45,6 @@ def _lattice_counts(ws, top):
         for r in range(min(w, top + 1)):
             np.cumsum(counts[r::w], out=counts[r::w])
     return counts
-
-
-def _h0_degree(ws, d, q):
-    """The degree whose h^0 is h^q of the degree-d bundle: d at q = 0, the
-    Serre dual -d - sum(weights) at the top q = n, and -1, which has no
-    sections, for the vanishing middle cohomology 0 < q < n."""
-    if q == 0:
-        return int(d)
-    if q == len(ws) - 1:
-        return -int(d) - sum(ws)
-    return -1
 
 
 def weighted_proj_h0(weights, d):
@@ -106,9 +96,10 @@ def cohomology_table(orb, p_range):
     p_values = tuple(int(p) for p in p_range)
     if orb.catalog_id == "wps":
         # one DP up to the largest degree read, then every entry off its array
-        ws = _check_weights(orb.params["weights"])
-        degrees = {(p, q): _h0_degree(ws, p, q) for p in p_values for q in range(len(ws))}
-        counts = _lattice_counts(ws, max([-1, *degrees.values()]))
+        a, b = _check_weights(orb.params["weights"])
+        # h^0 at degree p, and h^1 as h^0 at the Serre-dual degree -p - a - b
+        degrees = {(p, q): -p - a - b if q else p for p in p_values for q in (0, 1)}
+        counts = _lattice_counts((a, b), max([-1, *degrees.values()]))
         return CohomologyTable({key: int(counts[d]) if d >= 0 else 0
                                 for key, d in degrees.items()})
     if orb.catalog_id == "torus":

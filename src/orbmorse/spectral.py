@@ -257,10 +257,10 @@ def torus_basis_columns(D, levels, columns, z):
     return vals
 
 
-def torus_eigenfunction_values(op: TorusKodairaOperator, z, levels=None):
-    """Values psi_{level, j}(z) at one point for every j, shape (levels, D)."""
-    levels = levels if levels is not None else op.resolution
-    return torus_basis_columns(op.D, levels, np.arange(op.D), z)
+def torus_eigenfunction_values(op: TorusKodairaOperator, z):
+    """Values psi_{level, j}(z) at one point for every level and j, shape
+    (op.resolution, D)."""
+    return torus_basis_columns(op.D, op.resolution, np.arange(op.D), z)
 
 
 def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):

@@ -42,6 +42,8 @@ REGULAR_MIN_DISTANCE = 0.25
 # most relative heat weight e^{-2 pi d u L} of the first Landau level L left out
 # of a spectral kernel, three decades under the 1e-9 trace-identity gate
 LANDAU_TAIL_TOL = 1e-12
+# the torus image sums keep the deck images with |m|, |n| <= LATTICE_CUT
+LATTICE_CUT = 4
 
 
 def _require_flat(orb):
@@ -52,6 +54,17 @@ def _require_flat(orb):
 
 def _local_group(orb):
     return orb.charts[0].group
+
+
+def _point(orb, x):
+    """One point of a flat model: on a torus a complex number reduced into the
+    unit cell [0, 1)^2, where the image cut is centred (the kernels are
+    lattice periodic); on a local model the array of its n coordinates."""
+    x = np.asarray(x, dtype=complex)
+    if orb.catalog_id != "torus":
+        return x.reshape(len(orb.params["a"]))
+    z = complex(x.reshape(1)[0])
+    return complex(z.real - math.floor(z.real), z.imag - math.floor(z.imag))
 
 
 def _powers(p):
@@ -73,11 +86,11 @@ def _per_power(single, values, ndim):
 # image sums
 
 
-def torus_image_log_terms(orb, points, u, p, lattice_cut=4, include_identity=True,
-                          degree=0):
+def torus_image_log_terms(orb, points, u, p, include_identity=True, degree=0):
     """log|term| and phase of every deck-transformation term on a torus quotient.
 
-    ``points`` are complex numbers of any shape and the images are the deck
+    ``points`` are complex numbers of any shape, each in the unit cell
+    [0, 1)^2: the images, cut at |m|, |n| <= LATTICE_CUT, are the deck
     transformations gamma = (magnetic translation by lam = m + i n) o
     (half turn)^j.  The term K_plane(z, gamma z) exp(i pi D m n)
     exp(i (B/2) lam wedge r^j z) takes the degree-0 plane kernel at curvature
@@ -99,7 +112,7 @@ def torus_image_log_terms(orb, points, u, p, lattice_cut=4, include_identity=Tru
     powers, single = _powers(p)
     D = [d * pp for pp in powers]
     B = [2.0 * math.pi * Dp for Dp in D]
-    labels, m, n_, j = _deck_images(k, lattice_cut, include_identity)
+    labels, m, n_, j = _deck_images(k, include_identity)
     z = np.asarray(points, dtype=complex)[..., None]
     target = np.where(j == 0, z, -z) + (m + 1j * n_)
     log_abs, phase = mehler_log_form(_per_power(single, [(b,) for b in B], 0),
@@ -117,10 +130,10 @@ def torus_image_log_terms(orb, points, u, p, lattice_cut=4, include_identity=Tru
 
 
 @functools.lru_cache(maxsize=16)
-def _deck_images(k, lattice_cut, include_identity):
+def _deck_images(k, include_identity):
     """The (m, n, j) labels of the deck images in the cut and their float
     columns, shared by every call, so a tuple and read-only arrays."""
-    cut = range(-lattice_cut, lattice_cut + 1)
+    cut = range(-LATTICE_CUT, LATTICE_CUT + 1)
     labels = tuple((m, n_, j) for j in range(k) for m in cut for n_ in cut
                    if include_identity or (m, n_, j) != (0, 0, 0))
     columns = np.array(labels, dtype=float).reshape(-1, 3).T
@@ -159,14 +172,6 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     return labels, log_abs, phase
 
 
-def _torus_point(z):
-    return complex(np.asarray(z, dtype=complex).reshape(1)[0])
-
-
-def _local_point(orb, Z):
-    return np.asarray(Z, dtype=complex).reshape(len(orb.params["a"]))
-
-
 def _term_list(labels, log_abs, phase):
     return [(label, ScaledComplex.from_log(la, ph))
             for label, la, ph in zip(labels, log_abs, phase)]
@@ -179,13 +184,12 @@ def local_model_image_terms(orb, bundle, Z, u, p, include_identity=True):
     ``local_model_image_log_terms``.
     """
     return _term_list(*local_model_image_log_terms(
-        orb, _local_point(orb, Z), u, p, include_identity=include_identity))
+        orb, _point(orb, Z), u, p, include_identity=include_identity))
 
 
-def local_model_diagonal_kernel(orb, bundle, Z, u, p, include_identity=True):
+def local_model_diagonal_kernel(orb, bundle, Z, u, p):
     """p^{-n} exp(-u Lap_p / p)(Z, Z) on the local model, degree-0 trace."""
-    _, log_abs, phase = local_model_image_log_terms(
-        orb, _local_point(orb, Z), u, p, include_identity=include_identity)
+    _, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, p)
     return ScaledComplex.from_log_terms(log_abs, phase)
 
 
@@ -195,13 +199,12 @@ def torus_image_terms(orb, bundle, z, u, p, include_identity=True):
     A list of ((m, n, j), ScaledComplex) read off ``torus_image_log_terms``.
     """
     return _term_list(*torus_image_log_terms(
-        orb, _torus_point(z), u, p, include_identity=include_identity))
+        orb, _point(orb, z), u, p, include_identity=include_identity))
 
 
-def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0, include_identity=True):
+def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0):
     """Degree-q diagonal kernel trace on the torus quotient by image sums."""
-    _, log_abs, phase = torus_image_log_terms(
-        orb, _torus_point(z), u, p, include_identity=include_identity, degree=degree)
+    _, log_abs, phase = torus_image_log_terms(orb, _point(orb, z), u, p, degree=degree)
     return ScaledComplex.from_log_terms(log_abs, phase)
 
 
@@ -265,17 +268,15 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
     fitted log-log slope must come out far below the -1/2 guarantee.
     """
     _require_flat(orb)
-    dist = orb.singular_distance(0, np.atleast_1d(x))
+    x = _point(orb, x)
+    dist = orb.singular_distance(0, x)
     if dist < REGULAR_MIN_DISTANCE:
         raise GeometryError(
             f"point at distance {dist:.3f} from the singular set; the regular-point "
             f"check requires distance >= {REGULAR_MIN_DISTANCE}")
-    if orb.catalog_id == "torus":
-        _, log_abs, phase = torus_image_log_terms(orb, _torus_point(x), u, p_list,
-                                                  include_identity=False)
-    else:
-        _, log_abs, phase = local_model_image_log_terms(orb, _local_point(orb, x), u, p_list,
-                                                        include_identity=False)
+    image_log_terms = (torus_image_log_terms if orb.catalog_id == "torus"
+                       else local_model_image_log_terms)
+    _, log_abs, phase = image_log_terms(orb, x, u, p_list, include_identity=False)
     log_errs, _ = log_sum_exp(log_abs, phase)
     return fit_rate(p_list, log_errs)
 
@@ -288,7 +289,7 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
     """
     _require_flat(orb)
     if orb.catalog_id == "local-model":
-        kernel = local_model_diagonal_kernel(orb, bundle, np.atleast_1d(x), u, p)
+        kernel = local_model_diagonal_kernel(orb, bundle, x, u, p)
         a = orb.params["a"]
     else:
         kernel = torus_diagonal_kernel_image(orb, bundle, x, u, p)
@@ -302,7 +303,6 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
 class SingularExpansionRecord:
     p: int
     u: float
-    point: complex
     residual_without_twist: float
     residual_with_twist: float
 
@@ -319,32 +319,26 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("the corrected expansion ships for local models")
     a = np.asarray(orb.params["a"], dtype=float)
-    n = a.size
-    Z = np.asarray(Z, dtype=complex).reshape(n)
+    Z = _point(orb, Z)
+    # kappa = 1 on flat models, and the degree-0 limit is a product over the
+    # coordinates, so limit(Z_1) times the normal block's limit is the limit
+    limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0).trace
+    normal_blocks = []
+    for g in _local_group(orb):
+        if not g.is_identity:
+            normal = ~g.fixed
+            pt = ModelPoint(tuple(a[normal]), u, group_phases=tuple(np.angle(g.rotation)[normal]))
+            normal_blocks.append((g.line_phase, normal, pt))
     records = []
     for p in p_list:
         kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p).to_complex()
-        limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0)
         corr = 0.0j
-        for g in _local_group(orb):
-            if g.is_identity:
-                continue
-            phases = np.angle(g.rotation)
-            normal = ~g.fixed
-            pt = ModelPoint(tuple(a[normal]), u, group_phases=tuple(phases[normal]))
-            # kappa = 1 on flat models; the limit factorizes over the fixed and
-            # normal blocks, so limit(Z_1) splits off the fixed-direction part
-            fixed_part = heat_diagonal_limit(ModelPoint(tuple(a[~normal]), u), 0).trace
-            pref_normal = heat_diagonal_limit(ModelPoint(tuple(a[normal]), u), 0).trace
-            twist = twisted_gaussian(pt, math.sqrt(p) * Z[normal])
-            fiber = np.exp(1j * p * g.line_phase)
-            corr += fiber * fixed_part * pref_normal * twist
-        with_twist = abs(kernel - limit.trace - corr)
-        without = abs(kernel - limit.trace)
+        for line_phase, normal, pt in normal_blocks:
+            corr += (np.exp(1j * p * line_phase) * limit
+                     * twisted_gaussian(pt, math.sqrt(p) * Z[normal]))
         records.append(SingularExpansionRecord(
-            p=int(p), u=float(u), point=complex(Z[0]) if n == 1 else complex(0),
-            residual_without_twist=float(without),
-            residual_with_twist=float(with_twist)))
+            p=int(p), u=float(u), residual_without_twist=float(abs(kernel - limit)),
+            residual_with_twist=float(abs(kernel - limit - corr))))
     return records
 
 
@@ -445,7 +439,7 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     cancels to rounding, so its own size is no scale."""
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("oracle consistency compares the torus routes")
-    z = _torus_point(z)
+    z = _point(orb, z)
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
     image = torus_diagonal_kernel_image(orb, bundle, z, u, p,

@@ -180,6 +180,18 @@ def test_singular_distance_lipschitz_sampled():
                 assert abs(d1 - d2) <= abs(z1 - z2) + 1e-9
 
 
+HALF_LATTICE = [complex(i / 2, j / 2) for i in range(-22, 23) for j in range(-22, 23)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+def test_half_turn_distance_is_the_nearest_half_lattice_point(z):
+    """The closed form reads the distance to every half-turn fixed point of
+    the plane, (1/2) Z[i], not only to those next to the unit cell."""
+    orb, _ = build_catalog_orbifold("torus", d=1, k=2)
+    assert orb.singular_distance(0, z) == min(abs(z - c) for c in HALF_LATTICE)
+
+
 # ---------------------------------------------------------------------------
 # volume density
 

@@ -209,7 +209,7 @@ def kodaira_rank_per_sample(orb, bundle, p, rng):
         basis = invariant_basis(op0.D, 1) if orb.params["k"] == 2 else None
 
         def values(pts):
-            dense = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in pts]).T
+            dense = np.array([torus_eigenfunction_values(op0, z)[0] for z in pts]).T
             return dense if basis is None else basis @ dense
     best = -1
     for z in map(complex, reals, imags):
@@ -367,7 +367,7 @@ def test_ground_state_columns_match_dense_values(D):
     orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
     op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
     zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j, -0.3 + 1.7j])
-    dense = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
+    dense = np.array([torus_eigenfunction_values(op0, z)[0] for z in zs]).T
     columns = [D - 1, 0, D // 2] if D > 2 else list(range(D))
     assert np.array_equal(_section_values_torus(D, 1, columns, zs), dense[columns])
 
@@ -377,7 +377,7 @@ def test_paired_torus_sections_match_dense_invariant_basis(D):
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
     zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j])
     op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
-    full = np.array([torus_eigenfunction_values(op0, z, 1)[0] for z in zs]).T
+    full = np.array([torus_eigenfunction_values(op0, z)[0] for z in zs]).T
     dense = invariant_basis(D, 1) @ full
     paired = _section_values_torus(D, 2, list(range(D // 2 + 1)), zs)
     assert paired.shape == dense.shape

@@ -69,9 +69,15 @@ ALLOWED = {
 }
 
 
-def _key(code):
-    """(module, qualified name) of a code object under src/orbmorse."""
-    return Path(code.co_filename).stem, code.co_qualname
+def _key(fn):
+    """(module, qualified name) of a function under src/orbmorse."""
+    return Path(fn.__code__.co_filename).stem, fn.__qualname__
+
+
+def _where(code):
+    """(module, first line) of a code object under src/orbmorse, which tells
+    its functions apart; code objects carry no qualified name before 3.11."""
+    return Path(code.co_filename).stem, code.co_firstlineno
 
 
 def _function(obj):
@@ -85,9 +91,10 @@ def _function(obj):
 
 
 def src_functions():
-    """Keys of the module-level functions and class methods written in src;
-    the methods a dataclass generates have no source file there."""
-    keys = set()
+    """The keys of the module-level functions and class methods written in
+    src, each under its ``_where``; the methods a dataclass generates have no
+    source file there."""
+    keys = {}
     for info in pkgutil.iter_modules(orbmorse.__path__):
         module = importlib.import_module(f"orbmorse.{info.name}")
         for obj in vars(module).values():
@@ -96,7 +103,7 @@ def src_functions():
             for member in members:
                 fn = _function(member)
                 if fn is not None and fn.__code__.co_filename == module.__file__:
-                    keys.add(_key(fn.__code__))
+                    keys[_where(fn.__code__)] = _key(fn)
     return keys
 
 
@@ -104,13 +111,13 @@ def _resolve(module_name, attr):
     owner = importlib.import_module(f"orbmorse.{module_name}")
     for part in attr.split("."):
         owner = getattr(owner, part)
-    return _key(_function(owner).__code__)
+    return _key(_function(owner))
 
 
 def exempt():
     """Public API, the benchmark's names, and ALLOWED."""
     keys = set(ALLOWED)
-    keys |= {_key(fn.__code__) for fn in map(_function, (
+    keys |= {_key(fn) for fn in map(_function, (
         getattr(orbmorse, name) for name in orbmorse.__all__)) if fn is not None}
     keys |= {_resolve(module, attr) for _, module, attr, _ in load_tracer().TARGETS}
     keys |= {_resolve(module, name) for module, name, _, _ in child_library_calls()}
@@ -118,7 +125,7 @@ def exempt():
 
 
 def trace(out_dir):
-    """Keys of the src functions the entry points call, traced in this process."""
+    """``_where`` of the src code the entry points call, traced in this process."""
     from orbmorse import cli, verify
     run, child = load_bench("run"), load_bench("child")
     out_dir = Path(out_dir)
@@ -155,7 +162,7 @@ def trace(out_dir):
                 runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.setprofile(None)
-    return {_key(code) for code in reached
+    return {_where(code) for code in reached
             if Path(code.co_filename).parent == SRC}
 
 
@@ -163,8 +170,10 @@ def test_every_src_function_has_a_caller(tmp_path):
     proc = subprocess.run([sys.executable, __file__, str(tmp_path)], env=ENV,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    reached = {tuple(key) for key in json.loads((tmp_path / "reached.json").read_text())}
-    functions = src_functions()
+    traced = {tuple(where) for where in json.loads((tmp_path / "reached.json").read_text())}
+    located = src_functions()
+    reached = {key for where, key in located.items() if where in traced}
+    functions = set(located.values())
     unreached = sorted(functions - reached - exempt())
     assert not unreached, (
         "no CLI run, demo or benchmark session calls these src functions; "

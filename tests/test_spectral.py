@@ -226,7 +226,7 @@ def test_eigenfunctions_are_orthonormal_by_quadrature():
     vals = np.zeros((4, op0.D, N, N), dtype=complex)
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
-            vals[:, :, i, j] = torus_eigenfunction_values(op0, complex(x, y), 4)
+            vals[:, :, i, j] = torus_eigenfunction_values(op0, complex(x, y))
     flat = vals.reshape(4 * op0.D, N * N)
     G = flat @ flat.conj().T / (N * N)
     assert np.max(np.abs(G - np.eye(4 * op0.D))) < 1e-10
@@ -261,9 +261,9 @@ def test_basis_columns_match_the_translate_loop(D, levels):
 @pytest.mark.parametrize("p", [8, 128, 2048])
 @pytest.mark.parametrize("levels", [1, 32])
 def test_eigenfunction_scatter_matches_loop(p, levels):
-    op = ops_for(1, 2, p)[0]
+    op = ops_for(1, 2, p, resolution=levels)[0]
     for z in (0.3 + 0.7j, 0.91 + 0.05j):
-        assert np.array_equal(torus_eigenfunction_values(op, z, levels),
+        assert np.array_equal(torus_eigenfunction_values(op, z),
                               _eigenfunction_values_loop(op, z, levels))
 
 
@@ -285,11 +285,11 @@ def test_half_turn_is_the_signed_swap(p):
 def _diagonal_kernel_two_evaluations(op0, op1, z, u, q):
     """Reference: the rotation loop that evaluates the basis a second time at -z."""
     op = op0 if q == 0 else op1
-    psi = torus_eigenfunction_values(op, z, op.resolution)
+    psi = torus_eigenfunction_values(op, z)
     total = 0.0j
     for rot in range(op.k):
         form_factor = 1.0 if q == 0 else (-1.0) ** rot
-        rotated = psi if rot == 0 else torus_eigenfunction_values(op, -z, op.resolution)
+        rotated = psi if rot == 0 else torus_eigenfunction_values(op, -z)
         for level in range(op.resolution):
             w = math.exp(-u * op.level_eigenvalue(level) / op.p)
             total += w * form_factor * np.vdot(psi[level], rotated[level])

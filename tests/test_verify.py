@@ -14,7 +14,7 @@ from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import GeometryError
 from orbmorse.kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_exp,
-                              mehler_log_form)
+                              mehler_log_form, twisted_gaussian)
 from orbmorse.spectral import torus_diagonal_kernel_spectral
 from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              local_model_diagonal_kernel, local_model_image_log_terms,
@@ -78,9 +78,11 @@ def test_image_sum_matches_spectral_kernel_on_torus(p, u):
 @pytest.mark.parametrize("degree", [0, 1])
 def test_oracle_gap_is_scaled_by_the_identity_term(degree, p):
     """At the four half-turn fixed points the degree-one kernel cancels to
-    rounding, so a gap relative to it read 1.0-2.06 where both routes agree."""
+    rounding, so a gap relative to it read 1.0-2.06 where both routes agree.
+    A lattice translate is the same point: with the deck images cut around
+    3.21 - 1.67i, not its cell point, the gap read 0.029 at p = 8."""
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    for z in (0j, 0.5 + 0j, 0.5j, 0.5 + 0.5j, 0.21 + 0.33j):
+    for z in (0j, 0.5 + 0j, 0.5j, 0.5 + 0.5j, 0.21 + 0.33j, 0.21 + 0.33j + (3 - 2j)):
         assert oracle_consistency(orb, bundle, z, 1.0, p, degree=degree) <= 1e-12, z
 
 
@@ -219,8 +221,8 @@ def test_batched_regular_fit_equals_the_per_power_kernels(model, u, p_list, poin
     orb, bundle = build_catalog_orbifold("local-model", k=k, a=a, weights=weights)
     Z = np.array(point[:len(a)])
     assume(orb.singular_distance(0, Z) >= verify.REGULAR_MIN_DISTANCE)
-    per_power = [local_model_diagonal_kernel(orb, bundle, Z, u, p, include_identity=False).log_scale
-                 for p in p_list]
+    per_power = [ScaledComplex.from_log_terms(*local_model_image_log_terms(
+        orb, Z, u, p, include_identity=False)[1:]).log_scale for p in p_list]
     _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list, include_identity=False)
     assert bits(log_sum_exp(log_abs, phase)[0]) == bits(per_power)
     fit = verify_kernel_asymptotics_regular(orb, bundle, Z, u, p_list)
@@ -250,6 +252,14 @@ def test_regular_rate_on_torus_point():
     fit = verify_kernel_asymptotics_regular(orb, bundle, 0.26 + 0.17j, 1.0,
                                             [16, 32, 64, 128])
     assert fit.slope <= -0.4
+
+
+def test_regular_check_reads_a_torus_point_in_its_cell():
+    """3.05 lies 0.05 from the half-turn fixed point 3; read outside the cell,
+    its distance was 1.55 and the check took it for a regular point."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    with pytest.raises(GeometryError, match="distance 0.050 "):
+        verify_kernel_asymptotics_regular(orb, bundle, 3.05 + 0j, 1.0, [16, 32])
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +309,63 @@ def test_twist_correction_shrinks_residual(p):
     assert rec.residual_without_twist > 1e-3
 
 
+def per_element_residuals(orb, bundle, Z, u, p):
+    """The residuals with each element's term read as the fixed-block limit
+    times the normal-block limit times the twist."""
+    a = np.asarray(orb.params["a"], dtype=float)
+    kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p).to_complex()
+    limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0).trace
+    corr = 0.0j
+    for g in orb.charts[0].group:
+        if g.is_identity:
+            continue
+        normal = ~g.fixed
+        pt = ModelPoint(tuple(a[normal]), u,
+                        group_phases=tuple(np.angle(g.rotation)[normal]))
+        fixed_part = heat_diagonal_limit(ModelPoint(tuple(a[~normal]), u), 0).trace
+        pref_normal = heat_diagonal_limit(ModelPoint(tuple(a[normal]), u), 0).trace
+        twist = twisted_gaussian(pt, math.sqrt(p) * Z[normal])
+        corr += np.exp(1j * p * g.line_phase) * fixed_part * pref_normal * twist
+    return abs(kernel - limit), abs(kernel - limit - corr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4),
+       weights=st.lists(st.integers(0, 2), max_size=2).flatmap(lambda w: st.permutations([1, *w])),
+       a=st.lists(st.sampled_from([0.7, 1.0, 1.3, 1.6]), min_size=3, max_size=3),
+       theta=st.sampled_from([0.0, 0.4]), u=st.sampled_from([0.5, 1.0, 5.0]),
+       p_list=st.lists(st.integers(4, 4096), min_size=1, max_size=4),
+       point=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                         allow_infinity=False), min_size=3, max_size=3))
+def test_one_limit_equals_the_per_element_block_product(k, weights, a, theta, u, p_list, point):
+    """The degree-0 limit is a product over the coordinates, so one limit
+    stands for each element's fixed-block times normal-block limits: bit for
+    bit at n = 1, and within rounding of the limit (about 1e-16) above."""
+    n = len(weights)
+    orb, bundle = build_catalog_orbifold("local-model", k=k, a=a[:n], weights=weights,
+                                         theta=theta)
+    Z = np.array(point[:n])
+    records = verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list)
+    for p, rec in zip(p_list, records, strict=True):
+        without, with_twist = per_element_residuals(orb, bundle, Z, u, p)
+        assert rec.residual_without_twist == without
+        if n == 1:
+            assert rec.residual_with_twist == with_twist
+        else:
+            assert rec.residual_with_twist == pytest.approx(with_twist, rel=0, abs=1e-15)
+
+
+def test_singular_expansion_builds_one_limit_per_call(monkeypatch):
+    """The limit density does not depend on p, nor on the group element."""
+    limit = mock.Mock(wraps=verify.heat_diagonal_limit)
+    monkeypatch.setattr(verify, "heat_diagonal_limit", limit)
+    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(0.7, 1.3), weights=(1, 2))
+    Z = np.array([0.1 + 0.05j, 0.02j])
+    records = verify_kernel_asymptotics_singular(orb, bundle, Z, 1.0, [64, 256, 1024])
+    assert len(records) == 3 and limit.call_count == 1
+
+
 def test_expansion_correction_negligible_far_from_singularity():
-    from orbmorse.kernels import twisted_gaussian
     orb, bundle = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     p = 400
     Z = np.array([10.0 / math.sqrt(p) + 0.0j])     # sqrt(p) d(Z) = 10
@@ -586,7 +651,7 @@ def midpoint_half_turns(orb, u, p, degree, grid):
     total = 0.0
     for x in xs:
         labels, log_abs, phase = verify.torus_image_log_terms(
-            orb, x + 1j * xs, u, p, lattice_cut=2, degree=degree)
+            orb, x + 1j * xs, u, p, degree=degree)
         half = np.array([j == 1 for _, _, j in labels])
         total += np.sum(np.exp(log_abs[:, half] + 1j * phase[:, half])).real
     return p * total / grid ** 2 / orb.params["k"]
