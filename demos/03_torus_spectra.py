@@ -21,7 +21,7 @@ for k in (1, 2):
     for u in (0.5, 1.0, 5.0):
         print(f"  heat traces at u={u}: deg0 {heat_trace(t0, u):.6f}, "
               f"deg1 {heat_trace(t1, u):.6f}")
-    residuals, _ = exact_chain_residuals(orb, bundle, p, 1.0, 16)
+    residuals = exact_chain_residuals(orb, bundle, p, 1.0, 16)
     print(f"  exact chain residuals at u=1.0: r0 = {residuals[0]:.6f}, "
           f"r1 = {residuals[1]:.1e}\n")
 

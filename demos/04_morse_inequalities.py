@@ -13,7 +13,7 @@ print("== exact trace chain on the half-turn torus quotient ==")
 orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
 for p in (4, 8, 16):
     for u in (0.5, 1.0, 5.0):
-        r, _ = exact_chain_residuals(orb, bundle, p, u)
+        r = exact_chain_residuals(orb, bundle, p, u)
         print(f"  p={p:3d} u={u}: r_0 = {r[0]:+.3e} (>= 0), r_1 = {r[1]:+.1e} (= 0)")
 
 print("\n== strong Morse series: Morse sums against curvature integrals ==")

@@ -241,8 +241,8 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
         tol = cfg.tolerances["tol_chain"]
         for p in cfg.p_list:
             for u in cfg.u_list:
-                residuals, _ = vf.exact_chain_residuals(orb, bundle, p, u,
-                                                        cfg.resolution_spectral)
+                residuals = vf.exact_chain_residuals(orb, bundle, p, u,
+                                                     cfg.resolution_spectral)
                 ok = all(r >= -tol for r in residuals) and abs(residuals[-1]) <= tol
                 results.append((f"trace-chain-p{p}-u{repr(u)}", ok,
                                 {"residuals": residuals}))

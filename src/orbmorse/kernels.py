@@ -20,6 +20,9 @@ measure on C^n ~ R^{2n}.  The scalar one-variable building block is
 with g1(x) = x / (1 - e^{-x}) and c(x) = (x/2) / tanh(x/2); both are smooth
 and equal to 1 at x = 0, so the zero-curvature convention
 K_0 = (2 pi u)^{-1} exp(-|z-z'|^2 / (2u)) is the continuous limit.
+``mehler_log_form`` gives log|K| and arg K for a batch of models (a single
+kernel is a batch of one), and ``log_sum_exp`` adds such terms far below the
+float underflow threshold.
 """
 
 from __future__ import annotations
@@ -200,8 +203,8 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime):
         X = np.exp(-1j * np.asarray(point.group_phases)) * Z
     else:
         X = Z
-    log_abs, phase = mehler_log_form(point.eigenvalues, point.u, X, Zp)
-    return complex(np.exp(log_abs + 1j * phase))
+    log_abs, phase = mehler_log_form([point.eigenvalues], [point.u], X, Zp)
+    return complex(np.exp(log_abs[0] + 1j * phase[0]))
 
 
 def _mehler_coefficients(a, u):
@@ -213,35 +216,28 @@ def _mehler_coefficients(a, u):
 
 
 def mehler_log_form(eigenvalues, u, X, Zprime):
-    """log|K| and arg K of the degree-0 Mehler kernel K(X, Z'), batched.
+    """log|K| and arg K of the degree-0 Mehler kernel K(X, Z') of a batch of models.
 
-    X and Z' hold points of C^n along their last axis and broadcast against
-    each other; both results have the broadcast shape without that axis.
-    Per coordinate, K_a = g1(ua) / (2 pi u) * exp(-c(ua)/(2u) |x - z'|^2
-    + i (a/2) Im(x conj(z'))), with g1(x) = stretch(x) e^{x/2} carrying the
-    e^{u tau / 2} twist.  Kept in logs, the value survives far below the
-    float underflow threshold.
-
-    A batch of m models, ``eigenvalues`` of shape (m, n) with one time per
-    model in ``u``, puts an axis of length m in front of both results.  Each
+    ``eigenvalues`` holds m curvature spectra of length n, and ``u`` one time
+    per model.  X and Z' hold points of C^n along their last axis and
+    broadcast against each other; both results have an axis of length m in
+    front of the broadcast shape without that axis.  Per coordinate, K_a =
+    g1(ua) / (2 pi u) * exp(-c(ua)/(2u) |x - z'|^2 + i (a/2) Im(x conj(z'))),
+    with g1(x) = stretch(x) e^{x/2} carrying the e^{u tau / 2} twist.  Each
     model's prefactors are scalars computed from its own curvature and time,
-    so its slice equals the unbatched result bit for bit.
+    so its slice does not depend on the rest of the batch.  Kept in logs, the
+    value survives far below the float underflow threshold.
     """
     X = np.asarray(X, dtype=complex)
     Zp = np.asarray(Zprime, dtype=complex)
-    batched = np.ndim(eigenvalues) == 2
-    models = zip(eigenvalues, u) if batched else [(eigenvalues, u)]
-    coeffs = [[_mehler_coefficients(aj, t) for aj in a] for a, t in models]
-    if batched:
-        # per coordinate, (shift, rate, twist) arrays over the models, ahead
-        # of the broadcast axes of the points
-        lead = (3, len(coeffs)) + (1,) * (np.broadcast(X, Zp).ndim - 1)
-        columns = [np.array(col).T.reshape(lead) for col in zip(*coeffs)]
-    else:
-        columns = coeffs[0]
+    coeffs = [[_mehler_coefficients(aj, t) for aj in a] for a, t in zip(eigenvalues, u)]
+    # per coordinate, (shift, rate, twist) arrays over the models, ahead of the
+    # broadcast axes of the points
+    lead = (3, len(coeffs)) + (1,) * (np.broadcast(X, Zp).ndim - 1)
     log_abs = 0.0
     phase = 0.0
-    for j, (shift, rate, twist) in enumerate(columns):
+    for j, column in enumerate(zip(*coeffs)):
+        shift, rate, twist = np.array(column).T.reshape(lead)
         xj, zj = X[..., j], Zp[..., j]
         log_abs = log_abs + shift
         log_abs = log_abs + rate * abs(xj - zj) ** 2
@@ -268,34 +264,7 @@ def signature_limit_density(a, q):
 
 
 # ---------------------------------------------------------------------------
-# log-scaled complex accumulation, for image sums whose terms underflow
-
-
-@dataclass
-class ScaledComplex:
-    """Complex number stored as mantissa * exp(log_scale).
-
-    Supports magnitudes far below the float underflow threshold; used by the
-    method-of-images sums whose non-identity terms decay like exp(-c p).
-    """
-
-    mantissa: complex
-    log_scale: float
-
-    @classmethod
-    def from_log(cls, log_abs, phase):
-        return cls(mantissa=np.exp(1j * phase), log_scale=float(log_abs))
-
-    @classmethod
-    def from_log_terms(cls, log_abs, phase):
-        """Sum of the terms exp(log_abs + i phase) of a 1-d batch."""
-        log_scale, mantissa = log_sum_exp(log_abs, phase)
-        return cls(complex(mantissa), float(log_scale))
-
-    def to_complex(self):
-        if self.log_scale == -math.inf:
-            return 0.0j
-        return self.mantissa * math.exp(self.log_scale)
+# log-scaled sums, for image sums whose terms underflow
 
 
 def log_sum_exp(log_abs, phase):

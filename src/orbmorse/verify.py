@@ -12,15 +12,16 @@ below the float underflow threshold at large p), compare them against the
 closed-form predictions, and fit empirical convergence orders.
 
 ``torus_image_log_terms`` and ``local_model_image_log_terms`` evaluate
-every image term of a batch of points, and of a batch of powers, as arrays
-of log|term| and phase, and ``log_sum_exp`` sums them in one max-shifted
-pass per point and power.  The trace
-identity needs no such sum: it integrates the image sum over the cell in
-closed form (``_image_trace``).
+every image term of a batch of points, at a batch of powers, as arrays of
+log|term| and phase, and ``log_sum_exp`` sums them in one max-shifted pass
+per point and power; a kernel is that sum as a plain complex number.  The
+trace identity needs no such sum: it integrates the image sum over the cell
+in closed form (``_image_trace``).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -31,8 +32,8 @@ import numpy as np
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
                      UnsupportedModelError)
-from .kernels import (ModelPoint, ScaledComplex, factor_plus, heat_diagonal_limit,
-                      log_sum_exp, mehler_log_form, twisted_gaussian)
+from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
+                      mehler_log_form, twisted_gaussian)
 from .spectral import (assemble_kodaira_laplacian, heat_trace,
                        torus_diagonal_kernel_spectral)
 
@@ -61,25 +62,19 @@ def _point(orb, x):
     unit cell [0, 1)^2, where the image cut is centred (the kernels are
     lattice periodic); on a local model the array of its n coordinates."""
     x = np.asarray(x, dtype=complex)
+    if not all(map(cmath.isfinite, x.ravel().tolist())):
+        raise GeometryError(f"flat-model point {x} is not finite")
     if orb.catalog_id != "torus":
         return x.reshape(len(orb.params["a"]))
     z = complex(x.reshape(1)[0])
     return complex(z.real - math.floor(z.real), z.imag - math.floor(z.imag))
 
 
-def _powers(p):
-    """The powers of ``p``, one power or a sequence of them, and whether it was one."""
-    single = np.ndim(p) == 0
-    return ((p,) if single else tuple(p)), single
-
-
-def _per_power(single, values, ndim):
-    """``values``, one entry per power: the only one for a single power, else
-    an array over the powers with ``ndim`` unit axes after the first."""
-    if single:
-        return values[0]
-    shape = np.shape(values)
-    return np.reshape(values, shape[:1] + (1,) * ndim + shape[1:])
+def _per_power(values, ndim):
+    """``values``, one entry per power, as an array over the powers with
+    ``ndim`` unit axes after the first."""
+    values = np.asarray(values)
+    return values.reshape(values.shape[:1] + (1,) * ndim + values.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -98,31 +93,28 @@ def torus_image_log_terms(orb, points, u, p, include_identity=True, degree=0):
     (the two scalar operators differ by the full field strength, and the
     half turn acts on the antiholomorphic coframe by -1).
 
-    Every term carries the p^{-1} rescaling.  Returns (labels, log_abs,
-    phase): one (m, n, j) label per image and two arrays of shape
-    points.shape + (len(labels),).  A sequence of powers ``p`` puts an axis
-    over the powers in front; each power's scalars are computed as for that
-    power alone, so its slice is the same bit for bit.
+    Every term carries the p^{-1} rescaling.  ``p`` is a sequence of powers.
+    Returns (labels, log_abs, phase): one (m, n, j) label per image and two
+    arrays of shape (len(p),) + points.shape + (len(labels),).  Each power's
+    scalars are computed from that power alone, so its slice does not depend
+    on the other powers.
     """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("deck-transformation sums run on the torus quotients")
     if degree not in (0, 1):
         raise ConfigurationError("torus models carry form degrees 0 and 1")
     d, k = orb.params["d"], orb.params["k"]
-    powers, single = _powers(p)
-    D = [d * pp for pp in powers]
-    B = [2.0 * math.pi * Dp for Dp in D]
+    D = [d * pp for pp in p]
     labels, m, n_, j = _deck_images(k, include_identity)
     z = np.asarray(points, dtype=complex)[..., None]
     target = np.where(j == 0, z, -z) + (m + 1j * n_)
-    log_abs, phase = mehler_log_form(_per_power(single, [(b,) for b in B], 0),
-                                     _per_power(single, [u / pp for pp in powers], 0),
+    log_abs, phase = mehler_log_form([(2.0 * math.pi * Dp,) for Dp in D], [u / pp for pp in p],
                                      z[..., None], target[..., None])
-    # lam wedge (r^j z + lam) = lam wedge r^j z
+    # lam wedge (r^j z + lam) = lam wedge r^j z, weighted by B / 2 = pi D
     wedge = m * target.imag - n_ * target.real
-    phase = phase + (_per_power(single, [math.pi * Dp for Dp in D], z.ndim) * m * n_
-                     + _per_power(single, [0.5 * b for b in B], z.ndim) * wedge)
-    log_abs = log_abs - _per_power(single, [math.log(pp) for pp in powers], z.ndim)
+    pi_D = _per_power([math.pi * Dp for Dp in D], z.ndim)
+    phase = phase + (pi_D * m * n_ + pi_D * wedge)
+    log_abs = log_abs - _per_power([math.log(pp) for pp in p], z.ndim)
     if degree == 1:
         log_abs = log_abs - 2.0 * math.pi * d * u
         phase = phase + math.pi * j
@@ -147,65 +139,60 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     ``points`` has shape (..., n) and the images are the group elements g,
     with degree-0 terms e^{i p theta_g} K_plane(g^{-1} Z, Z) at
     curvature p * a and time u / p, each carrying the p^{-n} rescaling.
-    Returns (labels, log_abs, phase): the group elements and two arrays of
-    shape points.shape[:-1] + (len(labels),).  A sequence of powers ``p``
-    puts an axis over the powers in front, as in ``torus_image_log_terms``.
+    ``p`` is a sequence of powers.  Returns (labels, log_abs, phase): the
+    group elements and two arrays of shape (len(p),) + points.shape[:-1] +
+    (len(labels),), each power's slice computed from that power alone.
     """
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("group-element sums run on the local models")
     a = np.asarray(orb.params["a"], dtype=float)
     n = a.size
-    powers, single = _powers(p)
     labels = [g for g in _local_group(orb) if include_identity or not g.is_identity]
     Z = np.asarray(points, dtype=complex)
     # g^{-1} is the conjugate rotation, applied coordinate by coordinate
     rotations = np.array([g.rotation for g in labels]).reshape(-1, n)
     X = np.einsum("gi,...i->...gi", np.conj(rotations), Z)
-    log_abs, phase = mehler_log_form(_per_power(single, [pp * a for pp in powers], 0),
-                                     _per_power(single, [u / pp for pp in powers], 0),
+    log_abs, phase = mehler_log_form([pp * a for pp in p], [u / pp for pp in p],
                                      X, Z[..., None, :])
     fibers = [[np.exp(1j * pp * g.line_phase) * pp ** float(-n) for g in labels]
-              for pp in powers]
-    log_abs = log_abs + _per_power(single, [[math.log(abs(f)) for f in row] for row in fibers],
+              for pp in p]
+    log_abs = log_abs + _per_power([[math.log(abs(f)) for f in row] for row in fibers],
                                    Z.ndim - 1)
-    phase = phase + _per_power(single, np.angle(fibers), Z.ndim - 1)
+    phase = phase + _per_power(np.angle(fibers), Z.ndim - 1)
     return labels, log_abs, phase
 
 
-def _term_list(labels, log_abs, phase):
-    return [(label, ScaledComplex.from_log(la, ph))
-            for label, la, ph in zip(labels, log_abs, phase)]
+def _image_sums(log_abs, phase):
+    """The image sum of each power's terms, batched along the first axis, as
+    a list of complex numbers."""
+    log_scale, mantissa = log_sum_exp(log_abs, phase)
+    return [complex(m) * math.exp(s) for s, m in zip(log_scale, mantissa)]
 
 
-def local_model_image_terms(orb, bundle, Z, u, p, include_identity=True):
-    """Per-group-element terms of p^{-n} exp(-u Lap_p / p)(Z, Z), degree 0.
-
-    A list of (group element, ScaledComplex) read off
-    ``local_model_image_log_terms``.
-    """
-    return _term_list(*local_model_image_log_terms(
-        orb, _point(orb, Z), u, p, include_identity=include_identity))
+def local_model_image_terms(orb, bundle, Z, u, p):
+    """Per-group-element terms of p^{-n} exp(-u Lap_p / p)(Z, Z), degree 0, as
+    (group element, log|term|, phase) triples."""
+    labels, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, [p])
+    return list(zip(labels, log_abs[0], phase[0]))
 
 
 def local_model_diagonal_kernel(orb, bundle, Z, u, p):
     """p^{-n} exp(-u Lap_p / p)(Z, Z) on the local model, degree-0 trace."""
-    _, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, p)
-    return ScaledComplex.from_log_terms(log_abs, phase)
+    _, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, [p])
+    return _image_sums(log_abs, phase)[0]
 
 
-def torus_image_terms(orb, bundle, z, u, p, include_identity=True):
-    """Deck-transformation terms of the diagonal kernel on the torus quotient.
-
-    A list of ((m, n, j), ScaledComplex) read off ``torus_image_log_terms``.
-    """
-    return _term_list(*torus_image_log_terms(
-        orb, _point(orb, z), u, p, include_identity=include_identity))
+def torus_image_terms(orb, bundle, z, u, p):
+    """Deck-transformation terms of the diagonal kernel on the torus quotient,
+    as ((m, n, j), log|term|, phase) triples."""
+    labels, log_abs, phase = torus_image_log_terms(orb, _point(orb, z), u, [p])
+    return list(zip(labels, log_abs[0], phase[0]))
 
 
 def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0):
     """Degree-q diagonal kernel trace on the torus quotient by image sums."""
-    _, log_abs, phase = torus_image_log_terms(orb, _point(orb, z), u, p, degree=degree)
-    return ScaledComplex.from_log_terms(log_abs, phase)
+    _, log_abs, phase = torus_image_log_terms(orb, _point(orb, z), u, [p], degree=degree)
+    return _image_sums(log_abs, phase)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +282,7 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
         kernel = torus_diagonal_kernel_image(orb, bundle, x, u, p)
         a = (2.0 * math.pi * orb.params["d"],)
     limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0)
-    val = kernel.to_complex()
-    return float(np.real(val) / limit.trace)
+    return float(np.real(kernel) / limit.trace)
 
 
 @dataclass
@@ -329,9 +315,9 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
             normal = ~g.fixed
             pt = ModelPoint(tuple(a[normal]), u, group_phases=tuple(np.angle(g.rotation)[normal]))
             normal_blocks.append((g.line_phase, normal, pt))
+    _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list)
     records = []
-    for p in p_list:
-        kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p).to_complex()
+    for p, kernel in zip(p_list, _image_sums(log_abs, phase)):
         corr = 0.0j
         for line_phase, normal, pt in normal_blocks:
             corr += (np.exp(1j * p * line_phase) * limit
@@ -405,7 +391,7 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     r_0 = sum_{L >= 1} m_0(L) w_L and r_1 = sum_{L >= 1} (m_1(L - 1) - m_0(L)) w_L,
     each difference taken in integers: two float heat traces of about d p / k
     states would round it.  The top degree-1 level, whose partner lies beyond
-    the truncation, is left out; the tables are returned as assembled.
+    the truncation, is left out.
     """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the exact chain runs on the torus quotients")
@@ -415,9 +401,8 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     m0, m1 = (op.multiplicities for op in ops)
     weights = [math.exp(-u * ops[0].level_eigenvalue(level) / ops[0].p)
                for level in range(1, resolution)]
-    residuals = [float(sum(m * w for m, w in zip(m0[1:], weights))),
-                 float(sum((b - a) * w for a, b, w in zip(m0[1:], m1, weights)))]
-    return residuals, [op.spectral_table() for op in ops]
+    return [float(sum(m * w for m, w in zip(m0[1:], weights))),
+            float(sum((b - a) * w for a, b, w in zip(m0[1:], m1, weights)))]
 
 
 def _truncated_operator(orb, bundle, u, p, degree, resolution=32):
@@ -442,8 +427,7 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     z = _point(orb, z)
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
-    image = torus_diagonal_kernel_image(orb, bundle, z, u, p,
-                                        degree=degree).to_complex()
+    image = torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=degree)
     return abs(spec - image) / (_image_trace(op.d, 1, u, p, degree) / p)
 
 

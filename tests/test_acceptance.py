@@ -36,7 +36,7 @@ def test_criterion_1_exact_inequality_chain():
     ok = True
     for p in (4, 8, 16):
         for u in (0.5, 1.0, 5.0):
-            residuals, _ = exact_chain_residuals(orb, bundle, p, u, resolution=32)
+            residuals = exact_chain_residuals(orb, bundle, p, u, resolution=32)
             ok &= all(r >= -1e-9 for r in residuals) and abs(residuals[-1]) <= 1e-9
             worst_r0 = min(worst_r0, min(residuals))
             worst_rn = max(worst_rn, abs(residuals[-1]))

@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -49,6 +50,19 @@ def test_node_counter_binds_morse_integral_arguments():
     counts = tracer._count_nodes(morse_integral, (orb, bundle, {0}),
                                  {"resolution": 8}, None, {})
     assert counts == {"nodes": 8 ** 2 * 2}
+
+
+@pytest.mark.parametrize("catalog_id,params,point,terms", [
+    ("torus", {"d": 1, "k": 2}, 0.31 + 0.12j, 2 * 9 * 9),
+    *[("local-model", {"k": k, "a": (1.0,)}, np.array([0.8 + 0.1j]), k) for k in (2, 3, 4)]])
+def test_term_counter_counts_the_images(catalog_id, params, point, terms):
+    """The tracer counts one term per image: every deck image in the cut on
+    the half-turn torus, every group element on C/Z_k."""
+    tracer = load_tracer()
+    orb, bundle = build_catalog_orbifold(catalog_id, **params)
+    fn = verify.torus_image_terms if catalog_id == "torus" else verify.local_model_image_terms
+    args = (orb, bundle, point, 1.0, 64)
+    assert tracer._count_terms(fn, args, {}, fn(*args), {}) == {"terms": terms}
 
 
 def child_library_calls():

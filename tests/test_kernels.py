@@ -1,5 +1,6 @@
 """Closed-form kernel machinery against independent numerical oracles."""
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -9,12 +10,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from orbmorse.errors import DegenerateSpectrumError
-from orbmorse.kernels import (ModelPoint, ScaledComplex, factor_minus, factor_plus,
-                              heat_diagonal_limit,
+from orbmorse.kernels import (ModelPoint, factor_minus, factor_plus, heat_diagonal_limit,
                               log_sum_exp, model_heat_kernel, signature_limit_density,
                               twisted_gaussian)
 
-from scaled_fold import add, from_complex
+from scaled_fold import ZERO, add, fold, from_complex
 
 TWO_PI = 2.0 * math.pi
 
@@ -317,15 +317,16 @@ def test_kernel_against_grid_semigroup_oracle():
 # log-scaled accumulation
 
 
-def test_scaled_complex_roundtrip_and_sum():
+def test_log_sum_exp_matches_the_pairwise_fold():
     x = from_complex(3.0 - 4.0j)
-    assert x.to_complex() == pytest.approx(3.0 - 4.0j)
-    tiny = ScaledComplex.from_log(-5000.0, 0.3)
-    assert tiny.log_scale == -5000.0
-    combined = add(tiny, ScaledComplex.from_log(-5001.0, 0.3))
-    assert combined.log_scale == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
-    zero = from_complex(0.0)
-    assert add(zero, x).to_complex() == pytest.approx(x.to_complex())
+    assert cmath.rect(math.exp(x[0]), x[1]) == pytest.approx(3.0 - 4.0j)
+    tiny = (-5000.0, 0.3)
+    combined = add(tiny, (-5001.0, 0.3))
+    assert combined[0] == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
+    log_scale, mantissa = log_sum_exp(np.array([-5000.0, -5001.0]), np.array([0.3, 0.3]))
+    assert log_scale == pytest.approx(combined[0], rel=1e-15)
+    assert cmath.phase(mantissa) == pytest.approx(combined[1], abs=1e-15)
+    assert add(from_complex(0.0), x) == x and from_complex(0.0) == ZERO
 
 
 def test_log_sum_exp_batches_and_empty_sums():
@@ -333,12 +334,17 @@ def test_log_sum_exp_batches_and_empty_sums():
     phase = np.array([[0.3, 0.3, 1.0], [0.0, np.pi, 0.5]])
     log_scale, mantissa = log_sum_exp(log_abs, phase)
     for row in range(2):
-        one = ScaledComplex.from_log_terms(log_abs[row], phase[row])
-        assert one.log_scale == log_scale[row] and one.mantissa == mantissa[row]
+        one_scale, one_mantissa = log_sum_exp(log_abs[row], phase[row])
+        assert one_scale == log_scale[row] and one_mantissa == mantissa[row]
+        folded = fold(zip(range(3), log_abs[row], phase[row]))
+        assert log_scale[row] == pytest.approx(folded[0], rel=0, abs=1e-12)
+        assert abs(np.angle(mantissa[row] * np.exp(-1j * folded[1]))) <= 1e-9
     assert log_scale[0] == pytest.approx(-5000.0 + math.log(1 + math.exp(-1)), rel=1e-12)
     assert np.angle(mantissa[0]) == pytest.approx(0.3, abs=1e-12)
     assert log_scale[1] == pytest.approx(0.0, abs=1e-12)      # 1 - 2 = -1
     assert abs(mantissa[1] + 1.0) < 1e-12
     for empty in (np.zeros(0), np.array([-np.inf, -np.inf])):
-        zero = ScaledComplex.from_log_terms(empty, np.zeros_like(empty))
-        assert zero.log_scale == -math.inf and zero.to_complex() == 0
+        zero_scale, zero_mantissa = log_sum_exp(empty, np.zeros_like(empty))
+        assert zero_scale == -math.inf and zero_mantissa == 0
+        # the kernels read a sum as mantissa * exp(log_scale)
+        assert complex(zero_mantissa) * math.exp(zero_scale) == 0

@@ -60,12 +60,6 @@ ALLOWED = {
     ("kernels", "_factor_series"):
         "the series branch of factor_plus for 1e-7 < |a| <= 1e-4, where "
         "1 - e^{-ua} cancels; no shipped model has such a small eigenvalue",
-    ("kernels", "ScaledComplex.from_log"):
-        "reached only through the benchmark's torus_image_terms and "
-        "local_model_image_terms",
-    ("verify", "_term_list"):
-        "reached only through the benchmark's torus_image_terms and "
-        "local_model_image_terms",
 }
 
 

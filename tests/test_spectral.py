@@ -109,12 +109,13 @@ def test_exact_chain_memory_is_independent_of_power():
     exact_chain_residuals(orb, bundle, 8, 1.0, 32)          # warm imports
     tracemalloc.start()
     try:
-        residuals, tables = exact_chain_residuals(orb, bundle, 4096, 1.0, 32)
+        residuals = exact_chain_residuals(orb, bundle, 4096, 1.0, 32)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert tables[0].zero_dim == torus_kernel_dimension(1, 2, 4096, 0)
+    table = assemble_kodaira_laplacian(orb, bundle, 4096, 0, 32).spectral_table()
+    assert table.zero_dim == torus_kernel_dimension(1, 2, 4096, 0)
     assert abs(residuals[-1]) <= 1e-9
 
 
@@ -160,12 +161,12 @@ def test_heat_trace_rejects_nonpositive_time():
 
 def test_torus_chain_residuals_and_monotonicity():
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    table = assemble_kodaira_laplacian(orb, bundle, 8, 0, 32).spectral_table()
     prev = None
     for u in [0.25, 0.5, 1.0, 2.0, 4.0]:
-        r, tables = exact_chain_residuals(orb, bundle, 8, u)
+        r = exact_chain_residuals(orb, bundle, 8, u)
         # r_0 is the trace above the kernel; r_1 pairs integer multiplicities
-        assert r[0] == pytest.approx(heat_trace(tables[0], u) - tables[0].zero_dim,
-                                     abs=1e-12)
+        assert r[0] == pytest.approx(heat_trace(table, u) - table.zero_dim, abs=1e-12)
         assert r[1] == 0.0
         if prev is not None:
             assert r[0] < prev                  # decreasing in u

@@ -1,5 +1,6 @@
 """Kernel asymptotics records, inequality series, oracle cross-checks."""
 
+import cmath
 import math
 from unittest import mock
 
@@ -13,9 +14,9 @@ from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import GeometryError
-from orbmorse.kernels import (ModelPoint, ScaledComplex, heat_diagonal_limit, log_sum_exp,
-                              mehler_log_form, twisted_gaussian)
-from orbmorse.spectral import torus_diagonal_kernel_spectral
+from orbmorse.kernels import (ModelPoint, heat_diagonal_limit, log_sum_exp, mehler_log_form,
+                              twisted_gaussian)
+from orbmorse.spectral import assemble_kodaira_laplacian, torus_diagonal_kernel_spectral
 from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              local_model_diagonal_kernel, local_model_image_log_terms,
                              local_model_image_terms,
@@ -36,7 +37,8 @@ from scaled_fold import fold
 
 
 def dense_image_log_terms(orb, Z, u, p, include_identity):
-    """The image terms with every group element as a dense n x n matrix."""
+    """The image terms at one power p, with every group element as a dense
+    n x n matrix."""
     k, theta = orb.params["k"], orb.params["theta"]
     a = np.asarray(orb.params["a"], dtype=float)
     weights = np.array(orb.params["weights"])
@@ -45,10 +47,10 @@ def dense_image_log_terms(orb, Z, u, p, include_identity):
     inverses = np.array([np.conj(np.diag(np.exp(2j * np.pi * weights * m / k)).T)
                          for m in keep]).reshape(-1, n, n)
     X = np.einsum("gij,...j->...gi", inverses, Z)
-    log_abs, phase = mehler_log_form(p * a, u / p, X, Z[..., None, :])
+    log_abs, phase = mehler_log_form([p * a], [u / p], X, Z[..., None, :])
     fibers = [np.exp(1j * p * ((theta * m) % (2 * math.pi))) * p ** float(-n) for m in keep]
-    log_abs = log_abs + np.array([math.log(abs(f)) for f in fibers])
-    return log_abs, phase + np.angle(fibers)
+    log_abs = log_abs[0] + np.array([math.log(abs(f)) for f in fibers])
+    return log_abs, phase[0] + np.angle(fibers)
 
 
 @pytest.mark.parametrize("include_identity", [True, False])
@@ -60,11 +62,11 @@ def test_diagonal_image_terms_match_dense_matrices(k, n, include_identity):
     orb, _ = build_catalog_orbifold("local-model", k=k, a=a, theta=0.9)
     rng = np.random.default_rng(10 * k + n)
     Z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
-    labels, log_abs, phase = local_model_image_log_terms(orb, Z, 1.0, 16,
+    labels, log_abs, phase = local_model_image_log_terms(orb, Z, 1.0, [16],
                                                          include_identity=include_identity)
     ref_abs, ref_phase = dense_image_log_terms(orb, Z, 1.0, 16, include_identity)
     assert len(labels) == k - (not include_identity)
-    assert np.array_equal(log_abs, ref_abs) and np.array_equal(phase, ref_phase)
+    assert np.array_equal(log_abs, ref_abs[None]) and np.array_equal(phase, ref_phase[None])
 
 
 @pytest.mark.parametrize("p,u", [(4, 1.0), (8, 0.5)])
@@ -169,7 +171,7 @@ def test_a_warm_basis_cache_gives_the_cold_values(calls):
 def test_plain_torus_diagonal_approaches_limit():
     orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
     u, p = 1.0, 32
-    val = torus_diagonal_kernel_image(orb, bundle, 0.31 + 0.41j, u, p).to_complex()
+    val = torus_diagonal_kernel_image(orb, bundle, 0.31 + 0.41j, u, p)
     lim = heat_diagonal_limit(ModelPoint((2 * math.pi,), u), 0).trace
     assert val.real == pytest.approx(lim, rel=1e-10)
 
@@ -180,12 +182,12 @@ def test_plain_torus_diagonal_approaches_limit():
 
 def test_flat_cover_error_vanishes_identically():
     orb, bundle = build_catalog_orbifold("local-model", k=1, a=(1.0,))
-    terms = local_model_image_terms(orb, bundle, np.array([0.8 + 0.1j]), 1.0, 16,
-                                    include_identity=False)
-    assert terms == []
+    labels, log_abs, phase = local_model_image_log_terms(
+        orb, np.array([0.8 + 0.1j]), 1.0, [16], include_identity=False)
+    assert labels == [] and log_abs.shape == phase.shape == (1, 0)
     kernel = local_model_diagonal_kernel(orb, bundle, np.array([0.8 + 0.1j]), 1.0, 16)
     lim = heat_diagonal_limit(ModelPoint((16.0,), 1.0 / 16), 0).trace / 16
-    assert kernel.to_complex().real == pytest.approx(lim, rel=1e-14)
+    assert kernel.real == pytest.approx(lim, rel=1e-14)
 
 
 def test_regular_rate_half_turn_quotient():
@@ -221,8 +223,8 @@ def test_batched_regular_fit_equals_the_per_power_kernels(model, u, p_list, poin
     orb, bundle = build_catalog_orbifold("local-model", k=k, a=a, weights=weights)
     Z = np.array(point[:len(a)])
     assume(orb.singular_distance(0, Z) >= verify.REGULAR_MIN_DISTANCE)
-    per_power = [ScaledComplex.from_log_terms(*local_model_image_log_terms(
-        orb, Z, u, p, include_identity=False)[1:]).log_scale for p in p_list]
+    per_power = [log_sum_exp(*local_model_image_log_terms(
+        orb, Z, u, [p], include_identity=False)[1:])[0][0] for p in p_list]
     _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list, include_identity=False)
     assert bits(log_sum_exp(log_abs, phase)[0]) == bits(per_power)
     fit = verify_kernel_asymptotics_regular(orb, bundle, Z, u, p_list)
@@ -234,7 +236,8 @@ def test_batched_regular_fit_equals_the_per_power_kernels(model, u, p_list, poin
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_batched_torus_image_terms_equal_each_power(degree):
-    """Each power's slice of a batch is that power's own terms, bit for bit."""
+    """Each power's slice of a batch is that power's own one-power batch, bit
+    for bit."""
     orb, _ = build_catalog_orbifold("torus", d=1, k=2)
     points = np.array([[0.26 + 0.17j, 0.5 + 0.5j], [0j, 0.91 + 0.05j]])
     powers = [4, 17, 256, 2 ** 40]
@@ -242,9 +245,9 @@ def test_batched_torus_image_terms_equal_each_power(degree):
                                                           degree=degree)
     assert log_abs.shape == phase.shape == (len(powers),) + points.shape + (len(labels),)
     for i, p in enumerate(powers):
-        one = verify.torus_image_log_terms(orb, points, 1.0, p, degree=degree)
+        one = verify.torus_image_log_terms(orb, points, 1.0, [p], degree=degree)
         assert one[0] == labels
-        assert bits(one[1]) == bits(log_abs[i]) and bits(one[2]) == bits(phase[i])
+        assert bits(one[1][0]) == bits(log_abs[i]) and bits(one[2][0]) == bits(phase[i])
 
 
 def test_regular_rate_on_torus_point():
@@ -252,6 +255,30 @@ def test_regular_rate_on_torus_point():
     fit = verify_kernel_asymptotics_regular(orb, bundle, 0.26 + 0.17j, 1.0,
                                             [16, 32, 64, 128])
     assert fit.slope <= -0.4
+
+
+TORUS_NAN = ("torus", {"d": 1, "k": 2}, complex(math.nan, 0.3))
+C_Z2 = ("local-model", {"k": 2, "a": (1.0,)})
+
+
+@pytest.mark.parametrize("model,check,args", [
+    (TORUS_NAN, oracle_consistency, (1.0, 8)),
+    (TORUS_NAN, singular_diagonal_factor, (1.0, 64)),
+    (TORUS_NAN, verify_kernel_asymptotics_regular, (1.0, [16, 32])),
+    ((*C_Z2, np.array([complex(math.nan, 0.3)])), verify_kernel_asymptotics_regular,
+     (1.0, [64, 128])),
+    ((*C_Z2, np.array([complex(math.nan, 0.3)])), singular_diagonal_factor, (1.0, 1024)),
+    ((*C_Z2, np.array([complex(math.inf, 0.0)])), verify_kernel_asymptotics_singular,
+     (1.0, [256])),
+], ids=["torus-oracle", "torus-factor", "torus-regular", "local-regular", "local-factor",
+        "local-singular-inf"])
+def test_a_non_finite_flat_model_point_is_refused(model, check, args):
+    """Such a point raised a bare ValueError from math.floor on the torus; on
+    C/Z_2 it read as an exactly zero rate error, a NaN factor or NaN residuals."""
+    catalog_id, params, point = model
+    orb, bundle = build_catalog_orbifold(catalog_id, **params)
+    with pytest.raises(GeometryError, match=r"(nan|inf).* is not finite"):
+        check(orb, bundle, point, *args)
 
 
 def test_regular_check_reads_a_torus_point_in_its_cell():
@@ -313,7 +340,7 @@ def per_element_residuals(orb, bundle, Z, u, p):
     """The residuals with each element's term read as the fixed-block limit
     times the normal-block limit times the twist."""
     a = np.asarray(orb.params["a"], dtype=float)
-    kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p).to_complex()
+    kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p)
     limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0).trace
     corr = 0.0j
     for g in orb.charts[0].group:
@@ -439,9 +466,9 @@ def test_telescoping_identity():
 
 def test_chain_holds_before_asymptotics():
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    residuals, tables = exact_chain_residuals(orb, bundle, 8, 1.0)
+    residuals = exact_chain_residuals(orb, bundle, 8, 1.0)
     assert residuals[0] >= -1e-9 and abs(residuals[1]) <= 1e-9
-    assert tables[0].zero_dim == 5
+    assert assemble_kodaira_laplacian(orb, bundle, 8, 0, 32).spectral_table().zero_dim == 5
     with pytest.raises(ValueError, match="must be positive"):
         exact_chain_residuals(orb, bundle, 8, 0.0)
 
@@ -451,10 +478,11 @@ def test_chain_pairs_the_truncated_levels(k):
     """dbar maps degree-0 level L onto degree-1 level L - 1, so the top retained
     degree-1 level has no partner; at u = 0.01 its weight is far above 1e-9."""
     orb, bundle = build_catalog_orbifold("torus", d=1, k=k)
-    residuals, tables = exact_chain_residuals(orb, bundle, 4, 0.01, 64)
+    residuals = exact_chain_residuals(orb, bundle, 4, 0.01, 64)
     assert residuals[0] >= -1e-9 and abs(residuals[1]) <= 1e-9
-    # the tables stay as assembled, top degree-1 level included
-    assert tables[1].eigenvalues[-1][0] == tables[1].eigenvalues[0][0] * 64
+    # the top degree-1 level is retained by the operator, and left out of r_1
+    table = assemble_kodaira_laplacian(orb, bundle, 4, 1, 64).spectral_table()
+    assert table.eigenvalues[-1][0] == table.eigenvalues[0][0] * 64
 
 
 def test_fit_rate_window_and_reliability():
@@ -524,14 +552,15 @@ def test_regular_rate_two_dimensional():
 
 def _degree_one(terms, d, u):
     """Weight each (m, n, j) term by (-1)^j e^{-2 pi d u}, as degree one does."""
-    return [((m, n_, j), ScaledComplex((-1) ** j * t.mantissa,
-                                       t.log_scale - 2.0 * math.pi * d * u))
-            for (m, n_, j), t in terms]
+    return [((m, n_, j), log_abs - 2.0 * math.pi * d * u, phase + math.pi * j)
+            for (m, n_, j), log_abs, phase in terms]
 
 
-def _assert_same(a, b):
-    assert a.log_scale == pytest.approx(b.log_scale, abs=1e-12)
-    assert abs(np.angle(a.mantissa / b.mantissa)) <= 1e-9
+def _assert_same(kernel, folded):
+    """A plain complex kernel against a folded (log|sum|, phase) pair."""
+    log_abs, phase = folded
+    assert math.log(abs(kernel)) == pytest.approx(log_abs, abs=1e-12)
+    assert abs(cmath.phase(kernel * cmath.exp(-1j * phase))) <= 1e-9
 
 
 @pytest.mark.parametrize("p", [4, 128, 4096])
@@ -542,19 +571,21 @@ def test_array_image_sum_matches_term_fold(p):
         terms = torus_image_terms(orb, bundle, z, u, p)
         assert len(terms) == 2 * 9 * 9
         _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p), fold(terms))
-        tiny = [t for label, t in terms if label != (0, 0, 0) and t.log_scale < -745.0]
+        tiny = [log_abs for label, log_abs, _ in terms
+                if label != (0, 0, 0) and log_abs < -745.0]
         if p == 4096:
-            # far below the underflow threshold: to_complex reads 0, the logs do not
-            assert tiny and all(t.to_complex() == 0 for t in tiny)
+            # far below the underflow threshold: exp reads 0, the logs do not
+            assert tiny and all(math.exp(log_abs) == 0 for log_abs in tiny)
         if z in (0.5 + 0.5j, 0.0j):
             # half-turn fixed points: degree one cancels to rounding there
             continue
         _assert_same(torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=1),
                      fold(_degree_one(terms, 1, u)))
     # the non-identity images alone, as the regular-point rate sums them
-    rest = torus_image_terms(orb, bundle, 0.26 + 0.17j, u, p, include_identity=False)
+    rest = [term for term in torus_image_terms(orb, bundle, 0.26 + 0.17j, u, p)
+            if term[0] != (0, 0, 0)]
     fit = verify_kernel_asymptotics_regular(orb, bundle, 0.26 + 0.17j, u, [p])
-    assert fit.log_errors[0] == pytest.approx(fold(rest).log_scale, abs=1e-12)
+    assert fit.log_errors[0] == pytest.approx(fold(rest)[0], abs=1e-12)
     if p == 4096:
         assert fit.log_errors[0] < -745.0
 
@@ -586,18 +617,18 @@ LOCAL_TERMS_4096 = [(-1.379201921022263, 0.0),
 
 
 def _assert_term(term, log_abs, phase):
-    assert term.log_scale == pytest.approx(log_abs, rel=1e-14, abs=1e-12)
-    assert abs(np.angle(term.mantissa * np.exp(-1j * phase))) <= 1e-9
+    assert term[1] == pytest.approx(log_abs, rel=1e-14, abs=1e-12)
+    assert abs(np.angle(np.exp(1j * (term[2] - phase)))) <= 1e-9
 
 
 def test_image_terms_match_reference_values():
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    terms = dict(torus_image_terms(orb, bundle, 0.31 + 0.12j, 0.7, 4096))
+    terms = {term[0]: term for term in torus_image_terms(orb, bundle, 0.31 + 0.12j, 0.7, 4096)}
     for label, (log_abs, phase) in TORUS_TERMS_4096.items():
         _assert_term(terms[label], log_abs, phase)
     orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,), theta=0.4)
     terms = local_model_image_terms(orb, bundle, np.array([1.0 + 0.3j]), 1.0, 4096)
-    for (_, term), (log_abs, phase) in zip(terms, LOCAL_TERMS_4096, strict=True):
+    for term, (log_abs, phase) in zip(terms, LOCAL_TERMS_4096, strict=True):
         _assert_term(term, log_abs, phase)
 
 
@@ -651,9 +682,9 @@ def midpoint_half_turns(orb, u, p, degree, grid):
     total = 0.0
     for x in xs:
         labels, log_abs, phase = verify.torus_image_log_terms(
-            orb, x + 1j * xs, u, p, degree=degree)
+            orb, x + 1j * xs, u, [p], degree=degree)
         half = np.array([j == 1 for _, _, j in labels])
-        total += np.sum(np.exp(log_abs[:, half] + 1j * phase[:, half])).real
+        total += np.sum(np.exp(log_abs[0][:, half] + 1j * phase[0][:, half])).real
     return p * total / grid ** 2 / orb.params["k"]
 
 
