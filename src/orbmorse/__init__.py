@@ -19,7 +19,7 @@ from .kernels import (LimitDensity, ModelPoint, heat_diagonal_limit,
                       model_heat_kernel, signature_limit_density, twisted_gaussian)
 from .moishezon import (BignessEstimate, CriterionVerdict, bigness_check,
                         kodaira_rank, moishezon_check, siegel_bound)
-from .spectral import SpectralTable, assemble_kodaira_laplacian, heat_trace
+from .spectral import assemble_kodaira_laplacian, heat_trace
 from .verify import (fit_rate, singular_diagonal_factor,
                      verify_kernel_asymptotics_regular,
                      verify_kernel_asymptotics_singular, verify_strong_morse)

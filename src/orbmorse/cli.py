@@ -13,7 +13,7 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -186,8 +186,8 @@ def _run_cohomology(cfg, orb, bundle, split, table):
     # the check covers every entry the run reads; the record shows p_list's
     table = table()
     shown = table.over(cfg.p_list)
-    data = {"entries": {f"{p},{q}": shown.h(p, q)
-                        for (p, q) in sorted(shown.entries)}}
+    rows = [(p, q, shown.h(p, q)) for (p, q) in sorted(shown.entries)]
+    data = {"entries": {f"{p},{q}": h for p, q, h in rows}}
     ok = all(type(h) is int and h >= 0 for h in table.entries.values())
     # on a curve h0(p)/p tends to the degree, or to 0 when the degree is not
     # positive; every catalog count is within 1/p of it at the table's largest p
@@ -196,7 +196,7 @@ def _run_cohomology(cfg, orb, bundle, split, table):
         p = max(p for p, _ in table.entries)
         ok = abs(table.h(p, 0) / p - max(degree, 0.0)) <= 2.0 / p
     return ([("cohomology-table", ok, data)], [],
-            {"cohomology.csv": shown.to_csv()})
+            {"cohomology.csv": rpt.csv_text(["p", "q", "h"], rows)})
 
 
 def _run_curvature_integral(cfg, orb, bundle, split, table):
@@ -219,17 +219,18 @@ def _run_heat_trace(cfg, orb, bundle, split, table):
     for p in cfg.p_list:
         for q in (0, 1):
             op = assemble_kodaira_laplacian(orb, bundle, p, q, cfg.resolution_spectral)
-            table = op.spectral_table()
-            artifacts[f"spectrum_p{p}_q{q}.csv"] = table.to_csv()
-            traces = {repr(u): heat_trace(table, u) for u in cfg.u_list}
+            artifacts[f"spectrum_p{p}_q{q}.csv"] = rpt.csv_text(
+                ["p", "q", "lambda", "multiplicity"],
+                ([p, q, lam, mult] for lam, mult in op.spectral_table()))
+            traces = {repr(u): heat_trace(op, u) for u in cfg.u_list}
             # the kernel is exact, and each trace counts it plus decaying levels
             by_u = [traces[repr(u)] for u in sorted(cfg.u_list)]
             kernel = torus_kernel_dimension(orb.params["d"], orb.params["k"], p, q)
-            ok = (table.zero_dim == kernel
-                  and all(math.isfinite(t) and t >= table.zero_dim for t in by_u)
+            ok = (op.zero_dim == kernel
+                  and all(math.isfinite(t) and t >= op.zero_dim for t in by_u)
                   and all(b <= a for a, b in zip(by_u, by_u[1:])))
             results.append((f"heat-trace-p{p}-q{q}", ok,
-                            {"zero_dim": table.zero_dim, "traces": traces}))
+                            {"zero_dim": op.zero_dim, "traces": traces}))
     return results, [], artifacts
 
 
@@ -268,10 +269,9 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
     for q in cfg.q_list:
         try:
             series = vf.verify_strong_morse(orb, q, cfg.p_list, split, table())
-        except OrbmorseError as exc:
+        except UnsupportedModelError as exc:
             # a model without exact cohomology is an info, as in every other stage
-            level = "info" if isinstance(exc, UnsupportedModelError) else "warning"
-            diagnostics.append((level, f"strong Morse at q={q} skipped: {exc}"))
+            diagnostics.append(("info", f"strong Morse at q={q} skipped: {exc}"))
             continue
         pos = [max(r, 0.0) for r in series.residuals]
         bound = 2.0 / cfg.p_list[-1]
@@ -328,7 +328,7 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
         shrink_ok = k == 1 or shrink >= 10.0
         ok = slope_ok and ratio_ok and shrink_ok
         results.append((f"kernel-asymptotics-u{repr(u)}", ok,
-                        {"regular_fit": fit.as_record(),
+                        {"regular_fit": asdict(fit),
                          "singular_ratio": ratio,
                          "twist_shrink_factor": shrink}))
     diagnostics = []
@@ -365,7 +365,8 @@ def _run_moishezon(cfg, orb, bundle, split, table):
                          "big": est.big, "expected_big": expected_big,
                          "kodaira_ranks": {str(p): r for p, r in ranks.items()},
                          "growth_exponent": mz.section_growth_exponent(table)}))
-    except OrbmorseError as exc:
+    except UnsupportedModelError as exc:
+        # a model without exact cohomology; a table that cannot be built exits 2
         diagnostics.append(("info", f"bigness estimate skipped: {exc}"))
     return results, diagnostics, {}
 

@@ -11,8 +11,6 @@ Laplacian, which are exact for the shipped flat models.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -75,14 +73,6 @@ class CohomologyTable:
     def morse_sum(self, p, q):
         """sum_{j <= q} (-1)^j h^j."""
         return sum((-1) ** j * self.h(p, j) for j in range(q + 1))
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "q", "h"])
-        for (p, q) in sorted(self.entries):
-            writer.writerow([p, q, self.entries[(p, q)]])
-        return buf.getvalue()
 
 
 def cohomology_table(orb, p_range):

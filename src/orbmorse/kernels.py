@@ -35,18 +35,12 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError
 
-# Eigenvalues with |a| <= ZERO_EIGENVALUE_TOL take the exact zero-mode branch;
-# between that and SERIES_SWITCH_TOL the factor functions use a short Taylor
-# series so the 1 - e^{-ua} cancellation never degrades accuracy.
+# Eigenvalues with |a| <= ZERO_EIGENVALUE_TOL take the exact zero-mode branch.
+# Above it the factor functions are evaluated directly: -expm1(-x) and
+# sinh, tanh of x/2 do not cancel, so they stay at rounding error at small x.
 ZERO_EIGENVALUE_TOL = 1e-7
-SERIES_SWITCH_TOL = 1e-4
 
 TWO_PI = 2.0 * math.pi
-
-
-def _factor_series(x):
-    """4-term Taylor series of x / (1 - e^{-x})."""
-    return 1.0 + x / 2.0 + x * x / 12.0 - x**4 / 720.0
 
 
 def factor_plus(a, u):
@@ -58,8 +52,6 @@ def factor_plus(a, u):
     if abs(a) <= ZERO_EIGENVALUE_TOL:
         return 1.0
     x = u * a
-    if abs(a) <= SERIES_SWITCH_TOL:
-        return _factor_series(x)
     return x / -math.expm1(-x)
 
 
@@ -70,16 +62,14 @@ def factor_minus(a, u):
 
 def _stretch_even(x):
     """(x/2) / sinh(x/2); even, 1 at 0."""
-    if abs(x) <= 1e-4:
-        return 1.0 - x * x / 24.0 + 7.0 * x**4 / 5760.0
-    return (x / 2.0) / math.sinh(x / 2.0)
+    h = x / 2.0
+    return h / math.sinh(h) if h else 1.0
 
 
 def _coth_even(x):
     """(x/2) / tanh(x/2); even, 1 at 0."""
-    if abs(x) <= 1e-4:
-        return 1.0 + x * x / 12.0 - x**4 / 720.0
-    return (x / 2.0) / math.tanh(x / 2.0)
+    h = x / 2.0
+    return h / math.tanh(h) if h else 1.0
 
 
 @dataclass(frozen=True)

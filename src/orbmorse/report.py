@@ -137,10 +137,15 @@ def dumps_report(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def residual_series_csv(p_values, residuals):
+def csv_text(header, rows):
+    """A CSV artifact: the header row, then ``rows``, as one string."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["p", "residual"])
-    for p, r in zip(p_values, residuals):
-        writer.writerow([int(p), repr(float(r))])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def residual_series_csv(p_values, residuals):
+    return csv_text(["p", "residual"],
+                    ([int(p), repr(float(r))] for p, r in zip(p_values, residuals)))

@@ -30,9 +30,10 @@ their cohomology from exact lattice counts, and the local models C/Z_k
 from their closed-form heat kernels (the magnetic grid operator that checks
 those kernels by brute force lives with the kernel tests).
 
-Assembled operators and tables are immutable, so they are shared: each
+Assembled operators are immutable, so they are shared: each
 (d, k, p, q, resolution) assembles one operator, at O(resolution) time and
-memory independent of the power p, and each operator builds one table.  The
+memory independent of the power p, and the operator is the spectrum: heat
+traces and the spectrum CSV read its multiplicities level by level.  The
 Landau basis does not depend on the degree, which enters the diagonal kernel
 only through the swap sign and the eigenvalues, so the basis is evaluated once
 per point, power and level count and kept as two per-level sums.  Every cache
@@ -41,9 +42,7 @@ is bounded and holds O(resolution) numbers per entry.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -54,49 +53,6 @@ from .errors import ConfigurationError, UnsupportedModelError
 # entries per cache: a run holds a few dozen (p, q) pairs or (point, power)
 # keys, and each entry is O(resolution) numbers
 CACHE_SIZE = 128
-
-
-@dataclass(frozen=True)
-class SpectralTable:
-    """Eigenvalues with multiplicities of the Kodaira Laplacian at power p."""
-
-    p: int
-    q: int
-    eigenvalues: tuple          # sorted tuple of (lambda, multiplicity)
-    resolution: int
-    zero_dim: int
-
-    def __post_init__(self):
-        for lam, mult in self.eigenvalues:
-            if lam < -1e-9:
-                raise ValueError(f"negative eigenvalue {lam} in a positive operator")
-            if not (isinstance(mult, (int, np.integer)) and mult > 0):
-                raise ValueError(f"multiplicity {mult} must be a positive integer")
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "q", "lambda", "multiplicity"])
-        for lam, mult in self.eigenvalues:
-            writer.writerow([self.p, self.q, repr(float(lam)), mult])
-        return buf.getvalue()
-
-
-def heat_trace(table: SpectralTable, u):
-    """Trace of exp(-u Laplacian / p) on degree-q forms from a spectral table.
-
-    A level of more than 2^53 states is refused: the float sum could not hold
-    its count, nor be told from the exact kernel dimension.
-    """
-    if u <= 0:
-        raise ValueError("heat-trace time u must be positive")
-    states = max((mult for _, mult in table.eigenvalues), default=0)
-    if states > 2 ** 53:
-        raise ConfigurationError(
-            f"the heat trace at p={table.p} sums a level of {states} states, beyond "
-            "2^53, the largest count a float holds exactly")
-    return float(sum(mult * math.exp(-u * max(lam, 0.0) / table.p)
-                     for lam, mult in table.eigenvalues))
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +113,35 @@ class TorusKodairaOperator:
     def D(self):
         return self.d * self.p
 
+    @property
+    def zero_dim(self):
+        """Kernel dimension: degree-0 level 0 holds the only eigenvalue 0."""
+        return self.multiplicities[0] if self.q == 0 else 0
+
     def level_eigenvalue(self, level):
         B = self.field_strength
         return B * (level + 1) if self.q == 1 else B * level
 
     def spectral_table(self):
-        return _spectral_table(self)
+        """(lambda, multiplicity) of the levels with states, in increasing lambda."""
+        return tuple((self.level_eigenvalue(level), mult)
+                     for level, mult in enumerate(self.multiplicities) if mult)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _spectral_table(op):
-    # level eigenvalues increase with the level, so the table is sorted
-    eigs = tuple((op.level_eigenvalue(level), mult)
-                 for level, mult in enumerate(op.multiplicities) if mult)
-    # the kernel is exactly degree-0 level 0, the only eigenvalue 0.0
-    zero_dim = sum(m for lam, m in eigs if lam == 0.0)
-    return SpectralTable(p=op.p, q=op.q, eigenvalues=eigs,
-                         resolution=op.resolution, zero_dim=zero_dim)
+def heat_trace(op: TorusKodairaOperator, u):
+    """Trace of exp(-u Laplacian / p) on the operator's degree-q forms.
+
+    A level of more than 2^53 states is refused: the float sum could not hold
+    its count, nor be told from the exact kernel dimension.
+    """
+    if u <= 0:
+        raise ValueError("heat-trace time u must be positive")
+    states = max(op.multiplicities)
+    if states > 2 ** 53:
+        raise ConfigurationError(
+            f"the heat trace at p={op.p} sums a level of {states} states, beyond "
+            "2^53, the largest count a float holds exactly")
+    return float(sum(mult * math.exp(-u * lam / op.p) for lam, mult in op.spectral_table()))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

@@ -208,12 +208,6 @@ class RateFit:
     log_errors: tuple
     reliable: bool
 
-    def as_record(self):
-        rec = asdict(self)
-        rec["p_window"] = list(self.p_window)
-        rec["log_errors"] = [float(x) for x in self.log_errors]
-        return rec
-
 
 def fit_rate(p_values, log_errors):
     """Least-squares slope of log err against log p.
@@ -346,7 +340,7 @@ class StrongMorseSeries:
                 "residuals": [float(r) for r in self.residuals],
                 "morse_sums": [float(m) for m in self.morse_sums],
                 "integral": float(self.integral),
-                "fit": self.fit.as_record()}
+                "fit": asdict(self.fit)}
 
 
 def verify_strong_morse(orb, q, p_list, split, table):
@@ -477,7 +471,7 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24, resolut
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the trace identity check runs on torus models")
     op = _truncated_operator(orb, bundle, u, p, degree, resolution)
-    spectral = heat_trace(op.spectral_table(), u)
+    spectral = heat_trace(op, u)
     if spectral < sys.float_info.min:
         raise UnresolvedTimeError(
             f"the degree-{degree} heat trace at u={u} falls below the float range")

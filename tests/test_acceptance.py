@@ -7,6 +7,7 @@ lines and timings inline.
 import math
 import time
 
+import mpmath
 import numpy as np
 
 from orbmorse.catalog import build_catalog_orbifold
@@ -150,17 +151,18 @@ def test_criterion_8_property_suites():
         worst_sym = max(worst_sym, abs(lhs - np.prod(a / (2 * math.pi))) / scale)
     ok_a = worst_sym <= 1e-12
 
-    # (b) zero-mode series branch against direct evaluation across the window
-    worst_series = 0.0
-    for mag in np.geomspace(1.2e-7, 9.9e-5, 120):
-        for a in (mag, -mag):
-            for u in (0.3, 1.0, 10.0):
-                x = u * a
-                worst_series = max(
-                    worst_series,
-                    abs(factor_plus(a, u) - x / -np.expm1(-x)) / abs(factor_plus(a, u)),
-                    abs(factor_minus(a, u) - x / np.expm1(x)) / abs(factor_minus(a, u)))
-    ok_b = worst_series <= 1e-10
+    # (b) eigenvalue factors just above the zero-mode branch against 40 digits
+    worst_factor = 0.0
+    with mpmath.workdps(40):
+        for mag in np.geomspace(1.2e-7, 9.9e-5, 120):
+            for a in (mag, -mag):
+                for u in (0.3, 1.0, 10.0):
+                    x = mpmath.mpf(u * a)
+                    plus, minus = x / -mpmath.expm1(-x), x / mpmath.expm1(x)
+                    worst_factor = max(worst_factor,
+                                       float(abs(factor_plus(a, u) - plus) / plus),
+                                       float(abs(factor_minus(a, u) - minus) / minus))
+    ok_b = worst_factor <= 1e-15
 
     # (c) Mehler semigroup composition by quadrature
     a_val, s, tt = 0.9, 0.45, 0.75
@@ -190,7 +192,7 @@ def test_criterion_8_property_suites():
                 break
     report_line("criterion-8 property suites",
                 ok_a and ok_b and ok_c and ok_d,
-                f"symmetric {worst_sym:.1e}<=1e-12, series {worst_series:.1e}<=1e-10, "
+                f"symmetric {worst_sym:.1e}<=1e-12, factors {worst_factor:.1e}<=1e-15, "
                 f"semigroup {semigroup_err:.1e}<=1e-4, lattice oracle "
                 f"{'exact' if ok_d else 'mismatch'}", t0)
 

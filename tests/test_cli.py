@@ -487,10 +487,13 @@ def test_torus_kodaira_rank_at_a_million_sections_exits_0(tmp_path):
     assert bigness["passed"] and bigness["data"]["kodaira_ranks"] == {"1": 1, "64": 1}
 
 
-@pytest.mark.parametrize("subcommand", ["cohomology", "all"])
+@pytest.mark.parametrize("subcommand", ["cohomology", "all", "verify-morse",
+                                        "moishezon-check"])
 def test_lattice_dp_beyond_its_bound_exits_2_with_one_line(tmp_path, subcommand):
     """At p = 2^28 on P(2, 3) the coin DP would ask for 2 GiB: it is refused
-    before it allocates, not ended by a MemoryError under a 1.5 GB cap."""
+    before it allocates, not ended by a MemoryError under a 1.5 GB cap.  Every
+    stage that reads the table exits 2 with that cause; the strong Morse series
+    and the bigness estimate are not skipped with a diagnostic."""
     cfg = write(tmp_path, "c.yaml", "catalog: {id: wps, params: {weights: [2, 3]}}\n"
                                     "run: {p_list: [268435456]}\n")
     proc = run_capped(tmp_path, subcommand, cfg)
@@ -793,17 +796,19 @@ def run_torus_heat_trace(tmp_path):
 
 
 def test_heat_trace_fails_on_a_wrong_kernel_dimension(tmp_path, monkeypatch):
-    """A table whose kernel count is off by one fails every heat-trace result."""
-    from dataclasses import replace
+    """An operator whose kernel count is off by one fails every heat-trace result."""
     assemble = cli.assemble_kodaira_laplacian
 
     class OffByOne:
         def __init__(self, op):
             self.op = op
 
-        def spectral_table(self):
-            table = self.op.spectral_table()
-            return replace(table, zero_dim=table.zero_dim + 1)
+        def __getattr__(self, name):
+            return getattr(self.op, name)
+
+        @property
+        def zero_dim(self):
+            return self.op.zero_dim + 1
 
     monkeypatch.setattr(cli, "assemble_kodaira_laplacian",
                         lambda *args, **kwargs: OffByOne(assemble(*args, **kwargs)))
@@ -820,7 +825,7 @@ def test_heat_trace_fails_on_a_wrong_kernel_dimension(tmp_path, monkeypatch):
 ], ids=["increasing-in-u", "below-kernel", "nan", "inf"])
 def test_heat_trace_fails_on_a_bad_trace(tmp_path, monkeypatch, fault):
     heat_trace = cli.heat_trace
-    monkeypatch.setattr(cli, "heat_trace", lambda table, u: fault(heat_trace(table, u), u))
+    monkeypatch.setattr(cli, "heat_trace", lambda op, u: fault(heat_trace(op, u), u))
     code, failed = run_torus_heat_trace(tmp_path)
     assert code == 1
     assert failed == [f"heat-trace-p{p}-q{q}" for p in (4, 8) for q in (0, 1)]

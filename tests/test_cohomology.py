@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbmorse import cli
 from orbmorse.catalog import build_catalog_orbifold
+from orbmorse.cli import RunConfig
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
 
@@ -143,10 +145,13 @@ def test_euler_characteristic_is_quasi_polynomial():
             assert np.max(np.abs(fit - chi[sel])) < 1e-6
 
 
-def test_csv_columns():
-    orb, _ = build_catalog_orbifold("wps", weights=(1, 1))
-    text = cohomology_table(orb, [3]).to_csv()
-    lines = text.strip().splitlines()
+def test_csv_columns(tmp_path):
+    """The cohomology artifact of the CLI stage: one row per entry at p_list."""
+    cfg = RunConfig.from_mapping({"catalog": {"id": "wps", "params": {"weights": [1, 1]}},
+                                  "run": {"p_list": [3]}})
+    cli.run("cohomology", cfg, tmp_path)
+    lines = (tmp_path / "cohomology.csv").read_text().strip().splitlines()
+    assert len(lines) == 3
     assert lines[0] == "p,q,h"
     assert lines[1] == "3,0,4"
     assert lines[2] == "3,1,0"

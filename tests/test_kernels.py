@@ -4,11 +4,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from orbmorse import kernels
 from orbmorse.errors import DegenerateSpectrumError
 from orbmorse.kernels import (ModelPoint, factor_minus, factor_plus, heat_diagonal_limit,
                               log_sum_exp, model_heat_kernel, signature_limit_density,
@@ -45,11 +47,13 @@ def test_alternating_sum_identity_bulk():
 
 
 # ---------------------------------------------------------------------------
-# stable eigenvalue factors and the series switch
+# stable eigenvalue factors
 
 
 @pytest.mark.parametrize("u", [0.3, 1.0, 50.0])
 def test_factor_series_matches_direct_in_switch_window(u):
+    """Small nonzero |a| in [1e-7, 1e-4], where a series branch once took over,
+    stays on the direct forms x / (1 - e^{-x}) and x / (e^x - 1) at every scale u."""
     rng = np.random.default_rng(7)
     mags = np.concatenate([rng.uniform(1e-7, 1e-4, 200),
                            [1.0000001e-7, 9.999999e-5]])
@@ -60,6 +64,38 @@ def test_factor_series_matches_direct_in_switch_window(u):
             direct_minus = x / np.expm1(x)
             assert factor_plus(a, u) == pytest.approx(direct_plus, rel=1e-10)
             assert factor_minus(a, u) == pytest.approx(direct_minus, rel=1e-10)
+
+
+def test_factor_functions_match_mpmath_at_small_x():
+    """The direct forms stay at rounding error down to |x| = 1e-12, and are 1 at 0.
+
+    Each x is reached as u * a with |a| = 1e-6, above the zero-mode branch;
+    the reference takes the float product x itself, at 40 digits.
+    """
+    mags = np.geomspace(1e-12, 1e-4, 1001)
+    xs = np.concatenate([mags, -mags])
+    references = {
+        "factor_plus": lambda x: x / -mpmath.expm1(-x),
+        "factor_minus": lambda x: x / mpmath.expm1(x),
+        "stretch": lambda x: (x / 2) / mpmath.sinh(x / 2),
+        "coth": lambda x: (x / 2) / mpmath.tanh(x / 2),
+    }
+    worst = dict.fromkeys(references, 0.0)
+    with mpmath.workdps(40):
+        for x in xs:
+            u = abs(x) * 1e6
+            a = x / u
+            x_factor = u * a
+            values = {"factor_plus": (factor_plus(a, u), x_factor),
+                      "factor_minus": (factor_minus(a, u), x_factor),
+                      "stretch": (kernels._stretch_even(x), x),
+                      "coth": (kernels._coth_even(x), x)}
+            for name, (value, at) in values.items():
+                exact = references[name](mpmath.mpf(float(at)))
+                worst[name] = max(worst[name], float(abs(value - exact) / exact))
+    assert all(w <= 1e-15 for w in worst.values()), worst
+    assert factor_plus(0.0, 1.0) == factor_minus(0.0, 1.0) == 1.0
+    assert kernels._stretch_even(0.0) == kernels._coth_even(0.0) == 1.0
 
 
 def test_zero_mode_branch_is_exact_one():

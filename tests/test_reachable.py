@@ -42,7 +42,7 @@ PUBLIC_API = [
     "BignessEstimate", "ChartedOrbifold", "CohomologyTable", "ConfigurationError",
     "CriterionVerdict", "CurvatureSpectrum", "DegenerateSpectrumError",
     "EquivariantLineBundle", "GeometryError", "GroupElement", "IntegrandError",
-    "LimitDensity", "ModelPoint", "OrbifoldChart", "OrbmorseError", "SpectralTable",
+    "LimitDensity", "ModelPoint", "OrbifoldChart", "OrbmorseError",
     "UnsupportedModelError", "assemble_kodaira_laplacian", "bigness_check",
     "build_catalog_orbifold", "catalog", "classify_point", "cohomology",
     "cohomology_table", "curvature", "curvature_spectrum", "cyclic_group", "errors",
@@ -56,11 +56,7 @@ PUBLIC_API = [
 ]
 
 # (module, qualified name): why the function stays without a caller
-ALLOWED = {
-    ("kernels", "_factor_series"):
-        "the series branch of factor_plus for 1e-7 < |a| <= 1e-4, where "
-        "1 - e^{-ua} cancels; no shipped model has such a small eigenvalue",
-}
+ALLOWED = {}
 
 
 def _key(fn):

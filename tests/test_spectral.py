@@ -10,10 +10,10 @@ import pytest
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
-from orbmorse.spectral import (SpectralTable, assemble_kodaira_laplacian, heat_trace,
-                               oscillator_functions, torus_basis_columns,
-                               torus_diagonal_kernel_spectral, torus_eigenfunction_values,
-                               torus_kernel_dimension)
+from orbmorse.report import csv_text
+from orbmorse.spectral import (assemble_kodaira_laplacian, heat_trace, oscillator_functions,
+                               torus_basis_columns, torus_diagonal_kernel_spectral,
+                               torus_eigenfunction_values, torus_kernel_dimension)
 from orbmorse.verify import exact_chain_residuals
 from swap_basis import invariant_basis
 
@@ -29,13 +29,11 @@ def ops_for(d, k, p, resolution=32):
 
 def test_smallest_eigenvalue_and_kernel_multiplicity():
     op0, op1 = ops_for(d=1, k=1, p=1)
-    t0 = op0.spectral_table()
-    assert t0.eigenvalues[0] == (0.0, 1)          # multiplicity d p = 1
-    assert t0.zero_dim == 1
-    t1 = op1.spectral_table()
-    lam_min = t1.eigenvalues[0][0]
+    assert op0.spectral_table()[0] == (0.0, 1)          # multiplicity d p = 1
+    assert op0.zero_dim == 1
+    lam_min = op1.spectral_table()[0][0]
     assert lam_min == pytest.approx(2 * math.pi * 1 * 1)   # p tau scale
-    assert t1.zero_dim == 0
+    assert op1.zero_dim == 0
 
 
 def test_resolution_must_be_power_of_two():
@@ -68,24 +66,25 @@ def test_nonpositive_degree_has_no_discretization(d):
 def test_projected_spectrum_is_submultiset():
     full = ops_for(d=1, k=1, p=4)[0].spectral_table()
     inv = ops_for(d=1, k=2, p=4)[0].spectral_table()
-    full_map = dict(full.eigenvalues)
-    for lam, mult in inv.eigenvalues:
+    full_map = dict(full)
+    for lam, mult in inv:
         assert full_map.get(lam, 0) >= mult
 
 
 def test_resolution_doubling_leaves_low_spectrum_fixed():
     small = ops_for(d=1, k=2, p=4, resolution=16)[0].spectral_table()
     big = ops_for(d=1, k=2, p=4, resolution=32)[0].spectral_table()
-    assert small.eigenvalues == big.eigenvalues[: len(small.eigenvalues)]
+    assert small == big[: len(small)]
 
 
 def test_kernel_count_is_the_zero_eigenvalue_multiplicity():
     """zero_dim counts exactly the eigenvalue 0.0 (degree 0, level 0)."""
     for d, k, p in itertools.product((1, 2), (1, 2), (1, 2, 3, 8, 4096)):
-        t0, t1 = (op.spectral_table() for op in ops_for(d, k, p, resolution=4))
-        assert t0.eigenvalues[0][0] == 0.0
-        assert t0.zero_dim == t0.eigenvalues[0][1] == torus_kernel_dimension(d, k, p, 0)
-        assert t1.zero_dim == 0 == torus_kernel_dimension(d, k, p, 1)
+        op0, op1 = ops_for(d, k, p, resolution=4)
+        t0, t1 = op0.spectral_table(), op1.spectral_table()
+        assert t0[0][0] == 0.0 and all(lam > 0.0 for lam, _ in t0[1:] + t1)
+        assert op0.zero_dim == t0[0][1] == torus_kernel_dimension(d, k, p, 0)
+        assert op1.zero_dim == 0 == torus_kernel_dimension(d, k, p, 1)
 
 
 def test_closed_form_multiplicity_matches_swap_basis():
@@ -114,8 +113,8 @@ def test_exact_chain_memory_is_independent_of_power():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    table = assemble_kodaira_laplacian(orb, bundle, 4096, 0, 32).spectral_table()
-    assert table.zero_dim == torus_kernel_dimension(1, 2, 4096, 0)
+    op = assemble_kodaira_laplacian(orb, bundle, 4096, 0, 32)
+    assert op.zero_dim == torus_kernel_dimension(1, 2, 4096, 0)
     assert abs(residuals[-1]) <= 1e-9
 
 
@@ -133,40 +132,44 @@ def test_kernel_dimensions_formula():
 
 
 def test_heat_trace_arithmetic_examples():
-    t = SpectralTable(p=3, q=0, eigenvalues=((0.0, 4),), resolution=4, zero_dim=4)
+    # one level: the kernel alone, whatever the time
+    kernel_only = ops_for(d=1, k=1, p=4, resolution=1)[0]
+    assert kernel_only.multiplicities == (4,)
     for u in (0.1, 1.0, 7.0):
-        assert heat_trace(t, u) == 4.0
-    p = 5
-    t2 = SpectralTable(p=p, q=0, eigenvalues=((0.0, 1), (float(p), 1)),
-                       resolution=4, zero_dim=1)
-    assert heat_trace(t2, math.log(2.0)) == pytest.approx(1.5, rel=1e-14)
+        assert heat_trace(kernel_only, u) == 4.0
+    # levels 0 and 1 of one state each, lambda = 0 and 2 pi: at u = log 2 / 2 pi
+    # the second weighs e^{-log 2} = 1/2
+    two_levels = ops_for(d=1, k=1, p=1, resolution=2)[0]
+    assert two_levels.spectral_table() == ((0.0, 1), (2 * math.pi, 1))
+    assert heat_trace(two_levels, math.log(2.0) / (2 * math.pi)) == pytest.approx(
+        1.5, rel=1e-14)
 
 
 def test_heat_trace_refuses_a_level_beyond_float_counts():
     """2^53 states per level still sum exactly in a float; 2^53 + 2 do not."""
     orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
-    exact = assemble_kodaira_laplacian(orb, bundle, 2 ** 53, 0, 1).spectral_table()
+    exact = assemble_kodaira_laplacian(orb, bundle, 2 ** 53, 0, 1)
     assert heat_trace(exact, 1.0) == 2 ** 53
     orb, bundle = build_catalog_orbifold("torus", d=2, k=1)
-    beyond = assemble_kodaira_laplacian(orb, bundle, 2 ** 52 + 1, 0, 1).spectral_table()
+    beyond = assemble_kodaira_laplacian(orb, bundle, 2 ** 52 + 1, 0, 1)
     with pytest.raises(ConfigurationError, match=f"p={2 ** 52 + 1} .* 2\\^53"):
         heat_trace(beyond, 1.0)
 
 
 def test_heat_trace_rejects_nonpositive_time():
-    t = SpectralTable(p=1, q=0, eigenvalues=((0.0, 1),), resolution=2, zero_dim=1)
+    op = ops_for(d=1, k=1, p=1, resolution=2)[0]
     with pytest.raises(ValueError):
-        heat_trace(t, 0.0)
+        heat_trace(op, 0.0)
 
 
 def test_torus_chain_residuals_and_monotonicity():
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    table = assemble_kodaira_laplacian(orb, bundle, 8, 0, 32).spectral_table()
+    op = assemble_kodaira_laplacian(orb, bundle, 8, 0, 32)
     prev = None
     for u in [0.25, 0.5, 1.0, 2.0, 4.0]:
         r = exact_chain_residuals(orb, bundle, 8, u)
         # r_0 is the trace above the kernel; r_1 pairs integer multiplicities
-        assert r[0] == pytest.approx(heat_trace(table, u) - table.zero_dim, abs=1e-12)
+        assert r[0] == pytest.approx(heat_trace(op, u) - op.zero_dim, abs=1e-12)
         assert r[1] == 0.0
         if prev is not None:
             assert r[0] < prev                  # decreasing in u
@@ -314,23 +317,20 @@ def test_diagonal_kernel_matches_two_evaluations(d, k, p):
 
 
 def test_spectral_csv_golden():
-    table = SpectralTable(p=2, q=1, eigenvalues=((0.0, 1), (4.0, 3)),
-                          resolution=4, zero_dim=1)
-    lines = table.to_csv().strip().splitlines()
-    assert lines[0] == "p,q,lambda,multiplicity"
-    assert lines[1] == "2,1,0.0,1"
-    assert lines[2] == "2,1,4.0,3"
+    """The rows of a spectrum artifact, as the heat-trace stage writes them: on
+    the half-turn quotient at D = 2, degree-0 levels 1 and 3 have no states
+    and no row."""
+    op = ops_for(d=1, k=2, p=2, resolution=4)[0]
+    assert op.multiplicities == (2, 0, 2, 0)
+    text = csv_text(["p", "q", "lambda", "multiplicity"],
+                    ([op.p, op.q, lam, mult] for lam, mult in op.spectral_table()))
+    assert text.splitlines() == ["p,q,lambda,multiplicity",
+                                 "2,0,0.0,2",
+                                 "2,0,25.132741228718345,2"]
 
 
 def test_heat_trace_torus_frozen_value():
     """Geometric-series oracle: trace = D / (1 - e^{-2 pi d u}) at degree 0."""
     orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
-    table = assemble_kodaira_laplacian(orb, bundle, 8, 0, 32).spectral_table()
-    assert heat_trace(table, 1.0) == pytest.approx(8.014967492789285, rel=1e-13)
-
-
-def test_spectral_table_validates_invariants():
-    with pytest.raises(ValueError):
-        SpectralTable(p=1, q=0, eigenvalues=((-1.0, 1),), resolution=2, zero_dim=0)
-    with pytest.raises(ValueError):
-        SpectralTable(p=1, q=0, eigenvalues=((1.0, 0),), resolution=2, zero_dim=0)
+    op = assemble_kodaira_laplacian(orb, bundle, 8, 0, 32)
+    assert heat_trace(op, 1.0) == pytest.approx(8.014967492789285, rel=1e-13)
