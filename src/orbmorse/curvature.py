@@ -3,6 +3,15 @@
 On a one-dimensional chart the curvature endomorphism is the scalar c / h of
 the bundle's curvature density and the chart's metric density.  A Morse
 integral over a region M(<= q) is the sum of those over its signature sets.
+
+What ``resolution`` counts depends on the chart.  A radial chart, one whose
+bump, metric and curvature are RadialFields and whose bump has a finite
+support (P(a, b) without a dent), is integrated in s = |z|^2 alone, with
+``resolution`` Gauss-Legendre nodes on each piece of [0, support] between the
+bump's breaks.  Every other chart takes the tensor rule on its square box,
+``resolution`` nodes per axis: folded by its symmetry when every field is
+radial (the torus and the local models), in full otherwise (the dented
+P(1, 1), a user's point function).
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, RadialField,
-                       _require_one_dimensional, folded_blocks, tensor_blocks,
-                       volume_density)
+                       _require_one_dimensional, folded_blocks, radial_blocks,
+                       tensor_blocks, volume_density)
 
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
@@ -71,11 +80,18 @@ def classify_point(eigenvalues, tol=DEGENERACY_TOL):
 
 
 def _quadrature_blocks(chart, curvature_scalar, resolution):
-    """The chart's quadrature blocks: folded, over the bump's support, when
-    every field the pass reads is a RadialField, the full tensor rule otherwise."""
-    if all(isinstance(f, RadialField) for f in (chart.bump, chart.metric_scalar,
+    """The chart's quadrature blocks: the rule in |z|^2 over the bump's support,
+    piece by piece, when every field the pass reads is a RadialField and the
+    bump's support is finite; the folded tensor rule when the fields are radial
+    but the support is not; the full tensor rule otherwise."""
+    bump = chart.bump
+    if all(isinstance(f, RadialField) for f in (bump, chart.metric_scalar,
                                                  curvature_scalar)):
-        return folded_blocks(resolution, chart.box_radius, chart.bump.support)
+        if math.isfinite(bump.support):
+            # an edge outside (0, support) leaves one piece
+            breaks = sorted({0.0, min(bump.edge, bump.support), bump.support})
+            return radial_blocks(resolution, breaks)
+        return folded_blocks(resolution, chart.box_radius)
     return tensor_blocks(resolution, chart.box_radius)
 
 
@@ -90,11 +106,7 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     and ``max_eigenvalue`` bound c / h over the nodes where the bump exceeds
     1e-12.  For one-dimensional charts the density det(Rdot) * kappa reduces
     to the curvature density c itself, and the signature of a node is the
-    sign of c / h.  A chart whose bump, metric and curvature are all
-    RadialFields is summed over the folded rule, one node per orbit of the
-    rule's symmetry, and only where its bump is not exactly 0.0; the nodes,
-    weights and values are those of the full rule, less terms that are
-    exactly zero, in another summation order.
+    sign of c / h.  The module docstring says which rule each chart takes.
     """
     _require_one_dimensional(orb)
     classes = range(orb.dimension + 1)

@@ -88,14 +88,18 @@ class RadialField:
     built this way is radial by construction and the quadrature may evaluate
     it once per orbit of the tensor rule's symmetry (``folded_blocks``).
 
-    ``support`` is the r^2 at and beyond which the profile is exactly 0.0;
-    the folded rule leaves out the nodes there when the field is a chart's
-    bump.  Only the catalog's partition-of-unity bumps set it; every other
-    field keeps the default, infinity, and is integrated over the whole box.
+    ``support`` is the r^2 at and beyond which the profile is exactly 0.0,
+    and ``edge`` the r^2 where it starts to fall there.  When the field is a
+    chart's bump, the one-dimensional rule in r^2 (``radial_blocks``) reads
+    both: it integrates over [0, support] only, in pieces that end at the
+    edge, where the bump is smooth but not analytic.  Only the catalog's
+    partition-of-unity bumps set them; every other field keeps the default,
+    infinity, and a chart without a finite support is integrated over its box.
     """
 
     profile: object
     support: float = math.inf
+    edge: float = math.inf
 
     def __call__(self, z):
         z = np.asarray(z)
@@ -314,31 +318,47 @@ def tensor_blocks(resolution, radius):
                (w[i:i + BLOCK_ROWS, None] * w[None, :]).ravel())
 
 
-def folded_blocks(resolution, radius, support=math.inf):
+def folded_blocks(resolution, radius):
     """The tensor rule folded by its symmetry, for integrands of |z|^2 alone.
 
     The 1-d rule is a bitwise mirror, so the tensor rule on the square is
     invariant under x -> -x, y -> -y and x <-> y, and a RadialField takes the
     same bits on each orbit of nodes.  Yields (nodes x_i + 1j x_j, weights)
-    over the orbit representatives 0 <= x_i <= x_j with r^2 = x_i^2 + x_j^2
-    below ``support``, each weight w_i w_j times the size of the orbit: 8, or
-    4 on the diagonal x_i = x_j > 0 and on the axis 0 = x_i < x_j (odd
-    resolution), and 1 at the origin.  Rows i go BLOCK_ROWS at a time, each
-    block over the columns from its first row to that row's last node in the
-    support, so a block holds at most BLOCK_ROWS * ceil(resolution / 2)
-    nodes; rows whose diagonal node lies outside the support are left out.
+    over the orbit representatives 0 <= x_i <= x_j, each weight w_i w_j times
+    the size of the orbit: 8, or 4 on the diagonal x_i = x_j > 0 and on the
+    axis 0 = x_i < x_j (odd resolution), and 1 at the origin.  Rows i go
+    BLOCK_ROWS at a time, each block over the columns from its first row on,
+    so a block holds at most BLOCK_ROWS * ceil(resolution / 2) nodes.  The
+    square charts of the torus and the local models take it; a chart whose
+    bump has a finite support takes ``radial_blocks`` instead.
     """
     x, w = gauss_legendre_nodes(resolution, radius)
     x, w = x[x.size // 2:], w[w.size // 2:]      # the ceil(n/2) nodes with x >= 0
     w = w * np.where(x == 0.0, 1.0, 2.0)         # times the orbit size under x -> -x
-    r2 = x * x            # a RadialField reads r2[i] + r2[j] at x_i + 1j x_j
-    rows_in = np.count_nonzero(r2 + r2 < support)
-    for i in range(0, rows_in, BLOCK_ROWS):
-        rows = np.arange(i, min(i + BLOCK_ROWS, rows_in))[:, None]
-        cols = np.arange(i, np.count_nonzero(r2[i] + r2 < support))
-        keep = (cols >= rows) & (r2[rows] + r2[cols] < support)
+    for i in range(0, x.size, BLOCK_ROWS):
+        rows = np.arange(i, min(i + BLOCK_ROWS, x.size))[:, None]
+        cols = np.arange(i, x.size)
+        keep = cols >= rows
         swap = np.where(cols > rows, 2.0, 1.0)   # the orbit size under x_i <-> x_j
         yield (x[rows] + 1j * x[cols])[keep], (w[rows] * w[cols] * swap)[keep]
+
+
+def radial_blocks(resolution, breaks):
+    """The Gauss-Legendre rule in s = |z|^2, for integrands of |z|^2 alone.
+
+    Over the disc |z|^2 <= S, the integral of f(|z|^2) dA is pi times the
+    integral of f(s) ds on [0, S].  ``breaks`` ascend from 0 to S; each piece
+    between two neighbours takes the ``resolution``-node rule mapped onto it,
+    with weight pi ds, so a break where the integrand is not analytic sits at
+    the end of a piece, never inside one.  Yields one block (nodes sqrt(s) +
+    0j, weights) of resolution * (len(breaks) - 1) nodes, piece by piece.
+    """
+    x, w = gauss_legendre_nodes(resolution, 1.0)
+    breaks = np.asarray(breaks, dtype=float)
+    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+    half = 0.5 * (breaks[1:] - breaks[:-1])[:, None]
+    s = (mid + half * x).ravel()
+    yield np.sqrt(s) + 0j, (math.pi * half * w).ravel()
 
 
 def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):

@@ -421,7 +421,8 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     z = _point(orb, z)
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
-    image = torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=degree)
+    _, log_abs, phase = torus_image_log_terms(orb, z, u, [p], degree=degree)
+    image = _image_sums(log_abs, phase)[0]
     return abs(spec - image) / (_image_trace(op.d, 1, u, p, degree) / p)
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbmorse import cli, curvature
 from orbmorse.catalog import build_catalog_orbifold
@@ -96,16 +98,16 @@ def test_signed_density_nonnegative_on_samples():
 
 def test_integral_invariant_under_group_motion():
     """Evaluating the integrand at moved points leaves the integral unchanged."""
-    orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
-    val = morse_integral(orb, bundle, {0}, resolution=128)
-    # rotate the singular chart by the group generator: radial fields are
-    # untouched, so the integral agrees to rounding
-    g = orb.charts[1].group[1].rotation[0]
-    moved_scalars = (bundle.curvature_scalars[0],
-                     lambda Z: bundle.curvature_scalars[1](g * np.asarray(Z)))
     from dataclasses import replace
-    bundle2 = replace(bundle, curvature_scalars=moved_scalars)
-    val2 = morse_integral(orb, bundle2, {0}, resolution=128)
+    orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
+    # rotate the singular chart by the group generator: radial fields are
+    # untouched, so the integral agrees to rounding.  A point function takes
+    # the tensor rule, so the unmoved reference is one too.
+    g = orb.charts[1].group[1].rotation[0]
+    curvature_x, curvature_y = bundle.curvature_scalars
+    val, val2 = (morse_integral(orb, replace(bundle, curvature_scalars=(
+        curvature_x, lambda Z, m=m: curvature_y(m * np.asarray(Z)))), {0}, resolution=128)
+        for m in (1.0, g))
     assert val2 == pytest.approx(val, abs=1e-9)
 
 
@@ -122,7 +124,8 @@ def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL,
 
     This is the route the signature split replaced; it stays here as the
     reference that the split partitions the nodes.  It iterates the blocks
-    the split iterates, folded or not, unless ``blocks`` says otherwise.
+    the split iterates, each chart's own (radial, folded or full), unless
+    ``blocks`` says otherwise.
     """
     total = 0.0
     for k, chart in enumerate(orb.charts):
@@ -188,27 +191,42 @@ FOLD_MODELS = [
                          ids=["P(1,1)", "P(1,2)", "P(2,3)", "P(3,5)", "torus-k1", "torus-k2",
                               "C/Z2"])
 def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, resolution):
-    """The fold changes the summation order only: every class within 1e-15
-    relative, the degenerate fraction within 1e-15, the eigenvalue bounds
-    bit for bit."""
+    """On the square charts the fold changes the summation order only: every
+    class within 1e-15 relative, the degenerate fraction within 1e-15, the
+    eigenvalue bounds bit for bit.  P(a, b) takes the rule in |z|^2 instead,
+    on other nodes: at resolution 1024 it is at least as close to the exact
+    degree as the full 1024^2 grid, and each class differs from the grid's by
+    no more than the two distances e_Q to the degree."""
     orb, bundle = build_catalog_orbifold(catalog_id, **params)
-    assert all(curvature._quadrature_blocks(chart, c, resolution).__name__ == "folded_blocks"
+    radial = catalog_id == "wps"
+    if radial:
+        resolution = 1024
+    expected = "radial_blocks" if radial else "folded_blocks"
+    assert all(curvature._quadrature_blocks(chart, c, resolution).__name__ == expected
                for chart, c in zip(orb.charts, bundle.curvature_scalars))
-    folded = signature_integrals(orb, bundle, resolution=resolution)
+    split = signature_integrals(orb, bundle, resolution=resolution)
     monkeypatch.setattr(curvature, "_quadrature_blocks", full_grid)
     full = signature_integrals(orb, bundle, resolution=resolution)
-    for a, b in zip(folded.by_signature, full.by_signature):
+    if radial:
+        degree = orb.params["degree"]
+        e_split = abs(sum(split.by_signature) - degree)
+        e_full = abs(sum(full.by_signature) - degree)
+        assert e_split <= e_full
+        for a, b in zip(split.by_signature, full.by_signature):
+            assert abs(a - b) <= e_full + e_split
+        return
+    for a, b in zip(split.by_signature, full.by_signature):
         assert abs(a - b) <= 1e-15 * abs(b)
-    assert abs(folded.degenerate_fraction - full.degenerate_fraction) <= 1e-15
-    assert folded.min_eigenvalue == full.min_eigenvalue
-    assert folded.max_eigenvalue == full.max_eigenvalue
+    assert abs(split.degenerate_fraction - full.degenerate_fraction) <= 1e-15
+    assert split.min_eigenvalue == full.min_eigenvalue
+    assert split.max_eigenvalue == full.max_eigenvalue
 
 
 def count_field_evaluations(orb, bundle, resolution, keep_support=True):
     """Points at which signature_integrals evaluates each field, by (chart, field).
 
     Every field is rewrapped in a counting RadialField, with the bump's
-    support kept or dropped."""
+    support and edge kept or dropped."""
     from dataclasses import replace
     from orbmorse.geometry import RadialField
     counts = {}
@@ -217,7 +235,9 @@ def count_field_evaluations(orb, bundle, resolution, keep_support=True):
         def profile(r2):
             counts[key] = counts.get(key, 0) + np.size(r2)
             return field.profile(r2)
-        return RadialField(profile, field.support if keep_support else math.inf)
+        if keep_support:
+            return RadialField(profile, field.support, field.edge)
+        return RadialField(profile)
 
     charts = tuple(replace(chart, bump=counted(chart.bump, (k, "bump")),
                            metric_scalar=counted(chart.metric_scalar, (k, "metric")))
@@ -232,21 +252,62 @@ def count_field_evaluations(orb, bundle, resolution, keep_support=True):
 
 def test_radial_charts_evaluate_one_node_per_orbit():
     """P(2,3) at resolution 1024: each field of each chart is evaluated once per
-    orbit representative 0 <= x_i <= x_j with x_i^2 + x_j^2 below its bump's
-    support, fewer than half of the 512 * 513 / 2 orbits; without the support
-    every orbit is evaluated, where the full grid takes 1024^2."""
-    from orbmorse.geometry import gauss_legendre_nodes
+    node of the rule in |z|^2, 1024 on each of its two pieces, [0, edge] and
+    [edge, support]; without the support every orbit of the folded square
+    rule is evaluated, where the full grid takes 1024^2."""
     orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
-    expected = {}
-    for k, chart in enumerate(orb.charts):
-        x = gauss_legendre_nodes(1024, chart.box_radius)[0][512:]
-        r2 = x[:, None] * x[:, None] + x[None, :] * x[None, :]
-        inside = np.count_nonzero(np.triu(r2 < chart.bump.support))
-        assert inside < 512 * 513 // 4
-        expected.update({(k, f): inside for f in ("bump", "metric", "curvature")})
-    assert count_field_evaluations(orb, bundle, 1024) == expected
+    assert all(0.0 < chart.bump.edge < chart.bump.support for chart in orb.charts)
+    assert count_field_evaluations(orb, bundle, 1024) == {
+        (k, f): 2 * 1024 for k in (0, 1) for f in ("bump", "metric", "curvature")}
     assert count_field_evaluations(orb, bundle, 1024, keep_support=False) == {
         (k, f): 512 * 513 // 2 for k in (0, 1) for f in ("bump", "metric", "curvature")}
+
+
+@pytest.mark.parametrize("edge", ["infinite", "zero", "at-support"])
+def test_a_bump_without_an_inner_edge_takes_one_piece(edge):
+    """A support with no edge inside it gives one piece of ``resolution``
+    nodes, no empty or unbounded one; the integral keeps the degree."""
+    from dataclasses import replace
+    from orbmorse.geometry import RadialField
+    orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
+    chart = orb.charts[0]
+    support = chart.bump.support
+    edge = {"infinite": math.inf, "zero": 0.0, "at-support": support}[edge]
+    bump = RadialField(chart.bump.profile, support, edge)
+    orb = replace(orb, charts=(replace(chart, bump=bump),) + orb.charts[1:])
+    (nodes, weights), = curvature._quadrature_blocks(orb.charts[0],
+                                                     bundle.curvature_scalars[0], 128)
+    assert nodes.size == weights.size == 128
+    total = sum(signature_integrals(orb, bundle, resolution=128, tol=1e-300).by_signature)
+    assert abs(total - 0.5) <= 1e-9
+
+
+COPRIME_WEIGHTS = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(
+    lambda w: math.gcd(*w) == 1)
+
+
+def chern_sum(weights, resolution):
+    """The sum of the signature integrals of P(a, b), no node counted degenerate."""
+    orb, bundle = build_catalog_orbifold("wps", weights=weights)
+    return sum(signature_integrals(orb, bundle, resolution=resolution,
+                                   tol=1e-300).by_signature)
+
+
+@settings(max_examples=40, deadline=None)
+@given(COPRIME_WEIGHTS, st.integers(128, 2048))
+def test_radial_rule_reaches_the_degree(weights, resolution):
+    """The rule in |z|^2 integrates the curvature of P(a, b) to its degree
+    1/(ab) within 1e-15 (the folded rule read 2.6e-9 on P(1,2) at 256)."""
+    a, b = weights
+    assert abs(chern_sum(weights, resolution) - 1.0 / (a * b)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(COPRIME_WEIGHTS, st.integers(128, 2048))
+def test_swapped_weights_give_the_same_integral(weights, resolution):
+    """P(a, b) and P(b, a) are one orbifold: their sums agree within 1e-15,
+    whichever weight sits in the x-chart."""
+    assert abs(chern_sum(weights, resolution) - chern_sum(weights[::-1], resolution)) <= 1e-15
 
 
 def test_signature_split_peak_memory_on_the_wps_bench_model():

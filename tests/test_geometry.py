@@ -440,18 +440,23 @@ def test_folded_blocks_hold_one_node_per_orbit(resolution):
 @pytest.mark.parametrize("support", [0.0, 0.3, 1.69, 2.5, 3.38, 4.0])
 @pytest.mark.parametrize("resolution", [1, 2, 25, 128, 1024])
 def test_folded_blocks_clip_to_the_support(resolution, support):
-    """With a support the folded rule is the unclipped one less its nodes with
-    r^2 >= support, in the same order, each block at most BLOCK_ROWS rows."""
-    from orbmorse.geometry import BLOCK_ROWS, folded_blocks
-    half = -(-resolution // 2)
-    blocks = list(folded_blocks(resolution, 1.3, support))
-    assert all(nodes.size == weights.size <= BLOCK_ROWS * half for nodes, weights in blocks)
-    nodes, weights = (np.concatenate([b[k] for b in blocks] or [np.empty(0)]) for k in (0, 1))
-    full_nodes, full_weights = (np.concatenate([b[k] for b in folded_blocks(resolution, 1.3)])
-                                for k in (0, 1))
-    inside = full_nodes.real * full_nodes.real + full_nodes.imag * full_nodes.imag < support
-    assert np.array_equal(nodes, full_nodes[inside])
-    assert np.array_equal(weights, full_weights[inside])
+    """A bump's support is read by the rule in |z|^2, not by the fold, which
+    takes none and keeps every orbit.  Over the breaks (0, support / 2,
+    support) that rule holds ``resolution`` nodes on each piece, inside it,
+    and integrates pi s^m ds exactly for m < 2 * resolution."""
+    import inspect
+    from orbmorse.geometry import folded_blocks, radial_blocks
+    assert list(inspect.signature(folded_blocks).parameters) == ["resolution", "radius"]
+    breaks = (0.0, 0.5 * support, support)
+    (nodes, weights), = radial_blocks(resolution, breaks)
+    assert nodes.shape == weights.shape == (2 * resolution,)
+    assert np.all(nodes.imag == 0.0)
+    s = (nodes.real * nodes.real).reshape(2, resolution)
+    assert np.all((breaks[0] <= s[0]) & (s[0] <= breaks[1] * (1 + 1e-15)))
+    assert np.all((breaks[1] * (1 - 1e-15) <= s[1]) & (s[1] <= breaks[2] * (1 + 1e-15)))
+    for m in range(min(2 * resolution, 6)):
+        exact = math.pi * support ** (m + 1) / (m + 1)
+        assert abs(math.fsum(weights * s.ravel() ** m) - exact) <= 1e-14 * exact
 
 
 def catalog_bumps():

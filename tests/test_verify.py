@@ -138,6 +138,24 @@ def test_oracle_consistency_takes_the_points_of_the_image_route(point):
                 == oracle_consistency(orb, bundle, 0.21 + 0.33j, 1.0, 8, degree=degree))
 
 
+@pytest.mark.parametrize("z", [0.21 + 0.33j, 0.21 + 0.33j + (3 - 2j), complex(-0.0, 0.5)])
+def test_oracle_consistency_reduces_its_point_once(monkeypatch, z):
+    """The image route reads the point reduced by the spectral route: one
+    reduction per gap, and the image sum of torus_diagonal_kernel_image bit for bit."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    for degree in (0, 1):
+        op = verify._truncated_operator(orb, bundle, 1.0, 8, degree)
+        scale = verify._image_trace(op.d, 1, 1.0, 8, degree) / 8
+        spec = spectral.torus_diagonal_kernel_spectral(op, verify._point(orb, z), 1.0) / 8
+        image = verify.torus_diagonal_kernel_image(orb, bundle, z, 1.0, 8, degree=degree)
+        reduce = mock.Mock(wraps=verify._point)
+        monkeypatch.setattr(verify, "_point", reduce)
+        gap = oracle_consistency(orb, bundle, z, 1.0, 8, degree=degree)
+        monkeypatch.undo()
+        assert reduce.call_count == 1
+        assert gap == abs(spec - image) / scale
+
+
 def bits(values):
     return np.asarray(values, dtype=complex).tobytes()
 
