@@ -3,15 +3,8 @@
 On a one-dimensional chart the curvature endomorphism is the scalar c / h of
 the bundle's curvature density and the chart's metric density.  A Morse
 integral over a region M(<= q) is the sum of those over its signature sets.
-
-What ``resolution`` counts depends on the chart.  A radial chart, one whose
-bump, metric and curvature are RadialFields and whose bump has a finite
-support (P(a, b) without a dent), is integrated in s = |z|^2 alone, with
-``resolution`` Gauss-Legendre nodes on each piece of [0, support] between the
-bump's breaks.  Every other chart takes the tensor rule on its square box,
-``resolution`` nodes per axis: folded by its symmetry when every field is
-radial (the torus and the local models), in full otherwise (the dented
-P(1, 1), a user's point function).
+``geometry.chart_blocks`` picks each chart's quadrature rule, and the
+``geometry`` module docstring says what ``resolution`` counts.
 """
 
 from __future__ import annotations
@@ -22,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ChartedOrbifold, EquivariantLineBundle, RadialField,
-                       _require_one_dimensional, folded_blocks, radial_blocks,
-                       tensor_blocks, volume_density)
+from .geometry import (ChartedOrbifold, EquivariantLineBundle, _require_one_dimensional,
+                       chart_blocks, volume_density)
 
 DEGENERACY_TOL = 1e-8
 DEGENERATE = "degenerate"
@@ -79,22 +71,6 @@ def classify_point(eigenvalues, tol=DEGENERACY_TOL):
     return int(np.sum(a < -tol))
 
 
-def _quadrature_blocks(chart, curvature_scalar, resolution):
-    """The chart's quadrature blocks: the rule in |z|^2 over the bump's support,
-    piece by piece, when every field the pass reads is a RadialField and the
-    bump's support is finite; the folded tensor rule when the fields are radial
-    but the support is not; the full tensor rule otherwise."""
-    bump = chart.bump
-    if all(isinstance(f, RadialField) for f in (bump, chart.metric_scalar,
-                                                 curvature_scalar)):
-        if math.isfinite(bump.support):
-            # an edge outside (0, support) leaves one piece
-            breaks = sorted({0.0, min(bump.edge, bump.support), bump.support})
-            return radial_blocks(resolution, breaks)
-        return folded_blocks(resolution, chart.box_radius)
-    return tensor_blocks(resolution, chart.box_radius)
-
-
 def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
                         resolution=256, tol=DEGENERACY_TOL):
     """Integral of det(curvature endomorphism / 2 pi) over every signature set.
@@ -106,7 +82,7 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     and ``max_eigenvalue`` bound c / h over the nodes where the bump exceeds
     1e-12.  For one-dimensional charts the density det(Rdot) * kappa reduces
     to the curvature density c itself, and the signature of a node is the
-    sign of c / h.  The module docstring says which rule each chart takes.
+    sign of c / h.  ``geometry.chart_blocks`` picks each chart's rule.
     """
     _require_one_dimensional(orb)
     classes = range(orb.dimension + 1)
@@ -116,8 +92,8 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     min_eig, max_eig = np.inf, -np.inf
     for k, chart in enumerate(orb.charts):
         sums = np.zeros(len(totals))       # the chart's running block sums
-        for nodes, weights in _quadrature_blocks(chart, bundle.curvature_scalars[k],
-                                                 resolution):
+        for nodes, weights in chart_blocks(chart, (bundle.curvature_scalars[k],),
+                                           resolution):
             bumpw = np.asarray(chart.bump(nodes), dtype=float)
             c, ratio = _scalar_curvature(orb, bundle, k, nodes)
             support = bumpw > 1e-12

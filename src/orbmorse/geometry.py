@@ -16,6 +16,17 @@ endomorphism is the scalar c / h.  The flat higher-dimensional local models
 carry neither density: their kernels read the constant curvature from the
 model parameters.
 
+Both integrators, ``orbifold_integrate`` and ``curvature.signature_integrals``,
+run chart by chart over the blocks of ``chart_blocks``, the one place that
+picks a chart's rule, and what ``resolution`` counts depends on that rule.  A
+radial chart, one whose bump, metric and integrand fields are RadialFields and
+whose bump has a finite support (P(a, b) without a dent), is integrated in
+s = |z|^2 alone, with ``resolution`` Gauss-Legendre nodes on each piece of
+[0, support] between the bump's breaks.  Every other chart takes the tensor
+rule on its square box, ``resolution`` nodes per axis: folded by its symmetry
+when every field is radial (the torus and the local models), in full otherwise
+(the dented P(1, 1), a point function).  ``resolution`` is an integer >= 1.
+
 All types are immutable after construction; quadrature accumulates in a fixed
 chart/node order, so reruns are bit-identical.
 """
@@ -23,6 +34,7 @@ chart/node order, so reruns are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,7 +313,12 @@ def _legendre_rule(n):
 
 
 def gauss_legendre_nodes(resolution, radius):
-    """Gauss-Legendre nodes and weights on [-radius, radius]."""
+    """Gauss-Legendre nodes and weights on [-radius, radius]; every rule reads
+    them here, so here a ``resolution`` not an integer >= 1 (or a bool) is refused."""
+    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
+            or resolution < 1):
+        raise ConfigurationError(
+            f"quadrature resolution must be an integer >= 1, got {resolution!r}")
     n = int(resolution)
     if n not in _GL_RULES:
         _GL_RULES[n] = _legendre_rule(n)
@@ -361,25 +378,44 @@ def radial_blocks(resolution, breaks):
     yield np.sqrt(s) + 0j, (math.pi * half * w).ravel()
 
 
-def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
+def chart_blocks(chart, fields, resolution):
+    """The blocks of the rule, of the three in the module docstring, that one
+    chart takes for an integrand read from ``fields`` besides its bump and metric."""
+    bump = chart.bump
+    if all(isinstance(f, RadialField) for f in (bump, chart.metric_scalar, *fields)):
+        if math.isfinite(bump.support):
+            # an edge outside (0, support) leaves one piece
+            breaks = sorted({0.0, min(bump.edge, bump.support), bump.support})
+            return radial_blocks(resolution, breaks)
+        return folded_blocks(resolution, chart.box_radius)
+    return tensor_blocks(resolution, chart.box_radius)
+
+
+def orbifold_integrate(fields, orb: ChartedOrbifold, resolution=128, rng=None):
     """Group-corrected integral of a scalar field against the orbifold volume.
 
     Parameters
     ----------
-    field : callable
-        Chart-level representatives of the integrand: field(chart_index, Z)
-        takes a complex array of chart points (vectorized, shape (m,)) and
+    fields : sequence of callables, one per chart
+        Chart-level representatives of the integrand, in the form of
+        ``EquivariantLineBundle.curvature_scalars``: fields[k](Z) takes a
+        complex array of points of chart k (vectorized, shape (m,)) and
         returns real or complex values of shape (m,).
     orb : ChartedOrbifold
-    resolution : nodes per real axis of the tensor Gauss-Legendre rule.
+    resolution : what it counts depends on each chart's rule (module docstring).
     rng : numpy Generator for the invariance spot check (seeded by caller).
 
-    The value is sum over charts of 1/|G| * integral of bump * f * kappa,
-    evaluated in a fixed chart/node order so reruns are bit-identical.
+    The value is sum over charts of 1/|G| * integral of bump * f * kappa over
+    the blocks of ``chart_blocks``, evaluated in a fixed chart/node order so
+    reruns are bit-identical.  An integrand that moves by more than
+    INTEGRAND_INVARIANCE_TOL under the group at 8 drawn tensor-grid nodes
+    raises IntegrandError.
     """
+    if len(fields) != len(orb.charts):
+        raise ValueError(f"{len(fields)} integrand fields for {len(orb.charts)} charts")
     rng = rng if rng is not None else np.random.default_rng(0)
     total = 0.0
-    for k, chart in enumerate(orb.charts):
+    for k, (chart, field) in enumerate(zip(orb.charts, fields)):
         _require_one_dimensional(chart)
         if chart.order > 1:
             # flat index i of the tensor rule is the node x[i // n] + 1j x[i % n]
@@ -387,16 +423,16 @@ def orbifold_integrate(field, orb: ChartedOrbifold, resolution=128, rng=None):
             n = x.size
             idx = rng.integers(0, n * n, size=min(8, n * n))
             pts = x[idx // n] + 1j * x[idx % n]
-            ref = np.asarray(field(k, pts))
+            ref = np.asarray(field(pts))
             for g in chart.group:
-                moved = np.asarray(field(k, g.rotation[0] * pts))
+                moved = np.asarray(field(g.rotation[0] * pts))
                 mismatch = np.max(np.abs(moved - ref))
                 if mismatch > INTEGRAND_INVARIANCE_TOL:
                     raise IntegrandError(
                         f"integrand not invariant on chart {k} (mismatch {mismatch:.2e})")
         contrib = 0.0
-        for nodes, weights in tensor_blocks(resolution, chart.box_radius):
-            vals = np.asarray(field(k, nodes))
+        for nodes, weights in chart_blocks(chart, (field,), resolution):
+            vals = np.asarray(field(nodes))
             bump = np.asarray(chart.bump(nodes), dtype=float)
             kappa = np.real(np.asarray(chart.metric_scalar(nodes)))
             contrib += np.add.reduce(weights * (bump * kappa * np.real(vals)))

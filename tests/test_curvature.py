@@ -14,7 +14,7 @@ from orbmorse.curvature import (DEGENERACY_TOL, DEGENERATE, _scalar_curvature,
                                 classify_point, curvature_spectrum, morse_integral,
                                 signature_integrals)
 from orbmorse.errors import UnsupportedModelError
-from orbmorse.geometry import tensor_blocks
+from orbmorse.geometry import RadialField, chart_blocks, orbifold_integrate, tensor_blocks
 
 
 def test_endomorphism_identity_metric_cases():
@@ -119,7 +119,7 @@ def test_degenerate_fraction_reported():
 
 
 def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL,
-                            blocks=curvature._quadrature_blocks):
+                            blocks=chart_blocks):
     """The Morse integral as one chart pass per q-set under a union mask.
 
     This is the route the signature split replaced; it stays here as the
@@ -130,7 +130,7 @@ def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL,
     total = 0.0
     for k, chart in enumerate(orb.charts):
         chart_sum = 0.0
-        for nodes, weights in blocks(chart, bundle.curvature_scalars[k], resolution):
+        for nodes, weights in blocks(chart, (bundle.curvature_scalars[k],), resolution):
             bumpw = np.asarray(chart.bump(nodes), dtype=float)
             c, ratio = _scalar_curvature(orb, bundle, k, nodes)
             degen = np.abs(ratio) <= tol
@@ -171,7 +171,7 @@ def test_signature_split_matches_one_mask_reference(catalog_id, params, resoluti
                 <= 1e-15
 
 
-def full_grid(chart, curvature_scalar, resolution):
+def full_grid(chart, fields, resolution):
     return tensor_blocks(resolution, chart.box_radius)
 
 
@@ -202,10 +202,10 @@ def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, res
     if radial:
         resolution = 1024
     expected = "radial_blocks" if radial else "folded_blocks"
-    assert all(curvature._quadrature_blocks(chart, c, resolution).__name__ == expected
+    assert all(chart_blocks(chart, (c,), resolution).__name__ == expected
                for chart, c in zip(orb.charts, bundle.curvature_scalars))
     split = signature_integrals(orb, bundle, resolution=resolution)
-    monkeypatch.setattr(curvature, "_quadrature_blocks", full_grid)
+    monkeypatch.setattr(curvature, "chart_blocks", full_grid)
     full = signature_integrals(orb, bundle, resolution=resolution)
     if radial:
         degree = orb.params["degree"]
@@ -222,13 +222,18 @@ def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, res
     assert split.max_eigenvalue == full.max_eigenvalue
 
 
-def count_field_evaluations(orb, bundle, resolution, keep_support=True):
-    """Points at which signature_integrals evaluates each field, by (chart, field).
+def integrate_curvature(orb, bundle, resolution):
+    """orbifold_integrate with the curvature densities as the chart integrands."""
+    return orbifold_integrate(bundle.curvature_scalars, orb, resolution=resolution)
+
+
+def count_field_evaluations(orb, bundle, resolution, keep_support=True,
+                            integrate=signature_integrals):
+    """Points at which ``integrate`` evaluates each field, by (chart, field).
 
     Every field is rewrapped in a counting RadialField, with the bump's
     support and edge kept or dropped."""
     from dataclasses import replace
-    from orbmorse.geometry import RadialField
     counts = {}
 
     def counted(field, key):
@@ -246,7 +251,7 @@ def count_field_evaluations(orb, bundle, resolution, keep_support=True):
     bundle = replace(bundle, curvature_scalars=tuple(
         counted(c, (k, "curvature")) for k, c in enumerate(bundle.curvature_scalars)))
     counts.clear()                     # the charts check h(0) = 1 when they are built
-    signature_integrals(orb, bundle, resolution=resolution)
+    integrate(orb, bundle, resolution=resolution)
     return counts
 
 
@@ -254,13 +259,20 @@ def test_radial_charts_evaluate_one_node_per_orbit():
     """P(2,3) at resolution 1024: each field of each chart is evaluated once per
     node of the rule in |z|^2, 1024 on each of its two pieces, [0, edge] and
     [edge, support]; without the support every orbit of the folded square
-    rule is evaluated, where the full grid takes 1024^2."""
+    rule is evaluated, where the full grid takes 1024^2.  orbifold_integrate
+    takes the same split: each chart's bump and metric 2 * 1024 times, and
+    its integrand that often plus the invariance spot check's 8 nodes and
+    their 8 images under each group element."""
     orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
     assert all(0.0 < chart.bump.edge < chart.bump.support for chart in orb.charts)
     assert count_field_evaluations(orb, bundle, 1024) == {
         (k, f): 2 * 1024 for k in (0, 1) for f in ("bump", "metric", "curvature")}
     assert count_field_evaluations(orb, bundle, 1024, keep_support=False) == {
         (k, f): 512 * 513 // 2 for k in (0, 1) for f in ("bump", "metric", "curvature")}
+    spot = [8 * (chart.order + 1) for chart in orb.charts]
+    assert count_field_evaluations(orb, bundle, 1024, integrate=integrate_curvature) == {
+        (k, f): 2 * 1024 + spot[k] * (f == "curvature")
+        for k in (0, 1) for f in ("bump", "metric", "curvature")}
 
 
 @pytest.mark.parametrize("edge", ["infinite", "zero", "at-support"])
@@ -268,15 +280,13 @@ def test_a_bump_without_an_inner_edge_takes_one_piece(edge):
     """A support with no edge inside it gives one piece of ``resolution``
     nodes, no empty or unbounded one; the integral keeps the degree."""
     from dataclasses import replace
-    from orbmorse.geometry import RadialField
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
     chart = orb.charts[0]
     support = chart.bump.support
     edge = {"infinite": math.inf, "zero": 0.0, "at-support": support}[edge]
     bump = RadialField(chart.bump.profile, support, edge)
     orb = replace(orb, charts=(replace(chart, bump=bump),) + orb.charts[1:])
-    (nodes, weights), = curvature._quadrature_blocks(orb.charts[0],
-                                                     bundle.curvature_scalars[0], 128)
+    (nodes, weights), = chart_blocks(orb.charts[0], (bundle.curvature_scalars[0],), 128)
     assert nodes.size == weights.size == 128
     total = sum(signature_integrals(orb, bundle, resolution=128, tol=1e-300).by_signature)
     assert abs(total - 0.5) <= 1e-9
@@ -293,13 +303,24 @@ def chern_sum(weights, resolution):
                                    tol=1e-300).by_signature)
 
 
+def chern_volume(weights, resolution):
+    """orbifold_integrate of c / (2 pi h) over P(a, b), a RadialField on each chart."""
+    orb, bundle = build_catalog_orbifold("wps", weights=weights)
+    fields = tuple(RadialField(lambda r2, c=c.profile, h=chart.metric_scalar.profile:
+                               c(r2) / (2.0 * math.pi * h(r2)))
+                   for chart, c in zip(orb.charts, bundle.curvature_scalars))
+    return orbifold_integrate(fields, orb, resolution=resolution)
+
+
 @settings(max_examples=40, deadline=None)
 @given(COPRIME_WEIGHTS, st.integers(128, 2048))
 def test_radial_rule_reaches_the_degree(weights, resolution):
     """The rule in |z|^2 integrates the curvature of P(a, b) to its degree
-    1/(ab) within 1e-15 (the folded rule read 2.6e-9 on P(1,2) at 256)."""
+    1/(ab) within 1e-15, through signature_integrals and through
+    orbifold_integrate (the folded rule read 2.6e-9 on P(1,2) at 256)."""
     a, b = weights
     assert abs(chern_sum(weights, resolution) - 1.0 / (a * b)) <= 1e-15
+    assert abs(chern_volume(weights, resolution) - 1.0 / (a * b)) <= 1e-15
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,14 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbmorse.catalog import build_catalog_orbifold
+from orbmorse.curvature import signature_integrals
 from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
                              UnsupportedModelError)
-from orbmorse.geometry import (OrbifoldChart, cyclic_group, orbifold_integrate,
-                               volume_density)
+from orbmorse.geometry import (OrbifoldChart, RadialField, constant_field, cyclic_group,
+                               orbifold_integrate, volume_density)
 
 
 def ones(Z):
     return np.ones(np.shape(Z))
+
+
+def on_every_chart(field, orb):
+    """The integrand fields of ``orbifold_integrate``: ``field`` on each chart."""
+    return (field,) * len(orb.charts)
 
 
 # ---------------------------------------------------------------------------
@@ -228,58 +234,63 @@ def test_kappa_is_lipschitz_on_samples():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_unit_ball_volume_over_group(k):
     orb, _ = build_catalog_orbifold("local-model", k=k, a=(1.0,))
-    val = orbifold_integrate(lambda ci, Z: (np.abs(Z) <= 1.0).astype(float), orb,
-                             resolution=400)
+    val = orbifold_integrate(on_every_chart(lambda Z: (np.abs(Z) <= 1.0).astype(float), orb),
+                             orb, resolution=400)
     assert val == pytest.approx(math.pi / k, rel=5e-3)
 
 
 def test_unit_volume_of_projective_line():
+    """Radial integrands take the rule in |z|^2, split at the bump's edge; the
+    tensor rule read 1.1e-7 off at 64 and 2.4e-9 at 160."""
     orb, _ = build_catalog_orbifold("wps", weights=(1, 1))
-    val = orbifold_integrate(lambda ci, Z: ones(Z), orb, resolution=160)
-    assert val == pytest.approx(1.0, abs=1e-7)
+    for resolution in (64, 160, 256, 512):
+        val = orbifold_integrate(on_every_chart(constant_field(1.0), orb), orb,
+                                 resolution=resolution)
+        assert val == pytest.approx(1.0, abs=1e-15)
 
 
 def test_zero_integrand_is_zero():
     orb, _ = build_catalog_orbifold("wps", weights=(1, 2))
-    assert orbifold_integrate(lambda ci, Z: np.zeros(Z.shape), orb, resolution=64) == 0.0
+    assert orbifold_integrate(on_every_chart(lambda Z: np.zeros(Z.shape), orb), orb,
+                              resolution=64) == 0.0
 
 
 def test_integral_linearity_and_positivity():
     orb, _ = build_catalog_orbifold("wps", weights=(1, 2))
 
-    def f(ci, Z):
+    def f(Z):
         return np.abs(Z) ** 2
 
-    def g(ci, Z):
+    def g(Z):
         return np.exp(-np.abs(Z) ** 2)
 
-    int_f = orbifold_integrate(f, orb, resolution=96)
-    int_g = orbifold_integrate(g, orb, resolution=96)
-    both = orbifold_integrate(lambda ci, Z: 2.0 * f(ci, Z) - 3.0 * g(ci, Z), orb,
+    int_f = orbifold_integrate(on_every_chart(f, orb), orb, resolution=96)
+    int_g = orbifold_integrate(on_every_chart(g, orb), orb, resolution=96)
+    both = orbifold_integrate(on_every_chart(lambda Z: 2.0 * f(Z) - 3.0 * g(Z), orb), orb,
                               resolution=96)
     assert both == pytest.approx(2 * int_f - 3 * int_g, rel=1e-12)
     assert int_f >= -1e-12 and int_g >= -1e-12
 
 
 def test_integral_invariant_under_group_composition():
+    """Moving the singular chart's integrand by the group generator leaves the
+    integral unchanged.  The moved integrand is a point function, so it takes
+    the tensor rule, and the unmoved reference is the same point function."""
     orb, _ = build_catalog_orbifold("wps", weights=(1, 2))
     g1 = orb.charts[1].group[1].rotation[0]
 
-    def f(ci, Z):
+    def f(Z):
         return np.exp(-np.abs(Z) ** 2)
 
-    def f_moved(ci, Z):
-        return f(ci, g1 * Z) if ci == 1 else f(ci, Z)
-
-    a = orbifold_integrate(f, orb, resolution=96)
-    b = orbifold_integrate(f_moved, orb, resolution=96)
+    a, b = (orbifold_integrate((f, lambda Z, m=m: f(m * Z)), orb, resolution=96)
+            for m in (1.0, g1))
     assert b == pytest.approx(a, abs=1e-9)
 
 
 def test_quadrature_refuses_higher_dimensional_models():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0, 1.0))
     with pytest.raises(UnsupportedModelError, match="dimension 2"):
-        orbifold_integrate(lambda ci, Z: ones(Z), orb, resolution=8)
+        orbifold_integrate(on_every_chart(ones, orb), orb, resolution=8)
 
 
 def test_gauss_legendre_rule_computed_once_per_resolution(monkeypatch):
@@ -308,6 +319,52 @@ def meshgrid_rule(resolution, radius):
     x, w = gauss_legendre_nodes(resolution, radius)
     X, Y = np.meshgrid(x, x, indexing="ij")
     return X.ravel() + 1j * Y.ravel(), np.outer(w, w).ravel()
+
+
+@pytest.mark.parametrize("catalog_id,params", [("wps", dict(weights=(2, 3))),
+                                               ("torus", dict(d=1, k=2)),
+                                               ("local-model", dict(k=3, a=(1.0,)))])
+def test_point_function_integrand_keeps_the_full_grid(catalog_id, params):
+    """A plain point function takes the full tensor rule on every chart: the
+    value is the meshgrid rule's, summed row block by row block, bit for bit."""
+    from orbmorse.geometry import BLOCK_ROWS
+    orb, _ = build_catalog_orbifold(catalog_id, **params)
+    resolution = 100
+    block = BLOCK_ROWS * resolution
+
+    def f(Z):
+        return np.exp(-np.abs(Z) ** 2)
+
+    expected = 0.0
+    for chart in orb.charts:
+        nodes, weights = meshgrid_rule(resolution, chart.box_radius)
+        chart_sum = 0.0
+        for i in range(0, nodes.size, block):
+            z = nodes[i:i + block]
+            chart_sum += np.add.reduce(weights[i:i + block] * (
+                chart.bump(z) * np.real(chart.metric_scalar(z)) * f(z)))
+        expected += float(chart_sum / chart.order)
+    assert orbifold_integrate(on_every_chart(f, orb), orb, resolution=resolution) == expected
+
+
+def test_orbifold_integrate_needs_one_field_per_chart():
+    orb, _ = build_catalog_orbifold("wps", weights=(1, 2))
+    with pytest.raises(ValueError, match="1 integrand fields for 2 charts"):
+        orbifold_integrate((constant_field(1.0),), orb, resolution=8)
+
+
+@pytest.mark.parametrize("resolution", [0, -3, 2.5, True])
+@pytest.mark.parametrize("integrate", [
+    lambda orb, bundle, resolution: orbifold_integrate(
+        on_every_chart(constant_field(1.0), orb), orb, resolution=resolution),
+    lambda orb, bundle, resolution: signature_integrals(orb, bundle, resolution=resolution),
+], ids=["orbifold_integrate", "signature_integrals"])
+def test_a_bad_resolution_is_refused_by_either_integrator(integrate, resolution):
+    """0 used to raise ZeroDivisionError, -3 numpy's zero-size ValueError, and
+    2.5 ran the 2-node rule; the rule's node reader refuses each by value."""
+    orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
+    with pytest.raises(ConfigurationError, match=f"got {resolution!r}$"):
+        integrate(orb, bundle, resolution)
 
 
 def mp_legendre_root(n, x0):
@@ -403,7 +460,6 @@ def test_tensor_blocks_concatenate_to_the_full_grid(resolution):
 
 def test_radial_field_takes_the_same_bits_on_the_rule_symmetry():
     """z, -z, conj z and i conj z give the same r^2, hence the same value."""
-    from orbmorse.geometry import RadialField
     field = RadialField(lambda r2: np.exp(-r2) / (1.0 + math.pi * r2) ** 1.7)
     x = np.random.default_rng(3).uniform(-1.3, 1.3, (2, 200))
     z = x[0] + 1j * x[1]
@@ -524,11 +580,11 @@ def test_invariance_spot_check_draws_the_grid_nodes():
     orb, _ = build_catalog_orbifold("local-model", k=3, a=(1.0,))
     seen = []
 
-    def field(ci, Z):
+    def field(Z):
         seen.append(np.array(Z))
         return ones(Z)
 
-    orbifold_integrate(field, orb, resolution=40, rng=np.random.default_rng(5))
+    orbifold_integrate((field,), orb, resolution=40, rng=np.random.default_rng(5))
     nodes, _ = meshgrid_rule(40, orb.charts[0].box_radius)
     idx = np.random.default_rng(5).integers(0, nodes.size, size=8)
     assert np.array_equal(next(z for z in seen if z.size == 8), nodes[idx])
@@ -537,12 +593,12 @@ def test_invariance_spot_check_draws_the_grid_nodes():
 def test_non_invariant_integrand_rejected():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     with pytest.raises(IntegrandError):
-        orbifold_integrate(lambda ci, Z: np.real(Z), orb, resolution=32)
+        orbifold_integrate((np.real,), orb, resolution=32)
 
 
 def test_torus_cell_volume():
     orb, _ = build_catalog_orbifold("torus", d=1, k=2)
-    val = orbifold_integrate(lambda ci, Z: ones(Z), orb, resolution=64)
+    val = orbifold_integrate(on_every_chart(ones, orb), orb, resolution=64)
     assert val == pytest.approx(0.5, rel=1e-12)
 
 

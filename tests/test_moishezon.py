@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from orbmorse import moishezon
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table, weighted_proj_h0
-from orbmorse.curvature import (_quadrature_blocks, curvature_spectrum, morse_integral,
-                                signature_integrals)
+from orbmorse.curvature import curvature_spectrum, morse_integral, signature_integrals
 from orbmorse.errors import ConfigurationError
+from orbmorse.geometry import chart_blocks
 from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, _torus_columns,
                                 _wps_exponents, bigness_check, kodaira_rank,
                                 moishezon_check, section_growth_exponent, siegel_bound)
@@ -68,7 +68,7 @@ def per_node_criteria(orb, bundle, resolution, tol):
     min_eig = math.inf
     positive_at_point = False
     for k, chart in enumerate(orb.charts):
-        for nodes, _ in _quadrature_blocks(chart, bundle.curvature_scalars[k], resolution):
+        for nodes, _ in chart_blocks(chart, (bundle.curvature_scalars[k],), resolution):
             bumpw = np.asarray(chart.bump(nodes), dtype=float)
             for z, w in zip(nodes, bumpw):
                 if w <= 1e-12:
