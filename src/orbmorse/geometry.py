@@ -18,14 +18,14 @@ model parameters.
 
 Both integrators, ``orbifold_integrate`` and ``curvature.signature_integrals``,
 run chart by chart over the blocks of ``chart_blocks``, the one place that
-picks a chart's rule, and what ``resolution`` counts depends on that rule.  A
-radial chart, one whose bump, metric and integrand fields are RadialFields and
-whose bump has a finite support (P(a, b) without a dent), is integrated in
-s = |z|^2 alone, with ``resolution`` Gauss-Legendre nodes on each piece of
-[0, support] between the bump's breaks.  Every other chart takes the tensor
-rule on its square box, ``resolution`` nodes per axis: folded by its symmetry
-when every field is radial (the torus and the local models), in full otherwise
-(the dented P(1, 1), a point function).  ``resolution`` is an integer >= 1.
+picks a chart's rule, of two.  A chart whose bump, metric and integrand fields
+are all RadialFields is integrated in s = |z|^2 alone (``radial_blocks``),
+with ``resolution`` Gauss-Legendre nodes on each piece: [0, edge] and
+[edge, support] under a bump with a finite support (P(a, b) without a dent),
+and on the square box of any other chart (the torus and the local models)
+the inscribed disc and the corners beyond it.  Every other chart (the dented
+P(1, 1), a point function) takes the tensor rule on its square box,
+``resolution`` nodes per axis.  ``resolution`` is an integer >= 1.
 
 All types are immutable after construction; quadrature accumulates in a fixed
 chart/node order, so reruns are bit-identical.
@@ -94,11 +94,9 @@ def cyclic_group(order, weights, theta_unit=0.0):
 @dataclass(frozen=True)
 class RadialField:
     """A chart field of |z|^2 alone: called on complex points z, it returns
-    ``profile(r2)`` at r2 = z.real * z.real + z.imag * z.imag.
-
-    That r^2 takes the same bits at z, -z, conj z and i conj z, so a field
-    built this way is radial by construction and the quadrature may evaluate
-    it once per orbit of the tensor rule's symmetry (``folded_blocks``).
+    ``profile(r2)`` at r2 = z.real * z.real + z.imag * z.imag.  The rule in
+    r^2 evaluates it at one point per node, sqrt(r2) + 0j, which on a square
+    box lies outside the box for the corners' r2.
 
     ``support`` is the r^2 at and beyond which the profile is exactly 0.0,
     and ``edge`` the r^2 where it starts to fall there.  When the field is a
@@ -106,7 +104,8 @@ class RadialField:
     both: it integrates over [0, support] only, in pieces that end at the
     edge, where the bump is smooth but not analytic.  Only the catalog's
     partition-of-unity bumps set them; every other field keeps the default,
-    infinity, and a chart without a finite support is integrated over its box.
+    infinity, and a chart without a finite support is integrated over its
+    square box.
     """
 
     profile: object
@@ -335,51 +334,39 @@ def tensor_blocks(resolution, radius):
                (w[i:i + BLOCK_ROWS, None] * w[None, :]).ravel())
 
 
-def folded_blocks(resolution, radius):
-    """The tensor rule folded by its symmetry, for integrands of |z|^2 alone.
-
-    The 1-d rule is a bitwise mirror, so the tensor rule on the square is
-    invariant under x -> -x, y -> -y and x <-> y, and a RadialField takes the
-    same bits on each orbit of nodes.  Yields (nodes x_i + 1j x_j, weights)
-    over the orbit representatives 0 <= x_i <= x_j, each weight w_i w_j times
-    the size of the orbit: 8, or 4 on the diagonal x_i = x_j > 0 and on the
-    axis 0 = x_i < x_j (odd resolution), and 1 at the origin.  Rows i go
-    BLOCK_ROWS at a time, each block over the columns from its first row on,
-    so a block holds at most BLOCK_ROWS * ceil(resolution / 2) nodes.  The
-    square charts of the torus and the local models take it; a chart whose
-    bump has a finite support takes ``radial_blocks`` instead.
-    """
-    x, w = gauss_legendre_nodes(resolution, radius)
-    x, w = x[x.size // 2:], w[w.size // 2:]      # the ceil(n/2) nodes with x >= 0
-    w = w * np.where(x == 0.0, 1.0, 2.0)         # times the orbit size under x -> -x
-    for i in range(0, x.size, BLOCK_ROWS):
-        rows = np.arange(i, min(i + BLOCK_ROWS, x.size))[:, None]
-        cols = np.arange(i, x.size)
-        keep = cols >= rows
-        swap = np.where(cols > rows, 2.0, 1.0)   # the orbit size under x_i <-> x_j
-        yield (x[rows] + 1j * x[cols])[keep], (w[rows] * w[cols] * swap)[keep]
-
-
-def radial_blocks(resolution, breaks):
+def radial_blocks(resolution, breaks, corners=False):
     """The Gauss-Legendre rule in s = |z|^2, for integrands of |z|^2 alone.
 
     Over the disc |z|^2 <= S, the integral of f(|z|^2) dA is pi times the
     integral of f(s) ds on [0, S].  ``breaks`` ascend from 0 to S; each piece
     between two neighbours takes the ``resolution``-node rule mapped onto it,
     with weight pi ds, so a break where the integrand is not analytic sits at
-    the end of a piece, never inside one.  Yields one block (nodes sqrt(s) +
-    0j, weights) of resolution * (len(breaks) - 1) nodes, piece by piece.
+    the end of a piece, never inside one.  With ``corners`` the domain is the
+    square [-r, r]^2, r^2 = S, and one more piece covers its corners: the
+    circle |z|^2 = S (1 + t^2), t in [0, 1], keeps the angle 2 pi - 8 arctan t
+    inside the square, so they add the integral of
+    f(S (1 + t^2)) (pi - 4 arctan t) 2 S t dt, smooth in t.  Those weights
+    are scaled to sum to the corner area (4 - pi) S, so a constant integrates
+    exactly.  Yields one block (nodes sqrt(s) + 0j, weights) of
+    ``resolution`` nodes per piece, piece by piece.
     """
     x, w = gauss_legendre_nodes(resolution, 1.0)
     breaks = np.asarray(breaks, dtype=float)
     mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
     half = 0.5 * (breaks[1:] - breaks[:-1])[:, None]
     s = (mid + half * x).ravel()
-    yield np.sqrt(s) + 0j, (math.pi * half * w).ravel()
+    weights = (math.pi * half * w).ravel()
+    if corners:
+        t = 0.5 + 0.5 * x
+        corner = (math.pi - 4.0 * np.arctan(t)) * t * w
+        corner *= (4.0 - math.pi) * breaks[-1] / corner.sum()
+        s = np.concatenate((s, breaks[-1] * (1.0 + t * t)))
+        weights = np.concatenate((weights, corner))
+    yield np.sqrt(s) + 0j, weights
 
 
 def chart_blocks(chart, fields, resolution):
-    """The blocks of the rule, of the three in the module docstring, that one
+    """The blocks of the rule, of the two in the module docstring, that one
     chart takes for an integrand read from ``fields`` besides its bump and metric."""
     bump = chart.bump
     if all(isinstance(f, RadialField) for f in (bump, chart.metric_scalar, *fields)):
@@ -387,11 +374,11 @@ def chart_blocks(chart, fields, resolution):
             # an edge outside (0, support) leaves one piece
             breaks = sorted({0.0, min(bump.edge, bump.support), bump.support})
             return radial_blocks(resolution, breaks)
-        return folded_blocks(resolution, chart.box_radius)
+        return radial_blocks(resolution, (0.0, chart.box_radius ** 2), corners=True)
     return tensor_blocks(resolution, chart.box_radius)
 
 
-def orbifold_integrate(fields, orb: ChartedOrbifold, resolution=128, rng=None):
+def orbifold_integrate(fields, orb: ChartedOrbifold, resolution=128):
     """Group-corrected integral of a scalar field against the orbifold volume.
 
     Parameters
@@ -403,17 +390,16 @@ def orbifold_integrate(fields, orb: ChartedOrbifold, resolution=128, rng=None):
         returns real or complex values of shape (m,).
     orb : ChartedOrbifold
     resolution : what it counts depends on each chart's rule (module docstring).
-    rng : numpy Generator for the invariance spot check (seeded by caller).
 
     The value is sum over charts of 1/|G| * integral of bump * f * kappa over
     the blocks of ``chart_blocks``, evaluated in a fixed chart/node order so
     reruns are bit-identical.  An integrand that moves by more than
-    INTEGRAND_INVARIANCE_TOL under the group at 8 drawn tensor-grid nodes
-    raises IntegrandError.
+    INTEGRAND_INVARIANCE_TOL under the group at 8 tensor-grid nodes, drawn
+    from ``np.random.default_rng(0)``, raises IntegrandError.
     """
     if len(fields) != len(orb.charts):
         raise ValueError(f"{len(fields)} integrand fields for {len(orb.charts)} charts")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     total = 0.0
     for k, (chart, field) in enumerate(zip(orb.charts, fields)):
         _require_one_dimensional(chart)

@@ -64,9 +64,12 @@ def _point(orb, x):
     x = np.asarray(x, dtype=complex)
     if not all(map(cmath.isfinite, x.ravel().tolist())):
         raise GeometryError(f"flat-model point {x} is not finite")
+    size = 1 if orb.catalog_id == "torus" else len(orb.params["a"])
+    if x.size != size:
+        raise GeometryError(f"flat-model point {x} has {x.size} coordinates, expected {size}")
     if orb.catalog_id != "torus":
-        return x.reshape(len(orb.params["a"]))
-    z = complex(x.reshape(1)[0])
+        return x.reshape(size)
+    z = x.item()
     return complex(z.real - math.floor(z.real), z.imag - math.floor(z.imag))
 
 

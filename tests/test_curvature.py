@@ -124,7 +124,7 @@ def one_mask_morse_integral(orb, bundle, q_set, resolution, tol=DEGENERACY_TOL,
 
     This is the route the signature split replaced; it stays here as the
     reference that the split partitions the nodes.  It iterates the blocks
-    the split iterates, each chart's own (radial, folded or full), unless
+    the split iterates, each chart's own (radial or full), unless
     ``blocks`` says otherwise.
     """
     total = 0.0
@@ -175,7 +175,7 @@ def full_grid(chart, fields, resolution):
     return tensor_blocks(resolution, chart.box_radius)
 
 
-FOLD_MODELS = [
+RADIAL_MODELS = [
     ("wps", dict(weights=(1, 1))),
     ("wps", dict(weights=(1, 2))),
     ("wps", dict(weights=(2, 3))),
@@ -186,40 +186,58 @@ FOLD_MODELS = [
 ]
 
 
+def exact_degree(orb):
+    """The exact integral of c / 2 pi: the catalog's degree, or on C/Z_k the
+    constant curvature a over the box (2r)^2, divided by 2 pi k."""
+    if "degree" in orb.params:
+        return orb.params["degree"]
+    chart = orb.charts[0]
+    return orb.params["a"][0] * (2 * chart.box_radius) ** 2 / (2 * math.pi * chart.order)
+
+
 @pytest.mark.parametrize("resolution", [24, 101, 128, 1024])
-@pytest.mark.parametrize("catalog_id,params", FOLD_MODELS,
+@pytest.mark.parametrize("catalog_id,params", RADIAL_MODELS,
                          ids=["P(1,1)", "P(1,2)", "P(2,3)", "P(3,5)", "torus-k1", "torus-k2",
                               "C/Z2"])
 def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, resolution):
-    """On the square charts the fold changes the summation order only: every
-    class within 1e-15 relative, the degenerate fraction within 1e-15, the
-    eigenvalue bounds bit for bit.  P(a, b) takes the rule in |z|^2 instead,
-    on other nodes: at resolution 1024 it is at least as close to the exact
-    degree as the full 1024^2 grid, and each class differs from the grid's by
-    no more than the two distances e_Q to the degree."""
+    """Every chart takes the rule in |z|^2, on other nodes than the full grid:
+    it is at least as close to the exact degree as the grid, and each class
+    differs from the grid's by no more than the two distances e_Q to the
+    degree.  P(a, b) is compared at resolution 1024, where the grid resolves
+    the bump's edge.  On the square charts the degenerate fraction agrees
+    within 1e-15 and the eigenvalue bounds bit for bit."""
     orb, bundle = build_catalog_orbifold(catalog_id, **params)
-    radial = catalog_id == "wps"
-    if radial:
+    square = catalog_id != "wps"
+    if not square:
         resolution = 1024
-    expected = "radial_blocks" if radial else "folded_blocks"
-    assert all(chart_blocks(chart, (c,), resolution).__name__ == expected
+    assert all(chart_blocks(chart, (c,), resolution).__name__ == "radial_blocks"
                for chart, c in zip(orb.charts, bundle.curvature_scalars))
     split = signature_integrals(orb, bundle, resolution=resolution)
     monkeypatch.setattr(curvature, "chart_blocks", full_grid)
     full = signature_integrals(orb, bundle, resolution=resolution)
-    if radial:
-        degree = orb.params["degree"]
-        e_split = abs(sum(split.by_signature) - degree)
-        e_full = abs(sum(full.by_signature) - degree)
-        assert e_split <= e_full
-        for a, b in zip(split.by_signature, full.by_signature):
-            assert abs(a - b) <= e_full + e_split
-        return
+    degree = exact_degree(orb)
+    e_split = abs(sum(split.by_signature) - degree)
+    e_full = abs(sum(full.by_signature) - degree)
+    assert e_split <= e_full
     for a, b in zip(split.by_signature, full.by_signature):
-        assert abs(a - b) <= 1e-15 * abs(b)
-    assert abs(split.degenerate_fraction - full.degenerate_fraction) <= 1e-15
-    assert split.min_eigenvalue == full.min_eigenvalue
-    assert split.max_eigenvalue == full.max_eigenvalue
+        assert abs(a - b) <= e_full + e_split
+    if square:
+        assert abs(split.degenerate_fraction - full.degenerate_fraction) <= 1e-15
+        assert split.min_eigenvalue == full.min_eigenvalue
+        assert split.max_eigenvalue == full.max_eigenvalue
+
+
+@pytest.mark.parametrize("catalog_id,params", [
+    ("torus", dict(d=1, k=2)), ("torus", dict(d=3, k=1)),
+    *[("local-model", dict(k=k, a=[1.0])) for k in (1, 2, 3, 4)],
+], ids=["torus-d1-k2", "torus-d3-k1", "C/Z1", "C/Z2", "C/Z3", "C/Z4"])
+def test_square_charts_reach_the_degree_at_every_resolution(catalog_id, params):
+    """The curvature is constant on a square chart, and the rule in |z|^2
+    integrates a constant exactly at every resolution, so e_Q <= 1e-15."""
+    orb, bundle = build_catalog_orbifold(catalog_id, **params)
+    for resolution in (1, 2, 5, 32, 64, 128, 256, 512, 1024):
+        total = sum(signature_integrals(orb, bundle, resolution=resolution).by_signature)
+        assert abs(total - exact_degree(orb)) <= 1e-15, resolution
 
 
 def integrate_curvature(orb, bundle, resolution):
@@ -258,17 +276,22 @@ def count_field_evaluations(orb, bundle, resolution, keep_support=True,
 def test_radial_charts_evaluate_one_node_per_orbit():
     """P(2,3) at resolution 1024: each field of each chart is evaluated once per
     node of the rule in |z|^2, 1024 on each of its two pieces, [0, edge] and
-    [edge, support]; without the support every orbit of the folded square
-    rule is evaluated, where the full grid takes 1024^2.  orbifold_integrate
-    takes the same split: each chart's bump and metric 2 * 1024 times, and
-    its integrand that often plus the invariance spot check's 8 nodes and
-    their 8 images under each group element."""
+    [edge, support]; without the support the chart takes its square box,
+    again 1024 nodes on each piece, the inscribed disc and the corners, where
+    the full grid takes 1024^2.  The torus and C/Z_2 square charts take the
+    same 2 * 1024.  orbifold_integrate takes the same split: each chart's
+    bump and metric 2 * 1024 times, and its integrand that often plus the
+    invariance spot check's 8 nodes and their 8 images under each group
+    element."""
     orb, bundle = build_catalog_orbifold("wps", weights=(2, 3))
     assert all(0.0 < chart.bump.edge < chart.bump.support for chart in orb.charts)
-    assert count_field_evaluations(orb, bundle, 1024) == {
-        (k, f): 2 * 1024 for k in (0, 1) for f in ("bump", "metric", "curvature")}
-    assert count_field_evaluations(orb, bundle, 1024, keep_support=False) == {
-        (k, f): 512 * 513 // 2 for k in (0, 1) for f in ("bump", "metric", "curvature")}
+    for keep_support in (True, False):
+        assert count_field_evaluations(orb, bundle, 1024, keep_support=keep_support) == {
+            (k, f): 2 * 1024 for k in (0, 1) for f in ("bump", "metric", "curvature")}
+    for square in (build_catalog_orbifold("torus", d=1, k=2),
+                   build_catalog_orbifold("local-model", k=2, a=[1.0])):
+        assert count_field_evaluations(*square, 1024) == {
+            (0, f): 2 * 1024 for f in ("bump", "metric", "curvature")}
     spot = [8 * (chart.order + 1) for chart in orb.charts]
     assert count_field_evaluations(orb, bundle, 1024, integrate=integrate_curvature) == {
         (k, f): 2 * 1024 + spot[k] * (f == "curvature")

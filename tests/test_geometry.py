@@ -239,6 +239,16 @@ def test_unit_ball_volume_over_group(k):
     assert val == pytest.approx(math.pi / k, rel=5e-3)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_radial_unit_ball_volume_is_exact(k):
+    """As a RadialField the unit ball is the square chart's inscribed disc,
+    whose edge is the break r^2 = 1 of the rule in |z|^2; the fold of the
+    tensor rule read 1.3e-3 off pi/3 at 400."""
+    orb, _ = build_catalog_orbifold("local-model", k=k, a=(1.0,))
+    ball = RadialField(lambda r2: (r2 <= 1.0).astype(float))
+    assert abs(orbifold_integrate((ball,), orb, resolution=400) - math.pi / k) <= 1e-15
+
+
 def test_unit_volume_of_projective_line():
     """Radial integrands take the rule in |z|^2, split at the bump's edge; the
     tensor rule read 1.1e-7 off at 64 and 2.4e-9 at 160."""
@@ -471,38 +481,20 @@ def test_radial_field_takes_the_same_bits_on_the_rule_symmetry():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 24, 101, 128])
 def test_legendre_rule_is_a_bitwise_mirror(n):
-    """The fold rests on x_{n-1-i} = -x_i and w_{n-1-i} = w_i, bit for bit."""
+    """The rule is built from its nodes with x >= 0 by symmetry, so
+    x_{n-1-i} = -x_i and w_{n-1-i} = w_i, bit for bit."""
     from orbmorse.geometry import gauss_legendre_nodes
     x, w = gauss_legendre_nodes(n, 1.3)
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
-@pytest.mark.parametrize("resolution", [1, 2, 3, 24, 101, 128, 1024])
-def test_folded_blocks_hold_one_node_per_orbit(resolution):
-    """ceil(n/2)(ceil(n/2)+1)/2 nodes in blocks of BLOCK_ROWS * ceil(n/2) at most,
-    and the weights sum to the tensor rule's total within 1e-15."""
-    from orbmorse.geometry import BLOCK_ROWS, folded_blocks, tensor_blocks
-    half = -(-resolution // 2)
-    blocks = list(folded_blocks(resolution, 1.3))
-    assert all(nodes.size == weights.size <= BLOCK_ROWS * half for nodes, weights in blocks)
-    nodes = np.concatenate([b[0] for b in blocks])
-    assert nodes.size == half * (half + 1) // 2
-    assert np.all((0.0 <= nodes.real) & (nodes.real <= nodes.imag))
-    folded = math.fsum(np.concatenate([b[1] for b in blocks]))
-    full = math.fsum(np.concatenate([b[1] for b in tensor_blocks(resolution, 1.3)]))
-    assert abs(folded - full) <= 1e-15 * full
-
-
 @pytest.mark.parametrize("support", [0.0, 0.3, 1.69, 2.5, 3.38, 4.0])
 @pytest.mark.parametrize("resolution", [1, 2, 25, 128, 1024])
 def test_folded_blocks_clip_to_the_support(resolution, support):
-    """A bump's support is read by the rule in |z|^2, not by the fold, which
-    takes none and keeps every orbit.  Over the breaks (0, support / 2,
-    support) that rule holds ``resolution`` nodes on each piece, inside it,
-    and integrates pi s^m ds exactly for m < 2 * resolution."""
-    import inspect
-    from orbmorse.geometry import folded_blocks, radial_blocks
-    assert list(inspect.signature(folded_blocks).parameters) == ["resolution", "radius"]
+    """A bump's support is read by the rule in |z|^2: over the breaks
+    (0, support / 2, support) it holds ``resolution`` nodes on each piece,
+    inside it, and integrates pi s^m ds exactly for m < 2 * resolution."""
+    from orbmorse.geometry import radial_blocks
     breaks = (0.0, 0.5 * support, support)
     (nodes, weights), = radial_blocks(resolution, breaks)
     assert nodes.shape == weights.shape == (2 * resolution,)
@@ -513,6 +505,51 @@ def test_folded_blocks_clip_to_the_support(resolution, support):
     for m in range(min(2 * resolution, 6)):
         exact = math.pi * support ** (m + 1) / (m + 1)
         assert abs(math.fsum(weights * s.ravel() ** m) - exact) <= 1e-14 * exact
+
+
+RESOLUTIONS_FROM_16 = [*range(16, 129), 255, 256, 400, 512, 1000, 1024, 2048]
+
+
+def square_chart_rule(radius, resolution):
+    """(s = |z|^2, weights) of the rule a square chart of half-side ``radius``
+    takes for a radial integrand."""
+    from orbmorse.geometry import chart_blocks
+    chart = OrbifoldChart(dimension=1, group=cyclic_group(1, (1,)), box_radius=radius,
+                          metric_scalar=constant_field(1.0))
+    (nodes, weights), = chart_blocks(chart, (constant_field(1.0),), resolution)
+    return nodes.real * nodes.real, weights
+
+
+def square_moment(m, radius):
+    """The integral of (x^2 + y^2)^m over [-r, r]^2, by the binomial theorem."""
+    return radius ** (2 * m + 2) * math.fsum(
+        math.comb(m, j) * 4 / ((2 * j + 1) * (2 * m - 2 * j + 1)) for j in range(m + 1))
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.3])
+def test_square_rule_integrates_radial_monomials_in_closed_form(radius):
+    """A square chart takes the rule in |z|^2 on two pieces of ``resolution``
+    nodes, the inscribed disc and the corners r^2 <= s <= 2 r^2; it integrates
+    (x^2 + y^2)^m, m <= 3, to 1e-15 relative from resolution 16 on."""
+    for resolution in RESOLUTIONS_FROM_16:
+        s, weights = square_chart_rule(radius, resolution)
+        assert s.shape == weights.shape == (2 * resolution,)
+        disc, corners = s.reshape(2, resolution)
+        assert np.all((0.0 <= disc) & (disc <= radius ** 2 * (1 + 1e-15)))
+        assert np.all((radius ** 2 * (1 - 1e-15) <= corners)
+                      & (corners <= 2 * radius ** 2 * (1 + 1e-15)))
+        for m in range(4):
+            exact = square_moment(m, radius)
+            assert abs(math.fsum(weights * s ** m) - exact) <= 1e-15 * exact, (resolution, m)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.3])
+def test_square_rule_holds_the_area_at_every_resolution(radius):
+    """The corner weights are scaled to the corner area (4 - pi) r^2, so a
+    constant integrates to 4 r^2 within 1e-15 relative from resolution 1 on."""
+    for resolution in [*range(1, 16), *RESOLUTIONS_FROM_16]:
+        _, weights = square_chart_rule(radius, resolution)
+        assert abs(math.fsum(weights) - 4 * radius ** 2) <= 1e-15 * 4 * radius ** 2
 
 
 def catalog_bumps():
@@ -555,28 +592,9 @@ def test_only_the_catalog_bumps_declare_a_support():
         assert all(f.support == math.inf for f in fields)
 
 
-@pytest.mark.parametrize("resolution", [24, 25])
-def test_folded_weights_are_the_orbit_sums_of_the_tensor_rule(resolution):
-    """Each folded weight is the exact sum of the tensor weights on its orbit:
-    8, 4 on the diagonal and the odd rule's axis, 1 at the origin."""
-    from orbmorse.geometry import folded_blocks
-    nodes, weights = meshgrid_rule(resolution, 1.3)
-    orbits = {}
-    for z, w in zip(nodes, weights):
-        key = tuple(sorted((abs(z.real), abs(z.imag))))
-        orbits.setdefault(key, []).append(w)
-    folded = {(z.real, z.imag): w for block in folded_blocks(resolution, 1.3)
-              for z, w in zip(*block)}
-    assert folded.keys() == orbits.keys()
-    sizes = {len(ws) for ws in orbits.values()}
-    assert sizes == ({1, 4, 8} if resolution % 2 else {4, 8})
-    for key, ws in orbits.items():
-        assert len(set(ws)) == 1
-        assert folded[key] == ws[0] * len(ws)
-
-
 def test_invariance_spot_check_draws_the_grid_nodes():
-    """The spot check samples the nodes the full grid holds at the drawn flat indices."""
+    """The spot check samples the nodes the full grid holds at the flat indices
+    drawn from seed 0."""
     orb, _ = build_catalog_orbifold("local-model", k=3, a=(1.0,))
     seen = []
 
@@ -584,9 +602,9 @@ def test_invariance_spot_check_draws_the_grid_nodes():
         seen.append(np.array(Z))
         return ones(Z)
 
-    orbifold_integrate((field,), orb, resolution=40, rng=np.random.default_rng(5))
+    orbifold_integrate((field,), orb, resolution=40)
     nodes, _ = meshgrid_rule(40, orb.charts[0].box_radius)
-    idx = np.random.default_rng(5).integers(0, nodes.size, size=8)
+    idx = np.random.default_rng(0).integers(0, nodes.size, size=8)
     assert np.array_equal(next(z for z in seen if z.size == 8), nodes[idx])
 
 

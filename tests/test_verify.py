@@ -299,6 +299,29 @@ def test_a_non_finite_flat_model_point_is_refused(model, check, args):
         check(orb, bundle, point, *args)
 
 
+TORUS = ("torus", {"d": 1, "k": 2})
+C_Z2_2D = ("local-model", {"k": 2, "a": (1.0, 1.0)})
+
+
+@pytest.mark.parametrize("model,point,check,args,expected", [
+    (C_Z2, np.zeros(2), singular_diagonal_factor, (1.0, 64), 1),
+    (C_Z2, np.zeros(0), verify_kernel_asymptotics_regular, (1.0, [64, 128]), 1),
+    (TORUS, np.array([0.3, 0.4]), oracle_consistency, (1.0, 8), 1),
+    (TORUS, np.zeros(0), singular_diagonal_factor, (1.0, 64), 1),
+    (C_Z2_2D, np.zeros(3), verify_kernel_asymptotics_singular, (1.0, [64]), 2),
+], ids=["local-factor-2", "local-regular-0", "torus-oracle-2", "torus-factor-0",
+        "local-singular-3"])
+def test_a_flat_model_point_of_the_wrong_size_is_refused(model, point, check, args,
+                                                         expected):
+    """Such a point raised numpy's reshape ValueError; the refusal names the
+    expected number of coordinates."""
+    catalog_id, params = model
+    orb, bundle = build_catalog_orbifold(catalog_id, **params)
+    with pytest.raises(GeometryError, match=f"has {point.size} coordinates, "
+                                            f"expected {expected}$"):
+        check(orb, bundle, point, *args)
+
+
 def test_regular_check_reads_a_torus_point_in_its_cell():
     """3.05 lies 0.05 from the half-turn fixed point 3; read outside the cell,
     its distance was 1.55 and the check took it for a regular point."""
