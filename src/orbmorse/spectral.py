@@ -189,11 +189,14 @@ def oscillator_functions(kmax, t, freq):
     s = math.sqrt(freq) * t
     out = np.empty((kmax + 1, t.size))
     out[0] = freq ** 0.25 * math.pi ** -0.25 * np.exp(-0.5 * s * s)
-    if kmax >= 1:
-        out[1] = math.sqrt(2.0) * s * out[0]
-    for k in range(1, kmax):
-        out[k + 1] = (math.sqrt(2.0 / (k + 1.0)) * s * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
+    if kmax == 0:
+        return out
+    # row k is sqrt(2 / (k + 1)) s, the factor of phi_k in phi_{k+1}
+    rising = np.outer([math.sqrt(2.0 / (k + 1.0)) for k in range(kmax)], s)
+    for k in range(kmax):
+        np.multiply(rising[k], out[k], out=out[k + 1])
+        if k:
+            out[k + 1] -= math.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
 
 
@@ -209,19 +212,27 @@ def torus_basis_columns(D, levels, columns, z):
     Returns an array of shape (levels, len(columns)).  Each column sums its
     own translates m = j mod D in the window where the oscillator functions
     are above working precision, in increasing m, so a few columns cost the
-    same at every D.
+    same at every D.  Row r of a zero-padded (rows, levels, columns) grid
+    holds each column's r-th translate, zero past the window's end, and the
+    rows are added one at a time into the first: the same sums, in the same
+    order, as a loop over the translates.
     """
     B = 2.0 * math.pi * D
     x, y = float(np.real(z)), float(np.imag(z))
     m_lo, m_hi = _translate_window(x, D, B, levels)
     js = np.asarray(columns, dtype=np.int64)
     ms = m_lo + (js - m_lo) % D + D * np.arange((m_hi - m_lo) // D + 1)[:, None]
-    rows, cols = np.nonzero(ms <= m_hi)     # row-major: each column's m in increasing order
-    m = ms[rows, cols]
-    vals = np.zeros((levels, js.size), dtype=complex)
-    # unbuffered, in that order: the same sums as a loop over the translates
-    np.add.at(vals, (slice(None), cols),
-              np.exp(2j * np.pi * m * y) * oscillator_functions(levels - 1, x - m / D, B))
+    inside = ms <= m_hi
+    m = ms[inside]
+    values = np.exp(2j * np.pi * m * y) * oscillator_functions(levels - 1, x - m / D, B)
+    # 0 + term, as a sum from zero starts: a -0.0 part reads +0.0, which no
+    # later sum tells apart
+    values += 0.0
+    terms = np.zeros((ms.shape[0], levels, js.size), dtype=complex)
+    terms.transpose(1, 0, 2)[:, inside] = values
+    vals = terms[0]
+    for row in terms[1:]:
+        vals += row
     return vals
 
 

@@ -14,9 +14,16 @@ closed-form predictions, and fit empirical convergence orders.
 ``torus_image_log_terms`` and ``local_model_image_log_terms`` evaluate
 every image term of a batch of points, at a batch of powers, as arrays of
 log|term| and phase, and ``log_sum_exp`` sums them in one max-shifted pass
-per point and power; a kernel is that sum as a plain complex number.  The
-trace identity needs no such sum: it integrates the image sum over the cell
-in closed form (``_image_trace``).
+per point and power; a kernel is that sum as a plain complex number.  On a
+torus the two form degrees share their deck terms: degree one is the
+degree-0 terms weighted by (-1)^j e^{-2 pi d u}, so one degree-0 evaluation
+gives both degrees' sums at a (point, power), and a bounded cache keeps the
+pair for the other degree (``_torus_image_sums``).  The trace identity needs
+no such sum: it integrates the image sum over the cell in closed form
+(``_image_trace``).
+
+The torus routes refuse a power p that is not an integer >= 1 and a time u
+that is not finite and positive (``_require_power_and_time``).
 """
 
 from __future__ import annotations
@@ -29,12 +36,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .catalog import _finite, _integer
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
                      UnsupportedModelError)
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
-from .spectral import (assemble_kodaira_laplacian, heat_trace,
+from .spectral import (CACHE_SIZE, assemble_kodaira_laplacian, heat_trace,
                        torus_diagonal_kernel_spectral)
 
 RELIABLE_R2 = 0.9
@@ -70,7 +78,24 @@ def _point(orb, x):
     if orb.catalog_id != "torus":
         return x.reshape(size)
     z = x.item()
-    return complex(z.real - math.floor(z.real), z.imag - math.floor(z.imag))
+    return complex(_cell(z.real), _cell(z.imag))
+
+
+def _cell(t):
+    """t reduced into [0, 1).  Just below an integer t - floor(t) rounds up to
+    1.0, which is 0 in the cell."""
+    r = t - math.floor(t)
+    return r if r < 1.0 else 0.0
+
+
+def _require_power_and_time(p, u):
+    """Refuse, naming the value, a power that is not an integer >= 1 (a bool
+    too) and a time that is not finite and positive, with the catalog's
+    typing of its parameters."""
+    if _integer("power p", p) < 1:
+        raise ConfigurationError(f"power p must be >= 1, got {p!r}")
+    if _finite("kernel time u", u) <= 0:
+        raise ConfigurationError(f"kernel time u must be positive, got {u!r}")
 
 
 def _per_power(values, ndim):
@@ -102,11 +127,7 @@ def torus_image_log_terms(orb, points, u, p, include_identity=True, degree=0):
     scalars are computed from that power alone, so its slice does not depend
     on the other powers.
     """
-    if orb.catalog_id != "torus":
-        raise UnsupportedModelError("deck-transformation sums run on the torus quotients")
-    if degree not in (0, 1):
-        raise ConfigurationError("torus models carry form degrees 0 and 1")
-    d, k = orb.params["d"], orb.params["k"]
+    d, k = _torus_params(orb, degree)
     D = [d * pp for pp in p]
     labels, m, n_, j = _deck_images(k, include_identity)
     z = np.asarray(points, dtype=complex)[..., None]
@@ -119,9 +140,22 @@ def torus_image_log_terms(orb, points, u, p, include_identity=True, degree=0):
     phase = phase + (pi_D * m * n_ + pi_D * wedge)
     log_abs = log_abs - _per_power([math.log(pp) for pp in p], z.ndim)
     if degree == 1:
-        log_abs = log_abs - 2.0 * math.pi * d * u
-        phase = phase + math.pi * j
+        log_abs, phase = _degree_one(d, u, j, log_abs, phase)
     return labels, log_abs, phase
+
+
+def _torus_params(orb, degree):
+    """(d, k) of a torus quotient, refusing other models and degrees."""
+    if orb.catalog_id != "torus":
+        raise UnsupportedModelError("deck-transformation sums run on the torus quotients")
+    if degree not in (0, 1):
+        raise ConfigurationError("torus models carry form degrees 0 and 1")
+    return orb.params["d"], orb.params["k"]
+
+
+def _degree_one(d, u, j, log_abs, phase):
+    """Degree-0 deck terms weighted by (-1)^j e^{-2 pi d u}, the degree-one terms."""
+    return log_abs - 2.0 * math.pi * d * u, phase + math.pi * j
 
 
 @functools.lru_cache(maxsize=16)
@@ -194,8 +228,36 @@ def torus_image_terms(orb, bundle, z, u, p):
 
 def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0):
     """Degree-q diagonal kernel trace on the torus quotient by image sums."""
-    _, log_abs, phase = torus_image_log_terms(orb, _point(orb, z), u, [p], degree=degree)
-    return _image_sums(log_abs, phase)[0]
+    _require_power_and_time(p, u)
+    return _torus_image_sum(orb, _point(orb, z), u, p, degree)
+
+
+def _torus_image_sum(orb, z, u, p, degree):
+    """The degree-q image sum at a point z of the cell, read from the cache
+    that both degrees share."""
+    d, k = _torus_params(orb, degree)
+    return _torus_image_sums(_TorusKey(orb, d, k), z, u, p)[degree]
+
+
+class _TorusKey(tuple):
+    """A torus quotient's (d, k) as a cache key; the model rides along outside
+    the key's equality and hash, for the evaluation on a miss."""
+
+    def __new__(cls, orb, d, k):
+        key = super().__new__(cls, (d, k))
+        key.orb = orb
+        return key
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _torus_image_sums(torus, z, u, p):
+    """(degree-0, degree-1) image sums at a point z of the cell, from one
+    degree-0 evaluation of the deck terms; one log-sum runs over both."""
+    d, k = torus
+    _, log_abs, phase = torus_image_log_terms(torus.orb, z, u, [p])
+    log_abs_1, phase_1 = _degree_one(d, u, _deck_images(k, True)[3], log_abs, phase)
+    return tuple(_image_sums(np.concatenate((log_abs, log_abs_1)),
+                             np.concatenate((phase, phase_1))))
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +483,11 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     cancels to rounding, so its own size is no scale."""
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("oracle consistency compares the torus routes")
+    _require_power_and_time(p, u)
     z = _point(orb, z)
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
-    _, log_abs, phase = torus_image_log_terms(orb, z, u, [p], degree=degree)
-    image = _image_sums(log_abs, phase)[0]
+    image = _torus_image_sum(orb, z, u, p, degree)
     return abs(spec - image) / (_image_trace(op.d, 1, u, p, degree) / p)
 
 
@@ -474,6 +536,7 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24, resolut
     """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the trace identity check runs on torus models")
+    _require_power_and_time(p, u)
     op = _truncated_operator(orb, bundle, u, p, degree, resolution)
     spectral = heat_trace(op, u)
     if spectral < sys.float_info.min:

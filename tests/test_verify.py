@@ -2,18 +2,19 @@
 
 import cmath
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbmorse import spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
-from orbmorse.errors import GeometryError
+from orbmorse.errors import ConfigurationError, GeometryError
 from orbmorse.kernels import (ModelPoint, heat_diagonal_limit, log_sum_exp, mehler_log_form,
                               twisted_gaussian)
 from orbmorse.spectral import assemble_kodaira_laplacian, torus_diagonal_kernel_spectral
@@ -27,7 +28,7 @@ from orbmorse.verify import (exact_chain_residuals, fit_rate,
                              verify_kernel_asymptotics_singular,
                              verify_strong_morse)
 
-from conftest import clear_caches
+from conftest import CACHES, clear_caches
 from dents import DENTS
 from scaled_fold import fold
 
@@ -127,6 +128,108 @@ def test_oracle_consistency_assembles_and_evaluates_once(monkeypatch, degree):
     assert not norms.flags.writeable and not swaps.flags.writeable
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_both_degrees_share_one_image_evaluation(monkeypatch, degree):
+    """Degree one is the degree-0 deck terms weighted by (-1)^j e^{-2 pi d u}, so
+    both degrees at one (z, p) read one degree-0 evaluation, whichever comes
+    first and on either image route; a new z, p or u evaluates again."""
+    terms = mock.Mock(wraps=verify.torus_image_log_terms)
+    monkeypatch.setattr(verify, "torus_image_log_terms", terms)
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    Z = 0.25 + 0.375j       # dyadic, so its lattice translates reduce to it exactly
+    for q in (degree, 1 - degree):
+        assert oracle_consistency(orb, bundle, Z, 1.0, 8, degree=q) < 1e-4
+        torus_diagonal_kernel_image(orb, bundle, Z, 1.0, 8, degree=q)
+    # another model object of the same (d, k), at a lattice translate of the point
+    same, _ = build_catalog_orbifold("torus", d=1, k=2)
+    torus_diagonal_kernel_image(same, bundle, Z + (3 - 2j), 1.0, 8, degree=degree)
+    assert terms.call_count == 1
+    oracle_consistency(orb, bundle, Z + 0.125j, 1.0, 8, degree=degree)
+    assert terms.call_count == 2
+    oracle_consistency(orb, bundle, Z + 0.125j, 1.0, 16, degree=degree)
+    assert terms.call_count == 3
+    torus_diagonal_kernel_image(orb, bundle, Z + 0.125j, 0.5, 16, degree=degree)
+    assert terms.call_count == 4
+    # every evaluation is the degree-0 one, at one power
+    assert [(call.args[2:], call.kwargs) for call in terms.call_args_list] == [
+        ((1.0, [8]), {}), ((1.0, [8]), {}), ((1.0, [16]), {}), ((0.5, [16]), {})]
+    # and the k = 1 cover of the same d is another model
+    cover, cover_bundle = build_catalog_orbifold("torus", d=1, k=1)
+    torus_diagonal_kernel_image(cover, cover_bundle, Z, 1.0, 8, degree=degree)
+    assert terms.call_count == 5
+
+
+def test_every_module_cache_is_bounded():
+    """Each functools cache of the package holds a bounded number of entries."""
+    assert CACHES
+    for cache in CACHES:
+        assert cache.cache_info().maxsize is not None, cache.__qualname__
+    assert verify._torus_image_sums in CACHES
+    assert verify._torus_image_sums.cache_info().maxsize == spectral.CACHE_SIZE
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False),
+       y=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-1e-17, y=0.3).via("a coordinate just below 0 once reduced to 1.0")
+@example(x=-5e-324, y=-0.0).via("the smallest negative coordinate and -0.0")
+@example(x=1.0, y=-1.0).via("the cell's far edges")
+def test_torus_points_reduce_into_the_cell(x, y):
+    """Every finite point lands in [0, 1)^2, and a point of the cell comes back
+    bit for bit."""
+    orb, _ = build_catalog_orbifold("torus", d=1, k=2)
+    z = verify._point(orb, complex(x, y))
+    assert 0.0 <= z.real < 1.0 and 0.0 <= z.imag < 1.0
+    if 0.0 <= x < 1.0 and 0.0 <= y < 1.0:
+        assert bits(z) == bits(complex(x, y))
+
+
+def test_a_point_just_below_the_cell_reads_the_cell_edge():
+    """Reduced to 1 + 0.3i, the point -1e-17 + 0.3i read a gap of 3.6e-16
+    against 4.7e-53 at 0.3i, its lattice neighbour 1e-17 away."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    for degree in (0, 1):
+        assert (oracle_consistency(orb, bundle, complex(-1e-17, 0.3), 1.0, 8, degree=degree)
+                == oracle_consistency(orb, bundle, 0.3j, 1.0, 8, degree=degree))
+
+
+# (p, u, the value the refusal names): at the parent p = 8.5 returned gaps
+# 0.071 and 0.050, p = 0 raised ZeroDivisionError, p = -4 a math-domain
+# ValueError or UnresolvedTimeError, u = nan a nan gap, and the image kernel
+# at u = -1 read 0j
+BAD_POWERS_AND_TIMES = [(8.5, 1.0, "8.5"), (0, 1.0, "0"), (-4, 1.0, "-4"), (True, 1.0, "True"),
+                        (np.float64(8.0), 1.0, "np.float64(8.0)"), (8, math.nan, "nan"),
+                        (8, -1.0, "-1.0"), (8, 0.0, "0.0"), (8, math.inf, "inf"),
+                        (8, "1.0", "'1.0'")]
+
+
+def torus_route(route, u, p):
+    """One of the three torus routes that take a power and a time, at 0.21 + 0.33i."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    if route == "oracle":
+        return oracle_consistency(orb, bundle, 0.21 + 0.33j, u, p)
+    if route == "image":
+        return torus_diagonal_kernel_image(orb, bundle, 0.21 + 0.33j, u, p)
+    return verify.trace_equals_diagonal_integral(orb, bundle, u, p)
+
+
+@pytest.mark.parametrize("route", ["oracle", "image", "trace"])
+@pytest.mark.parametrize("p,u,named", BAD_POWERS_AND_TIMES)
+def test_torus_routes_refuse_a_bad_power_or_time(route, p, u, named):
+    """A ConfigurationError that names the value, not its UnresolvedTimeError subclass."""
+    with pytest.raises(ConfigurationError, match=rf"got {re.escape(named)}$") as refusal:
+        torus_route(route, u, p)
+    assert type(refusal.value) is ConfigurationError
+
+
+@pytest.mark.parametrize("route", ["oracle", "image", "trace"])
+def test_torus_routes_take_numpy_powers_and_times(route):
+    """A numpy integer power and a numpy float time read as the Python ones, bit for bit."""
+    value = torus_route(route, np.float64(1.0), np.int64(8))
+    clear_caches()
+    assert bits(value) == bits(torus_route(route, 1.0, 8))
+
+
 @pytest.mark.parametrize("point", [np.array([0.21 + 0.33j]), np.complex128(0.21 + 0.33j),
                                    np.array(0.21 + 0.33j)], ids=["array", "scalar", "0-d"])
 def test_oracle_consistency_takes_the_points_of_the_image_route(point):
@@ -170,20 +273,29 @@ TORUS_POINTS = st.one_of(
 @given(calls=st.lists(st.tuples(TORUS_POINTS, st.integers(4, 256), st.sampled_from([0, 1])),
                       min_size=1, max_size=6))
 def test_a_warm_basis_cache_gives_the_cold_values(calls):
-    """Interleaved calls that share and miss cached bases read, bit for bit,
-    what each call reads from cleared caches."""
+    """Interleaved calls that share and miss cached bases and image sums read,
+    bit for bit, what each call reads from cleared caches; the image sum is
+    also its degree's own deck terms summed alone."""
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
 
     def values(z, p, q):
         op = verify.assemble_kodaira_laplacian(orb, bundle, p, q)
         return (oracle_consistency(orb, bundle, z, 1.0, p, degree=q),
-                torus_diagonal_kernel_spectral(op, z, 1.0))
+                torus_diagonal_kernel_spectral(op, z, 1.0),
+                torus_diagonal_kernel_image(orb, bundle, z, 1.0, p, degree=q))
+
+    def image_per_degree(z, p, q):
+        """The image sum of one degree's own deck terms, without the shared cache."""
+        _, log_abs, phase = verify.torus_image_log_terms(orb, verify._point(orb, z), 1.0, [p],
+                                                         degree=q)
+        return verify._image_sums(log_abs, phase)[0]
 
     clear_caches()
     warm = [values(*call) for call in calls]
     for call, value in zip(calls, warm):
         clear_caches()
         assert bits(values(*call)) == bits(value), call
+        assert bits(image_per_degree(*call)) == bits(value[2]), call
 
 
 def test_plain_torus_diagonal_approaches_limit():
