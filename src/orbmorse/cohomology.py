@@ -1,12 +1,16 @@
 """Exact Dolbeault cohomology dimensions for the catalog models.
 
 Weighted projective spaces are handled by lattice-point counting: sections of
-the degree-d bundle are the monomials with weighted degree exactly d, counted
-for any number of weights.  The catalog's weighted projective models are the
-curves P(a, b), whose h^1 is h^0 of the Serre-dual degree -d - a - b
-(standard fact, recorded in the README).  Torus quotients are
-cross-filled from the spectral kernel counts of the discretized Kodaira
-Laplacian, which are exact for the shipped flat models.
+the degree-d bundle are the monomials with weighted degree exactly d.  The
+catalog's weighted projective models are the curves P(a, b), whose h^1 is
+h^0 of the Serre-dual degree -d - a - b (standard fact, recorded in the
+README).  On P(a, b) the monomials of one degree are an arithmetic
+progression of exponents (``_wps_exponents``), so a table takes each entry
+from its own progression, in O(a) integer steps and with no array.
+``weighted_proj_h0`` counts for any number of weights by a coin-problem DP,
+the second route to the same counts.  Torus quotients are cross-filled from
+the spectral kernel counts of the discretized Kodaira Laplacian, which are
+exact for the shipped flat models.
 """
 
 from __future__ import annotations
@@ -23,37 +27,50 @@ from .spectral import torus_kernel_dimension
 LATTICE_DP_MAX = 2 ** 24    # largest degree the coin DP tabulates (128 MiB of int64)
 
 
-def _lattice_counts(ws, top):
-    """counts[d] = number of monomials of weighted degree exactly d, for
-    d = 0..top, from one coin-problem DP; O(len(ws) * top) time.  An empty
-    array when top < 0, and refused before it allocates beyond LATTICE_DP_MAX."""
+def _refuse_beyond_dp(top):
+    """Refuse a degree beyond LATTICE_DP_MAX, before anything is allocated."""
     if top > LATTICE_DP_MAX:
         raise ConfigurationError(
             f"lattice counts up to degree {top} exceed the coin DP's bound "
             f"of {LATTICE_DP_MAX}")
-    # The coin recurrence counts[t] += counts[t - w] in increasing t is a
-    # cumulative sum along each residue class mod w.  Every partial count is
-    # at most C(top + n, n), the count with all n + 1 weights equal to 1;
-    # where that bound overflows int64 the sums run on exact Python integers.
-    n = len(ws) - 1
-    exact = math.comb(top + n, n) > np.iinfo(np.int64).max
-    counts = np.zeros(max(top + 1, 0), dtype=object if exact else np.int64)
-    counts[:1] = 1
-    for w in ws:
-        for r in range(min(w, top + 1)):
-            np.cumsum(counts[r::w], out=counts[r::w])
-    return counts
+
+
+def _wps_exponents(weights, p):
+    """Exponents m of the monomials z^m of degree p on the first chart of P(a, b).
+
+    The m >= 0 with (p - b m) / a a non-negative integer are a progression of
+    step a / gcd(a, b), whose first term takes fewer than a steps to find.
+    """
+    a, b = weights
+    step, top = a // math.gcd(a, b), p // b
+    first = next((m for m in range(min(step, top + 1)) if (p - b * m) % a == 0), top + 1)
+    return range(first, top + 1, step)
 
 
 def weighted_proj_h0(weights, d):
     """Number of monomials of weighted degree exactly d (coin-problem count).
 
     Dynamic programming over the weights; O(len(weights) * d) time.  Negative
-    degrees have no sections.  The count is exact at every degree.
+    degrees have no sections.  The count is exact at every degree, and a
+    degree beyond LATTICE_DP_MAX is refused before the DP allocates.
     """
     ws = _check_weights(weights)
     d = int(d)
-    return int(_lattice_counts(ws, d)[d]) if d >= 0 else 0
+    if d < 0:
+        return 0
+    _refuse_beyond_dp(d)
+    # The coin recurrence counts[t] += counts[t - w] in increasing t is a
+    # cumulative sum along each residue class mod w.  Every partial count is
+    # at most C(d + n, n), the count with all n + 1 weights equal to 1;
+    # where that bound overflows int64 the sums run on exact Python integers.
+    n = len(ws) - 1
+    exact = math.comb(d + n, n) > np.iinfo(np.int64).max
+    counts = np.zeros(d + 1, dtype=object if exact else np.int64)
+    counts[0] = 1
+    for w in ws:
+        for r in range(min(w, d + 1)):
+            np.cumsum(counts[r::w], out=counts[r::w])
+    return int(counts[d])
 
 
 @dataclass(frozen=True)
@@ -78,19 +95,21 @@ class CohomologyTable:
 def cohomology_table(orb, p_range):
     """Exact cohomology table of a catalog entry over a range of powers.
 
-    For weighted projective models the entries are lattice counts, which
-    depend on the holomorphic bundle alone, whatever its metric (a dent);
-    torus quotients take their kernel dimensions from the exact closed-form
-    count of the spectral module.
+    For weighted projective models each entry is the length of one
+    progression of monomials, which depends on the holomorphic bundle alone,
+    whatever its metric (a dent); a degree beyond LATTICE_DP_MAX is refused,
+    as the coin DP refuses it.  Torus quotients take their kernel dimensions
+    from the exact closed-form count of the spectral module.
     """
     p_values = tuple(int(p) for p in p_range)
     if orb.catalog_id == "wps":
-        # one DP up to the largest degree read, then every entry off its array
+        # h^0 at degree p, and h^1 as h^0 at the Serre-dual degree -p - a - b,
+        # each the length of its own progression of monomials
         a, b = _check_weights(orb.params["weights"])
-        # h^0 at degree p, and h^1 as h^0 at the Serre-dual degree -p - a - b
         degrees = {(p, q): -p - a - b if q else p for p in p_values for q in (0, 1)}
-        counts = _lattice_counts((a, b), max([-1, *degrees.values()]))
-        return CohomologyTable({key: int(counts[d]) if d >= 0 else 0
+        # the table stops where its second route, the coin DP, stops
+        _refuse_beyond_dp(max([-1, *degrees.values()]))
+        return CohomologyTable({key: len(_wps_exponents((a, b), d))
                                 for key, d in degrees.items()})
     if orb.catalog_id == "torus":
         d, k = orb.params["d"], orb.params["k"]

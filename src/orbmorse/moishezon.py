@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import CohomologyTable
+from .cohomology import CohomologyTable, _wps_exponents
 from .errors import ConfigurationError, UnsupportedModelError
 from .spectral import torus_basis_columns
 
@@ -119,18 +119,6 @@ def siegel_bound(m, n, k):
 
 # ---------------------------------------------------------------------------
 # Kodaira map rank
-
-
-def _wps_exponents(weights, p):
-    """Exponents m of the monomials z^m of degree p on the first chart of P(a, b).
-
-    The m >= 0 with (p - b m) / a a non-negative integer are a progression of
-    step a / gcd(a, b), whose first term takes fewer than a steps to find.
-    """
-    a, b = weights
-    step, top = a // math.gcd(a, b), p // b
-    first = next((m for m in range(min(step, top + 1)) if (p - b * m) % a == 0), top + 1)
-    return range(first, top + 1, step)
 
 
 def _torus_columns(x, D, k):

@@ -22,8 +22,9 @@ pair for the other degree (``_torus_image_sums``).  The trace identity needs
 no such sum: it integrates the image sum over the cell in closed form
 (``_image_trace``).
 
-The torus routes refuse a power p that is not an integer >= 1 and a time u
-that is not finite and positive (``_require_power_and_time``).
+Every torus and local-model route refuses a power p that is not an integer
+>= 1 and a time u that is not finite and positive
+(``_require_power_and_time``), at each power of a ``p_list``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ def _require_power_and_time(p, u):
         raise ConfigurationError(f"power p must be >= 1, got {p!r}")
     if _finite("kernel time u", u) <= 0:
         raise ConfigurationError(f"kernel time u must be positive, got {u!r}")
+
+
+def _require_powers_and_time(p_list, u):
+    """``_require_power_and_time`` at each power of a ``p_list``, which must
+    not be empty: with no power the regular-point fit read a slope of -inf."""
+    if len(p_list) == 0:
+        raise ConfigurationError("p_list must hold at least one power, got []")
+    for p in p_list:
+        _require_power_and_time(p, u)
 
 
 def _per_power(values, ndim):
@@ -215,6 +225,7 @@ def local_model_image_terms(orb, bundle, Z, u, p):
 
 def local_model_diagonal_kernel(orb, bundle, Z, u, p):
     """p^{-n} exp(-u Lap_p / p)(Z, Z) on the local model, degree-0 trace."""
+    _require_power_and_time(p, u)
     _, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, [p])
     return _image_sums(log_abs, phase)[0]
 
@@ -314,6 +325,7 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
     fitted log-log slope must come out far below the -1/2 guarantee.
     """
     _require_flat(orb)
+    _require_powers_and_time(p_list, u)
     x = _point(orb, x)
     dist = orb.singular_distance(0, x)
     if dist < REGULAR_MIN_DISTANCE:
@@ -331,7 +343,8 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
     """Ratio p^{-n} K_p(x, x) / limit density at a singular point.
 
     Converges to the order of the isotropy group; exactly that order for the
-    flat local models with trivial bundle character.
+    flat local models with trivial bundle character.  The kernel it reads
+    refuses a power or time that ``_require_power_and_time`` refuses.
     """
     _require_flat(orb)
     if orb.catalog_id == "local-model":
@@ -363,6 +376,7 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     """
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("the corrected expansion ships for local models")
+    _require_powers_and_time(p_list, u)
     a = np.asarray(orb.params["a"], dtype=float)
     Z = _point(orb, Z)
     # kappa = 1 on flat models, and the degree-0 limit is a product over the
@@ -454,8 +468,7 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     """
     if orb.catalog_id != "torus":
         raise UnsupportedModelError("the exact chain runs on the torus quotients")
-    if u <= 0:
-        raise ValueError("heat-trace time u must be positive")
+    _require_power_and_time(p, u)
     ops = [assemble_kodaira_laplacian(orb, bundle, p, q, resolution) for q in (0, 1)]
     m0, m1 = (op.multiplicities for op in ops)
     weights = [math.exp(-u * ops[0].level_eigenvalue(level) / ops[0].p)

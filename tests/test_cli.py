@@ -600,21 +600,52 @@ def load_bench_config(tmp_path, workload):
 @pytest.mark.parametrize("config", ["p12", "wps-quadrature"])
 def test_all_runs_one_lattice_dp(tmp_path, monkeypatch, config):
     """The cohomology, verify-morse and moishezon-check stages read one table,
-    built by one coin DP over p_list and the bigness powers."""
+    over p_list and the bigness powers, and no stage runs the coin DP: the
+    table counts each power's monomials.  (Until the per-power count, the
+    table ran one DP up to its largest degree.)"""
     from orbmorse import cohomology
     path = (str(DEMO_CONFIGS / "p12.yaml") if config == "p12"
             else load_bench_config(tmp_path, config))
-    lattice_counts = cohomology._lattice_counts
+    table = cli.cohomology_table
     tops = []
 
-    def counting(ws, top):
-        tops.append(top)
-        return lattice_counts(ws, top)
+    def counting(orb, p_values):
+        tops.append(max(p_values))
+        return table(orb, p_values)
 
-    monkeypatch.setattr(cohomology, "_lattice_counts", counting)
+    monkeypatch.setattr(cli, "cohomology_table", counting)
+    # the coin DP is the module's only numpy code: without numpy it cannot run
+    monkeypatch.setattr(cohomology, "np", None)
     assert main(["all", "--config", path, "--out", str(tmp_path / "o")]) == 0
     p_list = load_config(path).p_list
     assert tops == [max(4096, p_list[-1])]
+
+
+# Reports the max RSS of one orbmorse run.  A child's max RSS starts at its
+# parent's RSS when it is forked, so the run is started from this small
+# interpreter rather than from the test process, and its own rusage is read
+# with wait4 (RUSAGE_CHILDREN would be the largest of every child reaped).
+RSS_PROBE = """\
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "orbmorse.cli", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0)
+"""
+
+
+def test_all_on_p23_at_the_dp_bound_stays_small(tmp_path):
+    """`orbmorse all` on P(2, 3) up to p = 2^24: its max RSS stays below 64 MB,
+    where the coin DP's table read 159 MB."""
+    cfg = write(tmp_path, "c.yaml", "catalog: {id: wps, params: {weights: [2, 3]}}\n"
+                                    "run: {p_list: [64, 16777216]}\n")
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE, "all", "--config", cfg,
+                           "--out", str(tmp_path / "o")], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_mb = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert float(peak_mb) < 64.0
 
 
 @pytest.mark.parametrize("model", ["torus_halfturn", "wps23"])

@@ -1,6 +1,8 @@
 """Lattice-count cohomology: oracles, closed forms, asymptotics."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,24 +79,62 @@ def test_table_examples():
 
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3)])
 def test_table_runs_one_lattice_dp(monkeypatch, weights):
-    """One coin DP per table, up to its largest degree, with h^0 and the
-    Serre-dual entries read off that one array; negative powers included."""
+    """The table runs no coin DP: each h^0 and Serre-dual entry is the length
+    of its own monomial progression; negative powers included.  (Until the
+    per-power count, one DP ran up to the table's largest degree.)"""
     from orbmorse import cohomology
     powers = list(range(-12, 16)) + [97, 1000]
     expected = {(p, q): weighted_proj_hq(weights, p, q)
                 for p in powers for q in range(len(weights))}
-    lattice_counts = cohomology._lattice_counts
-    tops = []
-
-    def counting(ws, top):
-        tops.append(top)
-        return lattice_counts(ws, top)
-
-    monkeypatch.setattr(cohomology, "_lattice_counts", counting)
+    # the coin DP is the module's only numpy code: without numpy it cannot run
+    monkeypatch.setattr(cohomology, "np", None)
     orb, _ = build_catalog_orbifold("wps", weights=weights)
     table = cohomology_table(orb, powers)
-    assert tops == [max(1000, 12 - sum(weights))]
     assert table.entries == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, 9), b=st.integers(1, 9), p=st.integers(-60, 2000))
+def test_table_entries_match_the_dp_and_the_enumeration(a, b, p):
+    assume(math.gcd(a, b) == 1)
+    table = cohomology_table(build_catalog_orbifold("wps", weights=(a, b))[0], [p])
+    for q, d in ((0, p), (1, -p - a - b)):
+        assert table.h(p, q) == weighted_proj_h0((a, b), d)
+        assert table.h(p, q) == weighted_proj_h0_bruteforce((a, b), d)
+
+
+def popoviciu(a, b, p):
+    """Popoviciu's count of the (x, y) >= 0 with a x + b y = p, for coprime a, b:
+    p / (a b) - {b' p / a} - {a' p / b} + 1, with b b' = 1 mod a and
+    a a' = 1 mod b (Beck & Robins, Computing the Continuous Discretely, ch. 1)."""
+    a_inv, b_inv = pow(a, -1, b), pow(b, -1, a)
+    return (Fraction(p, a * b) - Fraction(b_inv * p % a, a)
+            - Fraction(a_inv * p % b, b) + 1)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3), (3, 5), (4, 7), (9, 8)])
+def test_count_matches_popoviciu_at_large_degrees(weights):
+    """The table up to LATTICE_DP_MAX, and the progression it reads beyond it."""
+    from orbmorse.cohomology import LATTICE_DP_MAX, _wps_exponents
+    powers = [LATTICE_DP_MAX - 1, LATTICE_DP_MAX]
+    table = cohomology_table(build_catalog_orbifold("wps", weights=weights)[0], powers)
+    for p in powers:
+        assert table.h(p, 0) == popoviciu(*weights, p)
+    assert len(_wps_exponents(weights, 2 ** 40)) == popoviciu(*weights, 2 ** 40)
+
+
+def test_table_at_the_dp_bound_allocates_no_array():
+    """The coin DP's array was 128 MiB here; the per-power count peaks under 2 KB."""
+    from orbmorse.cohomology import LATTICE_DP_MAX
+    orb, _ = build_catalog_orbifold("wps", weights=(2, 3))
+    tracemalloc.start()
+    try:
+        table = cohomology_table(orb, [64, LATTICE_DP_MAX])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.h(LATTICE_DP_MAX, 0) == LATTICE_DP_MAX // 6 + 1
+    assert peak < 2 ** 20
 
 
 def test_torus_table_cross_filled_from_kernel_counts():

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from orbmorse import moishezon
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.cohomology import cohomology_table, weighted_proj_h0
+from orbmorse.cohomology import _wps_exponents, cohomology_table, weighted_proj_h0
 from orbmorse.curvature import curvature_spectrum, morse_integral, signature_integrals
 from orbmorse.errors import ConfigurationError
 from orbmorse.geometry import chart_blocks
 from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, _torus_columns,
-                                _wps_exponents, bigness_check, kodaira_rank,
-                                moishezon_check, section_growth_exponent, siegel_bound)
+                                bigness_check, kodaira_rank, moishezon_check,
+                                section_growth_exponent, siegel_bound)
 from orbmorse.spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
 from swap_basis import invariant_basis
 

@@ -230,6 +230,55 @@ def test_torus_routes_take_numpy_powers_and_times(route):
     assert bits(value) == bits(torus_route(route, 1.0, 8))
 
 
+def power_time_route(route, u, p):
+    """One of the routes outside ``torus_route`` that take a power and a time;
+    a route over a ``p_list`` reads p as the second of two powers."""
+    if route == "chain":
+        orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+        return exact_chain_residuals(orb, bundle, p, u)
+    orb, bundle = build_catalog_orbifold("local-model", k=2, a=(1.0,))
+    if route == "local-kernel":
+        return verify.local_model_diagonal_kernel(orb, bundle, np.array([0.3j]), u, p)
+    if route == "regular":
+        return verify.verify_kernel_asymptotics_regular(orb, bundle, np.array([1.0 + 0j]),
+                                                        u, [64, p])
+    if route == "singular":
+        return verify.verify_kernel_asymptotics_singular(orb, bundle, np.array([0.1 + 0j]),
+                                                         u, [64, p])
+    return verify.singular_diagonal_factor(orb, bundle, np.zeros(1, dtype=complex), u, p)
+
+
+POWER_TIME_ROUTES = ["chain", "local-kernel", "regular", "singular", "factor"]
+
+
+@pytest.mark.parametrize("route", POWER_TIME_ROUTES)
+@pytest.mark.parametrize("p,u,named", BAD_POWERS_AND_TIMES)
+def test_chain_and_local_routes_refuse_a_bad_power_or_time(route, p, u, named):
+    """At the parent the chain ran p = True as p = 1 and read [0.0056, 0.0] at
+    p = 8.5; the local routes raised ZeroDivisionError at p = 0, and at u = nan
+    or -1 the regular-point slope read -inf, a perfect rate."""
+    with pytest.raises(ConfigurationError, match=rf"got {re.escape(named)}$") as refusal:
+        power_time_route(route, u, p)
+    assert type(refusal.value) is ConfigurationError
+
+
+@pytest.mark.parametrize("route", ["regular", "singular"])
+def test_local_routes_refuse_an_empty_power_list(route):
+    """With no power the regular-point slope read -inf, a perfect rate."""
+    orb, bundle = build_catalog_orbifold("local-model", k=2, a=(1.0,))
+    check = (verify.verify_kernel_asymptotics_regular if route == "regular"
+             else verify.verify_kernel_asymptotics_singular)
+    with pytest.raises(ConfigurationError, match=r"got \[\]$"):
+        check(orb, bundle, np.array([1.0 + 0j]), 1.0, [])
+
+
+@pytest.mark.parametrize("route", POWER_TIME_ROUTES)
+def test_chain_and_local_routes_take_numpy_powers_and_times(route):
+    value = power_time_route(route, np.float64(1.0), np.int64(8))
+    clear_caches()
+    assert repr(value) == repr(power_time_route(route, 1.0, 8))
+
+
 @pytest.mark.parametrize("point", [np.array([0.21 + 0.33j]), np.complex128(0.21 + 0.33j),
                                    np.array(0.21 + 0.33j)], ids=["array", "scalar", "0-d"])
 def test_oracle_consistency_takes_the_points_of_the_image_route(point):
@@ -622,7 +671,7 @@ def test_chain_holds_before_asymptotics():
     residuals = exact_chain_residuals(orb, bundle, 8, 1.0)
     assert residuals[0] >= -1e-9 and abs(residuals[1]) <= 1e-9
     assert assemble_kodaira_laplacian(orb, bundle, 8, 0, 32).zero_dim == 5
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ConfigurationError, match="must be positive"):
         exact_chain_residuals(orb, bundle, 8, 0.0)
 
 
