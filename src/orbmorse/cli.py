@@ -13,8 +13,9 @@ import functools
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -76,19 +77,18 @@ def _check_keys(raw):
                 f"accepted: {', '.join(accepted)}")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run configuration."""
 
     catalog_id: str
     catalog_params: dict
-    p_list: list = field(default_factory=lambda: [4, 8, 16])
+    p_list: list = (4, 8, 16)
     # the default probes both the kernel regime and the large-u Morse regime
-    u_list: list = field(default_factory=lambda: [0.5, 1.0, 5.0, 50.0])
-    q_list: list = field(default_factory=lambda: [0, 1])
+    u_list: list = (0.5, 1.0, 5.0, 50.0)
+    q_list: list = (0, 1)
     resolution_quadrature: int = 256
     resolution_spectral: int = 32
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict = MappingProxyType(DEFAULT_TOLERANCES)
     seed: int = 0
     report_name: str = "report.json"
 
@@ -101,10 +101,10 @@ class RunConfig:
             catalog_params = dict(catalog.get("params", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed configuration: {exc}")
-        # values are typed, not coerced; absent keys keep the field defaults
+        # values are typed, not coerced; an absent key takes its field default, typed
         run = raw.get("run", {})
-        values = {key: typed(f"run.{key}", run[key])
-                  for key, typed in RUN_VALUES.items() if key in run}
+        values = {key: typed(f"run.{key}", run.get(key, cls._field_defaults[key]))
+                  for key, typed in RUN_VALUES.items()}
         if "seed" in raw:
             values["seed"] = _integer("seed", raw["seed"])
         output = raw.get("output", {})
@@ -328,7 +328,7 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
         shrink_ok = k == 1 or shrink >= 10.0
         ok = slope_ok and ratio_ok and shrink_ok
         results.append((f"kernel-asymptotics-u{repr(u)}", ok,
-                        {"regular_fit": asdict(fit),
+                        {"regular_fit": fit,
                          "singular_ratio": ratio,
                          "twist_shrink_factor": shrink}))
     diagnostics = []
@@ -344,7 +344,7 @@ def _run_moishezon(cfg, orb, bundle, split, table):
     verdict = mz.moishezon_check(split(), cfg.tolerances["tol_quadrature"])
     # a NaN or infinite witness is a failed quadrature, not a verdict
     finite = all(map(math.isfinite, (verdict.integral_leq1, verdict.min_eigenvalue_seen)))
-    results = [("moishezon-verdict", finite, verdict.__dict__)]
+    results = [("moishezon-verdict", finite, verdict)]
     diagnostics = []
     # a line bundle on a compact curve is big exactly when its degree is positive
     expected_big = orb.params.get("degree", 0.0) > 0
@@ -457,7 +457,7 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config.seed = args.seed
+            config = config._replace(seed=args.seed)
             config.validate()
         return run(args.subcommand, config, args.out, strict=args.strict)
     except ConfigurationError as exc:

@@ -16,7 +16,7 @@ exact for the shipped flat models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def weighted_proj_h0(weights, d):
     return int(counts[d])
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Map (p, q) -> h^q(M, L^p) over a power range."""
 
     entries: dict

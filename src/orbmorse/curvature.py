@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ SignatureIntegrals = namedtuple("SignatureIntegrals", "by_signature degenerate_f
                                 "min_eigenvalue max_eigenvalue tol")
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
+class CurvatureSpectrum(NamedTuple):
     """Eigenvalues of the curvature endomorphism at a point, with signature.
 
     ``signature`` is the number of negative eigenvalues, or the string

@@ -27,7 +27,7 @@ the inscribed disc and the corners beyond it.  Every other chart (the dented
 P(1, 1), a point function) takes the tensor rule on its square box,
 ``resolution`` nodes per axis.  ``resolution`` is an integer >= 1.
 
-All types are immutable after construction; quadrature accumulates in a fixed
+All types are immutable NamedTuples; quadrature accumulates in a fixed
 chart/node order, so reruns are bit-identical.
 """
 
@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +47,7 @@ from .errors import (ConfigurationError, GeometryError, IntegrandError,
 INTEGRAND_INVARIANCE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """One element g^m of a cyclic chart group: diagonal rotation plus phase.
 
     rotation : the diagonal e^{2 pi i w_j m / k} of the action on the chart
@@ -91,8 +92,7 @@ def cyclic_group(order, weights, theta_unit=0.0):
                  for m, (rot, e) in enumerate(zip(rotations, exponents)))
 
 
-@dataclass(frozen=True)
-class RadialField:
+class RadialField(NamedTuple):
     """A chart field of |z|^2 alone: called on complex points z, it returns
     ``profile(r2)`` at r2 = z.real * z.real + z.imag * z.imag.  The rule in
     r^2 evaluates it at one point per node, sqrt(r2) + 0j, which on a square
@@ -123,8 +123,8 @@ def constant_field(value):
     return RadialField(lambda r2: np.full(np.shape(r2), value))
 
 
-@dataclass(frozen=True)
-class OrbifoldChart:
+class OrbifoldChart(namedtuple("OrbifoldChart", "dimension group bump box_radius metric_scalar",
+                               defaults=(None, 1.0, None))):
     """One uniformizing chart: a domain in C^n with a cyclic rotation group.
 
     metric_scalar(z) -> the metric density h at an array of points of a
@@ -137,21 +137,23 @@ class OrbifoldChart:
         where the bump is identically 1.
     """
 
-    dimension: int
-    group: tuple
-    bump: object = None
-    box_radius: float = 1.0
-    metric_scalar: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dimension == 1:
-            if self.metric_scalar is None:
+    def __new__(cls, *args, **kwargs):
+        return cls._make(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, values):
+        """The checked chart; ``_replace`` builds through here too."""
+        dimension, group, bump, box_radius, metric_scalar = super()._make(values)
+        if dimension == 1:
+            if metric_scalar is None:
                 raise GeometryError("a one-dimensional chart needs its metric_scalar density")
-            h0 = np.real(np.asarray(self.metric_scalar(np.zeros(1, dtype=complex))))
+            h0 = np.real(np.asarray(metric_scalar(np.zeros(1, dtype=complex))))
             if abs(h0[0] - 1.0) > 1e-9:
                 raise GeometryError("metric_scalar(0) must be 1 (normalized frame)")
-        if self.bump is None:
-            object.__setattr__(self, "bump", constant_field(1.0))
+        bump = constant_field(1.0) if bump is None else bump
+        return tuple.__new__(cls, (dimension, group, bump, box_radius, metric_scalar))
 
     @property
     def order(self):
@@ -185,8 +187,7 @@ def volume_density(chart: OrbifoldChart, Z):
     return h
 
 
-@dataclass(frozen=True)
-class ChartedOrbifold:
+class ChartedOrbifold(NamedTuple):
     """A compact complex orbifold presented by catalog charts.
 
     singular_locus_fn(chart_index, Z) -> distance from Z to the singular
@@ -198,7 +199,7 @@ class ChartedOrbifold:
     charts: tuple
     singular_locus_fn: object
     catalog_id: str
-    params: dict = field(default_factory=dict)
+    params: dict = MappingProxyType({})
 
     @property
     def dimension(self):
@@ -208,8 +209,7 @@ class ChartedOrbifold:
         return float(self.singular_locus_fn(chart_index, np.asarray(Z, dtype=complex)))
 
 
-@dataclass(frozen=True)
-class EquivariantLineBundle:
+class EquivariantLineBundle(NamedTuple):
     """Hermitian line bundle data on each chart.
 
     curvature_scalars[k](z) -> the Chern curvature density c at an array of

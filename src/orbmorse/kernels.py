@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ def _coth_even(x):
     return h / math.tanh(h) if h else 1.0
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(namedtuple("ModelPoint", "eigenvalues u group_phases", defaults=(None,))):
     """Pointwise data of a flat constant-curvature model.
 
     Attributes
@@ -89,27 +89,30 @@ class ModelPoint:
         the phases in the eigenvalue order encodes exactly that.
     """
 
-    eigenvalues: tuple
-    u: float
-    group_phases: tuple = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u <= 0:
+    def __new__(cls, *args, **kwargs):
+        return cls._make(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, values):
+        """The checked point; ``_replace`` builds through here too."""
+        eigenvalues, u, phases = super()._make(values)
+        if u <= 0:
             raise ValueError("time parameter u must be positive")
-        object.__setattr__(self, "eigenvalues", tuple(float(x) for x in self.eigenvalues))
-        if self.group_phases is not None:
-            phases = tuple(float(x) for x in self.group_phases)
-            if len(phases) != len(self.eigenvalues):
+        eigenvalues = tuple(float(x) for x in eigenvalues)
+        if phases is not None:
+            phases = tuple(float(x) for x in phases)
+            if len(phases) != len(eigenvalues):
                 raise ValueError("one group phase per eigenvalue is required")
-            object.__setattr__(self, "group_phases", phases)
+        return tuple.__new__(cls, (eigenvalues, u, phases))
 
     @property
     def dim(self):
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class LimitDensity:
+class LimitDensity(NamedTuple):
     """Diagonal heat-density limit at a point, per degree-q subspace.
 
     ``trace`` is the scalar trace over (0,q)-forms; ``subsets``/``diagonal``

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ KODAIRA_TORUS_MAX_D = 2 ** 36
 GROWTH_TAIL = 8             # table powers in the section growth fit
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     """Outcome of the geometric criteria for one catalog entry."""
 
     integral_leq1: float
@@ -76,8 +75,7 @@ def moishezon_check(split, quadrature_tolerance=1e-3):
                             quadrature_tolerance=quadrature_tolerance)
 
 
-@dataclass(frozen=True)
-class BignessEstimate:
+class BignessEstimate(NamedTuple):
     limsup_estimate: float
     noise_floor: float
     big: bool

@@ -20,7 +20,10 @@ REPORT_SCHEMA = json.loads(
 
 
 def sanitize(obj):
-    """Convert numpy scalars/arrays and complex values into plain JSON types."""
+    """Convert numpy scalars/arrays, complex values and NamedTuple records (as
+    the mapping of their fields) into plain JSON types."""
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

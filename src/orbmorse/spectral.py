@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def torus_kernel_dimension(d, k, p, q):
     return 0 if q == 1 else _level_multiplicity(D, k, 0, 0)
 
 
-@dataclass(frozen=True)
-class TorusKodairaOperator:
+class TorusKodairaOperator(NamedTuple):
     """Kodaira Laplacian of a torus quotient in the exact Landau basis.
 
     The operator is diagonal in the invariant states, level by level.

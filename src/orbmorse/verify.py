@@ -33,7 +33,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -275,8 +275,7 @@ def _torus_image_sums(torus, z, u, p):
 # rate fits
 
 
-@dataclass
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -357,8 +356,7 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
     return float(np.real(kernel) / limit.trace)
 
 
-@dataclass
-class SingularExpansionRecord:
+class SingularExpansionRecord(NamedTuple):
     p: int
     u: float
     residual_without_twist: float
@@ -405,8 +403,7 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
 # strong Morse inequalities
 
 
-@dataclass
-class StrongMorseSeries:
+class StrongMorseSeries(NamedTuple):
     q: int
     p_list: tuple
     residuals: tuple
@@ -419,7 +416,7 @@ class StrongMorseSeries:
                 "residuals": [float(r) for r in self.residuals],
                 "morse_sums": [float(m) for m in self.morse_sums],
                 "integral": float(self.integral),
-                "fit": asdict(self.fit)}
+                "fit": self.fit}
 
 
 def verify_strong_morse(orb, q, p_list, split, table):

@@ -775,8 +775,7 @@ def test_strong_morse_fails_on_a_stalled_residual(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_catalog_orbifold", halved_model)
     monkeypatch.setattr(cli, "signature_integrals", halved_split)
-    cfg = load_config(str(DEMO_CONFIGS / "p12.yaml"))
-    cfg.q_list = [0]
+    cfg = load_config(str(DEMO_CONFIGS / "p12.yaml"))._replace(q_list=[0])
     assert cli.run("verify-morse", cfg, tmp_path) == 1
     results = json.loads((tmp_path / "report.json").read_text())["results"]
     assert [r["name"] for r in results if not r["passed"]] == ["strong-morse-q0"]

@@ -98,14 +98,13 @@ def test_signed_density_nonnegative_on_samples():
 
 def test_integral_invariant_under_group_motion():
     """Evaluating the integrand at moved points leaves the integral unchanged."""
-    from dataclasses import replace
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
     # rotate the singular chart by the group generator: radial fields are
     # untouched, so the integral agrees to rounding.  A point function takes
     # the tensor rule, so the unmoved reference is one too.
     g = orb.charts[1].group[1].rotation[0]
     curvature_x, curvature_y = bundle.curvature_scalars
-    val, val2 = (morse_integral(orb, replace(bundle, curvature_scalars=(
+    val, val2 = (morse_integral(orb, bundle._replace(curvature_scalars=(
         curvature_x, lambda Z, m=m: curvature_y(m * np.asarray(Z)))), {0}, resolution=128)
         for m in (1.0, g))
     assert val2 == pytest.approx(val, abs=1e-9)
@@ -251,7 +250,6 @@ def count_field_evaluations(orb, bundle, resolution, keep_support=True,
 
     Every field is rewrapped in a counting RadialField, with the bump's
     support and edge kept or dropped."""
-    from dataclasses import replace
     counts = {}
 
     def counted(field, key):
@@ -262,11 +260,11 @@ def count_field_evaluations(orb, bundle, resolution, keep_support=True,
             return RadialField(profile, field.support, field.edge)
         return RadialField(profile)
 
-    charts = tuple(replace(chart, bump=counted(chart.bump, (k, "bump")),
-                           metric_scalar=counted(chart.metric_scalar, (k, "metric")))
+    charts = tuple(chart._replace(bump=counted(chart.bump, (k, "bump")),
+                                  metric_scalar=counted(chart.metric_scalar, (k, "metric")))
                    for k, chart in enumerate(orb.charts))
-    orb = replace(orb, charts=charts)
-    bundle = replace(bundle, curvature_scalars=tuple(
+    orb = orb._replace(charts=charts)
+    bundle = bundle._replace(curvature_scalars=tuple(
         counted(c, (k, "curvature")) for k, c in enumerate(bundle.curvature_scalars)))
     counts.clear()                     # the charts check h(0) = 1 when they are built
     integrate(orb, bundle, resolution=resolution)
@@ -302,13 +300,12 @@ def test_radial_charts_evaluate_one_node_per_orbit():
 def test_a_bump_without_an_inner_edge_takes_one_piece(edge):
     """A support with no edge inside it gives one piece of ``resolution``
     nodes, no empty or unbounded one; the integral keeps the degree."""
-    from dataclasses import replace
     orb, bundle = build_catalog_orbifold("wps", weights=(1, 2))
     chart = orb.charts[0]
     support = chart.bump.support
     edge = {"infinite": math.inf, "zero": 0.0, "at-support": support}[edge]
     bump = RadialField(chart.bump.profile, support, edge)
-    orb = replace(orb, charts=(replace(chart, bump=bump),) + orb.charts[1:])
+    orb = orb._replace(charts=(chart._replace(bump=bump),) + orb.charts[1:])
     (nodes, weights), = chart_blocks(orb.charts[0], (bundle.curvature_scalars[0],), 128)
     assert nodes.size == weights.size == 128
     total = sum(signature_integrals(orb, bundle, resolution=128, tol=1e-300).by_signature)

@@ -47,6 +47,21 @@ def test_one_dimensional_chart_needs_its_metric_density():
         OrbifoldChart(dimension=1, group=cyclic_group(1, (1,)))
 
 
+def test_a_copied_chart_is_checked_again():
+    """``_replace`` and ``_make`` build through the chart's checks: a metric
+    with h(0) != 1 is refused, and a dropped bump becomes the constant one."""
+    orb, _ = build_catalog_orbifold("wps", weights=(1, 2))
+    chart = orb.charts[0]
+    with pytest.raises(GeometryError, match="metric_scalar"):
+        chart._replace(metric_scalar=constant_field(2.0))
+    with pytest.raises(GeometryError, match="metric_scalar"):
+        OrbifoldChart._make((1, chart.group, chart.bump, chart.box_radius, None))
+    flat = chart._replace(bump=None)
+    assert type(flat) is OrbifoldChart and isinstance(flat.bump, RadialField)
+    assert flat.bump(np.array([0.0j, 5.0 + 5.0j])).tolist() == [1.0, 1.0]
+    assert flat.metric_scalar is chart.metric_scalar
+
+
 def test_flat_two_dimensional_chart_has_no_metric_density():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0, 1.0))
     chart = orb.charts[0]

@@ -202,6 +202,22 @@ def test_twist_modulus_bound_and_decay():
         assert val <= envelope + 1e-12
 
 
+def test_a_copied_model_point_is_checked_again():
+    """``_replace`` and ``_make`` build through the point's checks: u > 0, one
+    phase per eigenvalue, and the eigenvalues and phases as floats."""
+    pt = ModelPoint((1, 2), 1.0, group_phases=(0, 1))
+    assert pt.eigenvalues == (1.0, 2.0) and pt.group_phases == (0.0, 1.0)
+    assert all(type(x) is float for x in pt.eigenvalues + pt.group_phases)
+    with pytest.raises(ValueError, match="positive"):
+        pt._replace(u=0.0)
+    with pytest.raises(ValueError, match="one group phase"):
+        ModelPoint._make(((1.0, 2.0), 1.0, (0.5,)))
+    with pytest.raises(ValueError, match="one group phase"):
+        pt._replace(eigenvalues=(1.0,))
+    copied = pt._replace(eigenvalues=[3, 4])
+    assert type(copied) is ModelPoint and copied.eigenvalues == (3.0, 4.0)
+
+
 def test_twist_requires_group_element():
     with pytest.raises(ValueError):
         twisted_gaussian(ModelPoint((1.0,), 1.0), np.array([0.1j]))

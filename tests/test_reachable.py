@@ -82,7 +82,7 @@ def _function(obj):
 
 def src_functions():
     """The keys of the module-level functions and class methods written in
-    src, each under its ``_where``; the methods a dataclass generates have no
+    src, each under its ``_where``; the methods a NamedTuple generates have no
     source file there."""
     keys = {}
     for info in pkgutil.iter_modules(orbmorse.__path__):

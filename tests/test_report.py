@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,11 @@ from hypothesis import strategies as st
 import orbmorse
 from orbmorse import cli
 from orbmorse import report as report_module
-from orbmorse.report import REPORT_SCHEMA, validate_report
+from orbmorse.catalog import build_catalog_orbifold
+from orbmorse.curvature import signature_integrals
+from orbmorse.moishezon import moishezon_check
+from orbmorse.report import REPORT_SCHEMA, sanitize, validate_report
+from orbmorse.verify import fit_rate
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -127,6 +132,34 @@ def test_unsupported_schema_keyword_raises(monkeypatch, demo_reports, where, key
     report["diagnostics"] = []
     with pytest.raises(ValueError, match=keyword):
         validate_report(report)
+
+
+def test_cli_run_imports_no_dataclasses(tmp_path):
+    """Every record is a NamedTuple: a full run never compiles the methods a
+    dataclass generates, which cost about 7 ms of each process's set-up."""
+    code = ("import sys; from orbmorse.cli import main; "
+            f"code = main(['all', '--config', {str(DEMO_CONFIGS / 'p12.yaml')!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, 'dataclasses' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(orbmorse.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "0 False"
+
+
+def test_sanitize_writes_a_record_as_its_fields():
+    """A NamedTuple record is written as the mapping of its fields, not as a
+    bare list; a plain tuple stays a list."""
+    fit = fit_rate([4, 8, 16, 32], np.log([0.5, 0.25, 0.125, 0.07]))
+    split = signature_integrals(*build_catalog_orbifold("wps", weights=(1, 2)),
+                                resolution=32)
+    verdict = moishezon_check(split)
+    for record in (fit, verdict):
+        assert json.dumps(sanitize(record), sort_keys=True) == json.dumps(
+            sanitize(record._asdict()), sort_keys=True)
+        assert sorted(sanitize(record)) == sorted(type(record)._fields)
+    assert sanitize({"fit": fit})["fit"]["p_window"] == [4, 8, 16, 32]
+    assert sanitize((1, 2.0)) == [1, 2.0]
 
 
 def test_cli_run_loads_no_jsonschema(tmp_path):

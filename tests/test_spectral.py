@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,7 +333,7 @@ def test_diagonal_kernel_matches_two_evaluations(d, k, p):
             for q, op in enumerate(ops):
                 reference = _diagonal_kernel_two_evaluations(*ops, z, u, q)
                 identity = abs(_diagonal_kernel_two_evaluations(
-                    *(replace(o, k=1) for o in ops), z, u, q))
+                    *(o._replace(k=1) for o in ops), z, u, q))
                 value = torus_diagonal_kernel_spectral(op, z, u)
                 assert abs(value - reference) <= 1e-13 * identity, (z, u, q)
 
