@@ -123,8 +123,7 @@ def constant_field(value):
     return RadialField(lambda r2: np.full(np.shape(r2), value))
 
 
-class OrbifoldChart(namedtuple("OrbifoldChart", "dimension group bump box_radius metric_scalar",
-                               defaults=(None, 1.0, None))):
+class OrbifoldChart(namedtuple("OrbifoldChart", "dimension group bump box_radius metric_scalar")):
     """One uniformizing chart: a domain in C^n with a cyclic rotation group.
 
     metric_scalar(z) -> the metric density h at an array of points of a
@@ -139,13 +138,13 @@ class OrbifoldChart(namedtuple("OrbifoldChart", "dimension group bump box_radius
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        return cls._make(super().__new__(cls, *args, **kwargs))
+    def __new__(cls, dimension, group, bump=None, box_radius=1.0, metric_scalar=None):
+        return cls._make((dimension, group, bump, box_radius, metric_scalar))
 
     @classmethod
     def _make(cls, values):
         """The checked chart; ``_replace`` builds through here too."""
-        dimension, group, bump, box_radius, metric_scalar = super()._make(values)
+        dimension, group, bump, box_radius, metric_scalar = values
         if dimension == 1:
             if metric_scalar is None:
                 raise GeometryError("a one-dimensional chart needs its metric_scalar density")

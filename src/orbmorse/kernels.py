@@ -73,7 +73,7 @@ def _coth_even(x):
     return h / math.tanh(h) if h else 1.0
 
 
-class ModelPoint(namedtuple("ModelPoint", "eigenvalues u group_phases", defaults=(None,))):
+class ModelPoint(namedtuple("ModelPoint", "eigenvalues u group_phases")):
     """Pointwise data of a flat constant-curvature model.
 
     Attributes
@@ -91,18 +91,18 @@ class ModelPoint(namedtuple("ModelPoint", "eigenvalues u group_phases", defaults
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        return cls._make(super().__new__(cls, *args, **kwargs))
+    def __new__(cls, eigenvalues, u, group_phases=None):
+        return cls._make((eigenvalues, u, group_phases))
 
     @classmethod
     def _make(cls, values):
         """The checked point; ``_replace`` builds through here too."""
-        eigenvalues, u, phases = super()._make(values)
+        eigenvalues, u, phases = values
         if u <= 0:
             raise ValueError("time parameter u must be positive")
-        eigenvalues = tuple(float(x) for x in eigenvalues)
+        eigenvalues = tuple(map(float, eigenvalues))
         if phases is not None:
-            phases = tuple(float(x) for x in phases)
+            phases = tuple(map(float, phases))
             if len(phases) != len(eigenvalues):
                 raise ValueError("one group phase per eigenvalue is required")
         return tuple.__new__(cls, (eigenvalues, u, phases))
