@@ -14,6 +14,7 @@ To regenerate the files after a change that moves them on purpose:
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -86,7 +87,6 @@ def test_orbmorse_all_writes_the_golden_bytes(name, tmp_path):
 
 
 def write_goldens():
-    import tempfile
     for name, config in CONFIGS.items():
         target = GOLDEN / name
         target.mkdir(parents=True, exist_ok=True)

@@ -136,7 +136,7 @@ def test_unsupported_schema_keyword_raises(monkeypatch, demo_reports, where, key
 
 def test_cli_run_imports_no_dataclasses(tmp_path):
     """Every record is a NamedTuple: a full run never compiles the methods a
-    dataclass generates, which cost about 7 ms of each process's set-up."""
+    dataclass generates, which cost 5 to 7 ms of each process's set-up."""
     code = ("import sys; from orbmorse.cli import main; "
             f"code = main(['all', '--config', {str(DEMO_CONFIGS / 'p12.yaml')!r}, "
             f"'--out', {str(tmp_path)!r}]); "
