@@ -3,12 +3,13 @@
 Two sufficient criteria are evaluated: semi-positivity plus positivity at one
 point, and positivity of the curvature integral over the signature region
 {<= 1}.  Bigness is estimated from the growth of section counts and
-cross-checked against the numeric rank of the Kodaira map built from an
-explicit section basis.
+cross-checked against the rank of the Kodaira map, on a curve rank
+[s(z); ds(z)] - 1 over an explicit section basis s and its exact holomorphic
+derivatives (the Wronskian of the Plucker formulas).
 
 Kodaira ranks draw their sample points from a generator the caller seeds
 (the CLI passes the stdlib's ``random.Random(seed)``), so runs are
-reproducible, and evaluate only the few sections that decide the rank.
+reproducible, and evaluate once per sample the few sections that decide it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .catalog import _integer
 from .cohomology import CohomologyTable, _wps_exponents
 from .errors import ConfigurationError, UnsupportedModelError
 from .spectral import torus_basis_columns
@@ -28,12 +30,8 @@ from .spectral import torus_basis_columns
 BIGNESS_NOISE_MARGIN = 10.0
 KODAIRA_RANK_TOL = 1e-8
 KODAIRA_SAMPLES = 6         # sample points per Kodaira rank
-KODAIRA_STEP = 1e-5         # central-difference step
-# Largest D = d p whose torus sections the stencil resolves.  A level-0
-# section is summed over the translate window (sqrt(3) + 9) / sqrt(2 pi D)
-# wide around the point; the stencil's anchor must stay inside it at
-# KODAIRA_STEP away, or the ratios divide 0/0.  At 2^36 the window is 1.6
-# steps wide; it holds one step up to D of about 1.8e11.
+# largest torus D = d p: the float phase m y of a translate m ~ x D is off by
+# up to about D 2^-53 of a cycle, 2^-17 at 2^36
 KODAIRA_TORUS_MAX_D = 2 ** 36
 GROWTH_TAIL = 8             # table powers in the section growth fit
 
@@ -136,36 +134,38 @@ def _torus_columns(x, D, k):
             yield j
 
 
-def _section_values_torus(D, k, columns, pts):
-    """Level-0 sections of the columns at pts: v_j, or on the half turn
-    (v_j + v_{-j}) / sqrt(2), and v_j itself where j = -j mod D."""
+def _section_values_torus(D, k, columns, z):
+    """Level-0 sections v_j of the columns at z, (v_j + v_{-j}) / sqrt(2) on the
+    half turn where j != -j mod D, over their derivatives: shape (2, N).  The
+    derivative of e^{2 pi i m y} phi_0(x - m/D) is pi (2m - D x) times it, and
+    (m - x D) phi_0 = -(D / sqrt(2B)) phi_1: -sqrt(pi D) level 1, up to level 0."""
     js = np.asarray(columns)
     mirror = (-js) % D
     wanted = js if k == 1 else np.concatenate([js, mirror])
-    sec = np.array([torus_basis_columns(D, 1, wanted, z)[0] for z in pts]).T
+    sec = torus_basis_columns(D, 2, wanted, z)
+    sec[1] *= -math.sqrt(math.pi * D)
     if k == 1:
         return sec
-    own, other = np.split(sec, 2)
-    return np.where((js == mirror)[:, None], own, (own + other) / math.sqrt(2.0))
+    own, other = np.split(sec, 2, axis=1)
+    return np.where(js == mirror, own, (own + other) / math.sqrt(2.0))
 
 
-def _section_values_wps(exponents, pts):
-    return np.array([pts ** m for m in exponents])
+def _section_values_wps(exponents, z):
+    ms = np.asarray(exponents)
+    return np.array([z ** ms, ms * z ** (ms - 1)])
 
 
-def _stencil_rank(sec, step):
-    """Rank of the one-column Jacobian of the section ratios against the
-    largest section, from five-point stencils; -1 at a base point."""
-    anchor = np.argmax(np.abs(sec[:, 0]))
-    if abs(sec[anchor, 0]) < 1e-13:
+def _rank(sec):
+    """Rank of the derivative (ds_i - r_i ds_a) / s_a of the ratios r_i to the
+    largest section s_a, from the rows [s; ds] of ``sec``; -1 at a base point."""
+    values, derivatives = sec
+    anchor = np.argmax(np.abs(values))
+    if abs(values[anchor]) < 1e-13:
         return -1
-    ratios = sec / sec[anchor]
-    dzx = (ratios[:, 1] - ratios[:, 2]) / (2 * step)
-    dzy = (ratios[:, 3] - ratios[:, 4]) / (2 * step)
-    jac = 0.5 * (dzx - 1j * dzy)               # holomorphic derivative
+    ratios = values / values[anchor]
+    jac = (derivatives - ratios * derivatives[anchor]) / values[anchor]
     norm = np.linalg.norm(np.delete(jac, anchor))
-    scale = max(np.max(np.abs(ratios[:, 0])), 1.0)
-    return int(norm > KODAIRA_RANK_TOL * max(norm, scale))
+    return int(norm > KODAIRA_RANK_TOL * max(norm, 1.0))      # |r_i| <= 1
 
 
 def kodaira_rank(orb, bundle, p, rng=None):
@@ -180,6 +180,7 @@ def kodaira_rank(orb, bundle, p, rng=None):
     samples, six more the imaginary parts.  A single section has rank 0; -1
     means every sample lies in the base locus.
     """
+    p = _integer("power p", p)
     rng = rng if rng is not None else random.Random(77)
     if orb.catalog_id == "wps":
         exponents = _wps_exponents(orb.params["weights"], p)
@@ -198,9 +199,8 @@ def kodaira_rank(orb, bundle, p, rng=None):
         D = d * p
         if D > KODAIRA_TORUS_MAX_D:
             raise ConfigurationError(
-                f"the torus sections of p={p} live on D = d p = {D} columns, too narrow "
-                f"for the stencil step {KODAIRA_STEP}, which resolves D up to "
-                f"{KODAIRA_TORUS_MAX_D}")
+                f"at p={p} the torus sections live on D = d p = {D} > {KODAIRA_TORUS_MAX_D} "
+                "columns, where a translate's float phase m y is off by up to D 2^-53 cycles")
         box = (0.13, 0.5, 0.17, 0.5)
         values = functools.partial(_section_values_torus, D, k)
 
@@ -212,16 +212,15 @@ def kodaira_rank(orb, bundle, p, rng=None):
     x0, wx, y0, wy = box
     reals = [x0 + wx * rng.random() for _ in range(KODAIRA_SAMPLES)]
     imags = [y0 + wy * rng.random() for _ in range(KODAIRA_SAMPLES)]
-    n, step, best = orb.dimension, KODAIRA_STEP, -1
+    n, best = orb.dimension, -1
     for z in map(complex, reals, imags):
-        pts = np.array([z, z + step, z - step, z + 1j * step, z - 1j * step])
-        columns, sec, rank = order(z), np.empty((0, 5), dtype=complex), -1
+        columns, sec, rank = order(z), np.empty((2, 0), dtype=complex), -1
         while rank < n:
-            batch = list(itertools.islice(columns, max(len(sec), n + 1)))
+            batch = list(itertools.islice(columns, max(sec.shape[1], n + 1)))
             if not batch:
                 break                          # every section is in: the full map
-            sec = np.concatenate([sec, values(batch, pts)])
-            rank = _stencil_rank(sec, step)
+            sec = np.concatenate([sec, values(batch, z)], axis=1)
+            rank = _rank(sec)
         if rank == n:
             return n
         best = max(best, rank)

@@ -513,7 +513,7 @@ def test_power_beyond_int64_exits_2_with_one_line(tmp_path, capsys, catalog):
 
 
 def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsys):
-    """At p = 2^40 the sections are narrower than the Kodaira stencil: the rank
+    """At p = 2^40 the float phases of the translates are not resolved: the rank
     is skipped with that cause and bigness reads the ranks below it.  Every
     check passes: the trace chain pairs integer multiplicities, so r_1 is
     exactly 0 where heat traces of 4.2e6 and 5.5e11 states rounded it to
@@ -524,7 +524,7 @@ def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsy
     assert "floating-point range" not in capsys.readouterr().err
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     notes = [d["message"] for d in report["diagnostics"] if d["level"] == "info"]
-    assert any(n.startswith("rank at p=1099511627776 skipped") and "stencil step" in n
+    assert any(n.startswith("rank at p=1099511627776 skipped") and "float phase" in n
                for n in notes)
     bigness = next(r for r in report["results"] if r["name"] == "bigness")
     assert bigness["data"]["kodaira_ranks"] == {"64": 1, "8388608": 1}
@@ -816,6 +816,22 @@ def test_strong_morse_fails_on_the_dent_with_half_its_positive_integral(tmp_path
     assert not results["strong-morse-q0"]["passed"]
     assert results["strong-morse-q0"]["data"]["residuals"][-1] == pytest.approx(0.393,
                                                                                 abs=1e-3)
+
+
+@pytest.mark.parametrize("config", ["torus_halfturn.yaml", "p12.yaml", "p11_dent.yaml"])
+def test_bigness_fails_when_the_derivative_row_repeats_the_values(tmp_path, monkeypatch,
+                                                                   config):
+    """Sections whose derivative row repeats their values: every Kodaira rank
+    reads 0, and bigness alone fails."""
+    from orbmorse import moishezon
+    for name in ("_section_values_torus", "_section_values_wps"):
+        monkeypatch.setattr(moishezon, name,
+                            lambda *args, values=getattr(moishezon, name): values(*args)[[0, 0]])
+    code, results = run_all(tmp_path, load_config(str(DEMO_CONFIGS / config)))
+    assert code == 1
+    assert [name for name, r in results.items() if not r["passed"]] == ["bigness"]
+    ranks = results["bigness"]["data"]["kodaira_ranks"]
+    assert ranks and set(ranks.values()) == {0}
 
 
 def run_torus_heat_trace(tmp_path):

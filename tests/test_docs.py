@@ -1,5 +1,7 @@
-"""The README names only calls that exist: every backticked `name(` is a
-function or class defined in src/orbmorse, or a listed outside name."""
+"""The README names only calls and constants that exist: every backticked
+`name(` is a function or class defined in src/orbmorse, or a listed outside
+name, and every backticked ALL-CAPS name is a module-level assignment in
+src/orbmorse, tests or bench, or a listed environment variable."""
 
 import ast
 import random
@@ -18,6 +20,10 @@ CALL = re.compile(r"`(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)\(")
 # outside names the README calls, each with the object that holds it
 OUTSIDE = {"Random": random, "random": random.Random, "errstate": np,
            "profile": RadialField(np.sqrt)}
+# a backticked constant, dotted or not: the whole span, its last component ALL-CAPS
+CONSTANT = re.compile(r"`(?:[A-Za-z_]\w*\.)*([A-Z][A-Z0-9_]+)`")
+# environment variables the README names
+ENVIRONMENT = {"PYTHONPATH", "PYTHONDONTWRITEBYTECODE"}
 
 
 def src_definitions():
@@ -25,6 +31,22 @@ def src_definitions():
     return {node.name for path in SRC.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def module_constants():
+    """Every name assigned at module level in src/orbmorse, tests and bench."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    return {target.id for path in paths
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)}
+
+
+def unknown_constants(text):
+    """The backticked ALL-CAPS names in ``text`` that no module assigns and
+    ENVIRONMENT does not list."""
+    return sorted(set(CONSTANT.findall(text)) - module_constants() - ENVIRONMENT)
 
 
 def unknown_calls(text):
@@ -41,7 +63,15 @@ def test_readme_calls_name_src_definitions():
     assert unknown_calls((ROOT / "README.md").read_text(encoding="utf-8")) == []
 
 
+def test_readme_constants_are_assigned():
+    assert unknown_constants((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
 def test_a_deleted_name_fails_the_guard():
-    """A README that still named the deleted fold would fail."""
+    """A README that still named the deleted fold or the deleted stencil step
+    would fail."""
     text = "`folded_blocks(resolution, radius)` and `np.errstate(raise)`"
     assert unknown_calls(text) == ["folded_blocks"]
+    text = ("`KODAIRA_STEP`, `moishezon.KODAIRA_TORUS_MAX_D`, `spectral.CACHE_SIZE`, "
+            "`ALLOWED`, `WORKLOADS`, `PYTHONPATH` and `CHANGES.md`")
+    assert unknown_constants(text) == ["KODAIRA_STEP"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from orbmorse.cohomology import _wps_exponents, cohomology_table, weighted_proj_
 from orbmorse.curvature import curvature_spectrum, morse_integral, signature_integrals
 from orbmorse.errors import ConfigurationError
 from orbmorse.geometry import chart_blocks
-from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, _torus_columns,
-                                bigness_check, kodaira_rank, moishezon_check,
+from orbmorse.moishezon import (KODAIRA_RANK_TOL, _section_values_torus, _section_values_wps,
+                                _torus_columns, bigness_check, kodaira_rank, moishezon_check,
                                 section_growth_exponent, siegel_bound)
 from orbmorse.spectral import assemble_kodaira_laplacian, torus_eigenfunction_values
 from swap_basis import invariant_basis
@@ -342,13 +343,54 @@ def test_kodaira_rank_section_values_are_flat_in_p(monkeypatch, cid, params):
         sizes.clear()
         assert kodaira_rank(orb, bundle, p, random.Random(7)) == 1
         evaluated.append(sum(sizes))
-    assert evaluated[0] == evaluated[1] <= 5 * 4
+    assert evaluated[0] == evaluated[1] <= 2 * 4
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (3, 2)])
+def test_each_torus_batch_evaluates_its_sections_at_one_point(monkeypatch, d, k):
+    """One two-level basis call per batch, at the sample point itself."""
+    batches, calls = [], []
+    section_values, basis = moishezon._section_values_torus, moishezon.torus_basis_columns
+
+    def counted_sections(*args):
+        batches.append(args)
+        return section_values(*args)
+
+    def counted_basis(D, levels, columns, z):
+        calls.append((levels, z))
+        return basis(D, levels, columns, z)
+    monkeypatch.setattr(moishezon, "_section_values_torus", counted_sections)
+    monkeypatch.setattr(moishezon, "torus_basis_columns", counted_basis)
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=k)
+    for p in (1, 2, 5, 64):
+        kodaira_rank(orb, bundle, p, random.Random(p))
+    assert len(calls) == len(batches) > 0
+    assert calls == [(2, args[-1]) for args in batches]
+    assert all(isinstance(z, complex) for _, z in calls)
+
+
+@pytest.mark.parametrize("cid,params", [
+    ("torus", dict(d=1, k=1)), ("torus", dict(d=1, k=2)), ("wps", dict(weights=(2, 3)))],
+    ids=["torus-k1", "torus-k2", "wps23"])
+@pytest.mark.parametrize("p", [True, 2.5, 8.0, float("nan"), np.float64(8.0)],
+                         ids=["True", "2.5", "8.0", "nan", "np.float64"])
+def test_kodaira_rank_refuses_a_power_that_is_not_an_integer(cid, params, p):
+    orb, bundle = build_catalog_orbifold(cid, **params)
+    with pytest.raises(ConfigurationError, match=re.escape(f"power p must be an integer, got {p!r}")):
+        kodaira_rank(orb, bundle, p, random.Random(0))
+
+
+def test_kodaira_rank_takes_numpy_integers():
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    assert kodaira_rank(orb, bundle, np.int64(8)) == kodaira_rank(orb, bundle, 8) == 1
+    assert kodaira_rank(orb, bundle, np.int64(0)) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_torus_rank_is_refused_beyond_the_stencil(monkeypatch, d):
-    """D = d p = 2^36 resolves; one power more is refused with p and its cause
-    before any section is evaluated, also where D leaves int64."""
+    """D = d p = 2^36 resolves; one power more is refused with p and its cause,
+    the float phase of a translate, before any section is evaluated, also where
+    D leaves int64."""
     orb, bundle = build_catalog_orbifold("torus", d=d, k=2)
     p = moishezon.KODAIRA_TORUS_MAX_D // d
     assert moishezon.kodaira_rank(orb, bundle, p, rng=random.Random(0)) == 1
@@ -358,31 +400,69 @@ def test_torus_rank_is_refused_beyond_the_stencil(monkeypatch, d):
 
     monkeypatch.setattr(moishezon, "torus_basis_columns", no_arrays)
     for p in (p + 1, 10 ** 20):
-        with pytest.raises(ConfigurationError, match=f"p={p} .*stencil step"):
+        with pytest.raises(ConfigurationError, match=f"p={p} .*float phase"):
             moishezon.kodaira_rank(orb, bundle, p, rng=random.Random(0))
+
+
+ZS = [0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j, -0.3 + 1.7j]
+
+
+def dense_rows(D, z):
+    """Dense level-0 basis and -sqrt(pi D) times level 1, at z, from a
+    resolution-2 operator."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
+    dense = torus_eigenfunction_values(assemble_kodaira_laplacian(orb, bundle, D, 0, 2), z)
+    return dense[0], -math.sqrt(math.pi * D) * dense[1]
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 7, 64, 2048])
 def test_ground_state_columns_match_dense_values(D):
-    """The level-0 sections repeat the dense basis value for value, wrapped windows included."""
-    orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
-    op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
-    zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j, -0.3 + 1.7j])
-    dense = np.array([torus_eigenfunction_values(op0, z)[0] for z in zs]).T
+    """The level-0 sections repeat the dense basis value for value, wrapped
+    windows included, over -sqrt(pi D) times the dense level 1."""
     columns = [D - 1, 0, D // 2] if D > 2 else list(range(D))
-    assert np.array_equal(_section_values_torus(D, 1, columns, zs), dense[columns])
+    for z in ZS:
+        values, derivatives = dense_rows(D, z)
+        sec = _section_values_torus(D, 1, columns, z)
+        assert sec.shape == (2, len(columns))
+        assert np.array_equal(sec[0], values[columns])
+        assert np.array_equal(sec[1], derivatives[columns])
 
 
 @pytest.mark.parametrize("D", [5, 8])
 def test_paired_torus_sections_match_dense_invariant_basis(D):
-    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    zs = np.array([0.21 + 0.33j, 0.58 + 0.12j, 0.4 + 0.9j])
-    op0 = assemble_kodaira_laplacian(orb, bundle, D, 0, 1)
-    full = np.array([torus_eigenfunction_values(op0, z)[0] for z in zs]).T
-    dense = invariant_basis(D, 1) @ full
-    paired = _section_values_torus(D, 2, list(range(D // 2 + 1)), zs)
-    assert paired.shape == dense.shape
-    assert np.allclose(paired, dense, rtol=1e-14, atol=1e-14 * np.abs(full).max())
+    basis = invariant_basis(D, 1)
+    for z in ZS[:3]:
+        full = np.array(dense_rows(D, z))
+        dense = full @ basis.T
+        paired = _section_values_torus(D, 2, list(range(D // 2 + 1)), z)
+        assert paired.shape == dense.shape == (2, D // 2 + 1)
+        assert np.allclose(paired, dense, rtol=1e-14, atol=1e-14 * np.abs(full).max())
+
+
+def holomorphic_derivative(f, z, h=1e-6):
+    """Central-difference (d/dx - i d/dy) / 2 of f at z."""
+    return 0.5 * ((f(z + h) - f(z - h)) / (2 * h) - 1j * (f(z + 1j * h) - f(z - 1j * h)) / (2 * h))
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 64])
+@pytest.mark.parametrize("k", [1, 2])
+def test_torus_derivative_row_is_the_holomorphic_derivative(D, k):
+    """Row 1 plus pi D x times row 0 is the holomorphic derivative of row 0."""
+    columns = list(range(D)) if k == 1 else list(range(D // 2 + 1))
+    for z in ZS:
+        sec = _section_values_torus(D, k, columns, z)
+        exact = sec[1] + math.pi * D * z.real * sec[0]
+        numeric = holomorphic_derivative(lambda w: _section_values_torus(D, k, columns, w)[0], z)
+        assert np.allclose(exact, numeric, rtol=1e-8, atol=1e-8 * np.abs(exact).max()), z
+
+
+@pytest.mark.parametrize("exponents", [[0], [0, 1], [1, 3, 5, 7], [2, 5, 8, 11, 14], [0, 40, 97]])
+def test_wps_derivative_row_is_the_holomorphic_derivative(exponents):
+    for z in [0.6 + 0.3j, 0.35 + 0.1j, 0.85 + 0.5j]:
+        sec = _section_values_wps(exponents, z)
+        assert np.array_equal(sec[0], [z ** m for m in exponents])
+        numeric = holomorphic_derivative(lambda w: _section_values_wps(exponents, w)[0], z)
+        assert np.allclose(sec[1], numeric, rtol=1e-8, atol=1e-8 * np.abs(sec[1]).max())
 
 
 def test_kodaira_rank_requires_sections():
