@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import _check_weights
+from .catalog import _check_weights, _integer
 from .errors import ConfigurationError, UnsupportedModelError
 from .spectral import torus_kernel_dimension
 
@@ -100,7 +100,7 @@ def cohomology_table(orb, p_range):
     as the coin DP refuses it.  Torus quotients take their kernel dimensions
     from the exact closed-form count of the spectral module.
     """
-    p_values = tuple(int(p) for p in p_range)
+    p_values = tuple(_integer("power p", p) for p in p_range)
     if orb.catalog_id == "wps":
         # h^0 at degree p, and h^1 as h^0 at the Serre-dual degree -p - a - b,
         # each the length of its own progression of monomials

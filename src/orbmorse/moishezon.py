@@ -26,6 +26,7 @@ from .catalog import _integer
 from .cohomology import CohomologyTable, _wps_exponents
 from .errors import ConfigurationError, UnsupportedModelError
 from .spectral import torus_basis_columns
+from .verify import fit_rate
 
 BIGNESS_NOISE_MARGIN = 10.0
 KODAIRA_RANK_TOL = 1e-8
@@ -228,16 +229,10 @@ def kodaira_rank(orb, bundle, p, rng=None):
 
 
 def section_growth_exponent(table: CohomologyTable):
-    """Least-squares slope of log h^0 against log p over the table tail."""
+    """``fit_rate``'s slope of log h^0 against log p over the table tail, 0.0
+    below two powers p > 1 with sections."""
     ps = sorted({p for (p, q) in table.entries if q == 0})[-GROWTH_TAIL:]
-    xs, ys = [], []
-    for p in ps:
-        h = table.h(p, 0)
-        if h > 0 and p > 1:
-            xs.append(math.log(p))
-            ys.append(math.log(h))
-    if len(xs) < 2:
+    kept = [(p, math.log(h)) for p in ps if p > 1 and (h := table.h(p, 0)) > 0]
+    if len(kept) < 2:
         return 0.0
-    A = np.vstack([xs, np.ones(len(xs))]).T
-    coef, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-    return float(coef[0])
+    return fit_rate(*zip(*kept)).slope

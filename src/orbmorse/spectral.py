@@ -48,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .catalog import _integer
 from .errors import ConfigurationError, UnsupportedModelError
 
 # entries per cache: a run holds a few dozen (p, q) pairs or (point, power)
@@ -73,20 +74,23 @@ def _level_multiplicity(D, k, level, q):
 
 
 def torus_kernel_dimension(d, k, p, q):
-    """Exact kernel dimension of the degree-q Laplacian on the torus quotient."""
+    """Exact kernel dimension of the degree-q Laplacian on the torus quotient,
+    from the bundle degree D = d p alone, without the Landau multiplicities it
+    checks: the half turn keeps (2 D + 3 + (-1)^D) // 4 of D > 0 sections, the
+    count of its four fixed points (Kawasaki 1979)."""
     if q not in (0, 1):
         raise ValueError("torus models have degrees 0 and 1")
     D = d * p
-    if d == 0:
+    if D > 0:
+        return 0 if q == 1 else (D if k == 1 else (2 * D + 3 + (-1) ** D) // 4)
+    if D == 0:
         # trivial bundle: constants in degree 0; the antiholomorphic coframe
         # is anti-invariant under the half turn, so h^1 drops on the quotient
         return 1 if q == 0 else (1 if k == 1 else 0)
-    if d < 0:
-        # negative bundle: no sections, h^1 by duality (unquotiented torus)
-        if k != 1:
-            raise UnsupportedModelError("negative degrees ship without the quotient")
-        return 0 if q == 0 else -D
-    return 0 if q == 1 else _level_multiplicity(D, k, 0, 0)
+    # negative bundle: no sections, h^1 by duality (unquotiented torus)
+    if k != 1:
+        raise UnsupportedModelError("negative degrees ship without the quotient")
+    return 0 if q == 0 else -D
 
 
 class TorusKodairaOperator(NamedTuple):
@@ -150,6 +154,25 @@ def _torus_operator(d, k, p, q, resolution):
                                 multiplicities=mults)
 
 
+def _torus(orb, q=0):
+    """(d, k) of a torus quotient in form degree q; refuses other models and degrees."""
+    if orb.catalog_id != "torus":
+        raise UnsupportedModelError(
+            f"catalog id {orb.catalog_id!r} has no spectral discretization or deck "
+            "transformations; weighted projective models use the exact cohomology "
+            "tables and local models the closed-form kernels instead")
+    if q not in (0, 1):
+        raise ConfigurationError("torus models carry form degrees 0 and 1")
+    return orb.params["d"], orb.params["k"]
+
+
+def _power(p):
+    """p as an int, refusing (named) a power that is not an integer >= 1, a bool too."""
+    if _integer("power p", p) < 1:
+        raise ConfigurationError(f"power p must be >= 1, got {p!r}")
+    return int(p)
+
+
 def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
     """Discretized self-adjoint Kodaira Laplacian of a torus quotient.
 
@@ -159,18 +182,12 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
     """
     if resolution < 1 or (resolution & (resolution - 1)) != 0:
         raise ConfigurationError(f"resolution {resolution} is not a power of two")
-    if orb.catalog_id == "torus":
-        d, k = orb.params["d"], orb.params["k"]
-        if q not in (0, 1):
-            raise ConfigurationError("torus models carry form degrees 0 and 1")
-        if d <= 0:
-            raise UnsupportedModelError(
-                f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1")
-        return _torus_operator(d, k, int(p), q, resolution)
-    raise UnsupportedModelError(
-        f"catalog id {orb.catalog_id!r} has no spectral discretization; weighted "
-        "projective models use the exact cohomology tables and local models "
-        "the closed-form kernels instead")
+    d, k = _torus(orb, q)
+    p = _power(p)
+    if d <= 0:
+        raise UnsupportedModelError(
+            f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1")
+    return _torus_operator(d, k, p, q, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,17 @@ below the float underflow threshold at large p), compare them against the
 closed-form predictions, and fit empirical convergence orders.
 
 ``torus_image_log_terms`` and ``local_model_image_log_terms`` evaluate
-every image term of a batch of points, at a batch of powers, as arrays of
-log|term| and phase, and ``log_sum_exp`` sums them in one max-shifted pass
-per point and power; a kernel is that sum as a plain complex number.  On a
-torus the two form degrees share their deck terms: degree one is the
-degree-0 terms weighted by (-1)^j e^{-2 pi d u}, so one degree-0 evaluation
-gives both degrees' sums at a (point, power), and a bounded cache keeps the
-pair for the other degree (``_torus_image_sums``).  The trace identity needs
-no such sum: it integrates the image sum over the cell in closed form
-(``_image_trace``).
+every degree-0 image term of a batch of points, at a batch of powers, as
+arrays of log|term| and phase, and ``log_sum_exp`` sums them in one
+max-shifted pass per point and power; a kernel is that sum as a plain
+complex number.  Degree one on a torus is derived in one place, the bounded
+cache ``_torus_image_sums`` on plain (d, k, z, u, p), which sums both degrees
+from one degree-0 evaluation.  The trace identity integrates the image sum
+over the cell in closed form (``_image_trace``).
 
-Every torus and local-model route refuses a power p that is not an integer
->= 1 and a time u that is not finite and positive
+Every torus route reads (d, k) through ``spectral._torus``, the one torus
+guard; every torus and local-model route refuses a power p that is not an
+integer >= 1 and a time u that is not finite and positive
 (``_require_power_and_time``), at each power of a ``p_list``.
 """
 
@@ -37,13 +36,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import _finite, _integer
+from .catalog import _finite
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
                      UnsupportedModelError)
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
-from .spectral import (CACHE_SIZE, assemble_kodaira_laplacian, heat_trace,
+from .spectral import (CACHE_SIZE, _power, _torus, assemble_kodaira_laplacian, heat_trace,
                        torus_diagonal_kernel_spectral)
 
 RELIABLE_R2 = 0.9
@@ -76,10 +75,10 @@ def _point(orb, x):
     size = 1 if orb.catalog_id == "torus" else len(orb.params["a"])
     if x.size != size:
         raise GeometryError(f"flat-model point {x} has {x.size} coordinates, expected {size}")
-    if orb.catalog_id != "torus":
-        return x.reshape(size)
-    z = x.item()
-    return complex(_cell(z.real), _cell(z.imag))
+    if orb.catalog_id == "torus":
+        z = x.item()
+        return complex(_cell(z.real), _cell(z.imag))
+    return x.reshape(size)
 
 
 def _cell(t):
@@ -93,8 +92,7 @@ def _require_power_and_time(p, u):
     """Refuse, naming the value, a power that is not an integer >= 1 (a bool
     too) and a time that is not finite and positive, with the catalog's
     typing of its parameters."""
-    if _integer("power p", p) < 1:
-        raise ConfigurationError(f"power p must be >= 1, got {p!r}")
+    _power(p)
     if _finite("kernel time u", u) <= 0:
         raise ConfigurationError(f"kernel time u must be positive, got {u!r}")
 
@@ -119,17 +117,16 @@ def _per_power(values, ndim):
 # image sums
 
 
-def torus_image_log_terms(orb, points, u, p, include_identity=True, degree=0):
-    """log|term| and phase of every deck-transformation term on a torus quotient.
+def torus_image_log_terms(d, k, points, u, p, include_identity=True):
+    """log|term| and phase of every degree-0 deck-transformation term on the
+    torus quotient of bundle degree d and group order k.
 
     ``points`` are complex numbers of any shape, each in the unit cell
     [0, 1)^2: the images, cut at |m|, |n| <= LATTICE_CUT, are the deck
     transformations gamma = (magnetic translation by lam = m + i n) o
     (half turn)^j.  The term K_plane(z, gamma z) exp(i pi D m n)
     exp(i (B/2) lam wedge r^j z) takes the degree-0 plane kernel at curvature
-    B = 2 pi d p and time u / p; degree one weights it by (-1)^j e^{-2 pi d u}
-    (the two scalar operators differ by the full field strength, and the
-    half turn acts on the antiholomorphic coframe by -1).
+    B = 2 pi d p and time u / p.
 
     Every term carries the p^{-1} rescaling.  ``p`` is a sequence of powers.
     Returns (labels, log_abs, phase): one (m, n, j) label per image and two
@@ -137,7 +134,6 @@ def torus_image_log_terms(orb, points, u, p, include_identity=True, degree=0):
     scalars are computed from that power alone, so its slice does not depend
     on the other powers.
     """
-    d, k = _torus_params(orb, degree)
     D = [d * pp for pp in p]
     labels, m, n_, j = _deck_images(k, include_identity)
     z = np.asarray(points, dtype=complex)[..., None]
@@ -149,23 +145,7 @@ def torus_image_log_terms(orb, points, u, p, include_identity=True, degree=0):
     pi_D = _per_power([math.pi * Dp for Dp in D], z.ndim)
     phase = phase + (pi_D * m * n_ + pi_D * wedge)
     log_abs = log_abs - _per_power([math.log(pp) for pp in p], z.ndim)
-    if degree == 1:
-        log_abs, phase = _degree_one(d, u, j, log_abs, phase)
     return labels, log_abs, phase
-
-
-def _torus_params(orb, degree):
-    """(d, k) of a torus quotient, refusing other models and degrees."""
-    if orb.catalog_id != "torus":
-        raise UnsupportedModelError("deck-transformation sums run on the torus quotients")
-    if degree not in (0, 1):
-        raise ConfigurationError("torus models carry form degrees 0 and 1")
-    return orb.params["d"], orb.params["k"]
-
-
-def _degree_one(d, u, j, log_abs, phase):
-    """Degree-0 deck terms weighted by (-1)^j e^{-2 pi d u}, the degree-one terms."""
-    return log_abs - 2.0 * math.pi * d * u, phase + math.pi * j
 
 
 @functools.lru_cache(maxsize=16)
@@ -233,42 +213,26 @@ def local_model_diagonal_kernel(orb, bundle, Z, u, p):
 def torus_image_terms(orb, bundle, z, u, p):
     """Deck-transformation terms of the diagonal kernel on the torus quotient,
     as ((m, n, j), log|term|, phase) triples."""
-    labels, log_abs, phase = torus_image_log_terms(orb, _point(orb, z), u, [p])
+    labels, log_abs, phase = torus_image_log_terms(*_torus(orb), _point(orb, z), u, [p])
     return list(zip(labels, log_abs[0], phase[0]))
 
 
 def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0):
     """Degree-q diagonal kernel trace on the torus quotient by image sums."""
+    d, k = _torus(orb, degree)
     _require_power_and_time(p, u)
-    return _torus_image_sum(orb, _point(orb, z), u, p, degree)
-
-
-def _torus_image_sum(orb, z, u, p, degree):
-    """The degree-q image sum at a point z of the cell, read from the cache
-    that both degrees share."""
-    d, k = _torus_params(orb, degree)
-    return _torus_image_sums(_TorusKey(orb, d, k), z, u, p)[degree]
-
-
-class _TorusKey(tuple):
-    """A torus quotient's (d, k) as a cache key; the model rides along outside
-    the key's equality and hash, for the evaluation on a miss."""
-
-    def __new__(cls, orb, d, k):
-        key = super().__new__(cls, (d, k))
-        key.orb = orb
-        return key
+    return _torus_image_sums(d, k, _point(orb, z), u, p)[degree]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _torus_image_sums(torus, z, u, p):
-    """(degree-0, degree-1) image sums at a point z of the cell, from one
-    degree-0 evaluation of the deck terms; one log-sum runs over both."""
-    d, k = torus
-    _, log_abs, phase = torus_image_log_terms(torus.orb, z, u, [p])
-    log_abs_1, phase_1 = _degree_one(d, u, _deck_images(k, True)[3], log_abs, phase)
-    return tuple(_image_sums(np.concatenate((log_abs, log_abs_1)),
-                             np.concatenate((phase, phase_1))))
+def _torus_image_sums(d, k, z, u, p):
+    """(degree-0, degree-1) image sums at a point z of the cell, in one log-sum
+    over one degree-0 evaluation weighted by (-1)^j e^{-2 pi d u} in degree one
+    (the full field strength, and the half turn's -1 on the coframe ebar)."""
+    _, log_abs, phase = torus_image_log_terms(d, k, z, u, [p])
+    j = _deck_images(k, True)[3]
+    return tuple(_image_sums(np.concatenate((log_abs, log_abs - 2.0 * math.pi * d * u)),
+                             np.concatenate((phase, phase + math.pi * j))))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +295,11 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
         raise GeometryError(
             f"point at distance {dist:.3f} from the singular set; the regular-point "
             f"check requires distance >= {REGULAR_MIN_DISTANCE}")
-    image_log_terms = (torus_image_log_terms if orb.catalog_id == "torus"
-                       else local_model_image_log_terms)
-    _, log_abs, phase = image_log_terms(orb, x, u, p_list, include_identity=False)
+    if orb.catalog_id == "torus":
+        terms = torus_image_log_terms(*_torus(orb), x, u, p_list, include_identity=False)
+    else:
+        terms = local_model_image_log_terms(orb, x, u, p_list, include_identity=False)
+    _, log_abs, phase = terms
     log_errs, _ = log_sum_exp(log_abs, phase)
     return fit_rate(p_list, log_errs)
 
@@ -463,8 +429,7 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     states would round it.  The top degree-1 level, whose partner lies beyond
     the truncation, is left out.
     """
-    if orb.catalog_id != "torus":
-        raise UnsupportedModelError("the exact chain runs on the torus quotients")
+    _torus(orb)
     _require_power_and_time(p, u)
     ops = [assemble_kodaira_laplacian(orb, bundle, p, q, resolution) for q in (0, 1)]
     m0, m1 = (op.multiplicities for op in ops)
@@ -491,14 +456,13 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     """Gap between the spectral and image-sum diagonal kernels, relative to
     the identity term: at the half-turn fixed points the degree-one kernel
     cancels to rounding, so its own size is no scale."""
-    if orb.catalog_id != "torus":
-        raise UnsupportedModelError("oracle consistency compares the torus routes")
+    d, k = _torus(orb, degree)
     _require_power_and_time(p, u)
     z = _point(orb, z)
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
-    image = _torus_image_sum(orb, z, u, p, degree)
-    return abs(spec - image) / (_image_trace(op.d, 1, u, p, degree) / p)
+    image = _torus_image_sums(d, k, z, u, p)[degree]
+    return abs(spec - image) / (_image_trace(d, 1, u, p, degree) / p)
 
 
 def _image_trace(d, k, u, p, degree):
@@ -544,8 +508,7 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24, resolut
     exact at every p.  Returns the relative difference.  ``grid`` no longer
     changes the value; it stays for callers that still pass it.
     """
-    if orb.catalog_id != "torus":
-        raise UnsupportedModelError("the trace identity check runs on torus models")
+    _torus(orb, degree)
     _require_power_and_time(p, u)
     op = _truncated_operator(orb, bundle, u, p, degree, resolution)
     spectral = heat_trace(op, u)

@@ -921,6 +921,22 @@ def test_trace_identity_fails_on_a_wrong_multiplicity(tmp_path, monkeypatch):
     assert len(identity) == 6 and not any(r["passed"] for r in identity)
 
 
+def test_heat_trace_fails_on_a_wrong_kernel_multiplicity(tmp_path, monkeypatch):
+    """One state too many in degree-0 level 0, the kernel.  The heat-trace
+    gate reads the kernel dimension from the bundle degree, not from the
+    Landau multiplicities, so heat-trace-p*-q0 fails; when it read them, every
+    heat-trace result passed and only the trace identity at q = 0 failed."""
+    from orbmorse import spectral
+    multiplicity = spectral._level_multiplicity
+    monkeypatch.setattr(spectral, "_level_multiplicity", lambda D, k, level, q:
+                        multiplicity(D, k, level, q) + (q == 0 and level == 0))
+    code, results = run_all(tmp_path, load_config(str(DEMO_CONFIGS / "torus_halfturn.yaml")))
+    assert code == 1
+    failed = sorted(name for name, r in results.items() if not r["passed"])
+    assert failed == sorted(f"{check}-p{p}-q0" for check in ("heat-trace", "trace-identity")
+                            for p in (4, 8, 16))
+
+
 @pytest.mark.parametrize("catalog,u_list,left_out,reason", [
     ("{d: 1, k: 2}", "[0.1, 1.0]", "0.1", "too small for 32 Landau levels"),
     ("{d: 3, k: 2}", "[1.0, 64.0]", "64.0", "degree-1 heat trace at u=64.0 falls below"),

@@ -1,6 +1,7 @@
 """Lattice-count cohomology: oracles, closed forms, asymptotics."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -201,6 +202,25 @@ def test_local_model_has_no_cohomology_table():
     orb, _ = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     with pytest.raises(UnsupportedModelError):
         cohomology_table(orb, [1, 2])
+
+
+@pytest.mark.parametrize("catalog,params", [("torus", {"d": 1, "k": 2}),
+                                            ("wps", {"weights": (2, 3)})])
+@pytest.mark.parametrize("p,named", [(2.5, "2.5"), (True, "True"), (math.nan, "nan"),
+                                     (np.float64(8.0), "np.float64(8.0)")])
+def test_table_refuses_a_power_that_is_not_an_integer(catalog, params, p, named):
+    """At the parent p = 2.5 read the entries of p = 2, True those of p = 1,
+    and NaN raised a bare ValueError."""
+    orb, _ = build_catalog_orbifold(catalog, **params)
+    with pytest.raises(ConfigurationError, match=rf"got {re.escape(named)}$"):
+        cohomology_table(orb, [4, p])
+
+
+def test_table_takes_numpy_integer_powers():
+    orb, _ = build_catalog_orbifold("torus", d=1, k=2)
+    table = cohomology_table(orb, np.array([4, 8]))
+    assert table.entries == cohomology_table(orb, [4, 8]).entries
+    assert all(type(p) is int for p, _ in table.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -87,7 +88,9 @@ def test_kernel_count_is_the_zero_eigenvalue_multiplicity():
 
 
 def test_closed_form_multiplicity_matches_swap_basis():
-    """Every case d in 1..3, p in 1..64, k in {1, 2}, q in {0, 1}, level < 8."""
+    """Every case d in 1..3, p in 1..64, k in {1, 2}, q in {0, 1}, level < 8;
+    the kernel dimension, which reads the fixed points and not the
+    multiplicities, is the invariant count of degree-0 level 0."""
     swap_rows = {}
     for d, p, k in itertools.product(range(1, 4), range(1, 65), (1, 2)):
         D = d * p
@@ -98,6 +101,7 @@ def test_closed_form_multiplicity_matches_swap_basis():
                     swap_rows[D, sign] = invariant_basis(D, sign).shape[0]
                 expected = D if k == 1 else swap_rows[D, sign]
                 assert op.multiplicities[level] == expected, (d, p, k, q, level)
+        assert torus_kernel_dimension(d, k, p, 0) == (D if k == 1 else swap_rows[D, 1])
 
 
 def test_exact_chain_memory_is_independent_of_power():
@@ -124,6 +128,39 @@ def test_kernel_dimensions_formula():
     assert torus_kernel_dimension(2, 1, 3, 1) == 0
     assert torus_kernel_dimension(0, 1, 3, 0) == 1
     assert torus_kernel_dimension(-1, 1, 3, 1) == 3
+
+    # the counts read the bundle degree D = d p: L^0 is trivial whatever d
+    # (d = 1, p = 0 read h^0 = 0), and d = 1, p = -3 is d = -1, p = 3 (it read
+    # a count of -3)
+    def h(d, k, p):
+        return [torus_kernel_dimension(d, k, p, q) for q in (0, 1)]
+    assert h(1, 1, 0) == h(0, 1, 5) == [1, 1]
+    assert h(1, 2, 0) == h(0, 2, 5) == [1, 0]
+    assert h(1, 1, -3) == h(-1, 1, 3) == [0, 3]
+    assert h(-1, 1, -3) == h(1, 1, 3) == [3, 0]
+    assert h(-1, 2, -8) == h(1, 2, 8) == [5, 0]
+    with pytest.raises(UnsupportedModelError):
+        torus_kernel_dimension(1, 2, -3, 0)
+
+
+# (p, the value the refusal names): at the parent p = 2.5 assembled p = 2,
+# True p = 1, p = 0 a multiplicity of -1 whose heat trace divided by zero,
+# and p = -3 a heat trace of -1.004
+BAD_POWERS = [(2.5, "2.5"), (True, "True"), (0, "0"), (-3, "-3"), (math.nan, "nan"),
+              (np.float64(8.0), "np.float64(8.0)")]
+
+
+@pytest.mark.parametrize("p,named", BAD_POWERS)
+def test_assembly_refuses_a_power_that_is_not_an_integer_at_least_1(p, named):
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    with pytest.raises(ConfigurationError, match=rf"got {re.escape(named)}$"):
+        assemble_kodaira_laplacian(orb, bundle, p, 0)
+
+
+def test_assembly_takes_a_numpy_integer_power():
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    op = assemble_kodaira_laplacian(orb, bundle, np.int64(8), 0)
+    assert op == assemble_kodaira_laplacian(orb, bundle, 8, 0) and type(op.p) is int
 
 
 # ---------------------------------------------------------------------------

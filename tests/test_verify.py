@@ -14,7 +14,7 @@ from orbmorse import spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
-from orbmorse.errors import ConfigurationError, GeometryError
+from orbmorse.errors import ConfigurationError, GeometryError, UnsupportedModelError
 from orbmorse.kernels import (ModelPoint, heat_diagonal_limit, log_sum_exp, mehler_log_form,
                               twisted_gaussian)
 from orbmorse.spectral import assemble_kodaira_laplacian, torus_diagonal_kernel_spectral
@@ -150,13 +150,52 @@ def test_both_degrees_share_one_image_evaluation(monkeypatch, degree):
     assert terms.call_count == 3
     torus_diagonal_kernel_image(orb, bundle, Z + 0.125j, 0.5, 16, degree=degree)
     assert terms.call_count == 4
-    # every evaluation is the degree-0 one, at one power
-    assert [(call.args[2:], call.kwargs) for call in terms.call_args_list] == [
-        ((1.0, [8]), {}), ((1.0, [8]), {}), ((1.0, [16]), {}), ((0.5, [16]), {})]
+    # every evaluation is the degree-0 one of (d, k) = (1, 2), at one power
+    assert [(call.args[:2], call.args[3:], call.kwargs) for call in terms.call_args_list] == [
+        ((1, 2), (1.0, [8]), {}), ((1, 2), (1.0, [8]), {}), ((1, 2), (1.0, [16]), {}),
+        ((1, 2), (0.5, [16]), {})]
     # and the k = 1 cover of the same d is another model
     cover, cover_bundle = build_catalog_orbifold("torus", d=1, k=1)
     torus_diagonal_kernel_image(cover, cover_bundle, Z, 1.0, 8, degree=degree)
     assert terms.call_count == 5
+
+
+def torus_only_route(route, orb, bundle, degree=0):
+    """One of the routes that run on the torus quotients alone, at 0.21 + 0.33i,
+    u = 1 and p = 8; ``degree`` reaches the routes that take one."""
+    z = 0.21 + 0.33j
+    if route == "assemble":
+        return assemble_kodaira_laplacian(orb, bundle, 8, degree)
+    if route == "terms":
+        return torus_image_terms(orb, bundle, z, 1.0, 8)
+    if route == "image":
+        return torus_diagonal_kernel_image(orb, bundle, z, 1.0, 8, degree=degree)
+    if route == "oracle":
+        return oracle_consistency(orb, bundle, z, 1.0, 8, degree=degree)
+    if route == "trace":
+        return verify.trace_equals_diagonal_integral(orb, bundle, 1.0, 8, degree=degree)
+    return exact_chain_residuals(orb, bundle, 8, 1.0)
+
+
+TORUS_ONLY_ROUTES = ["assemble", "terms", "image", "oracle", "trace", "chain"]
+
+
+@pytest.mark.parametrize("route", TORUS_ONLY_ROUTES)
+@pytest.mark.parametrize("catalog,params", [("wps", {"weights": (2, 3)}),
+                                            ("local-model", {"k": 2, "a": (1.0,)})],
+                         ids=["P(2,3)", "C/Z2"])
+def test_torus_only_routes_refuse_other_models(route, catalog, params):
+    """Each route names the catalog id it refuses, through the one torus guard."""
+    orb, bundle = build_catalog_orbifold(catalog, **params)
+    with pytest.raises(UnsupportedModelError, match=rf"catalog id '{catalog}'"):
+        torus_only_route(route, orb, bundle)
+
+
+@pytest.mark.parametrize("route", ["assemble", "image", "oracle", "trace"])
+def test_torus_routes_refuse_a_third_degree(route):
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    with pytest.raises(ConfigurationError, match="degrees 0 and 1"):
+        torus_only_route(route, orb, bundle, degree=2)
 
 
 def test_every_module_cache_is_bounded():
@@ -335,9 +374,8 @@ def test_a_warm_basis_cache_gives_the_cold_values(calls):
 
     def image_per_degree(z, p, q):
         """The image sum of one degree's own deck terms, without the shared cache."""
-        _, log_abs, phase = verify.torus_image_log_terms(orb, verify._point(orb, z), 1.0, [p],
-                                                         degree=q)
-        return verify._image_sums(log_abs, phase)[0]
+        terms = verify.torus_image_log_terms(1, 2, verify._point(orb, z), 1.0, [p])
+        return verify._image_sums(*degree_terms(terms, q, 1, 1.0))[0]
 
     clear_caches()
     warm = [values(*call) for call in calls]
@@ -413,18 +451,15 @@ def test_batched_regular_fit_equals_the_per_power_kernels(model, u, p_list, poin
         assert per_power == [-math.inf] * len(p_list) and fit.log_errors == ()
 
 
-@pytest.mark.parametrize("degree", [0, 1])
-def test_batched_torus_image_terms_equal_each_power(degree):
+def test_batched_torus_image_terms_equal_each_power():
     """Each power's slice of a batch is that power's own one-power batch, bit
     for bit."""
-    orb, _ = build_catalog_orbifold("torus", d=1, k=2)
     points = np.array([[0.26 + 0.17j, 0.5 + 0.5j], [0j, 0.91 + 0.05j]])
     powers = [4, 17, 256, 2 ** 40]
-    labels, log_abs, phase = verify.torus_image_log_terms(orb, points, 1.0, powers,
-                                                          degree=degree)
+    labels, log_abs, phase = verify.torus_image_log_terms(1, 2, points, 1.0, powers)
     assert log_abs.shape == phase.shape == (len(powers),) + points.shape + (len(labels),)
     for i, p in enumerate(powers):
-        one = verify.torus_image_log_terms(orb, points, 1.0, [p], degree=degree)
+        one = verify.torus_image_log_terms(1, 2, points, 1.0, [p])
         assert one[0] == labels
         assert bits(one[1][0]) == bits(log_abs[i]) and bits(one[2][0]) == bits(phase[i])
 
@@ -758,6 +793,16 @@ def _degree_one(terms, d, u):
             for (m, n_, j), log_abs, phase in terms]
 
 
+def degree_terms(terms, q, d, u):
+    """(log_abs, phase) of degree q from the degree-0 (labels, log_abs, phase)
+    arrays: degree one weights them as ``_degree_one`` weights each term."""
+    labels, log_abs, phase = terms
+    if q == 0:
+        return log_abs, phase
+    j = np.array([j for _, _, j in labels], dtype=float)
+    return log_abs - 2.0 * math.pi * d * u, phase + math.pi * j
+
+
 def _assert_same(kernel, folded):
     """A plain complex kernel against a folded (log|sum|, phase) pair."""
     log_abs, phase = folded
@@ -882,12 +927,13 @@ def midpoint_half_turns(orb, u, p, degree, grid):
     """1/k times the half-turn terms of the image sum on a grid x grid midpoint rule."""
     xs = (np.arange(grid) + 0.5) / grid
     total = 0.0
+    d, k = orb.params["d"], orb.params["k"]
     for x in xs:
-        labels, log_abs, phase = verify.torus_image_log_terms(
-            orb, x + 1j * xs, u, [p], degree=degree)
-        half = np.array([j == 1 for _, _, j in labels])
+        terms = verify.torus_image_log_terms(d, k, x + 1j * xs, u, [p])
+        log_abs, phase = degree_terms(terms, degree, d, u)
+        half = np.array([j == 1 for _, _, j in terms[0]])
         total += np.sum(np.exp(log_abs[0][:, half] + 1j * phase[0][:, half])).real
-    return p * total / grid ** 2 / orb.params["k"]
+    return p * total / grid ** 2 / k
 
 
 @pytest.mark.parametrize("q", [0, 1])
