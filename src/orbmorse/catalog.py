@@ -31,13 +31,13 @@ d/k for the torus quotient.
 
 from __future__ import annotations
 
-import cmath
 import inspect
 import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import (_REALS, ConfigurationError, _finite, _integer, _list_of, _positive,
+                     _real)
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, OrbifoldChart,
                        RadialField, constant_field, cyclic_group)
 
@@ -87,43 +87,6 @@ def build_catalog_orbifold(catalog_id, **params):
             f"unknown parameter(s) {', '.join(unknown)} for catalog id "
             f"{catalog_id!r}; accepted: {', '.join(accepted)}")
     return builder(**params)
-
-
-# Values arrive from YAML (lists) or from Python callers (tuples).  Integers
-# are ints but not bools, reals are finite non-bool numbers, so a mistyped
-# value is refused instead of running a different model.  ``name`` is the
-# value's full label in messages, e.g. "catalog parameter k" or "run.p_list";
-# the run configuration types its values with the same helpers.
-
-
-def _integer(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-_REALS = (int, float, np.integer, np.floating)
-
-
-def _finite(name, value, kinds=_REALS, kind="real"):
-    try:
-        ok = (not isinstance(value, bool) and isinstance(value, kinds)
-              and cmath.isfinite(value))
-    except OverflowError:           # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ConfigurationError(f"{name} must be a finite {kind} number, got {value!r}")
-    return value
-
-
-def _real(name, value):
-    return float(_finite(name, value))
-
-
-def _list_of(name, value, item):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{name} must be a list, got {value!r}")
-    return tuple(item(name, v) for v in value)
 
 
 def _check_weights(weights):
@@ -213,9 +176,7 @@ def _dent(value):
     center = _finite("catalog parameter dent.center", value.get("center", 0.45 + 0.0j),
                      _REALS + (complex, np.complexfloating), "real or complex")
     amplitude = _real("catalog parameter dent.amplitude", value.get("amplitude", 0.6))
-    width = _real("catalog parameter dent.width", value.get("width", 0.12))
-    if width <= 0:
-        raise ConfigurationError(f"catalog parameter dent.width must be positive, got {width!r}")
+    width = _positive("catalog parameter dent.width", value.get("width", 0.12))
     return amplitude, width, complex(center)
 
 
@@ -254,11 +215,14 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
         amp, sig, z0 = _dent(dent)
         radial_x, radial_y = curvature
 
+        def dent_density(z):
+            """2A e^{-v^2/sigma^2} (v^2 - sigma^2) / sigma^4 at v = |z - z0|."""
+            v2 = np.abs(z - z0) ** 2
+            return 2.0 * amp * np.exp(-v2 / sig**2) * (v2 - sig**2) / sig**4
+
         def curvature_scalar_x(nodes):
             nodes = np.asarray(nodes, dtype=complex)
-            v2 = np.abs(nodes - z0) ** 2
-            return (radial_x(nodes)
-                    + 2.0 * amp * np.exp(-v2 / sig**2) * (v2 - sig**2) / sig**4)
+            return radial_x(nodes) + dent_density(nodes)
 
         def curvature_scalar_y(nodes):
             nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
@@ -266,11 +230,8 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
             # exact transport for (1, 1): z = gamma / w', |dz/dw'|^2 = gamma^2/|w'|^4
             extra = np.zeros_like(val)
             safe = np.abs(nodes) > 1e-9           # the dent vanishes at z = inf
-            zs = gamma / nodes[safe]
-            v2 = np.abs(zs - z0) ** 2
             jac2 = gamma**2 / np.abs(nodes[safe]) ** 4
-            extra[safe] = (2.0 * amp * np.exp(-v2 / sig**2)
-                           * (v2 - sig**2) / sig**4 * jac2)
+            extra[safe] = dent_density(gamma / nodes[safe]) * jac2
             return val + extra
 
         curvature = (curvature_scalar_x, curvature_scalar_y)

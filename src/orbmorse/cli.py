@@ -23,15 +23,12 @@ import yaml
 from . import moishezon as mz
 from . import report as rpt
 from . import verify as vf
-from .catalog import _integer, _list_of, _real, build_catalog_orbifold
+from .catalog import build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, OrbmorseError, UnresolvedTimeError,
-                     UnsupportedModelError)
+                     UnsupportedModelError, _at_least, _list_of, _positive)
 from .spectral import assemble_kodaira_laplacian, heat_trace, torus_kernel_dimension
-
-SUBCOMMANDS = ("cohomology", "curvature-integral", "heat-trace", "verify-morse",
-               "kernel-asymptotics", "moishezon-check", "all")
 
 DEFAULT_TOLERANCES = {
     "tol_degeneracy": 1e-8,
@@ -40,17 +37,13 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _integers(name, value):
-    return list(_list_of(name, value, _integer))
+_AT_LEAST_0 = functools.partial(_at_least, low=0)
+_AT_LEAST_1 = functools.partial(_at_least, low=1)
 
-
-def _reals(name, value):
-    return list(_list_of(name, value, _real))
-
-
-# how each run value is typed; a key left out keeps the RunConfig default
-RUN_VALUES = {"p_list": _integers, "u_list": _reals, "q_list": _integers,
-              "resolution_quadrature": _integer, "resolution_spectral": _integer}
+# how each run value is typed, a *_list entry by entry; a key left out keeps
+# the RunConfig default
+RUN_VALUES = {"p_list": _AT_LEAST_1, "u_list": _positive, "q_list": _AT_LEAST_0,
+              "resolution_quadrature": _AT_LEAST_1, "resolution_spectral": _AT_LEAST_1}
 
 # the keys each config section accepts; any other key is an error, so a typo
 # never runs silently at the default
@@ -103,14 +96,18 @@ class RunConfig(NamedTuple):
             raise ConfigurationError(f"malformed configuration: {exc}")
         # values are typed, not coerced; an absent key takes its field default, typed
         run = raw.get("run", {})
-        values = {key: typed(f"run.{key}", run.get(key, cls._field_defaults[key]))
-                  for key, typed in RUN_VALUES.items()}
+        values = {}
+        for key, typed in RUN_VALUES.items():
+            name, value = f"run.{key}", run.get(key, cls._field_defaults[key])
+            values[key] = (list(_list_of(name, value, typed)) if key.endswith("_list")
+                           else typed(name, value))
+        # the stdlib seeds from |seed|, so a negative seed would repeat a positive one
         if "seed" in raw:
-            values["seed"] = _integer("seed", raw["seed"])
+            values["seed"] = _AT_LEAST_0("seed", raw["seed"])
         output = raw.get("output", {})
         if "report_name" in output:
             values["report_name"] = output["report_name"]
-        tolerances = {name: _real(f"tolerances.{name}", value)
+        tolerances = {name: _positive(f"tolerances.{name}", value)
                       for name, value in raw.get("tolerances", {}).items()}
         cfg = cls(catalog_id=catalog_id, catalog_params=catalog_params,
                   tolerances={**DEFAULT_TOLERANCES, **tolerances}, **values)
@@ -122,30 +119,16 @@ class RunConfig(NamedTuple):
         return cfg
 
     def validate(self):
+        """The rules that span entries; each entry is typed by RUN_VALUES."""
         if any(b <= a for a, b in zip(self.p_list, self.p_list[1:])) or not self.p_list:
             raise ConfigurationError("p_list must be non-empty and strictly increasing")
-        if self.p_list[0] < 1:
-            raise ConfigurationError("p_list entries must be at least 1")
         # an empty u_list would drop the exact trace chain without a word, and
         # a repeated entry would run a check twice under one result name
-        if (not self.u_list or any(u <= 0 for u in self.u_list)
-                or len(set(self.u_list)) < len(self.u_list)):
-            raise ConfigurationError(
-                "u_list must be non-empty with distinct positive entries")
+        if not self.u_list or len(set(self.u_list)) < len(self.u_list):
+            raise ConfigurationError("u_list must be non-empty with distinct entries")
         # an empty q_list would drop the Morse series without a word
-        if (not self.q_list or any(q < 0 for q in self.q_list)
-                or len(set(self.q_list)) < len(self.q_list)):
-            raise ConfigurationError(
-                "q_list must be non-empty with distinct non-negative entries")
-        for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ConfigurationError(f"tolerance {name} must be positive")
-        # the stdlib seeds from |seed|, so a negative seed would repeat a positive one
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        for name in ("resolution_quadrature", "resolution_spectral"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be at least 1")
+        if not self.q_list or len(set(self.q_list)) < len(self.q_list):
+            raise ConfigurationError("q_list must be non-empty with distinct entries")
         # a plain file name in the output directory; the .json suffix keeps a
         # CSV artifact from overwriting the report
         name = self.report_name
@@ -386,6 +369,7 @@ RUNNERS = {
     "kernel-asymptotics": _run_kernel_asymptotics,
     "moishezon-check": _run_moishezon,
 }
+SUBCOMMANDS = (*RUNNERS, "all")
 
 
 def run(subcommand, config: RunConfig, out_dir, strict=False):
@@ -401,7 +385,7 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
     if any(q > orb.dimension for q in config.q_list):
         raise ConfigurationError(
             f"q_list entries must be at most the model dimension {orb.dimension}")
-    names = [s for s in SUBCOMMANDS[:-1]] if subcommand == "all" else [subcommand]
+    names = RUNNERS if subcommand == "all" else [subcommand]
     # one curvature pass and one cohomology table per run, each made by the
     # first stage that asks for it
     split = functools.cache(lambda: signature_integrals(
@@ -457,8 +441,7 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = config._replace(seed=args.seed)
-            config.validate()
+            config = config._replace(seed=_AT_LEAST_0("seed", args.seed))
         return run(args.subcommand, config, args.out, strict=args.strict)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import _check_weights, _integer
-from .errors import ConfigurationError, UnsupportedModelError
+from .catalog import _check_weights
+from .errors import ConfigurationError, UnsupportedModelError, _integer
 from .spectral import torus_kernel_dimension
 
 LATTICE_DP_MAX = 2 ** 24    # largest degree the coin DP tabulates (128 MiB of int64)
@@ -55,7 +55,7 @@ def weighted_proj_h0(weights, d):
     degree beyond LATTICE_DP_MAX is refused before the DP allocates.
     """
     ws = _check_weights(weights)
-    d = int(d)
+    d = _integer("degree d", d)
     if d < 0:
         return 0
     _refuse_beyond_dp(d)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigurationError, _degree, _positive
 from .geometry import (ChartedOrbifold, EquivariantLineBundle, _require_one_dimensional,
                        chart_blocks, volume_density)
 
@@ -62,8 +63,7 @@ def _scalar_curvature(orb, bundle, chart_index, points):
 
 def classify_point(eigenvalues, tol=DEGENERACY_TOL):
     """Signature q = number of negative eigenvalues; "degenerate" near zero."""
-    if tol <= 0:
-        raise ValueError("classification tolerance must be positive")
+    _positive("degeneracy tolerance tol", tol)
     a = np.asarray(eigenvalues, dtype=float)
     if np.any(np.abs(a) <= tol):
         return DEGENERATE
@@ -84,6 +84,7 @@ def signature_integrals(orb: ChartedOrbifold, bundle: EquivariantLineBundle,
     sign of c / h.  ``geometry.chart_blocks`` picks each chart's rule.
     """
     _require_one_dimensional(orb)
+    _positive("degeneracy tolerance tol", tol)
     classes = range(orb.dimension + 1)
     # the integral over each signature set, then the degenerate and the total weight
     totals = [0.0] * (len(classes) + 2)
@@ -117,11 +118,8 @@ def morse_integral(orb: ChartedOrbifold, bundle: EquivariantLineBundle, q_set,
     for the strong-inequality region); the value is the sum of the
     ``signature_integrals`` of its classes at ``DEGENERACY_TOL``, in increasing q.
     """
-    q_set = set(int(q) for q in q_set)
+    q_set = {_degree(q, orb.dimension) for q in q_set}
     if not q_set:
-        raise ValueError("q_set must be non-empty")
-    n = orb.dimension
-    if any(q < 0 or q > n for q in q_set):
-        raise ValueError(f"q_set {sorted(q_set)} outside 0..{n}")
+        raise ConfigurationError("q_set must be non-empty")
     by_signature = signature_integrals(orb, bundle, resolution).by_signature
     return sum(by_signature[q] for q in sorted(q_set))

@@ -25,7 +25,7 @@ with ``resolution`` Gauss-Legendre nodes on each piece: [0, edge] and
 and on the square box of any other chart (the torus and the local models)
 the inscribed disc and the corners beyond it.  Every other chart (the dented
 P(1, 1), a point function) takes the tensor rule on its square box,
-``resolution`` nodes per axis.  ``resolution`` is an integer >= 1.
+``resolution`` nodes per axis; ``gauss_legendre_nodes`` types it as an integer >= 1.
 
 All types are immutable NamedTuples; quadrature accumulates in a fixed
 chart/node order, so reruns are bit-identical.
@@ -34,7 +34,6 @@ chart/node order, so reruns are bit-identical.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from types import MappingProxyType
 from typing import NamedTuple
@@ -42,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, GeometryError, IntegrandError,
-                     UnsupportedModelError)
+                     UnsupportedModelError, _at_least)
 
 INTEGRAND_INVARIANCE_TOL = 1e-8
 
@@ -73,12 +72,11 @@ def cyclic_group(order, weights, theta_unit=0.0):
 
     Returns the k elements g^m, m = 0..k-1, where g^m acts on the line bundle
     fiber by the angle (theta_unit m) mod 2 pi.  The group is closed with one
-    identity by construction; an order below 1 and weights that generate a
-    proper subgroup (gcd(k, w mod k) != 1, an ineffective action) raise
-    ConfigurationError.
+    identity by construction; an order that is not an integer >= 1 and
+    weights that generate a proper subgroup (gcd(k, w mod k) != 1, an
+    ineffective action) raise ConfigurationError.
     """
-    if order < 1:
-        raise ConfigurationError(f"chart group order k={order} must be at least 1")
+    order = _at_least("chart group order k", order, 1)
     residues = [w % order for w in weights]
     if math.gcd(order, *residues) != 1:
         raise ConfigurationError(
@@ -312,12 +310,8 @@ def _legendre_rule(n):
 
 def gauss_legendre_nodes(resolution, radius):
     """Gauss-Legendre nodes and weights on [-radius, radius]; every rule reads
-    them here, so here a ``resolution`` not an integer >= 1 (or a bool) is refused."""
-    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
-            or resolution < 1):
-        raise ConfigurationError(
-            f"quadrature resolution must be an integer >= 1, got {resolution!r}")
-    n = int(resolution)
+    them here, so here ``resolution`` is typed as an integer >= 1."""
+    n = _at_least("quadrature resolution", resolution, 1)
     if n not in _GL_RULES:
         _GL_RULES[n] = _legendre_rule(n)
     x, w = _GL_RULES[n]

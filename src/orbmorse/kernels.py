@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, _degree, _positive
 
 # Eigenvalues with |a| <= ZERO_EIGENVALUE_TOL take the exact zero-mode branch.
 # Above it the factor functions are evaluated directly: -expm1(-x) and
@@ -81,7 +81,7 @@ class ModelPoint(namedtuple("ModelPoint", "eigenvalues u group_phases")):
     eigenvalues : tuple of float
         Spectrum of the curvature endomorphism at the point (unitary frame).
     u : float
-        Positive time parameter.
+        Time parameter, a finite real > 0 (``errors._positive``).
     group_phases : tuple of float or None
         Eigenphases (radians) of the group element on the normal coordinates,
         i.e. the element acts by diag(e^{i phi_j}).  None when no element is
@@ -98,8 +98,7 @@ class ModelPoint(namedtuple("ModelPoint", "eigenvalues u group_phases")):
     def _make(cls, values):
         """The checked point; ``_replace`` builds through here too."""
         eigenvalues, u, phases = values
-        if u <= 0:
-            raise ValueError("time parameter u must be positive")
+        _positive("time parameter u", u)
         eigenvalues = tuple(map(float, eigenvalues))
         if phases is not None:
             phases = tuple(map(float, phases))
@@ -139,8 +138,7 @@ def heat_diagonal_limit(point: ModelPoint, q):
     a = point.eigenvalues
     u = point.u
     n = len(a)
-    if not 0 <= q <= n:
-        raise ValueError(f"degree q={q} out of range 0..{n}")
+    _degree(q, n)
     plus = [factor_plus(aj, u) / u for aj in a]
     minus = [factor_minus(aj, u) / u for aj in a]
     subsets = tuple(itertools.combinations(range(n), q))
@@ -248,8 +246,7 @@ def signature_limit_density(a, q):
     if np.any(np.abs(a) <= ZERO_EIGENVALUE_TOL):
         raise DegenerateSpectrumError(
             "large-time limit undefined for (near-)zero curvature eigenvalues")
-    if not 0 <= q <= a.size:
-        raise ValueError(f"degree q={q} out of range 0..{a.size}")
+    _degree(q, a.size)
     negatives = int(np.sum(a < 0))
     if negatives != q:
         return 0.0

@@ -22,9 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import _integer
 from .cohomology import CohomologyTable, _wps_exponents
-from .errors import ConfigurationError, UnsupportedModelError
+from .errors import ConfigurationError, UnsupportedModelError, _at_least, _integer, _positive
 from .spectral import torus_basis_columns
 from .verify import fit_rate
 
@@ -56,6 +55,7 @@ def moishezon_check(split, quadrature_tolerance=1e-3):
     positivity somewhere, and implies (ii), whose witness is the curvature
     integral over the region with at most one negative eigenvalue.
     """
+    _positive("quadrature tolerance", quadrature_tolerance)
     n = len(split.by_signature) - 1
     integral = sum(split.by_signature[: min(1, n) + 1])
     semipositive = split.min_eigenvalue >= -split.tol
@@ -104,11 +104,10 @@ def bigness_check(table: CohomologyTable, n):
 def siegel_bound(m, n, k):
     """Jet-interpolation bound m * binom(n + k, k) on dim H^0.
 
-    Exact integer arithmetic; arguments must be non-negative and small enough
+    Exact integer arithmetic; arguments must be integers >= 0, small enough
     that the binomial stays within practical range.
     """
-    if min(m, n, k) < 0:
-        raise ValueError("siegel_bound arguments must be non-negative")
+    m, n, k = (_at_least(f"siegel_bound {name}", v, 0) for name, v in zip("mnk", (m, n, k)))
     if n + k > 10_000_000:
         raise OverflowError("jet order out of supported range")
     return m * math.comb(n + k, k)

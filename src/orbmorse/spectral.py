@@ -48,8 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import _integer
-from .errors import ConfigurationError, UnsupportedModelError
+from .errors import (ConfigurationError, UnsupportedModelError, _at_least, _degree, _integer,
+                     _positive)
 
 # entries per cache: a run holds a few dozen (p, q) pairs or (point, power)
 # keys, and each entry is O(resolution) numbers
@@ -78,9 +78,8 @@ def torus_kernel_dimension(d, k, p, q):
     from the bundle degree D = d p alone, without the Landau multiplicities it
     checks: the half turn keeps (2 D + 3 + (-1)^D) // 4 of D > 0 sections, the
     count of its four fixed points (Kawasaki 1979)."""
-    if q not in (0, 1):
-        raise ValueError("torus models have degrees 0 and 1")
-    D = d * p
+    _degree(q, 1)
+    D = d * _integer("power p", p)
     if D > 0:
         return 0 if q == 1 else (D if k == 1 else (2 * D + 3 + (-1) ** D) // 4)
     if D == 0:
@@ -137,8 +136,7 @@ def heat_trace(op: TorusKodairaOperator, u):
     A level of more than 2^53 states is refused: the float sum could not hold
     its count, nor be told from the exact kernel dimension.
     """
-    if u <= 0:
-        raise ValueError("heat-trace time u must be positive")
+    _positive("heat-trace time u", u)
     states = max(op.multiplicities)
     if states > 2 ** 53:
         raise ConfigurationError(
@@ -161,16 +159,8 @@ def _torus(orb, q=0):
             f"catalog id {orb.catalog_id!r} has no spectral discretization or deck "
             "transformations; weighted projective models use the exact cohomology "
             "tables and local models the closed-form kernels instead")
-    if q not in (0, 1):
-        raise ConfigurationError("torus models carry form degrees 0 and 1")
+    _degree(q, 1)
     return orb.params["d"], orb.params["k"]
-
-
-def _power(p):
-    """p as an int, refusing (named) a power that is not an integer >= 1, a bool too."""
-    if _integer("power p", p) < 1:
-        raise ConfigurationError(f"power p must be >= 1, got {p!r}")
-    return int(p)
 
 
 def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
@@ -180,10 +170,11 @@ def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):
     object for the same (d, k, p, q, resolution); every other catalog entry
     is rejected.
     """
-    if resolution < 1 or (resolution & (resolution - 1)) != 0:
+    resolution = _at_least("spectral resolution", resolution, 1)
+    if resolution & (resolution - 1):
         raise ConfigurationError(f"resolution {resolution} is not a power of two")
     d, k = _torus(orb, q)
-    p = _power(p)
+    p = _at_least("power p", p, 1)
     if d <= 0:
         raise UnsupportedModelError(
             f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1")
@@ -268,6 +259,7 @@ def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):
     per-level sums of one basis evaluation (``_level_sums``).  Exact up to
     the retained levels and floating-point rounding.
     """
+    _positive("kernel time u", u)
     norms, swaps = _level_sums(op.d, op.p, op.resolution, complex(z))
     levels = np.arange(op.resolution)
     per_level = norms

@@ -21,9 +21,9 @@ from one degree-0 evaluation.  The trace identity integrates the image sum
 over the cell in closed form (``_image_trace``).
 
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
-guard; every torus and local-model route refuses a power p that is not an
-integer >= 1 and a time u that is not finite and positive
-(``_require_power_and_time``), at each power of a ``p_list``.
+guard.  Every torus and local-model route types its power p and time u with
+``errors._at_least`` and ``errors._positive`` (``_require_power_and_time``),
+at each power of a ``p_list``, and a degree q with ``errors._degree``.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import _finite
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
-                     UnsupportedModelError)
+                     UnsupportedModelError, _at_least, _degree, _positive)
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
-from .spectral import (CACHE_SIZE, _power, _torus, assemble_kodaira_laplacian, heat_trace,
+from .spectral import (CACHE_SIZE, _torus, assemble_kodaira_laplacian, heat_trace,
                        torus_diagonal_kernel_spectral)
 
 RELIABLE_R2 = 0.9
@@ -89,12 +88,10 @@ def _cell(t):
 
 
 def _require_power_and_time(p, u):
-    """Refuse, naming the value, a power that is not an integer >= 1 (a bool
-    too) and a time that is not finite and positive, with the catalog's
-    typing of its parameters."""
-    _power(p)
-    if _finite("kernel time u", u) <= 0:
-        raise ConfigurationError(f"kernel time u must be positive, got {u!r}")
+    """Refuse, naming the value, a power that is not an integer >= 1 and a
+    time that is not finite and positive."""
+    _at_least("power p", p, 1)
+    _positive("kernel time u", u)
 
 
 def _require_powers_and_time(p_list, u):
@@ -199,6 +196,7 @@ def _image_sums(log_abs, phase):
 def local_model_image_terms(orb, bundle, Z, u, p):
     """Per-group-element terms of p^{-n} exp(-u Lap_p / p)(Z, Z), degree 0, as
     (group element, log|term|, phase) triples."""
+    _require_power_and_time(p, u)
     labels, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, [p])
     return list(zip(labels, log_abs[0], phase[0]))
 
@@ -213,6 +211,7 @@ def local_model_diagonal_kernel(orb, bundle, Z, u, p):
 def torus_image_terms(orb, bundle, z, u, p):
     """Deck-transformation terms of the diagonal kernel on the torus quotient,
     as ((m, n, j), log|term|, phase) triples."""
+    _require_power_and_time(p, u)
     labels, log_abs, phase = torus_image_log_terms(*_torus(orb), _point(orb, z), u, [p])
     return list(zip(labels, log_abs[0], phase[0]))
 
@@ -396,9 +395,8 @@ def verify_strong_morse(orb, q, p_list, split, table):
     |rho_p| -> 0 at q = n.
     """
     n = orb.dimension
-    if not 0 <= q <= n:
-        raise ConfigurationError(f"degree q={q} outside 0..{n}")
-    p_list = tuple(int(p) for p in p_list)
+    _degree(q, n)
+    p_list = tuple(_at_least("power p", p, 1) for p in p_list)
     integral = sum(split.by_signature[: q + 1])
     sums = []
     residuals = []
@@ -413,8 +411,7 @@ def verify_strong_morse(orb, q, p_list, split, table):
 
 def telescoping_identity_gap(orb, bundle, q, resolution=256):
     """|I(<= q) - I(<= q-1) - I({q})| on the sums of one signature split."""
-    if not 1 <= q <= orb.dimension:
-        raise ConfigurationError(f"telescoping runs at q = 1..{orb.dimension}, not {q}")
+    _degree(q, orb.dimension, 1)
     by_signature = signature_integrals(orb, bundle, resolution=resolution).by_signature
     return abs(sum(by_signature[: q + 1]) - sum(by_signature[:q]) - by_signature[q])
 

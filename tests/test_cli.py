@@ -1016,7 +1016,7 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert main(["moishezon-check", "--config", good, "--out", str(tmp_path / "o"),
                  "--seed", "-3"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 2 and all("seed must be non-negative" in line for line in err)
+    assert len(err) == 2 and all("seed must be >= 0, got -" in line for line in err)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_torus_only_routes_refuse_other_models(route, catalog, params):
 @pytest.mark.parametrize("route", ["assemble", "image", "oracle", "trace"])
 def test_torus_routes_refuse_a_third_degree(route):
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
-    with pytest.raises(ConfigurationError, match="degrees 0 and 1"):
+    with pytest.raises(ConfigurationError, match="form degree q must be in 0..1, got 2$"):
         torus_only_route(route, orb, bundle, degree=2)
 
 
