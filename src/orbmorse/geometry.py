@@ -224,7 +224,15 @@ class EquivariantLineBundle(NamedTuple):
 
 _GL_RULES = {}       # the rule on [-1, 1], by resolution
 BLOCK_ROWS = 64      # rows of the tensor rule per block
-NEWTON_PASSES = 4    # cap on the recurrence passes; one is taken at n >= 128
+NEWTON_PASSES = 4    # cap on the Newton passes; one is taken at n >= 128
+# Stieltjes' series takes the nodes with n sin(theta) >= STIELTJES_MIN, where
+# its term ratio, about m / (2 n sin theta), is at most m / 40.  Laplace's
+# integral takes the rest: the nodes near j_{0,k} / n with j_{0,k} < 20, the
+# first six from each end at every n >= 40, and every node of a rule to n = 20.
+STIELTJES_MIN = 20.0
+# terms of Stieltjes' series: at n sin(theta) = 20 the first one left out is
+# under 3e-17 of the first one kept
+STIELTJES_TERMS = 24
 # the first ten zeros j_{0,k} of the Bessel function J_0, correctly rounded;
 # McMahon's expansion is exact to double precision beyond them
 BESSEL_J0_ZEROS = np.array([
@@ -244,27 +252,59 @@ def _bessel_j0_zeros(count):
     return np.concatenate((BESSEL_J0_ZEROS, mcmahon))[:count]
 
 
-def _legendre_slope(n, theta):
-    """P_n(cos theta) and its slope -d/dtheta P_n(cos theta), by recurrence.
+def _legendre_laplace(n, theta):
+    """P_n(cos theta) and its slope -d/dtheta P_n(cos theta) by Laplace's
+    first integral, P_n(cos theta) = (1/pi) int_0^pi z^n dphi with
+    z = cos theta + i sin theta cos phi.
 
-    The three-term recurrence runs on y = 1 - x = 2 sin^2(theta/2) and the
-    differences D_k = P_k - P_{k-1},
-        (k + 1) D_{k+1} = k D_k - (2k + 1) y P_k,
-    so near x = 1, where every P_k is close to 1, it adds small differences
-    instead of cancelling large terms.  The slope is
-    n (P_{n-1} - x P_n) / sin(theta).
+    The integrand is a trigonometric polynomial of degree n in phi, so the
+    trapezoid rule on n // 2 + 1 intervals is exact (Trefethen & Weideman,
+    SIAM Review 56, 2014).  z^(n-1) is |z|^(n-1) e^{i (n-1) arg z}, with
+    log |z|^2 = log1p(-sin^2 theta sin^2 phi), which keeps its digits where
+    |z| is close to 1; the slope is the mean of
+    n Re z^(n-1) (sin theta - i cos theta cos phi).  O(n) per node.
     """
-    y = 2.0 * np.sin(0.5 * theta) ** 2
-    p = 1.0 - y
-    d = -y
-    t = np.empty_like(y)
-    for k in range(1, n):
-        np.multiply(y, p, out=t)
-        t *= (2 * k + 1) / (k + 1)
-        d *= k / (k + 1)
-        d -= t
-        p += d
-    return p, n * (p - d - np.cos(theta) * p) / np.sin(theta)
+    intervals = n // 2 + 1
+    phi = np.linspace(0.0, np.pi, intervals + 1)
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    cos_phi = np.cos(phi)
+    a = (s * np.sin(phi)) ** 2
+    # z = 0 where a = 1, at theta = phi = pi/2: the middle node of an odd rule
+    log_z2 = np.full(a.shape, -np.inf)
+    np.log1p(-a, out=log_z2, where=a < 1.0)
+    modulus = np.exp((0.5 * (n - 1)) * log_z2)
+    angle = (n - 1) * np.arctan2(s * cos_phi, c)
+    re, im = modulus * np.cos(angle), modulus * np.sin(angle)
+    values = np.stack((c * re - (s * cos_phi) * im, n * (s * re + (c * cos_phi) * im)))
+    # the trapezoid rule: the mean over phi with both end points halved
+    sums = np.add.reduce(values, axis=2) - 0.5 * (values[..., 0] + values[..., -1])
+    return sums / intervals
+
+
+def _legendre_stieltjes(n, theta):
+    """P_n(cos theta) and its slope -d/dtheta P_n(cos theta), both divided by
+    one constant C_n, by Stieltjes' series (Hale & Townsend, eq. 3.1),
+
+        P_n(cos theta) = C_n sum_{m < M} h_m cos(alpha_m) / (2 sin theta)^(m + 1/2),
+
+    with alpha_m = (n + m + 1/2) theta - (m + 1/2) pi / 2, h_0 = 1 and
+    h_{m+1} = h_m (m + 1/2)^2 / ((m + 1) (n + m + 3/2)), M = STIELTJES_TERMS.
+    As e^{i alpha_m} = e^{i alpha_0} (-i e^{i theta})^m, the sum is the real
+    part of e^{i alpha_0} (2 sin theta)^(-1/2) sum_m h_m w^m, a polynomial in
+    w = -i e^{i theta} / (2 sin theta) = (1 - i cot theta) / 2.  Term by term,
+    d/dtheta multiplies the m-th term by i (n + m + 1/2) - (m + 1/2) cot theta.
+    O(M) per node.
+    """
+    m = np.arange(STIELTJES_TERMS)
+    h = np.cumprod(np.concatenate((
+        [1.0], (m[:-1] + 0.5) ** 2 / ((m[:-1] + 1.0) * (n + m[:-1] + 1.5)))))
+    cot = np.cos(theta) / np.sin(theta)
+    powers = np.vander(0.5 - 0.5j * cot, STIELTJES_TERMS, increasing=True)
+    # einsum, not a BLAS product, so the sums do not depend on the BLAS build
+    series, moment = np.einsum("km,jm->jk", powers, np.stack((h, m * h)))
+    lead = np.exp(1j * ((n + 0.5) * theta - 0.25 * np.pi)) / np.sqrt(2.0 * np.sin(theta))
+    slope = (0.5 * cot - 1j * (n + 0.5)) * series + (cot - 1j) * moment
+    return (lead * series).real, (lead * slope).real
 
 
 def _legendre_rule(n):
@@ -275,12 +315,19 @@ def _legendre_rule(n):
     interior and, for theta below 1 rad, Olver's in the Bessel zeros j_{0,k}
     (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013),
         theta = psi + (psi cot psi - 1) / (8 psi rho^2),  psi = j_{0,k} / rho,
-    with rho = n + 1/2.  Passes stop once every step is below 1e-8 / n: one
-    pass at n >= 128, at most three below.  Each pass moves its slope s along
-    Legendre's equation, ds/dtheta = n(n+1) P - s cot theta, to the corrected
-    node, so the weights 2 / s^2 take no further pass; they are then scaled
-    to sum to 2.  Each pass is one O(n) recurrence per node, so O(n^2) time
-    and O(n) memory, no eigenproblem.
+    with rho = n + 1/2.  Each pass evaluates P_n(cos theta) and its slope
+    -dP/dtheta at every node, by Stieltjes' series where
+    n sin theta >= STIELTJES_MIN and by Laplace's integral nearer the ends.
+    The two share one scale: the series leaves out its constant C_n, and
+    both evaluators run at the first series node, where the ratio of their
+    slopes puts the few Laplace nodes on the series' scale (a C_n from lgamma
+    would leave the end weights 2e-12 off at n = 1024).  Passes stop once
+    every step is below 1e-8 / n: one pass at n >= 128, at most three below.
+    Each pass moves its slope s along Legendre's equation,
+    ds/dtheta = n(n+1) P - s cot theta, to the corrected node, so the weights
+    2 / s^2 take no further pass; scaling them to sum to 2 removes the
+    common factor.  O(1) work per series node and O(n) per Laplace node, of
+    which there are a fixed few, so O(n) time and memory, no eigenproblem.
     """
     m = (n + 1) // 2
     k = np.arange(1, m + 1)
@@ -292,7 +339,14 @@ def _legendre_rule(n):
     # cot as cos / sin: numpy's tan kernel alone maps a quarter MB of code
     theta[:ends] = psi + (psi * np.cos(psi) / np.sin(psi) - 1.0) / (8.0 * psi * rho ** 2)
     for _ in range(NEWTON_PASSES):
-        p, slope = _legendre_slope(n, theta)
+        # theta ascends in (0, pi/2], so the Laplace nodes are a prefix
+        first = np.count_nonzero(n * np.sin(theta) < STIELTJES_MIN)
+        p, slope = _legendre_laplace(n, theta[:first + 1])
+        if first < m:
+            series, series_slope = _legendre_stieltjes(n, theta[first:])
+            scale = series_slope[0] / slope[first]
+            p = np.concatenate((scale * p[:first], series))
+            slope = np.concatenate((scale * slope[:first], series_slope))
         step = p / slope
         slope += step * (n * (n + 1) * p - slope * np.cos(theta) / np.sin(theta))
         theta += step

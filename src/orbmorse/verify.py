@@ -23,7 +23,9 @@ over the cell in closed form (``_image_trace``).
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
 guard.  Every torus and local-model route types its power p and time u with
 ``errors._at_least`` and ``errors._positive`` (``_require_power_and_time``),
-at each power of a ``p_list``, and a degree q with ``errors._degree``.
+at each power of a ``p_list``, and a degree q with ``errors._degree``.  The
+two batch kernels type p and u themselves, so a route that reaches one,
+directly or through the typed cache ``_torus_image_sums``, leaves them to it.
 """
 
 from __future__ import annotations
@@ -125,12 +127,14 @@ def torus_image_log_terms(d, k, points, u, p, include_identity=True):
     exp(i (B/2) lam wedge r^j z) takes the degree-0 plane kernel at curvature
     B = 2 pi d p and time u / p.
 
-    Every term carries the p^{-1} rescaling.  ``p`` is a sequence of powers.
-    Returns (labels, log_abs, phase): one (m, n, j) label per image and two
-    arrays of shape (len(p),) + points.shape + (len(labels),).  Each power's
-    scalars are computed from that power alone, so its slice does not depend
-    on the other powers.
+    Every term carries the p^{-1} rescaling.  ``p`` is a sequence of powers,
+    typed with u by ``_require_powers_and_time``.  Returns (labels, log_abs,
+    phase): one (m, n, j) label per image and two arrays of shape
+    (len(p),) + points.shape + (len(labels),).  Each power's scalars are
+    computed from that power alone, so its slice does not depend on the other
+    powers.
     """
+    _require_powers_and_time(p, u)
     D = [d * pp for pp in p]
     labels, m, n_, j = _deck_images(k, include_identity)
     z = np.asarray(points, dtype=complex)[..., None]
@@ -163,12 +167,14 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     ``points`` has shape (..., n) and the images are the group elements g,
     with degree-0 terms e^{i p theta_g} K_plane(g^{-1} Z, Z) at
     curvature p * a and time u / p, each carrying the p^{-n} rescaling.
-    ``p`` is a sequence of powers.  Returns (labels, log_abs, phase): the
+    ``p`` is a sequence of powers, typed with u by
+    ``_require_powers_and_time``.  Returns (labels, log_abs, phase): the
     group elements and two arrays of shape (len(p),) + points.shape[:-1] +
     (len(labels),), each power's slice computed from that power alone.
     """
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("group-element sums run on the local models")
+    _require_powers_and_time(p, u)
     a = np.asarray(orb.params["a"], dtype=float)
     n = a.size
     labels = [g for g in _local_group(orb) if include_identity or not g.is_identity]
@@ -196,14 +202,12 @@ def _image_sums(log_abs, phase):
 def local_model_image_terms(orb, bundle, Z, u, p):
     """Per-group-element terms of p^{-n} exp(-u Lap_p / p)(Z, Z), degree 0, as
     (group element, log|term|, phase) triples."""
-    _require_power_and_time(p, u)
     labels, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, [p])
     return list(zip(labels, log_abs[0], phase[0]))
 
 
 def local_model_diagonal_kernel(orb, bundle, Z, u, p):
     """p^{-n} exp(-u Lap_p / p)(Z, Z) on the local model, degree-0 trace."""
-    _require_power_and_time(p, u)
     _, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, [p])
     return _image_sums(log_abs, phase)[0]
 
@@ -211,7 +215,6 @@ def local_model_diagonal_kernel(orb, bundle, Z, u, p):
 def torus_image_terms(orb, bundle, z, u, p):
     """Deck-transformation terms of the diagonal kernel on the torus quotient,
     as ((m, n, j), log|term|, phase) triples."""
-    _require_power_and_time(p, u)
     labels, log_abs, phase = torus_image_log_terms(*_torus(orb), _point(orb, z), u, [p])
     return list(zip(labels, log_abs[0], phase[0]))
 
@@ -219,15 +222,18 @@ def torus_image_terms(orb, bundle, z, u, p):
 def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0):
     """Degree-q diagonal kernel trace on the torus quotient by image sums."""
     d, k = _torus(orb, degree)
-    _require_power_and_time(p, u)
     return _torus_image_sums(d, k, _point(orb, z), u, p)[degree]
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _torus_image_sums(d, k, z, u, p):
     """(degree-0, degree-1) image sums at a point z of the cell, in one log-sum
     over one degree-0 evaluation weighted by (-1)^j e^{-2 pi d u} in degree one
-    (the full field strength, and the half turn's -1 on the coframe ebar)."""
+    (the full field strength, and the half turn's -1 on the coframe ebar).
+
+    Only a (u, p) that ``torus_image_log_terms`` typed enters the cache, and a
+    typed cache takes a hit only at equal values of equal types, so a hit
+    needs no guard: True misses where 1 hits."""
     _, log_abs, phase = torus_image_log_terms(d, k, z, u, [p])
     j = _deck_images(k, True)[3]
     return tuple(_image_sums(np.concatenate((log_abs, log_abs - 2.0 * math.pi * d * u)),
@@ -287,7 +293,6 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
     fitted log-log slope must come out far below the -1/2 guarantee.
     """
     _require_flat(orb)
-    _require_powers_and_time(p_list, u)
     x = _point(orb, x)
     dist = orb.singular_distance(0, x)
     if dist < REGULAR_MIN_DISTANCE:
@@ -339,7 +344,6 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     """
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("the corrected expansion ships for local models")
-    _require_powers_and_time(p_list, u)
     a = np.asarray(orb.params["a"], dtype=float)
     Z = _point(orb, Z)
     # kappa = 1 on flat models, and the degree-0 limit is a product over the
@@ -454,11 +458,11 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     the identity term: at the half-turn fixed points the degree-one kernel
     cancels to rounding, so its own size is no scale."""
     d, k = _torus(orb, degree)
-    _require_power_and_time(p, u)
     z = _point(orb, z)
+    # the image sum first: its kernel types p and u
+    image = _torus_image_sums(d, k, z, u, p)[degree]
     op = _truncated_operator(orb, bundle, u, p, degree)
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
-    image = _torus_image_sums(d, k, z, u, p)[degree]
     return abs(spec - image) / (_image_trace(d, 1, u, p, degree) / p)
 
 

@@ -405,44 +405,86 @@ def mp_legendre_root(n, x0):
         return x, 2 * (1 - x * x) / (n * pm1) ** 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 24, 101, 128, 1024, 2048])
+def laplace_nodes_per_end(x):
+    """How many nodes from each end of the rule ``x`` Laplace's integral takes:
+    those with n sin(theta) below ``geometry.STIELTJES_MIN``."""
+    from orbmorse.geometry import STIELTJES_MIN
+    half = x[: (x.size + 1) // 2]
+    return int(np.count_nonzero(x.size * np.sqrt(1.0 - half * half) < STIELTJES_MIN))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 24, 64, 101, 127, 128, 129, 1023, 1024, 2048,
+                               4096])
 def test_gauss_legendre_rule_matches_40_digit_roots(n):
     """Nodes to 4e-16; weights to 5e-14 relative, and within 4x of leggauss's error.
 
     leggauss's own end weights are 1.2e-9 off at n = 1024 and 6.3e-8 at
     n = 2048, so the fixed pin is one leggauss fails; where leggauss happens
-    to round a weight correctly, 4 ulp are allowed.
+    to round a weight correctly, 4 ulp are allowed.  At n = 4096 leggauss
+    would hold a 134 MB companion matrix, so the 40-digit Newton starts from
+    the rule's own nodes and only the fixed pins apply.  The sample holds, at
+    each end, the last node Laplace's integral takes and the first node of
+    Stieltjes' series, where the two evaluators meet on one scale.
     """
     from orbmorse.geometry import gauss_legendre_nodes
     x, w = gauss_legendre_nodes(n, 1.0)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    sample = sorted({0, 1, 2, 3, 4, n // 3, n // 2, n - 5, n - 4, n - 3, n - 2, n - 1}
-                    & set(range(n)))
+    if n <= 2048:
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    else:
+        x_ref, w_ref = x, None
+    ends = laplace_nodes_per_end(x)
+    sample = sorted({0, 1, 2, 3, 4, n // 3, n // 2, n - 5, n - 4, n - 3, n - 2, n - 1,
+                     ends - 1, ends, n - 1 - ends, n - ends} & set(range(n)))
     for i in sample:
         root, weight = mp_legendre_root(n, x_ref[i])
         assert abs(float(x[i] - root)) <= 4e-16
         err = abs(float((w[i] - weight) / weight))
-        ref_err = abs(float((w_ref[i] - weight) / weight))
         assert err <= 5e-14
-        assert err <= max(4 * ref_err, 4 * np.finfo(float).eps)
+        if w_ref is not None:
+            ref_err = abs(float((w_ref[i] - weight) / weight))
+            assert err <= max(4 * ref_err, 4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("n, most", [(1, 3), (2, 3), (3, 3), (24, 3), (101, 3),
                                      (128, 1), (1024, 1), (2048, 1)])
 def test_legendre_rule_takes_one_recurrence_pass_from_olver_and_tricomi(monkeypatch, n, most):
-    """From Olver's guesses near the ends and Tricomi's inside, one pass of the
-    O(n) recurrence converges at n >= 128, and the weights take no extra pass."""
+    """From Olver's guesses near the ends and Tricomi's inside, one Newton pass
+    converges at n >= 128, and the weights take no extra pass.  Each pass runs
+    Laplace's integral once, and Stieltjes' series once when some node has
+    n sin(theta) >= STIELTJES_MIN = 20, as the middle nodes of a rule above 20 do."""
     from orbmorse import geometry
-    legendre_slope = geometry._legendre_slope
-    calls = []
-
-    def counting(n, theta):
-        calls.append(n)
-        return legendre_slope(n, theta)
-
-    monkeypatch.setattr(geometry, "_legendre_slope", counting)
+    calls = {"_legendre_laplace": 0, "_legendre_stieltjes": 0}
+    for name in calls:
+        def counting(n, theta, name=name, evaluate=getattr(geometry, name)):
+            calls[name] += 1
+            return evaluate(n, theta)
+        monkeypatch.setattr(geometry, name, counting)
     geometry._legendre_rule(n)
-    assert 1 <= len(calls) <= most
+    passes = calls["_legendre_laplace"]
+    assert 1 <= passes <= most
+    assert calls["_legendre_stieltjes"] == (passes if n > geometry.STIELTJES_MIN else 0)
+
+
+def test_laplace_takes_the_same_few_nodes_at_every_size(monkeypatch):
+    """Laplace's integral costs O(n) per node, so the rule is O(n) only while
+    it takes a fixed few: near the ends theta_k is about j_{0,k} / n, and
+    j_{0,6} < STIELTJES_MIN < j_{0,7}, so six nodes and the first series node,
+    where the two share their scale, at every n from 128 to 2^16."""
+    from orbmorse import geometry
+    sizes = []
+    laplace = geometry._legendre_laplace
+
+    def recording(n, theta):
+        sizes.append(theta.size)
+        return laplace(n, theta)
+
+    monkeypatch.setattr(geometry, "_legendre_laplace", recording)
+    expected = np.count_nonzero(geometry.BESSEL_J0_ZEROS < geometry.STIELTJES_MIN) + 1
+    for n in (128, 129, 255, 1000, 1023, 4096, 4097, 2 ** 14 + 1, 2 ** 16):
+        sizes.clear()
+        x, _ = geometry._legendre_rule(n)
+        assert sizes == [expected], n
+        assert laplace_nodes_per_end(x) == expected - 1, n
 
 
 def test_bessel_j0_zeros_match_mpmath():

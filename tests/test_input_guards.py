@@ -80,6 +80,13 @@ ROUTES = [
     ("power", "verify_kernel_asymptotics_singular",
      lambda v: local(verify.verify_kernel_asymptotics_singular, np.array([0.1 + 0j]), 1.0,
                      [64, v])),
+    # the batch kernels took any p and u: p = 0 raised a bare ZeroDivisionError,
+    # p = 2.5 returned a kernel, u = NaN summed to NaN and u = -1 on C/Z_2 to -inf
+    ("power", "torus_image_log_terms",
+     lambda v: verify.torus_image_log_terms(1, 2, Z, 1.0, [8, v])),
+    ("power", "local_model_image_log_terms",
+     lambda v: verify.local_model_image_log_terms(models()[1][0], np.array([0.3j]), 1.0,
+                                                  [8, v])),
     ("power", "verify_strong_morse",
      lambda v: verify.verify_strong_morse(models()[2][0], 0, [4, v], *models()[3:])),
     ("integer", "cohomology_table",
@@ -113,6 +120,9 @@ ROUTES = [
     ("time", "verify_kernel_asymptotics_singular",
      lambda v: local(verify.verify_kernel_asymptotics_singular, np.array([0.1 + 0j]), v,
                      [8, 16])),
+    ("time", "torus_image_log_terms", lambda v: verify.torus_image_log_terms(1, 2, Z, v, [8])),
+    ("time", "local_model_image_log_terms",
+     lambda v: verify.local_model_image_log_terms(models()[1][0], np.array([0.3j]), v, [8])),
     ("degree", "assemble_kodaira_laplacian",
      lambda v: torus(spectral.assemble_kodaira_laplacian, 8, v)),
     ("degree", "torus_diagonal_kernel_image",
@@ -214,6 +224,18 @@ def test_classification_and_verdict_refuse_a_nan_tolerance():
         curvature.classify_point([-1.0], math.nan)
     with pytest.raises(ConfigurationError, match="quadrature tolerance .* got nan$"):
         moishezon.moishezon_check(models()[3], math.nan)
+
+
+@pytest.mark.parametrize("route", [verify.torus_diagonal_kernel_image,
+                                   verify.oracle_consistency])
+def test_the_image_cache_does_not_answer_an_equal_value_of_another_type(route):
+    """The torus routes leave p and u to the kernel under their cache, so a
+    cached p = 1 or u = 1.0 must not answer True, which equals both."""
+    torus(route, Z, 1.0, 1)
+    with pytest.raises(ConfigurationError, match="got True$"):
+        torus(route, Z, 1.0, True)
+    with pytest.raises(ConfigurationError, match="got True$"):
+        torus(route, Z, True, 1)
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf, True])
