@@ -4,8 +4,11 @@ Each directory under ``tests/golden`` holds the ``report.json`` of one run,
 with ``meta.timestamp`` removed, and every CSV it writes.  The runs are the
 four shipped configs, ``demos/configs/*.yaml``, and the two CLI benchmark
 configs, built from ``bench/run.py``'s ``WORKLOADS`` at seed 7, so a bench
-change to them shows here too.  A change that moves one bit of a written
-number fails the test, which prints each JSON path that differs.
+change to them shows here too.  The benchmark's library session at seed 7
+(``bench/child.py``'s ``_session``, on the config read back from the YAML
+the benchmark writes) pins its ``session.json`` the same way.  A change that
+moves one bit of a written number fails the test, which prints each JSON
+path that differs.
 
 To regenerate the files after a change that moves them on purpose:
 
@@ -18,8 +21,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 
-from orbmorse import cli
+from orbmorse import cli, verify
 from test_bench_contract import load_bench
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,7 +42,16 @@ def configs():
     return runs
 
 
+def sessions():
+    """Each library-session workload's name and config, as ``bench/child.py``
+    reads it back from the YAML that ``bench/run.py`` writes."""
+    return {name: yaml.safe_load(yaml.safe_dump(raw, sort_keys=True))
+            for name, make in sorted(load_bench("run").WORKLOADS.items())
+            for kind, raw in [make(BENCH_SEED)] if kind == "session"}
+
+
 CONFIGS = configs()
+SESSIONS = sessions()
 
 
 def outputs(config, out_dir):
@@ -58,6 +71,21 @@ def outputs(config, out_dir):
     return files
 
 
+def session_outputs(config, out_dir):
+    """{"session.json": bytes} of the benchmark's library session."""
+    child = load_bench("child")
+    models = {name: cli.build_catalog_orbifold(m["id"], **child._kwargs(m["params"]))
+              for name, m in config["models"].items()}
+    assert child._session(verify, config, models, out_dir) == 0
+    return {"session.json": (Path(out_dir) / "session.json").read_bytes()}
+
+
+def run_outputs(name, out_dir):
+    if name in SESSIONS:
+        return session_outputs(SESSIONS[name], out_dir)
+    return outputs(CONFIGS[name], out_dir)
+
+
 def differing_paths(old, new, path="report"):
     """Each JSON path at which ``old`` and ``new`` differ, with both values."""
     if isinstance(old, dict) and isinstance(new, dict):
@@ -74,26 +102,36 @@ def differing_paths(old, new, path="report"):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_orbmorse_all_writes_the_golden_bytes(name, tmp_path):
-    got = outputs(CONFIGS[name], tmp_path)
+    check_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_library_session_writes_the_golden_bytes(name, tmp_path):
+    check_golden(name, tmp_path)
+
+
+def check_golden(name, out_dir):
+    got = run_outputs(name, out_dir)
     expected = {path.name: path.read_bytes()
                 for path in sorted((GOLDEN / name).iterdir())}
     assert sorted(got) == sorted(expected)
-    if got["report.json"] != expected["report.json"]:
-        paths = differing_paths(json.loads(expected["report.json"]),
-                                json.loads(got["report.json"]))
-        pytest.fail("report.json moved at:\n" + "\n".join(paths or ["(layout only)"]))
+    for fname in sorted(got):
+        if fname.endswith(".json") and got[fname] != expected[fname]:
+            paths = differing_paths(json.loads(expected[fname]), json.loads(got[fname]),
+                                    Path(fname).stem)
+            pytest.fail(f"{fname} moved at:\n" + "\n".join(paths or ["(layout only)"]))
     moved = [fname for fname in sorted(got) if got[fname] != expected[fname]]
     assert not moved, f"CSV artifacts moved: {moved}"
 
 
 def write_goldens():
-    for name, config in CONFIGS.items():
+    for name in sorted(CONFIGS.keys() | SESSIONS.keys()):
         target = GOLDEN / name
         target.mkdir(parents=True, exist_ok=True)
         for stale in target.iterdir():
             stale.unlink()
         with tempfile.TemporaryDirectory() as out:
-            for fname, data in outputs(config, out).items():
+            for fname, data in run_outputs(name, out).items():
                 (target / fname).write_bytes(data)
         print(f"wrote {target.relative_to(ROOT)}", file=sys.stderr)
 
