@@ -233,6 +233,7 @@ STIELTJES_MIN = 20.0
 # terms of Stieltjes' series: at n sin(theta) = 20 the first one left out is
 # under 3e-17 of the first one kept
 STIELTJES_TERMS = 24
+STIELTJES_BLOCK = 512   # series nodes per block: every rule to n = 1024 is one block
 # the first ten zeros j_{0,k} of the Bessel function J_0, correctly rounded;
 # McMahon's expansion is exact to double precision beyond them
 BESSEL_J0_ZEROS = np.array([
@@ -293,15 +294,17 @@ def _legendre_stieltjes(n, theta):
     part of e^{i alpha_0} (2 sin theta)^(-1/2) sum_m h_m w^m, a polynomial in
     w = -i e^{i theta} / (2 sin theta) = (1 - i cot theta) / 2.  Term by term,
     d/dtheta multiplies the m-th term by i (n + m + 1/2) - (m + 1/2) cot theta.
-    O(M) per node.
+    O(M) per node, STIELTJES_BLOCK nodes at a time.
     """
     m = np.arange(STIELTJES_TERMS)
     h = np.cumprod(np.concatenate((
         [1.0], (m[:-1] + 0.5) ** 2 / ((m[:-1] + 1.0) * (n + m[:-1] + 1.5)))))
     cot = np.cos(theta) / np.sin(theta)
-    powers = np.vander(0.5 - 0.5j * cot, STIELTJES_TERMS, increasing=True)
+    w, hm = 0.5 - 0.5j * cot, np.stack((h, m * h))
     # einsum, not a BLAS product, so the sums do not depend on the BLAS build
-    series, moment = np.einsum("km,jm->jk", powers, np.stack((h, m * h)))
+    series, moment = np.concatenate([
+        np.einsum("km,jm->jk", np.vander(part, STIELTJES_TERMS, increasing=True), hm)
+        for part in np.split(w, range(STIELTJES_BLOCK, w.size, STIELTJES_BLOCK))], axis=1)
     lead = np.exp(1j * ((n + 0.5) * theta - 0.25 * np.pi)) / np.sqrt(2.0 * np.sin(theta))
     slope = (0.5 * cot - 1j * (n + 0.5)) * series + (cot - 1j) * moment
     return (lead * series).real, (lead * slope).real

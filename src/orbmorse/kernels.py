@@ -27,8 +27,9 @@ float underflow threshold.
 
 from __future__ import annotations
 
-import math
+import functools
 import itertools
+import math
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -198,8 +199,11 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime):
     return complex(np.exp(log_abs[0] + 1j * phase[0]))
 
 
+@functools.lru_cache(maxsize=1024)
 def _mehler_coefficients(a, u):
-    """Scalars of K_a at time u: log prefactor with the twist, Gaussian rate, phase rate."""
+    """Scalars of K_a at time u: log prefactor with the twist, Gaussian rate,
+    phase rate.  Cached: -0.0 and 0.0 share an entry, whose phase rates differ
+    in the sign of a zero that ``mehler_log_form``'s phase sum cannot see."""
     x = u * a
     pref = _stretch_even(x) / (TWO_PI * u)
     log_pref = math.log(pref) if pref > 0 else -math.inf
@@ -224,7 +228,7 @@ def mehler_log_form(eigenvalues, u, X, Zprime):
     coeffs = [[_mehler_coefficients(aj, t) for aj in a] for a, t in zip(eigenvalues, u)]
     # per coordinate, (shift, rate, twist) arrays over the models, ahead of the
     # broadcast axes of the points
-    lead = (3, len(coeffs)) + (1,) * (np.broadcast(X, Zp).ndim - 1)
+    lead = (3, len(coeffs)) + (1,) * (max(X.ndim, Zp.ndim) - 1)
     log_abs = 0.0
     phase = 0.0
     for j, column in enumerate(zip(*coeffs)):
@@ -266,9 +270,9 @@ def log_sum_exp(log_abs, phase):
     modulus one; an empty or all-zero sum gives log_scale -inf, mantissa 0.
     """
     log_abs = np.asarray(log_abs, dtype=float)
-    top = np.max(log_abs, axis=-1, keepdims=True, initial=-math.inf)
+    top = np.maximum.reduce(log_abs, axis=-1, keepdims=True, initial=-math.inf)
     top = np.where(np.isfinite(top), top, 0.0)
-    total = np.sum(np.exp(1j * phase) * np.exp(log_abs - top), axis=-1)
+    total = np.add.reduce(np.exp(1j * phase) * np.exp(log_abs - top), axis=-1)
     mag = np.abs(total)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_scale = top[..., 0] + np.log(mag)

@@ -194,17 +194,20 @@ def oscillator_functions(kmax, t, freq):
     """
     t = np.asarray(t, dtype=float)
     s = math.sqrt(freq) * t
-    out = np.empty((kmax + 1, t.size))
-    out[0] = freq ** 0.25 * math.pi ** -0.25 * np.exp(-0.5 * s * s)
-    if kmax == 0:
-        return out
-    # row k is sqrt(2 / (k + 1)) s, the factor of phi_k in phi_{k+1}
-    rising = np.outer([math.sqrt(2.0 / (k + 1.0)) for k in range(kmax)], s)
-    for k in range(kmax):
-        np.multiply(rising[k], out[k], out=out[k + 1])
-        if k:
-            out[k + 1] -= math.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
+    # rows phi_{-1} = 0, phi_0, ..., phi_kmax; phi_{k+1} is one product of (phi_{k-1},
+    # phi_k) by (sqrt(k / (k + 1)), sqrt(2 / (k + 1)) s) and one difference
+    out = np.zeros((kmax + 2, t.size))
+    out[1] = freq ** 0.25 * math.pi ** -0.25 * np.exp(-0.5 * s * s)
+    k = np.arange(kmax, dtype=float)[:, None]
+    factors = np.empty((kmax, 2, t.size))
+    factors[:, 0] = np.sqrt(k / (k + 1.0))
+    np.multiply(np.sqrt(2.0 / (k + 1.0)), s, out=factors[:, 1])
+    pair = np.empty((2, t.size))
+    low, high = pair
+    for k, (factor, row) in enumerate(zip(factors, out[2:])):
+        np.multiply(factor, out[k:k + 2], out=pair)
+        np.subtract(high, low, out=row)
+    return out[1:]
 
 
 def _translate_window(x, D, B, levels):
@@ -219,7 +222,7 @@ def torus_basis_columns(D, levels, columns, z):
     Returns an array of shape (levels, len(columns)).  Each column sums its
     own translates m = j mod D in the window where the oscillator functions
     are above working precision, in increasing m, so a few columns cost the
-    same at every D.  Row r of a zero-padded (rows, levels, columns) grid
+    same at every D.  Row r of a zero-padded (rows, columns, levels) grid
     holds each column's r-th translate, zero past the window's end, and the
     rows are added one at a time into the first: the same sums, in the same
     order, as a loop over the translates.
@@ -235,12 +238,12 @@ def torus_basis_columns(D, levels, columns, z):
     # 0 + term, as a sum from zero starts: a -0.0 part reads +0.0, which no
     # later sum tells apart
     values += 0.0
-    terms = np.zeros((ms.shape[0], levels, js.size), dtype=complex)
-    terms.transpose(1, 0, 2)[:, inside] = values
+    terms = np.zeros(ms.shape + (levels,), dtype=complex)
+    terms[inside] = values.T
     vals = terms[0]
     for row in terms[1:]:
         vals += row
-    return vals
+    return vals.T.copy()
 
 
 def torus_eigenfunction_values(op: TorusKodairaOperator, z):
@@ -261,12 +264,16 @@ def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):
     """
     _positive("kernel time u", u)
     norms, swaps = _level_sums(op.d, op.p, op.resolution, complex(z))
+    weights, sign = _level_weights(op, u)
+    return complex((weights * (norms + sign * swaps if op.k == 2 else norms)).sum())
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _level_weights(op, u):
+    """The heat weights e^{-u lambda / p} and half-turn signs (-1)^(level + q)
+    of the levels of ``op``, shared by every call at (op, u), which only reads them."""
     levels = np.arange(op.resolution)
-    per_level = norms
-    if op.k == 2:
-        sign = (-1.0) ** (levels + op.q)
-        per_level = per_level + sign * swaps
-    return complex(np.sum(np.exp(-u * op.level_eigenvalue(levels) / op.p) * per_level))
+    return np.exp(-u * op.level_eigenvalue(levels) / op.p), (-1.0) ** (levels + op.q)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -279,8 +286,9 @@ def _level_sums(d, p, levels, z):
     """
     cover = _torus_operator(d, 1, p, 0, levels)
     psi = torus_eigenfunction_values(cover, z)
-    swapped = psi[:, -np.arange(cover.D) % cover.D]
-    sums = (np.sum(np.abs(psi) ** 2, axis=1), np.sum(np.conj(psi) * swapped, axis=1))
+    swapped = np.concatenate((psi[:, :1], psi[:, :0:-1]), axis=1)    # column -j mod D
+    sums = (np.add.reduce(np.abs(psi) ** 2, axis=1),
+            np.add.reduce(np.conj(psi) * swapped, axis=1))
     for vec in sums:
         vec.flags.writeable = False
     return sums

@@ -22,7 +22,7 @@ over the cell in closed form (``_image_trace``).
 
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
 guard.  Every torus and local-model route types its power p and time u with
-``errors._at_least`` and ``errors._positive`` (``_require_power_and_time``),
+``errors._at_least`` and ``errors._positive`` (``_require_powers_and_time``),
 at each power of a ``p_list``, and a degree q with ``errors._degree``.  The
 two batch kernels type p and u themselves, so a route that reaches one,
 directly or through the typed cache ``_torus_image_sums``, leaves them to it.
@@ -41,6 +41,7 @@ import numpy as np
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
                      UnsupportedModelError, _at_least, _degree, _positive)
+from .geometry import cyclic_group
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
 from .spectral import (CACHE_SIZE, _torus, assemble_kodaira_laplacian, heat_trace,
@@ -89,20 +90,15 @@ def _cell(t):
     return r if r < 1.0 else 0.0
 
 
-def _require_power_and_time(p, u):
-    """Refuse, naming the value, a power that is not an integer >= 1 and a
-    time that is not finite and positive."""
-    _at_least("power p", p, 1)
-    _positive("kernel time u", u)
-
-
 def _require_powers_and_time(p_list, u):
-    """``_require_power_and_time`` at each power of a ``p_list``, which must
-    not be empty: with no power the regular-point fit read a slope of -inf."""
+    """Refuse, naming the value, an empty ``p_list`` (with no power the
+    regular-point fit read a slope of -inf), a power that is not an integer
+    >= 1 and a time that is not finite and positive."""
     if len(p_list) == 0:
         raise ConfigurationError("p_list must hold at least one power, got []")
     for p in p_list:
-        _require_power_and_time(p, u)
+        _at_least("power p", p, 1)
+        _positive("kernel time u", u)
 
 
 def _per_power(values, ndim):
@@ -175,28 +171,55 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("group-element sums run on the local models")
     _require_powers_and_time(p, u)
+    keep, inverses, line_phases = _group_images(tuple(orb.params.items()))[1][
+        bool(include_identity)]
     a = np.asarray(orb.params["a"], dtype=float)
-    n = a.size
-    labels = [g for g in _local_group(orb) if include_identity or not g.is_identity]
+    labels = [g for g, kept in zip(_local_group(orb), keep) if kept]
     Z = np.asarray(points, dtype=complex)
-    # g^{-1} is the conjugate rotation, applied coordinate by coordinate
-    rotations = np.array([g.rotation for g in labels]).reshape(-1, n)
-    X = np.einsum("gi,...i->...gi", np.conj(rotations), Z)
-    log_abs, phase = mehler_log_form([pp * a for pp in p], [u / pp for pp in p],
+    X = np.einsum("gi,...i->...gi", inverses, Z)
+    powers = np.array(p, dtype=float)[:, None]
+    log_abs, phase = mehler_log_form((powers * a).tolist(), (u / powers).ravel().tolist(),
                                      X, Z[..., None, :])
-    fibers = [[np.exp(1j * pp * g.line_phase) * pp ** float(-n) for g in labels]
-              for pp in p]
-    log_abs = log_abs + _per_power([[math.log(abs(f)) for f in row] for row in fibers],
+    fibers = (np.exp(1j * powers * line_phases)
+              * np.array([pp ** float(-a.size) for pp in p])[:, None])
+    log_abs = log_abs + _per_power([[math.log(abs(f)) for f in row] for row in fibers.tolist()],
                                    Z.ndim - 1)
     phase = phase + _per_power(np.angle(fibers), Z.ndim - 1)
     return labels, log_abs, phase
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _group_images(params):
+    """The group of the local model with the ``params`` items (k, a, weights,
+    theta), ``cyclic_group(k, weights, theta)``, and without and with the
+    identity, the elements kept, their inverse rotations and line phases."""
+    params = dict(params)
+    group = cyclic_group(params["k"], params["weights"], params["theta"])
+    rotations = np.array([g.rotation for g in group])
+    phases = np.array([g.line_phase for g in group])
+    return group, tuple((keep.tolist(), np.conj(rotations[keep]), phases[keep]) for keep in (
+        np.array([not g.is_identity for g in group]), np.ones(len(group), dtype=bool)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _twist_constants(params, u):
+    """The degree-0 limit at time u of the local model with the ``params``
+    items and per non-identity element its line phase, moved coordinates and
+    normal-block ``ModelPoint`` (kappa = 1 on flat models, and the limit is a
+    product over the coordinates, so limit(Z_1) times the normal block's limit
+    is the limit).  A zero in a reads 1 in every factor, whatever its sign."""
+    a = np.array(dict(params)["a"])
+    blocks = tuple((g.line_phase, ~g.fixed,
+                    ModelPoint(a[~g.fixed], u, np.angle(g.rotation)[~g.fixed]))
+                   for g in _group_images(params)[0] if not g.is_identity)
+    return heat_diagonal_limit(ModelPoint(a, u), 0).trace, blocks
 
 
 def _image_sums(log_abs, phase):
     """The image sum of each power's terms, batched along the first axis, as
     a list of complex numbers."""
     log_scale, mantissa = log_sum_exp(log_abs, phase)
-    return [complex(m) * math.exp(s) for s, m in zip(log_scale, mantissa)]
+    return [m * math.exp(s) for s, m in zip(log_scale.tolist(), mantissa.tolist())]
 
 
 def local_model_image_terms(orb, bundle, Z, u, p):
@@ -313,17 +336,16 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
 
     Converges to the order of the isotropy group; exactly that order for the
     flat local models with trivial bundle character.  The kernel it reads
-    refuses a power or time that ``_require_power_and_time`` refuses.
+    refuses a power or time that ``_require_powers_and_time`` refuses.
     """
     _require_flat(orb)
     if orb.catalog_id == "local-model":
         kernel = local_model_diagonal_kernel(orb, bundle, x, u, p)
-        a = orb.params["a"]
+        limit = _twist_constants(tuple(orb.params.items()), u)[0]
     else:
         kernel = torus_diagonal_kernel_image(orb, bundle, x, u, p)
-        a = (2.0 * math.pi * orb.params["d"],)
-    limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0)
-    return float(np.real(kernel) / limit.trace)
+        limit = heat_diagonal_limit(ModelPoint((2.0 * math.pi * orb.params["d"],), u), 0).trace
+    return float(np.real(kernel) / limit)
 
 
 class SingularExpansionRecord(NamedTuple):
@@ -344,24 +366,14 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     """
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("the corrected expansion ships for local models")
-    a = np.asarray(orb.params["a"], dtype=float)
     Z = _point(orb, Z)
-    # kappa = 1 on flat models, and the degree-0 limit is a product over the
-    # coordinates, so limit(Z_1) times the normal block's limit is the limit
-    limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0).trace
-    normal_blocks = []
-    for g in _local_group(orb):
-        if not g.is_identity:
-            normal = ~g.fixed
-            pt = ModelPoint(tuple(a[normal]), u, group_phases=tuple(np.angle(g.rotation)[normal]))
-            normal_blocks.append((g.line_phase, normal, pt))
+    limit, normal_blocks = _twist_constants(tuple(orb.params.items()), u)
     _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list)
     records = []
     for p, kernel in zip(p_list, _image_sums(log_abs, phase)):
-        corr = 0.0j
-        for line_phase, normal, pt in normal_blocks:
-            corr += (np.exp(1j * p * line_phase) * limit
-                     * twisted_gaussian(pt, math.sqrt(p) * Z[normal]))
+        corr = sum((np.exp(1j * p * line_phase) * limit
+                    * twisted_gaussian(pt, math.sqrt(p) * Z[normal])
+                    for line_phase, normal, pt in normal_blocks), 0.0j)
         records.append(SingularExpansionRecord(
             p=int(p), u=float(u), residual_without_twist=float(abs(kernel - limit)),
             residual_with_twist=float(abs(kernel - limit - corr))))
@@ -431,7 +443,7 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     the truncation, is left out.
     """
     _torus(orb)
-    _require_power_and_time(p, u)
+    _require_powers_and_time([p], u)
     ops = [assemble_kodaira_laplacian(orb, bundle, p, q, resolution) for q in (0, 1)]
     m0, m1 = (op.multiplicities for op in ops)
     weights = [math.exp(-u * ops[0].level_eigenvalue(level) / ops[0].p)
@@ -510,7 +522,7 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24, resolut
     changes the value; it stays for callers that still pass it.
     """
     _torus(orb, degree)
-    _require_power_and_time(p, u)
+    _require_powers_and_time([p], u)
     op = _truncated_operator(orb, bundle, u, p, degree, resolution)
     spectral = heat_trace(op, u)
     if spectral < sys.float_info.min:

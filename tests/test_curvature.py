@@ -200,8 +200,10 @@ def exact_degree(orb):
                               "C/Z2"])
 def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, resolution):
     """Every chart takes the rule in |z|^2, on other nodes than the full grid:
-    it is at least as close to the exact degree as the grid, and each class
-    differs from the grid's by no more than the two distances e_Q to the
+    both read the exact degree to a few ulp, or, on P(2, 3) and P(3, 5), where
+    the degenerate mask near the orbifold points of order >= 3 holds back mass
+    far above rounding, the split holds back no more than the grid; and each
+    class differs from the grid's by no more than the two distances e_Q to the
     degree.  P(a, b) is compared at resolution 1024, where the grid resolves
     the bump's edge.  On the square charts the degenerate fraction agrees
     within 1e-15 and the eigenvalue bounds bit for bit."""
@@ -217,7 +219,10 @@ def test_folded_split_matches_the_full_grid(monkeypatch, catalog_id, params, res
     degree = exact_degree(orb)
     e_split = abs(sum(split.by_signature) - degree)
     e_full = abs(sum(full.by_signature) - degree)
-    assert e_split <= e_full
+    if max(params.get("weights", (1,))) >= 3:
+        assert e_split <= e_full
+    else:
+        assert max(e_split, e_full) <= 8 * np.spacing(degree)
     for a, b in zip(split.by_signature, full.by_signature):
         assert abs(a - b) <= e_full + e_split
     if square:

@@ -487,6 +487,31 @@ def test_laplace_takes_the_same_few_nodes_at_every_size(monkeypatch):
         assert laplace_nodes_per_end(x) == expected - 1, n
 
 
+@pytest.mark.parametrize("n", [1024, 4096, 2 ** 16])
+def test_stieltjes_blocks_leave_the_rule_unchanged(monkeypatch, n):
+    """The series takes STIELTJES_BLOCK nodes at a time; one block of all the
+    series nodes gives the same nodes and weights bit for bit."""
+    from orbmorse import geometry
+    blocked = geometry._legendre_rule(n)
+    monkeypatch.setattr(geometry, "STIELTJES_BLOCK", n)
+    assert [a.tobytes() for a in blocked] == [a.tobytes() for a in geometry._legendre_rule(n)]
+
+
+def test_stieltjes_series_memory_is_linear_in_the_nodes():
+    """At n = 2^16 the series' peak is its O(n) arrays, about 4 MB: one matrix
+    of the 24 powers of all 2^15 nodes would take 12.6 MB more."""
+    from orbmorse import geometry
+    n = 2 ** 16
+    theta = np.linspace(0.01, np.pi / 2, n // 2)
+    tracemalloc.start()
+    try:
+        geometry._legendre_stieltjes(n, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_bessel_j0_zeros_match_mpmath():
     """The ten tabulated zeros to 1 ulp, and McMahon's expansion beyond them
     to 1 ulp up to k = 200."""

@@ -31,6 +31,7 @@ from orbmorse.verify import (exact_chain_residuals, fit_rate,
 from conftest import CACHES, clear_caches
 from dents import DENTS
 from scaled_fold import fold
+from test_golden import SESSIONS, session_outputs
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +628,39 @@ def test_singular_expansion_builds_one_limit_per_call(monkeypatch):
     Z = np.array([0.1 + 0.05j, 0.02j])
     records = verify_kernel_asymptotics_singular(orb, bundle, Z, 1.0, [64, 256, 1024])
     assert len(records) == 3 and limit.call_count == 1
+
+
+def test_one_model_and_time_build_their_twist_constants_once(monkeypatch):
+    """Three twist powers at one (model, u) build one limit and one normal block
+    per non-identity element between them, from one group; a model with other
+    weights or another theta, and another u, build their own."""
+    builders = {name: mock.Mock(wraps=getattr(verify, name))
+                for name in ("heat_diagonal_limit", "ModelPoint", "cyclic_group")}
+    for name, builder in builders.items():
+        monkeypatch.setattr(verify, name, builder)
+    counts = lambda: tuple(builder.call_count for builder in builders.values())
+    Z = np.array([0.1 + 0.05j, 0.02j])
+    models = [dict(weights=(1, 2)), dict(weights=(1, 1)), dict(weights=(1, 2), theta=0.4)]
+    for i, params in enumerate(models, 1):
+        orb, bundle = build_catalog_orbifold("local-model", k=3, a=(0.7, 1.3), **params)
+        for p in (256, 1024, 4096):
+            verify_kernel_asymptotics_singular(orb, bundle, Z, 1.0, [p])
+        # one limit, and a ModelPoint for it and for each of the two normal blocks
+        assert counts() == (i, 3 * i, i)
+    verify_kernel_asymptotics_singular(orb, bundle, Z, 0.5, [256])
+    assert counts() == (4, 12, 3)
+
+
+def test_the_benchmark_session_evaluates_each_torus_kernel_once(monkeypatch, tmp_path):
+    """The session's 48 oracle gaps, 8 points x 3 powers x 2 degrees, evaluate
+    the torus basis and the image sums once per (point, power): 24 times each."""
+    basis = mock.Mock(wraps=spectral.torus_eigenfunction_values)
+    images = mock.Mock(wraps=verify.torus_image_log_terms)
+    monkeypatch.setattr(spectral, "torus_eigenfunction_values", basis)
+    monkeypatch.setattr(verify, "torus_image_log_terms", images)
+    (config,) = SESSIONS.values()
+    session_outputs(config, tmp_path)
+    assert basis.call_count == images.call_count == 24
 
 
 def test_expansion_correction_negligible_far_from_singularity():
