@@ -21,8 +21,8 @@ with g1(x) = x / (1 - e^{-x}) and c(x) = (x/2) / tanh(x/2); both are smooth
 and equal to 1 at x = 0, so the zero-curvature convention
 K_0 = (2 pi u)^{-1} exp(-|z-z'|^2 / (2u)) is the continuous limit.
 ``mehler_log_form`` gives log|K| and arg K for a batch of models (a single
-kernel is a batch of one), and ``log_sum_exp`` adds such terms far below the
-float underflow threshold.
+kernel is a batch of one), each model's scalars read from a bounded cache, and
+``log_sum_exp`` adds such terms far below the float underflow threshold.
 """
 
 from __future__ import annotations
@@ -201,9 +201,8 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime):
 
 @functools.lru_cache(maxsize=1024)
 def _mehler_coefficients(a, u):
-    """Scalars of K_a at time u: log prefactor with the twist, Gaussian rate,
-    phase rate.  Cached: -0.0 and 0.0 share an entry, whose phase rates differ
-    in the sign of a zero that ``mehler_log_form``'s phase sum cannot see."""
+    """Scalars of K_a at time u: log prefactor with the twist, Gaussian rate, phase rate.
+    -0.0 and 0.0 share an entry; either phase rate adds nothing to a phase sum."""
     x = u * a
     pref = _stretch_even(x) / (TWO_PI * u)
     log_pref = math.log(pref) if pref > 0 else -math.inf

@@ -36,8 +36,9 @@ memory independent of the power p, and the operator is the spectrum: heat
 traces and the spectrum CSV read its multiplicities level by level.  The
 Landau basis does not depend on the degree, which enters the diagonal kernel
 only through the swap sign and the eigenvalues, so the basis is evaluated once
-per point, power and level count and kept as two per-level sums.  Every cache
-is bounded and holds O(resolution) numbers per entry.
+per point, power and level count and kept as two per-level sums (the signs and
+heat weights once per operator and time).  Every cache is bounded and holds
+O(resolution) numbers per entry.
 """
 
 from __future__ import annotations
@@ -194,10 +195,9 @@ def oscillator_functions(kmax, t, freq):
     """
     t = np.asarray(t, dtype=float)
     s = math.sqrt(freq) * t
-    # rows phi_{-1} = 0, phi_0, ..., phi_kmax; phi_{k+1} is one product of (phi_{k-1},
-    # phi_k) by (sqrt(k / (k + 1)), sqrt(2 / (k + 1)) s) and one difference
+    # rows phi_{-1} = 0, phi_0, ..., phi_kmax: each level one pair product, one difference
     out = np.zeros((kmax + 2, t.size))
-    out[1] = freq ** 0.25 * math.pi ** -0.25 * np.exp(-0.5 * s * s)
+    np.multiply(freq ** 0.25 * math.pi ** -0.25, np.exp(-0.5 * s * s), out=out[1])
     k = np.arange(kmax, dtype=float)[:, None]
     factors = np.empty((kmax, 2, t.size))
     factors[:, 0] = np.sqrt(k / (k + 1.0))
@@ -205,8 +205,8 @@ def oscillator_functions(kmax, t, freq):
     pair = np.empty((2, t.size))
     low, high = pair
     for k, (factor, row) in enumerate(zip(factors, out[2:])):
-        np.multiply(factor, out[k:k + 2], out=pair)
-        np.subtract(high, low, out=row)
+        np.multiply(factor, out[k:k + 2], pair)
+        np.subtract(high, low, row)
     return out[1:]
 
 
@@ -228,19 +228,18 @@ def torus_basis_columns(D, levels, columns, z):
     order, as a loop over the translates.
     """
     B = 2.0 * math.pi * D
-    x, y = float(np.real(z)), float(np.imag(z))
+    x, y = complex(z).real, complex(z).imag
     m_lo, m_hi = _translate_window(x, D, B, levels)
     js = np.asarray(columns, dtype=np.int64)
     ms = m_lo + (js - m_lo) % D + D * np.arange((m_hi - m_lo) // D + 1)[:, None]
     inside = ms <= m_hi
     m = ms[inside]
     values = np.exp(2j * np.pi * m * y) * oscillator_functions(levels - 1, x - m / D, B)
-    # 0 + term, as a sum from zero starts: a -0.0 part reads +0.0, which no
-    # later sum tells apart
-    values += 0.0
     terms = np.zeros(ms.shape + (levels,), dtype=complex)
     terms[inside] = values.T
-    vals = terms[0]
+    # 0 + term, as a sum from zero starts: a -0.0 in the first row reads +0.0,
+    # and later rows add to sums that are not -0.0, which no later sum tells apart
+    vals = terms[0] + 0.0
     for row in terms[1:]:
         vals += row
     return vals.T.copy()
@@ -287,8 +286,7 @@ def _level_sums(d, p, levels, z):
     cover = _torus_operator(d, 1, p, 0, levels)
     psi = torus_eigenfunction_values(cover, z)
     swapped = np.concatenate((psi[:, :1], psi[:, :0:-1]), axis=1)    # column -j mod D
-    sums = (np.add.reduce(np.abs(psi) ** 2, axis=1),
-            np.add.reduce(np.conj(psi) * swapped, axis=1))
+    sums = (np.add.reduce(abs(psi) ** 2, axis=1), np.add.reduce(psi.conj() * swapped, axis=1))
     for vec in sums:
         vec.flags.writeable = False
     return sums

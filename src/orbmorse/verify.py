@@ -17,8 +17,9 @@ arrays of log|term| and phase, and ``log_sum_exp`` sums them in one
 max-shifted pass per point and power; a kernel is that sum as a plain
 complex number.  Degree one on a torus is derived in one place, the bounded
 cache ``_torus_image_sums`` on plain (d, k, z, u, p), which sums both degrees
-from one degree-0 evaluation.  The trace identity integrates the image sum
-over the cell in closed form (``_image_trace``).
+from one degree-0 evaluation; a local model's group images, fibre factors,
+and per-u limit and normal blocks are built once, in bounded caches on its
+parameters.  The trace identity integrates the image sum in closed form.
 
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
 guard.  Every torus and local-model route types its power p and time u with
@@ -91,9 +92,8 @@ def _cell(t):
 
 
 def _require_powers_and_time(p_list, u):
-    """Refuse, naming the value, an empty ``p_list`` (with no power the
-    regular-point fit read a slope of -inf), a power that is not an integer
-    >= 1 and a time that is not finite and positive."""
+    """Refuse, naming the value, an empty ``p_list`` (its regular-point fit read
+    -inf), a power that is not an integer >= 1 and a time not finite and > 0."""
     if len(p_list) == 0:
         raise ConfigurationError("p_list must hold at least one power, got []")
     for p in p_list:
@@ -171,8 +171,8 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     if orb.catalog_id != "local-model":
         raise UnsupportedModelError("group-element sums run on the local models")
     _require_powers_and_time(p, u)
-    keep, inverses, line_phases = _group_images(tuple(orb.params.items()))[1][
-        bool(include_identity)]
+    params, include_identity = tuple(orb.params.items()), bool(include_identity)
+    keep, inverses, _ = _group_images(params)[1][include_identity]
     a = np.asarray(orb.params["a"], dtype=float)
     labels = [g for g, kept in zip(_local_group(orb), keep) if kept]
     Z = np.asarray(points, dtype=complex)
@@ -180,19 +180,16 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     powers = np.array(p, dtype=float)[:, None]
     log_abs, phase = mehler_log_form((powers * a).tolist(), (u / powers).ravel().tolist(),
                                      X, Z[..., None, :])
-    fibers = (np.exp(1j * powers * line_phases)
-              * np.array([pp ** float(-a.size) for pp in p])[:, None])
-    log_abs = log_abs + _per_power([[math.log(abs(f)) for f in row] for row in fibers.tolist()],
-                                   Z.ndim - 1)
-    phase = phase + _per_power(np.angle(fibers), Z.ndim - 1)
-    return labels, log_abs, phase
+    log_fibre, arg_fibre = _fibres(params, tuple(map(int, p)), include_identity)
+    return (labels, log_abs + _per_power(log_fibre, Z.ndim - 1),
+            phase + _per_power(arg_fibre, Z.ndim - 1))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _group_images(params):
-    """The group of the local model with the ``params`` items (k, a, weights,
-    theta), ``cyclic_group(k, weights, theta)``, and without and with the
-    identity, the elements kept, their inverse rotations and line phases."""
+    """``cyclic_group(k, weights, theta)`` of the model with the ``params`` items (k, a,
+    weights, theta) and, without and with the identity, its elements kept,
+    their inverse rotations and their line phases."""
     params = dict(params)
     group = cyclic_group(params["k"], params["weights"], params["theta"])
     rotations = np.array([g.rotation for g in group])
@@ -202,12 +199,21 @@ def _group_images(params):
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _fibres(params, p, include_identity):
+    """log|f| and arg f of the fibre factors f = e^{i p theta_g} p^{-n}, per power
+    of ``p`` and element kept, of the local model with the ``params`` items."""
+    line_phases = _group_images(params)[1][include_identity][2]
+    fibres = (np.exp(1j * np.array(p, dtype=float)[:, None] * line_phases)
+              * np.array([pp ** float(-len(dict(params)["a"])) for pp in p])[:, None])
+    logs = [[math.log(abs(f)) for f in row] for row in fibres.tolist()]
+    return np.array(logs), np.angle(fibres)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _twist_constants(params, u):
-    """The degree-0 limit at time u of the local model with the ``params``
-    items and per non-identity element its line phase, moved coordinates and
-    normal-block ``ModelPoint`` (kappa = 1 on flat models, and the limit is a
-    product over the coordinates, so limit(Z_1) times the normal block's limit
-    is the limit).  A zero in a reads 1 in every factor, whatever its sign."""
+    """The degree-0 limit at time u of the model with the ``params`` items, each
+    element's fixed- times normal-block limit, and per non-identity element its line
+    phase, moved coordinates and normal-block ``ModelPoint`` (a zero in a reads 1)."""
     a = np.array(dict(params)["a"])
     blocks = tuple((g.line_phase, ~g.fixed,
                     ModelPoint(a[~g.fixed], u, np.angle(g.rotation)[~g.fixed]))
@@ -294,8 +300,8 @@ def fit_rate(p_values, log_errors):
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, res, *_ = np.linalg.lstsq(A, le, rcond=None)
     pred = A @ coef
-    ss_res = float(np.sum((le - pred) ** 2))
-    ss_tot = float(np.sum((le - le.mean()) ** 2))
+    ss_res = float(((le - pred) ** 2).sum())
+    ss_tot = float(((le - le.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RateFit(slope=float(coef[0]), intercept=float(coef[1]), r_squared=r2,
                    p_window=tuple(int(p) for p in ps), log_errors=tuple(le),
