@@ -638,7 +638,10 @@ def test_one_model_and_time_build_their_twist_constants_once(monkeypatch):
                 for name in ("heat_diagonal_limit", "ModelPoint", "cyclic_group")}
     for name, builder in builders.items():
         monkeypatch.setattr(verify, name, builder)
-    counts = lambda: tuple(builder.call_count for builder in builders.values())
+
+    def counts():
+        return tuple(builder.call_count for builder in builders.values())
+
     Z = np.array([0.1 + 0.05j, 0.02j])
     models = [dict(weights=(1, 2)), dict(weights=(1, 1)), dict(weights=(1, 2), theta=0.4)]
     for i, params in enumerate(models, 1):
