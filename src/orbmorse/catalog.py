@@ -24,22 +24,25 @@ All charts are one-dimensional except the local models, which support n <= 3.
 The singular distance is measured in the coordinates of the chart asked
 about: a P(a, b) chart sees only its own center, the other orbifold point
 lying at infinity in it.
-The compact models record the exact degree, the integral of c_1(L), as
-``params["degree"]``: 1/(ab) for P(a, b), whose dent integrates to zero, and
-d/k for the torus quotient.
+Each builder binds its model's exact oracles (``geometry.ExactData``): a
+compact model's degree, the integral of c_1(L), 1/(ab) for P(a, b), whose dent
+integrates to zero, and d/k on a torus, its counts and sections; a flat one's deck data.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 
 import numpy as np
 
-from .errors import (_REALS, ConfigurationError, _finite, _integer, _list_of, _positive,
-                     _real)
-from .geometry import (ChartedOrbifold, EquivariantLineBundle, OrbifoldChart,
+from .cohomology import torus_table, wps_table
+from .errors import (_REALS, ConfigurationError, _check_weights, _finite, _integer, _list_of,
+                     _positive, _real)
+from .geometry import (ChartedOrbifold, EquivariantLineBundle, ExactData, OrbifoldChart,
                        RadialField, constant_field, cyclic_group)
+from .moishezon import torus_sections, wps_sections
 
 CATALOG_IDS = ("local-model", "wps", "torus")
 
@@ -89,16 +92,6 @@ def build_catalog_orbifold(catalog_id, **params):
     return builder(**params)
 
 
-def _check_weights(weights):
-    """At least two positive coprime integer weights of a weighted projective space."""
-    ws = _list_of("weights", weights, _integer)
-    if len(ws) < 2 or any(w <= 0 for w in ws):
-        raise ConfigurationError(f"weights must be >= 2 positive integers, got {weights}")
-    if math.gcd(*ws) != 1:
-        raise ConfigurationError(f"weights {ws} are not coprime")
-    return ws
-
-
 # ---------------------------------------------------------------------------
 # local model C^n / Z_k
 
@@ -127,9 +120,7 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
         return min(float(np.linalg.norm(Z[~g.fixed])) for g in gens)
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
-                          catalog_id="local-model",
-                          params={"k": k, "a": a, "weights": weights,
-                                  "theta": theta})
+                          catalog_id="local-model", exact=ExactData(group=(k, a, weights, theta)))
     bundle = EquivariantLineBundle(
         curvature_scalars=(constant_field(a[0]),) if n == 1 else None)
     return orb, bundle
@@ -277,8 +268,8 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
     orb = ChartedOrbifold(
         charts=(chart_x, chart_y), singular_locus_fn=singular_distance,
         catalog_id="wps",
-        params={"weights": (a, b), "dent": dent, "gamma": gamma,
-                "degree": 1.0 / (a * b)})
+        exact=ExactData(degree=1.0 / (a * b), table=functools.partial(wps_table, (a, b)),
+                        sections=functools.partial(wps_sections, (a, b))))
 
     return orb, EquivariantLineBundle(curvature_scalars=curvature)
 
@@ -309,9 +300,10 @@ def _build_torus(d=1, k=1):
         z = complex(np.asarray(Z, dtype=complex).reshape(1)[0])
         return abs(z - complex(round(2.0 * z.real) / 2.0, round(2.0 * z.imag) / 2.0))
 
+    exact = ExactData(degree=d / k, table=functools.partial(torus_table, d, k),
+                      sections=functools.partial(torus_sections, d, k), torus=(d, k))
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
-                          catalog_id="torus",
-                          params={"d": d, "k": k, "degree": d / k})
+                          catalog_id="torus", exact=exact)
     bundle = EquivariantLineBundle(curvature_scalars=(constant_field(2.0 * math.pi * d),))
     return orb, bundle
 

@@ -174,7 +174,7 @@ def _run_cohomology(cfg, orb, bundle, split, table):
     ok = all(type(h) is int and h >= 0 for h in table.entries.values())
     # on a curve h0(p)/p tends to the degree, or to 0 when the degree is not
     # positive; every catalog count is within 1/p of it at the table's largest p
-    degree = orb.params.get("degree")
+    degree = orb.exact.degree
     if ok and degree is not None:
         p = max(p for p, _ in table.entries)
         ok = abs(table.h(p, 0) / p - max(degree, 0.0)) <= 2.0 / p
@@ -195,8 +195,7 @@ def _run_curvature_integral(cfg, orb, bundle, split, table):
 
 
 def _run_heat_trace(cfg, orb, bundle, split, table):
-    if orb.catalog_id != "torus":
-        raise UnsupportedModelError("heat traces require the flat torus catalog entry")
+    d, k = orb.oracle("torus", "heat traces require the flat torus catalog entry")
     results = []
     artifacts = {}
     for p in cfg.p_list:
@@ -208,7 +207,7 @@ def _run_heat_trace(cfg, orb, bundle, split, table):
             traces = {repr(u): heat_trace(op, u) for u in cfg.u_list}
             # the kernel is exact, and each trace counts it plus decaying levels
             by_u = [traces[repr(u)] for u in sorted(cfg.u_list)]
-            kernel = torus_kernel_dimension(orb.params["d"], orb.params["k"], p, q)
+            kernel = torus_kernel_dimension(d, k, p, q)
             ok = (op.zero_dim == kernel
                   and all(math.isfinite(t) and t >= op.zero_dim for t in by_u)
                   and all(b <= a for a, b in zip(by_u, by_u[1:])))
@@ -221,7 +220,7 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
     results = []
     diagnostics = []
     artifacts = {}
-    if orb.catalog_id == "torus" and orb.params.get("d", 0) >= 1:
+    if orb.exact.torus is not None and orb.exact.torus[0] >= 1:
         tol = cfg.tolerances["tol_chain"]
         for p in cfg.p_list:
             for u in cfg.u_list:
@@ -275,7 +274,7 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
                                 f"convergence fit at q={q} marked unreliable "
                                 f"(R^2={series.fit.r_squared:.3f})"))
     # the integral over every signature set against the catalog's exact degree
-    degree = orb.params.get("degree")
+    degree = orb.exact.degree
     if degree is not None:
         integral = sum(split.by_signature)
         ok = abs(integral - degree) <= cfg.tolerances["tol_quadrature"]
@@ -284,12 +283,9 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
 
 
 def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
-    if orb.catalog_id != "local-model":
-        raise UnsupportedModelError(
-            "kernel asymptotics run on the local quotient models")
+    k = orb.oracle("group", "kernel asymptotics run on the local quotient models")[0]
     results = []
     unfitted = []
-    k = orb.params["k"]
     x_reg = np.array([1.0 + 0.0j] * orb.dimension)
     p_mid = cfg.p_list[len(cfg.p_list) // 2]
     Z = np.array([1.0 / math.sqrt(p_mid) + 0.0j] * orb.dimension)
@@ -330,7 +326,7 @@ def _run_moishezon(cfg, orb, bundle, split, table):
     results = [("moishezon-verdict", finite, verdict)]
     diagnostics = []
     # a line bundle on a compact curve is big exactly when its degree is positive
-    expected_big = orb.params.get("degree", 0.0) > 0
+    expected_big = (orb.exact.degree or 0.0) > 0
     try:
         table = table().over(_bigness_powers(cfg))
         est = mz.bigness_check(table, orb.dimension)

@@ -8,9 +8,9 @@ README).  On P(a, b) the monomials of one degree are an arithmetic
 progression of exponents (``_wps_exponents``), so a table takes each entry
 from its own progression, in O(a) integer steps and with no array.
 ``weighted_proj_h0`` counts for any number of weights by a coin-problem DP,
-the second route to the same counts.  Torus quotients are cross-filled from
-the spectral kernel counts of the discretized Kodaira Laplacian, which are
-exact for the shipped flat models.
+the second route to the same counts.  Torus quotients take the closed-form
+kernel counts of the spectral module (``torus_table``).  The catalog binds a
+model's counter, ``wps_table`` or ``torus_table``, as its ``exact.table``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import _check_weights
-from .errors import ConfigurationError, UnsupportedModelError, _integer
+from .errors import ConfigurationError, _check_weights, _integer
 from .spectral import torus_kernel_dimension
 
 LATTICE_DP_MAX = 2 ** 24    # largest degree the coin DP tabulates (128 MiB of int64)
@@ -91,31 +90,28 @@ class CohomologyTable(NamedTuple):
         return sum((-1) ** j * self.h(p, j) for j in range(q + 1))
 
 
-def cohomology_table(orb, p_range):
-    """Exact cohomology table of a catalog entry over a range of powers.
+def wps_table(weights, p_values):
+    """The entries of P(a, b) at ``p_values``: h^0 at degree p, and h^1 as h^0
+    at the Serre-dual degree -p - a - b, each the length of its own progression
+    of monomials, which depends on the holomorphic bundle alone, whatever its
+    metric (a dent); a degree beyond LATTICE_DP_MAX is refused, as the coin DP
+    refuses it."""
+    a, b = weights
+    degrees = {(p, q): -p - a - b if q else p for p in p_values for q in (0, 1)}
+    # the table stops where its second route, the coin DP, stops
+    _refuse_beyond_dp(max([-1, *degrees.values()]))
+    return {key: len(_wps_exponents(weights, d)) for key, d in degrees.items()}
 
-    For weighted projective models each entry is the length of one
-    progression of monomials, which depends on the holomorphic bundle alone,
-    whatever its metric (a dent); a degree beyond LATTICE_DP_MAX is refused,
-    as the coin DP refuses it.  Torus quotients take their kernel dimensions
-    from the exact closed-form count of the spectral module.
-    """
+
+def torus_table(d, k, p_values):
+    """The entries of the torus quotient at ``p_values``, in closed form."""
+    return {(p, q): torus_kernel_dimension(d, k, p, q) for p in p_values for q in (0, 1)}
+
+
+def cohomology_table(orb, p_range):
+    """Exact cohomology table of a catalog entry over a range of powers, from
+    the counter the catalog bound; a model without one is refused."""
     p_values = tuple(_integer("power p", p) for p in p_range)
-    if orb.catalog_id == "wps":
-        # h^0 at degree p, and h^1 as h^0 at the Serre-dual degree -p - a - b,
-        # each the length of its own progression of monomials
-        a, b = _check_weights(orb.params["weights"])
-        degrees = {(p, q): -p - a - b if q else p for p in p_values for q in (0, 1)}
-        # the table stops where its second route, the coin DP, stops
-        _refuse_beyond_dp(max([-1, *degrees.values()]))
-        return CohomologyTable({key: len(_wps_exponents((a, b), d))
-                                for key, d in degrees.items()})
-    if orb.catalog_id == "torus":
-        d, k = orb.params["d"], orb.params["k"]
-        entries = {}
-        for p in p_values:
-            for q in (0, 1):
-                entries[(p, q)] = torus_kernel_dimension(d, k, p, q)
-        return CohomologyTable(entries)
-    raise UnsupportedModelError(
-        f"no exact cohomology is available for catalog id {orb.catalog_id!r}")
+    counter = orb.oracle(
+        "table", f"no exact cohomology is available for catalog id {orb.catalog_id!r}")
+    return CohomologyTable(counter(p_values))

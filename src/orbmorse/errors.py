@@ -6,11 +6,13 @@ ConfigurationError that names it.  Integers are ints or numpy integers but not
 bools, and reals are finite non-bool numbers.  ``_at_least`` types an integer
 >= low (a power p, a resolution, a group order, a seed), ``_positive`` a finite
 real > 0 (a time u, a tolerance) and ``_degree`` a form degree q in low..top;
-``_list_of`` types a list or tuple, from YAML or Python, entry by entry.
+``_list_of`` types a list or tuple, from YAML or Python, entry by entry, and
+``_check_weights`` the weights of a weighted projective space.
 ``name`` is the value's label in messages, e.g. "power p" or "run.p_list".
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -73,6 +75,16 @@ def _list_of(name, value, item):
     if not isinstance(value, (list, tuple)):
         raise ConfigurationError(f"{name} must be a list, got {value!r}")
     return tuple(item(name, v) for v in value)
+
+
+def _check_weights(weights):
+    """At least two positive coprime integer weights of a weighted projective space."""
+    ws = _list_of("weights", weights, _integer)
+    if len(ws) < 2 or any(w <= 0 for w in ws):
+        raise ConfigurationError(f"weights must be >= 2 positive integers, got {weights}")
+    if math.gcd(*ws) != 1:
+        raise ConfigurationError(f"weights {ws} are not coprime")
+    return ws
 
 
 def _at_least(name, value, low):

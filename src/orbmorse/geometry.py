@@ -14,7 +14,7 @@ volume-density ratio kappa(z) = h(z) against Lebesgue measure.  A bundle's
 curvature is likewise one density c(z) per chart, and the curvature
 endomorphism is the scalar c / h.  The flat higher-dimensional local models
 carry neither density: their kernels read the constant curvature from the
-model parameters.
+model's exact data, the oracles its catalog builder binds (``ExactData``).
 
 Both integrators, ``orbifold_integrate`` and ``curvature.signature_integrals``,
 run chart by chart over the blocks of ``chart_blocks``, the one place that
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -162,7 +161,7 @@ def _require_one_dimensional(chart):
 
     The metric and curvature densities and the quadrature exist on
     one-dimensional charts only; the higher-dimensional local models are flat
-    and read their constant curvature from the model parameters.
+    and read their constant curvature from their exact data.
     """
     if chart.dimension != 1:
         raise UnsupportedModelError(
@@ -184,6 +183,16 @@ def volume_density(chart: OrbifoldChart, Z):
     return h
 
 
+class ExactData(NamedTuple):
+    """A model's exact oracles, each None where it has none, as on a hand-built model."""
+
+    degree: float = None      # the exact integral of c_1(L)
+    table: object = None      # p_values -> {(p, q): h^q(M, L^p)}, in exact integers
+    sections: object = None   # p -> (box, values, order) of the Kodaira map; None: constants
+    torus: tuple = None       # (d, k) of a torus quotient
+    group: tuple = None       # (k, a, weights, theta) of a local model C^n / Z_k
+
+
 class ChartedOrbifold(NamedTuple):
     """A compact complex orbifold presented by catalog charts.
 
@@ -196,11 +205,17 @@ class ChartedOrbifold(NamedTuple):
     charts: tuple
     singular_locus_fn: object
     catalog_id: str
-    params: dict = MappingProxyType({})
+    exact: ExactData = ExactData()
 
     @property
     def dimension(self):
         return self.charts[0].dimension
+
+    def oracle(self, name, refusal):
+        """The exact datum ``name``; UnsupportedModelError(refusal) where there is none."""
+        if (value := getattr(self.exact, name)) is None:
+            raise UnsupportedModelError(refusal)
+        return value
 
     def singular_distance(self, chart_index, Z):
         return float(self.singular_locus_fn(chart_index, np.asarray(Z, dtype=complex)))
@@ -212,7 +227,7 @@ class EquivariantLineBundle(NamedTuple):
     curvature_scalars[k](z) -> the Chern curvature density c at an array of
     points of chart k (vectorized, in the frame of the metric density), so
     that the curvature endomorphism is c / h.  None for the flat
-    higher-dimensional local models, whose curvature is params["a"].  The
+    higher-dimensional local models, whose curvature is the a of exact.group.  The
     fiber phases of the chart group live on its elements.
     """
 

@@ -9,7 +9,8 @@ derivatives (the Wronskian of the Plucker formulas).
 
 Kodaira ranks draw their sample points from a generator the caller seeds
 (the CLI passes the stdlib's ``random.Random(seed)``), so runs are
-reproducible, and evaluate once per sample the few sections that decide it.
+reproducible, and evaluate once per sample the few sections that decide it,
+from the ``exact.sections`` the catalog binds (``wps_sections``, ``torus_sections``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohomology import CohomologyTable, _wps_exponents
-from .errors import ConfigurationError, UnsupportedModelError, _at_least, _integer, _positive
+from .errors import ConfigurationError, _at_least, _integer, _positive
 from .spectral import torus_basis_columns
 from .verify import fit_rate
 
@@ -155,6 +156,29 @@ def _section_values_wps(exponents, z):
     return np.array([z ** ms, ms * z ** (ms - 1)])
 
 
+def wps_sections(weights, p):
+    """Sample box, section values and order at power p: monomials, lowest first."""
+    exponents = _wps_exponents(weights, p)
+    if not exponents:
+        raise ConfigurationError(f"no sections at power p={p}")
+    return (0.35, 0.5, 0.1, 0.4), _section_values_wps, lambda z: iter(exponents)
+
+
+def torus_sections(d, k, p):
+    """Sample box, section values and order at power p: nearest translates first."""
+    if d == 0 or p == 0:
+        return None                            # the trivial bundle: constants only
+    if d < 0 or p < 0:
+        raise ConfigurationError(f"no sections at power p={p}")
+    D = d * p
+    if D > KODAIRA_TORUS_MAX_D:
+        raise ConfigurationError(
+            f"at p={p} the torus sections live on D = d p = {D} > {KODAIRA_TORUS_MAX_D} "
+            "columns, where a translate's float phase m y is off by up to D 2^-53 cycles")
+    return ((0.13, 0.5, 0.17, 0.5), functools.partial(_section_values_torus, D, k),
+            lambda z: _torus_columns(z.real, D, k))
+
+
 def _rank(sec):
     """Rank of the derivative (ds_i - r_i ds_a) / s_a of the ratios r_i to the
     largest section s_a, from the rows [s; ds] of ``sec``; -1 at a base point."""
@@ -182,34 +206,11 @@ def kodaira_rank(orb, bundle, p, rng=None):
     """
     p = _integer("power p", p)
     rng = rng if rng is not None else random.Random(77)
-    if orb.catalog_id == "wps":
-        exponents = _wps_exponents(orb.params["weights"], p)
-        if not exponents:
-            raise ConfigurationError(f"no sections at power p={p}")
-        box, values = (0.35, 0.5, 0.1, 0.4), _section_values_wps
-
-        def order(z):
-            return iter(exponents)
-    elif orb.catalog_id == "torus":
-        d, k = orb.params["d"], orb.params["k"]
-        if d == 0 or p == 0:
-            return 0                           # the trivial bundle: constants only
-        if d < 0 or p < 0:
-            raise ConfigurationError(f"no sections at power p={p}")
-        D = d * p
-        if D > KODAIRA_TORUS_MAX_D:
-            raise ConfigurationError(
-                f"at p={p} the torus sections live on D = d p = {D} > {KODAIRA_TORUS_MAX_D} "
-                "columns, where a translate's float phase m y is off by up to D 2^-53 cycles")
-        box = (0.13, 0.5, 0.17, 0.5)
-        values = functools.partial(_section_values_torus, D, k)
-
-        def order(z):
-            return _torus_columns(z.real, D, k)
-    else:
-        raise UnsupportedModelError(
-            "the Kodaira map needs a compact catalog entry with explicit sections")
-    x0, wx, y0, wy = box
+    sections = orb.oracle(
+        "sections", "the Kodaira map needs a compact catalog entry with explicit sections")(p)
+    if sections is None:
+        return 0                               # constants only
+    (x0, wx, y0, wy), values, order = sections
     reals = [x0 + wx * rng.random() for _ in range(KODAIRA_SAMPLES)]
     imags = [y0 + wy * rng.random() for _ in range(KODAIRA_SAMPLES)]
     n, best = orb.dimension, -1

@@ -155,13 +155,12 @@ def _torus_operator(d, k, p, q, resolution):
 
 def _torus(orb, q=0):
     """(d, k) of a torus quotient in form degree q; refuses other models and degrees."""
-    if orb.catalog_id != "torus":
-        raise UnsupportedModelError(
-            f"catalog id {orb.catalog_id!r} has no spectral discretization or deck "
-            "transformations; weighted projective models use the exact cohomology "
-            "tables and local models the closed-form kernels instead")
+    torus = orb.oracle("torus", (
+        f"catalog id {orb.catalog_id!r} has no spectral discretization or deck "
+        "transformations; weighted projective models use the exact cohomology "
+        "tables and local models the closed-form kernels instead"))
     _degree(q, 1)
-    return orb.params["d"], orb.params["k"]
+    return torus
 
 
 def assemble_kodaira_laplacian(orb, bundle, p, q, resolution=32):

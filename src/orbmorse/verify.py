@@ -18,8 +18,9 @@ max-shifted pass per point and power; a kernel is that sum as a plain
 complex number.  Degree one on a torus is derived in one place, the bounded
 cache ``_torus_image_sums`` on plain (d, k, z, u, p), which sums both degrees
 from one degree-0 evaluation; a local model's group images, fibre factors,
-and per-u limit and normal blocks are built once, in bounded caches on its
-parameters.  The trace identity integrates the image sum in closed form.
+and per-u normal blocks are built once, in bounded caches on its
+``exact.group``, and its per-u limit in one on (a, u).  The trace identity
+integrates the image sum in closed form.
 
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
 guard.  Every torus and local-model route types its power p and time u with
@@ -59,7 +60,7 @@ LATTICE_CUT = 4
 
 
 def _require_flat(orb):
-    if orb.catalog_id not in ("local-model", "torus"):
+    if orb.exact.torus is None and orb.exact.group is None:
         raise UnsupportedModelError(
             "kernel asymptotics require a flat model with an exact image-sum oracle")
 
@@ -75,10 +76,10 @@ def _point(orb, x):
     x = np.asarray(x, dtype=complex)
     if not all(map(cmath.isfinite, x.ravel().tolist())):
         raise GeometryError(f"flat-model point {x} is not finite")
-    size = 1 if orb.catalog_id == "torus" else len(orb.params["a"])
+    size = orb.dimension
     if x.size != size:
         raise GeometryError(f"flat-model point {x} has {x.size} coordinates, expected {size}")
-    if orb.catalog_id == "torus":
+    if orb.exact.torus is not None:
         z = x.item()
         return complex(_cell(z.real), _cell(z.imag))
     return x.reshape(size)
@@ -168,57 +169,63 @@ def local_model_image_log_terms(orb, points, u, p, include_identity=True):
     group elements and two arrays of shape (len(p),) + points.shape[:-1] +
     (len(labels),), each power's slice computed from that power alone.
     """
-    if orb.catalog_id != "local-model":
-        raise UnsupportedModelError("group-element sums run on the local models")
+    group = orb.oracle("group", "group-element sums run on the local models")
     _require_powers_and_time(p, u)
-    params, include_identity = tuple(orb.params.items()), bool(include_identity)
-    keep, inverses, _ = _group_images(params)[1][include_identity]
-    a = np.asarray(orb.params["a"], dtype=float)
+    include_identity = bool(include_identity)
+    keep, inverses, _ = _group_images(group)[1][include_identity]
+    a = np.asarray(group[1], dtype=float)
     labels = [g for g, kept in zip(_local_group(orb), keep) if kept]
     Z = np.asarray(points, dtype=complex)
     X = np.einsum("gi,...i->...gi", inverses, Z)
     powers = np.array(p, dtype=float)[:, None]
     log_abs, phase = mehler_log_form((powers * a).tolist(), (u / powers).ravel().tolist(),
                                      X, Z[..., None, :])
-    log_fibre, arg_fibre = _fibres(params, tuple(map(int, p)), include_identity)
+    log_fibre, arg_fibre = _fibres(group, tuple(map(int, p)), include_identity)
     return (labels, log_abs + _per_power(log_fibre, Z.ndim - 1),
             phase + _per_power(arg_fibre, Z.ndim - 1))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _group_images(params):
-    """``cyclic_group(k, weights, theta)`` of the model with the ``params`` items (k, a,
-    weights, theta) and, without and with the identity, its elements kept,
-    their inverse rotations and their line phases."""
-    params = dict(params)
-    group = cyclic_group(params["k"], params["weights"], params["theta"])
-    rotations = np.array([g.rotation for g in group])
-    phases = np.array([g.line_phase for g in group])
-    return group, tuple((keep.tolist(), np.conj(rotations[keep]), phases[keep]) for keep in (
-        np.array([not g.is_identity for g in group]), np.ones(len(group), dtype=bool)))
+def _group_images(group):
+    """``cyclic_group(k, weights, theta)`` of the local model whose ``exact.group``
+    is ``group``, (k, a, weights, theta), and, without and with the identity, its
+    elements kept, their inverse rotations and their line phases."""
+    k, _, weights, theta = group
+    elements = cyclic_group(k, weights, theta)
+    rotations = np.array([g.rotation for g in elements])
+    phases = np.array([g.line_phase for g in elements])
+    return elements, tuple((keep.tolist(), np.conj(rotations[keep]), phases[keep]) for keep in (
+        np.array([not g.is_identity for g in elements]), np.ones(len(elements), dtype=bool)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _fibres(params, p, include_identity):
+def _fibres(group, p, include_identity):
     """log|f| and arg f of the fibre factors f = e^{i p theta_g} p^{-n}, per power
-    of ``p`` and element kept, of the local model with the ``params`` items."""
-    line_phases = _group_images(params)[1][include_identity][2]
+    of ``p`` and element kept, of the local model whose ``exact.group`` is ``group``."""
+    line_phases = _group_images(group)[1][include_identity][2]
     fibres = (np.exp(1j * np.array(p, dtype=float)[:, None] * line_phases)
-              * np.array([pp ** float(-len(dict(params)["a"])) for pp in p])[:, None])
+              * np.array([pp ** float(-len(group[1])) for pp in p])[:, None])
     logs = [[math.log(abs(f)) for f in row] for row in fibres.tolist()]
     return np.array(logs), np.angle(fibres)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _twist_constants(params, u):
-    """The degree-0 limit at time u of the model with the ``params`` items, each
-    element's fixed- times normal-block limit, and per non-identity element its line
-    phase, moved coordinates and normal-block ``ModelPoint`` (a zero in a reads 1)."""
-    a = np.array(dict(params)["a"])
+def _twist_constants(group, u):
+    """The degree-0 limit at time u of the local model whose ``exact.group`` is
+    ``group``, each element's fixed- times normal-block limit, and per non-identity
+    element its line phase, moved coordinates and normal-block ``ModelPoint`` (a
+    zero in a reads 1)."""
+    a = np.array(group[1])
     blocks = tuple((g.line_phase, ~g.fixed,
                     ModelPoint(a[~g.fixed], u, np.angle(g.rotation)[~g.fixed]))
-                   for g in _group_images(params)[0] if not g.is_identity)
-    return heat_diagonal_limit(ModelPoint(a, u), 0).trace, blocks
+                   for g in _group_images(group)[0] if not g.is_identity)
+    return _limit(group[1], u), blocks
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _limit(a, u):
+    """The degree-0 limit density at time u of the flat model of curvatures ``a``."""
+    return heat_diagonal_limit(ModelPoint(a, u), 0).trace
 
 
 def _image_sums(log_abs, phase):
@@ -328,7 +335,7 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
         raise GeometryError(
             f"point at distance {dist:.3f} from the singular set; the regular-point "
             f"check requires distance >= {REGULAR_MIN_DISTANCE}")
-    if orb.catalog_id == "torus":
+    if orb.exact.torus is not None:
         terms = torus_image_log_terms(*_torus(orb), x, u, p_list, include_identity=False)
     else:
         terms = local_model_image_log_terms(orb, x, u, p_list, include_identity=False)
@@ -345,12 +352,12 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
     refuses a power or time that ``_require_powers_and_time`` refuses.
     """
     _require_flat(orb)
-    if orb.catalog_id == "local-model":
+    if orb.exact.group is not None:
         kernel = local_model_diagonal_kernel(orb, bundle, x, u, p)
-        limit = _twist_constants(tuple(orb.params.items()), u)[0]
+        limit = _limit(orb.exact.group[1], u)
     else:
         kernel = torus_diagonal_kernel_image(orb, bundle, x, u, p)
-        limit = heat_diagonal_limit(ModelPoint((2.0 * math.pi * orb.params["d"],), u), 0).trace
+        limit = _limit((2.0 * math.pi * _torus(orb)[0],), u)
     return float(np.real(kernel) / limit)
 
 
@@ -370,10 +377,9 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     for flat local models it reproduces the kernel to rounding, while the
     uncorrected limit misses the order-one twist at sqrt(p) |Z| = O(1).
     """
-    if orb.catalog_id != "local-model":
-        raise UnsupportedModelError("the corrected expansion ships for local models")
+    group = orb.oracle("group", "the corrected expansion ships for local models")
     Z = _point(orb, Z)
-    limit, normal_blocks = _twist_constants(tuple(orb.params.items()), u)
+    limit, normal_blocks = _twist_constants(group, u)
     _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list)
     records = []
     for p, kernel in zip(p_list, _image_sums(log_abs, phase)):

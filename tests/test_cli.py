@@ -766,8 +766,7 @@ def test_strong_morse_fails_on_a_stalled_residual(tmp_path, monkeypatch):
 
     def halved_model(*args, **kwargs):
         orb, bundle = build(*args, **kwargs)
-        orb.params["degree"] /= 2
-        return orb, bundle
+        return orb._replace(exact=orb.exact._replace(degree=orb.exact.degree / 2)), bundle
 
     def halved_split(*args, **kwargs):
         split = split_of(*args, **kwargs)

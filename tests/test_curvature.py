@@ -25,9 +25,9 @@ def test_endomorphism_identity_metric_cases():
 
 
 def test_spectrum_of_flat_two_dimensional_model_is_unsupported():
-    """The n = 2 local model carries its curvature in params, not in a density."""
+    """The n = 2 local model carries its curvature in its exact data, not in a density."""
     orb, bundle = build_catalog_orbifold("local-model", k=1, a=(2.0, -3.0))
-    assert orb.params["a"] == (2.0, -3.0)
+    assert orb.exact.group[1] == (2.0, -3.0)
     with pytest.raises(UnsupportedModelError):
         curvature_spectrum(bundle, orb, np.zeros(2))
 
@@ -188,10 +188,10 @@ RADIAL_MODELS = [
 def exact_degree(orb):
     """The exact integral of c / 2 pi: the catalog's degree, or on C/Z_k the
     constant curvature a over the box (2r)^2, divided by 2 pi k."""
-    if "degree" in orb.params:
-        return orb.params["degree"]
+    if orb.exact.degree is not None:
+        return orb.exact.degree
     chart = orb.charts[0]
-    return orb.params["a"][0] * (2 * chart.box_radius) ** 2 / (2 * math.pi * chart.order)
+    return orb.exact.group[1][0] * (2 * chart.box_radius) ** 2 / (2 * math.pi * chart.order)
 
 
 @pytest.mark.parametrize("resolution", [24, 101, 128, 1024])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbmorse.catalog import build_catalog_orbifold
+from orbmorse.catalog import WPS_BETA, _wps_metric_profiles, build_catalog_orbifold
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
                              UnsupportedModelError)
@@ -712,8 +712,9 @@ def test_bumps_form_partition_of_unity_on_overlap():
     for weights in [(1, 1), (1, 2), (2, 3)]:
         a, b = weights
         orb, _ = build_catalog_orbifold("wps", weights=weights)
+        gamma = _wps_metric_profiles(a, b, WPS_BETA)[2]
         for zabs in np.linspace(0.05, 2.5, 40):
-            wabs = orb.params["gamma"] * zabs ** (-a / b)    # |w'| of the same point
+            wabs = gamma * zabs ** (-a / b)    # |w'| of the same point
             chi_x = float(orb.charts[0].bump(np.array([zabs + 0j]))[0])
             chi_y = float(orb.charts[1].bump(np.array([wabs + 0j]))[0])
             assert chi_x + chi_y == pytest.approx(1.0, abs=1e-12)
@@ -726,10 +727,10 @@ def test_metric_and_curvature_transport_across_charts(weights):
     At a matched overlap point, densities transport with the squared
     transition Jacobian |dw'/dz|^2 = gamma^2 (a/b)^2 |z|^(-2a/b - 2).
     """
-    from orbmorse.catalog import build_catalog_orbifold
+    from orbmorse.catalog import WPS_BETA, _wps_metric_profiles, build_catalog_orbifold
     a, b = weights
     orb, bundle = build_catalog_orbifold("wps", weights=weights)
-    gamma = orb.params["gamma"]
+    gamma = _wps_metric_profiles(a, b, WPS_BETA)[2]
     for zabs in (0.8, 1.0, 1.3):
         wabs = gamma * zabs ** (-a / b)
         jac2 = (gamma * (a / b)) ** 2 * zabs ** (-2.0 * a / b - 2.0)

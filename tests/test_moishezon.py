@@ -195,7 +195,7 @@ def kodaira_rank_per_sample(orb, bundle, p, rng):
     explicit invariant basis of the half turn."""
     samples, step = 6, 1e-5
     if orb.catalog_id == "wps":
-        a, b = orb.params["weights"]
+        a, b = (chart.order for chart in orb.charts)
         exps = [m for m in range(p // b + 1) if (p - b * m) % a == 0]
         reals = [0.35 + 0.5 * rng.random() for _ in range(samples)]
         imags = [0.1 + 0.4 * rng.random() for _ in range(samples)]
@@ -203,12 +203,13 @@ def kodaira_rank_per_sample(orb, bundle, p, rng):
         def values(pts):
             return np.array([pts ** m for m in exps])
     else:
-        if orb.params["d"] == 0:
+        d, k = orb.exact.torus
+        if d == 0:
             return 0
         reals = [0.13 + 0.5 * rng.random() for _ in range(samples)]
         imags = [0.17 + 0.5 * rng.random() for _ in range(samples)]
         op0 = assemble_kodaira_laplacian(orb, bundle, p, 0, 1)
-        basis = invariant_basis(op0.D, 1) if orb.params["k"] == 2 else None
+        basis = invariant_basis(op0.D, 1) if k == 2 else None
 
         def values(pts):
             dense = np.array([torus_eigenfunction_values(op0, z)[0] for z in pts]).T

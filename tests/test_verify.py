@@ -41,9 +41,8 @@ from test_golden import SESSIONS, session_outputs
 def dense_image_log_terms(orb, Z, u, p, include_identity):
     """The image terms at one power p, with every group element as a dense
     n x n matrix."""
-    k, theta = orb.params["k"], orb.params["theta"]
-    a = np.asarray(orb.params["a"], dtype=float)
-    weights = np.array(orb.params["weights"])
+    k, a, weights, theta = orb.exact.group
+    a, weights = np.asarray(a, dtype=float), np.array(weights)
     n = a.size
     keep = [m for m in range(k) if include_identity or m != 0]
     inverses = np.array([np.conj(np.diag(np.exp(2j * np.pi * weights * m / k)).T)
@@ -577,7 +576,7 @@ def test_twist_correction_shrinks_residual(p):
 def per_element_residuals(orb, bundle, Z, u, p):
     """The residuals with each element's term read as the fixed-block limit
     times the normal-block limit times the twist."""
-    a = np.asarray(orb.params["a"], dtype=float)
+    a = np.asarray(orb.exact.group[1], dtype=float)
     kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p)
     limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0).trace
     corr = 0.0j
@@ -633,7 +632,8 @@ def test_singular_expansion_builds_one_limit_per_call(monkeypatch):
 def test_one_model_and_time_build_their_twist_constants_once(monkeypatch):
     """Three twist powers at one (model, u) build one limit and one normal block
     per non-identity element between them, from one group; a model with other
-    weights or another theta, and another u, build their own."""
+    weights or another theta builds its own group and normal blocks but shares
+    the limit of its curvatures a, and another u builds its own of each."""
     builders = {name: mock.Mock(wraps=getattr(verify, name))
                 for name in ("heat_diagonal_limit", "ModelPoint", "cyclic_group")}
     for name, builder in builders.items():
@@ -648,10 +648,23 @@ def test_one_model_and_time_build_their_twist_constants_once(monkeypatch):
         orb, bundle = build_catalog_orbifold("local-model", k=3, a=(0.7, 1.3), **params)
         for p in (256, 1024, 4096):
             verify_kernel_asymptotics_singular(orb, bundle, Z, 1.0, [p])
-        # one limit, and a ModelPoint for it and for each of the two normal blocks
-        assert counts() == (i, 3 * i, i)
+        # one limit and its ModelPoint for the three models' one a, and a
+        # ModelPoint for each model's two normal blocks
+        assert counts() == (1, 1 + 2 * i, i)
     verify_kernel_asymptotics_singular(orb, bundle, Z, 0.5, [256])
-    assert counts() == (4, 12, 3)
+    assert counts() == (2, 10, 3)
+
+
+def test_a_lone_singular_factor_builds_no_normal_block(monkeypatch):
+    """The singular factor of a local model reads the limit alone, so it builds
+    the limit's ModelPoint and no group element's normal block."""
+    points = mock.Mock(wraps=verify.ModelPoint)
+    monkeypatch.setattr(verify, "ModelPoint", points)
+    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(0.7, 1.3), weights=(1, 2))
+    verify.singular_diagonal_factor(orb, bundle, np.zeros(2, dtype=complex), 1.0, 256)
+    # one ModelPoint, of (eigenvalues, u) with no group phases
+    assert [len(call.args) for call in points.call_args_list] == [2]
+    assert points.call_args.args == ((0.7, 1.3), 1.0)
 
 
 def test_the_benchmark_session_evaluates_each_torus_kernel_once(monkeypatch, tmp_path):
@@ -964,7 +977,7 @@ def midpoint_half_turns(orb, u, p, degree, grid):
     """1/k times the half-turn terms of the image sum on a grid x grid midpoint rule."""
     xs = (np.arange(grid) + 0.5) / grid
     total = 0.0
-    d, k = orb.params["d"], orb.params["k"]
+    d, k = orb.exact.torus
     for x in xs:
         terms = verify.torus_image_log_terms(d, k, x + 1j * xs, u, [p])
         log_abs, phase = degree_terms(terms, degree, d, u)
