@@ -1,9 +1,15 @@
 """Command-line front end: config ingestion, dispatch, report emission.
 
 Subcommands: cohomology, curvature-integral, heat-trace, verify-morse,
-kernel-asymptotics, moishezon-check, all.  Exit codes: 0 when every check
-passes, 1 when an inequality or regression guard fails beyond tolerance,
-2 on configuration errors (one-line diagnostic per failure on stderr).
+kernel-asymptotics, moishezon-check, all.  Each stage's runner computes
+records and judges none; ``run`` judges every record with its kind's gate in
+``report.KINDS`` and writes the report and the CSV artifacts.  A check that
+did not run goes to the report's ``skipped`` list, and a part of a record
+left out to its ``data.left_out``, each with a reason code and the message of
+its cause; under ``all`` a stage that does not apply to the model is skipped
+whole.  Exit codes: 0 when every check that ran passes, 1 when one fails
+beyond tolerance, 2 on configuration errors, an output that cannot be
+written among them (one-line diagnostic per failure on stderr).
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from . import verify as vf
 from .catalog import build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
-from .errors import (ConfigurationError, OrbmorseError, UnresolvedTimeError,
-                     UnsupportedModelError, _at_least, _list_of, _positive)
+from .errors import (ConfigurationError, NoSectionsError, OrbmorseError, Skip,
+                     UnresolvedPhaseError, UnresolvedTimeError, UnsupportedModelError,
+                     _at_least, _list_of, _positive)
 from .spectral import assemble_kodaira_laplacian, heat_trace, torus_kernel_dimension
 
 DEFAULT_TOLERANCES = {
@@ -161,131 +168,83 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # subcommand implementations: each takes (cfg, orb, bundle, split, table), where
 # split() gives the run's signature split and table() its cohomology table over
-# p_list and the bigness powers, and returns (results, diagnostics, artifacts):
-# results entries are (name, passed, data); artifacts maps file names to text.
+# p_list and the bigness powers, and returns (records, artifacts): records are
+# (name, data), data a Skip where the check did not run, and artifacts maps
+# file names to text.  The runners judge nothing: report.KINDS does.
 
 
 def _run_cohomology(cfg, orb, bundle, split, table):
-    # the check covers every entry the run reads; the record shows p_list's
+    # the gate judges every entry the run reads; the CSV shows p_list's
     table = table()
     shown = table.over(cfg.p_list)
     rows = [(p, q, shown.h(p, q)) for (p, q) in sorted(shown.entries)]
-    data = {"entries": {f"{p},{q}": h for p, q, h in rows}}
-    ok = all(type(h) is int and h >= 0 for h in table.entries.values())
-    # on a curve h0(p)/p tends to the degree, or to 0 when the degree is not
-    # positive; every catalog count is within 1/p of it at the table's largest p
-    degree = orb.exact.degree
-    if ok and degree is not None:
-        p = max(p for p, _ in table.entries)
-        ok = abs(table.h(p, 0) / p - max(degree, 0.0)) <= 2.0 / p
-    return ([("cohomology-table", ok, data)], [],
-            {"cohomology.csv": rpt.csv_text(["p", "q", "h"], rows)})
+    data = {"entries": {f"{p},{q}": h for p, q, h in rows}, "degree": orb.exact.degree,
+            "bigness_entries": {f"{p},{q}": h for (p, q), h in sorted(table.entries.items())
+                                if (p, q) not in shown.entries}}
+    return [("cohomology-table", data)], {"cohomology.csv": rpt.csv_text(["p", "q", "h"], rows)}
 
 
 def _run_curvature_integral(cfg, orb, bundle, split, table):
     split = split()
-    # a NaN or infinite value is a failed quadrature, not a result
-    finite = math.isfinite(split.degenerate_fraction)
-    results = [(f"curvature-integral-q{q}", finite and math.isfinite(split.by_signature[q]),
-                {"value": split.by_signature[q],
-                 "degenerate_fraction": split.degenerate_fraction,
-                 "resolution": cfg.resolution_quadrature})
-               for q in cfg.q_list]
-    return results, [], {}
+    return [(f"curvature-integral-q{q}",
+             {"value": split.by_signature[q], "degenerate_fraction": split.degenerate_fraction,
+              "resolution": cfg.resolution_quadrature}) for q in cfg.q_list], {}
 
 
 def _run_heat_trace(cfg, orb, bundle, split, table):
     d, k = orb.oracle("torus", "heat traces require the flat torus catalog entry")
-    results = []
-    artifacts = {}
+    records, artifacts = [], {}
     for p in cfg.p_list:
         for q in (0, 1):
             op = assemble_kodaira_laplacian(orb, bundle, p, q, cfg.resolution_spectral)
             artifacts[f"spectrum_p{p}_q{q}.csv"] = rpt.csv_text(
                 ["p", "q", "lambda", "multiplicity"],
                 ([p, q, lam, mult] for lam, mult in op.spectral_table()))
-            traces = {repr(u): heat_trace(op, u) for u in cfg.u_list}
-            # the kernel is exact, and each trace counts it plus decaying levels
-            by_u = [traces[repr(u)] for u in sorted(cfg.u_list)]
-            kernel = torus_kernel_dimension(d, k, p, q)
-            ok = (op.zero_dim == kernel
-                  and all(math.isfinite(t) and t >= op.zero_dim for t in by_u)
-                  and all(b <= a for a, b in zip(by_u, by_u[1:])))
-            results.append((f"heat-trace-p{p}-q{q}", ok,
-                            {"zero_dim": op.zero_dim, "traces": traces}))
-    return results, [], artifacts
+            records.append((f"heat-trace-p{p}-q{q}", {
+                "zero_dim": op.zero_dim, "kernel_dimension": torus_kernel_dimension(d, k, p, q),
+                "traces": {repr(u): heat_trace(op, u) for u in cfg.u_list}}))
+    return records, artifacts
 
 
 def _run_verify_morse(cfg, orb, bundle, split, table):
-    results = []
-    diagnostics = []
-    artifacts = {}
+    records, artifacts = [], {}
     if orb.exact.torus is not None and orb.exact.torus[0] >= 1:
-        tol = cfg.tolerances["tol_chain"]
-        for p in cfg.p_list:
-            for u in cfg.u_list:
-                residuals = vf.exact_chain_residuals(orb, bundle, p, u,
-                                                     cfg.resolution_spectral)
-                ok = all(r >= -tol for r in residuals) and abs(residuals[-1]) <= tol
-                results.append((f"trace-chain-p{p}-u{repr(u)}", ok,
-                                {"residuals": residuals}))
-        # a time the kept levels or the float range cannot resolve is left out, once
-        left_out = {}
+        records += [(f"trace-chain-p{p}-u{u!r}", {"residuals": vf.exact_chain_residuals(
+            orb, bundle, p, u, cfg.resolution_spectral)}) for p in cfg.p_list for u in cfg.u_list]
         for p in cfg.p_list:
             for q in cfg.q_list:
-                gaps = {}
+                # a time the kept levels or the float range cannot resolve is left out
+                gaps, left_out = {}, {}
                 for u in cfg.u_list:
                     try:
                         gaps[repr(u)] = vf.trace_equals_diagonal_integral(
-                            orb, bundle, u, p, degree=q,
-                            resolution=cfg.resolution_spectral)
+                            orb, bundle, u, p, degree=q, resolution=cfg.resolution_spectral)
                     except UnresolvedTimeError as exc:
-                        left_out.setdefault(repr(u), exc)
-                if gaps:
-                    results.append((f"trace-identity-p{p}-q{q}",
-                                    all(g <= tol for g in gaps.values()), {"gaps": gaps}))
-        diagnostics.extend(("info", f"trace identity at u={u} left out: {exc}")
-                           for u, exc in left_out.items())
-    n = orb.dimension
+                        left_out[repr(u)] = Skip(exc.reason, str(exc))
+                data = {"gaps": gaps, "left_out": left_out} if left_out else {"gaps": gaps}
+                records.append((f"trace-identity-p{p}-q{q}", data if gaps else Skip(
+                    UnresolvedTimeError.reason, "; ".join(s.message for s in left_out.values()))))
     split = split()
     for q in cfg.q_list:
         try:
             series = vf.verify_strong_morse(orb, q, cfg.p_list, split, table())
         except UnsupportedModelError as exc:
-            # a model without exact cohomology is an info, as in every other stage
-            diagnostics.append(("info", f"strong Morse at q={q} skipped: {exc}"))
+            # a model without exact cohomology skips the check, as it skips a stage
+            records.append((f"strong-morse-q{q}", Skip(exc.reason, str(exc))))
             continue
-        pos = [max(r, 0.0) for r in series.residuals]
-        bound = 2.0 / cfg.p_list[-1]
-        # the positive part falls along the tail and is O(1/p) at its end
-        ok = all(b <= a + 1e-12 for a, b in zip(pos, pos[1:])) and pos[-1] <= bound
-        if q == n:
-            ok = ok and abs(series.residuals[-1]) <= bound
-        results.append((f"strong-morse-q{q}", ok, series.as_record()))
+        records.append((f"strong-morse-q{q}", {**series.as_record(), "dimension": orb.dimension}))
         artifacts[f"strong_morse_q{q}.csv"] = rpt.residual_series_csv(
             series.p_list, series.residuals)
-        # below -2/p the inequality is strict by the mass of the negative
-        # region: rho_p tends to a non-zero limit and there is no rate to fit
-        if len(series.fit.p_window) < 2:
-            diagnostics.append(("info", f"no convergence fit at q={q}: "
-                                        "a fit needs at least two powers"))
-        elif not series.fit.reliable and series.residuals[-1] >= -bound:
-            diagnostics.append(("warning",
-                                f"convergence fit at q={q} marked unreliable "
-                                f"(R^2={series.fit.r_squared:.3f})"))
     # the integral over every signature set against the catalog's exact degree
-    degree = orb.exact.degree
-    if degree is not None:
-        integral = sum(split.by_signature)
-        ok = abs(integral - degree) <= cfg.tolerances["tol_quadrature"]
-        results.append(("curvature-degree", ok, {"integral": integral, "degree": degree}))
-    return results, diagnostics, artifacts
+    if orb.exact.degree is not None:
+        records.append(("curvature-degree", {"integral": sum(split.by_signature),
+                                             "degree": orb.exact.degree}))
+    return records, artifacts
 
 
 def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
     k = orb.oracle("group", "kernel asymptotics run on the local quotient models")[0]
-    results = []
-    unfitted = []
+    records = []
     x_reg = np.array([1.0 + 0.0j] * orb.dimension)
     p_mid = cfg.p_list[len(cfg.p_list) // 2]
     Z = np.array([1.0 / math.sqrt(p_mid) + 0.0j] * orb.dimension)
@@ -294,67 +253,43 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
         ratio = vf.singular_diagonal_factor(
             orb, bundle, np.zeros(orb.dimension, dtype=complex), u, cfg.p_list[-1])
         rec = vf.verify_kernel_asymptotics_singular(orb, bundle, Z, u, [p_mid])[0]
+        data = {"regular_fit": fit, "singular_ratio": ratio, "k": k, "twist_shrink_factor":
+                rec.residual_without_twist / max(rec.residual_with_twist, 1e-300)}
         # a slope needs two powers with a non-zero error; an empty window is
         # an error exactly zero at every power (C/Z_1), whose -inf is a result
-        fitted = len(fit.p_window) != 1
-        if not fitted:
-            unfitted.append(repr(u))
-        slope_ok = not fitted or fit.slope <= -0.4
-        ratio_ok = abs(ratio - k) <= 0.05
-        shrink = rec.residual_without_twist / max(rec.residual_with_twist, 1e-300)
-        # C/Z_1 has no twist: both expansions are the same, and their common
-        # residual is rounding (0 or ~1e-16), with nothing to shrink
-        shrink_ok = k == 1 or shrink >= 10.0
-        ok = slope_ok and ratio_ok and shrink_ok
-        results.append((f"kernel-asymptotics-u{repr(u)}", ok,
-                        {"regular_fit": fit,
-                         "singular_ratio": ratio,
-                         "twist_shrink_factor": shrink}))
-    diagnostics = []
-    if unfitted:
-        diagnostics.append(("info", f"regular-point rate at u={', '.join(unfitted)} not "
-                                    "judged: one power has a non-zero error, and a fit "
-                                    "needs two"))
-    return results, diagnostics, {}
+        if len(fit.p_window) == 1:
+            data["left_out"] = {"regular_fit": Skip(
+                "too-few-powers", "one power has a non-zero error, and a fit needs two")}
+        records.append((f"kernel-asymptotics-u{u!r}", data))
+    return records, {}
 
 
 def _run_moishezon(cfg, orb, bundle, split, table):
     rng = random.Random(cfg.seed)
-    verdict = mz.moishezon_check(split(), cfg.tolerances["tol_quadrature"])
-    # a NaN or infinite witness is a failed quadrature, not a verdict
-    finite = all(map(math.isfinite, (verdict.integral_leq1, verdict.min_eigenvalue_seen)))
-    results = [("moishezon-verdict", finite, verdict)]
-    diagnostics = []
-    # a line bundle on a compact curve is big exactly when its degree is positive
-    expected_big = (orb.exact.degree or 0.0) > 0
+    records = [("moishezon-verdict",
+                mz.moishezon_check(split(), cfg.tolerances["tol_quadrature"]))]
     try:
         table = table().over(_bigness_powers(cfg))
-        est = mz.bigness_check(table, orb.dimension)
-        ranks = {}
-        rank_max = -1
-        for p in cfg.p_list[: min(len(cfg.p_list), 4)]:
-            try:
-                ranks[p] = mz.kodaira_rank(orb, bundle, p, rng=rng)
-                rank_max = max(rank_max, ranks[p])
-            except OrbmorseError as exc:
-                diagnostics.append(("info", f"rank at p={p} skipped: {exc}"))
-        agree = est.big == (rank_max == orb.dimension)
-        results.append(("bigness", est.big == expected_big and agree,
-                        {"estimate": est.limsup_estimate, "noise": est.noise_floor,
-                         "big": est.big, "expected_big": expected_big,
-                         "kodaira_ranks": {str(p): r for p, r in ranks.items()},
-                         "growth_exponent": mz.section_growth_exponent(table)}))
     except UnsupportedModelError as exc:
         # a model without exact cohomology; a table that cannot be built exits 2
-        diagnostics.append(("info", f"bigness estimate skipped: {exc}"))
-    return results, diagnostics, {}
+        return records + [("bigness", Skip(exc.reason, str(exc)))], {}
+    est = mz.bigness_check(table, orb.dimension)
+    ranks, left_out = {}, {}
+    for p in cfg.p_list[:4]:
+        try:
+            ranks[str(p)] = mz.kodaira_rank(orb, bundle, p, rng=rng)
+        except (NoSectionsError, UnresolvedPhaseError) as exc:
+            left_out[str(p)] = Skip(exc.reason, str(exc))
+    # a line bundle on a compact curve is big exactly when its degree is positive
+    data = {"estimate": est.limsup_estimate, "noise": est.noise_floor, "big": est.big,
+            "expected_big": (orb.exact.degree or 0.0) > 0, "dimension": orb.dimension,
+            "kodaira_ranks": ranks, "growth_exponent": mz.section_growth_exponent(table)}
+    return records + [("bigness", {**data, "left_out": left_out} if left_out else data)], {}
 
 
 def _bigness_powers(cfg):
-    top = max(4096, cfg.p_list[-1])
     # as a float: numpy takes a Python int beyond int64 as an object
-    ps = sorted({int(round(x)) for x in np.geomspace(2, float(top), 40)})
-    return ps
+    return sorted({int(round(x)) for x in np.geomspace(2, float(max(4096, cfg.p_list[-1])), 40)})
 
 
 RUNNERS = {
@@ -375,8 +310,6 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigurationError(f"unknown subcommand {subcommand!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     orb, bundle = build_catalog_orbifold(config.catalog_id, **config.catalog_params)
     if any(q > orb.dimension for q in config.q_list):
         raise ConfigurationError(
@@ -388,35 +321,47 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
         orb, bundle, config.resolution_quadrature, config.tolerances["tol_degeneracy"]))
     table = functools.cache(lambda: cohomology_table(
         orb, sorted({*config.p_list, *_bigness_powers(config)})))
-    results, diagnostics, artifacts = [], [], {}
+    records, artifacts = [], {}
     for name in names:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                r, d, a = RUNNERS[name](config, orb, bundle, split, table)
+                r, a = RUNNERS[name](config, orb, bundle, split, table)
         except ArithmeticError as exc:
             # an overflow or a 0/0 would otherwise end as a traceback or a NaN
             raise ConfigurationError(f"{name}: the configured values leave the "
                                      f"floating-point range ({exc})")
         except OrbmorseError as exc:
             # only a stage that does not apply to the model may be skipped
-            if subcommand == "all" and isinstance(exc, UnsupportedModelError):
-                diagnostics.append(("info", f"{name} skipped for this model: {exc}"))
-                continue
-            raise ConfigurationError(str(exc))
-        results.extend(r)
-        diagnostics.extend(d)
+            if subcommand != "all" or not isinstance(exc, UnsupportedModelError):
+                raise ConfigurationError(str(exc))
+            r, a = [(name, Skip(exc.reason, str(exc)))], {}
+        records += r
         artifacts.update(a)
+    # the one place a check is judged; a skipped check is never a pass
+    results, skipped, diagnostics = [], [], []
+    for name, data in records:
+        if isinstance(data, Skip):
+            skipped.append((name, data))
+            continue
+        kind, data = rpt.kind_of(name), rpt.sanitize(data)
+        results.append((name, bool(kind.gate(data, config.tolerances.get(kind.tolerance))), data))
+        if kind.warning and (message := kind.warning(data)):
+            diagnostics.append(("warning", message))
     failures = [name for (name, passed, _) in results if not passed]
-    for name in failures:
-        diagnostics.append(("failure", f"check {name} failed beyond tolerance"))
+    diagnostics += [("failure", f"check {name} failed beyond tolerance") for name in failures]
     if strict:
         failures += [m for (lvl, m) in diagnostics if lvl == "warning"]
     report = rpt.build_report(subcommand, config.catalog_id, config.catalog_params,
-                              results, diagnostics, config.seed)
+                              results, skipped, diagnostics, config.seed)
     rpt.validate_report(report)
-    (out / config.report_name).write_text(rpt.dumps_report(report))
-    for fname, payload in artifacts.items():
-        (out / fname).write_text(payload)
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for fname, text in {config.report_name: rpt.dumps_report(report), **artifacts}.items():
+            (out / fname).write_text(text)
+    except OSError as exc:
+        # an output that cannot be written is a configuration error; exit 1 is a failed check
+        raise ConfigurationError(f"cannot write the output {exc.filename}: {exc.strerror}")
     return 1 if failures else 0
 
 

@@ -9,12 +9,27 @@ real > 0 (a time u, a tolerance) and ``_degree`` a form degree q in low..top;
 ``_list_of`` types a list or tuple, from YAML or Python, entry by entry, and
 ``_check_weights`` the weights of a weighted projective space.
 ``name`` is the value's label in messages, e.g. "power p" or "run.p_list".
+
+A check, or a part of one, that a run does not judge is a ``Skip``; where an
+error kept it from running, its code is that error class's ``reason``.
 """
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+# the closed vocabulary of skip codes, each one a run emits
+REASONS = ("model-not-applicable", "no-sections", "phase-unresolved", "time-unresolved",
+           "too-few-powers")
+
+
+class Skip(NamedTuple):
+    """Why a check, or a part of one, was not judged: a code from REASONS and a message."""
+
+    reason: str
+    message: str
 
 
 class OrbmorseError(Exception):
@@ -27,6 +42,17 @@ class ConfigurationError(OrbmorseError, ValueError):
 
 class UnresolvedTimeError(ConfigurationError):
     """A kernel time that the retained Landau levels or the float range cannot resolve."""
+    reason = "time-unresolved"
+
+
+class NoSectionsError(ConfigurationError):
+    """A power at which the line bundle has no holomorphic sections to sample."""
+    reason = "no-sections"
+
+
+class UnresolvedPhaseError(ConfigurationError):
+    """A power at which float phases cannot resolve the sections of the Kodaira map."""
+    reason = "phase-unresolved"
 
 
 class GeometryError(OrbmorseError):
@@ -39,6 +65,7 @@ class IntegrandError(OrbmorseError):
 
 class UnsupportedModelError(OrbmorseError):
     """Operation is only available for a subset of catalog models."""
+    reason = "model-not-applicable"
 
 
 class DegenerateSpectrumError(OrbmorseError):

@@ -249,6 +249,9 @@ STIELTJES_MIN = 20.0
 # under 3e-17 of the first one kept
 STIELTJES_TERMS = 24
 STIELTJES_BLOCK = 512   # series nodes per block: every rule to n = 1024 is one block
+# nodes x angles per block of Laplace's integral: its seven nodes of every rule
+# to n = 16384 are one block
+LAPLACE_BLOCK = 2 ** 16
 # the first ten zeros j_{0,k} of the Bessel function J_0, correctly rounded;
 # McMahon's expansion is exact to double precision beyond them
 BESSEL_J0_ZEROS = np.array([
@@ -278,10 +281,20 @@ def _legendre_laplace(n, theta):
     SIAM Review 56, 2014).  z^(n-1) is |z|^(n-1) e^{i (n-1) arg z}, with
     log |z|^2 = log1p(-sin^2 theta sin^2 phi), which keeps its digits where
     |z| is close to 1; the slope is the mean of
-    n Re z^(n-1) (sin theta - i cos theta cos phi).  O(n) per node.
+    n Re z^(n-1) (sin theta - i cos theta cos phi).  O(n) per node, in
+    blocks of whole nodes of at most LAPLACE_BLOCK node-angle pairs each.
     """
     intervals = n // 2 + 1
     phi = np.linspace(0.0, np.pi, intervals + 1)
+    # each node's sum over phi is its own, so the blocks change no bit
+    step = max(1, LAPLACE_BLOCK // phi.size)
+    return np.concatenate([_laplace_sums(n, part, phi)
+                           for part in np.split(theta, range(step, theta.size, step))], axis=1)
+
+
+def _laplace_sums(n, theta, phi):
+    """``_legendre_laplace`` on the nodes ``theta``, one array pass."""
+    intervals = phi.size - 1
     c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
     cos_phi = np.cos(phi)
     a = (s * np.sin(phi)) ** 2

@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohomology import CohomologyTable, _wps_exponents
-from .errors import ConfigurationError, _at_least, _integer, _positive
+from .errors import (ConfigurationError, NoSectionsError, UnresolvedPhaseError, _at_least,
+                     _integer, _positive)
 from .spectral import torus_basis_columns
 from .verify import fit_rate
 
@@ -160,7 +161,7 @@ def wps_sections(weights, p):
     """Sample box, section values and order at power p: monomials, lowest first."""
     exponents = _wps_exponents(weights, p)
     if not exponents:
-        raise ConfigurationError(f"no sections at power p={p}")
+        raise NoSectionsError(f"no sections at power p={p}")
     return (0.35, 0.5, 0.1, 0.4), _section_values_wps, lambda z: iter(exponents)
 
 
@@ -169,10 +170,10 @@ def torus_sections(d, k, p):
     if d == 0 or p == 0:
         return None                            # the trivial bundle: constants only
     if d < 0 or p < 0:
-        raise ConfigurationError(f"no sections at power p={p}")
+        raise NoSectionsError(f"no sections at power p={p}")
     D = d * p
     if D > KODAIRA_TORUS_MAX_D:
-        raise ConfigurationError(
+        raise UnresolvedPhaseError(
             f"at p={p} the torus sections live on D = d p = {D} > {KODAIRA_TORUS_MAX_D} "
             "columns, where a translate's float phase m y is off by up to D 2^-53 cycles")
     return ((0.13, 0.5, 0.17, 0.5), functools.partial(_section_values_torus, D, k),

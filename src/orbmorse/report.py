@@ -1,4 +1,8 @@
-"""Deterministic JSON/CSV report emission with a versioned schema."""
+"""Deterministic JSON/CSV report emission with a versioned schema, and the
+result kinds, KINDS, whose gates judge the report's records from the records
+alone, so a report can be judged again from its own bytes and the run's
+tolerances.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +11,28 @@ import io
 import json
 import math
 import numbers
+import re
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = "orbmorse-report/1"
+SCHEMA_VERSION = "orbmorse-report/2"
 
 # the schema file is the one copy; it ships as package data
 REPORT_SCHEMA = json.loads(
     (Path(__file__).with_name("schemas") / "report_v1.json").read_text())
 
 
+_PLAIN = (int, str, bool, type(None))
+
+
 def sanitize(obj):
     """Convert numpy scalars/arrays, complex values and NamedTuple records (as
     the mapping of their fields) into plain JSON types."""
+    if type(obj) in _PLAIN:          # the common case, already plain JSON
+        return obj
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
         obj = obj._asdict()
     if isinstance(obj, dict):
@@ -47,7 +58,9 @@ def sanitize(obj):
     return obj
 
 
-def build_report(subcommand, catalog_id, catalog_params, results, diagnostics, seed):
+def build_report(subcommand, catalog_id, catalog_params, results, skipped, diagnostics, seed):
+    """The report of ``results``, (name, passed, data) with data as ``sanitize``
+    writes it, ``skipped``, (name, Skip), and ``diagnostics``, (level, message)."""
     report = {
         "meta": {
             "schema_version": SCHEMA_VERSION,
@@ -57,9 +70,10 @@ def build_report(subcommand, catalog_id, catalog_params, results, diagnostics, s
         },
         "catalog": {"id": catalog_id, "params": sanitize(catalog_params)},
         "results": [
-            {"name": name, "passed": bool(passed), "data": sanitize(data)}
+            {"name": name, "passed": bool(passed), "data": data}
             for (name, passed, data) in results
         ],
+        "skipped": [{"name": name, **skip._asdict()} for (name, skip) in skipped],
         "diagnostics": [
             {"level": level, "message": message} for (level, message) in diagnostics
         ],
@@ -122,7 +136,8 @@ def _walk(value, schema, path):
 
 
 def validate_report(report):
-    """Raise ValueError unless ``report`` matches REPORT_SCHEMA.
+    """Raise ValueError unless ``report`` matches REPORT_SCHEMA and no name is
+    both in its results and in its skipped checks.
 
     The walker knows only SCHEMA_KEYWORDS, the ones the report schema uses;
     any other keyword anywhere in the schema raises before the report is
@@ -133,6 +148,10 @@ def validate_report(report):
         if unknown:
             raise ValueError(f"schema keyword(s) {', '.join(unknown)} not supported")
     _walk(report, REPORT_SCHEMA, "report")
+    # a check either ran or was skipped
+    both = {r["name"] for r in report["results"]} & {s["name"] for s in report["skipped"]}
+    if both:
+        raise ValueError(f"report: {', '.join(sorted(both))} both ran and was skipped")
 
 
 def dumps_report(report):
@@ -152,3 +171,103 @@ def csv_text(header, rows):
 def residual_series_csv(p_values, residuals):
     return csv_text(["p", "residual"],
                     ([int(p), repr(float(r))] for p, r in zip(p_values, residuals)))
+
+
+# ---------------------------------------------------------------------------
+# result kinds: a gate(data, tol) reads the record as the report writes it, a
+# non-finite float as the string "nan", "inf" or "-inf" that float() reads
+# back, and tol, the value of the kind's tolerance key or None, so a report
+# can be judged again from its own records and the run's tolerances
+
+
+def _finite(*values):
+    # a NaN or infinite value is a failed quadrature, not a result
+    return all(math.isfinite(float(v)) for v in values)
+
+
+def _cohomology_gate(data, tol):
+    entries = {**data["entries"], **data["bigness_entries"]}     # "p,q": h
+    # on a curve h0(p)/p tends to the degree, or to 0 when the degree is not
+    # positive; every catalog count is within 1/p of it at the table's largest p
+    p = max(int(key.partition(",")[0]) for key in entries)
+    return all(type(h) is int and h >= 0 for h in entries.values()) and (
+        data["degree"] is None or abs(entries[f"{p},0"] / p - max(data["degree"], 0.0)) <= 2.0 / p)
+
+
+def _heat_trace_gate(data, tol):
+    # the kernel is exact, and each trace counts it plus decaying levels
+    by_u = [float(t) for _, t in sorted(data["traces"].items(), key=lambda ut: float(ut[0]))]
+    return (data["zero_dim"] == data["kernel_dimension"]
+            and all(math.isfinite(t) and t >= data["zero_dim"] for t in by_u)
+            and all(b <= a for a, b in zip(by_u, by_u[1:])))
+
+
+def _strong_morse_gate(data, tol):
+    # the positive part falls along the tail and is O(1/p) at its end; at q = n
+    # so is the residual itself
+    residuals, bound = [float(r) for r in data["residuals"]], 2.0 / data["p_list"][-1]
+    pos = [max(r, 0.0) for r in residuals]
+    return (all(b <= a + 1e-12 for a, b in zip(pos, pos[1:])) and pos[-1] <= bound
+            and (data["q"] != data["dimension"] or abs(residuals[-1]) <= bound))
+
+
+def _unreliable_fit(data):
+    # below -2/p the inequality is strict by the mass of the negative region:
+    # rho_p tends to a non-zero limit and there is no rate to fit
+    fit = data["fit"]
+    if (len(fit["p_window"]) >= 2 and not fit["reliable"]
+            and float(data["residuals"][-1]) >= -2.0 / data["p_list"][-1]):
+        return (f"convergence fit at q={data['q']} marked unreliable "
+                f"(R^2={float(fit['r_squared']):.3f})")
+
+
+def _kernel_gate(data, tol):
+    # C/Z_1 has no twist: both expansions are the same, and their common
+    # residual is rounding (0 or ~1e-16), with nothing to shrink
+    return (("regular_fit" in data.get("left_out", {})
+             or float(data["regular_fit"]["slope"]) <= -0.4)
+            and abs(float(data["singular_ratio"]) - data["k"]) <= 0.05
+            and (data["k"] == 1 or float(data["twist_shrink_factor"]) >= 10.0))
+
+
+def _bigness_gate(data, tol):
+    # big as its degree says, and as its Kodaira ranks say
+    rank = max(data["kodaira_ranks"].values(), default=-1)
+    return data["big"] == data["expected_big"] and data["big"] == (rank == data["dimension"])
+
+
+# pattern: a regular expression the result name matches in full; stage: the
+# subcommand that computes the record; tolerance: the key of the gate's tol;
+# warning(data): the message of a warning on a record, or None
+Kind = namedtuple("Kind", "pattern stage gate tolerance warning", defaults=(None, None))
+# keyed by the name up to its first parameter, "-p", "-q" or "-u" and a digit
+KINDS = {
+    "cohomology-table": Kind(r"cohomology-table", "cohomology", _cohomology_gate),
+    "curvature-integral": Kind(
+        r"curvature-integral-q\d+", "curvature-integral",
+        lambda data, tol: _finite(data["value"], data["degenerate_fraction"])),
+    "heat-trace": Kind(r"heat-trace-p\d+-q\d+", "heat-trace", _heat_trace_gate),
+    "trace-chain": Kind(
+        r"trace-chain-p\d+-u.+", "verify-morse",
+        lambda data, tol: (all(float(r) >= -tol for r in data["residuals"])
+                           and abs(float(data["residuals"][-1])) <= tol), "tol_chain"),
+    "trace-identity": Kind(
+        r"trace-identity-p\d+-q\d+", "verify-morse",
+        lambda data, tol: all(float(g) <= tol for g in data["gaps"].values()), "tol_chain"),
+    "strong-morse": Kind(r"strong-morse-q\d+", "verify-morse", _strong_morse_gate,
+                         warning=_unreliable_fit),
+    "curvature-degree": Kind(
+        r"curvature-degree", "verify-morse",
+        lambda data, tol: abs(float(data["integral"]) - data["degree"]) <= tol, "tol_quadrature"),
+    "kernel-asymptotics": Kind(r"kernel-asymptotics-u.+", "kernel-asymptotics", _kernel_gate),
+    "moishezon-verdict": Kind(
+        r"moishezon-verdict", "moishezon-check",
+        lambda data, tol: _finite(data["integral_leq1"], data["min_eigenvalue_seen"])),
+    "bigness": Kind(r"bigness", "moishezon-check", _bigness_gate),
+}
+_PARAMETERS = re.compile(r"-[pqu]\d")
+
+
+def kind_of(name):
+    """The kind of the result ``name``, by the name up to its first parameter."""
+    return KINDS[_PARAMETERS.split(name, 1)[0]]

@@ -1,4 +1,5 @@
-"""Every test starts and ends with cold orbmorse caches.
+"""Every test starts and ends with cold orbmorse caches, and every report a
+test builds records its skips with codes.
 
 The memoized operators, tables and basis sums would otherwise carry one
 test's values into the next: a test that monkeypatches
@@ -12,6 +13,7 @@ import pkgutil
 import pytest
 
 import orbmorse
+from orbmorse import report
 
 # every functools cache defined at module level in the package
 CACHES = tuple(
@@ -32,3 +34,22 @@ def cold_caches():
     clear_caches()
     yield
     clear_caches()
+
+
+# the words an info line once used for a check, or a part of one, that did not
+# run; the report's skipped list and a record's left_out now hold it, coded
+SKIP_PROSE = ("skipped", "left out", "not judged")
+
+
+@pytest.fixture(autouse=True)
+def coded_skips(monkeypatch):
+    build = report.build_report
+
+    def build_coded(*args, **kwargs):
+        built = build(*args, **kwargs)
+        prose = [d["message"] for d in built["diagnostics"] if d["level"] == "info"
+                 and any(word in d["message"] for word in SKIP_PROSE)]
+        assert not prose, prose
+        return built
+
+    monkeypatch.setattr(report, "build_report", build_coded)

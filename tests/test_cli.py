@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import orbmorse
 from orbmorse import cli
 from orbmorse.cli import RunConfig, load_config, main
-from orbmorse.errors import ConfigurationError
+from orbmorse.errors import REASONS, ConfigurationError
 from orbmorse.report import REPORT_SCHEMA, validate_report
 
 TORUS_YAML = """\
@@ -137,6 +137,25 @@ def test_config_loads_the_same_without_the_c_parser(tmp_path, monkeypatch, name)
         load_config(bad)
 
 
+@pytest.mark.parametrize("subcommand,blocked", [("all", "out"), ("cohomology", "report")],
+                         ids=["out-is-a-file", "report-is-a-directory"])
+def test_an_output_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys,
+                                                                 subcommand, blocked):
+    """Exit 1 is a failed check: an output directory that is a file, or a
+    report path that is a directory, is a configuration error naming the path."""
+    out = tmp_path / "o"
+    if blocked == "out":
+        out.write_text("")
+        path = out
+    else:
+        path = out / "report.json"
+        path.mkdir(parents=True)
+    code = main([subcommand, "--config", str(DEMO_CONFIGS / "p12.yaml"), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("configuration error:") and str(path) in err[0]
+
+
 def test_cli_exit_2_on_unknown_subcommand(tmp_path):
     cfg = write(tmp_path, "c.yaml", TORUS_YAML)
     with pytest.raises(SystemExit) as err:
@@ -198,9 +217,9 @@ def test_kernel_asymptotics_on_the_trivial_group_exits_0(tmp_path):
 
 @pytest.mark.parametrize("k,unjudged", [(2, True), (1, False)])
 def test_kernel_asymptotics_judges_no_rate_from_one_power(tmp_path, k, unjudged):
-    """One power leaves a fit of one point, whose -inf slope is no rate: the
-    slope is left out with one info line.  On C/Z_1 every error is exactly
-    zero, and its -inf is judged."""
+    """One power leaves a fit of one point, whose -inf slope is no rate: each
+    record leaves its regular fit out with the code too-few-powers.  On C/Z_1
+    every error is exactly zero, and its -inf is judged."""
     text = (DEMO_CONFIGS / "local_z2.yaml").read_text()
     text = text.replace("k: 2", f"k: {k}").replace(
         "[64, 128, 256, 512, 1024, 2048, 4096]", "[64]")
@@ -211,10 +230,11 @@ def test_kernel_asymptotics_judges_no_rate_from_one_power(tmp_path, k, unjudged)
     assert [r["data"]["regular_fit"]["p_window"] for r in report["results"]] == (
         [[64]] * 3 if unjudged else [[]] * 3)
     assert all(r["passed"] for r in report["results"])
-    assert report["diagnostics"] == ([{
-        "level": "info", "message": "regular-point rate at u=0.5, 1.0, 5.0 not judged: "
-                                    "one power has a non-zero error, and a fit needs two"}]
-        if unjudged else [])
+    assert report["diagnostics"] == []
+    left_out = {"regular_fit": {"reason": "too-few-powers", "message": "one power has a "
+                                "non-zero error, and a fit needs two"}}
+    assert [r["data"].get("left_out") for r in report["results"]] == (
+        [left_out] * 3 if unjudged else [None] * 3)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -256,16 +276,18 @@ def test_strict_escalates_warnings(tmp_path):
 
 
 def test_one_power_strong_morse_series_has_no_fit(tmp_path):
-    """A fit over one power is no fit: an info line, not an unreliable warning."""
+    """A fit over one power is no fit, which the record's fit window shows: no
+    unreliable warning, and nothing left out, as the gate does not read the fit."""
     text = (DEMO_CONFIGS / "p12.yaml").read_text().replace("[64, 256, 1024, 4096]", "[4096]")
     out = tmp_path / "o"
     assert main(["verify-morse", "--config", write(tmp_path, "c.yaml", text),
                  "--out", str(out), "--strict"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert all(r["passed"] for r in report["results"])
-    assert report["diagnostics"] == [
-        {"level": "info", "message": f"no convergence fit at q={q}: "
-                                     "a fit needs at least two powers"} for q in (0, 1)]
+    assert report["diagnostics"] == [] and report["skipped"] == []
+    morse = [r["data"] for r in report["results"] if r["name"].startswith("strong-morse")]
+    assert [d["fit"]["p_window"] for d in morse] == [[4096], [4096]]
+    assert not any("left_out" in d for d in morse)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +350,11 @@ def test_run_all_on_torus(tmp_path):
     assert "cohomology-table" in names
     assert "moishezon-verdict" in names
     assert any(n.startswith("trace-chain") for n in names)
-    # the torus model cannot run the local-model kernel asymptotics; it is
-    # skipped with an informational diagnostic rather than failing the run
-    assert any("kernel-asymptotics skipped" in d["message"]
-               for d in report["diagnostics"])
+    # the torus model cannot run the local-model kernel asymptotics; the stage
+    # is skipped with its code rather than failing the run
+    assert report["skipped"] == [{
+        "name": "kernel-asymptotics", "reason": "model-not-applicable",
+        "message": "kernel asymptotics run on the local quotient models"}]
 
 
 def test_thread_count_does_not_change_report_bytes(tmp_path):
@@ -438,8 +461,10 @@ def test_all_on_nonpositive_degree_torus_skips_spectra(tmp_path, d):
     names = {r["name"] for r in report["results"]}
     assert {"cohomology-table", "moishezon-verdict", "bigness"} <= names
     assert not any(n.startswith(("heat-trace", "trace-chain")) for n in names)
-    assert any(d["level"] == "info" and "heat-trace skipped" in d["message"]
-               for d in report["diagnostics"])
+    assert [(s["name"], s["reason"]) for s in report["skipped"]] == [
+        ("heat-trace", "model-not-applicable"), ("kernel-asymptotics", "model-not-applicable")]
+    assert report["skipped"][0]["message"] == (
+        f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1")
 
 
 def test_unknown_catalog_parameter_is_a_configuration_error():
@@ -514,7 +539,7 @@ def test_power_beyond_int64_exits_2_with_one_line(tmp_path, capsys, catalog):
 
 def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsys):
     """At p = 2^40 the float phases of the translates are not resolved: the rank
-    is skipped with that cause and bigness reads the ranks below it.  Every
+    is left out with that cause and bigness reads the ranks below it.  Every
     check passes: the trace chain pairs integer multiplicities, so r_1 is
     exactly 0 where heat traces of 4.2e6 and 5.5e11 states rounded it to
     1.25e-9 (p = 2^23) and 1.1e-5 (p = 2^40)."""
@@ -523,10 +548,11 @@ def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsy
     code = main(["all", "--config", cfg, "--out", str(tmp_path / "o")])
     assert "floating-point range" not in capsys.readouterr().err
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    notes = [d["message"] for d in report["diagnostics"] if d["level"] == "info"]
-    assert any(n.startswith("rank at p=1099511627776 skipped") and "float phase" in n
-               for n in notes)
     bigness = next(r for r in report["results"] if r["name"] == "bigness")
+    left_out = bigness["data"]["left_out"]
+    assert list(left_out) == ["1099511627776"]
+    assert left_out["1099511627776"]["reason"] == "phase-unresolved"
+    assert "float phase" in left_out["1099511627776"]["message"]
     assert bigness["data"]["kodaira_ranks"] == {"64": 1, "8388608": 1}
     assert code == 0 and all(r["passed"] for r in report["results"])
     chains = [r for r in report["results"] if r["name"].startswith("trace-chain")]
@@ -746,18 +772,18 @@ def test_curvature_degree_fails_on_a_scaled_curvature(tmp_path, monkeypatch):
 
 
 def test_verify_morse_on_a_two_dimensional_model_is_one_skip(tmp_path):
-    """The split refuses n = 2, so verify-morse is skipped whole with one info line."""
+    """The split refuses n = 2, so verify-morse is skipped whole, with its code."""
     text = TORUS_YAML.replace(TORUS_CATALOG, "  id: local-model\n  params:\n    k: 2\n"
                               "    a: [1.0, 2.0]\n").replace("q_list: [0, 1]", "q_list: [0]")
     cfg = write(tmp_path, "c.yaml", text)
     out = tmp_path / "out"
     assert main(["all", "--config", cfg, "--out", str(out), "--strict"]) == 0
     report = json.loads((out / "report.json").read_text())
-    messages = [(d["level"], d["message"]) for d in report["diagnostics"]]
-    morse = [(level, m) for level, m in messages if "Morse" in m or "verify-morse" in m]
-    assert len(morse) == 1 and morse[0][0] == "info"
-    assert morse[0][1].startswith("verify-morse skipped for this model")
-    assert not any(level == "warning" for level, _ in messages)
+    morse = [s for s in report["skipped"] if "morse" in s["name"]]
+    assert [(s["name"], s["reason"]) for s in morse] == [("verify-morse",
+                                                          "model-not-applicable")]
+    assert "one-dimensional charts only" in morse[0]["message"]
+    assert not any(d["level"] == "warning" for d in report["diagnostics"])
 
 
 def test_strong_morse_fails_on_a_stalled_residual(tmp_path, monkeypatch):
@@ -943,7 +969,7 @@ def test_heat_trace_fails_on_a_wrong_kernel_multiplicity(tmp_path, monkeypatch):
 def test_trace_identity_leaves_out_an_unresolved_time(tmp_path, catalog, u_list,
                                                       left_out, reason):
     """A time the kept levels (or the float range) cannot resolve is left out
-    with one info line; the run still exits 0."""
+    of each record it would join, with its code; the run still exits 0."""
     cfg = write(tmp_path, "c.yaml", f"""\
 catalog: {{id: torus, params: {catalog}}}
 run: {{p_list: [4, 8], u_list: {u_list}, resolution_spectral: 32}}
@@ -951,12 +977,68 @@ run: {{p_list: [4, 8], u_list: {u_list}, resolution_spectral: 32}}
     out = tmp_path / "o"
     assert main(["all", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    notes = [d for d in report["diagnostics"] if "trace identity" in d["message"]]
-    assert len(notes) == 1 and notes[0]["level"] == "info"
-    assert f"u={left_out} left out" in notes[0]["message"] and reason in notes[0]["message"]
+    assert report["diagnostics"] == []
+    assert [s["name"] for s in report["skipped"]] == ["kernel-asymptotics"]
     identity = [r for r in report["results"] if r["name"].startswith("trace-identity")]
     assert len(identity) == 4 and all(r["passed"] for r in identity)
     assert all(list(r["data"]["gaps"]) == ["1.0"] for r in identity[1::2])
+    for r in identity[1::2]:
+        assert list(r["data"]["left_out"]) == [left_out]
+        entry = r["data"]["left_out"][left_out]
+        assert entry["reason"] == "time-unresolved" and reason in entry["message"]
+
+
+# a run that emits each skip code: (subcommand, config)
+REASON_RUNS = {
+    "model-not-applicable": ("all", "catalog: {id: local-model, params: {k: 2, a: [1.0]}}\n"),
+    "no-sections": ("moishezon-check",
+                    "catalog: {id: wps, params: {weights: [2, 3]}}\nrun: {p_list: [1, 64]}\n"),
+    "phase-unresolved": ("moishezon-check", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
+                                            "run: {p_list: [64, 1099511627776]}\n"),
+    "time-unresolved": ("verify-morse", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
+                                        "run: {p_list: [4], u_list: [0.1, 1.0]}\n"),
+    "too-few-powers": ("kernel-asymptotics",
+                       "catalog: {id: local-model, params: {k: 2, a: [1.0]}}\n"
+                       "run: {p_list: [64], u_list: [1.0]}\n"),
+}
+
+
+def skip_codes(report):
+    """Each reason code of a report: its skipped checks' and its records' left-out parts'."""
+    return ({s["reason"] for s in report["skipped"]}
+            | {entry["reason"] for r in report["results"]
+               for entry in r["data"].get("left_out", {}).values()})
+
+
+def test_every_reason_code_has_a_run_that_emits_it():
+    assert sorted(REASON_RUNS) == sorted(REASONS)
+
+
+@pytest.mark.parametrize("code", sorted(REASON_RUNS))
+def test_a_skip_carries_its_code_and_never_reads_as_a_pass(tmp_path, code):
+    subcommand, text = REASON_RUNS[code]
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", write(tmp_path, "c.yaml", text), "--out", str(out),
+                 "--strict"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert skip_codes(report) == {code}
+    assert not {r["name"] for r in report["results"]} & {s["name"] for s in report["skipped"]}
+    assert not any(d["level"] == "info" for d in report["diagnostics"])
+
+
+def test_a_trace_identity_with_every_time_left_out_is_skipped(tmp_path):
+    """At u_list [0.1] no time is resolved: each trace identity is a skipped
+    check with the cause of its one time, not a record whose empty gaps pass."""
+    cfg = write(tmp_path, "c.yaml", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
+                                    "run: {p_list: [4], u_list: [0.1]}\n")
+    out = tmp_path / "o"
+    assert main(["verify-morse", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert not any(r["name"].startswith("trace-identity") for r in report["results"])
+    assert [(s["name"], s["reason"]) for s in report["skipped"]] == [
+        ("trace-identity-p4-q0", "time-unresolved"), ("trace-identity-p4-q1", "time-unresolved")]
+    assert all(s["message"].startswith("kernel time u=0.1 is too small")
+               for s in report["skipped"])
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

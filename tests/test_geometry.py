@@ -512,6 +512,47 @@ def test_stieltjes_series_memory_is_linear_in_the_nodes():
     assert peak < 6e6
 
 
+@pytest.mark.parametrize("n", [4096, 2 ** 16])
+def test_laplace_blocks_leave_the_rule_unchanged(monkeypatch, n):
+    """Laplace's integral takes whole nodes, at most LAPLACE_BLOCK node-angle
+    pairs at a time; one block of every Laplace node gives the same nodes and
+    weights bit for bit."""
+    from orbmorse import geometry
+    blocked = geometry._legendre_rule(n)
+    monkeypatch.setattr(geometry, "LAPLACE_BLOCK", n * n)
+    assert [a.tobytes() for a in blocked] == [a.tobytes() for a in geometry._legendre_rule(n)]
+
+
+@pytest.mark.parametrize("n,blocks", [(1024, 1), (2 ** 14, 1), (2 ** 14 + 1, 1), (2 ** 16, 7)])
+def test_laplace_is_one_block_to_n_16384(monkeypatch, n, blocks):
+    """The seven Laplace nodes of a rule to n = 16384 are one block, so those
+    rules keep their timing; at n = 2^16 each node is its own block."""
+    from orbmorse import geometry
+    sums, calls = geometry._laplace_sums, []
+
+    def counting(n, theta, phi):
+        calls.append(theta.size)
+        return sums(n, theta, phi)
+
+    monkeypatch.setattr(geometry, "_laplace_sums", counting)
+    geometry._legendre_laplace(n, np.linspace(1e-4, 2e-3, 7))
+    assert len(calls) == blocks and sum(calls) == 7
+
+
+def test_laplace_memory_is_one_block():
+    """At n = 2^16 the peak of Laplace's integral on its seven nodes is one
+    node's arrays, about 3 MB, where all seven at once took 18.9 MB."""
+    from orbmorse import geometry
+    theta = np.linspace(1e-4, 2e-3, 7)
+    tracemalloc.start()
+    try:
+        geometry._legendre_laplace(2 ** 16, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_bessel_j0_zeros_match_mpmath():
     """The ten tabulated zeros to 1 ulp, and McMahon's expansion beyond them
     to 1 ulp up to k = 200."""

@@ -8,7 +8,8 @@ change to them shows here too.  The benchmark's library session at seed 7
 (``bench/child.py``'s ``_session``, on the config read back from the YAML
 the benchmark writes) pins its ``session.json`` the same way.  A change that
 moves one bit of a written number fails the test, which prints each JSON
-path that differs.
+path that differs.  Each golden verdict is also judged again from its record
+alone, with the gates of ``report.KINDS``.
 
 To regenerate the files after a change that moves them on purpose:
 
@@ -16,6 +17,7 @@ To regenerate the files after a change that moves them on purpose:
 """
 
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +26,7 @@ import pytest
 import yaml
 
 from orbmorse import cli, verify
+from orbmorse.report import KINDS, kind_of
 from test_bench_contract import load_bench
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,6 +111,28 @@ def test_orbmorse_all_writes_the_golden_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SESSIONS))
 def test_library_session_writes_the_golden_bytes(name, tmp_path):
     check_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_each_golden_verdict_is_judged_again_from_its_record(name):
+    """Each result name of a golden report matches exactly one declared kind,
+    whose gate, given the record's data as written and the value of the
+    kind's tolerance key in the run's config, gives back the recorded verdict."""
+    report = json.loads((GOLDEN / name / "report.json").read_text())
+    for result in report["results"]:
+        kinds = [kind for kind in KINDS.values() if re.fullmatch(kind.pattern, result["name"])]
+        assert kinds == [kind_of(result["name"])], result["name"]
+        kind = kinds[0]
+        tol = CONFIGS[name].tolerances[kind.tolerance] if kind.tolerance else None
+        assert kind.gate(result["data"], tol) is result["passed"], result["name"]
+
+
+def test_the_golden_reports_hold_every_declared_kind():
+    names = [result["name"] for name in CONFIGS
+             for result in json.loads((GOLDEN / name / "report.json").read_text())["results"]]
+    assert all(any(re.fullmatch(kind.pattern, n) for n in names) for kind in KINDS.values())
+    assert all(kind.pattern.startswith(key) and kind.stage in cli.RUNNERS
+               for key, kind in KINDS.items())
 
 
 def check_golden(name, out_dir):

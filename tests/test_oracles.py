@@ -140,22 +140,22 @@ def test_each_route_refuses_a_model_without_its_oracle(model, route):
 
 def test_all_skips_every_stage_a_hand_built_model_has_no_oracle_for(tmp_path, monkeypatch):
     """On a model without oracles `all` runs the curvature stages and the
-    verdict, and skips the rest with one info each: exit 0."""
+    verdict, and skips the rest, each with its code: exit 0."""
     model = hand_built()
     monkeypatch.setattr(cli, "build_catalog_orbifold", lambda *args, **kwargs: model)
     cfg = cli.RunConfig(catalog_id="custom", catalog_params={}, resolution_quadrature=16)
     assert cli.run("all", cfg, tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     no_table = NO_TABLE.format("custom")
-    assert [(d["level"], d["message"]) for d in report["diagnostics"]] == [
-        ("info", f"cohomology skipped for this model: {no_table}"),
-        ("info", "heat-trace skipped for this model: heat traces require the flat torus "
-                 "catalog entry"),
-        ("info", f"strong Morse at q=0 skipped: {no_table}"),
-        ("info", f"strong Morse at q=1 skipped: {no_table}"),
-        ("info", "kernel-asymptotics skipped for this model: kernel asymptotics run on the "
-                 "local quotient models"),
-        ("info", f"bigness estimate skipped: {no_table}")]
+    assert report["diagnostics"] == []
+    assert [(s["name"], s["reason"], s["message"]) for s in report["skipped"]] == [
+        (name, "model-not-applicable", message) for name, message in [
+            ("cohomology", no_table),
+            ("heat-trace", "heat traces require the flat torus catalog entry"),
+            ("strong-morse-q0", no_table),
+            ("strong-morse-q1", no_table),
+            ("kernel-asymptotics", "kernel asymptotics run on the local quotient models"),
+            ("bigness", no_table)]]
     assert [(r["name"], r["passed"]) for r in report["results"]] == [
         ("curvature-integral-q0", True), ("curvature-integral-q1", True),
         ("moishezon-verdict", True)]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbmorse
-from orbmorse import cli
+from orbmorse import cli, errors
 from orbmorse import report as report_module
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.curvature import signature_integrals
@@ -52,7 +52,8 @@ def objects(report):
     """Every object of the report the schema constrains."""
     sections = [report[key] for key in ("meta", "catalog")
                 if isinstance(report.get(key), dict)]
-    return [report, *sections, *entries(report, "results"), *entries(report, "diagnostics")]
+    return [report, *sections, *entries(report, "results"), *entries(report, "skipped"),
+            *entries(report, "diagnostics")]
 
 
 def mutate(report, kind, data):
@@ -80,10 +81,13 @@ def mutate(report, kind, data):
     elif kind == "passed" and entries(report, "results"):
         entry = data.draw(st.sampled_from(entries(report, "results")))
         entry["passed"] = data.draw(st.sampled_from([0, 1, 1.0, "true", None]))
+    elif kind == "reason" and entries(report, "skipped"):
+        entry = data.draw(st.sampled_from(entries(report, "skipped")))
+        entry["reason"] = data.draw(st.sampled_from([*errors.REASONS, "skipped", "", None]))
 
 
 # the last two leave a valid report valid, unless they overwrite a typed key
-MUTATIONS = ["drop-key", "wrong-type", "seed", "extra-key", "level", "passed",
+MUTATIONS = ["drop-key", "wrong-type", "seed", "extra-key", "level", "passed", "reason",
              "extra-meta-key", "any-data"]
 
 
@@ -105,6 +109,58 @@ def test_walker_accepts_exactly_what_jsonschema_accepts(demo_reports, data):
     for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
         mutate(report, kind, data)
     assert accepts(validate_report, report) == REFERENCE.is_valid(report)
+
+
+def skipping_report(demo_reports):
+    """A copy of a demo report with a skipped check: local_z2's, which skips four."""
+    report = copy.deepcopy(next(r for r in demo_reports if len(r["skipped"]) == 4))
+    validate_report(report)
+    return report
+
+
+@pytest.mark.parametrize("fault", ["unknown-reason", "no-message", "no-reason", "extra-key",
+                                   "ran-and-skipped", "left-out-reason", "left-out-message"])
+def test_validate_report_refuses_malformed_skips(demo_reports, fault):
+    """A reason outside the vocabulary, an entry without its message or reason,
+    and a check both judged and skipped are refused, in the skipped list and
+    in a record's left_out alike."""
+    report = skipping_report(demo_reports)
+    entry, record = report["skipped"][0], report["results"][0]["data"]
+    if fault == "unknown-reason":
+        entry["reason"] = "not-run"
+    elif fault in ("no-message", "no-reason"):
+        del entry[fault[3:]]
+    elif fault == "extra-key":
+        entry["cause"] = "none"
+    elif fault == "ran-and-skipped":
+        entry["name"] = report["results"][0]["name"]
+    elif fault == "left-out-reason":
+        record["left_out"] = {"64": {"reason": "skipped", "message": "not run"}}
+    else:
+        record["left_out"] = {"64": {"reason": "too-few-powers"}}
+    with pytest.raises(ValueError):
+        validate_report(report)
+
+
+def test_a_left_out_entry_with_its_code_is_valid(demo_reports):
+    report = skipping_report(demo_reports)
+    report["results"][0]["data"]["left_out"] = {"64": {"reason": "too-few-powers",
+                                                       "message": "one power"}}
+    validate_report(report)
+    assert REFERENCE.is_valid(report)
+
+
+def test_the_schema_reads_its_reason_codes_from_the_vocabulary():
+    """errors.REASONS is the one list: both enums of the schema are that list,
+    and every error class's reason is one of its codes."""
+    properties = REPORT_SCHEMA["properties"]
+    skipped = properties["skipped"]["items"]["properties"]["reason"]["enum"]
+    left_out = properties["results"]["items"]["properties"]["data"]["properties"][
+        "left_out"]["additionalProperties"]["properties"]["reason"]["enum"]
+    assert skipped == left_out == list(errors.REASONS)
+    coded = {cls.reason for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, Exception) and hasattr(cls, "reason")}
+    assert coded and coded <= set(errors.REASONS)
 
 
 @pytest.mark.parametrize("seed,ok", [(7, True), (2.0, True), (True, False),
