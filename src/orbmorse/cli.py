@@ -9,7 +9,8 @@ left out to its ``data.left_out``, each with a reason code and the message of
 its cause; under ``all`` a stage that does not apply to the model is skipped
 whole.  Exit codes: 0 when every check that ran passes, 1 when one fails
 beyond tolerance, 2 on configuration errors, an output that cannot be
-written among them (one-line diagnostic per failure on stderr).
+written and a run that judges no check among them (one-line diagnostic per
+failure on stderr).
 """
 
 from __future__ import annotations
@@ -206,24 +207,33 @@ def _run_heat_trace(cfg, orb, bundle, split, table):
     return records, artifacts
 
 
+def _trace_records(cfg, orb, bundle):
+    """The exact trace chain and the trace identity of a torus of degree d >= 1;
+    the UnsupportedModelError of ``_torus`` or of the d <= 0 Laplacian elsewhere."""
+    records = [(f"trace-chain-p{p}-u{u!r}", {"residuals": vf.exact_chain_residuals(
+        orb, bundle, p, u, cfg.resolution_spectral)}) for p in cfg.p_list for u in cfg.u_list]
+    for p in cfg.p_list:
+        for q in cfg.q_list:
+            # a time the kept levels or the float range cannot resolve is left out
+            gaps, left_out = {}, {}
+            for u in cfg.u_list:
+                try:
+                    gaps[repr(u)] = vf.trace_equals_diagonal_integral(
+                        orb, bundle, u, p, degree=q, resolution=cfg.resolution_spectral)
+                except UnresolvedTimeError as exc:
+                    left_out[repr(u)] = Skip(exc.reason, str(exc))
+            data = {"gaps": gaps, "left_out": left_out} if left_out else {"gaps": gaps}
+            records.append((f"trace-identity-p{p}-q{q}", data if gaps else Skip(
+                UnresolvedTimeError.reason, "; ".join(s.message for s in left_out.values()))))
+    return records
+
+
 def _run_verify_morse(cfg, orb, bundle, split, table):
-    records, artifacts = [], {}
-    if orb.exact.torus is not None and orb.exact.torus[0] >= 1:
-        records += [(f"trace-chain-p{p}-u{u!r}", {"residuals": vf.exact_chain_residuals(
-            orb, bundle, p, u, cfg.resolution_spectral)}) for p in cfg.p_list for u in cfg.u_list]
-        for p in cfg.p_list:
-            for q in cfg.q_list:
-                # a time the kept levels or the float range cannot resolve is left out
-                gaps, left_out = {}, {}
-                for u in cfg.u_list:
-                    try:
-                        gaps[repr(u)] = vf.trace_equals_diagonal_integral(
-                            orb, bundle, u, p, degree=q, resolution=cfg.resolution_spectral)
-                    except UnresolvedTimeError as exc:
-                        left_out[repr(u)] = Skip(exc.reason, str(exc))
-                data = {"gaps": gaps, "left_out": left_out} if left_out else {"gaps": gaps}
-                records.append((f"trace-identity-p{p}-q{q}", data if gaps else Skip(
-                    UnresolvedTimeError.reason, "; ".join(s.message for s in left_out.values()))))
+    artifacts = {}
+    try:
+        records = _trace_records(cfg, orb, bundle)
+    except UnsupportedModelError as exc:
+        records = [(name, Skip(exc.reason, str(exc))) for name in ("trace-chain", "trace-identity")]
     split = split()
     for q in cfg.q_list:
         try:
@@ -236,10 +246,13 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
         artifacts[f"strong_morse_q{q}.csv"] = rpt.residual_series_csv(
             series.p_list, series.residuals)
     # the integral over every signature set against the catalog's exact degree
-    if orb.exact.degree is not None:
-        records.append(("curvature-degree", {"integral": sum(split.by_signature),
-                                             "degree": orb.exact.degree}))
-    return records, artifacts
+    try:
+        degree = orb.oracle("degree", "the curvature degree needs a compact catalog entry "
+                                      "with an exact degree")
+    except UnsupportedModelError as exc:
+        return records + [("curvature-degree", Skip(exc.reason, str(exc)))], artifacts
+    return records + [("curvature-degree", {"integral": sum(split.by_signature),
+                                            "degree": degree})], artifacts
 
 
 def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
@@ -347,6 +360,9 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
         results.append((name, bool(kind.gate(data, config.tolerances.get(kind.tolerance))), data))
         if kind.warning and (message := kind.warning(data)):
             diagnostics.append(("warning", message))
+    if not results:
+        # a run that judged nothing passed nothing
+        raise ConfigurationError("; ".join(dict.fromkeys(skip.message for _, skip in skipped)))
     failures = [name for (name, passed, _) in results if not passed]
     diagnostics += [("failure", f"check {name} failed beyond tolerance") for name in failures]
     if strict:

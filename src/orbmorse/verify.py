@@ -11,23 +11,23 @@ routines below compute those images in log-scaled arithmetic (they fall far
 below the float underflow threshold at large p), compare them against the
 closed-form predictions, and fit empirical convergence orders.
 
-``torus_image_log_terms`` and ``local_model_image_log_terms`` evaluate
-every degree-0 image term of a batch of points, at a batch of powers, as
-arrays of log|term| and phase, and ``log_sum_exp`` sums them in one
-max-shifted pass per point and power; a kernel is that sum as a plain
-complex number.  Degree one on a torus is derived in one place, the bounded
-cache ``_torus_image_sums`` on plain (d, k, z, u, p), which sums both degrees
-from one degree-0 evaluation; a local model's group images, fibre factors,
-and per-u normal blocks are built once, in bounded caches on its
-``exact.group``, and its per-u limit in one on (a, u).  The trace identity
-integrates the image sum in closed form.
+Each flat model's images are one ``ImageTable``, built once in a bounded
+cache: a torus's deck images per (d, k), a local model's group per its
+``exact.group``.  One kernel, ``image_log_terms``, evaluates every degree-0
+image term of a table at a batch of points and powers as arrays of log|term|
+and phase, and ``log_sum_exp`` sums them in one max-shifted pass per point
+and power; a kernel is that sum as a plain complex number.  Degree one on a
+torus is derived in one place, the bounded cache ``_torus_image_sums`` on
+plain (d, k, z, u, p), from one degree-0 evaluation.  A local model's per-u
+normal blocks and limit are cached too.  The trace identity integrates the
+image sum in closed form.
 
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
 guard.  Every torus and local-model route types its power p and time u with
 ``errors._at_least`` and ``errors._positive`` (``_require_powers_and_time``),
 at each power of a ``p_list``, and a degree q with ``errors._degree``.  The
-two batch kernels type p and u themselves, so a route that reaches one,
-directly or through the typed cache ``_torus_image_sums``, leaves them to it.
+kernel types p and u itself, so a route that reaches it, directly or through
+the typed cache ``_torus_image_sums``, leaves them to it.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import signature_integrals
-from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
-                     UnsupportedModelError, _at_least, _degree, _positive)
+from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError, _at_least,
+                     _degree, _positive)
 from .geometry import cyclic_group
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
@@ -57,16 +57,6 @@ REGULAR_MIN_DISTANCE = 0.25
 LANDAU_TAIL_TOL = 1e-12
 # the torus image sums keep the deck images with |m|, |n| <= LATTICE_CUT
 LATTICE_CUT = 4
-
-
-def _require_flat(orb):
-    if orb.exact.torus is None and orb.exact.group is None:
-        raise UnsupportedModelError(
-            "kernel asymptotics require a flat model with an exact image-sum oracle")
-
-
-def _local_group(orb):
-    return orb.charts[0].group
 
 
 def _point(orb, x):
@@ -113,100 +103,97 @@ def _per_power(values, ndim):
 # image sums
 
 
-def torus_image_log_terms(d, k, points, u, p, include_identity=True):
-    """log|term| and phase of every degree-0 deck-transformation term on the
-    torus quotient of bundle degree d and group order k.
+class ImageTable(NamedTuple):
+    """The images of a flat model, each the coordinatewise map Z -> rot Z + shift
+    with a fibre angle theta: ``rot`` and ``shift`` of shape (images, n),
+    ``theta`` of shape (images,), and None for the shift of a local model and
+    the angle of a torus or of a group that fixes the fibre.  ``a`` is the
+    curvature at p = 1, and ``identity`` the index of the identity image."""
 
-    ``points`` are complex numbers of any shape, each in the unit cell
-    [0, 1)^2: the images, cut at |m|, |n| <= LATTICE_CUT, are the deck
-    transformations gamma = (magnetic translation by lam = m + i n) o
-    (half turn)^j.  The term K_plane(z, gamma z) exp(i pi D m n)
-    exp(i (B/2) lam wedge r^j z) takes the degree-0 plane kernel at curvature
-    B = 2 pi d p and time u / p.
-
-    Every term carries the p^{-1} rescaling.  ``p`` is a sequence of powers,
-    typed with u by ``_require_powers_and_time``.  Returns (labels, log_abs,
-    phase): one (m, n, j) label per image and two arrays of shape
-    (len(p),) + points.shape + (len(labels),).  Each power's scalars are
-    computed from that power alone, so its slice does not depend on the other
-    powers.
-    """
-    _require_powers_and_time(p, u)
-    D = [d * pp for pp in p]
-    labels, m, n_, j = _deck_images(k, include_identity)
-    z = np.asarray(points, dtype=complex)[..., None]
-    target = np.where(j == 0, z, -z) + (m + 1j * n_)
-    log_abs, phase = mehler_log_form([(2.0 * math.pi * Dp,) for Dp in D], [u / pp for pp in p],
-                                     z[..., None], target[..., None])
-    # lam wedge (r^j z + lam) = lam wedge r^j z, weighted by B / 2 = pi D
-    wedge = m * target.imag - n_ * target.real
-    pi_D = _per_power([math.pi * Dp for Dp in D], z.ndim)
-    phase = phase + (pi_D * m * n_ + pi_D * wedge)
-    log_abs = log_abs - _per_power([math.log(pp) for pp in p], z.ndim)
-    return labels, log_abs, phase
+    labels: tuple
+    a: tuple
+    rot: np.ndarray
+    shift: object
+    theta: object
+    identity: int
 
 
-@functools.lru_cache(maxsize=16)
-def _deck_images(k, include_identity):
-    """The (m, n, j) labels of the deck images in the cut and their float
-    columns, shared by every call, so a tuple and read-only arrays."""
+def _images(orb):
+    """The image table of a flat model, read from its exact record."""
+    if orb.exact.torus is not None:
+        return _torus_images(*_torus(orb))
+    return _group_images(orb.oracle(
+        "group", "kernel asymptotics require a flat model with an exact image-sum oracle"))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _torus_images(d, k):
+    """The deck images of the torus quotient of bundle degree d and group order
+    k, labelled (m, n, j): the magnetic translation by lam = m + i n, cut at
+    |m|, |n| <= LATTICE_CUT, after the half turn to the power j."""
     cut = range(-LATTICE_CUT, LATTICE_CUT + 1)
-    labels = tuple((m, n_, j) for j in range(k) for m in cut for n_ in cut
-                   if include_identity or (m, n_, j) != (0, 0, 0))
-    columns = np.array(labels, dtype=float).reshape(-1, 3).T
-    columns.flags.writeable = False
-    return (labels, *columns)
-
-
-def local_model_image_log_terms(orb, points, u, p, include_identity=True):
-    """log|term| and phase of every group-element term on a local model.
-
-    ``points`` has shape (..., n) and the images are the group elements g,
-    with degree-0 terms e^{i p theta_g} K_plane(g^{-1} Z, Z) at
-    curvature p * a and time u / p, each carrying the p^{-n} rescaling.
-    ``p`` is a sequence of powers, typed with u by
-    ``_require_powers_and_time``.  Returns (labels, log_abs, phase): the
-    group elements and two arrays of shape (len(p),) + points.shape[:-1] +
-    (len(labels),), each power's slice computed from that power alone.
-    """
-    group = orb.oracle("group", "group-element sums run on the local models")
-    _require_powers_and_time(p, u)
-    include_identity = bool(include_identity)
-    keep, inverses, _ = _group_images(group)[1][include_identity]
-    a = np.asarray(group[1], dtype=float)
-    labels = [g for g, kept in zip(_local_group(orb), keep) if kept]
-    Z = np.asarray(points, dtype=complex)
-    X = np.einsum("gi,...i->...gi", inverses, Z)
-    powers = np.array(p, dtype=float)[:, None]
-    log_abs, phase = mehler_log_form((powers * a).tolist(), (u / powers).ravel().tolist(),
-                                     X, Z[..., None, :])
-    log_fibre, arg_fibre = _fibres(group, tuple(map(int, p)), include_identity)
-    return (labels, log_abs + _per_power(log_fibre, Z.ndim - 1),
-            phase + _per_power(arg_fibre, Z.ndim - 1))
+    labels = tuple((m, n_, j) for j in range(k) for m in cut for n_ in cut)
+    m, n_, j = np.array(labels, dtype=float).reshape(-1, 3, 1).transpose(1, 0, 2)
+    rot, shift = (1.0 - 2.0 * j).astype(complex), m + 1j * n_
+    rot.flags.writeable = shift.flags.writeable = False     # every call shares them
+    return ImageTable(labels, (2.0 * math.pi * d,), rot, shift, None, labels.index((0, 0, 0)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _group_images(group):
-    """``cyclic_group(k, weights, theta)`` of the local model whose ``exact.group``
-    is ``group``, (k, a, weights, theta), and, without and with the identity, its
-    elements kept, their inverse rotations and their line phases."""
-    k, _, weights, theta = group
+    """The images of the local model whose ``exact.group`` is ``group``, (k, a,
+    weights, theta): the elements of ``cyclic_group(k, weights, theta)``."""
+    k, a, weights, theta = group
     elements = cyclic_group(k, weights, theta)
-    rotations = np.array([g.rotation for g in elements])
-    phases = np.array([g.line_phase for g in elements])
-    return elements, tuple((keep.tolist(), np.conj(rotations[keep]), phases[keep]) for keep in (
-        np.array([not g.is_identity for g in elements]), np.ones(len(elements), dtype=bool)))
+    rot, angle = np.array([g.rotation for g in elements]), np.array([g.line_phase for g in elements])
+    rot.flags.writeable = angle.flags.writeable = False
+    return ImageTable(elements, a, rot, None, angle if angle.any() else None,
+                      [g.is_identity for g in elements].index(True))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _fibres(group, p, include_identity):
-    """log|f| and arg f of the fibre factors f = e^{i p theta_g} p^{-n}, per power
-    of ``p`` and element kept, of the local model whose ``exact.group`` is ``group``."""
-    line_phases = _group_images(group)[1][include_identity][2]
-    fibres = (np.exp(1j * np.array(p, dtype=float)[:, None] * line_phases)
-              * np.array([pp ** float(-len(group[1])) for pp in p])[:, None])
-    logs = [[math.log(abs(f)) for f in row] for row in fibres.tolist()]
-    return np.array(logs), np.angle(fibres)
+def image_log_terms(images, points, u, p):
+    """log|term| and phase of every degree-0 image term of a flat model.
+
+    At points of shape (..., n), the term of g: Z -> rot Z + lam, lam = m + i n
+    per coordinate, is K_plane(Z, g Z) e^{i p theta_g} exp(i (p a / 2)(m n +
+    lam wedge g Z)) p^{-n}, the plane kernel at curvature p a and time u / p;
+    only the phases a table has are added.  ``p`` is a sequence of powers,
+    typed with u by ``_require_powers_and_time``.  Returns the table's labels
+    and log_abs and phase of shape (len(p),) + points.shape[:-1] +
+    (len(labels),), each slice computed from its own power and image alone.
+    """
+    _require_powers_and_time(p, u)
+    Z = np.asarray(points, dtype=complex)[..., None, :]
+    target = images.rot * Z
+    if images.shift is not None:
+        target = target + images.shift
+    curvatures = [[pp * aj for aj in images.a] for pp in p]
+    log_abs, phase = mehler_log_form(curvatures, [u / pp for pp in p], Z, target)
+    if images.shift is not None:
+        # lam wedge (g Z + lam) = lam wedge g Z
+        m, n_ = images.shift.real, images.shift.imag
+        half = _per_power(curvatures, Z.ndim - 1) / 2
+        wedge = m * target.imag - n_ * target.real
+        phase = phase + (half * m * n_ + half * wedge).sum(-1)
+    if images.theta is not None:
+        # e^{i p theta} by its angle in (-pi, pi]: p theta added unreduced
+        # would cost the phase sum the digits of its whole turns
+        turns = np.angle(np.exp(1j * np.array(p, dtype=float)[:, None] * images.theta))
+        phase = phase + _per_power(turns, Z.ndim - 2)
+    log_abs = log_abs - _per_power([len(images.a) * math.log(pp) for pp in p], Z.ndim - 1)
+    return images.labels, log_abs, phase
+
+
+def torus_image_log_terms(d, k, points, u, p):
+    """``image_log_terms`` of the torus quotient of bundle degree d and group
+    order k, at complex points of any shape, each in the unit cell [0, 1)^2."""
+    return image_log_terms(_torus_images(d, k), np.asarray(points, dtype=complex)[..., None], u, p)
+
+
+def local_model_image_log_terms(orb, points, u, p):
+    """``image_log_terms`` of a local model, at points of shape (..., n)."""
+    return image_log_terms(_group_images(orb.oracle(
+        "group", "group-element sums run on the local models")), points, u, p)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -218,7 +205,7 @@ def _twist_constants(group, u):
     a = np.array(group[1])
     blocks = tuple((g.line_phase, ~g.fixed,
                     ModelPoint(a[~g.fixed], u, np.angle(g.rotation)[~g.fixed]))
-                   for g in _group_images(group)[0] if not g.is_identity)
+                   for g in _group_images(group).labels if not g.is_identity)
     return _limit(group[1], u), blocks
 
 
@@ -264,16 +251,17 @@ def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0):
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _torus_image_sums(d, k, z, u, p):
     """(degree-0, degree-1) image sums at a point z of the cell, in one log-sum
-    over one degree-0 evaluation weighted by (-1)^j e^{-2 pi d u} in degree one
-    (the full field strength, and the half turn's -1 on the coframe ebar).
+    over one degree-0 evaluation weighted by e^{-2 pi d u} and by the phase of
+    each image's rotation in degree one (the full field strength, and the half
+    turn's -1 on the coframe ebar).
 
-    Only a (u, p) that ``torus_image_log_terms`` typed enters the cache, and a
-    typed cache takes a hit only at equal values of equal types, so a hit
-    needs no guard: True misses where 1 hits."""
+    Only a (u, p) that ``image_log_terms`` typed enters the cache, and a typed
+    cache takes a hit only at equal values of equal types, so a hit needs no
+    guard: True misses where 1 hits."""
     _, log_abs, phase = torus_image_log_terms(d, k, z, u, [p])
-    j = _deck_images(k, True)[3]
+    coframe = np.angle(_torus_images(d, k).rot[:, 0])
     return tuple(_image_sums(np.concatenate((log_abs, log_abs - 2.0 * math.pi * d * u)),
-                             np.concatenate((phase, phase + math.pi * j))))
+                             np.concatenate((phase, phase + coframe))))
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +316,16 @@ def verify_kernel_asymptotics_regular(orb, bundle, x, u, p_list):
     log-scaled arithmetic, for every power of ``p_list`` in one batch.  The
     fitted log-log slope must come out far below the -1/2 guarantee.
     """
-    _require_flat(orb)
+    images = _images(orb)
     x = _point(orb, x)
     dist = orb.singular_distance(0, x)
     if dist < REGULAR_MIN_DISTANCE:
         raise GeometryError(
             f"point at distance {dist:.3f} from the singular set; the regular-point "
             f"check requires distance >= {REGULAR_MIN_DISTANCE}")
-    if orb.exact.torus is not None:
-        terms = torus_image_log_terms(*_torus(orb), x, u, p_list, include_identity=False)
-    else:
-        terms = local_model_image_log_terms(orb, x, u, p_list, include_identity=False)
-    _, log_abs, phase = terms
-    log_errs, _ = log_sum_exp(log_abs, phase)
+    _, log_abs, phase = image_log_terms(images, np.reshape(x, -1), u, p_list)
+    others = np.arange(len(images.labels)) != images.identity
+    log_errs, _ = log_sum_exp(log_abs[..., others], phase[..., others])
     return fit_rate(p_list, log_errs)
 
 
@@ -351,14 +336,9 @@ def singular_diagonal_factor(orb, bundle, x, u, p):
     flat local models with trivial bundle character.  The kernel it reads
     refuses a power or time that ``_require_powers_and_time`` refuses.
     """
-    _require_flat(orb)
-    if orb.exact.group is not None:
-        kernel = local_model_diagonal_kernel(orb, bundle, x, u, p)
-        limit = _limit(orb.exact.group[1], u)
-    else:
-        kernel = torus_diagonal_kernel_image(orb, bundle, x, u, p)
-        limit = _limit((2.0 * math.pi * _torus(orb)[0],), u)
-    return float(np.real(kernel) / limit)
+    images = _images(orb)
+    _, log_abs, phase = image_log_terms(images, np.reshape(_point(orb, x), -1), u, [p])
+    return float(np.real(_image_sums(log_abs, phase)[0]) / _limit(images.a, u))
 
 
 class SingularExpansionRecord(NamedTuple):

@@ -1,5 +1,4 @@
-"""Every test starts and ends with cold orbmorse caches, and every report a
-test builds records its skips with codes.
+"""Every test starts and ends with cold orbmorse caches.
 
 The memoized operators, tables and basis sums would otherwise carry one
 test's values into the next: a test that monkeypatches
@@ -13,7 +12,6 @@ import pkgutil
 import pytest
 
 import orbmorse
-from orbmorse import report
 
 # every functools cache defined at module level in the package
 CACHES = tuple(
@@ -34,22 +32,3 @@ def cold_caches():
     clear_caches()
     yield
     clear_caches()
-
-
-# the words an info line once used for a check, or a part of one, that did not
-# run; the report's skipped list and a record's left_out now hold it, coded
-SKIP_PROSE = ("skipped", "left out", "not judged")
-
-
-@pytest.fixture(autouse=True)
-def coded_skips(monkeypatch):
-    build = report.build_report
-
-    def build_coded(*args, **kwargs):
-        built = build(*args, **kwargs)
-        prose = [d["message"] for d in built["diagnostics"] if d["level"] == "info"
-                 and any(word in d["message"] for word in SKIP_PROSE)]
-        assert not prose, prose
-        return built
-
-    monkeypatch.setattr(report, "build_report", build_coded)

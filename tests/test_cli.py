@@ -284,7 +284,9 @@ def test_one_power_strong_morse_series_has_no_fit(tmp_path):
                  "--out", str(out), "--strict"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert all(r["passed"] for r in report["results"])
-    assert report["diagnostics"] == [] and report["skipped"] == []
+    # P(1,2) has no torus, so only the two trace checks are skipped
+    assert report["diagnostics"] == []
+    assert [s["name"] for s in report["skipped"]] == ["trace-chain", "trace-identity"]
     morse = [r["data"] for r in report["results"] if r["name"].startswith("strong-morse")]
     assert [d["fit"]["p_window"] for d in morse] == [[4096], [4096]]
     assert not any("left_out" in d for d in morse)
@@ -450,7 +452,8 @@ def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
 
 @pytest.mark.parametrize("d", [0, -1])
 def test_all_on_nonpositive_degree_torus_skips_spectra(tmp_path, d):
-    """d <= 0 tori have no Landau levels: heat-trace is skipped, the rest runs."""
+    """d <= 0 tori have no Landau levels: heat-trace and the two trace checks
+    are skipped with the Laplacian's refusal, the rest runs."""
     text = TORUS_YAML.replace("    d: 1\n    k: 2\n", f"    d: {d}\n    k: 1\n")
     cfg = write(tmp_path, "c.yaml", text)
     out = tmp_path / "all"
@@ -462,9 +465,10 @@ def test_all_on_nonpositive_degree_torus_skips_spectra(tmp_path, d):
     assert {"cohomology-table", "moishezon-verdict", "bigness"} <= names
     assert not any(n.startswith(("heat-trace", "trace-chain")) for n in names)
     assert [(s["name"], s["reason"]) for s in report["skipped"]] == [
-        ("heat-trace", "model-not-applicable"), ("kernel-asymptotics", "model-not-applicable")]
-    assert report["skipped"][0]["message"] == (
-        f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1")
+        (name, "model-not-applicable")
+        for name in ("heat-trace", "trace-chain", "trace-identity", "kernel-asymptotics")]
+    assert {s["message"] for s in report["skipped"][:3]} == {
+        f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1"}
 
 
 def test_unknown_catalog_parameter_is_a_configuration_error():
@@ -1039,6 +1043,40 @@ def test_a_trace_identity_with_every_time_left_out_is_skipped(tmp_path):
         ("trace-identity-p4-q0", "time-unresolved"), ("trace-identity-p4-q1", "time-unresolved")]
     assert all(s["message"].startswith("kernel time u=0.1 is too small")
                for s in report["skipped"])
+
+
+NO_TRACE = ("catalog id 'local-model' has no spectral discretization or deck "
+            "transformations; weighted projective models use the exact cohomology "
+            "tables and local models the closed-form kernels instead")
+
+
+@pytest.mark.parametrize("subcommand,catalog,message", [
+    ("verify-morse", "{id: local-model, params: {k: 2, a: [1.0]}}", "; ".join([
+        NO_TRACE, "no exact cohomology is available for catalog id 'local-model'",
+        "the curvature degree needs a compact catalog entry with an exact degree"])),
+    ("heat-trace", "{id: wps, params: {weights: [2, 3]}}",
+     "heat traces require the flat torus catalog entry")], ids=["verify-morse", "heat-trace"])
+def test_a_run_that_judges_no_check_exits_2_with_one_line(tmp_path, capsys, subcommand,
+                                                         catalog, message):
+    """Exit 0 says every applicable check ran and passed, so a run with no
+    result is refused: one line, each skip's message once, and no output."""
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", write(tmp_path, "c.yaml", f"catalog: {catalog}\n"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [*sorted(p.stem for p in DEMO_CONFIGS.glob("*.yaml")),
+                                    "torus-d0"])
+def test_all_judges_a_check_on_every_demo_and_on_a_degree_zero_torus(tmp_path, config):
+    if config == "torus-d0":
+        path = write(tmp_path, "c.yaml", "catalog: {id: torus, params: {d: 0, k: 2}}\n")
+    else:
+        path = str(DEMO_CONFIGS / f"{config}.yaml")
+    out = tmp_path / "o"
+    assert main(["all", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["results"]
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

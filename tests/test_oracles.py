@@ -96,6 +96,7 @@ NO_SECTIONS = "the Kodaira map needs a compact catalog entry with explicit secti
 NO_GROUP = "group-element sums run on the local models"
 NOT_FLAT = "kernel asymptotics require a flat model with an exact image-sum oracle"
 NO_EXPANSION = "the corrected expansion ships for local models"
+NO_DEGREE = "the curvature degree needs a compact catalog entry with an exact degree"
 P_LINE = {"assemble_kodaira_laplacian": no_spectra("wps"),
           "local_model_image_log_terms": NO_GROUP,
           "verify_kernel_asymptotics_regular": NOT_FLAT,
@@ -152,8 +153,11 @@ def test_all_skips_every_stage_a_hand_built_model_has_no_oracle_for(tmp_path, mo
         (name, "model-not-applicable", message) for name, message in [
             ("cohomology", no_table),
             ("heat-trace", "heat traces require the flat torus catalog entry"),
+            ("trace-chain", no_spectra("custom")),
+            ("trace-identity", no_spectra("custom")),
             ("strong-morse-q0", no_table),
             ("strong-morse-q1", no_table),
+            ("curvature-degree", NO_DEGREE),
             ("kernel-asymptotics", "kernel asymptotics run on the local quotient models"),
             ("bigness", no_table)]]
     assert [(r["name"], r["passed"]) for r in report["results"]] == [

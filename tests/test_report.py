@@ -112,8 +112,8 @@ def test_walker_accepts_exactly_what_jsonschema_accepts(demo_reports, data):
 
 
 def skipping_report(demo_reports):
-    """A copy of a demo report with a skipped check: local_z2's, which skips four."""
-    report = copy.deepcopy(next(r for r in demo_reports if len(r["skipped"]) == 4))
+    """A copy of a demo report with skipped checks: local_z2's."""
+    report = copy.deepcopy(next(r for r in demo_reports if r["catalog"]["id"] == "local-model"))
     validate_report(report)
     return report
 
@@ -161,6 +161,14 @@ def test_the_schema_reads_its_reason_codes_from_the_vocabulary():
     coded = {cls.reason for cls in vars(errors).values()
              if isinstance(cls, type) and issubclass(cls, Exception) and hasattr(cls, "reason")}
     assert coded and coded <= set(errors.REASONS)
+
+
+@pytest.mark.parametrize("level,ok", [("warning", True), ("failure", True), ("info", False)])
+def test_a_diagnostic_is_a_warning_or_a_failure(demo_reports, level, ok):
+    """No run writes an info line: a check that did not run is a skipped entry."""
+    report = copy.deepcopy(demo_reports[0])
+    report["diagnostics"] = [{"level": level, "message": "m"}]
+    assert accepts(validate_report, report) == ok == REFERENCE.is_valid(report)
 
 
 @pytest.mark.parametrize("seed,ok", [(7, True), (2.0, True), (True, False),

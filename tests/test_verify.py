@@ -38,36 +38,91 @@ from test_golden import SESSIONS, session_outputs
 # oracle agreement (independent spectral and image-sum routes)
 
 
-def dense_image_log_terms(orb, Z, u, p, include_identity):
-    """The image terms at one power p, with every group element as a dense
-    n x n matrix."""
+def dense_image_log_terms(orb, Z, u, p, with_identity):
+    """The image terms K(Z, g Z) e^{i p theta_g} p^{-n} at one power p, with
+    every group element as a dense n x n matrix."""
     k, a, weights, theta = orb.exact.group
     a, weights = np.asarray(a, dtype=float), np.array(weights)
     n = a.size
-    keep = [m for m in range(k) if include_identity or m != 0]
-    inverses = np.array([np.conj(np.diag(np.exp(2j * np.pi * weights * m / k)).T)
-                         for m in keep]).reshape(-1, n, n)
-    X = np.einsum("gij,...j->...gi", inverses, Z)
-    log_abs, phase = mehler_log_form([p * a], [u / p], X, Z[..., None, :])
-    fibers = [np.exp(1j * p * ((theta * m) % (2 * math.pi))) * p ** float(-n) for m in keep]
-    log_abs = log_abs[0] + np.array([math.log(abs(f)) for f in fibers])
-    return log_abs, phase[0] + np.angle(fibers)
+    keep = [m for m in range(k) if with_identity or m != 0]
+    rotations = np.array([np.diag(np.exp(2j * np.pi * weights * m / k))
+                          for m in keep]).reshape(-1, n, n)
+    # the matrix-vector product as a sum of products; einsum's rounding differs
+    gZ = (rotations * Z[..., None, None, :]).sum(-1)
+    log_abs, phase = mehler_log_form([p * a], [u / p], Z[..., None, :], gZ)
+    turns = np.angle(np.exp(1j * p * np.array([(theta * m) % (2 * math.pi) for m in keep])))
+    return log_abs[0] - n * math.log(p), phase[0] + turns
 
 
-@pytest.mark.parametrize("include_identity", [True, False])
+def without_identity(images, log_abs, phase):
+    """The terms with the identity image's column dropped."""
+    return (np.delete(log_abs, images.identity, -1), np.delete(phase, images.identity, -1))
+
+
+@pytest.mark.parametrize("with_identity", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
-def test_diagonal_image_terms_match_dense_matrices(k, n, include_identity):
-    """The diagonal rotations reproduce the dense-matrix route bit for bit."""
+def test_diagonal_image_terms_match_dense_matrices(k, n, with_identity):
+    """The diagonal rotations reproduce the dense-matrix route bit for bit,
+    with or without the identity column."""
     a = (1.0, 0.7, 1.6)[:n]
     orb, _ = build_catalog_orbifold("local-model", k=k, a=a, theta=0.9)
     rng = np.random.default_rng(10 * k + n)
     Z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
-    labels, log_abs, phase = local_model_image_log_terms(orb, Z, 1.0, [16],
-                                                         include_identity=include_identity)
-    ref_abs, ref_phase = dense_image_log_terms(orb, Z, 1.0, 16, include_identity)
-    assert len(labels) == k - (not include_identity)
+    labels, log_abs, phase = local_model_image_log_terms(orb, Z, 1.0, [16])
+    images = verify._images(orb)
+    assert len(labels) == k and labels[images.identity].is_identity
+    if not with_identity:
+        log_abs, phase = without_identity(images, log_abs, phase)
+    ref_abs, ref_phase = dense_image_log_terms(orb, Z, 1.0, 16, with_identity)
     assert np.array_equal(log_abs, ref_abs[None]) and np.array_equal(phase, ref_phase[None])
+
+
+def inverse_orientation_sum(k, a, weights, theta, Z, u, p):
+    """The full image sum in the inverse orientation, K(g^{-1} Z, Z) e^{i p theta_g}
+    p^{-n}, each g a dense n x n matrix and each fibre factor taken by exp, abs
+    and angle; with the sum of the terms' moduli, the scale of its rounding."""
+    n = len(a)
+    log_abs, phase = [], []
+    for m in range(k):
+        g = np.diag(np.exp(2j * np.pi * (np.array(weights) * m % k) / k))
+        term_abs, term_phase = mehler_log_form([[p * aj for aj in a]], [u / p], np.conj(g.T) @ Z, Z)
+        fibre = np.exp(1j * p * ((theta * m) % (2 * math.pi))) * p ** float(-n)
+        log_abs.append(term_abs[0] + math.log(abs(fibre)))
+        phase.append(term_phase[0] + np.angle(fibre))
+    log_scale, mantissa = log_sum_exp(np.array(log_abs), np.array(phase))
+    return complex(mantissa) * math.exp(log_scale), float(np.exp(log_abs).sum())
+
+
+@st.composite
+def local_cases(draw):
+    """(k, weights, a, theta, Z, p, u) of a local model C^n/Z_k, a point with
+    |Z_j| <= 2 and a power up to 4096."""
+    k, n = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(-7, 7), min_size=n, max_size=n).filter(
+        lambda w: math.gcd(k, *w) == 1))
+    a = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    Z = draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                         allow_infinity=False), min_size=n, max_size=n))
+    return (k, weights, a, draw(st.floats(-2 * math.pi, 2 * math.pi)), np.array(Z),
+            draw(st.integers(1, 4096)), draw(st.sampled_from([0.5, 1.0, 5.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=local_cases())
+@example(case=(7, [1], [0.6323270340439783], 5.952648225015691,
+               np.array([0.00067603 - 0.00669568j]), 4095, 0.5)).via(
+    "p theta near 24376: added unreduced, the fibre phase read 6e-13 of the scale off")
+def test_the_image_sum_is_that_of_the_inverse_orientation(case):
+    """K(Z, g Z) = K(g^{-1} Z, Z) by the U(n)-invariance of the plane kernel, so
+    the kernel's full image sum, identity included, is the inverse
+    orientation's within 1e-13 of the terms' scale: the sum itself may cancel,
+    as 1 + e^{i p theta} does at the fixed point of C/Z_2."""
+    k, weights, a, theta, Z, p, u = case
+    orb, bundle = build_catalog_orbifold("local-model", k=k, a=a, weights=weights, theta=theta)
+    kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p)
+    reference, scale = inverse_orientation_sum(k, a, weights, theta, Z, u, p)
+    assert abs(kernel - reference) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("p,u", [(4, 1.0), (8, 0.5)])
@@ -399,9 +454,10 @@ def test_plain_torus_diagonal_approaches_limit():
 
 def test_flat_cover_error_vanishes_identically():
     orb, bundle = build_catalog_orbifold("local-model", k=1, a=(1.0,))
-    labels, log_abs, phase = local_model_image_log_terms(
-        orb, np.array([0.8 + 0.1j]), 1.0, [16], include_identity=False)
-    assert labels == [] and log_abs.shape == phase.shape == (1, 0)
+    images = verify._images(orb)
+    labels, log_abs, phase = local_model_image_log_terms(orb, np.array([0.8 + 0.1j]), 1.0, [16])
+    log_abs, phase = without_identity(images, log_abs, phase)
+    assert len(labels) == 1 and log_abs.shape == phase.shape == (1, 0)
     kernel = local_model_diagonal_kernel(orb, bundle, np.array([0.8 + 0.1j]), 1.0, 16)
     lim = heat_diagonal_limit(ModelPoint((16.0,), 1.0 / 16), 0).trace / 16
     assert kernel.real == pytest.approx(lim, rel=1e-14)
@@ -440,10 +496,11 @@ def test_batched_regular_fit_equals_the_per_power_kernels(model, u, p_list, poin
     orb, bundle = build_catalog_orbifold("local-model", k=k, a=a, weights=weights)
     Z = np.array(point[:len(a)])
     assume(orb.singular_distance(0, Z) >= verify.REGULAR_MIN_DISTANCE)
-    per_power = [log_sum_exp(*local_model_image_log_terms(
-        orb, Z, u, [p], include_identity=False)[1:])[0][0] for p in p_list]
-    _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list, include_identity=False)
-    assert bits(log_sum_exp(log_abs, phase)[0]) == bits(per_power)
+    images = verify._images(orb)
+    per_power = [log_sum_exp(*without_identity(images, *local_model_image_log_terms(
+        orb, Z, u, [p])[1:]))[0][0] for p in p_list]
+    _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list)
+    assert bits(log_sum_exp(*without_identity(images, log_abs, phase))[0]) == bits(per_power)
     fit = verify_kernel_asymptotics_regular(orb, bundle, Z, u, p_list)
     assert bits(fit.log_errors) == bits([e for e in per_power if np.isfinite(e)])
     assert fit == fit_rate(p_list, per_power)
