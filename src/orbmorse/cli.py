@@ -34,8 +34,7 @@ from .catalog import build_catalog_orbifold
 from .cohomology import cohomology_table
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, NoSectionsError, OrbmorseError, Skip,
-                     UnresolvedPhaseError, UnresolvedTimeError, UnsupportedModelError,
-                     _at_least, _list_of, _positive)
+                     UnresolvedTimeError, UnsupportedModelError, _at_least, _list_of, _positive)
 from .spectral import assemble_kodaira_laplacian, heat_trace, torus_kernel_dimension
 
 DEFAULT_TOLERANCES = {
@@ -261,12 +260,15 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
     x_reg = np.array([1.0 + 0.0j] * orb.dimension)
     p_mid = cfg.p_list[len(cfg.p_list) // 2]
     Z = np.array([1.0 / math.sqrt(p_mid) + 0.0j] * orb.dimension)
+    # at the fixed point each image adds e^{i p theta_g}: k only where the fibre is fixed
+    expected = math.fsum(math.cos(cfg.p_list[-1] * g.line_phase) for g in orb.charts[0].group)
     for u in cfg.u_list:
         fit = vf.verify_kernel_asymptotics_regular(orb, bundle, x_reg, u, cfg.p_list)
         ratio = vf.singular_diagonal_factor(
             orb, bundle, np.zeros(orb.dimension, dtype=complex), u, cfg.p_list[-1])
         rec = vf.verify_kernel_asymptotics_singular(orb, bundle, Z, u, [p_mid])[0]
-        data = {"regular_fit": fit, "singular_ratio": ratio, "k": k, "twist_shrink_factor":
+        data = {"regular_fit": fit, "singular_ratio": ratio, "expected_ratio": expected,
+                "k": k, "twist_shrink_factor":
                 rec.residual_without_twist / max(rec.residual_with_twist, 1e-300)}
         # a slope needs two powers with a non-zero error; an empty window is
         # an error exactly zero at every power (C/Z_1), whose -inf is a result
@@ -291,7 +293,7 @@ def _run_moishezon(cfg, orb, bundle, split, table):
     for p in cfg.p_list[:4]:
         try:
             ranks[str(p)] = mz.kodaira_rank(orb, bundle, p, rng=rng)
-        except (NoSectionsError, UnresolvedPhaseError) as exc:
+        except NoSectionsError as exc:
             left_out[str(p)] = Skip(exc.reason, str(exc))
     # a line bundle on a compact curve is big exactly when its degree is positive
     data = {"estimate": est.limsup_estimate, "noise": est.noise_floor, "big": est.big,

@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 # the closed vocabulary of skip codes, each one a run emits
-REASONS = ("model-not-applicable", "no-sections", "phase-unresolved", "time-unresolved",
-           "too-few-powers")
+REASONS = ("model-not-applicable", "no-sections", "time-unresolved", "too-few-powers")
 
 
 class Skip(NamedTuple):
@@ -48,11 +47,6 @@ class UnresolvedTimeError(ConfigurationError):
 class NoSectionsError(ConfigurationError):
     """A power at which the line bundle has no holomorphic sections to sample."""
     reason = "no-sections"
-
-
-class UnresolvedPhaseError(ConfigurationError):
-    """A power at which float phases cannot resolve the sections of the Kodaira map."""
-    reason = "phase-unresolved"
 
 
 class GeometryError(OrbmorseError):

@@ -24,17 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohomology import CohomologyTable, _wps_exponents
-from .errors import (ConfigurationError, NoSectionsError, UnresolvedPhaseError, _at_least,
-                     _integer, _positive)
+from .errors import ConfigurationError, NoSectionsError, _at_least, _integer, _positive
 from .spectral import torus_basis_columns
 from .verify import fit_rate
 
 BIGNESS_NOISE_MARGIN = 10.0
 KODAIRA_RANK_TOL = 1e-8
 KODAIRA_SAMPLES = 6         # sample points per Kodaira rank
-# largest torus D = d p: the float phase m y of a translate m ~ x D is off by
-# up to about D 2^-53 of a cycle, 2^-17 at 2^36
-KODAIRA_TORUS_MAX_D = 2 ** 36
 GROWTH_TAIL = 8             # table powers in the section growth fit
 
 
@@ -121,12 +117,14 @@ def siegel_bound(m, n, k):
 
 def _torus_columns(x, D, k):
     """Columns j mod D, or on the half turn the orbits {j, -j} named by their
-    smaller member, in order of the distance of their nearest translate m/D to x."""
-    t, seen = x * D, set()
-    left = math.floor(t)
+    smaller member, in order of the distance of their nearest translate m/D to
+    x = X / F, compared exactly in units of 1 / F."""
+    X, F = x.as_integer_ratio()
+    t, seen = X * D, set()
+    left = t // F
     right = left + 1
     while len(seen) < (D if k == 1 else D // 2 + 1):
-        if t - left <= right - t:
+        if t - left * F <= right * F - t:
             m, left = left, left - 1
         else:
             m, right = right, right + 1
@@ -141,7 +139,7 @@ def _section_values_torus(D, k, columns, z):
     half turn where j != -j mod D, over their derivatives: shape (2, N).  The
     derivative of e^{2 pi i m y} phi_0(x - m/D) is pi (2m - D x) times it, and
     (m - x D) phi_0 = -(D / sqrt(2B)) phi_1: -sqrt(pi D) level 1, up to level 0."""
-    js = np.asarray(columns)
+    js = np.asarray(columns, dtype=object)         # Python ints: any D, past int64 too
     mirror = (-js) % D
     wanted = js if k == 1 else np.concatenate([js, mirror])
     sec = torus_basis_columns(D, 2, wanted, z)
@@ -172,10 +170,6 @@ def torus_sections(d, k, p):
     if d < 0 or p < 0:
         raise NoSectionsError(f"no sections at power p={p}")
     D = d * p
-    if D > KODAIRA_TORUS_MAX_D:
-        raise UnresolvedPhaseError(
-            f"at p={p} the torus sections live on D = d p = {D} > {KODAIRA_TORUS_MAX_D} "
-            "columns, where a translate's float phase m y is off by up to D 2^-53 cycles")
     return ((0.13, 0.5, 0.17, 0.5), functools.partial(_section_values_torus, D, k),
             lambda z: _torus_columns(z.real, D, k))
 

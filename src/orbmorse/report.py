@@ -226,14 +226,14 @@ def _kernel_gate(data, tol):
     # residual is rounding (0 or ~1e-16), with nothing to shrink
     return (("regular_fit" in data.get("left_out", {})
              or float(data["regular_fit"]["slope"]) <= -0.4)
-            and abs(float(data["singular_ratio"]) - data["k"]) <= 0.05
+            and abs(float(data["singular_ratio"]) - float(data["expected_ratio"])) <= 0.05
             and (data["k"] == 1 or float(data["twist_shrink_factor"]) >= 10.0))
 
 
 def _bigness_gate(data, tol):
-    # big as its degree says, and as its Kodaira ranks say
-    rank = max(data["kodaira_ranks"].values(), default=-1)
-    return data["big"] == data["expected_big"] and data["big"] == (rank == data["dimension"])
+    # big as its degree says, and as its Kodaira ranks say unless every power was left out
+    big, rank = data["big"], max(data["kodaira_ranks"].values(), default=None)
+    return big == data["expected_big"] and (rank is None or big == (rank == data["dimension"]))
 
 
 # pattern: a regular expression the result name matches in full; stage: the

@@ -209,12 +209,6 @@ def oscillator_functions(kmax, t, freq):
     return out[1:]
 
 
-def _translate_window(x, D, B, levels):
-    """First and last translate m whose levels < ``levels`` are above working precision at x."""
-    spread = (math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B)
-    return int(math.floor((x - spread) * D)), int(math.ceil((x + spread) * D))
-
-
 def torus_basis_columns(D, levels, columns, z):
     """Values psi_{level, j}(z) of the Landau-gauge torus basis, j in ``columns``.
 
@@ -225,16 +219,29 @@ def torus_basis_columns(D, levels, columns, z):
     holds each column's r-th translate, zero past the window's end, and the
     rows are added one at a time into the first: the same sums, in the same
     order, as a loop over the translates.
+
+    The window, each translate's phase m y mod 1 and its argument x - m / D
+    are exact in integers, each rounded once, at every D: m = c + r about
+    c = floor(x D), with r an int64 offset.  ``columns`` are ints in 0..D-1,
+    Python ints in an object array where D leaves int64.
     """
     B = 2.0 * math.pi * D
     x, y = complex(z).real, complex(z).imag
-    m_lo, m_hi = _translate_window(x, D, B, levels)
-    js = np.asarray(columns, dtype=np.int64)
-    ms = m_lo + (js - m_lo) % D + D * np.arange((m_hi - m_lo) // D + 1)[:, None]
-    inside = ms <= m_hi
-    m = ms[inside]
-    values = np.exp(2j * np.pi * m * y) * oscillator_functions(levels - 1, x - m / D, B)
-    terms = np.zeros(ms.shape + (levels,), dtype=complex)
+    X, F = x.as_integer_ratio()
+    c = X * D // F
+    half = math.ceil((math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B) * D)
+    first = (np.asarray(columns) - (c - half) % D) % D - half
+    rs = first + D * np.arange((2 * half + 1) // D + 1, dtype=first.dtype)[:, None]
+    inside = rs <= half + 1
+    r = rs[inside].astype(np.int64)
+    # y = Y 2^-64 + rest with 0 <= rest < 2^-64: m Y mod 2^64 wraps in uint64
+    Y = math.floor(math.ldexp(y, 64))
+    rest = math.ldexp(math.ldexp(y, 64) - Y, -64)
+    turns = r.astype(np.uint64) * (Y % 2 ** 64) + (c * Y) % 2 ** 64
+    phase = turns * 2.0 ** -64 + (r + float(c)) * rest
+    t = (X * D - c * F) / (F * D) - r / float(D)
+    values = np.exp(2j * np.pi * phase) * oscillator_functions(levels - 1, t, B)
+    terms = np.zeros(rs.shape + (levels,), dtype=complex)
     terms[inside] = values.T
     # 0 + term, as a sum from zero starts: a -0.0 in the first row reads +0.0,
     # and later rows add to sums that are not -0.0, which no later sum tells apart

@@ -215,6 +215,30 @@ def test_kernel_asymptotics_on_the_trivial_group_exits_0(tmp_path):
     assert main(["kernel-asymptotics", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def test_kernel_asymptotics_on_a_group_that_turns_the_fibre(tmp_path, monkeypatch):
+    """C/Z_5 with theta = 2 pi / 5: at the fixed point the ratio is
+    Re sum_g e^{i p theta_g} at the top power, 0 where 5 does not divide it
+    and 5 where it does, and each record carries that reference.  A ratio
+    planted 0.1 off fails every record."""
+    text = ("catalog: {id: local-model, params: {k: 5, a: [1.0], theta: %r}}\n"
+            % (2 * math.pi / 5))
+    for i, (p_list, expected) in enumerate([("[4, 8, 16]", 0.0), ("[5, 10, 15]", 5.0)]):
+        cfg = write(tmp_path, "c.yaml", text + f"run: {{p_list: {p_list}}}\n")
+        out = tmp_path / str(i)
+        assert main(["all", "--config", cfg, "--out", str(out), "--strict"]) == 0
+        records = [r["data"] for r in json.loads((out / "report.json").read_text())["results"]
+                   if r["name"].startswith("kernel-asymptotics")]
+        assert len(records) == 4
+        assert all(abs(r["expected_ratio"] - expected) <= 1e-12 for r in records)
+    from orbmorse import verify
+    factor = verify.singular_diagonal_factor
+    monkeypatch.setattr(verify, "singular_diagonal_factor", lambda *args: factor(*args) + 0.1)
+    out = tmp_path / "planted"
+    assert main(["kernel-asymptotics", "--config", cfg, "--out", str(out)]) == 1
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert len(results) == 4 and not any(r["passed"] for r in results)
+
+
 @pytest.mark.parametrize("k,unjudged", [(2, True), (1, False)])
 def test_kernel_asymptotics_judges_no_rate_from_one_power(tmp_path, k, unjudged):
     """One power leaves a fit of one point, whose -inf slope is no rate: each
@@ -541,26 +565,37 @@ def test_power_beyond_int64_exits_2_with_one_line(tmp_path, capsys, catalog):
     assert len(err.strip().splitlines()) == 1 and "configuration error" in err
 
 
-def test_torus_rank_beyond_the_stencil_is_skipped_with_its_cause(tmp_path, capsys):
-    """At p = 2^40 the float phases of the translates are not resolved: the rank
-    is left out with that cause and bigness reads the ranks below it.  Every
-    check passes: the trace chain pairs integer multiplicities, so r_1 is
-    exactly 0 where heat traces of 4.2e6 and 5.5e11 states rounded it to
-    1.25e-9 (p = 2^23) and 1.1e-5 (p = 2^40)."""
+def test_torus_rank_at_2_40_is_read(tmp_path, capsys):
+    """At p = 2^40 the exact phases of the translates give the rank, and
+    bigness reads it with the ranks below it.  Every check passes: the trace
+    chain pairs integer multiplicities, so r_1 is exactly 0 where heat traces
+    of 4.2e6 and 5.5e11 states rounded it to 1.25e-9 (p = 2^23) and 1.1e-5
+    (p = 2^40)."""
     cfg = write(tmp_path, "c.yaml", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
                                     "run: {p_list: [64, 8388608, 1099511627776]}\n")
     code = main(["all", "--config", cfg, "--out", str(tmp_path / "o")])
     assert "floating-point range" not in capsys.readouterr().err
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     bigness = next(r for r in report["results"] if r["name"] == "bigness")
-    left_out = bigness["data"]["left_out"]
-    assert list(left_out) == ["1099511627776"]
-    assert left_out["1099511627776"]["reason"] == "phase-unresolved"
-    assert "float phase" in left_out["1099511627776"]["message"]
-    assert bigness["data"]["kodaira_ranks"] == {"64": 1, "8388608": 1}
+    assert "left_out" not in bigness["data"]
+    assert bigness["data"]["kodaira_ranks"] == {"64": 1, "8388608": 1, "1099511627776": 1}
     assert code == 0 and all(r["passed"] for r in report["results"])
     chains = [r for r in report["results"] if r["name"].startswith("trace-chain")]
     assert len(chains) == 12 and all(r["data"]["residuals"][1] == 0.0 for r in chains)
+
+
+@pytest.mark.parametrize("subcommand,d,top", [("all", 1, 2 ** 40), ("all", 1, 2 ** 50),
+                                               ("moishezon-check", 8, 2 ** 60)])
+def test_torus_ranks_at_four_powers_up_to_the_top(tmp_path, subcommand, d, top):
+    """A rank at each of the four powers bigness reads, none left out, also
+    at D = 8 * 2^60 = 2^63, past int64."""
+    cfg = write(tmp_path, "c.yaml", f"catalog: {{id: torus, params: {{d: {d}, k: 2}}}}\n"
+                                    f"run: {{p_list: [4, 8, 16, {top}]}}\n")
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    bigness = next(r for r in report["results"] if r["name"] == "bigness")["data"]
+    assert bigness["kodaira_ranks"] == {"4": 1, "8": 1, "16": 1, str(top): 1}
+    assert "left_out" not in bigness
 
 
 def test_trace_chain_fails_on_a_wrong_degree_one_multiplicity(tmp_path, monkeypatch):
@@ -863,6 +898,27 @@ def test_bigness_fails_when_the_derivative_row_repeats_the_values(tmp_path, monk
     assert ranks and set(ranks.values()) == {0}
 
 
+def test_bigness_with_every_rank_left_out_judges_the_degree(tmp_path, monkeypatch):
+    """P(2,3) has no section at p = 1: with p_list [1] no rank is read, and
+    bigness judges big against its degree alone.  With a rank read at 64 and
+    the derivative row repeating the values, the rank 0 still fails it."""
+    text = "catalog: {id: wps, params: {weights: [2, 3]}}\nrun: {p_list: [1]}\n"
+    for subcommand in ("moishezon-check", "all"):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--config", write(tmp_path, "c.yaml", text), "--out", str(out),
+                     "--strict"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        bigness = next(r for r in report["results"] if r["name"] == "bigness")["data"]
+        assert bigness["kodaira_ranks"] == {} and list(bigness["left_out"]) == ["1"]
+    from orbmorse import moishezon
+    values = moishezon._section_values_wps
+    monkeypatch.setattr(moishezon, "_section_values_wps", lambda *args: values(*args)[[0, 0]])
+    code, results = run_all(tmp_path, load_config(write(tmp_path, "c.yaml", text.replace(
+        "[1]", "[1, 64]"))))
+    assert code == 1 and not results["bigness"]["passed"]
+    assert results["bigness"]["data"]["kodaira_ranks"] == {"64": 0}
+
+
 def run_torus_heat_trace(tmp_path):
     cfg = load_config(write(tmp_path, "c.yaml", TORUS_YAML))
     code = cli.run("heat-trace", cfg, tmp_path)
@@ -997,8 +1053,6 @@ REASON_RUNS = {
     "model-not-applicable": ("all", "catalog: {id: local-model, params: {k: 2, a: [1.0]}}\n"),
     "no-sections": ("moishezon-check",
                     "catalog: {id: wps, params: {weights: [2, 3]}}\nrun: {p_list: [1, 64]}\n"),
-    "phase-unresolved": ("moishezon-check", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
-                                            "run: {p_list: [64, 1099511627776]}\n"),
     "time-unresolved": ("verify-morse", "catalog: {id: torus, params: {d: 1, k: 2}}\n"
                                         "run: {p_list: [4], u_list: [0.1, 1.0]}\n"),
     "too-few-powers": ("kernel-asymptotics",

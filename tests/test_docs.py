@@ -72,6 +72,6 @@ def test_a_deleted_name_fails_the_guard():
     would fail."""
     text = "`folded_blocks(resolution, radius)` and `np.errstate(raise)`"
     assert unknown_calls(text) == ["folded_blocks"]
-    text = ("`KODAIRA_STEP`, `moishezon.KODAIRA_TORUS_MAX_D`, `spectral.CACHE_SIZE`, "
+    text = ("`KODAIRA_STEP`, `moishezon.KODAIRA_SAMPLES`, `spectral.CACHE_SIZE`, "
             "`ALLOWED`, `WORKLOADS`, `PYTHONPATH` and `CHANGES.md`")
     assert unknown_constants(text) == ["KODAIRA_STEP"]

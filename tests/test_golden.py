@@ -11,7 +11,9 @@ moves one bit of a written number fails the test, which prints each JSON
 path that differs.  Each golden verdict is also judged again from its record
 alone, with the gates of ``report.KINDS``.
 
-To regenerate the files after a change that moves them on purpose:
+To regenerate the files after a change that moves them on purpose, which
+first prints each JSON path that moved, with its old and new value, and the
+name of each other file that moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -135,30 +137,75 @@ def test_the_golden_reports_hold_every_declared_kind():
                for key, kind in KINDS.items())
 
 
+def test_regenerating_prints_each_planted_move(tmp_path, monkeypatch, capsys):
+    """Over a golden copy with one planted JSON value and one planted CSV
+    byte, ``write_goldens`` prints those two moves, the value with its old
+    and new reading, and writes the true bytes back."""
+    name = "p12"
+    true = golden_files(name)
+    report = json.loads(true["report.json"])
+    degree = report["results"][0]["data"]["degree"]
+    report["results"][0]["data"]["degree"] = 0.25
+    (tmp_path / name).mkdir()
+    planted = {**true, "report.json": (json.dumps(report, sort_keys=True, indent=2)
+                                       + "\n").encode(),
+               "cohomology.csv": true["cohomology.csv"] + b"\n"}
+    for fname, data in planted.items():
+        (tmp_path / name / fname).write_bytes(data)
+    for key, value in (("GOLDEN", tmp_path), ("CONFIGS", {name: CONFIGS[name]}),
+                       ("SESSIONS", {})):
+        monkeypatch.setitem(globals(), key, value)
+    write_goldens()
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: cohomology.csv: moved",
+        f"{name}: report.results[0].data.degree: 0.25 -> {degree!r}"]
+    assert golden_files(name) == true
+
+
+def golden_files(name):
+    """{file name: bytes} of the committed golden run ``name``, empty if it has none."""
+    target = GOLDEN / name
+    return {path.name: path.read_bytes()
+            for path in sorted(target.iterdir())} if target.is_dir() else {}
+
+
+def moved_lines(expected, got):
+    """What moved from the ``expected`` to the ``got`` files, each {file name:
+    bytes}: each differing JSON path with both values, and the name of each
+    other file that differs, is added or is gone."""
+    lines = []
+    for fname in sorted(expected.keys() | got.keys()):
+        old, new = expected.get(fname), got.get(fname)
+        if old == new:
+            continue
+        if fname.endswith(".json") and old is not None and new is not None:
+            lines += differing_paths(json.loads(old), json.loads(new), Path(fname).stem) or [
+                f"{fname}: layout only"]
+        else:
+            lines.append(f"{fname}: " + ("added" if old is None else
+                                         "gone" if new is None else "moved"))
+    return lines
+
+
 def check_golden(name, out_dir):
-    got = run_outputs(name, out_dir)
-    expected = {path.name: path.read_bytes()
-                for path in sorted((GOLDEN / name).iterdir())}
-    assert sorted(got) == sorted(expected)
-    for fname in sorted(got):
-        if fname.endswith(".json") and got[fname] != expected[fname]:
-            paths = differing_paths(json.loads(expected[fname]), json.loads(got[fname]),
-                                    Path(fname).stem)
-            pytest.fail(f"{fname} moved at:\n" + "\n".join(paths or ["(layout only)"]))
-    moved = [fname for fname in sorted(got) if got[fname] != expected[fname]]
-    assert not moved, f"CSV artifacts moved: {moved}"
+    moved = moved_lines(golden_files(name), run_outputs(name, out_dir))
+    assert not moved, f"{name} moved at:\n" + "\n".join(moved)
 
 
 def write_goldens():
+    """Rewrite every golden run, printing first what moved in each."""
     for name in sorted(CONFIGS.keys() | SESSIONS.keys()):
         target = GOLDEN / name
+        with tempfile.TemporaryDirectory() as out:
+            got = run_outputs(name, out)
+        for line in moved_lines(golden_files(name), got):
+            print(f"{name}: {line}")
         target.mkdir(parents=True, exist_ok=True)
         for stale in target.iterdir():
             stale.unlink()
-        with tempfile.TemporaryDirectory() as out:
-            for fname, data in run_outputs(name, out).items():
-                (target / fname).write_bytes(data)
-        print(f"wrote {target.relative_to(ROOT)}", file=sys.stderr)
+        for fname, data in got.items():
+            (target / fname).write_bytes(data)
+        print(f"wrote {name}", file=sys.stderr)
 
 
 if __name__ == "__main__":

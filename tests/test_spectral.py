@@ -1,12 +1,16 @@
 """Exact torus spectra, heat traces, residual chains, the Landau basis."""
 
+import cmath
 import itertools
 import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
@@ -296,13 +300,21 @@ def test_oscillator_functions_match_the_recurrence(freq):
 
 
 def _eigenfunction_values_loop(op, z, levels):
-    """Reference: the column-by-column scatter over lattice translates."""
+    """Reference: the column-by-column scatter over lattice translates, each
+    translate's phase m y mod 1 and argument x - m/D formed on its own in
+    Python integers: y = Y 2^-64 + rest and x = X / F."""
     B, D = op.field_strength, op.D
     x, y = float(np.real(z)), float(np.imag(z))
-    spread = (math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B)
-    ms = np.arange(int(math.floor((x - spread) * D)), int(math.ceil((x + spread) * D)) + 1)
-    phis = oscillator_functions(levels - 1, x - ms / D, B)
-    phases = np.exp(2j * np.pi * ms * y)
+    X, F = x.as_integer_ratio()
+    c = X * D // F
+    half = math.ceil((math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B) * D)
+    ms = range(c - half, c + half + 2)
+    Y = math.floor(math.ldexp(y, 64))
+    rest = math.ldexp(math.ldexp(y, 64) - Y, -64)
+    phases = np.exp(2j * np.pi * np.array(
+        [float(m * Y % 2 ** 64) * 2.0 ** -64 + (m - c + float(c)) * rest for m in ms]))
+    t = [(X * D - c * F) / (F * D) - (m - c) / D for m in ms]
+    phis = oscillator_functions(levels - 1, t, B)
     vals = np.zeros((levels, D), dtype=complex)
     for col, m in enumerate(ms):
         vals[:, m % D] += phases[col] * phis[:, col]
@@ -328,6 +340,60 @@ def test_eigenfunction_scatter_matches_loop(p, levels):
     for z in (0.3 + 0.7j, 0.91 + 0.05j):
         assert np.array_equal(torus_eigenfunction_values(op, z),
                               _eigenfunction_values_loop(op, z, levels))
+
+
+def _basis_reference(D, levels, j, z):
+    """psi_{level, j}(z) in 60 digits: the translates m = j mod D within
+    14 + sqrt(2 levels + 1) oscillator lengths of x, each with the exact
+    rational phase m y mod 1 and argument x - m / D."""
+    (X, F), (Yn, Yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    reach = math.ceil((14.0 + math.sqrt(2.0 * levels + 1.0)) * math.sqrt(D / (2.0 * math.pi)))
+    c = X * D // F
+    out = [mpmath.mpc(0)] * levels
+    with mpmath.workdps(60):
+        B = 2 * mpmath.pi * D
+        for m in range(c - reach + (j - c + reach) % D, c + reach + 1, D):
+            s = mpmath.sqrt(B) * mpmath.mpf(X * D - m * F) / (F * D)
+            phase = mpmath.expjpi(mpmath.mpf(2 * (m * Yn % Yd)) / Yd)
+            low, phi = mpmath.mpf(0), (B / mpmath.pi) ** 0.25 * mpmath.exp(-s * s / 2)
+            for k in range(levels):
+                out[k] += phase * phi
+                low, phi = phi, (mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * s * phi
+                                 - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * low)
+        return np.array([complex(v) for v in out])
+
+
+@pytest.mark.parametrize("D", [8, 64, 2 ** 20, 2 ** 36, 2 ** 50, 2 ** 60, 2 ** 63, 2 ** 133],
+                         ids=lambda D: f"2^{D.bit_length() - 1}")
+def test_basis_columns_match_a_60_digit_reference(D):
+    """The two columns nearest x D, within 1e-14 of the column's largest
+    value: levels 0-1 at every D, all 32 levels up to 2^20, and past int64
+    with the columns as Python ints.  Float phases m y read 2e-10 off at 2^20."""
+    levels = 32 if D <= 2 ** 20 else 2
+    for z in (0.21 + 0.33j, 0.17 + 0.61j, 0.4 + 0.9j):
+        j = math.floor(z.real * D) % D
+        columns = np.array([j, (j + 1) % D], dtype=object if D >= 2 ** 63 else np.int64)
+        got = torus_basis_columns(D, levels, columns, z)
+        for value, j in zip(got.T, columns):
+            ref = _basis_reference(D, levels, int(j), z)
+            assert np.abs(value - ref).max() <= 1e-14 * np.abs(ref).max(), (z, j)
+
+
+@settings(max_examples=140, deadline=None)
+@given(s=st.integers(3, 50), x=st.integers(2 ** 47, 2 ** 49 - 1),
+       y=st.integers(1, 2 ** 50 - 1), n=st.integers(1, 4))
+def test_the_landau_basis_is_quasi_periodic(s, x, y, n):
+    """At D = 2^s and dyadic x in [1/8, 1/2), y in (0, 1): psi at x + i(y + n)
+    is psi at x + iy bit for bit, and psi_{j+1}(x + 1/D, y) is
+    e^{2 pi i y} psi_j(x, y) within 1e-13 of the column's scale."""
+    D, x, y = 2 ** s, x / 2 ** 50, y / 2 ** 50
+    j = math.floor(x * D) % D
+    columns = [(j - 1) % D, j, (j + 1) % D]
+    psi = torus_basis_columns(D, 4, columns, complex(x, y))
+    assert torus_basis_columns(D, 4, columns, complex(x, y + n)).tobytes() == psi.tobytes()
+    shifted = torus_basis_columns(D, 4, [(c + 1) % D for c in columns], complex(x + 1 / D, y))
+    assert (np.abs(shifted - cmath.exp(2j * math.pi * y) * psi).max(axis=0)
+            <= 1e-13 * np.abs(psi).max(axis=0)).all()
 
 
 HALF_TURN_POINTS = (0.21 + 0.33j, 0.58 + 0.12j, 0.03 + 0.91j, 0.5 + 0.5j, 0j)
