@@ -5,7 +5,8 @@ Three families are constructed, selected by string id:
 ``local-model``
     C^n / Z_k with the flat metric and a constant-curvature bundle
     diag(a_1, ..., a_n); the cyclic group acts by coordinate rotations
-    z_j -> exp(2 pi i w_j / k) z_j.
+    z_j -> exp(2 pi i w_j / k) z_j, and its generator on the bundle fiber by
+    exp(2 pi i c / k) for the integer ``character`` c.
 
 ``wps``
     The weighted projective line P(a, b) for coprime positive weights, with
@@ -96,18 +97,18 @@ def build_catalog_orbifold(catalog_id, **params):
 # local model C^n / Z_k
 
 
-def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
+def _build_local_model(k=2, a=(1.0,), weights=None, character=0):
     a = _list_of("catalog parameter a", a, _real)
     n = len(a)
     if not 1 <= n <= 3:
         raise ConfigurationError("local models need 1 <= n <= 3 curvature values a")
     k = _integer("catalog parameter k", k)
-    theta = _real("catalog parameter theta", theta)
+    character = _integer("catalog parameter character", character)
     weights = (_list_of("catalog parameter weights", weights, _integer)
                if weights is not None else (1,) * n)
     if len(weights) != n:
         raise ConfigurationError("one action weight per coordinate is required")
-    group = cyclic_group(k, weights, theta)
+    group = cyclic_group(k, weights, character)
     chart = OrbifoldChart(dimension=n, group=group, box_radius=1.0,
                           metric_scalar=constant_field(1.0) if n == 1 else None)
 
@@ -120,7 +121,8 @@ def _build_local_model(k=2, a=(1.0,), weights=None, theta=0.0):
         return min(float(np.linalg.norm(Z[~g.fixed])) for g in gens)
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
-                          catalog_id="local-model", exact=ExactData(group=(k, a, weights, theta)))
+                          catalog_id="local-model",
+                          exact=ExactData(group=(k, a, weights, character % k)))
     bundle = EquivariantLineBundle(
         curvature_scalars=(constant_field(a[0]),) if n == 1 else None)
     return orb, bundle
@@ -228,10 +230,10 @@ def _build_weighted_projective(weights=(1, 1), dent=None):
         curvature = (curvature_scalar_x, curvature_scalar_y)
 
     # isotropy Z_a at [1:0] acts on z by a primitive root; the bundle fiber
-    # character matches invariant-section counting (z^m survives iff
+    # character -1 matches invariant-section counting (z^m survives iff
     # b m = p mod a for degree p)
-    group_x = cyclic_group(a, (b,), -2 * math.pi / a)
-    group_y = cyclic_group(b, (a,), -2 * math.pi / b)
+    group_x = cyclic_group(a, (b,), -1)
+    group_y = cyclic_group(b, (a,), -1)
 
     def z_abs_from_y(wp_abs):
         """|z| of the downstairs point seen from the normalized y-coordinate."""

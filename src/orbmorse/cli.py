@@ -255,13 +255,15 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
 
 
 def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
-    k = orb.oracle("group", "kernel asymptotics run on the local quotient models")[0]
+    k, _, _, character = orb.oracle(
+        "group", "kernel asymptotics run on the local quotient models")
     records = []
     x_reg = np.array([1.0 + 0.0j] * orb.dimension)
     p_mid = cfg.p_list[len(cfg.p_list) // 2]
     Z = np.array([1.0 / math.sqrt(p_mid) + 0.0j] * orb.dimension)
-    # at the fixed point each image adds e^{i p theta_g}: k only where the fibre is fixed
-    expected = math.fsum(math.cos(cfg.p_list[-1] * g.line_phase) for g in orb.charts[0].group)
+    # at the fixed point the k images add the k-th roots e^{2 pi i c m p / k}: k
+    # where the fibre of L^p is fixed, k | c p, and 0 elsewhere
+    expected = 0.0 if character * cfg.p_list[-1] % k else float(k)
     for u in cfg.u_list:
         fit = vf.verify_kernel_asymptotics_regular(orb, bundle, x_reg, u, cfg.p_list)
         ratio = vf.singular_diagonal_factor(
@@ -284,21 +286,24 @@ def _run_moishezon(cfg, orb, bundle, split, table):
     records = [("moishezon-verdict",
                 mz.moishezon_check(split(), cfg.tolerances["tol_quadrature"]))]
     try:
-        table = table().over(_bigness_powers(cfg))
+        table = table()
     except UnsupportedModelError as exc:
         # a model without exact cohomology; a table that cannot be built exits 2
         return records + [("bigness", Skip(exc.reason, str(exc)))], {}
-    est = mz.bigness_check(table, orb.dimension)
+    n, tail = orb.dimension, table.over(_bigness_powers(cfg))
+    est = mz.bigness_check(tail, n)
+    # a rank reaches n only from n + 1 sections: a power with fewer has no rank to judge
     ranks, left_out = {}, {}
     for p in cfg.p_list[:4]:
-        try:
+        if (h0 := table.h(p, 0)) >= n + 1:
             ranks[str(p)] = mz.kodaira_rank(orb, bundle, p, rng=rng)
-        except NoSectionsError as exc:
-            left_out[str(p)] = Skip(exc.reason, str(exc))
+        else:
+            left_out[str(p)] = Skip(NoSectionsError.reason,
+                                    f"{h0} section(s) at power p={p}; a rank needs {n + 1}")
     # a line bundle on a compact curve is big exactly when its degree is positive
     data = {"estimate": est.limsup_estimate, "noise": est.noise_floor, "big": est.big,
-            "expected_big": (orb.exact.degree or 0.0) > 0, "dimension": orb.dimension,
-            "kodaira_ranks": ranks, "growth_exponent": mz.section_growth_exponent(table)}
+            "expected_big": (orb.exact.degree or 0.0) > 0, "dimension": n,
+            "kodaira_ranks": ranks, "growth_exponent": mz.section_growth_exponent(tail)}
     return records + [("bigness", {**data, "left_out": left_out} if left_out else data)], {}
 
 

@@ -40,42 +40,44 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, GeometryError, IntegrandError,
-                     UnsupportedModelError, _at_least)
+                     UnsupportedModelError, _at_least, _integer)
 
 INTEGRAND_INVARIANCE_TOL = 1e-8
 
 
 class GroupElement(NamedTuple):
-    """One element g^m of a cyclic chart group: diagonal rotation plus phase.
+    """One element g^m of a cyclic chart group: diagonal rotation plus character.
 
     rotation : the diagonal e^{2 pi i w_j m / k} of the action on the chart
         coordinates.
     fixed : per coordinate, whether the element fixes it, (w_j m) mod k == 0
         in exact integers.
-    line_phase : angle theta_g; the element acts on the line bundle fiber
-        (along its fixed set) by e^{i theta_g}, so on the p-th power by
-        e^{i p theta_g}.
+    character : the integer c_g = (c m) mod k; the element acts on the line
+        bundle fiber (along its fixed set) by e^{2 pi i c_g / k}, so on the
+        p-th power by e^{2 pi i c_g p / k}, at the angle ``fibre_angles`` takes.
     """
 
     rotation: np.ndarray
     fixed: np.ndarray
-    line_phase: float = 0.0
+    character: int
 
     @property
     def is_identity(self):
         return bool(self.fixed.all())
 
 
-def cyclic_group(order, weights, theta_unit=0.0):
+def cyclic_group(order, weights, character=0):
     """The cyclic group Z_k generated by diag(e^{2 pi i w_j / k}).
 
     Returns the k elements g^m, m = 0..k-1, where g^m acts on the line bundle
-    fiber by the angle (theta_unit m) mod 2 pi.  The group is closed with one
-    identity by construction; an order that is not an integer >= 1 and
-    weights that generate a proper subgroup (gcd(k, w mod k) != 1, an
-    ineffective action) raise ConfigurationError.
+    fiber by the character (c m) mod k of the integer ``character`` c.  The
+    group is closed with one identity by construction; an order that is not
+    an integer >= 1, a character that is not an integer and weights that
+    generate a proper subgroup (gcd(k, w mod k) != 1, an ineffective action)
+    raise ConfigurationError.
     """
     order = _at_least("chart group order k", order, 1)
+    character = _integer("fibre character", character)
     residues = [w % order for w in weights]
     if math.gcd(order, *residues) != 1:
         raise ConfigurationError(
@@ -84,9 +86,19 @@ def cyclic_group(order, weights, theta_unit=0.0):
     # exponents (w_j m) mod k per element and coordinate, in exact integers
     exponents = np.outer(np.arange(order), np.array(residues, dtype=np.int64)) % order
     rotations = np.exp(2j * np.pi * exponents / order)
-    return tuple(GroupElement(rotation=rot, fixed=e == 0,
-                              line_phase=(theta_unit * m) % (2 * math.pi))
+    return tuple(GroupElement(rotation=rot, fixed=e == 0, character=character * m % order)
                  for m, (rot, e) in enumerate(zip(rotations, exponents)))
+
+
+def fibre_angles(characters, order, p):
+    """The angles in (-pi, pi] by which elements of characters ``characters``
+    of a group of order k act on the fiber of L^p: 2 pi r / k for the residue
+    r = (c p) mod k, taken in integers, and r - k in place of r above k / 2.
+    No float sees p or c p, so the angle is exact to rounding at any p."""
+    p %= order
+    residues = [c * p % order for c in characters]
+    return np.array([2.0 * math.pi * (r - order if 2 * r > order else r) / order
+                     for r in residues])
 
 
 class RadialField(NamedTuple):
@@ -190,7 +202,7 @@ class ExactData(NamedTuple):
     table: object = None      # p_values -> {(p, q): h^q(M, L^p)}, in exact integers
     sections: object = None   # p -> (box, values, order) of the Kodaira map; None: constants
     torus: tuple = None       # (d, k) of a torus quotient
-    group: tuple = None       # (k, a, weights, theta) of a local model C^n / Z_k
+    group: tuple = None       # (k, a, weights, c mod k) of a local model C^n / Z_k
 
 
 class ChartedOrbifold(NamedTuple):
@@ -228,7 +240,7 @@ class EquivariantLineBundle(NamedTuple):
     points of chart k (vectorized, in the frame of the metric density), so
     that the curvature endomorphism is c / h.  None for the flat
     higher-dimensional local models, whose curvature is the a of exact.group.  The
-    fiber phases of the chart group live on its elements.
+    fiber characters of the chart group live on its elements.
     """
 
     curvature_scalars: tuple

@@ -203,12 +203,12 @@ def _heat_trace_gate(data, tol):
 
 
 def _strong_morse_gate(data, tol):
-    # the positive part falls along the tail and is O(1/p) at its end; at q = n
-    # so is the residual itself
-    residuals, bound = [float(r) for r in data["residuals"]], 2.0 / data["p_list"][-1]
-    pos = [max(r, 0.0) for r in residuals]
-    return (all(b <= a + 1e-12 for a, b in zip(pos, pos[1:])) and pos[-1] <= bound
-            and (data["q"] != data["dimension"] or abs(residuals[-1]) <= bound))
+    # the positive part max(rho_p, 0) is at most 2/p at every power: an orbifold
+    # point makes h^0 - p deg periodic in p, so its sign wanders and need not
+    # fall; at q = n the residual itself is O(1/p) at the last power
+    residuals, p_list = [float(r) for r in data["residuals"]], data["p_list"]
+    return (all(r <= 2.0 / p for r, p in zip(residuals, p_list))
+            and (data["q"] != data["dimension"] or abs(residuals[-1]) <= 2.0 / p_list[-1]))
 
 
 def _unreliable_fit(data):

@@ -43,7 +43,7 @@ import numpy as np
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError, _at_least,
                      _degree, _positive)
-from .geometry import cyclic_group
+from .geometry import cyclic_group, fibre_angles
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
 from .spectral import (CACHE_SIZE, _torus, assemble_kodaira_laplacian, heat_trace,
@@ -105,16 +105,17 @@ def _per_power(values, ndim):
 
 class ImageTable(NamedTuple):
     """The images of a flat model, each the coordinatewise map Z -> rot Z + shift
-    with a fibre angle theta: ``rot`` and ``shift`` of shape (images, n),
-    ``theta`` of shape (images,), and None for the shift of a local model and
-    the angle of a torus or of a group that fixes the fibre.  ``a`` is the
-    curvature at p = 1, and ``identity`` the index of the identity image."""
+    with an integer fibre character mod the group order: ``rot`` and ``shift``
+    of shape (images, n), ``characters`` one per image, and None for the shift
+    of a local model and the characters of a torus or of a group that fixes
+    the fibre.  ``a`` is the curvature at p = 1, and ``identity`` the index of
+    the identity image."""
 
     labels: tuple
     a: tuple
     rot: np.ndarray
     shift: object
-    theta: object
+    characters: object
     identity: int
 
 
@@ -142,12 +143,13 @@ def _torus_images(d, k):
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _group_images(group):
     """The images of the local model whose ``exact.group`` is ``group``, (k, a,
-    weights, theta): the elements of ``cyclic_group(k, weights, theta)``."""
-    k, a, weights, theta = group
-    elements = cyclic_group(k, weights, theta)
-    rot, angle = np.array([g.rotation for g in elements]), np.array([g.line_phase for g in elements])
-    rot.flags.writeable = angle.flags.writeable = False
-    return ImageTable(elements, a, rot, None, angle if angle.any() else None,
+    weights, c): the elements of ``cyclic_group(k, weights, c)``."""
+    k, a, weights, character = group
+    elements = cyclic_group(k, weights, character)
+    rot = np.array([g.rotation for g in elements])
+    rot.flags.writeable = False
+    return ImageTable(elements, a, rot, None,
+                      tuple(g.character for g in elements) if character else None,
                       [g.is_identity for g in elements].index(True))
 
 
@@ -155,12 +157,13 @@ def image_log_terms(images, points, u, p):
     """log|term| and phase of every degree-0 image term of a flat model.
 
     At points of shape (..., n), the term of g: Z -> rot Z + lam, lam = m + i n
-    per coordinate, is K_plane(Z, g Z) e^{i p theta_g} exp(i (p a / 2)(m n +
+    per coordinate, is K_plane(Z, g Z) e^{2 pi i c_g p / k} exp(i (p a / 2)(m n +
     lam wedge g Z)) p^{-n}, the plane kernel at curvature p a and time u / p;
-    only the phases a table has are added.  ``p`` is a sequence of powers,
-    typed with u by ``_require_powers_and_time``.  Returns the table's labels
-    and log_abs and phase of shape (len(p),) + points.shape[:-1] +
-    (len(labels),), each slice computed from its own power and image alone.
+    only the phases a table has are added, the fibre's as ``fibre_angles``
+    reduces them.  ``p`` is a sequence of powers, typed with u by
+    ``_require_powers_and_time``.  Returns the table's labels and log_abs and
+    phase of shape (len(p),) + points.shape[:-1] + (len(labels),), each slice
+    computed from its own power and image alone.
     """
     _require_powers_and_time(p, u)
     Z = np.asarray(points, dtype=complex)[..., None, :]
@@ -175,10 +178,8 @@ def image_log_terms(images, points, u, p):
         half = _per_power(curvatures, Z.ndim - 1) / 2
         wedge = m * target.imag - n_ * target.real
         phase = phase + (half * m * n_ + half * wedge).sum(-1)
-    if images.theta is not None:
-        # e^{i p theta} by its angle in (-pi, pi]: p theta added unreduced
-        # would cost the phase sum the digits of its whole turns
-        turns = np.angle(np.exp(1j * np.array(p, dtype=float)[:, None] * images.theta))
+    if images.characters is not None:
+        turns = [fibre_angles(images.characters, len(images.labels), pp) for pp in p]
         phase = phase + _per_power(turns, Z.ndim - 2)
     log_abs = log_abs - _per_power([len(images.a) * math.log(pp) for pp in p], Z.ndim - 1)
     return images.labels, log_abs, phase
@@ -200,10 +201,10 @@ def local_model_image_log_terms(orb, points, u, p):
 def _twist_constants(group, u):
     """The degree-0 limit at time u of the local model whose ``exact.group`` is
     ``group``, each element's fixed- times normal-block limit, and per non-identity
-    element its line phase, moved coordinates and normal-block ``ModelPoint`` (a
-    zero in a reads 1)."""
+    element its fibre character, moved coordinates and normal-block ``ModelPoint``
+    (a zero in a reads 1)."""
     a = np.array(group[1])
-    blocks = tuple((g.line_phase, ~g.fixed,
+    blocks = tuple((g.character, ~g.fixed,
                     ModelPoint(a[~g.fixed], u, np.angle(g.rotation)[~g.fixed]))
                    for g in _group_images(group).labels if not g.is_identity)
     return _limit(group[1], u), blocks
@@ -352,8 +353,8 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     """Residuals of the near-singularity expansion, with and without the
     group-twisted Gaussian correction.
 
-    The corrected expansion is limit + sum over non-trivial elements of
-    e^{i p theta} kappa^{-1} limit(Z_1) * twisted_gaussian(sqrt(p) Z_2);
+    The corrected expansion is limit + sum over non-trivial elements g of
+    e^{2 pi i c_g p / k} kappa^{-1} limit(Z_1) * twisted_gaussian(sqrt(p) Z_2);
     for flat local models it reproduces the kernel to rounding, while the
     uncorrected limit misses the order-one twist at sqrt(p) |Z| = O(1).
     """
@@ -363,9 +364,9 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list)
     records = []
     for p, kernel in zip(p_list, _image_sums(log_abs, phase)):
-        corr = sum((np.exp(1j * p * line_phase) * limit
-                    * twisted_gaussian(pt, math.sqrt(p) * Z[normal])
-                    for line_phase, normal, pt in normal_blocks), 0.0j)
+        angles = fibre_angles([c for c, _, _ in normal_blocks], group[0], p)
+        corr = sum((np.exp(1j * angle) * limit * twisted_gaussian(pt, math.sqrt(p) * Z[normal])
+                    for angle, (_, normal, pt) in zip(angles, normal_blocks)), 0.0j)
         records.append(SingularExpansionRecord(
             p=int(p), u=float(u), residual_without_twist=float(abs(kernel - limit)),
             residual_with_twist=float(abs(kernel - limit - corr))))
@@ -399,7 +400,7 @@ def verify_strong_morse(orb, q, p_list, split, table):
     signature region {<= q} of det(curvature endomorphism / 2 pi), the sum
     of the signature split ``split`` over q' <= q; the h^j are read from
     ``table``, a cohomology table holding every power of ``p_list``.  The
-    series must satisfy max(rho_p, 0) decreasing along the tail, with
+    series must satisfy max(rho_p, 0) <= 2/p at every power, with
     |rho_p| -> 0 at q = n.
     """
     n = orb.dimension

@@ -216,20 +216,24 @@ def test_kernel_asymptotics_on_the_trivial_group_exits_0(tmp_path):
 
 
 def test_kernel_asymptotics_on_a_group_that_turns_the_fibre(tmp_path, monkeypatch):
-    """C/Z_5 with theta = 2 pi / 5: at the fixed point the ratio is
-    Re sum_g e^{i p theta_g} at the top power, 0 where 5 does not divide it
-    and 5 where it does, and each record carries that reference.  A ratio
-    planted 0.1 off fails every record."""
-    text = ("catalog: {id: local-model, params: {k: 5, a: [1.0], theta: %r}}\n"
-            % (2 * math.pi / 5))
-    for i, (p_list, expected) in enumerate([("[4, 8, 16]", 0.0), ("[5, 10, 15]", 5.0)]):
+    """C/Z_5 with character 1: at the fixed point the ratio is sum_m
+    e^{2 pi i m p / 5} at the top power, exactly 0 where 5 does not divide it
+    and 5 where it does, and each record carries that reference.  Beyond 2^53
+    the image route still reads it within 1e-12, where fibre angles formed
+    from a float p theta read 0.196 and 4.806.  A ratio planted 0.1 off fails
+    every record."""
+    text = "catalog: {id: local-model, params: {k: 5, a: [1.0], character: 1}}\n"
+    for i, (p_list, expected) in enumerate([
+            ([4, 8, 16], 0.0), ([5, 10, 15], 5.0),
+            ([4, 8, 16, 2 ** 50], 0.0), ([4, 8, 16, 4503599627370480], 5.0)]):
         cfg = write(tmp_path, "c.yaml", text + f"run: {{p_list: {p_list}}}\n")
         out = tmp_path / str(i)
         assert main(["all", "--config", cfg, "--out", str(out), "--strict"]) == 0
         records = [r["data"] for r in json.loads((out / "report.json").read_text())["results"]
                    if r["name"].startswith("kernel-asymptotics")]
         assert len(records) == 4
-        assert all(abs(r["expected_ratio"] - expected) <= 1e-12 for r in records)
+        assert all(r["expected_ratio"] == expected for r in records)
+        assert all(abs(r["singular_ratio"] - expected) <= 1e-12 for r in records)
     from orbmorse import verify
     factor = verify.singular_diagonal_factor
     monkeypatch.setattr(verify, "singular_diagonal_factor", lambda *args: factor(*args) + 0.1)
@@ -429,7 +433,10 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
     (TORUS_YAML, "- torus\n", "root must be a mapping"),
     (TORUS_CATALOG, TORUS_CATALOG + "    3: 4\n", "parameter name 3"),
     (TORUS_CATALOG, WPS_CATALOG + "    dent: 5\n", "parameter dent"),
-    (TORUS_CATALOG, LOCAL_CATALOG + "    theta: abc\n", "parameter theta"),
+    (TORUS_CATALOG, LOCAL_CATALOG + "    character: 1.5\n", "parameter character"),
+    (TORUS_CATALOG, LOCAL_CATALOG + "    character: true\n", "parameter character"),
+    (TORUS_CATALOG, LOCAL_CATALOG + "    character: '1'\n", "parameter character"),
+    (TORUS_CATALOG, LOCAL_CATALOG + "    theta: 1.0\n", "unknown parameter(s) theta"),
     (TORUS_CATALOG, LOCAL_CATALOG.replace("[1.0]", "abc"), "parameter a "),
     (TORUS_CATALOG, WPS_CATALOG + "    dent: {amplitude: abc}\n", "dent.amplitude"),
     (TORUS_CATALOG, LOCAL_CATALOG.replace("k: 2", "k: true"), "parameter k "),
@@ -459,7 +466,8 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
         "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
         "tolerance-key-typo", "root-key-typo", "run-not-mapping",
         "output-not-mapping", "root-not-mapping", "parameter-name-not-string",
-        "dent-not-mapping", "theta-string", "a-string", "dent-amplitude-string",
+        "dent-not-mapping", "character-real", "character-bool", "character-string",
+        "theta-unknown", "a-string", "dent-amplitude-string",
         "k-bool", "wps-weight-real", "local-weight-real", "d-bool", "dent-key-typo",
         "dent-width-zero", "dent-width-negative", "p-list-string", "p-real", "p-bool",
         "u-nan", "q-real", "tolerance-string", "quadrature-resolution-real",
@@ -919,6 +927,62 @@ def test_bigness_with_every_rank_left_out_judges_the_degree(tmp_path, monkeypatc
     assert results["bigness"]["data"]["kodaira_ranks"] == {"64": 0}
 
 
+def test_bigness_takes_no_rank_from_fewer_sections_than_it_needs(tmp_path):
+    """On P(3,5) h^0 reads 0, 1 and 1 at p = 4, 8, 16.  One section has rank 0
+    whatever the model, so each power is left out with the code no-sections
+    and its count, and bigness judges the degree alone: the run exits 0."""
+    code, results = run_all(tmp_path, RunConfig(catalog_id="wps",
+                                                catalog_params={"weights": [3, 5]}))
+    assert code == 0
+    bigness = results["bigness"]["data"]
+    assert bigness["kodaira_ranks"] == {}
+    left_out = {p: (s["reason"], s["message"].split(";")[0])
+                for p, s in bigness["left_out"].items()}
+    assert left_out == {
+        "4": ("no-sections", "0 section(s) at power p=4"),
+        "8": ("no-sections", "1 section(s) at power p=8"),
+        "16": ("no-sections", "1 section(s) at power p=16")}
+
+
+WPS_PAIRS = [(a, b) for a in range(1, 8) for b in range(a, 8) if math.gcd(a, b) == 1]
+
+
+def test_all_passes_on_every_small_weighted_projective_line(tmp_path):
+    """Every coprime P(a, b), a <= b <= 7, under the default p_list and under
+    each four-power doubling list from 2^2 to 2^10: 180 runs, each exits 0.
+    h^0 - p/(ab) is periodic in p with its sign wandering, so the strong
+    Morse residual need not fall, and at small p one section has no rank."""
+    lists = [RunConfig._field_defaults["p_list"]] + [
+        [2 ** (s + i) for i in range(4)] for s in range(2, 11)]
+    codes = {(a, b, tuple(p_list)): cli.run("all", RunConfig(
+        catalog_id="wps", catalog_params={"weights": [a, b]}, p_list=list(p_list)),
+        tmp_path / f"{a}-{b}-{p_list[0]}") for a, b in WPS_PAIRS for p_list in lists}
+    assert len(codes) == 180
+    assert [key for key, code in codes.items() if code] == []
+
+
+def test_strong_morse_fails_above_2_over_p_at_an_early_power(tmp_path, monkeypatch):
+    """A residual raised by 3/p at the first power alone: the positive part
+    still falls and the last power keeps its value, but the bound at the first
+    power fails both records."""
+    series_of = cli.vf.verify_strong_morse
+
+    def raised(*args):
+        series = series_of(*args)
+        first = series.residuals[0] + 3.0 / series.p_list[0]
+        return series._replace(residuals=(first, *series.residuals[1:]))
+
+    monkeypatch.setattr(cli.vf, "verify_strong_morse", raised)
+    assert cli.run("verify-morse", load_config(str(DEMO_CONFIGS / "p12.yaml")), tmp_path) == 1
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    failed = [r for r in results if not r["passed"]]
+    assert [r["name"] for r in failed] == ["strong-morse-q0", "strong-morse-q1"]
+    for r in failed:
+        positive = [max(float(x), 0.0) for x in r["data"]["residuals"]]
+        assert positive == sorted(positive, reverse=True)
+        assert positive[-1] <= 2.0 / r["data"]["p_list"][-1]
+
+
 def run_torus_heat_trace(tmp_path):
     cfg = load_config(write(tmp_path, "c.yaml", TORUS_YAML))
     code = cli.run("heat-trace", cfg, tmp_path)
@@ -1231,7 +1295,7 @@ FUZZ_PARAMS = {
     "local-model": {"k": st.integers(1, 4),
                     "a": st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=3),
                     "weights": st.lists(st.integers(0, 6), min_size=1, max_size=3),
-                    "theta": st.floats(-7.0, 7.0)},
+                    "character": st.integers(-2 ** 64, 2 ** 64)},
 }
 # small values only: no p or resolution above 64, so no example needs more
 # than a few MB, and nothing here asks for threads or processes

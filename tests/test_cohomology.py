@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from orbmorse import cli
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cli import RunConfig
-from orbmorse.cohomology import cohomology_table, weighted_proj_h0
+from orbmorse.cohomology import _wps_exponents, cohomology_table, weighted_proj_h0
 from orbmorse.errors import ConfigurationError, UnsupportedModelError
 
 from dents import DENTS
@@ -136,6 +136,24 @@ def test_table_at_the_dp_bound_allocates_no_array():
         tracemalloc.stop()
     assert table.h(LATTICE_DP_MAX, 0) == LATTICE_DP_MAX // 6 + 1
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 8) for b in range(1, 8)
+                                 if math.gcd(a, b) == 1])
+def test_chart_characters_select_the_invariant_monomials(a, b):
+    """P(a, b)'s x chart is C/Z_a, its generator turning z by e^{2 pi i b / a}
+    and the fibre of L^p by its character c: z^m of degree m <= p // b is a
+    section exactly when b m + c p = 0 mod a, in integers, and the progression
+    of ``_wps_exponents`` lists exactly those m.  The y chart likewise, with
+    the weights swapped."""
+    orb, _ = build_catalog_orbifold("wps", weights=(a, b))
+    for chart, (order, weight) in zip(orb.charts, [(a, b), (b, a)], strict=True):
+        generator = chart.group[1 % order]
+        assert np.isclose(generator.rotation[0], np.exp(2j * np.pi * weight / order))
+        for p in range(60):
+            invariant = [m for m in range(p // weight + 1)
+                         if (weight * m + generator.character * p) % order == 0]
+            assert invariant == list(_wps_exponents((order, weight), p))
 
 
 def test_torus_table_cross_filled_from_kernel_counts():

@@ -16,7 +16,9 @@ from orbmorse.curvature import signature_integrals
 from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
                              UnsupportedModelError)
 from orbmorse.geometry import (OrbifoldChart, RadialField, constant_field, cyclic_group,
-                               orbifold_integrate, volume_density)
+                               fibre_angles, orbifold_integrate, volume_density)
+
+from fibre_fraction import fraction_angle
 
 
 def ones(Z):
@@ -151,16 +153,28 @@ def test_cyclic_group_closed_with_one_identity():
                 with pytest.raises(ConfigurationError, match="not effective"):
                     cyclic_group(k, weights)
                 continue
-            group = cyclic_group(k, weights, theta_unit=0.7)
+            group = cyclic_group(k, weights, character=2 ** 70 + 7)
             assert len(group) == k
             assert_dense_group(group)
             # the fixed mask is the exact form of the rotation test
             for g in group:
                 assert np.array_equal(g.fixed, np.abs(g.rotation - 1.0) <= IDENTITY_TOL)
-            assert [g.line_phase for g in group] == [(0.7 * m) % (2 * math.pi)
-                                                     for m in range(k)]
+            assert [g.character for g in group] == [(2 ** 70 + 7) * m % k for m in range(k)]
+            assert all(type(g.character) is int for g in group)
             checked += 1
     assert checked > 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(characters=st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=6),
+       k=st.integers(1, 64), p=st.one_of(st.integers(0, 4096), st.integers(0, 2 ** 200)))
+def test_fibre_angles_reduce_in_integers(characters, k, p):
+    """Each angle is that of the Fraction c p / k mod 1, bit for bit, in
+    (-pi, pi]; it is exactly 0.0 where k divides c p, at any p."""
+    angles = fibre_angles(characters, k, p)
+    assert angles.tolist() == [fraction_angle(c, k, p) for c in characters]
+    assert all(-math.pi < t <= math.pi for t in angles.tolist())
+    assert [t == 0.0 for t in angles.tolist()] == [c * p % k == 0 for c in characters]
 
 
 def test_large_local_model_builds_fast():

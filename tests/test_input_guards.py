@@ -94,6 +94,7 @@ ROUTES = [
     ("integer", "weighted_proj_h0", lambda v: cohomology.weighted_proj_h0((2, 3), v)),
     ("integer", "kodaira_rank", lambda v: wps(moishezon.kodaira_rank, v)),
     ("integer", "torus_kernel_dimension", lambda v: spectral.torus_kernel_dimension(1, 2, v, 0)),
+    ("integer", "cyclic_group character", lambda v: geometry.cyclic_group(3, (1,), v)),
     ("count", "siegel_bound m", lambda v: moishezon.siegel_bound(v, 1, 1)),
     ("count", "siegel_bound n", lambda v: moishezon.siegel_bound(1, v, 1)),
     ("count", "siegel_bound k", lambda v: moishezon.siegel_bound(1, 1, v)),

@@ -16,8 +16,8 @@ SRC = Path(orbmorse.__file__).parent
 
 DEFAULTED_PARAMETERS = [
     "catalog._build_local_model(a)",
+    "catalog._build_local_model(character)",
     "catalog._build_local_model(k)",
-    "catalog._build_local_model(theta)",
     "catalog._build_local_model(weights)",
     "catalog._build_torus(d)",
     "catalog._build_torus(k)",
@@ -37,7 +37,7 @@ DEFAULTED_PARAMETERS = [
     "geometry.OrbifoldChart.__new__(box_radius)",
     "geometry.OrbifoldChart.__new__(bump)",
     "geometry.OrbifoldChart.__new__(metric_scalar)",
-    "geometry.cyclic_group(theta_unit)",
+    "geometry.cyclic_group(character)",
     "geometry.orbifold_integrate(resolution)",
     "geometry.radial_blocks(corners)",
     "kernels.ModelPoint.__new__(group_phases)",

@@ -237,3 +237,24 @@ def test_cli_run_loads_no_jsonschema(tmp_path):
                          capture_output=True, text=True)
     assert out.stdout.strip() == "0 []"
     assert (tmp_path / "report.json").exists()
+
+
+# (q, residuals at p = 1024, 2048, 4096, 8192, passed) on a curve
+STRONG_MORSE_SERIES = {
+    # P(3,5)'s exact counts: the positive part rises, within 2/p at each power
+    "orbifold-period": (0, [-2.6e-4, 2.3e-4, -1.6e-5, -1.6e-5], True),
+    # above 2/p at the first power only, then falling to within 2/p
+    "early-excess": (0, [3e-3, 1e-4, 1e-5, 1e-6], False),
+    "stalled": (0, [0.25, 0.25, 0.25, 0.25], False),
+    "nan": (0, [1e-4, "nan", 1e-5, 1e-6], False),
+    # below -2/p at q = n: the residual itself must be O(1/p) there
+    "top-degree-negative": (1, [-1e-4, -1e-4, -1e-4, -1e-3], False),
+    "top-degree-negative-below-n": (0, [-1e-4, -1e-4, -1e-4, -1e-3], True),
+}
+
+
+@pytest.mark.parametrize("series", sorted(STRONG_MORSE_SERIES))
+def test_strong_morse_gate_bounds_the_positive_part_at_every_power(series):
+    q, residuals, passed = STRONG_MORSE_SERIES[series]
+    data = {"q": q, "dimension": 1, "p_list": [1024, 2048, 4096, 8192], "residuals": residuals}
+    assert report_module.KINDS["strong-morse"].gate(data, None) is passed

@@ -30,6 +30,7 @@ from orbmorse.verify import (exact_chain_residuals, fit_rate,
 
 from conftest import CACHES, clear_caches
 from dents import DENTS
+from fibre_fraction import fraction_angle
 from scaled_fold import fold
 from test_golden import SESSIONS, session_outputs
 
@@ -39,9 +40,10 @@ from test_golden import SESSIONS, session_outputs
 
 
 def dense_image_log_terms(orb, Z, u, p, with_identity):
-    """The image terms K(Z, g Z) e^{i p theta_g} p^{-n} at one power p, with
-    every group element as a dense n x n matrix."""
-    k, a, weights, theta = orb.exact.group
+    """The image terms K(Z, g Z) e^{2 pi i c m p / k} p^{-n} at one power p, with
+    every group element g^m as a dense n x n matrix and its fibre angle by
+    Fraction arithmetic."""
+    k, a, weights, c = orb.exact.group
     a, weights = np.asarray(a, dtype=float), np.array(weights)
     n = a.size
     keep = [m for m in range(k) if with_identity or m != 0]
@@ -50,7 +52,7 @@ def dense_image_log_terms(orb, Z, u, p, with_identity):
     # the matrix-vector product as a sum of products; einsum's rounding differs
     gZ = (rotations * Z[..., None, None, :]).sum(-1)
     log_abs, phase = mehler_log_form([p * a], [u / p], Z[..., None, :], gZ)
-    turns = np.angle(np.exp(1j * p * np.array([(theta * m) % (2 * math.pi) for m in keep])))
+    turns = np.array([fraction_angle(c * m, k, p) for m in keep])
     return log_abs[0] - n * math.log(p), phase[0] + turns
 
 
@@ -66,7 +68,7 @@ def test_diagonal_image_terms_match_dense_matrices(k, n, with_identity):
     """The diagonal rotations reproduce the dense-matrix route bit for bit,
     with or without the identity column."""
     a = (1.0, 0.7, 1.6)[:n]
-    orb, _ = build_catalog_orbifold("local-model", k=k, a=a, theta=0.9)
+    orb, _ = build_catalog_orbifold("local-model", k=k, a=a, character=2)
     rng = np.random.default_rng(10 * k + n)
     Z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     labels, log_abs, phase = local_model_image_log_terms(orb, Z, 1.0, [16])
@@ -78,50 +80,50 @@ def test_diagonal_image_terms_match_dense_matrices(k, n, with_identity):
     assert np.array_equal(log_abs, ref_abs[None]) and np.array_equal(phase, ref_phase[None])
 
 
-def inverse_orientation_sum(k, a, weights, theta, Z, u, p):
-    """The full image sum in the inverse orientation, K(g^{-1} Z, Z) e^{i p theta_g}
-    p^{-n}, each g a dense n x n matrix and each fibre factor taken by exp, abs
-    and angle; with the sum of the terms' moduli, the scale of its rounding."""
+def inverse_orientation_sum(k, a, weights, c, Z, u, p):
+    """The full image sum in the inverse orientation, K(g^{-1} Z, Z)
+    e^{2 pi i c m p / k} p^{-n}, each g = g^m a dense n x n matrix and each
+    fibre angle by Fraction arithmetic; with the sum of the terms' moduli, the
+    scale of its rounding."""
     n = len(a)
     log_abs, phase = [], []
     for m in range(k):
         g = np.diag(np.exp(2j * np.pi * (np.array(weights) * m % k) / k))
         term_abs, term_phase = mehler_log_form([[p * aj for aj in a]], [u / p], np.conj(g.T) @ Z, Z)
-        fibre = np.exp(1j * p * ((theta * m) % (2 * math.pi))) * p ** float(-n)
-        log_abs.append(term_abs[0] + math.log(abs(fibre)))
-        phase.append(term_phase[0] + np.angle(fibre))
+        log_abs.append(term_abs[0] - n * math.log(p))
+        phase.append(term_phase[0] + fraction_angle(c * m, k, p))
     log_scale, mantissa = log_sum_exp(np.array(log_abs), np.array(phase))
     return complex(mantissa) * math.exp(log_scale), float(np.exp(log_abs).sum())
 
 
 @st.composite
 def local_cases(draw):
-    """(k, weights, a, theta, Z, p, u) of a local model C^n/Z_k, a point with
-    |Z_j| <= 2 and a power up to 4096."""
+    """(k, weights, a, c, Z, p, u) of a local model C^n/Z_k of fibre character
+    c, a point with |Z_j| <= 2 and a power up to 4096."""
     k, n = draw(st.integers(1, 7)), draw(st.integers(1, 3))
     weights = draw(st.lists(st.integers(-7, 7), min_size=n, max_size=n).filter(
         lambda w: math.gcd(k, *w) == 1))
     a = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
     Z = draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                          allow_infinity=False), min_size=n, max_size=n))
-    return (k, weights, a, draw(st.floats(-2 * math.pi, 2 * math.pi)), np.array(Z),
+    return (k, weights, a, draw(st.integers(-20, 20)), np.array(Z),
             draw(st.integers(1, 4096)), draw(st.sampled_from([0.5, 1.0, 5.0])))
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=local_cases())
-@example(case=(7, [1], [0.6323270340439783], 5.952648225015691,
-               np.array([0.00067603 - 0.00669568j]), 4095, 0.5)).via(
-    "p theta near 24376: added unreduced, the fibre phase read 6e-13 of the scale off")
+@example(case=(5, [1], [1.0], 1, np.array([0j]), 2 ** 53 + 3, 1.0)).via(
+    "5 divides 2^53 + 3: the five terms at the fixed point add to 5 limits, where "
+    "fibre angles from a float p theta at theta = 2 pi / 5 add to -0.45 + 1.10i")
 def test_the_image_sum_is_that_of_the_inverse_orientation(case):
     """K(Z, g Z) = K(g^{-1} Z, Z) by the U(n)-invariance of the plane kernel, so
     the kernel's full image sum, identity included, is the inverse
     orientation's within 1e-13 of the terms' scale: the sum itself may cancel,
-    as 1 + e^{i p theta} does at the fixed point of C/Z_2."""
-    k, weights, a, theta, Z, p, u = case
-    orb, bundle = build_catalog_orbifold("local-model", k=k, a=a, weights=weights, theta=theta)
+    as 1 + e^{i pi c p} does at the fixed point of C/Z_2."""
+    k, weights, a, c, Z, p, u = case
+    orb, bundle = build_catalog_orbifold("local-model", k=k, a=a, weights=weights, character=c)
     kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p)
-    reference, scale = inverse_orientation_sum(k, a, weights, theta, Z, u, p)
+    reference, scale = inverse_orientation_sum(k, a, weights, c, Z, u, p)
     assert abs(kernel - reference) <= 1e-13 * scale
 
 
@@ -646,7 +648,8 @@ def per_element_residuals(orb, bundle, Z, u, p):
         fixed_part = heat_diagonal_limit(ModelPoint(tuple(a[~normal]), u), 0).trace
         pref_normal = heat_diagonal_limit(ModelPoint(tuple(a[normal]), u), 0).trace
         twist = twisted_gaussian(pt, math.sqrt(p) * Z[normal])
-        corr += np.exp(1j * p * g.line_phase) * fixed_part * pref_normal * twist
+        fibre = np.exp(1j * fraction_angle(g.character, orb.exact.group[0], p))
+        corr += fibre * fixed_part * pref_normal * twist
     return abs(kernel - limit), abs(kernel - limit - corr)
 
 
@@ -654,17 +657,17 @@ def per_element_residuals(orb, bundle, Z, u, p):
 @given(k=st.integers(1, 4),
        weights=st.lists(st.integers(0, 2), max_size=2).flatmap(lambda w: st.permutations([1, *w])),
        a=st.lists(st.sampled_from([0.7, 1.0, 1.3, 1.6]), min_size=3, max_size=3),
-       theta=st.sampled_from([0.0, 0.4]), u=st.sampled_from([0.5, 1.0, 5.0]),
+       c=st.integers(0, 3), u=st.sampled_from([0.5, 1.0, 5.0]),
        p_list=st.lists(st.integers(4, 4096), min_size=1, max_size=4),
        point=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
                                          allow_infinity=False), min_size=3, max_size=3))
-def test_one_limit_equals_the_per_element_block_product(k, weights, a, theta, u, p_list, point):
+def test_one_limit_equals_the_per_element_block_product(k, weights, a, c, u, p_list, point):
     """The degree-0 limit is a product over the coordinates, so one limit
     stands for each element's fixed-block times normal-block limits: bit for
     bit at n = 1, and within rounding of the limit (about 1e-16) above."""
     n = len(weights)
     orb, bundle = build_catalog_orbifold("local-model", k=k, a=a[:n], weights=weights,
-                                         theta=theta)
+                                         character=c)
     Z = np.array(point[:n])
     records = verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list)
     for p, rec in zip(p_list, records, strict=True):
@@ -689,7 +692,7 @@ def test_singular_expansion_builds_one_limit_per_call(monkeypatch):
 def test_one_model_and_time_build_their_twist_constants_once(monkeypatch):
     """Three twist powers at one (model, u) build one limit and one normal block
     per non-identity element between them, from one group; a model with other
-    weights or another theta builds its own group and normal blocks but shares
+    weights or another character builds its own group and normal blocks but shares
     the limit of its curvatures a, and another u builds its own of each."""
     builders = {name: mock.Mock(wraps=getattr(verify, name))
                 for name in ("heat_diagonal_limit", "ModelPoint", "cyclic_group")}
@@ -700,7 +703,7 @@ def test_one_model_and_time_build_their_twist_constants_once(monkeypatch):
         return tuple(builder.call_count for builder in builders.values())
 
     Z = np.array([0.1 + 0.05j, 0.02j])
-    models = [dict(weights=(1, 2)), dict(weights=(1, 1)), dict(weights=(1, 2), theta=0.4)]
+    models = [dict(weights=(1, 2)), dict(weights=(1, 1)), dict(weights=(1, 2), character=1)]
     for i, params in enumerate(models, 1):
         orb, bundle = build_catalog_orbifold("local-model", k=3, a=(0.7, 1.3), **params)
         for p in (256, 1024, 4096):
@@ -945,7 +948,7 @@ def test_array_image_sum_matches_term_fold(p):
 
 
 def test_local_model_image_sum_matches_term_fold():
-    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,), theta=0.4)
+    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,), character=1)
     for Z, p in [(np.array([0.8 + 0.1j]), 16), (np.array([1.0 + 0.3j]), 4096)]:
         terms = local_model_image_terms(orb, bundle, Z, 1.0, p)
         assert len(terms) == 3
@@ -964,10 +967,11 @@ TORUS_TERMS_4096 = {
     (-1, 2, 1): (-37732.096080490875, 2.8222008063849565e-12),
     (4, -4, 1): (-193883.14959925888, -1.0164036279292077e-11),
 }
-# the same for the C/Z_3 model (a = 1, theta = 0.4) at Z = 1 + 0.3i, u = 1
+# the same for the C/Z_3 model (a = 1) at Z = 1 + 0.3i, u = 1, each phase that
+# of the plane kernel alone: the test adds the fibre angle of character 1
 LOCAL_TERMS_4096 = [(-1.379201921022263, 0.0),
-                    (-7247.333928756625, 0.46388006136236454),
-                    (-7247.333928756629, 1.285209724200374)]
+                    (-7247.333928756625, 1.9752452352343441),
+                    (-7247.333928756629, 4.3079400719443335)]
 
 
 def _assert_term(term, log_abs, phase):
@@ -980,10 +984,10 @@ def test_image_terms_match_reference_values():
     terms = {term[0]: term for term in torus_image_terms(orb, bundle, 0.31 + 0.12j, 0.7, 4096)}
     for label, (log_abs, phase) in TORUS_TERMS_4096.items():
         _assert_term(terms[label], log_abs, phase)
-    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,), theta=0.4)
+    orb, bundle = build_catalog_orbifold("local-model", k=3, a=(1.0,), character=1)
     terms = local_model_image_terms(orb, bundle, np.array([1.0 + 0.3j]), 1.0, 4096)
-    for term, (log_abs, phase) in zip(terms, LOCAL_TERMS_4096, strict=True):
-        _assert_term(term, log_abs, phase)
+    for m, (term, (log_abs, phase)) in enumerate(zip(terms, LOCAL_TERMS_4096, strict=True)):
+        _assert_term(term, log_abs, phase + fraction_angle(m, 3, 4096))
 
 
 # gaps of the 24 x 24 grid quadrature the closed form replaced (u = 1).  At
