@@ -202,7 +202,7 @@ def _run_heat_trace(cfg, orb, bundle, split, table):
                 ([p, q, lam, mult] for lam, mult in op.spectral_table()))
             records.append((f"heat-trace-p{p}-q{q}", {
                 "zero_dim": op.zero_dim, "kernel_dimension": torus_kernel_dimension(d, k, p, q),
-                "traces": {repr(u): heat_trace(op, u) for u in cfg.u_list}}))
+                "tails": {repr(u): heat_trace(op, u)[1] for u in cfg.u_list}}))
     return records, artifacts
 
 

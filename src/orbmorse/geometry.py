@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, GeometryError, IntegrandError,
-                     UnsupportedModelError, _at_least, _integer)
+                     UnsupportedModelError, _at_least, _integer, _list_of)
 
 INTEGRAND_INVARIANCE_TOL = 1e-8
 
@@ -72,12 +72,13 @@ def cyclic_group(order, weights, character=0):
     Returns the k elements g^m, m = 0..k-1, where g^m acts on the line bundle
     fiber by the character (c m) mod k of the integer ``character`` c.  The
     group is closed with one identity by construction; an order that is not
-    an integer >= 1, a character that is not an integer and weights that
-    generate a proper subgroup (gcd(k, w mod k) != 1, an ineffective action)
-    raise ConfigurationError.
+    an integer >= 1, a character or weights that are not integers and weights
+    that generate a proper subgroup (gcd(k, w mod k) != 1, an ineffective
+    action) raise ConfigurationError.
     """
     order = _at_least("chart group order k", order, 1)
     character = _integer("fibre character", character)
+    weights = _list_of("action weights", weights, _integer)
     residues = [w % order for w in weights]
     if math.gcd(order, *residues) != 1:
         raise ConfigurationError(
@@ -97,7 +98,9 @@ def fibre_angles(characters, order, p):
     No float sees p or c p, so the angle is exact to rounding at any p."""
     p %= order
     residues = [c * p % order for c in characters]
-    return np.array([2.0 * math.pi * (r - order if 2 * r > order else r) / order
+    # r = k / 2 is the angle pi, which 2 pi r / k rounds above at k = 26 and 52
+    return np.array([math.pi if 2 * r == order else
+                     2.0 * math.pi * (r - order if 2 * r > order else r) / order
                      for r in residues])
 
 

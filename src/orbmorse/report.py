@@ -195,10 +195,10 @@ def _cohomology_gate(data, tol):
 
 
 def _heat_trace_gate(data, tol):
-    # the kernel is exact, and each trace counts it plus decaying levels
-    by_u = [float(t) for _, t in sorted(data["traces"].items(), key=lambda ut: float(ut[0]))]
+    # the kernel is an exact count; the tail sums the levels above it, which decay in u
+    by_u = [float(t) for _, t in sorted(data["tails"].items(), key=lambda ut: float(ut[0]))]
     return (data["zero_dim"] == data["kernel_dimension"]
-            and all(math.isfinite(t) and t >= data["zero_dim"] for t in by_u)
+            and all(math.isfinite(t) and t >= 0.0 for t in by_u)
             and all(b <= a for a, b in zip(by_u, by_u[1:])))
 
 

@@ -33,11 +33,14 @@ those kernels by brute force lives with the kernel tests).
 Assembled operators are immutable, so they are shared: each
 (d, k, p, q, resolution) assembles one operator, at O(resolution) time and
 memory independent of the power p, and the operator is the spectrum: heat
-traces and the spectrum CSV read its multiplicities level by level.  The
-Landau basis does not depend on the degree, which enters the diagonal kernel
-only through the swap sign and the eigenvalues, so the basis is evaluated once
-per point, power and level count and kept as two per-level sums (the signs and
-heat weights once per operator and time).  Every cache is bounded and holds
+traces and the spectrum CSV read its multiplicities level by level.  A heat
+trace is the exact int kernel dimension plus the float tail of the levels
+above it.  The Landau heat weights e^{-u lambda / p} are built in one table
+per operator and time, ``_level_weights``, which the heat trace, the exact
+trace chain and the diagonal kernel read.  The Landau basis does not depend on
+the degree, which enters the diagonal kernel only through the swap sign and the
+eigenvalues, so the basis is evaluated once per point, power and level count
+and kept as two per-level sums.  Every cache is bounded and holds
 O(resolution) numbers per entry.
 """
 
@@ -132,18 +135,20 @@ class TorusKodairaOperator(NamedTuple):
 
 
 def heat_trace(op: TorusKodairaOperator, u):
-    """Trace of exp(-u Laplacian / p) on the operator's degree-q forms.
+    """Trace of exp(-u Laplacian / p) on the operator's degree-q forms, split
+    exactly as the pair (kernel, tail).
 
-    A level of more than 2^53 states is refused: the float sum could not hold
-    its count, nor be told from the exact kernel dimension.
+    ``kernel`` is the int ``op.zero_dim``, the states of eigenvalue 0, whose
+    weight is 1 at every u.  ``tail`` is the float sum of m e^{-u lambda / p}
+    over the levels of positive eigenvalue, in increasing lambda, read from
+    the weight table ``_level_weights``.  It decays in u, and no level count
+    rounds into the kernel, however many states a level holds.
     """
     _positive("heat-trace time u", u)
-    states = max(op.multiplicities)
-    if states > 2 ** 53:
-        raise ConfigurationError(
-            f"the heat trace at p={op.p} sums a level of {states} states, beyond "
-            "2^53, the largest count a float holds exactly")
-    return float(sum(mult * math.exp(-u * lam / op.p) for lam, mult in op.spectral_table()))
+    weights, _ = _level_weights(op, u)
+    above = 1 - op.q        # degree-0 level 0 is the kernel; every degree-1 level is above it
+    return op.zero_dim, float(sum(m * w for m, w in zip(op.multiplicities[above:],
+                                                        weights[above:].tolist())))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -276,7 +281,9 @@ def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _level_weights(op, u):
     """The heat weights e^{-u lambda / p} and half-turn signs (-1)^(level + q)
-    of the levels of ``op``, shared by every call at (op, u), which only reads them."""
+    of the levels of ``op``, shared by every call at (op, u), which only reads
+    them: the one table of Landau heat weights that the heat trace, the
+    exact trace chain and the diagonal kernel read."""
     levels = np.arange(op.resolution)
     return np.exp(-u * op.level_eigenvalue(levels) / op.p), (-1.0) ** (levels + op.q)
 

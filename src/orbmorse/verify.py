@@ -46,8 +46,8 @@ from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError, _at
 from .geometry import cyclic_group, fibre_angles
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_gaussian)
-from .spectral import (CACHE_SIZE, _torus, assemble_kodaira_laplacian, heat_trace,
-                       torus_diagonal_kernel_spectral)
+from .spectral import (CACHE_SIZE, _level_weights, _torus, assemble_kodaira_laplacian,
+                       heat_trace, torus_diagonal_kernel_spectral)
 
 RELIABLE_R2 = 0.9
 # the regular-point check keeps this far from the singular set
@@ -429,20 +429,20 @@ def exact_chain_residuals(orb, bundle, p, u, resolution=32):
     """Residuals [r_0, r_1] of the exact trace inequality chain on a torus quotient.
 
     dbar maps degree-0 level L onto degree-1 level L - 1, of the same
-    eigenvalue, so with w_L = e^{-u lambda_0(L) / p} the chain reads
-    r_0 = sum_{L >= 1} m_0(L) w_L and r_1 = sum_{L >= 1} (m_1(L - 1) - m_0(L)) w_L,
-    each difference taken in integers: two float heat traces of about d p / k
-    states would round it.  The top degree-1 level, whose partner lies beyond
-    the truncation, is left out.
+    eigenvalue, so with w_L = e^{-u lambda_0(L) / p}, read from the weight
+    table of the degree-0 operator (``spectral._level_weights``), the chain
+    reads r_0 = sum_{L >= 1} m_0(L) w_L, the degree-0 heat trace's tail, and
+    r_1 = sum_{L >= 1} (m_1(L - 1) - m_0(L)) w_L, each difference taken in
+    integers: two float heat traces of about d p / k states would round it.
+    The top degree-1 level, whose partner lies beyond the truncation, is left out.
     """
     _torus(orb)
     _require_powers_and_time([p], u)
     ops = [assemble_kodaira_laplacian(orb, bundle, p, q, resolution) for q in (0, 1)]
     m0, m1 = (op.multiplicities for op in ops)
-    weights = [math.exp(-u * ops[0].level_eigenvalue(level) / ops[0].p)
-               for level in range(1, resolution)]
-    return [float(sum(m * w for m, w in zip(m0[1:], weights))),
-            float(sum((b - a) * w for a, b, w in zip(m0[1:], m1, weights)))]
+    weights, _ = _level_weights(ops[0], u)
+    return [heat_trace(ops[0], u)[1],
+            float(sum((b - a) * w for a, b, w in zip(m0[1:], m1, weights[1:].tolist())))]
 
 
 def _truncated_operator(orb, bundle, u, p, degree, resolution=32):
@@ -509,15 +509,16 @@ def trace_equals_diagonal_integral(orb, bundle, u, p, degree=0, grid=24, resolut
     """Gap between the spectral trace and the cell integral of the diagonal.
 
     The trace of the quotient heat operator equals 1/k times the cell
-    integral of the image-sum diagonal.  The spectral side sums the retained
-    Landau levels; the integral is taken in closed form (``_image_trace``),
-    exact at every p.  Returns the relative difference.  ``grid`` no longer
+    integral of the image-sum diagonal.  The spectral side is the heat
+    trace's exact kernel plus its tail over the retained Landau levels; the
+    integral is taken in closed form (``_image_trace``), exact at every p.  Returns the relative difference.  ``grid`` no longer
     changes the value; it stays for callers that still pass it.
     """
     _torus(orb, degree)
     _require_powers_and_time([p], u)
     op = _truncated_operator(orb, bundle, u, p, degree, resolution)
-    spectral = heat_trace(op, u)
+    kernel, tail = heat_trace(op, u)
+    spectral = kernel + tail
     if spectral < sys.float_info.min:
         raise UnresolvedTimeError(
             f"the degree-{degree} heat trace at u={u} falls below the float range")

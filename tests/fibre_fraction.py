@@ -14,6 +14,8 @@ def fraction_angle(c, k, p):
     """The angle 2 pi f in (-pi, pi] of f = c p / k mod 1, with f reduced as a
     Fraction and only the residue k f, an integer, turned into a float."""
     f = Fraction(c * p, k) % 1
+    if f == Fraction(1, 2):
+        return math.pi
     if f > Fraction(1, 2):
         f -= 1
     return 2.0 * math.pi * int(f * k) / k

@@ -8,7 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbmorse.catalog import WPS_BETA, _wps_metric_profiles, build_catalog_orbifold
@@ -168,6 +168,8 @@ def test_cyclic_group_closed_with_one_identity():
 @settings(max_examples=300, deadline=None)
 @given(characters=st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=6),
        k=st.integers(1, 64), p=st.one_of(st.integers(0, 4096), st.integers(0, 2 ** 200)))
+@example(characters=[13], k=26, p=1).via("2 pi 13 / 26 rounds above pi")
+@example(characters=[1, -1], k=52, p=26).via("2 pi 26 / 52 rounds above pi")
 def test_fibre_angles_reduce_in_integers(characters, k, p):
     """Each angle is that of the Fraction c p / k mod 1, bit for bit, in
     (-pi, pi]; it is exactly 0.0 where k divides c p, at any p."""

@@ -95,6 +95,8 @@ ROUTES = [
     ("integer", "kodaira_rank", lambda v: wps(moishezon.kodaira_rank, v)),
     ("integer", "torus_kernel_dimension", lambda v: spectral.torus_kernel_dimension(1, 2, v, 0)),
     ("integer", "cyclic_group character", lambda v: geometry.cyclic_group(3, (1,), v)),
+    # weights 1.5 and "1" raised a bare TypeError, and True built Z_3 of weight 1
+    ("integer", "cyclic_group weights", lambda v: geometry.cyclic_group(3, (v,))),
     ("count", "siegel_bound m", lambda v: moishezon.siegel_bound(v, 1, 1)),
     ("count", "siegel_bound n", lambda v: moishezon.siegel_bound(1, v, 1)),
     ("count", "siegel_bound k", lambda v: moishezon.siegel_bound(1, 1, v)),
@@ -197,6 +199,13 @@ def test_heat_trace_refuses_a_time_that_is_not_finite(u):
     """Both returned NaN: level 0 read 0 * inf."""
     with pytest.raises(ConfigurationError, match=f"heat-trace time u .* got {u!r}$"):
         spectral.heat_trace(op(), u)
+
+
+def test_cyclic_group_refuses_a_string_weight():
+    """A weight "1" raised a TypeError from %-formatting; the route table
+    holds the real, bool and non-finite weights."""
+    with pytest.raises(ConfigurationError, match="action weights .* got '1'$"):
+        geometry.cyclic_group(3, ("1",))
 
 
 @pytest.mark.parametrize("resolution", [True, 2.0, 32.0])

@@ -6,6 +6,14 @@ generated by g = (diag(e^{2 pi i w_j / k}), c).  For r coprime to k, g^r
 generates the same group, with weights w r mod k and character c r mod k: the
 same elements, reindexed m -> r m mod k.  So every image sum, the kernel
 checks' singular ratio and their exact reference agree between the two.
+
+On a torus of bundle degree d, the power p and the time u enter the Landau
+spectrum only through D = d p, which fixes every multiplicity, and through
+d u, which fixes every heat weight e^{-u lambda / p} = e^{-2 pi d u L}.  So
+(d, p, u) and (d 2^j, p / 2^j, u / 2^j) have the same heat traces and trace
+chain, bit for bit: every float between differs by a power of two.  And the
+half turn splits the D states of each level between its two swap
+eigenspaces, so two adjacent levels of the quotient hold D states together.
 """
 
 import math
@@ -16,7 +24,9 @@ from hypothesis import strategies as st
 
 from orbmorse import cli
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.verify import local_model_diagonal_kernel, local_model_image_log_terms
+from orbmorse.spectral import assemble_kodaira_laplacian, heat_trace
+from orbmorse.verify import (exact_chain_residuals, local_model_diagonal_kernel,
+                             local_model_image_log_terms)
 
 
 @st.composite
@@ -68,3 +78,46 @@ def test_a_reindexed_group_gives_the_same_kernel_references(case):
     assert first["expected_ratio"] == second["expected_ratio"]
     assert first["expected_ratio"] == (float(k) if character * (64 + p) % k == 0 else 0.0)
     assert abs(first["singular_ratio"] - second["singular_ratio"]) <= 1e-13 * k
+
+
+@st.composite
+def rescaled_tori(draw):
+    """(d, p, u, j, k, resolution) with 2^j dividing p, p up to 2^64."""
+    j = draw(st.integers(1, 8))
+    p = draw(st.one_of(st.integers(1, 512), st.integers(1, 2 ** 64 >> j))) << j
+    return (draw(st.integers(1, 8)), p, draw(st.floats(0.01, 10.0)), j,
+            draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2, 8, 32])))
+
+
+def torus_traces(d, k, p, u, resolution):
+    """The heat traces of both degrees and the trace chain of one torus."""
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=k)
+    traces = [heat_trace(assemble_kodaira_laplacian(orb, bundle, p, q, resolution), u)
+              for q in (0, 1)]
+    return traces, exact_chain_residuals(orb, bundle, p, u, resolution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=rescaled_tori())
+def test_the_torus_traces_depend_on_d_p_and_d_u_alone(case):
+    """Kernels, tails and [r_0, r_1] equal bit for bit under (d, p, u) ->
+    (d 2^j, p / 2^j, u / 2^j)."""
+    d, p, u, j, k, resolution = case
+    first = torus_traces(d, k, p, u, resolution)
+    second = torus_traces(d << j, k, p >> j, u / 2 ** j, resolution)
+    assert first == second
+    assert all(type(kernel) is int for kernel, _ in first[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 8), p=st.one_of(st.integers(1, 64), st.integers(1, 2 ** 67)),
+       q=st.sampled_from([0, 1]))
+def test_two_adjacent_half_turn_levels_hold_d_p_states(d, p, q):
+    """m(L) + m(L + 1) on the half turn is D = d p, the k = 1 multiplicity of
+    every level, in both degrees, for D up to 2^70."""
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=2)
+    half = assemble_kodaira_laplacian(orb, bundle, p, q, 8).multiplicities
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=1)
+    full = assemble_kodaira_laplacian(orb, bundle, p, q, 8).multiplicities
+    assert full == (d * p,) * 8
+    assert [a + b for a, b in zip(half, half[1:])] == [d * p] * 7

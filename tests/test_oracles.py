@@ -44,6 +44,22 @@ def test_no_module_but_the_catalog_names_a_model():
     assert {name: lines for name, lines in found.items() if lines != ([], [])} == {}
 
 
+def level_eigenvalue_readers(path):
+    """The top-level definitions of one module that read ``level_eigenvalue``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {getattr(node, "name", "<module>") for node in tree.body for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == "level_eigenvalue"}
+
+
+def test_the_landau_heat_weights_are_built_in_spectral_alone():
+    """Every heat weight e^{-u lambda / p} comes from ``spectral._level_weights``:
+    outside ``spectral.py`` only ``verify._truncated_operator`` reads an
+    eigenvalue, for the weight of the first level it leaves out."""
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             if path.name != "spectral.py" for name in level_eigenvalue_readers(path)}
+    assert found == {("verify.py", "_truncated_operator")}
+
+
 def hand_built():
     """A model built from the public API, with the default record: no oracle."""
     chart = OrbifoldChart(dimension=1, group=cyclic_group(1, (1,)), box_radius=0.5,

@@ -172,28 +172,31 @@ def test_assembly_takes_a_numpy_integer_power():
 
 
 def test_heat_trace_arithmetic_examples():
-    # one level: the kernel alone, whatever the time
+    # one level: the kernel alone and an empty tail, whatever the time
     kernel_only = ops_for(d=1, k=1, p=4, resolution=1)[0]
     assert kernel_only.multiplicities == (4,)
     for u in (0.1, 1.0, 7.0):
-        assert heat_trace(kernel_only, u) == 4.0
+        assert heat_trace(kernel_only, u) == (4, 0.0)
     # levels 0 and 1 of one state each, lambda = 0 and 2 pi: at u = log 2 / 2 pi
     # the second weighs e^{-log 2} = 1/2
     two_levels = ops_for(d=1, k=1, p=1, resolution=2)[0]
     assert two_levels.spectral_table() == ((0.0, 1), (2 * math.pi, 1))
-    assert heat_trace(two_levels, math.log(2.0) / (2 * math.pi)) == pytest.approx(
-        1.5, rel=1e-14)
+    kernel, tail = heat_trace(two_levels, math.log(2.0) / (2 * math.pi))
+    assert kernel == 1 and tail == pytest.approx(0.5, rel=1e-14)
+    # degree one has no kernel: its levels, lambda = 2 pi and 4 pi, weigh 1/2 and 1/4
+    degree_one = ops_for(d=1, k=1, p=1, resolution=2)[1]
+    assert heat_trace(degree_one, math.log(2.0) / (2 * math.pi)) == (
+        0, pytest.approx(0.75, rel=1e-14))
 
 
-def test_heat_trace_refuses_a_level_beyond_float_counts():
-    """2^53 states per level still sum exactly in a float; 2^53 + 2 do not."""
-    orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
-    exact = assemble_kodaira_laplacian(orb, bundle, 2 ** 53, 0, 1)
-    assert heat_trace(exact, 1.0) == 2 ** 53
+def test_heat_trace_counts_the_kernel_in_integers_beyond_2_53():
+    """A level of 2^60 + 2 states: the kernel is the exact int, where a float
+    trace rounded it, and the tail is the float sum of the levels above it."""
     orb, bundle = build_catalog_orbifold("torus", d=2, k=1)
-    beyond = assemble_kodaira_laplacian(orb, bundle, 2 ** 52 + 1, 0, 1)
-    with pytest.raises(ConfigurationError, match=f"p={2 ** 52 + 1} .* 2\\^53"):
-        heat_trace(beyond, 1.0)
+    op = assemble_kodaira_laplacian(orb, bundle, 2 ** 59 + 1, 0, 2)
+    kernel, tail = heat_trace(op, 1.0)
+    assert type(kernel) is int and kernel == 2 ** 60 + 2
+    assert tail == pytest.approx(2.0 ** 60 * math.exp(-4 * math.pi), rel=1e-14)
 
 
 def test_heat_trace_rejects_nonpositive_time():
@@ -209,7 +212,7 @@ def test_torus_chain_residuals_and_monotonicity():
     for u in [0.25, 0.5, 1.0, 2.0, 4.0]:
         r = exact_chain_residuals(orb, bundle, 8, u)
         # r_0 is the trace above the kernel; r_1 pairs integer multiplicities
-        assert r[0] == pytest.approx(heat_trace(op, u) - op.zero_dim, abs=1e-12)
+        assert r[0] == heat_trace(op, u)[1]
         assert r[1] == 0.0
         if prev is not None:
             assert r[0] < prev                  # decreasing in u
@@ -458,4 +461,5 @@ def test_heat_trace_torus_frozen_value():
     """Geometric-series oracle: trace = D / (1 - e^{-2 pi d u}) at degree 0."""
     orb, bundle = build_catalog_orbifold("torus", d=1, k=1)
     op = assemble_kodaira_laplacian(orb, bundle, 8, 0, 32)
-    assert heat_trace(op, 1.0) == pytest.approx(8.014967492789285, rel=1e-13)
+    kernel, tail = heat_trace(op, 1.0)
+    assert kernel == 8 and kernel + tail == pytest.approx(8.014967492789285, rel=1e-13)
