@@ -39,9 +39,12 @@ above it.  The Landau heat weights e^{-u lambda / p} are built in one table
 per operator and time, ``_level_weights``, which the heat trace, the exact
 trace chain and the diagonal kernel read.  The Landau basis does not depend on
 the degree, which enters the diagonal kernel only through the swap sign and the
-eigenvalues, so the basis is evaluated once per point, power and level count
-and kept as two per-level sums.  Every cache is bounded and holds
-O(resolution) numbers per entry.
+eigenvalues, so the basis is evaluated once per point, bundle degree D = d p
+and kept-level count K, and kept as two per-level sums.  K counts the levels
+whose heat weight is within 2^-64 of the lowest (``_kept_levels``), and only
+the O(sqrt(D)) columns that the window's translates hit are evaluated.  Every
+cache is bounded: an operator or weight-table entry holds O(resolution)
+numbers, a basis-sum entry O(K).
 """
 
 from __future__ import annotations
@@ -56,8 +59,11 @@ from .errors import (ConfigurationError, UnsupportedModelError, _at_least, _degr
                      _positive)
 
 # entries per cache: a run holds a few dozen (p, q) pairs or (point, power)
-# keys, and each entry is O(resolution) numbers
+# keys, and each entry is O(resolution) numbers at most
 CACHE_SIZE = 128
+# log of the margin 2^64: the diagonal kernel leaves out every Landau level
+# whose heat weight is below 2^-64 of the lowest level's
+KEPT_WEIGHT_LOG = 64.0 * math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +220,26 @@ def oscillator_functions(kmax, t, freq):
     return out[1:]
 
 
+def _window(D, levels, z):
+    """(X, F, c, half) of the translate window at z: x = X / F exactly, the
+    nearest translate c = floor(x D), and the half-width ``half`` in translates
+    beyond which the oscillator functions of ``levels`` levels are below
+    working precision.  The window is m = c + r, -half <= r <= half + 1."""
+    X, F = complex(z).real.as_integer_ratio()
+    B = 2.0 * math.pi * D
+    return X, F, X * D // F, math.ceil((math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B) * D)
+
+
 def torus_basis_columns(D, levels, columns, z):
     """Values psi_{level, j}(z) of the Landau-gauge torus basis, j in ``columns``.
 
     Returns an array of shape (levels, len(columns)).  Each column sums its
     own translates m = j mod D in the window where the oscillator functions
-    are above working precision, in increasing m, so a few columns cost the
-    same at every D.  Row r of a zero-padded (rows, columns, levels) grid
-    holds each column's r-th translate, zero past the window's end, and the
-    rows are added one at a time into the first: the same sums, in the same
-    order, as a loop over the translates.
+    are above working precision (``_window``), in increasing m, so a few
+    columns cost the same at every D.  Row r of a zero-padded (rows, columns,
+    levels) grid holds each column's r-th translate, zero past the window's
+    end, and the rows are added one at a time into the first: the same sums,
+    in the same order, as a loop over the translates.
 
     The window, each translate's phase m y mod 1 and its argument x - m / D
     are exact in integers, each rounded once, at every D: m = c + r about
@@ -231,10 +247,8 @@ def torus_basis_columns(D, levels, columns, z):
     Python ints in an object array where D leaves int64.
     """
     B = 2.0 * math.pi * D
-    x, y = complex(z).real, complex(z).imag
-    X, F = x.as_integer_ratio()
-    c = X * D // F
-    half = math.ceil((math.sqrt(2.0 * levels + 1.0) + 9.0) / math.sqrt(B) * D)
+    y = complex(z).imag
+    X, F, c, half = _window(D, levels, z)
     first = (np.asarray(columns) - (c - half) % D) % D - half
     rs = first + D * np.arange((2 * half + 1) // D + 1, dtype=first.dtype)[:, None]
     inside = rs <= half + 1
@@ -269,13 +283,33 @@ def torus_diagonal_kernel_spectral(op: TorusKodairaOperator, z, u):
     psi(z)^* times the group average of psi at z.  The half turn enters by
     its closed form psi_{kappa, j}(-z) = (-1)^kappa psi_{kappa, -j}(z), with
     the extra sign on ebar in degree one, so both degrees read the two
-    per-level sums of one basis evaluation (``_level_sums``).  Exact up to
-    the retained levels and floating-point rounding.
+    per-level sums of one basis evaluation (``_level_sums``).
+
+    Only the levels 0..K-1 that ``_kept_levels`` keeps are evaluated, and
+    of each only the columns the window's translates hit, with their
+    mirrors: O(K sqrt(D)) time and memory, not O(resolution D).  A level's
+    sums are at most D in modulus (its projector's diagonal is D, and the
+    swap sum is bounded by the norm sum), so the left-out levels add less
+    than 2 D w_0 2^-64 / (1 - e^{-2 pi d u}) to the kernel, w_0 the lowest
+    level's weight: under 2^-63 of the identity term D w_0 / (1 - e^{-2 pi d u}).
+    Exact up to that bound, the retained levels and floating-point rounding.
     """
     _positive("kernel time u", u)
-    norms, swaps = _level_sums(op.d, op.p, op.resolution, complex(z))
+    kept = _kept_levels(op, u)
+    # the left-out levels read 0, so the sum over the operator's levels keeps its grouping
+    norms, swaps = np.zeros(op.resolution), np.zeros(op.resolution, dtype=complex)
+    norms[:kept], swaps[:kept] = _level_sums(op.D, kept, complex(z))
     weights, sign = _level_weights(op, u)
     return complex((weights * (norms + sign * swaps if op.k == 2 else norms)).sum())
+
+
+def _kept_levels(op, u):
+    """K <= op.resolution: level K is the first whose heat weight, like every
+    weight above it, is below 2^-64 of the lowest level's, e^{-x K} < 2^-64
+    with x = 2 pi d u the level spacing of u lambda / p.  Read from x, not
+    from the weight table, whose entries underflow to zero at large u."""
+    reach = KEPT_WEIGHT_LOG / (2.0 * math.pi * op.d * u)
+    return op.resolution if reach >= op.resolution else math.floor(reach) + 1
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -289,16 +323,23 @@ def _level_weights(op, u):
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _level_sums(d, p, levels, z):
+def _level_sums(D, levels, z):
     """Per-level sum_j |psi_{kappa, j}(z)|^2 and sum_j conj(psi_{kappa, j}(z)) psi_{kappa, -j}(z).
 
     The basis is that of the covering torus, the same for every quotient and
-    degree; only these 2 x ``levels`` numbers are kept, never the basis of
-    D = d p columns.  The arrays are read-only, since every caller shares them.
+    degree of bundle degree D = d p.  Only the columns j = c + r mod D of the
+    window (``_window``) hold a non-zero value, and the swap sum pairs each
+    with its mirror -j mod D, so the basis is evaluated at those columns and
+    their mirrors alone, in increasing j; where D <= 2 half + 2 that is every
+    column in order.  Only these 2 x ``levels`` numbers are kept.  The
+    arrays are read-only, since every caller shares them.
     """
-    cover = _torus_operator(d, 1, p, 0, levels)
-    psi = torus_eigenfunction_values(cover, z)
-    swapped = np.concatenate((psi[:, :1], psi[:, :0:-1]), axis=1)    # column -j mod D
+    _, _, c, half = _window(D, levels, z)
+    hit = np.arange(c - half, c + half + 2) % D
+    columns = np.sort(np.concatenate((hit, -hit % D)))
+    columns = columns[np.concatenate(([True], columns[1:] != columns[:-1]))]
+    psi = torus_basis_columns(D, levels, columns, z)
+    swapped = psi[:, np.searchsorted(columns, -columns % D)]     # column -j mod D
     sums = (np.add.reduce(abs(psi) ** 2, axis=1), np.add.reduce(psi.conj() * swapped, axis=1))
     for vec in sums:
         vec.flags.writeable = False

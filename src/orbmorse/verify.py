@@ -282,24 +282,26 @@ def fit_rate(p_values, log_errors):
     """Least-squares slope of log err against log p.
 
     Points whose log err is not finite (an exactly zero error) are dropped
-    from the window.
+    from the window.  The two-parameter fit is taken in closed form from the
+    sums centred on the window's means: slope S_xy / S_xx, and the intercept
+    through the means.  A window of fewer than two distinct powers has no
+    slope.
     """
     ps = np.asarray(p_values, dtype=float)
     le = np.asarray(log_errors, dtype=float)
     keep = np.isfinite(le)
     ps, le = ps[keep], le[keep]
-    if ps.size < 2:
+    if ps.size < 2 or ps.min() == ps.max():
         return RateFit(slope=-math.inf, intercept=0.0, r_squared=1.0,
                        p_window=tuple(int(p) for p in ps),
                        log_errors=tuple(le), reliable=False)
     lx = np.log(ps)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, *_ = np.linalg.lstsq(A, le, rcond=None)
-    pred = A @ coef
-    ss_res = float(((le - pred) ** 2).sum())
-    ss_tot = float(((le - le.mean()) ** 2).sum())
+    dx, dy = lx - lx.mean(), le - le.mean()
+    slope = float((dx * dy).sum() / (dx * dx).sum())
+    ss_res = float(((dy - slope * dx) ** 2).sum())
+    ss_tot = float((dy * dy).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(slope=float(coef[0]), intercept=float(coef[1]), r_squared=r2,
+    return RateFit(slope=slope, intercept=float(le.mean() - slope * lx.mean()), r_squared=r2,
                    p_window=tuple(int(p) for p in ps), log_errors=tuple(le),
                    reliable=r2 >= RELIABLE_R2)
 
@@ -461,12 +463,27 @@ def _truncated_operator(orb, bundle, u, p, degree, resolution=32):
 def oracle_consistency(orb, bundle, z, u, p, degree=0):
     """Gap between the spectral and image-sum diagonal kernels, relative to
     the identity term: at the half-turn fixed points the degree-one kernel
-    cancels to rounding, so its own size is no scale."""
+    cancels to rounding, so its own size is no scale.
+
+    Refuses, with ``UnresolvedTimeError``, a time u at which the float range
+    cannot resolve the kernels: where the image sum overflows (its Mehler
+    prefactor is not in log form), or where the lowest level's heat weight,
+    e^{-2 pi d u} in degree one, and with it the identity term fall below
+    the normal floats.
+    """
     d, k = _torus(orb, degree)
     z = _point(orb, z)
     # the image sum first: its kernel types p and u
-    image = _torus_image_sums(d, k, z, u, p)[degree]
+    try:
+        image = _torus_image_sums(d, k, z, u, p)[degree]
+    except OverflowError as exc:
+        raise UnresolvedTimeError(
+            f"the image sum at kernel time u={u} overflows the float range") from exc
     op = _truncated_operator(orb, bundle, u, p, degree)
+    weights, _ = _level_weights(op, u)
+    if weights[0] < sys.float_info.min:
+        raise UnresolvedTimeError(
+            f"the lowest degree-{degree} heat weight at u={u} falls below the float range")
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
     return abs(spec - image) / (_image_trace(d, 1, u, p, degree) / p)
 

@@ -9,16 +9,19 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbmorse import spectral
 from orbmorse.catalog import build_catalog_orbifold
-from orbmorse.errors import ConfigurationError, UnsupportedModelError
+from orbmorse.errors import ConfigurationError, UnresolvedTimeError, UnsupportedModelError
 from orbmorse.report import csv_text
-from orbmorse.spectral import (assemble_kodaira_laplacian, heat_trace, oscillator_functions,
-                               torus_basis_columns, torus_diagonal_kernel_spectral,
+from orbmorse.spectral import (_kept_levels, assemble_kodaira_laplacian, heat_trace,
+                               oscillator_functions, torus_basis_columns,
+                               torus_diagonal_kernel_spectral,
                                torus_eigenfunction_values, torus_kernel_dimension)
-from orbmorse.verify import exact_chain_residuals
+from orbmorse.verify import (_image_trace, _truncated_operator, exact_chain_residuals,
+                             oracle_consistency)
 from swap_basis import invariant_basis
 
 
@@ -442,6 +445,85 @@ def test_diagonal_kernel_matches_two_evaluations(d, k, p):
                     *(o._replace(k=1) for o in ops), z, u, q))
                 value = torus_diagonal_kernel_spectral(op, z, u)
                 assert abs(value - reference) <= 1e-13 * identity, (z, u, q)
+
+
+def _full_kernel(op, z, u):
+    """Reference: the diagonal kernel from the basis at all D columns and all
+    the operator's levels (``torus_eigenfunction_values``), with each column
+    sum and the level sum taken exactly (``math.fsum``)."""
+    psi = torus_eigenfunction_values(op, z)
+    swaps = psi.conj() * psi[:, -np.arange(op.D) % op.D]
+    norms = [math.fsum(row) for row in abs(psi) ** 2]
+    weights = [math.exp(-u * op.level_eigenvalue(level) / op.p) for level in range(op.resolution)]
+    terms = [w * (n + (-1) ** (level + op.q) * complex(math.fsum(s.real), math.fsum(s.imag))
+                  if op.k == 2 else n)
+             for level, (w, n, s) in enumerate(zip(weights, norms, swaps))]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+HALF_TURN_FIXED = (0j, 0.5 + 0j, 0.5j, 0.5 + 0.5j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), k=st.integers(1, 2), p=st.integers(1, 2 ** 12),
+       q=st.integers(0, 1), u=st.floats(0.01, 1000.0),
+       z=st.one_of(st.sampled_from(HALF_TURN_FIXED),
+                   st.builds(complex, st.floats(0.0, 1.0, exclude_max=True),
+                             st.floats(0.0, 1.0, exclude_max=True))))
+def test_the_cut_kernel_matches_the_full_basis(d, k, p, q, u, z):
+    """Evaluating only the kept levels and the window's columns reads the
+    kernel of every level and every column, within 4 ulps per group element
+    of the identity term ``_image_trace(d, 1, u, p, q)``: at the half-turn
+    fixed points the half turn's term is as large as the identity's, and the
+    quotient kernel twice it.  Every u that ``_truncated_operator`` accepts."""
+    orb, bundle = build_catalog_orbifold("torus", d=d, k=k)
+    try:
+        op = _truncated_operator(orb, bundle, u, p, q)
+    except UnresolvedTimeError:
+        assume(False)
+    scale = _image_trace(d, 1, u, p, q)
+    gap = abs(torus_diagonal_kernel_spectral(op, z, u) - _full_kernel(op, z, u))
+    assert gap <= 4 * k * math.ulp(scale), (gap / math.ulp(scale), _kept_levels(op, u))
+
+
+def test_the_kernel_at_2_16_evaluates_a_window_of_levels_and_columns(monkeypatch):
+    """At p = 2^16, both degrees at one point evaluate the basis once, at the 8
+    levels u = 1 keeps on d = 1 and O(sqrt D) columns, and the oracle gaps
+    peak under 8 MB in tracemalloc (the full basis, D x 32, peaked at 99 MB)."""
+    calls = []
+
+    def counted(D, levels, columns, z):
+        calls.append((D, levels, len(columns)))
+        return torus_basis_columns(D, levels, columns, z)
+
+    monkeypatch.setattr(spectral, "torus_basis_columns", counted)
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    D, z = 2 ** 16, 0.21 + 0.33j
+    tracemalloc.start()
+    try:
+        gaps = [oracle_consistency(orb, bundle, z, 1.0, D, degree=q) for q in (0, 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(gaps) < 1e-12 and peak < 8e6, (gaps, peak)
+    ((_, levels, columns),) = calls
+    # two windows of 2 half + 2 columns, the translates' and their mirrors'
+    half = math.ceil((math.sqrt(2 * levels + 1) + 9) / math.sqrt(2 * math.pi * D) * D)
+    assert levels == 8 and columns <= 2 * (2 * half + 2) <= 22 * math.sqrt(D)
+
+
+@pytest.mark.parametrize("u", [0.14, 0.5, 1.0, 7.0, 50.0, 200.0])
+@pytest.mark.parametrize("d", [1, 3])
+def test_the_kept_levels_are_those_above_2_to_the_minus_64(d, u):
+    """Level K is the first whose weight e^{-2 pi d u K} relative to the lowest
+    is below 2^-64, unless all 32 are kept; read from the level spacing, so at
+    u = 200, where every weight above the lowest reads 0, one level is kept."""
+    op0, op1 = ops_for(d, 2, 8)
+    K = _kept_levels(op0, u)
+    assert K == _kept_levels(op1, u)
+    x = 2 * math.pi * d * u
+    assert K == 32 or x * K > 64 * math.log(2) >= x * (K - 1)
+    assert _kept_levels(op0, 200.0) == 1
 
 
 def test_spectral_csv_golden():

@@ -14,7 +14,8 @@ from orbmorse import spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
-from orbmorse.errors import ConfigurationError, GeometryError, UnsupportedModelError
+from orbmorse.errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
+                             UnsupportedModelError)
 from orbmorse.kernels import (ModelPoint, heat_diagonal_limit, log_sum_exp, mehler_log_form,
                               twisted_gaussian)
 from orbmorse.spectral import assemble_kodaira_laplacian, torus_diagonal_kernel_spectral
@@ -163,14 +164,36 @@ def test_spectral_routes_refuse_a_time_their_levels_cannot_resolve(route):
     assert gap(0.5) < 1e-9
 
 
+# (u, degree, what the parent did on {torus, d 1, k 2} at p = 8)
+BEYOND_THE_FLOAT_RANGE = [
+    (120.0, 1, "a bare ZeroDivisionError: e^{-2 pi u} reads 0"),
+    (300.0, 0, "an OverflowError from math.sinh in the Mehler prefactor"),
+    (115.0, 1, "the gap 3.2e-10, from a subnormal heat weight"),
+]
+
+
+@pytest.mark.parametrize("u,degree,parent", BEYOND_THE_FLOAT_RANGE,
+                         ids=[f"u{u:g}-q{q}" for u, q, _ in BEYOND_THE_FLOAT_RANGE])
+def test_oracle_consistency_refuses_a_time_beyond_the_float_range(u, degree, parent):
+    """Refused with the reason time-unresolved, as the trace identity refuses
+    a trace below the float range; u = 110 in degree one and u = 226 in degree
+    zero, inside the float range, still read rounding-level gaps."""
+    orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
+    with pytest.raises(UnresolvedTimeError, match=rf"u={u}\b") as refusal:
+        oracle_consistency(orb, bundle, 0.21 + 0.33j, u, 8, degree=degree)
+    assert refusal.value.reason == "time-unresolved", parent
+    assert oracle_consistency(orb, bundle, 0.21 + 0.33j, (110.0, 226.0)[1 - degree], 8,
+                              degree=degree) < 1e-12
+
+
 @pytest.mark.parametrize("degree", [0, 1])
 def test_oracle_consistency_assembles_and_evaluates_once(monkeypatch, degree):
     """The half turn is the signed swap of one evaluation, which both degrees
-    at one (z, p) share, whichever comes first; a new z or p evaluates again."""
+    at one (z, p, u) share, whichever comes first; a new z or p evaluates again."""
     assemble = mock.Mock(wraps=verify.assemble_kodaira_laplacian)
-    evaluate = mock.Mock(wraps=spectral.torus_eigenfunction_values)
+    evaluate = mock.Mock(wraps=spectral.torus_basis_columns)
     monkeypatch.setattr(verify, "assemble_kodaira_laplacian", assemble)
-    monkeypatch.setattr(spectral, "torus_eigenfunction_values", evaluate)
+    monkeypatch.setattr(spectral, "torus_basis_columns", evaluate)
     orb, bundle = build_catalog_orbifold("torus", d=1, k=2)
     for q in (degree, 1 - degree):
         assert oracle_consistency(orb, bundle, 0.21 + 0.33j, 1.0, 8, degree=q) < 1e-4
@@ -180,7 +203,8 @@ def test_oracle_consistency_assembles_and_evaluates_once(monkeypatch, degree):
     assert evaluate.call_count == 2
     oracle_consistency(orb, bundle, 0.21 + 0.34j, 1.0, 16, degree=degree)
     assert evaluate.call_count == 3
-    norms, swaps = spectral._level_sums(1, 16, 32, 0.21 + 0.34j)
+    # D = 16, and the 8 levels that u = 1 keeps on d = 1
+    norms, swaps = spectral._level_sums(16, 8, 0.21 + 0.34j)
     assert evaluate.call_count == 3
     assert not norms.flags.writeable and not swaps.flags.writeable
 
@@ -730,9 +754,9 @@ def test_a_lone_singular_factor_builds_no_normal_block(monkeypatch):
 def test_the_benchmark_session_evaluates_each_torus_kernel_once(monkeypatch, tmp_path):
     """The session's 48 oracle gaps, 8 points x 3 powers x 2 degrees, evaluate
     the torus basis and the image sums once per (point, power): 24 times each."""
-    basis = mock.Mock(wraps=spectral.torus_eigenfunction_values)
+    basis = mock.Mock(wraps=spectral.torus_basis_columns)
     images = mock.Mock(wraps=verify.torus_image_log_terms)
-    monkeypatch.setattr(spectral, "torus_eigenfunction_values", basis)
+    monkeypatch.setattr(spectral, "torus_basis_columns", basis)
     monkeypatch.setattr(verify, "torus_image_log_terms", images)
     (config,) = SESSIONS.values()
     session_outputs(config, tmp_path)
@@ -843,6 +867,55 @@ def test_fit_rate_window_and_reliability():
     fit2 = fit_rate(ps, zeroed)
     assert fit2.p_window == (16, 32)
     assert fit2.slope == pytest.approx(-1.0, abs=1e-12)
+
+
+def _lstsq_fit(p_values, log_errors):
+    """Reference: slope, intercept and R^2 of the two-parameter fit by LAPACK's
+    least squares on the design matrix [log p, 1], the route ``fit_rate``
+    took before its closed form."""
+    lx, le = np.log(np.asarray(p_values, dtype=float)), np.asarray(log_errors, dtype=float)
+    A = np.vstack([lx, np.ones_like(lx)]).T
+    coef, *_ = np.linalg.lstsq(A, le, rcond=None)
+    ss_res = float(((le - A @ coef) ** 2).sum())
+    ss_tot = float(((le - le.mean()) ** 2).sum())
+    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.integers(1, 64), exponents=st.sets(st.integers(0, 24), min_size=2, max_size=12),
+       slope=st.floats(-60.0, 2.0), intercept=st.floats(-60.0, 60.0),
+       noise=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12))
+def test_fit_rate_closed_form_matches_lstsq(base, exponents, slope, intercept, noise):
+    """Slope, intercept and R^2 within 1e-12 relative of LAPACK's least squares,
+    each against the size of the terms it is formed from, on doubling lists
+    of powers with noisy log errors."""
+    ps = [base * 2 ** e for e in sorted(exponents)]
+    le = [slope * math.log(p) + intercept + eps for p, eps in zip(ps, noise)]
+    fit = fit_rate(ps, le)
+    ref_slope, ref_intercept, ref_r2 = _lstsq_fit(ps, le)
+    mean_lx = sum(map(math.log, ps)) / len(ps)
+    assert fit.slope == pytest.approx(ref_slope, rel=1e-12, abs=1e-12)
+    assert fit.intercept == pytest.approx(
+        ref_intercept, rel=0.0, abs=1e-12 * (abs(ref_intercept) + abs(ref_slope) * mean_lx + 1.0))
+    assert fit.r_squared == pytest.approx(ref_r2, rel=1e-12, abs=1e-12)
+    assert fit.reliable == (fit.r_squared >= verify.RELIABLE_R2)
+
+
+def test_fit_rate_runs_no_lapack(monkeypatch):
+    """The closed form calls nothing in numpy.linalg."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+    for name in ("lstsq", "solve", "pinv", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    fit = fit_rate([16, 32, 64, 128], [math.log(1.0 / p) for p in (16, 32, 64, 128)])
+    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_fit_rate_needs_two_distinct_powers():
+    """One power twice has no slope: the fit is the record of a window too
+    short to fit, not a minimum-norm solution."""
+    fit = fit_rate([64, 64], [-1.0, -1.5])
+    assert fit.slope == -math.inf and not fit.reliable and fit.p_window == (64, 64)
 
 
 # ---------------------------------------------------------------------------
