@@ -25,10 +25,9 @@ for weights, chern in [((1, 1), "1"), ((1, 2), "1/2")]:
                                  cohomology_table(orb, powers))
     print(f"  P{weights}: curvature integral over M(<=1) = "
           f"{series.integral:.6f} (= {chern})")
+    # the gate bounds max(rho_p, 0) by 2/p: p * rho_p is at most 2 at every power
     for p, rho in zip(series.p_list, series.residuals):
-        print(f"    p={p:5d}: residual {rho:+.6e}")
-    print(f"    fitted decay order {series.fit.slope:.3f} "
-          f"(R^2 = {series.fit.r_squared:.4f})")
+        print(f"    p={p:5d}: residual {rho:+.6e}, p * rho_p = {p * rho:+.4f}")
 
 print("\n== the signature-region integrals telescope ==")
 orb, bundle = build_catalog_orbifold("wps", weights=(1, 1),

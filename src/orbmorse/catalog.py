@@ -284,7 +284,9 @@ def _build_torus(d=1, k=1):
     # d = 0 is the trivial flat bundle (the inconclusive reference for the
     # Moishezon criteria); negative degrees give the semi-negative reference
     # model and are supported for the unquotiented torus only
-    d, k = _integer("catalog parameter d", d), _integer("catalog parameter k", k)
+    # d / k is the degree: an integer beyond the float range is refused here
+    d = int(_finite("catalog parameter d", d, (int, np.integer), "integer"))
+    k = _integer("catalog parameter k", k)
     if k not in (1, 2):
         raise ConfigurationError(
             f"torus quotient order k={k} not in the catalog: the square lattice "

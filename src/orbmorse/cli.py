@@ -3,7 +3,8 @@
 Subcommands: cohomology, curvature-integral, heat-trace, verify-morse,
 kernel-asymptotics, moishezon-check, all.  Each stage's runner computes
 records and judges none; ``run`` judges every record with its kind's gate in
-``report.KINDS`` and writes the report and the CSV artifacts.  A check that
+``report.KINDS``, the only judge of a record, and writes the report, one
+``failure`` diagnostic per failed check, and the CSV artifacts.  A check that
 did not run goes to the report's ``skipped`` list, and a part of a record
 left out to its ``data.left_out``, each with a reason code and the message of
 its cause; under ``all`` a stage that does not apply to the model is skipped
@@ -323,7 +324,7 @@ RUNNERS = {
 SUBCOMMANDS = (*RUNNERS, "all")
 
 
-def run(subcommand, config: RunConfig, out_dir, strict=False):
+def run(subcommand, config: RunConfig, out_dir):
     """Execute one subcommand and write report + CSV artifacts.
 
     Returns the process exit code.
@@ -358,22 +359,18 @@ def run(subcommand, config: RunConfig, out_dir, strict=False):
         records += r
         artifacts.update(a)
     # the one place a check is judged; a skipped check is never a pass
-    results, skipped, diagnostics = [], [], []
+    results, skipped = [], []
     for name, data in records:
         if isinstance(data, Skip):
             skipped.append((name, data))
             continue
         kind, data = rpt.kind_of(name), rpt.sanitize(data)
         results.append((name, bool(kind.gate(data, config.tolerances.get(kind.tolerance))), data))
-        if kind.warning and (message := kind.warning(data)):
-            diagnostics.append(("warning", message))
     if not results:
         # a run that judged nothing passed nothing
         raise ConfigurationError("; ".join(dict.fromkeys(skip.message for _, skip in skipped)))
     failures = [name for (name, passed, _) in results if not passed]
-    diagnostics += [("failure", f"check {name} failed beyond tolerance") for name in failures]
-    if strict:
-        failures += [m for (lvl, m) in diagnostics if lvl == "warning"]
+    diagnostics = [("failure", f"check {name} failed beyond tolerance") for name in failures]
     report = rpt.build_report(subcommand, config.catalog_id, config.catalog_params,
                               results, skipped, diagnostics, config.seed)
     rpt.validate_report(report)
@@ -399,14 +396,12 @@ def main(argv=None):
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat warnings as failures")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
         if args.seed is not None:
             config = config._replace(seed=_AT_LEAST_0("seed", args.seed))
-        return run(args.subcommand, config, args.out, strict=args.strict)
+        return run(args.subcommand, config, args.out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,10 @@ from .errors import (ConfigurationError, GeometryError, IntegrandError,
                      UnsupportedModelError, _at_least, _integer, _list_of)
 
 INTEGRAND_INVARIANCE_TOL = 1e-8
+# the largest chart group order: the group is one record per element and the
+# image sums read an (elements, n) table, together 2.9 MB at 2^12 and 44 MB at
+# 2^16, where an order near 10^8 would take gigabytes before any other check
+GROUP_ORDER_MAX = 2 ** 12
 
 
 class GroupElement(NamedTuple):
@@ -74,9 +78,13 @@ def cyclic_group(order, weights, character=0):
     group is closed with one identity by construction; an order that is not
     an integer >= 1, a character or weights that are not integers and weights
     that generate a proper subgroup (gcd(k, w mod k) != 1, an ineffective
-    action) raise ConfigurationError.
+    action) raise ConfigurationError, and so does an order above
+    GROUP_ORDER_MAX, before any element is built.
     """
     order = _at_least("chart group order k", order, 1)
+    if order > GROUP_ORDER_MAX:
+        raise ConfigurationError(
+            f"chart group order k must be at most {GROUP_ORDER_MAX}, got {order!r}")
     character = _integer("fibre character", character)
     weights = _list_of("action weights", weights, _integer)
     residues = [w % order for w in weights]

@@ -38,8 +38,8 @@ import numpy as np
 from .errors import DegenerateSpectrumError, _degree, _positive
 
 # Eigenvalues with |a| <= ZERO_EIGENVALUE_TOL take the exact zero-mode branch.
-# Above it the factor functions are evaluated directly: -expm1(-x) and
-# sinh, tanh of x/2 do not cancel, so they stay at rounding error at small x.
+# Above it the factor functions are evaluated directly: expm1 and tanh of x/2
+# do not cancel, so they stay at rounding error at small x.
 ZERO_EIGENVALUE_TOL = 1e-7
 
 TWO_PI = 2.0 * math.pi
@@ -54,18 +54,17 @@ def factor_plus(a, u):
     if abs(a) <= ZERO_EIGENVALUE_TOL:
         return 1.0
     x = u * a
-    return x / -math.expm1(-x)
+    if x >= 0.0:
+        return x / -math.expm1(-x)
+    # x e^x / expm1(x), with e^x as (e^{x/2})^2 so the product keeps its digits
+    # where it is subnormal; no exponential of |x| is formed
+    half = math.exp(0.5 * x)
+    return x * half * half / math.expm1(x)
 
 
 def factor_minus(a, u):
     """u * a / (e^{ua} - 1) = factor_plus(-a, u), the inside-subset prefactor."""
     return factor_plus(-a, u)
-
-
-def _stretch_even(x):
-    """(x/2) / sinh(x/2); even, 1 at 0."""
-    h = x / 2.0
-    return h / math.sinh(h) if h else 1.0
 
 
 def _coth_even(x):
@@ -202,11 +201,16 @@ def model_heat_kernel(point: ModelPoint, Z, Zprime):
 @functools.lru_cache(maxsize=1024)
 def _mehler_coefficients(a, u):
     """Scalars of K_a at time u: log prefactor with the twist, Gaussian rate, phase rate.
-    -0.0 and 0.0 share an entry; either phase rate adds nothing to a phase sum."""
+
+    The log prefactor is log g1(x) - log(2 pi u), x = ua, with g1(x) =
+    |x| / (1 - e^{-|x|}) e^{min(x, 0)} taken in logs, so it is finite at every
+    time whose x is finite.  -0.0 and 0.0 share an entry; either phase rate adds
+    nothing to a phase sum."""
     x = u * a
-    pref = _stretch_even(x) / (TWO_PI * u)
-    log_pref = math.log(pref) if pref > 0 else -math.inf
-    return log_pref + 0.5 * x, -_coth_even(x) / (2.0 * u), 0.5 * a
+    # the rate first: a time that underflowed to 0 is a ZeroDivisionError, not log(0)
+    rate = -_coth_even(x) / (2.0 * u)
+    log_g1 = math.log(abs(x) / -math.expm1(-abs(x))) + min(x, 0.0) if x else 0.0
+    return log_g1 - math.log(TWO_PI * u), rate, 0.5 * a
 
 
 def mehler_log_form(eigenvalues, u, X, Zprime):
@@ -217,7 +221,7 @@ def mehler_log_form(eigenvalues, u, X, Zprime):
     broadcast against each other; both results have an axis of length m in
     front of the broadcast shape without that axis.  Per coordinate, K_a =
     g1(ua) / (2 pi u) * exp(-c(ua)/(2u) |x - z'|^2 + i (a/2) Im(x conj(z'))),
-    with g1(x) = stretch(x) e^{x/2} carrying the e^{u tau / 2} twist.  Each
+    with g1(x) = x / (1 - e^{-x}) carrying the e^{u tau / 2} twist.  Each
     model's prefactors are scalars computed from its own curvature and time,
     so its slice does not depend on the rest of the batch.  Kept in logs, the
     value survives far below the float underflow threshold.

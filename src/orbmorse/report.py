@@ -211,16 +211,6 @@ def _strong_morse_gate(data, tol):
             and (data["q"] != data["dimension"] or abs(residuals[-1]) <= 2.0 / p_list[-1]))
 
 
-def _unreliable_fit(data):
-    # below -2/p the inequality is strict by the mass of the negative region:
-    # rho_p tends to a non-zero limit and there is no rate to fit
-    fit = data["fit"]
-    if (len(fit["p_window"]) >= 2 and not fit["reliable"]
-            and float(data["residuals"][-1]) >= -2.0 / data["p_list"][-1]):
-        return (f"convergence fit at q={data['q']} marked unreliable "
-                f"(R^2={float(fit['r_squared']):.3f})")
-
-
 def _kernel_gate(data, tol):
     # C/Z_1 has no twist: both expansions are the same, and their common
     # residual is rounding (0 or ~1e-16), with nothing to shrink
@@ -237,9 +227,8 @@ def _bigness_gate(data, tol):
 
 
 # pattern: a regular expression the result name matches in full; stage: the
-# subcommand that computes the record; tolerance: the key of the gate's tol;
-# warning(data): the message of a warning on a record, or None
-Kind = namedtuple("Kind", "pattern stage gate tolerance warning", defaults=(None, None))
+# subcommand that computes the record; tolerance: the key of the gate's tol
+Kind = namedtuple("Kind", "pattern stage gate tolerance", defaults=(None,))
 # keyed by the name up to its first parameter, "-p", "-q" or "-u" and a digit
 KINDS = {
     "cohomology-table": Kind(r"cohomology-table", "cohomology", _cohomology_gate),
@@ -254,8 +243,7 @@ KINDS = {
     "trace-identity": Kind(
         r"trace-identity-p\d+-q\d+", "verify-morse",
         lambda data, tol: all(float(g) <= tol for g in data["gaps"].values()), "tol_chain"),
-    "strong-morse": Kind(r"strong-morse-q\d+", "verify-morse", _strong_morse_gate,
-                         warning=_unreliable_fit),
+    "strong-morse": Kind(r"strong-morse-q\d+", "verify-morse", _strong_morse_gate),
     "curvature-degree": Kind(
         r"curvature-degree", "verify-morse",
         lambda data, tol: abs(float(data["integral"]) - data["degree"]) <= tol, "tol_quadrature"),

@@ -49,7 +49,6 @@ from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
 from .spectral import (CACHE_SIZE, _level_weights, _torus, assemble_kodaira_laplacian,
                        heat_trace, torus_diagonal_kernel_spectral)
 
-RELIABLE_R2 = 0.9
 # the regular-point check keeps this far from the singular set
 REGULAR_MIN_DISTANCE = 0.25
 # most relative heat weight e^{-2 pi d u L} of the first Landau level L left out
@@ -275,7 +274,6 @@ class RateFit(NamedTuple):
     r_squared: float
     p_window: tuple
     log_errors: tuple
-    reliable: bool
 
 
 def fit_rate(p_values, log_errors):
@@ -294,7 +292,7 @@ def fit_rate(p_values, log_errors):
     if ps.size < 2 or ps.min() == ps.max():
         return RateFit(slope=-math.inf, intercept=0.0, r_squared=1.0,
                        p_window=tuple(int(p) for p in ps),
-                       log_errors=tuple(le), reliable=False)
+                       log_errors=tuple(le))
     lx = np.log(ps)
     dx, dy = lx - lx.mean(), le - le.mean()
     slope = float((dx * dy).sum() / (dx * dx).sum())
@@ -302,8 +300,7 @@ def fit_rate(p_values, log_errors):
     ss_tot = float((dy * dy).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RateFit(slope=slope, intercept=float(le.mean() - slope * lx.mean()), r_squared=r2,
-                   p_window=tuple(int(p) for p in ps), log_errors=tuple(le),
-                   reliable=r2 >= RELIABLE_R2)
+                   p_window=tuple(int(p) for p in ps), log_errors=tuple(le))
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +382,12 @@ class StrongMorseSeries(NamedTuple):
     residuals: tuple
     morse_sums: tuple
     integral: float
-    fit: RateFit
 
     def as_record(self):
         return {"q": self.q, "p_list": list(self.p_list),
                 "residuals": [float(r) for r in self.residuals],
                 "morse_sums": [float(m) for m in self.morse_sums],
-                "integral": float(self.integral),
-                "fit": self.fit}
+                "integral": float(self.integral)}
 
 
 def verify_strong_morse(orb, q, p_list, split, table):
@@ -415,9 +410,8 @@ def verify_strong_morse(orb, q, p_list, split, table):
         ms = table.morse_sum(p, q)
         sums.append(ms)
         residuals.append(ms / p ** n - integral)
-    fit = fit_rate(p_list, [math.log(max(abs(r), 1e-300)) for r in residuals])
     return StrongMorseSeries(q=q, p_list=p_list, residuals=tuple(residuals),
-                             morse_sums=tuple(sums), integral=integral, fit=fit)
+                             morse_sums=tuple(sums), integral=integral)
 
 
 def telescoping_identity_gap(orb, bundle, q, resolution=256):
@@ -466,25 +460,20 @@ def oracle_consistency(orb, bundle, z, u, p, degree=0):
     cancels to rounding, so its own size is no scale.
 
     Refuses, with ``UnresolvedTimeError``, a time u at which the float range
-    cannot resolve the kernels: where the image sum overflows (its Mehler
-    prefactor is not in log form), or where the lowest level's heat weight,
+    cannot resolve the kernels: where the lowest level's heat weight,
     e^{-2 pi d u} in degree one, and with it the identity term fall below
     the normal floats.
     """
     d, k = _torus(orb, degree)
     z = _point(orb, z)
-    # the image sum first: its kernel types p and u
-    try:
-        image = _torus_image_sums(d, k, z, u, p)[degree]
-    except OverflowError as exc:
-        raise UnresolvedTimeError(
-            f"the image sum at kernel time u={u} overflows the float range") from exc
+    _require_powers_and_time([p], u)
     op = _truncated_operator(orb, bundle, u, p, degree)
     weights, _ = _level_weights(op, u)
     if weights[0] < sys.float_info.min:
         raise UnresolvedTimeError(
             f"the lowest degree-{degree} heat weight at u={u} falls below the float range")
     spec = torus_diagonal_kernel_spectral(op, z, u) / p
+    image = _torus_image_sums(d, k, z, u, p)[degree]
     return abs(spec - image) / (_image_trace(d, 1, u, p, degree) / p)
 
 

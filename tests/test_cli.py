@@ -21,6 +21,7 @@ import orbmorse
 from orbmorse import cli
 from orbmorse.cli import RunConfig, load_config, main
 from orbmorse.errors import REASONS, ConfigurationError
+from orbmorse.geometry import GROUP_ORDER_MAX
 from orbmorse.report import REPORT_SCHEMA, validate_report
 
 TORUS_YAML = """\
@@ -228,7 +229,7 @@ def test_kernel_asymptotics_on_a_group_that_turns_the_fibre(tmp_path, monkeypatc
             ([4, 8, 16, 2 ** 50], 0.0), ([4, 8, 16, 4503599627370480], 5.0)]):
         cfg = write(tmp_path, "c.yaml", text + f"run: {{p_list: {p_list}}}\n")
         out = tmp_path / str(i)
-        assert main(["all", "--config", cfg, "--out", str(out), "--strict"]) == 0
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 0
         records = [r["data"] for r in json.loads((out / "report.json").read_text())["results"]
                    if r["name"].startswith("kernel-asymptotics")]
         assert len(records) == 4
@@ -253,7 +254,7 @@ def test_kernel_asymptotics_judges_no_rate_from_one_power(tmp_path, k, unjudged)
         "[64, 128, 256, 512, 1024, 2048, 4096]", "[64]")
     out = tmp_path / "o"
     assert main(["kernel-asymptotics", "--config", write(tmp_path, "c.yaml", text),
-                 "--out", str(out), "--strict"]) == 0
+                 "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [r["data"]["regular_fit"]["p_window"] for r in report["results"]] == (
         [[64]] * 3 if unjudged else [[]] * 3)
@@ -290,34 +291,32 @@ def test_moishezon_subcommand_guard(tmp_path):
     assert verdicts["bigness"]["passed"]
 
 
-def test_strict_escalates_warnings(tmp_path):
-    """Three powers of P(1,2) fit the residual badly (R^2 = 0.611): a warning,
-    which only --strict turns into exit 1."""
-    cfg = write(tmp_path, "c.yaml", WPS_YAML.replace("[16, 32, 64]", "[1, 2, 3]"))
-    out = tmp_path / "strict"
-    assert main(["verify-morse", "--config", cfg, "--out", str(out)]) == 0
-    warnings = [d["message"] for d in json.loads((out / "report.json").read_text())[
-        "diagnostics"] if d["level"] == "warning"]
-    assert warnings == [f"convergence fit at q={q} marked unreliable (R^2=0.611)"
-                        for q in (0, 1)]
-    assert main(["verify-morse", "--config", cfg, "--out", str(out), "--strict"]) == 1
+def test_the_removed_strict_flag_exits_2(tmp_path, capsys):
+    """--strict made a strong-Morse fit's warning exit 1; with the fit and the
+    warning gone the gates are the only judge, and the flag is an unknown
+    option."""
+    cfg = write(tmp_path, "c.yaml", WPS_YAML)
+    with pytest.raises(SystemExit) as refusal:
+        main(["all", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
+    assert refusal.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
 
 def test_one_power_strong_morse_series_has_no_fit(tmp_path):
-    """A fit over one power is no fit, which the record's fit window shows: no
-    unreliable warning, and nothing left out, as the gate does not read the fit."""
+    """A one-power series is judged by its gate alone: it passes with no
+    diagnostic and nothing left out, and its record carries no rate fit."""
     text = (DEMO_CONFIGS / "p12.yaml").read_text().replace("[64, 256, 1024, 4096]", "[4096]")
     out = tmp_path / "o"
     assert main(["verify-morse", "--config", write(tmp_path, "c.yaml", text),
-                 "--out", str(out), "--strict"]) == 0
+                 "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert all(r["passed"] for r in report["results"])
     # P(1,2) has no torus, so only the two trace checks are skipped
     assert report["diagnostics"] == []
     assert [s["name"] for s in report["skipped"]] == ["trace-chain", "trace-identity"]
     morse = [r["data"] for r in report["results"] if r["name"].startswith("strong-morse")]
-    assert [d["fit"]["p_window"] for d in morse] == [[4096], [4096]]
-    assert not any("left_out" in d for d in morse)
+    assert [d["p_list"] for d in morse] == [[4096], [4096]]
+    assert not any("left_out" in d or "fit" in d for d in morse)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +460,12 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
     ("seed: 7\n", "seed: 7\noutput:\n  report_name: ''\n", "output.report_name"),
     ("seed: 7\n", "seed: 7\noutput:\n  report_name: cohomology.csv\n", "output.report_name"),
     ("seed: 7\n", "seed: 7\noutput:\n  report_name: 123\n", "output.report_name"),
+    # d / k beyond the float range was an OverflowError traceback, and np.arange
+    # of k = 10^20 a ValueError one; the order is refused before any element is built
+    (TORUS_CATALOG, TORUS_CATALOG.replace("d: 1", f"d: {10 ** 309}"), "parameter d "),
+    (TORUS_CATALOG, TORUS_CATALOG.replace("d: 1", f"d: {-10 ** 309}"), "parameter d "),
+    (TORUS_CATALOG, LOCAL_CATALOG.replace("k: 2", f"k: {GROUP_ORDER_MAX + 1}"), "order k "),
+    (TORUS_CATALOG, LOCAL_CATALOG.replace("k: 2", f"k: {10 ** 20}"), "order k "),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
         "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
         "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
@@ -473,13 +478,14 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
         "u-nan", "q-real", "tolerance-string", "quadrature-resolution-real",
         "spectral-resolution-bool", "seed-real", "u-list-repeated", "q-list-repeated",
         "report-name-in-subdirectory", "report-name-empty", "report-name-csv",
-        "report-name-integer"])
+        "report-name-integer", "d-1e309", "d-minus-1e309", "k-above-the-bound", "k-1e20"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "configuration error" in err
     assert named in err
+
 
 
 @pytest.mark.parametrize("d", [0, -1])
@@ -848,13 +854,13 @@ def test_verify_morse_on_a_two_dimensional_model_is_one_skip(tmp_path):
                               "    a: [1.0, 2.0]\n").replace("q_list: [0, 1]", "q_list: [0]")
     cfg = write(tmp_path, "c.yaml", text)
     out = tmp_path / "out"
-    assert main(["all", "--config", cfg, "--out", str(out), "--strict"]) == 0
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     morse = [s for s in report["skipped"] if "morse" in s["name"]]
     assert [(s["name"], s["reason"]) for s in morse] == [("verify-morse",
                                                           "model-not-applicable")]
     assert "one-dimensional charts only" in morse[0]["message"]
-    assert not any(d["level"] == "warning" for d in report["diagnostics"])
+    assert report["diagnostics"] == []
 
 
 def test_strong_morse_fails_on_a_stalled_residual(tmp_path, monkeypatch):
@@ -893,7 +899,7 @@ def test_all_on_the_dent_demo_runs_every_stage(tmp_path):
     # rho_p at q = 0 tends to the negative integral over M(1), not to 0
     assert results["strong-morse-q0"]["data"]["residuals"][-1] < -0.2
     report = json.loads((tmp_path / "report.json").read_text())
-    assert not any(d["level"] == "warning" for d in report["diagnostics"])
+    assert report["diagnostics"] == []
 
 
 def test_strong_morse_fails_on_the_dent_with_half_its_positive_integral(tmp_path,
@@ -937,8 +943,7 @@ def test_bigness_with_every_rank_left_out_judges_the_degree(tmp_path, monkeypatc
     text = "catalog: {id: wps, params: {weights: [2, 3]}}\nrun: {p_list: [1]}\n"
     for subcommand in ("moishezon-check", "all"):
         out = tmp_path / subcommand
-        assert main([subcommand, "--config", write(tmp_path, "c.yaml", text), "--out", str(out),
-                     "--strict"]) == 0
+        assert main([subcommand, "--config", write(tmp_path, "c.yaml", text), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         bigness = next(r for r in report["results"] if r["name"] == "bigness")["data"]
         assert bigness["kodaira_ranks"] == {} and list(bigness["left_out"]) == ["1"]
@@ -973,16 +978,21 @@ WPS_PAIRS = [(a, b) for a in range(1, 8) for b in range(a, 8) if math.gcd(a, b) 
 
 def test_all_passes_on_every_small_weighted_projective_line(tmp_path):
     """Every coprime P(a, b), a <= b <= 7, under the default p_list and under
-    each four-power doubling list from 2^2 to 2^10: 180 runs, each exits 0.
-    h^0 - p/(ab) is periodic in p with its sign wandering, so the strong
-    Morse residual need not fall, and at small p one section has no rank."""
+    each four-power doubling list from 2^2 to 2^10: 180 runs, each exits 0
+    with no diagnostic.  h^0 - p/(ab) is periodic in p with its sign
+    wandering, so the strong Morse residual need not fall, and at small p one
+    section has no rank."""
     lists = [RunConfig._field_defaults["p_list"]] + [
         [2 ** (s + i) for i in range(4)] for s in range(2, 11)]
-    codes = {(a, b, tuple(p_list)): cli.run("all", RunConfig(
-        catalog_id="wps", catalog_params={"weights": [a, b]}, p_list=list(p_list)),
-        tmp_path / f"{a}-{b}-{p_list[0]}") for a, b in WPS_PAIRS for p_list in lists}
+    runs = {(a, b, tuple(p_list)): tmp_path / f"{a}-{b}-{p_list[0]}"
+            for a, b in WPS_PAIRS for p_list in lists}
+    codes = {key: cli.run("all", RunConfig(catalog_id="wps", catalog_params={"weights": [a, b]},
+                                           p_list=list(p_list)), out)
+             for key, out in runs.items() for a, b, p_list in [key]}
     assert len(codes) == 180
     assert [key for key, code in codes.items() if code] == []
+    assert [key for key, out in runs.items()
+            if json.loads((out / "report.json").read_text())["diagnostics"]] == []
 
 
 def test_strong_morse_fails_above_2_over_p_at_an_early_power(tmp_path, monkeypatch):
@@ -1169,8 +1179,7 @@ def test_every_reason_code_has_a_run_that_emits_it():
 def test_a_skip_carries_its_code_and_never_reads_as_a_pass(tmp_path, code):
     subcommand, text = REASON_RUNS[code]
     out = tmp_path / "o"
-    assert main([subcommand, "--config", write(tmp_path, "c.yaml", text), "--out", str(out),
-                 "--strict"]) == 0
+    assert main([subcommand, "--config", write(tmp_path, "c.yaml", text), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert skip_codes(report) == {code}
     assert not {r["name"] for r in report["results"]} & {s["name"] for s in report["skipped"]}
@@ -1262,10 +1271,14 @@ def test_cohomology_table_fails_off_the_degree(tmp_path, monkeypatch, config):
     assert [(r["name"], r["passed"]) for r in results] == [("cohomology-table", False)]
 
 
-@pytest.mark.parametrize("a,u", [("1.0e+4", "0.5"), ("1.0", "5.0e-324")],
-                         ids=["sinh-overflow", "time-underflow"])
+@pytest.mark.parametrize("a,u", [("1.0e+4", "1.0e+305"), ("-1.0e+4", "1.0e+305"),
+                                 ("1.0", "5.0e-324")],
+                         ids=["product-overflow", "negative-product-overflow", "time-underflow"])
 def test_kernel_out_of_float_range_exits_2(tmp_path, capsys, a, u):
-    """A kernel time whose arithmetic overflows is refused in one line, not a traceback."""
+    """A kernel time whose arithmetic overflows is refused in one line, not a
+    traceback: a curvature times time beyond the float range, and a time u/p
+    that underflows to 0.  The Mehler prefactor is in log form, so a = 10^4 at
+    u = 0.5, whose sinh overflowed, now runs."""
     text = (TORUS_YAML.replace(TORUS_CATALOG, LOCAL_CATALOG.replace("[1.0]", f"[{a}]"))
             .replace("u_list: [0.5, 1.0]", f"u_list: [{u}]").replace("[0, 1]", "[0]"))
     cfg = write(tmp_path, "c.yaml", text)

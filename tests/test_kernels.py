@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbmorse import kernels
 from orbmorse.errors import DegenerateSpectrumError
@@ -77,7 +79,6 @@ def test_factor_functions_match_mpmath_at_small_x():
     references = {
         "factor_plus": lambda x: x / -mpmath.expm1(-x),
         "factor_minus": lambda x: x / mpmath.expm1(x),
-        "stretch": lambda x: (x / 2) / mpmath.sinh(x / 2),
         "coth": lambda x: (x / 2) / mpmath.tanh(x / 2),
     }
     worst = dict.fromkeys(references, 0.0)
@@ -88,14 +89,62 @@ def test_factor_functions_match_mpmath_at_small_x():
             x_factor = u * a
             values = {"factor_plus": (factor_plus(a, u), x_factor),
                       "factor_minus": (factor_minus(a, u), x_factor),
-                      "stretch": (kernels._stretch_even(x), x),
                       "coth": (kernels._coth_even(x), x)}
             for name, (value, at) in values.items():
                 exact = references[name](mpmath.mpf(float(at)))
                 worst[name] = max(worst[name], float(abs(value - exact) / exact))
     assert all(w <= 1e-15 for w in worst.values()), worst
     assert factor_plus(0.0, 1.0) == factor_minus(0.0, 1.0) == 1.0
-    assert kernels._stretch_even(0.0) == kernels._coth_even(0.0) == 1.0
+    assert kernels._coth_even(0.0) == 1.0
+
+
+def _g1(x):
+    """x / (1 - e^{-x}) in mpmath, 1 at 0."""
+    return mpmath.mpf(1) if x == 0 else x / -mpmath.expm1(-x)
+
+
+def _ulps(value, exact, scale=None):
+    """|value - exact| in units of the last place of ``scale``, by default of
+    ``exact`` as a float (the smallest subnormal where it rounds to 0)."""
+    scale = float(exact) if scale is None else scale
+    return float(abs(mpmath.mpf(value) - exact)) / math.ulp(scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-4.0, 4.0), u=st.floats(1e-6, 1e6))
+@example(a=1.0, u=720.0)            # factor_minus subnormal, and overflowed at ua > 709
+@example(a=-1.0, u=1e6)             # sinh of 5e5 overflowed the Mehler prefactor
+@example(a=4.0, u=1e6)
+@example(a=0.0, u=1.0)
+@example(a=-3.3e-6, u=0.16)         # log(2 pi u) near 0
+def test_flat_model_prefactors_match_mpmath_everywhere(a, u):
+    """The Mehler coefficients and both factor functions are finite and within
+    4 ulps of a 50-digit reference, for every a in [-4, 4] and u in [1e-6, 1e6].
+
+    The reference takes x = u * a as the float product, as the functions do:
+    the rounding of that product is an input error, amplified by the
+    condition number |x| of e^{-|x|}, which no evaluation of the prefactor
+    removes.  The Mehler shift log g1(x) - log(2 pi u) is a log, so an
+    absolute error in it is a relative error of the prefactor: it is judged
+    in ulps of 1, or of the sum of its two terms' sizes where that is larger.
+    A zero mode, |a| <= ZERO_EIGENVALUE_TOL, has the factors 1 by convention.
+    """
+    x = u * a
+    with mpmath.workdps(50):
+        X, U = mpmath.mpf(x), mpmath.mpf(u)
+        log_g1, log_2pi_u = mpmath.log(_g1(X)), mpmath.log(2 * mpmath.pi * U)
+        rate = -((X / 2) / mpmath.tanh(X / 2) if x else 1) / (2 * U)
+        zero_mode = abs(a) <= kernels.ZERO_EIGENVALUE_TOL
+        expected = {"plus": 1 if zero_mode else _g1(X), "minus": 1 if zero_mode else _g1(-X)}
+        shift, got_rate, twist = kernels._mehler_coefficients(a, u)
+        values = [shift, got_rate, twist, factor_plus(a, u), factor_minus(a, u)]
+        assert all(map(math.isfinite, values)), values
+        scale = max(1.0, float(abs(log_g1) + abs(log_2pi_u)))
+        errors = {"shift": _ulps(shift, log_g1 - log_2pi_u, scale),
+                  "rate": _ulps(got_rate, rate), "twist": _ulps(twist, mpmath.mpf(a) / 2),
+                  "plus": _ulps(values[3], expected["plus"]),
+                  "minus": _ulps(values[4], expected["minus"])}
+    assert max(errors.values()) <= 4.0, errors
 
 
 def test_zero_mode_branch_is_exact_one():

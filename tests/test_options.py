@@ -24,7 +24,6 @@ DEFAULTED_PARAMETERS = [
     "catalog._build_weighted_projective(dent)",
     "catalog._build_weighted_projective(weights)",
     "cli.main(argv)",
-    "cli.run(strict)",
     "curvature.classify_point(tol)",
     "curvature.curvature_spectrum(chart_index)",
     "curvature.curvature_spectrum(tol)",
