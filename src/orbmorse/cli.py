@@ -45,6 +45,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# within this many ulps of the limit the uncorrected singular residual is rounding: the
+# corrected one reads up to ~21 ulps on C/Z_2..6, and the twist clause's factor 10 needs 10x
+TWIST_FLOOR_ULPS = 320
+
 _AT_LEAST_0 = functools.partial(_at_least, low=0)
 _AT_LEAST_1 = functools.partial(_at_least, low=1)
 
@@ -256,7 +260,7 @@ def _run_verify_morse(cfg, orb, bundle, split, table):
 
 
 def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
-    k, _, _, character = orb.oracle(
+    k, a, _, character = orb.oracle(
         "group", "kernel asymptotics run on the local quotient models")
     records = []
     x_reg = np.array([1.0 + 0.0j] * orb.dimension)
@@ -278,6 +282,11 @@ def _run_kernel_asymptotics(cfg, orb, bundle, split, table):
         if len(fit.p_window) == 1:
             data["left_out"] = {"regular_fit": Skip(
                 "too-few-powers", "one power has a non-zero error, and a fit needs two")}
+        # a twist below the limit's rounding leaves nothing to shrink (C/Z_1 has none)
+        if k > 1 and rec.residual_without_twist <= TWIST_FLOOR_ULPS * math.ulp(vf._limit(a, u)):
+            data.setdefault("left_out", {})["twist_shrink_factor"] = Skip(
+                "twist-below-rounding", f"the uncorrected residual at p={p_mid} is within "
+                f"{TWIST_FLOOR_ULPS} ulps of the limit, so both residuals are rounding")
         records.append((f"kernel-asymptotics-u{u!r}", data))
     return records, {}
 
@@ -291,7 +300,7 @@ def _run_moishezon(cfg, orb, bundle, split, table):
     except UnsupportedModelError as exc:
         # a model without exact cohomology; a table that cannot be built exits 2
         return records + [("bigness", Skip(exc.reason, str(exc)))], {}
-    n, tail = orb.dimension, table.over(_bigness_powers(cfg))
+    n, tail = orb.dimension, table.over(_bigness_powers(cfg.p_list[-1]))
     est = mz.bigness_check(tail, n)
     # a rank reaches n only from n + 1 sections: a power with fewer has no rank to judge
     ranks, left_out = {}, {}
@@ -308,9 +317,10 @@ def _run_moishezon(cfg, orb, bundle, split, table):
     return records + [("bigness", {**data, "left_out": left_out} if left_out else data)], {}
 
 
-def _bigness_powers(cfg):
+@functools.lru_cache(maxsize=1)     # once per run, for its cohomology table and bigness
+def _bigness_powers(top):
     # as a float: numpy takes a Python int beyond int64 as an object
-    return sorted({int(round(x)) for x in np.geomspace(2, float(max(4096, cfg.p_list[-1])), 40)})
+    return tuple(sorted({int(round(x)) for x in np.geomspace(2, float(max(4096, top)), 40)}))
 
 
 RUNNERS = {
@@ -341,7 +351,7 @@ def run(subcommand, config: RunConfig, out_dir):
     split = functools.cache(lambda: signature_integrals(
         orb, bundle, config.resolution_quadrature, config.tolerances["tol_degeneracy"]))
     table = functools.cache(lambda: cohomology_table(
-        orb, sorted({*config.p_list, *_bigness_powers(config)})))
+        orb, sorted({*config.p_list, *_bigness_powers(config.p_list[-1])})))
     records, artifacts = [], {}
     for name in names:
         try:

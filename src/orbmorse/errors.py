@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 # the closed vocabulary of skip codes, each one a run emits
-REASONS = ("model-not-applicable", "no-sections", "time-unresolved", "too-few-powers")
+REASONS = ("model-not-applicable", "no-sections", "time-unresolved", "too-few-powers",
+           "twist-below-rounding")
 
 
 class Skip(NamedTuple):

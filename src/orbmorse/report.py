@@ -213,11 +213,13 @@ def _strong_morse_gate(data, tol):
 
 def _kernel_gate(data, tol):
     # C/Z_1 has no twist: both expansions are the same, and their common
-    # residual is rounding (0 or ~1e-16), with nothing to shrink
-    return (("regular_fit" in data.get("left_out", {})
-             or float(data["regular_fit"]["slope"]) <= -0.4)
+    # residual is rounding (0 or ~1e-16), with nothing to shrink; a left-out
+    # twist is one below the limit's rounding
+    left_out = data.get("left_out", {})
+    return (("regular_fit" in left_out or float(data["regular_fit"]["slope"]) <= -0.4)
             and abs(float(data["singular_ratio"]) - float(data["expected_ratio"])) <= 0.05
-            and (data["k"] == 1 or float(data["twist_shrink_factor"]) >= 10.0))
+            and (data["k"] == 1 or "twist_shrink_factor" in left_out
+                 or float(data["twist_shrink_factor"]) >= 10.0))
 
 
 def _bigness_gate(data, tol):

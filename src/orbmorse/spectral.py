@@ -322,6 +322,38 @@ def _level_weights(op, u):
     return np.exp(-u * op.level_eigenvalue(levels) / op.p), (-1.0) ** (levels + op.q)
 
 
+def _window_columns(D, c, half):
+    """(columns, mirror) of the window about the translate c: the columns
+    j = c + r mod D, -half <= r <= half + 1, and their negatives -j mod D, in
+    increasing j, and the index of each column's mirror -j mod D.
+
+    Both are cyclic runs of 2 half + 2 residues, so the set is at most four
+    integer intervals, merged and emitted in order; where 2 half + 2 >= D it
+    is every column.  The set is closed under j -> -j mod D, which fixes 0
+    and reverses the rest in order, so of n columns index i mirrors to
+    n - i when 0 is among them (0 to itself), and to n - 1 - i when it is not.
+    """
+    width = 2 * half + 2
+    if width >= D:
+        columns = np.arange(D)
+    else:
+        runs = []
+        for start in ((c - half) % D, (-c - half - 1) % D):
+            end = start + width
+            runs.append((start, min(end, D)))
+            if end > D:     # a run that wraps past D is two intervals
+                runs.append((0, end - D))
+        merged = []
+        for low, high in sorted(runs):
+            if merged and low <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], high)
+            else:
+                merged.append([low, high])
+        columns = np.concatenate([np.arange(low, high) for low, high in merged])
+    n = columns.size
+    return columns, (-np.arange(n) - (columns[0] != 0)) % n
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _level_sums(D, levels, z):
     """Per-level sum_j |psi_{kappa, j}(z)|^2 and sum_j conj(psi_{kappa, j}(z)) psi_{kappa, -j}(z).
@@ -331,16 +363,16 @@ def _level_sums(D, levels, z):
     window (``_window``) hold a non-zero value, and the swap sum pairs each
     with its mirror -j mod D, so the basis is evaluated at those columns and
     their mirrors alone, in increasing j; where D <= 2 half + 2 that is every
-    column in order.  Only these 2 x ``levels`` numbers are kept.  The
-    arrays are read-only, since every caller shares them.
+    column in order.  ``_window_columns`` builds them from the window's two
+    cyclic runs and pairs each with its mirror in closed form, by index
+    arithmetic alone: no sort and no search.  Only these 2 x ``levels``
+    numbers are kept.  The arrays are read-only, since every caller shares them.
     """
     _, _, c, half = _window(D, levels, z)
-    hit = np.arange(c - half, c + half + 2) % D
-    columns = np.sort(np.concatenate((hit, -hit % D)))
-    columns = columns[np.concatenate(([True], columns[1:] != columns[:-1]))]
+    columns, mirror = _window_columns(D, c, half)
     psi = torus_basis_columns(D, levels, columns, z)
-    swapped = psi[:, np.searchsorted(columns, -columns % D)]     # column -j mod D
-    sums = (np.add.reduce(abs(psi) ** 2, axis=1), np.add.reduce(psi.conj() * swapped, axis=1))
+    sums = (np.add.reduce(abs(psi) ** 2, axis=1),
+            np.add.reduce(psi.conj() * psi[:, mirror], axis=1))
     for vec in sums:
         vec.flags.writeable = False
     return sums

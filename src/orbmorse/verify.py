@@ -251,17 +251,18 @@ def torus_diagonal_kernel_image(orb, bundle, z, u, p, degree=0):
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _torus_image_sums(d, k, z, u, p):
     """(degree-0, degree-1) image sums at a point z of the cell, in one log-sum
-    over one degree-0 evaluation weighted by e^{-2 pi d u} and by the phase of
-    each image's rotation in degree one (the full field strength, and the half
-    turn's -1 on the coframe ebar).
+    over one degree-0 evaluation broadcast to both degrees: degree one adds
+    -2 pi d u to each log (the full field strength) and pi to the phase of
+    each half turn (its -1 on the coframe ebar), degree zero -0.0 to both,
+    which leaves every bit.
 
     Only a (u, p) that ``image_log_terms`` typed enters the cache, and a typed
     cache takes a hit only at equal values of equal types, so a hit needs no
     guard: True misses where 1 hits."""
     _, log_abs, phase = torus_image_log_terms(d, k, z, u, [p])
-    coframe = np.angle(_torus_images(d, k).rot[:, 0])
-    return tuple(_image_sums(np.concatenate((log_abs, log_abs - 2.0 * math.pi * d * u)),
-                             np.concatenate((phase, phase + coframe))))
+    half_turns = 1.0 - _torus_images(d, k).rot[:, 0].real     # 2 or 0
+    return tuple(_image_sums(log_abs + np.array([[-0.0], [-2.0 * math.pi * d * u]]),
+                             phase + np.multiply.outer([-0.0, math.pi / 2], half_turns)))
 
 
 # ---------------------------------------------------------------------------

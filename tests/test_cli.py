@@ -266,6 +266,42 @@ def test_kernel_asymptotics_judges_no_rate_from_one_power(tmp_path, k, unjudged)
         [left_out] * 3 if unjudged else [None] * 3)
 
 
+@pytest.mark.parametrize("a,left_out", [(1, False), (10, False), (40, True), (50, True),
+                                        (100, True), (800, True), (10 ** 4, True)])
+def test_a_twist_below_the_limits_rounding_is_left_out(tmp_path, monkeypatch, a, left_out):
+    """On C/Z_2 at u = 0.5 and p_mid = 8 the twist falls below the limit's
+    rounding past a ~ 35, and both singular residuals are rounding (their
+    ratio read 1.01, 1.0 or 0/0, and each exited 1): such a record leaves the
+    twist clause out with its code and exits 0.  At a = 1 and 10 the clause
+    is judged, and a dropped twist correction fails it."""
+    cfg = write(tmp_path, "c.yaml", f"catalog: {{id: local-model, params: {{k: 2, a: [{a}]}}}}\n"
+                                    "run: {p_list: [4, 8], u_list: [0.5]}\n")
+    out = tmp_path / "o"
+    assert main(["kernel-asymptotics", "--config", cfg, "--out", str(out)]) == 0
+    (record,) = json.loads((out / "report.json").read_text())["results"]
+    entry = record["data"].get("left_out", {}).get("twist_shrink_factor")
+    if left_out:
+        assert entry["reason"] == "twist-below-rounding" and "p=8" in entry["message"]
+        return
+    assert entry is None and record["data"]["twist_shrink_factor"] >= 10.0
+    from orbmorse import verify
+    monkeypatch.setattr(verify, "twisted_gaussian", lambda pt, z: 0.0)
+    assert main(["kernel-asymptotics", "--config", cfg, "--out", str(out)]) == 1
+
+
+def test_the_bigness_powers_are_made_once_per_run(tmp_path, monkeypatch):
+    """The cohomology table and the bigness check read one list of powers."""
+    calls, geomspace = [], np.geomspace
+    monkeypatch.setattr(np, "geomspace", lambda *args: calls.append(args) or geomspace(*args))
+    cli._bigness_powers.cache_clear()
+    out = tmp_path / "o"
+    assert main(["all", "--config", write(tmp_path, "c.yaml", WPS_YAML), "--out", str(out)]) == 0
+    assert calls == [(2, 4096.0, 40)]
+    bigness = next(r for r in json.loads((out / "report.json").read_text())["results"]
+                   if r["name"] == "bigness")
+    assert bigness["passed"]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_trace_chain_at_small_time_exits_0(tmp_path, k):
     """The top retained degree-1 level has no degree-0 partner; at u = 0.01 an
@@ -1161,6 +1197,9 @@ REASON_RUNS = {
     "too-few-powers": ("kernel-asymptotics",
                        "catalog: {id: local-model, params: {k: 2, a: [1.0]}}\n"
                        "run: {p_list: [64], u_list: [1.0]}\n"),
+    "twist-below-rounding": ("kernel-asymptotics",
+                             "catalog: {id: local-model, params: {k: 2, a: [40.0]}}\n"
+                             "run: {p_list: [4, 8], u_list: [0.5]}\n"),
 }
 
 

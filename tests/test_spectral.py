@@ -486,6 +486,44 @@ def test_the_cut_kernel_matches_the_full_basis(d, k, p, q, u, z):
     assert gap <= 4 * k * math.ulp(scale), (gap / math.ulp(scale), _kept_levels(op, u))
 
 
+def _level_sums_by_sorting(D, levels, z):
+    """Reference: the two per-level sums of ``spectral._level_sums`` with the
+    window's columns sorted and deduplicated and each mirror found by binary
+    search, as the kernel built them before the closed form."""
+    _, _, c, half = spectral._window(D, levels, z)
+    hit = np.arange(c - half, c + half + 2) % D
+    columns = np.sort(np.concatenate((hit, -hit % D)))
+    columns = columns[np.concatenate(([True], columns[1:] != columns[:-1]))]
+    psi = torus_basis_columns(D, levels, columns, z)
+    swapped = psi[:, np.searchsorted(columns, -columns % D)]
+    return (np.add.reduce(abs(psi) ** 2, axis=1), np.add.reduce(psi.conj() * swapped, axis=1))
+
+
+# x just below 1 puts the window's nearest translate at D - 1, where it wraps past D
+WINDOW_POINTS = HALF_TURN_FIXED + (complex(math.nextafter(1.0, 0.0), 0.37),
+                                   complex(math.nextafter(1.0, 0.0), 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=st.integers(1, 2 ** 12), levels=st.sampled_from([1, 8, 32]),
+       z=st.one_of(st.sampled_from(WINDOW_POINTS),
+                   st.builds(complex, st.floats(0.0, 1.0, exclude_max=True),
+                             st.floats(0.0, 1.0, exclude_max=True))))
+def test_the_window_columns_and_mirrors_by_index_arithmetic(D, levels, z):
+    """The window's columns are the sorted set of its translates' residues and
+    their negatives, each mirror index sends a column j to -j mod D, and both
+    per-level sums are those of the sort-and-search construction, bit for bit:
+    at the four half-turn fixed points, x just below 1, and windows that wrap
+    past D or cover it."""
+    _, _, c, half = spectral._window(D, levels, z)
+    columns, mirror = spectral._window_columns(D, c, half)
+    hit = {(c + r) % D for r in range(-half, half + 2)}
+    assert columns.tolist() == sorted(hit | {-j % D for j in hit})
+    assert columns[mirror].tolist() == (-columns % D).tolist()
+    got = spectral._level_sums.__wrapped__(D, levels, z)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in _level_sums_by_sorting(D, levels, z)]
+
+
 def test_the_kernel_at_2_16_evaluates_a_window_of_levels_and_columns(monkeypatch):
     """At p = 2^16, both degrees at one point evaluate the basis once, at the 8
     levels u = 1 keeps on d = 1 and O(sqrt D) columns, and the oracle gaps
