@@ -323,35 +323,38 @@ def _level_weights(op, u):
 
 
 def _window_columns(D, c, half):
-    """(columns, mirror) of the window about the translate c: the columns
-    j = c + r mod D, -half <= r <= half + 1, and their negatives -j mod D, in
-    increasing j, and the index of each column's mirror -j mod D.
+    """The columns j = c + r mod D of the window about the translate c,
+    -half <= r <= half + 1, and their negatives -j mod D, in increasing j.
 
     Both are cyclic runs of 2 half + 2 residues, so the set is at most four
     integer intervals, merged and emitted in order; where 2 half + 2 >= D it
-    is every column.  The set is closed under j -> -j mod D, which fixes 0
-    and reverses the rest in order, so of n columns index i mirrors to
-    n - i when 0 is among them (0 to itself), and to n - 1 - i when it is not.
+    is every column.
     """
     width = 2 * half + 2
     if width >= D:
-        columns = np.arange(D)
-    else:
-        runs = []
-        for start in ((c - half) % D, (-c - half - 1) % D):
-            end = start + width
-            runs.append((start, min(end, D)))
-            if end > D:     # a run that wraps past D is two intervals
-                runs.append((0, end - D))
-        merged = []
-        for low, high in sorted(runs):
-            if merged and low <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], high)
-            else:
-                merged.append([low, high])
-        columns = np.concatenate([np.arange(low, high) for low, high in merged])
+        return np.arange(D)
+    runs = []
+    for start in ((c - half) % D, (-c - half - 1) % D):
+        end = start + width
+        runs.append((start, min(end, D)))
+        if end > D:     # a run that wraps past D is two intervals
+            runs.append((0, end - D))
+    merged = []
+    for low, high in sorted(runs):
+        if merged and low <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], high)
+        else:
+            merged.append([low, high])
+    return np.concatenate([np.arange(low, high) for low, high in merged])
+
+
+def _mirrors(columns):
+    """The index of each column's mirror -j mod D in ``columns``, a set of
+    ``_window_columns``.  The set is closed under j -> -j mod D, which fixes 0
+    and reverses the rest in order, so of n columns index i mirrors to n - i
+    when 0 is among them (0 to itself), and to n - 1 - i when it is not."""
     n = columns.size
-    return columns, (-np.arange(n) - (columns[0] != 0)) % n
+    return (-np.arange(n) - (columns[0] != 0)) % n
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -363,16 +366,19 @@ def _level_sums(D, levels, z):
     window (``_window``) hold a non-zero value, and the swap sum pairs each
     with its mirror -j mod D, so the basis is evaluated at those columns and
     their mirrors alone, in increasing j; where D <= 2 half + 2 that is every
-    column in order.  ``_window_columns`` builds them from the window's two
-    cyclic runs and pairs each with its mirror in closed form, by index
-    arithmetic alone: no sort and no search.  Only these 2 x ``levels``
-    numbers are kept.  The arrays are read-only, since every caller shares them.
+    column in order.  ``_window_columns`` builds them and ``_mirrors`` pairs
+    each with its mirror, by index arithmetic alone: no sort and no search.
+    Only these 2 x ``levels`` numbers are kept.  The arrays are read-only,
+    since every caller shares them.
     """
     _, _, c, half = _window(D, levels, z)
-    columns, mirror = _window_columns(D, c, half)
+    columns = _window_columns(D, c, half)
     psi = torus_basis_columns(D, levels, columns, z)
+    # psi is conjugated in place once the norms have read it: one large buffer
+    # fewer for the allocator to hand back and fault in again at the next call
+    swapped = psi[:, _mirrors(columns)]
     sums = (np.add.reduce(abs(psi) ** 2, axis=1),
-            np.add.reduce(psi.conj() * psi[:, mirror], axis=1))
+            np.add.reduce(np.conjugate(psi, out=psi) * swapped, axis=1))
     for vec in sums:
         vec.flags.writeable = False
     return sums

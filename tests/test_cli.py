@@ -293,7 +293,6 @@ def test_the_bigness_powers_are_made_once_per_run(tmp_path, monkeypatch):
     """The cohomology table and the bigness check read one list of powers."""
     calls, geomspace = [], np.geomspace
     monkeypatch.setattr(np, "geomspace", lambda *args: calls.append(args) or geomspace(*args))
-    cli._bigness_powers.cache_clear()
     out = tmp_path / "o"
     assert main(["all", "--config", write(tmp_path, "c.yaml", WPS_YAML), "--out", str(out)]) == 0
     assert calls == [(2, 4096.0, 40)]

@@ -516,10 +516,10 @@ def test_the_window_columns_and_mirrors_by_index_arithmetic(D, levels, z):
     at the four half-turn fixed points, x just below 1, and windows that wrap
     past D or cover it."""
     _, _, c, half = spectral._window(D, levels, z)
-    columns, mirror = spectral._window_columns(D, c, half)
+    columns = spectral._window_columns(D, c, half)
     hit = {(c + r) % D for r in range(-half, half + 2)}
     assert columns.tolist() == sorted(hit | {-j % D for j in hit})
-    assert columns[mirror].tolist() == (-columns % D).tolist()
+    assert columns[spectral._mirrors(columns)].tolist() == (-columns % D).tolist()
     got = spectral._level_sums.__wrapped__(D, levels, z)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in _level_sums_by_sorting(D, levels, z)]
 
