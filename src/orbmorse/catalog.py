@@ -112,13 +112,13 @@ def _build_local_model(k=2, a=(1.0,), weights=None, character=0):
     chart = OrbifoldChart(dimension=n, group=group, box_radius=1.0,
                           metric_scalar=constant_field(1.0) if n == 1 else None)
 
-    gens = group[1:]
+    moved = ~np.array([g.fixed for g in group[1:]], dtype=bool).reshape(-1, n)
 
     def singular_distance(chart_index, Z):
-        if not gens:
+        if k == 1:
             return 10.0
         Z = np.asarray(Z, dtype=complex).reshape(n)
-        return min(float(np.linalg.norm(Z[~g.fixed])) for g in gens)
+        return math.sqrt(np.where(moved, Z.real ** 2 + Z.imag ** 2, 0.0).sum(1).min())
 
     orb = ChartedOrbifold(charts=(chart,), singular_locus_fn=singular_distance,
                           catalog_id="local-model",

@@ -43,9 +43,9 @@ from .errors import (ConfigurationError, GeometryError, IntegrandError,
                      UnsupportedModelError, _at_least, _integer, _list_of)
 
 INTEGRAND_INVARIANCE_TOL = 1e-8
-# the largest chart group order: the group is one record per element and the
-# image sums read an (elements, n) table, together 2.9 MB at 2^12 and 44 MB at
-# 2^16, where an order near 10^8 would take gigabytes before any other check
+# the largest chart group order: the group is one record per element, and the image
+# sums and the singular twist read (elements, n) tables, together 2.9 MB at 2^12 and
+# 44 MB at 2^16, where an order near 10^8 would take gigabytes before any other check
 GROUP_ORDER_MAX = 2 ** 12
 
 

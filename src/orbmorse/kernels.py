@@ -8,7 +8,7 @@ commutes with ``diag(a)``.  The three central objects are
 * the diagonal density ``heat_diagonal_limit`` (the large-``p`` limit of the
   rescaled diagonal heat kernel at a regular point),
 * the group-twisted Gaussian ``twisted_gaussian`` controlling the extra
-  terms near a quotient singularity, and
+  terms near a quotient singularity, a batch of one of ``twisted_exponents``, and
 * the full two-point Mehler kernel ``model_heat_kernel``.
 
 Numerical conventions.  All kernels are densities with respect to Lebesgue
@@ -155,28 +155,34 @@ def heat_diagonal_limit(point: ModelPoint, q):
 def twisted_gaussian(point: ModelPoint, Z):
     """Group-twisted Gaussian factor at a normal-direction displacement Z.
 
-    For a group element acting by diag(e^{i phi_j}) on the directions normal
-    to its fixed set, the factor is
-
-        exp( sum_j |Z_j|^2 / (2u) * [ g1(u a_j)(e^{-i phi_j} - 1)
-                                      + g2(u a_j)(e^{i phi_j} - 1) ] )
-
-    with g1(x) = x/(1-e^{-x}), g2(x) = x/(e^x-1).  Zero eigenvalues reduce to
-    exp(-|g^{-1}Z - Z|^2 / (2u)).  The value is complex in general; it is real
+    The exponential of ``twisted_exponents`` at a batch of one element.  Zero
+    eigenvalues reduce it to exp(-|g^{-1}Z - Z|^2 / (2u)).  It is complex; real
     whenever every phase is 0 or pi, and its modulus is at most 1 for
     non-negative curvature, with equality only at Z = 0.
     """
     if point.group_phases is None:
         raise ValueError("ModelPoint carries no group element")
-    Z = np.asarray(Z, dtype=complex).reshape(point.dim)
-    u = point.u
-    expo = 0.0 + 0.0j
-    for aj, phij, zj in zip(point.eigenvalues, point.group_phases, Z):
-        g1 = factor_plus(aj, u)
-        g2 = factor_minus(aj, u)
-        w = np.exp(-1j * phij) - 1.0
-        expo += (abs(zj) ** 2 / (2.0 * u)) * (g1 * w + g2 * np.conj(w))
-    return complex(np.exp(expo))
+    expo = twisted_exponents(point.eigenvalues, point.u, [point.group_phases], Z)
+    return complex(np.exp(expo[0]))
+
+
+def twisted_exponents(eigenvalues, u, phases, Z):
+    """Exponents of the group-twisted Gaussian at Z, one per row of the
+    (elements, n) table ``phases``: for an element acting by diag(e^{i phi_j}),
+
+        sum_j |Z_j|^2 / (2u) * [ g1(u a_j)(e^{-i phi_j} - 1)
+                                 + g2(u a_j)(e^{i phi_j} - 1) ]
+
+    with g1(x) = x/(1-e^{-x}), g2(x) = x/(e^x-1).  A coordinate the element
+    fixes has phase 0 and adds exactly 0, so no row needs a normal block.
+    """
+    Z = np.asarray(Z, dtype=complex).reshape(len(eigenvalues))
+    w = np.exp(-1j * np.asarray(phases, dtype=float).reshape(-1, len(eigenvalues))) - 1.0
+    expo = np.zeros(len(w), dtype=complex)
+    for aj, wj, zj in zip(eigenvalues, w.T, Z):
+        g1, g2 = factor_plus(aj, u), factor_minus(aj, u)
+        expo = expo + (abs(zj) ** 2 / (2.0 * u)) * (g1 * wj + g2 * wj.conj())
+    return expo
 
 
 def model_heat_kernel(point: ModelPoint, Z, Zprime):

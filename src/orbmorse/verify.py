@@ -18,9 +18,10 @@ image term of a table at a batch of points and powers as arrays of log|term|
 and phase, and ``log_sum_exp`` sums them in one max-shifted pass per point
 and power; a kernel is that sum as a plain complex number.  Degree one on a
 torus is derived in one place, the bounded cache ``_torus_image_sums`` on
-plain (d, k, z, u, p), from one degree-0 evaluation.  A local model's per-u
-normal blocks and limit are cached too.  The trace identity integrates the
-image sum in closed form.
+plain (d, k, z, u, p), from one degree-0 evaluation.  A local model's limit
+is cached per (a, u), and its twist correction is one batch kernel per power,
+``kernels.twisted_exponents``, over the phase table of its non-identity
+elements.  The trace identity integrates the image sum in closed form.
 
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
 guard.  Every torus and local-model route types its power p and time u with
@@ -45,7 +46,7 @@ from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError, _at
                      _degree, _positive)
 from .geometry import cyclic_group, fibre_angles
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
-                      mehler_log_form, twisted_gaussian)
+                      mehler_log_form, twisted_exponents)
 from .spectral import (CACHE_SIZE, _level_weights, _torus, assemble_kodaira_laplacian,
                        heat_trace, torus_diagonal_kernel_spectral)
 
@@ -197,19 +198,6 @@ def local_model_image_log_terms(orb, points, u, p):
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _twist_constants(group, u):
-    """The degree-0 limit at time u of the local model whose ``exact.group`` is
-    ``group``, each element's fixed- times normal-block limit, and per non-identity
-    element its fibre character, moved coordinates and normal-block ``ModelPoint``
-    (a zero in a reads 1)."""
-    a = np.array(group[1])
-    blocks = tuple((g.character, ~g.fixed,
-                    ModelPoint(a[~g.fixed], u, np.angle(g.rotation)[~g.fixed]))
-                   for g in _group_images(group).labels if not g.is_identity)
-    return _limit(group[1], u), blocks
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _limit(a, u):
     """The degree-0 limit density at time u of the flat model of curvatures ``a``."""
     return heat_diagonal_limit(ModelPoint(a, u), 0).trace
@@ -354,19 +342,24 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     group-twisted Gaussian correction.
 
     The corrected expansion is limit + sum over non-trivial elements g of
-    e^{2 pi i c_g p / k} kappa^{-1} limit(Z_1) * twisted_gaussian(sqrt(p) Z_2);
-    for flat local models it reproduces the kernel to rounding, while the
-    uncorrected limit misses the order-one twist at sqrt(p) |Z| = O(1).
+    e^{2 pi i c_g p / k} limit * twisted_gaussian(g, sqrt(p) Z), the one limit for
+    every fixed- times normal-block limit; for flat local models it reproduces the
+    kernel to rounding, while the uncorrected limit misses the order-one twist.
     """
     group = orb.oracle("group", "the corrected expansion ships for local models")
     Z = _point(orb, Z)
-    limit, normal_blocks = _twist_constants(group, u)
+    images = _group_images(group)
+    limit = _limit(images.a, u)
+    others = np.arange(len(images.labels)) != images.identity
+    phases = np.angle(images.rot[others])
+    characters = images.characters or (0,) * len(images.labels)
     _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list)
     records = []
     for p, kernel in zip(p_list, _image_sums(log_abs, phase)):
-        angles = fibre_angles([c for c, _, _ in normal_blocks], group[0], p)
-        corr = sum((np.exp(1j * angle) * limit * twisted_gaussian(pt, math.sqrt(p) * Z[normal])
-                    for angle, (_, normal, pt) in zip(angles, normal_blocks)), 0.0j)
+        fibres = np.exp(1j * fibre_angles(characters, group[0], p)[others]) * limit
+        twists = np.exp(twisted_exponents(images.a, u, phases, math.sqrt(p) * Z))
+        # as Python complex numbers: numpy's product fuses multiply-adds, its sum regroups
+        corr = sum((f * t for f, t in zip(fibres.tolist(), twists.tolist())), 0.0j)
         records.append(SingularExpansionRecord(
             p=int(p), u=float(u), residual_without_twist=float(abs(kernel - limit)),
             residual_with_twist=float(abs(kernel - limit - corr))))

@@ -285,7 +285,9 @@ def test_a_twist_below_the_limits_rounding_is_left_out(tmp_path, monkeypatch, a,
         return
     assert entry is None and record["data"]["twist_shrink_factor"] >= 10.0
     from orbmorse import verify
-    monkeypatch.setattr(verify, "twisted_gaussian", lambda pt, z: 0.0)
+    # every twist exp(-inf) = 0: the correction is dropped
+    monkeypatch.setattr(verify, "twisted_exponents",
+                        lambda eigenvalues, u, phases, Z: np.full(len(phases), -np.inf))
     assert main(["kernel-asymptotics", "--config", cfg, "--out", str(out)]) == 1
 
 

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbmorse import kernels
 from orbmorse.errors import DegenerateSpectrumError
+from orbmorse.geometry import cyclic_group
 from orbmorse.kernels import (ModelPoint, factor_minus, factor_plus, heat_diagonal_limit,
                               log_sum_exp, model_heat_kernel, signature_limit_density,
                               twisted_gaussian)
@@ -270,6 +271,34 @@ def test_a_copied_model_point_is_checked_again():
 def test_twist_requires_group_element():
     with pytest.raises(ValueError):
         twisted_gaussian(ModelPoint((1.0,), 1.0), np.array([0.1j]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 12), weights=st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       a=st.lists(st.sampled_from([-2.5, -0.4, 0.0, 0.7, 1.0, 3.0]), min_size=3, max_size=3),
+       u=st.floats(0.1, 10.0),
+       point=st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                         allow_infinity=False), min_size=3, max_size=3))
+def test_each_row_of_the_batch_twist_is_its_normal_block_twist(k, weights, a, u, point):
+    """A coordinate an element fixes has phase 0 and adds exactly 0 to its row,
+    so each row's exponential is twisted_gaussian on the element's normal block
+    alone, bit for bit, and each exponent is the scalar sum over the moved
+    coordinates, taken with cmath, within rounding of its terms."""
+    assume(math.gcd(k, *weights) == 1)
+    n = len(weights)
+    group = cyclic_group(k, weights)[1:]
+    phases = np.angle([g.rotation for g in group])
+    Z, a = np.array(point[:n]), np.array(a[:n])
+    exponents = kernels.twisted_exponents(a.tolist(), u, phases, Z)
+    for g, expo, phase in zip(group, exponents.tolist(), phases):
+        normal = ~g.fixed
+        pt = ModelPoint(tuple(a[normal]), u, tuple(phase[normal]))
+        assert complex(np.exp(expo)) == twisted_gaussian(pt, Z[normal])
+        terms = [abs(z) ** 2 / (2.0 * u) * (factor_plus(aj, u) * (cmath.exp(-1j * phi) - 1)
+                                            + factor_minus(aj, u) * (cmath.exp(1j * phi) - 1))
+                 for aj, phi, z in zip(a[normal].tolist(), phase[normal].tolist(),
+                                       Z[normal].tolist())]
+        assert abs(expo - sum(terms)) <= 1e-14 * sum(map(abs, terms))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orbmorse import spectral, verify
+from orbmorse import kernels, spectral, verify
 from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
@@ -686,6 +686,12 @@ def per_element_residuals(orb, bundle, Z, u, p):
 
 
 @settings(max_examples=60, deadline=None)
+@example(k=64, weights=[1], a=[1.0, 1.0, 1.0], c=3, u=1.0, p_list=[64, 4096],
+         point=[0.05 + 0.02j, 0j, 0j])
+@example(k=1024, weights=[3], a=[0.7, 1.0, 1.0], c=1, u=0.5, p_list=[1000, 4096],
+         point=[0.01 - 0.03j, 0j, 0j])
+@example(k=4096, weights=[5], a=[1.6, 1.0, 1.0], c=2, u=5.0, p_list=[256, 2 ** 20],
+         point=[-0.002 + 0.001j, 0j, 0j])
 @given(k=st.integers(1, 4),
        weights=st.lists(st.integers(0, 2), max_size=2).flatmap(lambda w: st.permutations([1, *w])),
        a=st.lists(st.sampled_from([0.7, 1.0, 1.3, 1.6]), min_size=3, max_size=3),
@@ -696,7 +702,8 @@ def per_element_residuals(orb, bundle, Z, u, p):
 def test_one_limit_equals_the_per_element_block_product(k, weights, a, c, u, p_list, point):
     """The degree-0 limit is a product over the coordinates, so one limit
     stands for each element's fixed-block times normal-block limits: bit for
-    bit at n = 1, and within rounding of the limit (about 1e-16) above."""
+    bit at n = 1, and within rounding of the limit (about 1e-16) above.  The
+    examples are n = 1 groups of order 64, 1024 and 4096."""
     n = len(weights)
     orb, bundle = build_catalog_orbifold("local-model", k=k, a=a[:n], weights=weights,
                                          character=c)
@@ -721,30 +728,30 @@ def test_singular_expansion_builds_one_limit_per_call(monkeypatch):
     assert len(records) == 3 and limit.call_count == 1
 
 
-def test_one_model_and_time_build_their_twist_constants_once(monkeypatch):
-    """Three twist powers at one (model, u) build one limit and one normal block
-    per non-identity element between them, from one group; a model with other
-    weights or another character builds its own group and normal blocks but shares
-    the limit of its curvatures a, and another u builds its own of each."""
-    builders = {name: mock.Mock(wraps=getattr(verify, name))
-                for name in ("heat_diagonal_limit", "ModelPoint", "cyclic_group")}
-    for name, builder in builders.items():
-        monkeypatch.setattr(verify, name, builder)
-
-    def counts():
-        return tuple(builder.call_count for builder in builders.values())
-
+@pytest.mark.parametrize("k", [3, 4096])
+def test_a_singular_call_builds_the_limit_alone_and_one_twist_batch_per_power(monkeypatch, k):
+    """The limit is one ModelPoint per (a, u), which models of other weights or
+    another character share, and each model builds its group once.  No element
+    builds a normal block: the twist of every non-identity element is one
+    batch-kernel call per power, over the group's phase table, and no element
+    calls twisted_gaussian."""
+    clear_caches()
+    spies = {name: mock.Mock(wraps=getattr(verify, name))
+             for name in ("ModelPoint", "cyclic_group", "twisted_exponents")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(verify, name, spy)
+    gaussian = mock.Mock(wraps=kernels.twisted_gaussian)
+    monkeypatch.setattr(kernels, "twisted_gaussian", gaussian)
     Z = np.array([0.1 + 0.05j, 0.02j])
-    models = [dict(weights=(1, 2)), dict(weights=(1, 1)), dict(weights=(1, 2), character=1)]
-    for i, params in enumerate(models, 1):
-        orb, bundle = build_catalog_orbifold("local-model", k=3, a=(0.7, 1.3), **params)
-        for p in (256, 1024, 4096):
-            verify_kernel_asymptotics_singular(orb, bundle, Z, 1.0, [p])
-        # one limit and its ModelPoint for the three models' one a, and a
-        # ModelPoint for each model's two normal blocks
-        assert counts() == (1, 1 + 2 * i, i)
-    verify_kernel_asymptotics_singular(orb, bundle, Z, 0.5, [256])
-    assert counts() == (2, 10, 3)
+    for params in (dict(weights=(1, 2)), dict(weights=(1, 1)), dict(weights=(1, 2), character=1)):
+        orb, bundle = build_catalog_orbifold("local-model", k=k, a=(0.7, 1.3), **params)
+        for u in (1.0, 0.5, 1.0):
+            verify_kernel_asymptotics_singular(orb, bundle, Z, u, [256, 1024, 4096])
+    assert [call.args for call in spies["ModelPoint"].call_args_list] == [((0.7, 1.3), 1.0),
+                                                                         ((0.7, 1.3), 0.5)]
+    assert spies["cyclic_group"].call_count == 3 and gaussian.call_count == 0
+    batches = spies["twisted_exponents"].call_args_list
+    assert len(batches) == 27 and {np.shape(call.args[2]) for call in batches} == {(k - 1, 2)}
 
 
 def test_a_lone_singular_factor_builds_no_normal_block(monkeypatch):
@@ -893,10 +900,16 @@ def _lstsq_fit(p_values, log_errors):
 @given(base=st.integers(1, 64), exponents=st.sets(st.integers(0, 24), min_size=2, max_size=12),
        slope=st.floats(-60.0, 2.0), intercept=st.floats(-60.0, 60.0),
        noise=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12))
+# two log errors a rounding apart: the closed form's R^2 reads exactly 1 (a line
+# through two points), and the reference's 2.1e-8 below it
+@example(base=1, exponents={0, 1}, slope=0.0, intercept=1.0, noise=[3.07e-12] + [0.0] * 11)
 def test_fit_rate_closed_form_matches_lstsq(base, exponents, slope, intercept, noise):
     """Slope, intercept and R^2 within 1e-12 relative of LAPACK's least squares,
     each against the size of the terms it is formed from, on doubling lists
-    of powers with noisy log errors."""
+    of powers with noisy log errors.  R^2 divides by ss_tot, the spread of the
+    log errors, so where that spread is at rounding level the reference
+    resolves R^2 only to about eps * sum(le^2) / ss_tot: the bound is that
+    where it exceeds 1e-12."""
     ps = [base * 2 ** e for e in sorted(exponents)]
     le = [slope * math.log(p) + intercept + eps for p, eps in zip(ps, noise)]
     fit = fit_rate(ps, le)
@@ -905,7 +918,10 @@ def test_fit_rate_closed_form_matches_lstsq(base, exponents, slope, intercept, n
     assert fit.slope == pytest.approx(ref_slope, rel=1e-12, abs=1e-12)
     assert fit.intercept == pytest.approx(
         ref_intercept, rel=0.0, abs=1e-12 * (abs(ref_intercept) + abs(ref_slope) * mean_lx + 1.0))
-    assert fit.r_squared == pytest.approx(ref_r2, rel=1e-12, abs=1e-12)
+    errors = np.asarray(le)
+    ss_tot = float(((errors - errors.mean()) ** 2).sum())
+    resolved = np.finfo(float).eps * float((errors * errors).sum()) / ss_tot if ss_tot else 0.0
+    assert fit.r_squared == pytest.approx(ref_r2, rel=1e-12, abs=max(1e-12, resolved))
 
 
 def test_fit_rate_runs_no_lapack(monkeypatch):
