@@ -13,7 +13,7 @@ from .curvature import (CurvatureSpectrum, classify_point, curvature_spectrum,
                         morse_integral, signature_integrals)
 from .errors import (ConfigurationError, DegenerateSpectrumError, GeometryError,
                      IntegrandError, OrbmorseError, UnsupportedModelError)
-from .geometry import (ChartedOrbifold, EquivariantLineBundle, GroupElement,
+from .geometry import (ChartedOrbifold, CyclicGroup, EquivariantLineBundle,
                        OrbifoldChart, cyclic_group, orbifold_integrate, volume_density)
 from .kernels import (LimitDensity, ModelPoint, heat_diagonal_limit,
                       model_heat_kernel, signature_limit_density, twisted_gaussian)

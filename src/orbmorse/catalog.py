@@ -112,7 +112,7 @@ def _build_local_model(k=2, a=(1.0,), weights=None, character=0):
     chart = OrbifoldChart(dimension=n, group=group, box_radius=1.0,
                           metric_scalar=constant_field(1.0) if n == 1 else None)
 
-    moved = ~np.array([g.fixed for g in group[1:]], dtype=bool).reshape(-1, n)
+    moved = ~group.fixed[1:]
 
     def singular_distance(chart_index, Z):
         if k == 1:

@@ -116,6 +116,13 @@ def _at_least(name, value, low):
     return int(value)
 
 
+def _bounded(name, value, low, high):
+    """``value`` as an int, refused unless it is an integer in ``low``..``high``."""
+    if (value := _at_least(name, value, low)) > high:
+        raise ConfigurationError(f"{name} must be at most {high}, got {value!r}")
+    return value
+
+
 def _positive(name, value):
     """``value`` as a float, refused unless it is a finite real > 0."""
     if _finite(name, value) <= 0:

@@ -1,7 +1,7 @@
 """Charted orbifolds with linear finite group actions.
 
-A chart is a domain in C^n on which a finite cyclic group acts by diagonal
-rotations (see ``cyclic_group``); the metric and every bundle datum are fields
+A chart is a domain in C^n on which one ``cyclic_group`` record, (k, n) arrays,
+acts by diagonal rotations; the metric and every bundle datum are fields
 on the chart, and all global quantities are assembled chart by chart with the
 1/|G| weight of orbifold integration.  Only catalog models are constructed
 (see catalog.py), so the attachment data between charts stays minimal: each
@@ -25,7 +25,7 @@ with ``resolution`` Gauss-Legendre nodes on each piece: [0, edge] and
 and on the square box of any other chart (the torus and the local models)
 the inscribed disc and the corners beyond it.  Every other chart (the dented
 P(1, 1), a point function) takes the tensor rule on its square box,
-``resolution`` nodes per axis; ``gauss_legendre_nodes`` types it as an integer >= 1.
+``resolution`` nodes per axis; ``gauss_legendre_nodes`` types it in 1..2^16.
 
 All types are immutable NamedTuples; quadrature accumulates in a fixed
 chart/node order, so reruns are bit-identical.
@@ -40,51 +40,46 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, GeometryError, IntegrandError,
-                     UnsupportedModelError, _at_least, _integer, _list_of)
+                     UnsupportedModelError, _bounded, _integer, _list_of)
 
 INTEGRAND_INVARIANCE_TOL = 1e-8
-# the largest chart group order: the group is one record per element, and the image
-# sums and the singular twist read (elements, n) tables, together 2.9 MB at 2^12 and
-# 44 MB at 2^16, where an order near 10^8 would take gigabytes before any other check
+# the largest chart group order: on C^3 / Z_k the (k, n) group record and both kernel
+# checks at p_list [4, 8, 16] peak at 1.4 MB (tracemalloc) at 2^12 and 20 MB at 2^16,
+# where an order near 10^8 would take gigabytes before any other check
 GROUP_ORDER_MAX = 2 ** 12
+# the largest quadrature resolution, the sweeps' top: at 2^16 signature_integrals on
+# P(2, 3) takes 0.05 s and a 21 MB tracemalloc peak, and the dented P(1, 1)'s tensor
+# rule 0.45 s and 270 MB per block of BLOCK_ROWS x 2^16 nodes; 2^40 asked for 4 TiB
+QUADRATURE_RESOLUTION_MAX = 2 ** 16
 
 
-class GroupElement(NamedTuple):
-    """One element g^m of a cyclic chart group: diagonal rotation plus character.
+class CyclicGroup(NamedTuple):
+    """A cyclic chart group Z_k, one read-only record whose row m is g^m (row 0
+    the identity); ``order`` counts the elements, as its len counts its 3 fields.
 
-    rotation : the diagonal e^{2 pi i w_j m / k} of the action on the chart
-        coordinates.
-    fixed : per coordinate, whether the element fixes it, (w_j m) mod k == 0
-        in exact integers.
-    character : the integer c_g = (c m) mod k; the element acts on the line
-        bundle fiber (along its fixed set) by e^{2 pi i c_g / k}, so on the
-        p-th power by e^{2 pi i c_g p / k}, at the angle ``fibre_angles`` takes.
+    rotation : (k, n), the diagonal e^{2 pi i w_j m / k} of g^m on the chart.
+    fixed : (k, n), whether g^m fixes coordinate j, (w_j m) mod k == 0 in integers.
+    characters : the k ints c_m = (c m) mod k; g^m acts on the fiber of L^p
+        by e^{2 pi i c_m p / k}, at the angle ``fibre_angles`` takes.
     """
 
     rotation: np.ndarray
     fixed: np.ndarray
-    character: int
+    characters: tuple
 
     @property
-    def is_identity(self):
-        return bool(self.fixed.all())
+    def order(self):
+        return self.rotation.shape[0]
 
 
 def cyclic_group(order, weights, character=0):
-    """The cyclic group Z_k generated by diag(e^{2 pi i w_j / k}).
-
-    Returns the k elements g^m, m = 0..k-1, where g^m acts on the line bundle
-    fiber by the character (c m) mod k of the integer ``character`` c.  The
-    group is closed with one identity by construction; an order that is not
-    an integer >= 1, a character or weights that are not integers and weights
-    that generate a proper subgroup (gcd(k, w mod k) != 1, an ineffective
-    action) raise ConfigurationError, and so does an order above
-    GROUP_ORDER_MAX, before any element is built.
-    """
-    order = _at_least("chart group order k", order, 1)
-    if order > GROUP_ORDER_MAX:
-        raise ConfigurationError(
-            f"chart group order k must be at most {GROUP_ORDER_MAX}, got {order!r}")
+    """The cyclic group Z_k generated by diag(e^{2 pi i w_j / k}), as one
+    ``CyclicGroup`` of the elements g^m, m = 0..k-1, g^m acting on the fiber by
+    the character (c m) mod k of the integer ``character`` c.  An order not in
+    1..GROUP_ORDER_MAX, a character or weight that is not an integer and
+    weights that act ineffectively, gcd(k, w mod k) != 1, raise
+    ConfigurationError before any element is built."""
+    order = _bounded("chart group order k", order, 1, GROUP_ORDER_MAX)
     character = _integer("fibre character", character)
     weights = _list_of("action weights", weights, _integer)
     residues = [w % order for w in weights]
@@ -93,10 +88,11 @@ def cyclic_group(order, weights, character=0):
             f"action weights {tuple(weights)} mod k={order} generate a proper subgroup; "
             "the action is not effective")
     # exponents (w_j m) mod k per element and coordinate, in exact integers
-    exponents = np.outer(np.arange(order), np.array(residues, dtype=np.int64)) % order
-    rotations = np.exp(2j * np.pi * exponents / order)
-    return tuple(GroupElement(rotation=rot, fixed=e == 0, character=character * m % order)
-                 for m, (rot, e) in enumerate(zip(rotations, exponents)))
+    m = np.arange(order)
+    exponents = np.outer(m, np.array(residues, dtype=np.int64)) % order
+    rotation, fixed = np.exp(2j * np.pi * exponents / order), exponents == 0
+    rotation.flags.writeable = fixed.flags.writeable = False
+    return CyclicGroup(rotation, fixed, tuple((m * (character % order) % order).tolist()))
 
 
 def fibre_angles(characters, order, p):
@@ -176,7 +172,7 @@ class OrbifoldChart(namedtuple("OrbifoldChart", "dimension group bump box_radius
 
     @property
     def order(self):
-        return len(self.group)
+        return self.group.order
 
 
 def _require_one_dimensional(chart):
@@ -251,7 +247,7 @@ class EquivariantLineBundle(NamedTuple):
     points of chart k (vectorized, in the frame of the metric density), so
     that the curvature endomorphism is c / h.  None for the flat
     higher-dimensional local models, whose curvature is the a of exact.group.  The
-    fiber characters of the chart group live on its elements.
+    fiber characters of the chart group are its ``characters``.
     """
 
     curvature_scalars: tuple
@@ -418,8 +414,8 @@ def _legendre_rule(n):
 
 def gauss_legendre_nodes(resolution, radius):
     """Gauss-Legendre nodes and weights on [-radius, radius]; every rule reads
-    them here, so here ``resolution`` is typed as an integer >= 1."""
-    n = _at_least("quadrature resolution", resolution, 1)
+    them here, so here ``resolution`` is typed, in 1..QUADRATURE_RESOLUTION_MAX."""
+    n = _bounded("quadrature resolution", resolution, 1, QUADRATURE_RESOLUTION_MAX)
     if n not in _GL_RULES:
         _GL_RULES[n] = _legendre_rule(n)
     x, w = _GL_RULES[n]
@@ -511,12 +507,11 @@ def orbifold_integrate(fields, orb: ChartedOrbifold, resolution=128):
             idx = rng.integers(0, n * n, size=min(8, n * n))
             pts = x[idx // n] + 1j * x[idx % n]
             ref = np.asarray(field(pts))
-            for g in chart.group:
-                moved = np.asarray(field(g.rotation[0] * pts))
-                mismatch = np.max(np.abs(moved - ref))
-                if mismatch > INTEGRAND_INVARIANCE_TOL:
-                    raise IntegrandError(
-                        f"integrand not invariant on chart {k} (mismatch {mismatch:.2e})")
+            moved = np.asarray(field((chart.group.rotation[:, :1] * pts).ravel()))
+            mismatch = np.max(np.abs(moved.reshape(-1, pts.size) - ref))
+            if mismatch > INTEGRAND_INVARIANCE_TOL:
+                raise IntegrandError(
+                    f"integrand not invariant on chart {k} (mismatch {mismatch:.2e})")
         contrib = 0.0
         for nodes, weights in chart_blocks(chart, (field,), resolution):
             vals = np.asarray(field(nodes))

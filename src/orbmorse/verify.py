@@ -11,16 +11,16 @@ routines below compute those images in log-scaled arithmetic (they fall far
 below the float underflow threshold at large p), compare them against the
 closed-form predictions, and fit empirical convergence orders.
 
-Each flat model's images are one ``ImageTable``, built once in a bounded
-cache: a torus's deck images per (d, k), a local model's group per its
-``exact.group``.  One kernel, ``image_log_terms``, evaluates every degree-0
-image term of a table at a batch of points and powers as arrays of log|term|
-and phase, and ``log_sum_exp`` sums them in one max-shifted pass per point
-and power; a kernel is that sum as a plain complex number.  Degree one on a
-torus is derived in one place, the bounded cache ``_torus_image_sums`` on
-plain (d, k, z, u, p), from one degree-0 evaluation.  A local model's limit
-is cached per (a, u), and its twist correction is one batch kernel per power,
-``kernels.twisted_exponents``, over the phase table of its non-identity
+Each flat model's images are one ``ImageTable``: a torus's deck images, per
+(d, k) in a bounded cache, or a local model's chart group, read in place.
+One kernel, ``image_log_terms``, evaluates every degree-0 image term of a
+table at a batch of points and powers as arrays of log|term| and phase, and
+``log_sum_exp`` sums them in one max-shifted pass per point and power; a
+kernel is that sum as a plain complex number.  Degree one on a torus is
+derived in one place, the bounded cache ``_torus_image_sums`` on plain
+(d, k, z, u, p), from one degree-0 evaluation.  A local model's limit is
+cached per (a, u), and its twist correction is one batch kernel per power,
+``kernels.twisted_exponents``, over the rotation rows of its non-identity
 elements.  The trace identity integrates the image sum in closed form.
 
 Every torus route reads (d, k) through ``spectral._torus``, the one torus
@@ -44,7 +44,7 @@ import numpy as np
 from .curvature import signature_integrals
 from .errors import (ConfigurationError, GeometryError, UnresolvedTimeError, _at_least,
                      _degree, _positive)
-from .geometry import cyclic_group, fibre_angles
+from .geometry import fibre_angles
 from .kernels import (ModelPoint, factor_plus, heat_diagonal_limit, log_sum_exp,
                       mehler_log_form, twisted_exponents)
 from .spectral import (CACHE_SIZE, _level_weights, _torus, assemble_kodaira_laplacian,
@@ -108,10 +108,11 @@ class ImageTable(NamedTuple):
     with an integer fibre character mod the group order: ``rot`` and ``shift``
     of shape (images, n), ``characters`` one per image, and None for the shift
     of a local model and the characters of a torus or of a group that fixes
-    the fibre.  ``a`` is the curvature at p = 1, and ``identity`` the index of
-    the identity image."""
+    the fibre.  ``labels`` name the images, (m, n, j) on a torus and m for g^m
+    on a local model, ``a`` is the curvature at p = 1, and ``identity`` the
+    index of the identity image."""
 
-    labels: tuple
+    labels: object
     a: tuple
     rot: np.ndarray
     shift: object
@@ -120,11 +121,15 @@ class ImageTable(NamedTuple):
 
 
 def _images(orb):
-    """The image table of a flat model, read from its exact record."""
+    """The image table of a flat model, read from its exact record; a local
+    model's holds its chart group's elements g^m, labelled m, read in place."""
     if orb.exact.torus is not None:
         return _torus_images(*_torus(orb))
-    return _group_images(orb.oracle(
-        "group", "kernel asymptotics require a flat model with an exact image-sum oracle"))
+    k, a, _, character = orb.oracle(
+        "group", "kernel asymptotics require a flat model with an exact image-sum oracle")
+    group = orb.charts[0].group
+    return ImageTable(range(k), a, group.rotation, None,
+                      group.characters if character else None, 0)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -138,19 +143,6 @@ def _torus_images(d, k):
     rot, shift = (1.0 - 2.0 * j).astype(complex), m + 1j * n_
     rot.flags.writeable = shift.flags.writeable = False     # every call shares them
     return ImageTable(labels, (2.0 * math.pi * d,), rot, shift, None, labels.index((0, 0, 0)))
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _group_images(group):
-    """The images of the local model whose ``exact.group`` is ``group``, (k, a,
-    weights, c): the elements of ``cyclic_group(k, weights, c)``."""
-    k, a, weights, character = group
-    elements = cyclic_group(k, weights, character)
-    rot = np.array([g.rotation for g in elements])
-    rot.flags.writeable = False
-    return ImageTable(elements, a, rot, None,
-                      tuple(g.character for g in elements) if character else None,
-                      [g.is_identity for g in elements].index(True))
 
 
 def image_log_terms(images, points, u, p):
@@ -193,8 +185,8 @@ def torus_image_log_terms(d, k, points, u, p):
 
 def local_model_image_log_terms(orb, points, u, p):
     """``image_log_terms`` of a local model, at points of shape (..., n)."""
-    return image_log_terms(_group_images(orb.oracle(
-        "group", "group-element sums run on the local models")), points, u, p)
+    orb.oracle("group", "group-element sums run on the local models")
+    return image_log_terms(_images(orb), points, u, p)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -212,7 +204,7 @@ def _image_sums(log_abs, phase):
 
 def local_model_image_terms(orb, bundle, Z, u, p):
     """Per-group-element terms of p^{-n} exp(-u Lap_p / p)(Z, Z), degree 0, as
-    (group element, log|term|, phase) triples."""
+    (m, log|term|, phase) triples, one per element g^m."""
     labels, log_abs, phase = local_model_image_log_terms(orb, _point(orb, Z), u, [p])
     return list(zip(labels, log_abs[0], phase[0]))
 
@@ -346,18 +338,16 @@ def verify_kernel_asymptotics_singular(orb, bundle, Z, u, p_list):
     every fixed- times normal-block limit; for flat local models it reproduces the
     kernel to rounding, while the uncorrected limit misses the order-one twist.
     """
-    group = orb.oracle("group", "the corrected expansion ships for local models")
+    k, a, _, _ = orb.oracle("group", "the corrected expansion ships for local models")
     Z = _point(orb, Z)
-    images = _group_images(group)
-    limit = _limit(images.a, u)
-    others = np.arange(len(images.labels)) != images.identity
-    phases = np.angle(images.rot[others])
-    characters = images.characters or (0,) * len(images.labels)
+    group = orb.charts[0].group
+    limit = _limit(a, u)
+    phases = np.angle(group.rotation[1:])     # rows 1.., the non-identity elements
     _, log_abs, phase = local_model_image_log_terms(orb, Z, u, p_list)
     records = []
     for p, kernel in zip(p_list, _image_sums(log_abs, phase)):
-        fibres = np.exp(1j * fibre_angles(characters, group[0], p)[others]) * limit
-        twists = np.exp(twisted_exponents(images.a, u, phases, math.sqrt(p) * Z))
+        fibres = np.exp(1j * fibre_angles(group.characters[1:], k, p)) * limit
+        twists = np.exp(twisted_exponents(a, u, phases, math.sqrt(p) * Z))
         # as Python complex numbers: numpy's product fuses multiply-adds, its sum regroups
         corr = sum((f * t for f, t in zip(fibres.tolist(), twists.tolist())), 0.0j)
         records.append(SingularExpansionRecord(

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from hypothesis import strategies as st
 
 import orbmorse
 from orbmorse import cli
+from orbmorse.catalog import build_catalog_orbifold
 from orbmorse.cli import RunConfig, load_config, main
 from orbmorse.errors import REASONS, ConfigurationError
-from orbmorse.geometry import GROUP_ORDER_MAX
+from orbmorse.geometry import GROUP_ORDER_MAX, cyclic_group
 from orbmorse.report import REPORT_SCHEMA, validate_report
 
 TORUS_YAML = """\
@@ -503,6 +505,10 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
     (TORUS_CATALOG, TORUS_CATALOG.replace("d: 1", f"d: {-10 ** 309}"), "parameter d "),
     (TORUS_CATALOG, LOCAL_CATALOG.replace("k: 2", f"k: {GROUP_ORDER_MAX + 1}"), "order k "),
     (TORUS_CATALOG, LOCAL_CATALOG.replace("k: 2", f"k: {10 ** 20}"), "order k "),
+    # 2^40 nodes asked numpy for 4 TiB, an exit-1 traceback, and 2^40 Landau
+    # levels a tuple of 2^40 multiplicities; both are refused before either
+    ("resolution_quadrature: 96", f"resolution_quadrature: {2 ** 40}", "quadrature resolution"),
+    ("resolution_spectral: 16", f"resolution_spectral: {2 ** 40}", "spectral resolution"),
 ], ids=["unknown-parameter", "quadrature-resolution-0", "spectral-resolution-0",
         "p-zero", "p-negative", "q-negative", "u-list-empty", "q-list-empty",
         "q-above-dimension", "aux-rank", "run-key-typo", "run-extra-key",
@@ -515,7 +521,8 @@ WPS_CATALOG = "  id: wps\n  params:\n    weights: [1, 1]\n"
         "u-nan", "q-real", "tolerance-string", "quadrature-resolution-real",
         "spectral-resolution-bool", "seed-real", "u-list-repeated", "q-list-repeated",
         "report-name-in-subdirectory", "report-name-empty", "report-name-csv",
-        "report-name-integer", "d-1e309", "d-minus-1e309", "k-above-the-bound", "k-1e20"])
+        "report-name-integer", "d-1e309", "d-minus-1e309", "k-above-the-bound", "k-1e20",
+        "quadrature-resolution-2-40", "spectral-resolution-2-40"])
 def test_invalid_config_exits_2(tmp_path, capsys, old, new, named):
     bad = write(tmp_path, "bad.yaml", TORUS_YAML.replace(old, new))
     assert main(["all", "--config", bad, "--out", str(tmp_path / "o")]) == 2
@@ -546,8 +553,27 @@ def test_all_on_nonpositive_degree_torus_skips_spectra(tmp_path, d):
         f"bundle degree d={d} has no magnetic Fourier basis; spectra require d >= 1"}
 
 
+@pytest.mark.parametrize("catalog,params,orders", [
+    (LOCAL_CATALOG.replace("k: 2", "k: 4"), {"k": 4, "a": [1.0]}, [4]),
+    (WPS_CATALOG.replace("[1, 1]", "[2, 5]"), {"weights": [2, 5]}, [2, 5]),
+    (TORUS_CATALOG, {"d": 1, "k": 2}, [2])], ids=["local-model", "wps", "torus"])
+def test_all_builds_each_chart_group_once(tmp_path, monkeypatch, catalog, params, orders):
+    """``orbmorse all`` builds each chart's group once, in the catalog, and
+    every stage reads that record: one build on a local model and on the
+    torus, two on P(a, b).  Each chart counts the record's elements, at
+    orders other than 3, the len of the three-field record."""
+    spy = mock.Mock(wraps=cyclic_group)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbmorse") and hasattr(module, "cyclic_group"):
+            monkeypatch.setattr(module, "cyclic_group", spy)
+    cfg = write(tmp_path, "c.yaml", TORUS_YAML.replace(TORUS_CATALOG, catalog))
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert spy.call_count == len(orders)
+    orb, _ = build_catalog_orbifold(yaml.safe_load(catalog)["id"], **params)
+    assert [chart.order for chart in orb.charts] == orders
+
+
 def test_unknown_catalog_parameter_is_a_configuration_error():
-    from orbmorse.catalog import build_catalog_orbifold
     with pytest.raises(ConfigurationError, match="dd"):
         build_catalog_orbifold("torus", dd=1)
 

@@ -102,7 +102,7 @@ def test_integral_invariant_under_group_motion():
     # rotate the singular chart by the group generator: radial fields are
     # untouched, so the integral agrees to rounding.  A point function takes
     # the tensor rule, so the unmoved reference is one too.
-    g = orb.charts[1].group[1].rotation[0]
+    g = orb.charts[1].group.rotation[1, 0]
     curvature_x, curvature_y = bundle.curvature_scalars
     val, val2 = (morse_integral(orb, bundle._replace(curvature_scalars=(
         curvature_x, lambda Z, m=m: curvature_y(m * np.asarray(Z)))), {0}, resolution=128)

@@ -15,10 +15,11 @@ from orbmorse.catalog import WPS_BETA, _wps_metric_profiles, build_catalog_orbif
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import (ConfigurationError, GeometryError, IntegrandError,
                              UnsupportedModelError)
-from orbmorse.geometry import (OrbifoldChart, RadialField, constant_field, cyclic_group,
-                               fibre_angles, orbifold_integrate, volume_density)
+from orbmorse.geometry import (GROUP_ORDER_MAX, OrbifoldChart, RadialField, constant_field,
+                               cyclic_group, fibre_angles, orbifold_integrate, volume_density)
 
 from fibre_fraction import fraction_angle
+from reference_group import reference_group
 
 
 def ones(Z):
@@ -38,8 +39,8 @@ def test_local_model_group_and_flat_metric():
     orb, bundle = build_catalog_orbifold("local-model", k=2, a=(1.0,))
     chart = orb.charts[0]
     assert chart.order == 2
-    assert np.allclose(chart.group[1].rotation, [-1.0])
-    assert not chart.group[1].fixed[0] and not chart.group[1].is_identity
+    assert np.allclose(chart.group.rotation[1], [-1.0])
+    assert not chart.group.fixed[1, 0] and not chart.group.fixed[1].all()
     assert bundle.curvature_scalars[0](np.array([0.3 + 0.1j]))[0] == 1.0
     assert volume_density(chart, np.array([0.4 - 0.2j])) == 1.0
 
@@ -119,7 +120,7 @@ def assert_dense_group(group):
     Every element is expanded to its dense n x n matrix and each inverse and
     product is matched numerically against all elements.
     """
-    mats = np.array([np.diag(g.rotation) for g in group])
+    mats = np.array([np.diag(rotation) for rotation in group.rotation])
     eye = np.eye(mats.shape[1])
 
     def found(targets):
@@ -127,8 +128,8 @@ def assert_dense_group(group):
         return bool(np.all(np.min(dist, axis=1) <= MATCH_TOL))
 
     identities = np.max(np.abs(mats - eye), axis=(1, 2)) <= IDENTITY_TOL
-    assert identities.sum() == 1
-    assert [g.is_identity for g in group] == list(identities)
+    assert identities.sum() == 1 and identities[0]
+    assert list(group.fixed.all(1)) == list(identities)
     assert found(np.conj(np.transpose(mats, (0, 2, 1))))
     for g in mats:
         assert found(g @ mats)
@@ -154,15 +155,37 @@ def test_cyclic_group_closed_with_one_identity():
                     cyclic_group(k, weights)
                 continue
             group = cyclic_group(k, weights, character=2 ** 70 + 7)
-            assert len(group) == k
+            assert group.order == k
             assert_dense_group(group)
             # the fixed mask is the exact form of the rotation test
-            for g in group:
-                assert np.array_equal(g.fixed, np.abs(g.rotation - 1.0) <= IDENTITY_TOL)
-            assert [g.character for g in group] == [(2 ** 70 + 7) * m % k for m in range(k)]
-            assert all(type(g.character) is int for g in group)
+            assert np.array_equal(group.fixed, np.abs(group.rotation - 1.0) <= IDENTITY_TOL)
+            assert list(group.characters) == [(2 ** 70 + 7) * m % k for m in range(k)]
+            assert all(type(c) is int for c in group.characters)
             checked += 1
     assert checked > 400
+
+
+@settings(max_examples=60, deadline=None)
+@example(k=GROUP_ORDER_MAX, weights=[2 ** 70 + 1, -3, 0], character=2 ** 70 + 7)
+@given(k=st.integers(1, GROUP_ORDER_MAX), weights=st.lists(st.integers(), min_size=1, max_size=3),
+       character=st.integers())
+def test_group_record_equals_the_per_element_reference(k, weights, character):
+    """Row m of the record is the element g^m that ``reference_group`` builds
+    alone: the bytes of its rotation, its fixed mask and its character, at
+    any weights and at characters beyond 2^64.  Row 0 is the identity, and
+    the record is read-only."""
+    assume(math.gcd(k, *weights) == 1)
+    group = cyclic_group(k, weights, character)
+    reference = reference_group(k, weights, character)
+    assert group.order == len(reference) == k
+    assert group.rotation.shape == group.fixed.shape == (k, len(weights))
+    for m, element in enumerate(reference):
+        assert group.rotation[m].tobytes() == element.rotation.tobytes()
+        assert np.array_equal(group.fixed[m], element.fixed)
+        assert group.characters[m] == element.character
+    assert all(type(c) is int for c in group.characters)
+    assert group.fixed[0].all() and not np.any(group.fixed[1:].all(1))
+    assert not group.rotation.flags.writeable and not group.fixed.flags.writeable
 
 
 @settings(max_examples=300, deadline=None)
@@ -197,8 +220,8 @@ def test_metric_invariance_sampled():
             r = chart.box_radius
             z = (rng.uniform(-r, r, 12) + 1j * rng.uniform(-r, r, 12)) * 0.5
             h = np.real(chart.metric_scalar(z))
-            for g in chart.group:
-                hg = np.real(chart.metric_scalar(g.rotation[0] * z))
+            for rotation in chart.group.rotation:
+                hg = np.real(chart.metric_scalar(rotation[0] * z))
                 assert np.max(np.abs(hg - h)) <= 1e-10
 
 
@@ -251,7 +274,7 @@ def test_local_model_distance_is_the_least_per_generator_norm(k, weights, point)
     if k == 1:
         assert distance == 10.0
         return
-    norm = min(float(np.linalg.norm(Z[~g.fixed])) for g in orb.charts[0].group[1:])
+    norm = min(float(np.linalg.norm(Z[~fixed])) for fixed in orb.charts[0].group.fixed[1:])
     assert distance == norm if n == 1 else abs(distance - norm) <= 2 * math.ulp(norm)
 
 
@@ -344,7 +367,7 @@ def test_integral_invariant_under_group_composition():
     integral unchanged.  The moved integrand is a point function, so it takes
     the tensor rule, and the unmoved reference is the same point function."""
     orb, _ = build_catalog_orbifold("wps", weights=(1, 2))
-    g1 = orb.charts[1].group[1].rotation[0]
+    g1 = orb.charts[1].group.rotation[1, 0]
 
     def f(Z):
         return np.exp(-np.abs(Z) ** 2)

@@ -286,12 +286,12 @@ def test_each_row_of_the_batch_twist_is_its_normal_block_twist(k, weights, a, u,
     coordinates, taken with cmath, within rounding of its terms."""
     assume(math.gcd(k, *weights) == 1)
     n = len(weights)
-    group = cyclic_group(k, weights)[1:]
-    phases = np.angle([g.rotation for g in group])
+    group = cyclic_group(k, weights)
+    phases = np.angle(group.rotation[1:])
     Z, a = np.array(point[:n]), np.array(a[:n])
     exponents = kernels.twisted_exponents(a.tolist(), u, phases, Z)
-    for g, expo, phase in zip(group, exponents.tolist(), phases):
-        normal = ~g.fixed
+    for fixed, expo, phase in zip(group.fixed[1:], exponents.tolist(), phases):
+        normal = ~fixed
         pt = ModelPoint(tuple(a[normal]), u, tuple(phase[normal]))
         assert complex(np.exp(expo)) == twisted_gaussian(pt, Z[normal])
         terms = [abs(z) ** 2 / (2.0 * u) * (factor_plus(aj, u) * (cmath.exp(-1j * phi) - 1)

@@ -40,8 +40,8 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC.parent))
 # added here, or dropped, is a decision this list records.
 PUBLIC_API = [
     "BignessEstimate", "ChartedOrbifold", "CohomologyTable", "ConfigurationError",
-    "CriterionVerdict", "CurvatureSpectrum", "DegenerateSpectrumError",
-    "EquivariantLineBundle", "GeometryError", "GroupElement", "IntegrandError",
+    "CriterionVerdict", "CurvatureSpectrum", "CyclicGroup", "DegenerateSpectrumError",
+    "EquivariantLineBundle", "GeometryError", "IntegrandError",
     "LimitDensity", "ModelPoint", "OrbifoldChart", "OrbmorseError",
     "UnsupportedModelError", "assemble_kodaira_laplacian", "bigness_check",
     "build_catalog_orbifold", "catalog", "classify_point", "cohomology",

@@ -16,6 +16,7 @@ from orbmorse.cohomology import cohomology_table
 from orbmorse.curvature import signature_integrals
 from orbmorse.errors import (ConfigurationError, GeometryError, UnresolvedTimeError,
                              UnsupportedModelError)
+from orbmorse.geometry import cyclic_group
 from orbmorse.kernels import (ModelPoint, heat_diagonal_limit, log_sum_exp, mehler_log_form,
                               twisted_gaussian)
 from orbmorse.spectral import assemble_kodaira_laplacian, torus_diagonal_kernel_spectral
@@ -32,6 +33,7 @@ from orbmorse.verify import (exact_chain_residuals, fit_rate,
 from conftest import CACHES, clear_caches
 from dents import DENTS
 from fibre_fraction import fraction_angle
+from reference_group import reference_group
 from scaled_fold import fold
 from test_golden import SESSIONS, session_outputs
 
@@ -74,7 +76,7 @@ def test_diagonal_image_terms_match_dense_matrices(k, n, with_identity):
     Z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     labels, log_abs, phase = local_model_image_log_terms(orb, Z, 1.0, [16])
     images = verify._images(orb)
-    assert len(labels) == k and labels[images.identity].is_identity
+    assert labels == range(k) and orb.charts[0].group.fixed[images.identity].all()
     if not with_identity:
         log_abs, phase = without_identity(images, log_abs, phase)
     ref_abs, ref_phase = dense_image_log_terms(orb, Z, 1.0, 16, with_identity)
@@ -667,11 +669,12 @@ def test_twist_correction_shrinks_residual(p):
 def per_element_residuals(orb, bundle, Z, u, p):
     """The residuals with each element's term read as the fixed-block limit
     times the normal-block limit times the twist."""
-    a = np.asarray(orb.exact.group[1], dtype=float)
+    k, a, weights, c = orb.exact.group
+    a = np.asarray(a, dtype=float)
     kernel = local_model_diagonal_kernel(orb, bundle, Z, u, p)
     limit = heat_diagonal_limit(ModelPoint(tuple(a), u), 0).trace
     corr = 0.0j
-    for g in orb.charts[0].group:
+    for g in reference_group(k, weights, c):
         if g.is_identity:
             continue
         normal = ~g.fixed
@@ -680,7 +683,7 @@ def per_element_residuals(orb, bundle, Z, u, p):
         fixed_part = heat_diagonal_limit(ModelPoint(tuple(a[~normal]), u), 0).trace
         pref_normal = heat_diagonal_limit(ModelPoint(tuple(a[normal]), u), 0).trace
         twist = twisted_gaussian(pt, math.sqrt(p) * Z[normal])
-        fibre = np.exp(1j * fraction_angle(g.character, orb.exact.group[0], p))
+        fibre = np.exp(1j * fraction_angle(g.character, k, p))
         corr += fibre * fixed_part * pref_normal * twist
     return abs(kernel - limit), abs(kernel - limit - corr)
 
@@ -731,15 +734,18 @@ def test_singular_expansion_builds_one_limit_per_call(monkeypatch):
 @pytest.mark.parametrize("k", [3, 4096])
 def test_a_singular_call_builds_the_limit_alone_and_one_twist_batch_per_power(monkeypatch, k):
     """The limit is one ModelPoint per (a, u), which models of other weights or
-    another character share, and each model builds its group once.  No element
-    builds a normal block: the twist of every non-identity element is one
-    batch-kernel call per power, over the group's phase table, and no element
-    calls twisted_gaussian."""
+    another character share, and each model's group is the one its catalog
+    build made: verify builds none.  No element builds a normal block: the
+    twist of every non-identity element is one batch-kernel call per power,
+    over the group's phase table, and no element calls twisted_gaussian."""
     clear_caches()
     spies = {name: mock.Mock(wraps=getattr(verify, name))
-             for name in ("ModelPoint", "cyclic_group", "twisted_exponents")}
+             for name in ("ModelPoint", "twisted_exponents")}
     for name, spy in spies.items():
         monkeypatch.setattr(verify, name, spy)
+    spies["cyclic_group"] = mock.Mock(wraps=cyclic_group)
+    monkeypatch.setattr("orbmorse.catalog.cyclic_group", spies["cyclic_group"])
+    assert not hasattr(verify, "cyclic_group")
     gaussian = mock.Mock(wraps=kernels.twisted_gaussian)
     monkeypatch.setattr(kernels, "twisted_gaussian", gaussian)
     Z = np.array([0.1 + 0.05j, 0.02j])
